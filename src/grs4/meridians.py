@@ -100,8 +100,25 @@ class MeridianFamily:
         self.kind = kind
         self.interval = desc.interval
         self.diagnostics: list[str] = []
+        self._last: tuple | None = None   # (float u, MeridianJet) of the last call
 
     def jet(self, u: float) -> MeridianJet:
+        """2-jets of (f, g) at u; DomainError at branch points / outside interval.
+
+        The last evaluated u is remembered: a repeat call with the same float,
+        signed zero included, returns the stored jet.  A call that raises
+        stores nothing.
+        """
+        key = float(u)
+        last = self._last
+        if last is not None and last[0] == key:
+            if key != 0.0 or math.copysign(1.0, key) == math.copysign(1.0, last[0]):
+                return last[1]
+        mj = self._evaluate(u)
+        self._last = (key, mj)
+        return mj
+
+    def _evaluate(self, u: float) -> MeridianJet:
         raise NotImplementedError
 
     def _check_interval(self, u: float):
@@ -117,7 +134,7 @@ class _ClosedFormFamily(MeridianFamily):
         super().__init__(desc, kind)
         self._jet_fn = jet_fn
 
-    def jet(self, u: float) -> MeridianJet:
+    def _evaluate(self, u: float) -> MeridianJet:
         self._check_interval(u)
         fj, gj = self._jet_fn(float(u))
         _check_regular(self.case, u, fj, gj)
@@ -493,7 +510,7 @@ class _SampledFamily(MeridianFamily):
                 self._tol, self._root)
         return self._sampled
 
-    def jet(self, u: float) -> MeridianJet:
+    def _evaluate(self, u: float) -> MeridianJet:
         self._check_interval(u)
         mj = self.ensure_realized().jet_at(float(u))
         _check_regular(self.case, u, mj.f, mj.g)

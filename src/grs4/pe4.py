@@ -56,9 +56,6 @@ class PEVector4:
         return self.x1 == 0.0 and self.x2 == 0.0 and self.x3 == 0.0 and self.x4 == 0.0
 
 
-ZERO4 = PEVector4(0.0, 0.0, 0.0, 0.0)
-
-
 def inner(a: PEVector4, b: PEVector4) -> float:
     """Indefinite inner product a1*b1 + a2*b2 - a3*b3 - a4*b4."""
     return a.x1 * b.x1 + a.x2 * b.x2 - a.x3 * b.x3 - a.x4 * b.x4

@@ -36,7 +36,7 @@ def export_invariants_csv(spec: SurfaceSpec, us, path: str) -> None:
     lines = [INVARIANT_CSV_HEADER]
     for u in us:
         rec = invariant_record(spec, float(u))
-        if rec is None or not rec.admissible:
+        if not rec.admissible:
             lines.append(fmt_float(float(u)) + "," * 13 + ",0")
             continue
         vals = (rec.E, rec.F, rec.G, rec.nu1, rec.nu2, rec.mu, rec.gamma2,

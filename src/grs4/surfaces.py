@@ -134,15 +134,22 @@ class InvariantRecord:
 # ---------------------------------------------------------------------------
 # Position jets and first fundamental form
 
+def _rotation(spec: SurfaceSpec, v: float):
+    """(cos, sin) of alpha*v and beta*v; cosh and sinh for the hyperbolic kind."""
+    a, b = spec.alpha, spec.beta
+    if spec.kind is SurfaceKind.ELLIPTIC:
+        return math.cos(a * v), math.sin(a * v), math.cos(b * v), math.sin(b * v)
+    return math.cosh(a * v), math.sinh(a * v), math.cosh(b * v), math.sinh(b * v)
+
+
 def position_jets(spec: SurfaceSpec, u: float, v: float) -> PointJets:
     """All first and second partials of the immersion, analytically."""
     mj = spec.meridian.jet(u)
     f, fp, fpp = mj.f.val, mj.f.d1, mj.f.d2
     g, gp, gpp = mj.g.val, mj.g.d1, mj.g.d2
     a, b = spec.alpha, spec.beta
+    ca, sa, cb, sb = _rotation(spec, v)
     if spec.kind is SurfaceKind.ELLIPTIC:
-        ca, sa = math.cos(a * v), math.sin(a * v)
-        cb, sb = math.cos(b * v), math.sin(b * v)
         return PointJets(
             z=PEVector4(f * ca, f * sa, g * cb, g * sb),
             z_u=PEVector4(fp * ca, fp * sa, gp * cb, gp * sb),
@@ -151,8 +158,6 @@ def position_jets(spec: SurfaceSpec, u: float, v: float) -> PointJets:
             z_uv=PEVector4(-a * fp * sa, a * fp * ca, -b * gp * sb, b * gp * cb),
             z_vv=PEVector4(-a * a * f * ca, -a * a * f * sa,
                            -b * b * g * cb, -b * b * g * sb))
-    ca, sa = math.cosh(a * v), math.sinh(a * v)
-    cb, sb = math.cosh(b * v), math.sinh(b * v)
     return PointJets(
         z=PEVector4(f * ca, g * cb, f * sa, g * sb),
         z_u=PEVector4(fp * ca, gp * cb, fp * sa, gp * sb),
@@ -206,28 +211,26 @@ def frames(spec: SurfaceSpec, u: float, v: float,
     square roots are taken throughout, so the orientation follows the signs
     of f, g, f', g'.
     """
-    mj = spec.meridian.jet(u)
-    f, fp = mj.f.val, mj.f.d1
-    g, gp = mj.g.val, mj.g.d1
-    a, b = spec.alpha, spec.beta
-    _, _, _, _, _, _, E, W = _meridian_scalars(spec, u)
+    f, fp, _, g, gp, _, E, W = _meridian_scalars(spec, u)
     _require_admissible(spec, u, E, W, eps)
-    se, sw = math.sqrt(E), math.sqrt(W)
-
-    pj = position_jets(spec, u, v)
-    x = pj.z_u * (1.0 / se)
-    y = pj.z_v * (1.0 / sw)
+    ie, iw = 1.0 / math.sqrt(E), 1.0 / math.sqrt(W)
+    a, b = spec.alpha, spec.beta
+    ca, sa, cb, sb = _rotation(spec, v)
+    # x = z_u / sqrt(E) and y = z_v / sqrt(W), with z_u, z_v as in position_jets
     if spec.kind is SurfaceKind.ELLIPTIC:
-        ca, sa = math.cos(a * v), math.sin(a * v)
-        cb, sb = math.cos(b * v), math.sin(b * v)
-        n1 = PEVector4(b * g * sa, -b * g * ca, a * f * sb, -a * f * cb) * (1.0 / sw)
-        n2 = PEVector4(gp * ca, gp * sa, fp * cb, fp * sb) * (1.0 / se)
-    else:
-        ca, sa = math.cosh(a * v), math.sinh(a * v)
-        cb, sb = math.cosh(b * v), math.sinh(b * v)
-        n1 = PEVector4(gp * ca, -fp * cb, gp * sa, -fp * sb) * (1.0 / se)
-        n2 = PEVector4(b * g * sa, -a * f * sb, b * g * ca, -a * f * cb) * (1.0 / sw)
-    return Frame(x, y, n1, n2)
+        return Frame(
+            x=PEVector4(fp * ca * ie, fp * sa * ie, gp * cb * ie, gp * sb * ie),
+            y=PEVector4(-a * f * sa * iw, a * f * ca * iw,
+                        -b * g * sb * iw, b * g * cb * iw),
+            n1=PEVector4(b * g * sa * iw, -b * g * ca * iw,
+                         a * f * sb * iw, -a * f * cb * iw),
+            n2=PEVector4(gp * ca * ie, gp * sa * ie, fp * cb * ie, fp * sb * ie))
+    return Frame(
+        x=PEVector4(fp * ca * ie, gp * cb * ie, fp * sa * ie, gp * sb * ie),
+        y=PEVector4(a * f * sa * iw, b * g * sb * iw, a * f * ca * iw, b * g * cb * iw),
+        n1=PEVector4(gp * ca * ie, -fp * cb * ie, gp * sa * ie, -fp * sb * ie),
+        n2=PEVector4(b * g * sa * iw, -a * f * sb * iw,
+                     b * g * ca * iw, -a * f * cb * iw))
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +271,32 @@ def second_fundamental(spec: SurfaceSpec, u: float, v: float = 0.0,
                              yy=(gf.nu2, 0.0))
 
 
-def second_fundamental_projected(spec: SurfaceSpec, u: float, v: float,
-                                 eps: float = DEFAULT_ADMISSIBILITY_EPS
-                                 ) -> SecondFundamental:
-    """Independent route: sigma coefficients from <z_ab, n_i> projections.
+@dataclass(frozen=True, slots=True)
+class _Projection:
+    """Projection route at one (u, v): position jets, frame and sigma."""
+
+    pj: PointJets
+    fr: Frame
+    sf: SecondFundamental
+    sigma: tuple         # sigma(x,x), sigma(x,y), sigma(y,y) as ambient vectors
+
+    @property
+    def H(self) -> PEVector4:
+        """Mean curvature vector (sigma(x,x) - sigma(y,y)) / 2."""
+        sxx, _, syy = self.sigma
+        return (sxx - syy) * 0.5
+
+    def shape_matrices(self):
+        """A1, A2 with entry (k, j) = eps_k <sigma(e_j, e_k), n_i>, eps = (1, -1)."""
+        sxx, sxy, syy = self.sigma
+        return tuple(np.array([[inner(sxx, n), inner(sxy, n)],
+                               [-inner(sxy, n), -inner(syy, n)]])
+                     for n in (self.fr.n1, self.fr.n2))
+
+
+def _project(spec: SurfaceSpec, u: float, v: float,
+             eps: float = DEFAULT_ADMISSIBILITY_EPS) -> _Projection:
+    """Position jets and frame once at (u, v), and sigma from <z_ab, n_i>.
 
     With the normal frame pseudo-orthonormal, a normal vector w decomposes
     as <w,n1> n1 - <w,n2> n2.
@@ -285,29 +310,29 @@ def second_fundamental_projected(spec: SurfaceSpec, u: float, v: float,
     def pair(w, denom):
         return (inner(w, fr.n1) / denom, -inner(w, fr.n2) / denom)
 
-    return SecondFundamental(
-        xx=pair(pj.z_uu, E),
-        xy=pair(pj.z_uv, seg),
-        yy=pair(pj.z_vv, -G))
+    sf = SecondFundamental(xx=pair(pj.z_uu, E), xy=pair(pj.z_uv, seg),
+                           yy=pair(pj.z_vv, -G))
+    sigma = tuple(fr.n1 * c1 + fr.n2 * c2 for c1, c2 in (sf.xx, sf.xy, sf.yy))
+    return _Projection(pj, fr, sf, sigma)
+
+
+def second_fundamental_projected(spec: SurfaceSpec, u: float, v: float,
+                                 eps: float = DEFAULT_ADMISSIBILITY_EPS
+                                 ) -> SecondFundamental:
+    """Independent route: sigma coefficients from <z_ab, n_i> projections."""
+    return _project(spec, u, v, eps).sf
 
 
 def sigma_vectors(spec: SurfaceSpec, u: float, v: float,
                   eps: float = DEFAULT_ADMISSIBILITY_EPS):
     """sigma(x,x), sigma(x,y), sigma(y,y) as ambient vectors (projection route)."""
-    sf = second_fundamental_projected(spec, u, v, eps)
-    fr = frames(spec, u, v, eps)
-
-    def vec(pair):
-        return fr.n1 * pair[0] + fr.n2 * pair[1]
-
-    return vec(sf.xx), vec(sf.xy), vec(sf.yy)
+    return _project(spec, u, v, eps).sigma
 
 
 def mean_curvature_vector(spec: SurfaceSpec, u: float, v: float,
                           eps: float = DEFAULT_ADMISSIBILITY_EPS) -> PEVector4:
     """H = (sigma(x,x) - sigma(y,y)) / 2, assembled from projections."""
-    sxx, _, syy = sigma_vectors(spec, u, v, eps)
-    return (sxx - syy) * 0.5
+    return _project(spec, u, v, eps).H
 
 
 # ---------------------------------------------------------------------------
@@ -384,24 +409,11 @@ def shape_operators_projected(spec: SurfaceSpec, u: float, v: float,
     Entry (k, j) of A_xi is eps_k * <sigma(e_j, e_k), xi> with eps = (1, -1)
     on the (x, y) basis.
     """
-    fr = frames(spec, u, v, eps)
-    sxx, sxy, syy = sigma_vectors(spec, u, v, eps)
-    sig = {("x", "x"): sxx, ("x", "y"): sxy, ("y", "x"): sxy, ("y", "y"): syy}
-    basis = ("x", "y")
-    epsk = {"x": 1.0, "y": -1.0}
-    mats = []
-    for normal in (fr.n1, fr.n2):
-        m = np.empty((2, 2))
-        for kk, ek in enumerate(basis):
-            for jj, ej in enumerate(basis):
-                m[kk, jj] = epsk[ek] * inner(sig[(ej, ek)], normal)
-        mats.append(m)
-    return mats[0], mats[1]
+    return _project(spec, u, v, eps).shape_matrices()
 
 
 def invariant_record(spec: SurfaceSpec, u: float,
-                     eps: float = DEFAULT_ADMISSIBILITY_EPS
-                     ) -> InvariantRecord | None:
+                     eps: float = DEFAULT_ADMISSIBILITY_EPS) -> InvariantRecord:
     """Full invariant set at u, or an inadmissible marker record.
 
     First-fundamental coefficients are taken at v = 0; every field is

@@ -11,10 +11,8 @@ bit-for-bit for a fixed configuration.
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +26,8 @@ from .pe4 import inner
 from .surfaces import (SurfaceKind, SurfaceSpec, curvatures,
                        frames, geometric_functions,
                        mean_curvature_numerator, mean_curvature_vector,
-                       position_jets,
-                       second_fundamental_projected,
-                       shape_operators_projected, sigma_vectors,
-                       surface_from_family, _meridian_scalars)
+                       sigma_vectors, surface_from_family,
+                       _meridian_scalars, _project)
 
 DEFAULT_TOLS = {
     "closed": 1e-9,      # property residuals on closed-form families
@@ -140,22 +136,6 @@ def _check(name, grid, residual, tol, notes=""):
 
 def _vacuous_check(name, note):
     return CheckResult(name, "", 0.0, 0.0, True, True, note)
-
-
-def _thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("GRS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    cap = _thread_cap()
-    items = list(items)
-    if cap <= 1 or len(items) < 8:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=cap) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +283,9 @@ def fd_connection_check(spec: SurfaceSpec, u: float, v: float,
                 f"FD stencil left the admissible domain at (u={uu}, v={vv}): "
                 f"{exc}") from None
 
-    fu_p, fu_m = frame_at(u + h, v), frame_at(u - h, v)
+    # the v-neighbours share u with fr, so the meridian is evaluated at u once
     fv_p, fv_m = frame_at(u, v + h), frame_at(u, v - h)
+    fu_p, fu_m = frame_at(u + h, v), frame_at(u - h, v)
 
     def dx(name):
         return (getattr(fu_p, name) - getattr(fu_m, name)) * (1.0 / (2.0 * h * se))
@@ -370,10 +351,8 @@ def _scaled_abs(value, *magnitudes):
 
 
 def check_frame_orthonormality(spec, us, vs, tol) -> CheckResult:
-    def row(u):
-        return max(orthonormality_residual(frames(spec, u, v)) for v in vs)
-
-    worst = max(_pmap(row, us))
+    worst = max(max(orthonormality_residual(frames(spec, u, v)) for v in vs)
+                for u in us)
     return _check("frame-orthonormality",
                   f"{len(us)}x{len(vs)} (u,v) points", worst, tol,
                   "ten inner-product conditions, Euclidean-scaled")
@@ -391,14 +370,13 @@ def check_v_independence(spec, us, nv, tol, v_range=None) -> CheckResult:
     for u in us:
         vals, scales = [], []
         for v in vs:
-            pj = position_jets(spec, u, v)
-            fr = frames(spec, u, v)
+            proj = _project(spec, u, v)
+            pj, fr, sf = proj.pj, proj.fr, proj.sf
             nu, nv_, n1n, n2n = (pj.z_u.euclid_norm(), pj.z_v.euclid_norm(),
                                  fr.n1.euclid_norm(), fr.n2.euclid_norm())
             E = inner(pj.z_u, pj.z_u)
             F = inner(pj.z_u, pj.z_v)
             G = inner(pj.z_v, pj.z_v)
-            sf = second_fundamental_projected(spec, u, v)
             uu, uv, vv = (pj.z_uu.euclid_norm(), pj.z_uv.euclid_norm(),
                           pj.z_vv.euclid_norm())
             vals.append((E, F, G, sf.xx[0], sf.xx[1], sf.xy[0], sf.xy[1],
@@ -425,10 +403,17 @@ def chen_point_residuals(spec, u, v):
     projection magnitudes); hyperbolic frames at large |v| are otherwise
     dominated by cosh-growth roundoff.
     """
-    A1p, A2p = shape_operators_projected(spec, u, v)
-    fr = frames(spec, u, v)
-    sxx, sxy, syy = sigma_vectors(spec, u, v)
-    smax = max(w.euclid_norm() for w in (sxx, sxy, syy))
+    return _chen_residuals(spec, u, _project(spec, u, v))
+
+
+def _sigma_magnitude(proj) -> float:
+    return max(w.euclid_norm() for w in proj.sigma)
+
+
+def _chen_residuals(spec, u, proj):
+    A1p, A2p = proj.shape_matrices()
+    fr = proj.fr
+    smax = _sigma_magnitude(proj)
     M1 = float(np.abs(A1p).max())
     M2 = float(np.abs(A2p).max())
     S1 = smax * fr.n1.euclid_norm()
@@ -463,8 +448,8 @@ def check_quasiminimal(spec, us, v, tol):
     elliptic = spec.kind is SurfaceKind.ELLIPTIC
     worst_off = worst_def = worst_carrier = worst_inner = 0.0
     for u in us:
-        hv = mean_curvature_vector(spec, u, v)
-        fr = frames(spec, u, v)
+        proj = _project(spec, u, v)
+        hv, fr = proj.H, proj.fr
         cv = curvatures(spec, u)
         if elliptic:
             off = inner(hv, fr.n1)
@@ -823,14 +808,16 @@ def random_point_sweep(n: int, seed: int, tol: float) -> list:
         u = rng.uniform(a + m, b - m)
         vr = ELLIPTIC_V_RANGE if spec.kind is SurfaceKind.ELLIPTIC else HYPERBOLIC_V_RANGE
         v = rng.uniform(*vr)
-        tr_res, allied_res = chen_point_residuals(spec, u, v)
+        proj = _project(spec, u, v)
+        tr_res, allied_res = _chen_residuals(spec, u, proj)
         cv = curvatures(spec, u)
-        hv = mean_curvature_vector(spec, u, v)
-        fr = frames(spec, u, v)
+        hv, fr = proj.H, proj.fr
         n_off = fr.n1 if spec.kind is SurfaceKind.ELLIPTIC else fr.n2
         off = (inner(hv, fr.n1) if spec.kind is SurfaceKind.ELLIPTIC
                else -inner(hv, fr.n2))
-        hscale = max(1.0, hv.euclid_norm() * n_off.euclid_norm())
+        # H is a difference of sigma vectors, so its projection carries
+        # rounding of order eps * ||sigma|| * ||n_off|| even where H ~ 0
+        hscale = max(1.0, _sigma_magnitude(proj) * n_off.euclid_norm())
         worst_tr = max(worst_tr, tr_res)
         worst_allied = max(worst_allied, allied_res)
         worst_off = max(worst_off, abs(off) / hscale)

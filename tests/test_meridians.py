@@ -119,6 +119,33 @@ def test_interval_enforced():
         family.jet(7.0)
 
 
+def _bits(mj):
+    return [x.hex() for j in (mj.f, mj.g) for x in (j.val, j.d1, j.d2)]
+
+
+def test_jet_memo_keeps_sign_of_zero():
+    family = fam("flat-ell-ii")  # interval (-1, 1); f = sinh keeps the sign
+    family.jet(0.0)
+    fresh = fam("flat-ell-ii").jet(-0.0)
+    assert fresh.f.val.hex() == "-0x0.0p+0"
+    assert _bits(family.jet(-0.0)) == _bits(fresh)
+    assert _bits(family.jet(0.0)) == _bits(fam("flat-ell-ii").jet(0.0))
+
+
+@pytest.mark.parametrize("case,inside,outside,after", [
+    ("pnmcv-ell", 3.0, 7.0, 4.0),
+    ("flat-ell-i", 1.2, 1.7, 1.3),
+])
+def test_jet_memo_does_not_store_failures(case, inside, outside, after):
+    family = fam(case)
+    family.jet(inside)
+    for _ in range(3):
+        with pytest.raises(DomainError):
+            family.jet(outside)
+    assert _bits(family.jet(after)) == _bits(fam(case).jet(after))
+    assert _bits(family.jet(inside)) == _bits(fam(case).jet(inside))
+
+
 def test_branch_point_raises():
     family = fam("pnmcv-ell", {"C": 2.0}, interval=(0.5, 6.0))
     with pytest.raises(DomainError):

@@ -7,12 +7,14 @@ import pytest
 from grs4.errors import InadmissiblePointError
 from grs4.meridians import build_family, descriptor_from_catalog, classified_case_ids
 from grs4.pe4 import inner
+from grs4.reporting import export_invariants_csv, export_mesh
 from grs4.surfaces import (SurfaceKind, curvatures, first_fundamental, frames,
                            geometric_functions, invariant_record,
                            mean_curvature_numerator, mean_curvature_vector,
                            position_jets, second_fundamental,
                            second_fundamental_projected, shape_operators,
-                           shape_operators_projected, surface_from_family)
+                           shape_operators_projected, surface_from_family,
+                           _meridian_scalars)
 from grs4.verifier import admissible_domain, orthonormality_residual
 
 
@@ -333,3 +335,43 @@ def test_invariant_record_inadmissible():
     rec = invariant_record(spec, 1.0)
     assert not rec.admissible
     assert math.isnan(rec.K)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation reuse
+
+def _hex(vec):
+    return [c.hex() for c in vec.components()]
+
+
+def test_frames_match_position_jet_reference_bitwise():
+    """x = z_u / sqrt(E), y = z_v / sqrt(-G) from position_jets, to the bit."""
+    kinds = set()
+    for case, spec, u, _ in SAMPLES:
+        kinds.add(spec.kind)
+        for v in (0.0, -0.0, 0.7, -1.9, 2.6):
+            fr = frames(spec, u, v)
+            pj = position_jets(spec, u, v)
+            *_, E, W = _meridian_scalars(spec, u)
+            assert _hex(fr.x) == _hex(pj.z_u * (1.0 / math.sqrt(E))), (case, v)
+            assert _hex(fr.y) == _hex(pj.z_v * (1.0 / math.sqrt(W))), (case, v)
+    assert kinds == {SurfaceKind.ELLIPTIC, SurfaceKind.HYPERBOLIC}
+
+
+def test_exports_evaluate_meridian_once_per_u(monkeypatch, tmp_path):
+    spec = spec_for("pnmcv-ell", {"C": 2.0}, alpha=1.0, beta=3.0)
+    us = np.linspace(2.1, 6.0, 7)
+    calls = []
+    evaluate = spec.meridian._evaluate
+
+    def counted(u):
+        calls.append(u)
+        return evaluate(u)
+
+    monkeypatch.setattr(spec.meridian, "_evaluate", counted)
+    export_invariants_csv(spec, us, str(tmp_path / "t.csv"))
+    assert len(calls) == len(us)
+    calls.clear()
+    export_mesh(spec, us, np.linspace(0.0, 6.0, 5), str(tmp_path / "m.obj"),
+                fmt="obj3")
+    assert len(calls) == len(us)
