@@ -450,7 +450,9 @@ def integrate_constrained(rule, u0: float, state0: tuple,
     integrated case.  state0 must satisfy the algebraic constraint at u0
     within tol and the root system must be real there.  The step starts at
     span/1024 and is halved until the max knot constraint residual is at
-    most tol.
+    most tol; that residual is the only acceptance test.  It is identically
+    0 for the derivative-only rules, whose trajectory accuracy is checked
+    against an independent integrator in the tests instead.
     """
     if isinstance(rule, FamilyDescriptor):
         rule = _rule_for(rule)

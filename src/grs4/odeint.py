@@ -1,4 +1,4 @@
-"""Fixed-step classical RK4 with step-doubling diagnostics and dense output.
+"""Fixed-step classical RK4 with dense output.
 
 Fixed steps keep knot grids reproducible across runs, which the regression
 baselines rely on; accuracy is tuned by halving the step globally rather
@@ -17,19 +17,12 @@ from .errors import RangeError
 
 @dataclass(frozen=True)
 class Trajectory:
-    """RK4 solution: knots with states, field values and error estimates.
-
-    err_local[i] is the step-doubling estimate of the local error committed
-    on the step ending at knot i (0 at the initial knot); err_accum is its
-    running sum, a cheap proxy for global error at each knot.
-    """
+    """RK4 solution: knots with their states and field values."""
 
     ts: np.ndarray
     ys: np.ndarray
     dys: np.ndarray
     h: float
-    err_local: np.ndarray
-    err_accum: np.ndarray
 
     @property
     def t0(self) -> float:
@@ -51,9 +44,8 @@ def _rk4_step(field, t, y, h):
 def rk4_integrate(field, y0, t0: float, t1: float, h: float) -> Trajectory:
     """Integrate y' = field(t, y) from t0 to t1 with fixed step ~h.
 
-    The step is adjusted so the span divides evenly.  Each step is also taken
-    as two half steps; the max-norm difference is stored as the per-knot
-    step-doubling error estimate.  Exceptions raised by the field propagate.
+    The step is adjusted so the span divides evenly; the field is called
+    4n + 1 times for n steps.  Exceptions raised by the field propagate.
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
@@ -66,24 +58,16 @@ def rk4_integrate(field, y0, t0: float, t1: float, h: float) -> Trajectory:
     ts = np.empty(n + 1)
     ys = np.empty((n + 1,) + y.shape)
     dys = np.empty_like(ys)
-    err_local = np.zeros(n + 1)
 
     ts[0] = t0
     ys[0] = y
-    dys[0] = field(t0, y)
     for i in range(n):
         t = t0 + i * hs
-        y_full, k1 = _rk4_step(field, t, ys[i], hs)
-        y_half, _ = _rk4_step(field, t, ys[i], 0.5 * hs)
-        y_fine, _ = _rk4_step(field, t + 0.5 * hs, y_half, 0.5 * hs)
-        dys[i] = k1
-        err_local[i + 1] = float(np.max(np.abs(y_full - y_fine)))
+        ys[i + 1], dys[i] = _rk4_step(field, t, ys[i], hs)
         ts[i + 1] = t0 + (i + 1) * hs
-        ys[i + 1] = y_full
     dys[n] = field(ts[n], ys[n])
 
-    return Trajectory(ts=ts, ys=ys, dys=dys, h=hs,
-                      err_local=err_local, err_accum=np.cumsum(err_local))
+    return Trajectory(ts=ts, ys=ys, dys=dys, h=hs)
 
 
 def hermite_eval(traj: Trajectory, t: float) -> np.ndarray:

@@ -387,19 +387,22 @@ def mean_curvature_numerator(spec: SurfaceSpec, u: float) -> tuple[float, float]
     return t1 + t2, abs(t1) + abs(t2) + 1.0
 
 
-def shape_operators(spec: SurfaceSpec, u: float,
-                    eps: float = DEFAULT_ADMISSIBILITY_EPS) -> ShapeOperators:
-    """Shape operators of n1, n2 on the (x, y) basis, with <A_xi X, Y> = <sigma(X,Y), xi>."""
-    gf = geometric_functions(spec, u, eps)
-    if spec.kind is SurfaceKind.ELLIPTIC:
+def _shape_from(kind: SurfaceKind, gf: GeoFns, h: float) -> ShapeOperators:
+    if kind is SurfaceKind.ELLIPTIC:
         A1 = np.array([[0.0, gf.mu], [-gf.mu, 0.0]])
         A2 = np.array([[gf.nu1, 0.0], [0.0, -gf.nu2]])
     else:
         A1 = np.array([[gf.nu1, 0.0], [0.0, -gf.nu2]])
         A2 = np.array([[0.0, gf.mu], [-gf.mu, 0.0]])
     tr = float(np.trace(A1 @ A2))
-    h = curvatures(spec, u, eps).h_coeff
     return ShapeOperators(A1=A1, A2=A2, trA1A2=tr, allied_coeff=0.5 * abs(h) * tr)
+
+
+def shape_operators(spec: SurfaceSpec, u: float,
+                    eps: float = DEFAULT_ADMISSIBILITY_EPS) -> ShapeOperators:
+    """Shape operators of n1, n2 on the (x, y) basis, with <A_xi X, Y> = <sigma(X,Y), xi>."""
+    gf = geometric_functions(spec, u, eps)
+    return _shape_from(spec.kind, gf, curvatures(spec, u, eps).h_coeff)
 
 
 def shape_operators_projected(spec: SurfaceSpec, u: float, v: float,
@@ -432,7 +435,7 @@ def invariant_record(spec: SurfaceSpec, u: float,
                                math.nan, math.nan, math.nan, math.nan, False)
     gf = geometric_functions(spec, u, eps)
     cv = curvatures(spec, u, eps)
-    so = shape_operators(spec, u, eps)
+    so = _shape_from(spec.kind, gf, cv.h_coeff)
     return InvariantRecord(u, ff.E, ff.F, ff.G, gf.nu1, gf.nu2, gf.mu,
                            gf.gamma2, gf.beta2, cv.K, cv.kappa, cv.h_coeff,
                            cv.H_norm2, so.trA1A2, True)

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from grs4 import meridians
 from grs4.errors import (DomainError, NoRealRootError, ParamError)
 from grs4.meridians import (FAMILY_CATALOG, FamilyDescriptor, build_family,
                             descriptor_from_catalog, meridian_jet,
                             classified_case_ids, _FlatEllRule,
                             integrate_constrained)
+from grs4.odeint import rk4_integrate
 
 
 def fam(case, params=None, **kw):
@@ -292,6 +294,23 @@ def test_integrate_constrained_direct():
     assert float(sm.residuals.max()) <= 1e-8
     with pytest.raises(ParamError, match="span start"):
         integrate_constrained(rule, 1.2, (1.0, math.sqrt(1.25)), (1.0, 1.5))
+
+
+INTEGRATED = [c for c, e in FAMILY_CATALOG.items() if e.realization == "ode"]
+
+
+@pytest.mark.parametrize("case", INTEGRATED)
+def test_default_realization_accepts_first_attempt(monkeypatch, case):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rk4_integrate(*args)
+
+    monkeypatch.setattr(meridians, "rk4_integrate", counted)
+    sm = fam(case).ensure_realized()
+    assert len(calls) == 1
+    assert len(sm.traj.ts) == meridians._INITIAL_STEPS + 1
 
 
 def test_sampled_family_out_of_span():

@@ -375,3 +375,26 @@ def test_exports_evaluate_meridian_once_per_u(monkeypatch, tmp_path):
     export_mesh(spec, us, np.linspace(0.0, 6.0, 5), str(tmp_path / "m.obj"),
                 fmt="obj3")
     assert len(calls) == len(us)
+
+
+def test_invariant_record_computes_each_layer_once_per_row(monkeypatch):
+    import grs4.surfaces as surfaces
+    calls = {"geometric_functions": 0, "curvatures": 0}
+
+    def counted(name):
+        fn = getattr(surfaces, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(surfaces, name, counted(name))
+    for spec, u in ((PNMCV_ELL, 3.0), (MIN_HYP_I, 1.0)):
+        for key in calls:
+            calls[key] = 0
+        rec = invariant_record(spec, u)
+        assert rec.admissible
+        assert calls == {"geometric_functions": 1, "curvatures": 1}
+        assert rec.trA1A2 == shape_operators(spec, u).trA1A2
