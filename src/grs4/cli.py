@@ -152,15 +152,16 @@ def cmd_verify(args) -> int:
         report = run_suite(config)
         payload = report.to_json()
         ok = report.passed
-        summary = [(job["label"],
-                    job["report"]["pass"],
-                    job["expect"],
-                    job["satisfied"]) for job in payload["jobs"]]
-        for label, rep_pass, expect, satisfied in summary:
-            tag = "pass" if rep_pass else "FAIL"
+        for job, (_, _, rep) in zip(payload["jobs"], report.jobs):
+            tag = "pass" if job["report"]["pass"] else "FAIL"
+            expect = job["expect"]
             suffix = "" if expect == "pass" else f" (expected {expect}: "\
-                                                 f"{'ok' if satisfied else 'NOT satisfied'})"
-            print(f"  {label:32s} {tag}{suffix}")
+                                                 f"{'ok' if job['satisfied'] else 'NOT satisfied'})"
+            print(f"  {job['label']:32s} {tag}{suffix}")
+            tight = rep.tightest
+            if tight is not None:
+                print(f"    tightest: {tight.name} at {tight.margin:.2e} "
+                      "of its tolerance")
         for c in payload["sweeps"]:
             print(f"  {c['name']:32s} {'pass' if c['pass'] else 'FAIL'}")
     elif args.family is not None:
@@ -192,10 +193,11 @@ def cmd_verify(args) -> int:
         report = verify_family(args.family, **kw)
         payload = report.to_json()
         ok = report.passed
-        for c in payload["checks"]:
-            state = "vacuous" if c["vacuous"] else ("pass" if c["pass"] else "FAIL")
-            print(f"  {c['name']:32s} {state:8s} max_residual={c['max_residual']:.3e} "
-                  f"tol={c['tolerance']:.1e}")
+        for c in report.checks:
+            state = "vacuous" if c.vacuous else ("pass" if c.passed else "FAIL")
+            margin = "-" if c.margin is None else f"{c.margin:.2e}"
+            print(f"  {c.name:32s} {state:8s} max_residual={c.max_residual:.3e} "
+                  f"tol={c.tolerance:.1e} margin={margin}")
     else:
         print("verify needs --family or --suite", file=sys.stderr)
         return EXIT_USAGE

@@ -1,10 +1,16 @@
-"""Linear algebra in flat 4-space with the neutral (+,+,-,-) metric."""
+"""Linear algebra in flat 4-space with the neutral (+,+,-,-) metric.
+
+Vector components are floats, or broadcastable ndarrays for a vector field
+over a grid; every operation then acts elementwise with the same rounding.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 DEFAULT_CAUSAL_EPS = 1e-12
 
@@ -36,8 +42,8 @@ class PEVector4:
     def __neg__(self) -> "PEVector4":
         return PEVector4(-self.x1, -self.x2, -self.x3, -self.x4)
 
-    def __mul__(self, s: float) -> "PEVector4":
-        if not isinstance(s, (int, float)):
+    def __mul__(self, s) -> "PEVector4":
+        if not isinstance(s, (int, float, np.ndarray)):
             return NotImplemented
         return PEVector4(self.x1 * s, self.x2 * s, self.x3 * s, self.x4 * s)
 
@@ -50,10 +56,15 @@ class PEVector4:
         return self.x1 * self.x1 + self.x2 * self.x2 + self.x3 * self.x3 + self.x4 * self.x4
 
     def euclid_norm(self) -> float:
-        return math.sqrt(self.euclid_norm2())
+        return sqrt(self.euclid_norm2())
 
     def is_zero(self) -> bool:
         return self.x1 == 0.0 and self.x2 == 0.0 and self.x3 == 0.0 and self.x4 == 0.0
+
+
+def sqrt(x):
+    """math.sqrt of a float, np.sqrt of an ndarray (both correctly rounded)."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
 def inner(a: PEVector4, b: PEVector4) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GrsError, InadmissiblePointError, ParamError
 from .meridians import MeridianFamily
-from .pe4 import PEVector4, inner
+from .pe4 import PEVector4, inner, sqrt
 
 DEFAULT_ADMISSIBILITY_EPS = 1e-10
 
@@ -145,10 +145,14 @@ def _rotation(spec: SurfaceSpec, v: float):
 def position_jets(spec: SurfaceSpec, u: float, v: float) -> PointJets:
     """All first and second partials of the immersion, analytically."""
     mj = spec.meridian.jet(u)
-    f, fp, fpp = mj.f.val, mj.f.d1, mj.f.d2
-    g, gp, gpp = mj.g.val, mj.g.d1, mj.g.d2
+    return _jets_from(spec, mj.f.val, mj.f.d1, mj.f.d2, mj.g.val, mj.g.d1,
+                      mj.g.d2, _rotation(spec, v))
+
+
+def _jets_from(spec, f, fp, fpp, g, gp, gpp, rot) -> PointJets:
+    """Position jets from meridian scalars and rotations, floats or arrays."""
     a, b = spec.alpha, spec.beta
-    ca, sa, cb, sb = _rotation(spec, v)
+    ca, sa, cb, sb = rot
     if spec.kind is SurfaceKind.ELLIPTIC:
         return PointJets(
             z=PEVector4(f * ca, f * sa, g * cb, g * sb),
@@ -200,6 +204,24 @@ def _require_admissible(spec, u, E, W, eps):
             f"E={E:.6g}, G={-W:.6g}")
 
 
+def _frame_scalars(spec: SurfaceSpec, u: float, eps: float):
+    """(f, f', f'', g, g', g'', 1/sqrt(E), 1/sqrt(W)) at an admissible u."""
+    f, fp, fpp, g, gp, gpp, E, W = _meridian_scalars(spec, u)
+    _require_admissible(spec, u, E, W, eps)
+    return f, fp, fpp, g, gp, gpp, 1.0 / math.sqrt(E), 1.0 / math.sqrt(W)
+
+
+def _grid_inputs(spec: SurfaceSpec, us, vs, eps: float):
+    """_frame_scalars per u as (nu, 1) columns and _rotation per v as (nv,) rows.
+
+    Both are evaluated one point at a time with math, so the arrays hold the
+    very floats the per-point routes use; numpy only does the arithmetic.
+    """
+    cols = np.array([_frame_scalars(spec, u, eps) for u in us]).T[:, :, None]
+    rot = tuple(np.array([_rotation(spec, v) for v in vs]).T)
+    return cols, rot
+
+
 # ---------------------------------------------------------------------------
 # Frames
 
@@ -211,11 +233,21 @@ def frames(spec: SurfaceSpec, u: float, v: float,
     square roots are taken throughout, so the orientation follows the signs
     of f, g, f', g'.
     """
-    f, fp, _, g, gp, _, E, W = _meridian_scalars(spec, u)
-    _require_admissible(spec, u, E, W, eps)
-    ie, iw = 1.0 / math.sqrt(E), 1.0 / math.sqrt(W)
+    return _frame_from(spec, _frame_scalars(spec, u, eps), _rotation(spec, v))
+
+
+def frames_grid(spec: SurfaceSpec, us, vs,
+                eps: float = DEFAULT_ADMISSIBILITY_EPS) -> Frame:
+    """frames over the grid us x vs: a Frame of (len(us), len(vs)) arrays,
+    equal to the per-point frames to the bit."""
+    return _frame_from(spec, *_grid_inputs(spec, us, vs, eps))
+
+
+def _frame_from(spec, scalars, rot) -> Frame:
+    """Frame from _frame_scalars and _rotation values, floats or arrays."""
+    f, fp, _, g, gp, _, ie, iw = scalars
     a, b = spec.alpha, spec.beta
-    ca, sa, cb, sb = _rotation(spec, v)
+    ca, sa, cb, sb = rot
     # x = z_u / sqrt(E) and y = z_v / sqrt(W), with z_u, z_v as in position_jets
     if spec.kind is SurfaceKind.ELLIPTIC:
         return Frame(
@@ -273,7 +305,8 @@ def second_fundamental(spec: SurfaceSpec, u: float, v: float = 0.0,
 
 @dataclass(frozen=True, slots=True)
 class _Projection:
-    """Projection route at one (u, v): position jets, frame and sigma."""
+    """Projection route at one (u, v), or over a grid with array components:
+    position jets, frame and sigma."""
 
     pj: PointJets
     fr: Frame
@@ -287,25 +320,46 @@ class _Projection:
         return (sxx - syy) * 0.5
 
     def shape_matrices(self):
-        """A1, A2 with entry (k, j) = eps_k <sigma(e_j, e_k), n_i>, eps = (1, -1)."""
+        """A1, A2 with entry (k, j) = eps_k <sigma(e_j, e_k), n_i>, eps = (1, -1).
+
+        Over a grid the matrices are stacked: shape grid + (2, 2).
+        """
         sxx, sxy, syy = self.sigma
-        return tuple(np.array([[inner(sxx, n), inner(sxy, n)],
-                               [-inner(sxy, n), -inner(syy, n)]])
+        return tuple(np.moveaxis(np.array([[inner(sxx, n), inner(sxy, n)],
+                                           [-inner(sxy, n), -inner(syy, n)]]),
+                                 (0, 1), (-2, -1))
                      for n in (self.fr.n1, self.fr.n2))
 
 
 def _project(spec: SurfaceSpec, u: float, v: float,
              eps: float = DEFAULT_ADMISSIBILITY_EPS) -> _Projection:
-    """Position jets and frame once at (u, v), and sigma from <z_ab, n_i>.
+    """Position jets and frame once at (u, v), and sigma from <z_ab, n_i>."""
+    return _projection(spec, _frame_scalars(spec, u, eps), _rotation(spec, v))
+
+
+def _project_grid(spec: SurfaceSpec, us, vs,
+                  eps: float = DEFAULT_ADMISSIBILITY_EPS) -> _Projection:
+    """The projection route over the grid us x vs, with (len(us), len(vs))
+    array components equal to the per-point route to the bit.
+
+    Meridian scalars are taken once per u and rotations once per v; raises
+    InadmissiblePointError at the first inadmissible u.
+    """
+    return _projection(spec, *_grid_inputs(spec, us, vs, eps))
+
+
+def _projection(spec, scalars, rot) -> _Projection:
+    """Position jets, frame and sigma from <z_ab, n_i>, floats or arrays.
 
     With the normal frame pseudo-orthonormal, a normal vector w decomposes
     as <w,n1> n1 - <w,n2> n2.
     """
-    pj = position_jets(spec, u, v)
-    fr = frames(spec, u, v, eps)
+    f, fp, fpp, g, gp, gpp, _, _ = scalars
+    pj = _jets_from(spec, f, fp, fpp, g, gp, gpp, rot)
+    fr = _frame_from(spec, scalars, rot)
     E = inner(pj.z_u, pj.z_u)
     G = inner(pj.z_v, pj.z_v)
-    seg = math.sqrt(E) * math.sqrt(-G)
+    seg = sqrt(E) * sqrt(-G)
 
     def pair(w, denom):
         return (inner(w, fr.n1) / denom, -inner(w, fr.n2) / denom)
@@ -387,6 +441,16 @@ def mean_curvature_numerator(spec: SurfaceSpec, u: float) -> tuple[float, float]
     return t1 + t2, abs(t1) + abs(t2) + 1.0
 
 
+def shape_trace(A1, A2):
+    """tr(A1 A2) over the last two axes, for one pair or stacked pairs.
+
+    Kept as np.matmul: BLAS fuses the multiply-adds, so a hand-expanded
+    a00*b00 + a01*b10 + ... rounds differently, while a stacked product
+    rounds like the per-point one.
+    """
+    return np.trace(A1 @ A2, axis1=-2, axis2=-1)
+
+
 def _shape_from(kind: SurfaceKind, gf: GeoFns, h: float) -> ShapeOperators:
     if kind is SurfaceKind.ELLIPTIC:
         A1 = np.array([[0.0, gf.mu], [-gf.mu, 0.0]])
@@ -394,7 +458,7 @@ def _shape_from(kind: SurfaceKind, gf: GeoFns, h: float) -> ShapeOperators:
     else:
         A1 = np.array([[gf.nu1, 0.0], [0.0, -gf.nu2]])
         A2 = np.array([[0.0, gf.mu], [-gf.mu, 0.0]])
-    tr = float(np.trace(A1 @ A2))
+    tr = float(shape_trace(A1, A2))
     return ShapeOperators(A1=A1, A2=A2, trA1A2=tr, allied_coeff=0.5 * abs(h) * tr)
 
 

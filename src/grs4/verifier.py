@@ -24,10 +24,10 @@ from .meridians import (FAMILY_CATALOG, build_family,
                         _SampledFamily)
 from .pe4 import inner
 from .surfaces import (SurfaceKind, SurfaceSpec, curvatures,
-                       frames, geometric_functions,
+                       frames, frames_grid, geometric_functions,
                        mean_curvature_numerator, mean_curvature_vector,
-                       sigma_vectors, surface_from_family,
-                       _meridian_scalars, _project)
+                       shape_trace, sigma_vectors, surface_from_family,
+                       _meridian_scalars, _project, _project_grid)
 
 DEFAULT_TOLS = {
     "closed": 1e-9,      # property residuals on closed-form families
@@ -56,6 +56,13 @@ class CheckResult:
     vacuous: bool = False
     notes: str = ""
 
+    @property
+    def margin(self) -> float | None:
+        """max_residual / tolerance; None for vacuous and zero-tolerance checks."""
+        if self.vacuous or not self.tolerance > 0.0:
+            return None
+        return self.max_residual / self.tolerance
+
     def to_json(self) -> dict:
         notes = "; ".join(s for s in (self.grid, self.notes) if s)
         return {"name": self.name,
@@ -83,6 +90,15 @@ class FamilyReport:
     @property
     def vacuous_checks(self) -> list:
         return [c for c in self.checks if c.vacuous]
+
+    @property
+    def tightest(self) -> CheckResult | None:
+        """The check with the largest margin (a NaN margin counts as largest)."""
+        rated = [c for c in self.checks if c.margin is not None]
+        if not rated:
+            return None
+        return max(rated, key=lambda c: math.inf if math.isnan(c.margin)
+                   else c.margin)
 
     def to_json(self) -> dict:
         return {"family": self.family,
@@ -231,15 +247,30 @@ def orthonormality_residual(fr) -> float:
 
     Scaled by max(1, Euclidean magnitudes), matching the causal-character
     tolerance convention; hyperbolic frames grow like cosh(alpha*v) and an
-    absolute test would only measure that growth.
+    absolute test would only measure that growth.  A frame over a grid
+    (array components) gives the worst over the grid; NaN propagates.
     """
-    worst = 0.0
     vecs = {"x": fr.x, "y": fr.y, "n1": fr.n1, "n2": fr.n2}
     norms = {k: v.euclid_norm() for k, v in vecs.items()}
-    for a, b, want in _ORTHO_PAIRS:
-        scale = max(1.0, norms[a] * norms[b])
-        worst = max(worst, abs(inner(vecs[a], vecs[b]) - want) / scale)
-    return worst
+    return float(np.max([abs(inner(vecs[a], vecs[b]) - want)
+                         / np.maximum(1.0, norms[a] * norms[b])
+                         for a, b, want in _ORTHO_PAIRS]))
+
+
+def _relative_gap(a, b):
+    return abs(a - b) / np.maximum(np.maximum(1.0, abs(a)), abs(b))
+
+
+def _gauss_route_residual(K, sigma):
+    """K against the Gauss equation through projected sigma vectors."""
+    sxx, sxy, syy = sigma
+    return _relative_gap(K, (inner(sxx, syy) - inner(sxy, sxy)) / -1.0)
+
+
+def _kappa_route_residual(kind, kappa, gf):
+    """kappa against -mu(nu1+nu2) (elliptic) or +mu(nu1+nu2) (hyperbolic)."""
+    sgn = -1.0 if kind is SurfaceKind.ELLIPTIC else 1.0
+    return _relative_gap(kappa, sgn * gf.mu * (gf.nu1 + gf.nu2))
 
 
 def cross_check(spec: SurfaceSpec, u: float, v: float = 0.0):
@@ -251,12 +282,8 @@ def cross_check(spec: SurfaceSpec, u: float, v: float = 0.0):
     """
     cv = curvatures(spec, u)
     gf = geometric_functions(spec, u)
-    sxx, sxy, syy = sigma_vectors(spec, u, v)
-    K_sigma = (inner(sxx, syy) - inner(sxy, sxy)) / -1.0
-    k_res = abs(cv.K - K_sigma) / max(1.0, abs(cv.K), abs(K_sigma))
-    sgn = -1.0 if spec.kind is SurfaceKind.ELLIPTIC else 1.0
-    kappa_id = sgn * gf.mu * (gf.nu1 + gf.nu2)
-    kp_res = abs(cv.kappa - kappa_id) / max(1.0, abs(cv.kappa), abs(kappa_id))
+    k_res = _gauss_route_residual(cv.K, sigma_vectors(spec, u, v))
+    kp_res = _kappa_route_residual(spec.kind, cv.kappa, gf)
     where = f"u={u:.6g}"
     return (_check("gauss-equation-route", where, k_res, DEFAULT_TOLS["cross"]),
             _check("normal-curvature-route", where, kp_res, DEFAULT_TOLS["cross"]))
@@ -351,8 +378,7 @@ def _scaled_abs(value, *magnitudes):
 
 
 def check_frame_orthonormality(spec, us, vs, tol) -> CheckResult:
-    worst = max(max(orthonormality_residual(frames(spec, u, v)) for v in vs)
-                for u in us)
+    worst = orthonormality_residual(frames_grid(spec, us, vs))
     return _check("frame-orthonormality",
                   f"{len(us)}x{len(vs)} (u,v) points", worst, tol,
                   "ten inner-product conditions, Euclidean-scaled")
@@ -365,122 +391,128 @@ def check_v_independence(spec, us, nv, tol, v_range=None) -> CheckResult:
     enter it (hyperbolic frames grow like cosh(alpha v), and the exact
     cancellations leave roundoff proportional to that growth).
     """
-    vs = _v_grid(spec.kind, nv, v_range)
-    worst = 0.0
-    for u in us:
-        vals, scales = [], []
-        for v in vs:
-            proj = _project(spec, u, v)
-            pj, fr, sf = proj.pj, proj.fr, proj.sf
-            nu, nv_, n1n, n2n = (pj.z_u.euclid_norm(), pj.z_v.euclid_norm(),
-                                 fr.n1.euclid_norm(), fr.n2.euclid_norm())
-            E = inner(pj.z_u, pj.z_u)
-            F = inner(pj.z_u, pj.z_v)
-            G = inner(pj.z_v, pj.z_v)
-            uu, uv, vv = (pj.z_uu.euclid_norm(), pj.z_uv.euclid_norm(),
-                          pj.z_vv.euclid_norm())
-            vals.append((E, F, G, sf.xx[0], sf.xx[1], sf.xy[0], sf.xy[1],
-                         sf.yy[0], sf.yy[1]))
-            seg = math.sqrt(E) * math.sqrt(-G)
-            scales.append((nu * nu, nu * nv_, nv_ * nv_,
-                           uu * n1n / E, uu * n2n / E,
-                           uv * n1n / seg, uv * n2n / seg,
-                           vv * n1n / -G, vv * n2n / -G))
-        arr = np.array(vals)
-        spread = arr.max(axis=0) - arr.min(axis=0)
-        scale = np.maximum(1.0, np.abs(np.array(scales)).max(axis=0))
-        worst = max(worst, float((spread / scale).max()))
+    proj = _project_grid(spec, us, _v_grid(spec.kind, nv, v_range))
+    pj, fr, sf = proj.pj, proj.fr, proj.sf
+    nu, nv_, n1n, n2n = (pj.z_u.euclid_norm(), pj.z_v.euclid_norm(),
+                         fr.n1.euclid_norm(), fr.n2.euclid_norm())
+    E = inner(pj.z_u, pj.z_u)
+    F = inner(pj.z_u, pj.z_v)
+    G = inner(pj.z_v, pj.z_v)
+    uu, uv, vv = (pj.z_uu.euclid_norm(), pj.z_uv.euclid_norm(),
+                  pj.z_vv.euclid_norm())
+    vals = np.array((E, F, G, sf.xx[0], sf.xx[1], sf.xy[0], sf.xy[1],
+                     sf.yy[0], sf.yy[1]))
+    seg = np.sqrt(E) * np.sqrt(-G)
+    scales = np.array((nu * nu, nu * nv_, nv_ * nv_,
+                       uu * n1n / E, uu * n2n / E,
+                       uv * n1n / seg, uv * n2n / seg,
+                       vv * n1n / -G, vv * n2n / -G))
+    # axis 2 runs over v: one spread and one scale per quantity and u
+    spread = vals.max(axis=2) - vals.min(axis=2)
+    scale = np.maximum(1.0, np.abs(scales).max(axis=2))
     return _check("v-independence",
-                  f"{len(us)} u-points x {nv} v-points", worst, tol,
+                  f"{len(us)} u-points x {nv} v-points",
+                  float((spread / scale).max()), tol,
                   "relative spread of E, F, G and projected sigma coefficients")
 
 
-def chen_point_residuals(spec, u, v):
+def _sigma_magnitude(proj):
+    return np.max([w.euclid_norm() for w in proj.sigma], axis=0)
+
+
+def _chen_residuals(proj, h):
     """Scaled |tr(A1 A2)| and allied coefficient from the projection route.
 
     The noise of a projected entry is eps * ||sigma_vec|| * ||n_i||, so the
     trace residual is scaled by M1*S2 + M2*S1 (Mi entry magnitudes, Si the
     projection magnitudes); hyperbolic frames at large |v| are otherwise
-    dominated by cosh-growth roundoff.
+    dominated by cosh-growth roundoff.  Over a grid the matrices are
+    stacked and the residuals are arrays.
     """
-    return _chen_residuals(spec, u, _project(spec, u, v))
-
-
-def _sigma_magnitude(proj) -> float:
-    return max(w.euclid_norm() for w in proj.sigma)
-
-
-def _chen_residuals(spec, u, proj):
     A1p, A2p = proj.shape_matrices()
     fr = proj.fr
     smax = _sigma_magnitude(proj)
-    M1 = float(np.abs(A1p).max())
-    M2 = float(np.abs(A2p).max())
+    M1 = np.abs(A1p).max(axis=(-2, -1))
+    M2 = np.abs(A2p).max(axis=(-2, -1))
     S1 = smax * fr.n1.euclid_norm()
     S2 = smax * fr.n2.euclid_norm()
-    scale = max(1.0, M1 * S2 + M2 * S1)
-    tr = float(np.trace(A1p @ A2p))
-    h = curvatures(spec, u).h_coeff
+    scale = np.maximum(1.0, M1 * S2 + M2 * S1)
+    tr = shape_trace(A1p, A2p)
     return abs(tr) / scale, 0.5 * abs(h) * abs(tr) / scale
 
 
-def check_chen(spec, us, v, tol):
-    worst_tr = 0.0
-    worst_allied = 0.0
-    for u in us:
-        tr_res, allied_res = chen_point_residuals(spec, u, v)
-        worst_tr = max(worst_tr, tr_res)
-        worst_allied = max(worst_allied, allied_res)
-    grid = f"{len(us)} u-points, v={v:.6g}, projected shape operators"
-    return (_check("chen-trace", grid, worst_tr, tol),
-            _check("chen-allied", grid, worst_allied, tol))
+def _carrier_split(kind, proj):
+    """(off, carrier, n_off, n_car, carrier signature) of H.
 
-
-def check_quasiminimal(spec, us, v, tol):
-    """No-quasi-minimal bundle.
-
-    H assembled from projections must stay on its carrier normal (n2 for
-    elliptic, n1 for hyperbolic): the off-carrier coefficient vanishes, the
-    carrier coefficient equals h_coeff, the reported H_norm2 is -h_coeff^2,
-    and the ambient inner product <H,H> equals (carrier signature)*h^2, so
-    H is never lightlike unless it vanishes.
+    H lies on n2 for the elliptic kind and on n1 for the hyperbolic kind.
     """
-    elliptic = spec.kind is SurfaceKind.ELLIPTIC
-    worst_off = worst_def = worst_carrier = worst_inner = 0.0
-    for u in us:
-        proj = _project(spec, u, v)
-        hv, fr = proj.H, proj.fr
-        cv = curvatures(spec, u)
-        if elliptic:
-            off = inner(hv, fr.n1)
-            carrier = -inner(hv, fr.n2)
-            n_off, n_car, sig = fr.n1, fr.n2, -1.0
-        else:
-            off = -inner(hv, fr.n2)
-            carrier = inner(hv, fr.n1)
-            n_off, n_car, sig = fr.n2, fr.n1, 1.0
-        scale_off = max(1.0, hv.euclid_norm() * n_off.euclid_norm())
-        scale_car = max(1.0, hv.euclid_norm() * n_car.euclid_norm())
-        worst_off = max(worst_off, abs(off) / scale_off)
-        worst_carrier = max(worst_carrier,
-                            abs(carrier - cv.h_coeff) / scale_car)
-        worst_def = max(worst_def, abs(cv.H_norm2 + cv.h_coeff ** 2))
-        worst_inner = max(worst_inner,
-                          _scaled_abs(inner(hv, hv) - sig * cv.h_coeff ** 2,
-                                      cv.h_coeff ** 2, hv.euclid_norm2()))
+    hv, fr = proj.H, proj.fr
+    if kind is SurfaceKind.ELLIPTIC:
+        return inner(hv, fr.n1), -inner(hv, fr.n2), fr.n1, fr.n2, -1.0
+    return -inner(hv, fr.n2), inner(hv, fr.n1), fr.n2, fr.n1, 1.0
+
+
+def check_projection_bundle(spec, us, v, tols):
+    """Every check of the projection route at (u, v) for u in us.
+
+    One batched projection over us x {v} and one curvatures and
+    geometric_functions call per u give, in order:
+
+    - chen-trace, chen-allied: tr(A1 A2) of the projected shape operators
+      and the allied coefficient vanish;
+    - the no-quasi-minimal bundle: H assembled from projections stays on
+      its carrier normal (the off-carrier coefficient vanishes), the
+      carrier coefficient equals h_coeff, the reported H_norm2 is
+      -h_coeff^2, and the ambient inner product <H,H> equals (carrier
+      signature)*h^2, so H is never lightlike unless it vanishes;
+    - gauss-equation-route, normal-curvature-route: the dual routes of
+      cross_check.
+    """
+    tol = tols["algebraic"]
+    proj = _project_grid(spec, us, [v])
+    cvs = [curvatures(spec, u) for u in us]
+    gfs = [geometric_functions(spec, u) for u in us]
+
+    def column(values):
+        return np.array(values)[:, None]
+
+    h = column([cv.h_coeff for cv in cvs])
+    h2 = column([cv.h_coeff ** 2 for cv in cvs])
+    tr_res, allied_res = _chen_residuals(proj, h)
+
+    hv = proj.H
+    off, carrier, n_off, n_car, sig = _carrier_split(spec.kind, proj)
+    hn = hv.euclid_norm()
+    off_res = abs(off) / np.maximum(1.0, hn * n_off.euclid_norm())
+    car_res = abs(carrier - h) / np.maximum(1.0, hn * n_car.euclid_norm())
+    def_res = np.array([abs(cv.H_norm2 + cv.h_coeff ** 2) for cv in cvs])
+    inner_res = (abs(inner(hv, hv) - sig * h2)
+                 / np.maximum(np.maximum(1.0, abs(h2)), abs(hv.euclid_norm2())))
+
+    k_res = _gauss_route_residual(column([cv.K for cv in cvs]), proj.sigma)
+    kp_res = np.array([_kappa_route_residual(spec.kind, cv.kappa, gf)
+                       for cv, gf in zip(cvs, gfs)])
+
+    chen_grid = f"{len(us)} u-points, v={v:.6g}, projected shape operators"
     grid = f"{len(us)} u-points, v={v:.6g}"
-    off_name = "off-carrier normal component of H"
+    route_grid = f"{len(us)} u-points"
     return (
-        _check("quasi-minimal-off-component", grid, worst_off, tol, off_name),
-        _check("h-carrier-coefficient", grid, worst_carrier, 10 * tol,
+        _check("chen-trace", chen_grid, tr_res.max(), tol),
+        _check("chen-allied", chen_grid, allied_res.max(), tol),
+        _check("quasi-minimal-off-component", grid, off_res.max(), tol,
+               "off-carrier normal component of H"),
+        _check("h-carrier-coefficient", grid, car_res.max(), 10 * tol,
                "projected H coefficient vs closed form"),
-        _check("h-norm2-definition", grid, worst_def, tol,
+        _check("h-norm2-definition", grid, def_res.max(), tol,
                "reported H_norm2 equals -h_coeff^2"),
-        _check("h-inner-product-signature", grid, worst_inner,
+        _check("h-inner-product-signature", grid, inner_res.max(),
                DEFAULT_TOLS["cross"],
                "ambient <H,H> = (carrier signature) * h_coeff^2; the carrier "
                "normal is timelike for the elliptic kind and spacelike for "
                "the hyperbolic kind"),
+        _check("gauss-equation-route", route_grid, k_res.max(), tols["cross"]),
+        _check("normal-curvature-route", route_grid, kp_res.max(),
+               tols["cross"]),
     )
 
 
@@ -747,18 +779,7 @@ def verify_family(case: str, params: dict | None = None, *,
     results.append(check_frame_orthonormality(spec, us, vs, tols["algebraic"]))
     results.append(check_v_independence(spec, us[:: max(1, len(us) // 3)][:3],
                                         32, tols["vindep"], v_range))
-    results.extend(check_chen(spec, us, v_mid, tols["algebraic"]))
-    results.extend(check_quasiminimal(spec, us, v_mid, tols["algebraic"]))
-
-    worst_k = worst_kp = 0.0
-    for u in us:
-        ck, ckp = cross_check(spec, u, v_mid)
-        worst_k = max(worst_k, ck.max_residual)
-        worst_kp = max(worst_kp, ckp.max_residual)
-    results.append(_check("gauss-equation-route", f"{len(us)} u-points",
-                          worst_k, tols["cross"]))
-    results.append(_check("normal-curvature-route", f"{len(us)} u-points",
-                          worst_kp, tols["cross"]))
+    results.extend(check_projection_bundle(spec, us, v_mid, tols))
 
     # three interior FD points inside the widest interval, clear of edges
     a, b = max(intervals, key=lambda iv: iv[1] - iv[0])
@@ -809,12 +830,9 @@ def random_point_sweep(n: int, seed: int, tol: float) -> list:
         vr = ELLIPTIC_V_RANGE if spec.kind is SurfaceKind.ELLIPTIC else HYPERBOLIC_V_RANGE
         v = rng.uniform(*vr)
         proj = _project(spec, u, v)
-        tr_res, allied_res = _chen_residuals(spec, u, proj)
         cv = curvatures(spec, u)
-        hv, fr = proj.H, proj.fr
-        n_off = fr.n1 if spec.kind is SurfaceKind.ELLIPTIC else fr.n2
-        off = (inner(hv, fr.n1) if spec.kind is SurfaceKind.ELLIPTIC
-               else -inner(hv, fr.n2))
+        tr_res, allied_res = _chen_residuals(proj, cv.h_coeff)
+        off, _, n_off, _, _ = _carrier_split(spec.kind, proj)
         # H is a difference of sigma vectors, so its projection carries
         # rounding of order eps * ||sigma|| * ||n_off|| even where H ~ 0
         hscale = max(1.0, _sigma_magnitude(proj) * n_off.euclid_norm())

@@ -5,6 +5,9 @@ direct probes) on one core; the whole module completes in well under two
 minutes.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from grs4.cli import cmd_dispatch
@@ -202,6 +205,23 @@ def test_criterion_11_determinism(suite, tmp_path):
     assert cmd_dispatch(list(args) + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     _passline(11, "suite JSON and invariant CSV byte-identical across reruns")
+
+
+SUITE_JOBS_SHA256 = "02c9adf41113d7a46ed192e702e3d59512a9bbc9ea378c85d40cd4376861cf6d"
+
+
+def test_suite_jobs_bytes_pinned(suite):
+    """The jobs block of the default suite, as the report writes it, hashes
+    to the pinned digest.
+
+    The digest was recorded on Linux x86-64 with glibc's libm and OpenBLAS
+    0.3.31 (Haswell kernel): last-bit differences in math.sinh and friends,
+    or in the BLAS 2x2 products of the Chen trace, change these bytes.  On
+    another libm or BLAS a mismatch calls for a re-pin after checking the
+    residuals, not necessarily for a fix.
+    """
+    data = json.dumps(suite["jobs"], indent=2).encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == SUITE_JOBS_SHA256
 
 
 def test_suite_overall_pass(suite):

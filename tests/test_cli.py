@@ -141,6 +141,42 @@ def test_verify_suite_default(tmp_path):
     assert any(v["family"] == "min-ell-i" for v in payload["vacuous"])
 
 
+def test_verify_prints_margins_outside_the_report(tmp_path, capsys):
+    job = {"label": "pnmcv-hyp[C=0.5]", "family": "pnmcv-hyp",
+           "params": {"C": 0.5}, "alpha": 1.3, "beta": 0.7,
+           "u0": 0.05, "u1": 0.45}
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({"jobs": [job]}))
+    rp = tmp_path / "suite-report.json"
+    capsys.readouterr()
+    assert run("verify", "--suite", str(cfg), "--report", str(rp)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    checks = json.loads(rp.read_text())["jobs"][0]["report"]["checks"]
+    rated = [c for c in checks if not c["vacuous"] and c["tolerance"] > 0.0]
+    top = max(rated, key=lambda c: c["max_residual"] / c["tolerance"])
+    assert top["name"] == "fd-connection"
+    i = next(k for k, line in enumerate(lines) if "pnmcv-hyp[C=0.5]" in line)
+    assert lines[i + 1].split() == [
+        "tightest:", "fd-connection", "at",
+        f"{top['max_residual'] / top['tolerance']:.2e}", "of", "its",
+        "tolerance"]
+
+    fp = tmp_path / "family-report.json"
+    assert run("verify", "--family", "pnmcv-hyp", "--params", "C=0.5",
+               "--alpha", "1.3", "--beta", "0.7", "--u0", "0.05",
+               "--u1", "0.45", "--report", str(fp)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    family = json.loads(fp.read_text())
+    assert family == json.loads(rp.read_text())["jobs"][0]["report"]
+    for c in family["checks"]:
+        line = next(ln for ln in lines if ln.split()[0] == c["name"])
+        rated = not c["vacuous"] and c["tolerance"] > 0.0
+        want = (f"{c['max_residual'] / c['tolerance']:.2e}" if rated else "-")
+        assert line.split()[-1] == f"margin={want}", line
+    # margins stay on the console: no report carries them
+    assert "margin" not in fp.read_text() + rp.read_text()
+
+
 def test_verify_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"params": {"C": 2.0}, "alpha": 1.0,

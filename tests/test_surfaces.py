@@ -11,11 +11,13 @@ from grs4.reporting import export_invariants_csv, export_mesh
 from grs4.surfaces import (SurfaceKind, curvatures, first_fundamental, frames,
                            geometric_functions, invariant_record,
                            mean_curvature_numerator, mean_curvature_vector,
-                           position_jets, second_fundamental,
+                           frames_grid, position_jets, second_fundamental,
                            second_fundamental_projected, shape_operators,
-                           shape_operators_projected, surface_from_family,
-                           _meridian_scalars)
-from grs4.verifier import admissible_domain, orthonormality_residual
+                           shape_operators_projected, shape_trace,
+                           surface_from_family, _meridian_scalars, _project,
+                           _project_grid)
+from grs4.verifier import (admissible_domain, orthonormality_residual,
+                           _grid_in_intervals, _v_grid)
 
 
 def spec_for(case, params=None, **kw):
@@ -398,3 +400,39 @@ def test_invariant_record_computes_each_layer_once_per_row(monkeypatch):
         assert rec.admissible
         assert calls == {"geometric_functions": 1, "curvatures": 1}
         assert rec.trA1A2 == shape_operators(spec, u).trA1A2
+
+
+def _grid_hex(vec, i, j):
+    return [float(c[i, j]).hex() for c in vec.components()]
+
+
+@pytest.mark.parametrize("spec", [PNMCV_ELL, MIN_HYP_I],
+                         ids=["elliptic", "hyperbolic"])
+def test_grid_route_matches_point_route_bitwise(spec):
+    """frames_grid and _project_grid equal frames, _project and
+    np.trace(A1 @ A2) at every grid point, to the bit (hyperbolic |v| <= 3)."""
+    lo, hi = spec.meridian.interval
+    us = _grid_in_intervals(admissible_domain(spec, lo, hi, 200), 17)
+    vs = _v_grid(spec.kind, 13)
+    if spec.kind is SurfaceKind.HYPERBOLIC:
+        assert (vs.min(), vs.max()) == (-3.0, 3.0)
+    fg = frames_grid(spec, us, vs)
+    pg = _project_grid(spec, us, vs)
+    trg = shape_trace(*pg.shape_matrices())
+    assert trg.shape == (len(us), len(vs))
+    for i, u in enumerate(us):
+        for j, v in enumerate(vs):
+            fr = frames(spec, u, v)
+            proj = _project(spec, u, v)
+            for name in ("x", "y", "n1", "n2"):
+                want = _hex(getattr(fr, name))
+                assert _grid_hex(getattr(fg, name), i, j) == want, (u, v, name)
+                assert _grid_hex(getattr(pg.fr, name), i, j) == want, (u, v, name)
+            for k, w in enumerate(proj.sigma):
+                assert _grid_hex(pg.sigma[k], i, j) == _hex(w), (u, v, k)
+            for got, want in zip(pg.sf.xx + pg.sf.xy + pg.sf.yy,
+                                 proj.sf.xx + proj.sf.xy + proj.sf.yy):
+                assert float(got[i, j]).hex() == want.hex(), (u, v)
+            assert _grid_hex(pg.H, i, j) == _hex(proj.H), (u, v)
+            A1, A2 = proj.shape_matrices()
+            assert float(trg[i, j]).hex() == float(np.trace(A1 @ A2)).hex(), (u, v)

@@ -1,14 +1,17 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from grs4.errors import ConfigError, ParamError, StepError
 from grs4.meridians import build_family, descriptor_from_catalog
 from grs4.reporting import report_json_bytes
+from grs4.pe4 import PEVector4
 from grs4.surfaces import SurfaceKind, surface_from_family
-from grs4 import verifier
-from grs4.verifier import (admissible_domain, cross_check,
+from grs4 import surfaces, verifier
+from grs4.verifier import (admissible_domain, check_frame_orthonormality,
+                           check_projection_bundle, cross_check,
                            default_suite_config, fd_connection_check,
                            h_numerator_identity, random_point_sweep,
                            run_suite, verify_family)
@@ -291,3 +294,112 @@ def test_sweep_detects_off_carrier_component(monkeypatch):
     checks = {c.name: c for c in random_point_sweep(40, 23, 1e-12)}
     assert not checks["quasi-minimal-sweep"].passed
     assert checks["quasi-minimal-sweep"].max_residual > 1e-11
+
+
+# ---------------------------------------------------------------------------
+# Batched grid checks
+
+def _with_nan(vec, i, j):
+    x1 = vec.x1.copy()
+    x1[i, j] = math.nan
+    return PEVector4(x1, vec.x2, vec.x3, vec.x4)
+
+
+def test_nan_frame_fails_frame_orthonormality(monkeypatch):
+    """A NaN at one of 3x2 grid points reaches the check instead of being
+    dropped by a max(0.0, nan) reduction."""
+    spec = spec_for("pnmcv-ell", {"C": 2.0}, alpha=1.0, beta=3.0)
+    us, vs = [2.5, 3.0, 4.0], [0.3, 1.1]
+    assert check_frame_orthonormality(spec, us, vs, 1e-12).passed
+    grid = verifier.frames_grid
+
+    def poisoned(*args):
+        fr = grid(*args)
+        return dataclasses.replace(fr, x=_with_nan(fr.x, 1, 0))
+
+    monkeypatch.setattr(verifier, "frames_grid", poisoned)
+    res = check_frame_orthonormality(spec, us, vs, 1e-12)
+    assert math.isnan(res.max_residual) and not res.passed
+
+
+def test_nan_projection_fails_v_mid_checks(monkeypatch):
+    spec = spec_for("min-hyp-i", {"c": 1.0}, alpha=2.0, beta=1.0)
+    us = [0.8, 1.0, 1.2]
+    tols = verifier.DEFAULT_TOLS
+    assert all(c.passed for c in check_projection_bundle(spec, us, 0.4, tols))
+    project = verifier._project_grid
+
+    def poisoned(*args):
+        proj = project(*args)
+        sxx, sxy, syy = proj.sigma
+        return dataclasses.replace(proj, sigma=(_with_nan(sxx, 2, 0), sxy, syy))
+
+    monkeypatch.setattr(verifier, "_project_grid", poisoned)
+    res = {c.name: c for c in check_projection_bundle(spec, us, 0.4, tols)}
+    for name in ("chen-trace", "quasi-minimal-off-component",
+                 "gauss-equation-route"):
+        assert math.isnan(res[name].max_residual), name
+        assert not res[name].passed, name
+
+
+@pytest.mark.parametrize("case", ["pnmcv-ell", "min-hyp-i", "fnc-ell-i"])
+def test_verify_family_detects_off_carrier_component(monkeypatch, case):
+    """Negative control: sigma(x,x) shifted inside the batched route so that
+    H gains an off-carrier component of 1e-9 of the sigma magnitude fails
+    quasi-minimal-off-component."""
+    project = verifier._project_grid
+
+    def perturbed(spec, *args):
+        proj = project(spec, *args)
+        fr = proj.fr
+        n_off = fr.n1 if spec.kind is SurfaceKind.ELLIPTIC else fr.n2
+        smax = np.max([w.euclid_norm() for w in proj.sigma], axis=0)
+        sxx, sxy, syy = proj.sigma
+        return dataclasses.replace(
+            proj, sigma=(sxx + n_off * (2e-9 * smax), sxy, syy))
+
+    assert verify_family(case).passed
+    monkeypatch.setattr(verifier, "_project_grid", perturbed)
+    checks = {c.name: c for c in verify_family(case).checks}
+    assert not checks["quasi-minimal-off-component"].passed
+    assert checks["quasi-minimal-off-component"].max_residual > 1e-11
+
+
+def test_verify_family_batches_its_grid_checks(monkeypatch):
+    """On a closed-form family, per-point frames run only inside the FD
+    stencils, and neither position_jets nor the per-point projection runs:
+    frame orthonormality is one frames_grid call, v-independence and the
+    v_mid bundle one _project_grid call each."""
+    calls = {"frames": 0, "frames_outside_fd": 0, "position_jets": 0,
+             "_project": 0, "frames_grid": 0, "_project_grid": 0}
+    in_fd = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "frames" and not in_fd:
+                calls["frames_outside_fd"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    fd_check = verifier.fd_connection_check
+
+    def fd_wrapper(*args, **kwargs):
+        in_fd.append(True)
+        try:
+            return fd_check(*args, **kwargs)
+        finally:
+            in_fd.pop()
+
+    for mod in (surfaces, verifier):
+        for name in ("frames", "position_jets", "_project", "frames_grid",
+                     "_project_grid"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    monkeypatch.setattr(verifier, "fd_connection_check", fd_wrapper)
+    rep = verify_family("pnmcv-ell")
+    assert rep.passed
+    assert calls["frames"] > 0
+    assert calls["frames_outside_fd"] == 0
+    assert calls["position_jets"] == 0 and calls["_project"] == 0
+    assert calls["frames_grid"] == 1 and calls["_project_grid"] == 2
