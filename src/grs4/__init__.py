@@ -17,13 +17,13 @@ from .errors import (ConfigError, ConstraintDriftError, DomainError,
 from .jets import Jet2, jet_apply
 from .meridians import (FAMILY_CATALOG, FamilyDescriptor, MeridianFamily,
                         MeridianJet, build_family, descriptor_from_catalog,
-                        meridian_jet, classified_case_ids)
+                        classified_case_ids)
 from .pe4 import CausalCharacter, PEVector4, causal_character, inner
-from .surfaces import (Curvatures, Frame, GeoFns, InvariantRecord, PointJets,
-                       SurfaceKind, SurfaceSpec, curvatures,
-                       first_fundamental, frames, geometric_functions,
-                       invariant_record, position_jets, second_fundamental,
-                       shape_operators, surface_from_family)
+from .surfaces import (Curvatures, Frame, GeoFns, InvariantGrid,
+                       InvariantRecord, PointJets, SurfaceKind, SurfaceSpec,
+                       curvatures, first_fundamental, frames,
+                       geometric_functions, invariant_grid, invariant_record,
+                       position_jets, shape_operators, surface_from_family)
 from .verifier import (CheckResult, FamilyReport, SuiteReport,
                        admissible_domain, cross_check, default_suite_config,
                        fd_connection_check, run_suite, verify_family)

@@ -802,11 +802,6 @@ def build_family(desc: FamilyDescriptor) -> MeridianFamily:
     return _BUILDERS[desc.case](desc)
 
 
-def meridian_jet(fam: MeridianFamily, u: float) -> MeridianJet:
-    """2-jets of (f, g) at u; DomainError at branch points / outside interval."""
-    return fam.jet(u)
-
-
 # ---------------------------------------------------------------------------
 # Catalog of the classified cases with canned, admissible defaults.
 

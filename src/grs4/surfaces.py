@@ -8,6 +8,13 @@ metric is Lorentzian, the tangent frame {x, y} and normal frame {n1, n2}
 are pseudo-orthonormal, and all invariants are rational expressions in
 (f, f', f'', g, g', g'') evaluated from meridian jets, so no numerical
 differentiation enters here.
+
+Each formula is written once and takes floats or numpy arrays: the
+per-point functions (geometric_functions, curvatures, frames, ...) and the
+grid routes (invariant_grid over a u-grid, frames_grid, positions_grid and
+_project_grid over a u x v grid) evaluate the same expressions in the same
+order, with squares through pe4.pow2 and traces through shape_trace, so
+both give the same bits.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import numpy as np
 
 from .errors import GrsError, InadmissiblePointError, ParamError
 from .meridians import MeridianFamily
-from .pe4 import PEVector4, inner, sqrt
+from .pe4 import PEVector4, inner, pow2, sqrt
 
 DEFAULT_ADMISSIBILITY_EPS = 1e-10
 
@@ -131,6 +138,50 @@ class InvariantRecord:
     admissible: bool
 
 
+INVARIANT_COLUMNS = ("E", "F", "G", "nu1", "nu2", "mu", "gamma2", "beta2",
+                     "K", "kappa", "h_coeff", "H_norm2", "trA1A2")
+
+
+@dataclass(frozen=True)
+class InvariantGrid:
+    """invariant_record over a u-grid: one ndarray per field, row i at us[i].
+
+    scalars holds the meridian columns (f, f', f'', g, g', g'', E, W) that
+    the frame and projection routes reuse; they are NaN where the meridian
+    raises, and the invariants are NaN where a row is not admissible.
+    """
+
+    us: np.ndarray
+    admissible: np.ndarray
+    scalars: tuple
+    E: np.ndarray
+    F: np.ndarray
+    G: np.ndarray
+    nu1: np.ndarray
+    nu2: np.ndarray
+    mu: np.ndarray
+    gamma2: np.ndarray
+    beta2: np.ndarray
+    K: np.ndarray
+    kappa: np.ndarray
+    h_coeff: np.ndarray
+    H_norm2: np.ndarray
+    trA1A2: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.us)
+
+    def __getitem__(self, index) -> "InvariantGrid":
+        """The rows picked by a slice or an index array, as a grid."""
+        return InvariantGrid(self.us[index], self.admissible[index],
+                             tuple(c[index] for c in self.scalars),
+                             *(c[index] for c in self.columns()))
+
+    def columns(self) -> tuple:
+        """The INVARIANT_COLUMNS arrays, in that order."""
+        return tuple(getattr(self, name) for name in INVARIANT_COLUMNS)
+
+
 # ---------------------------------------------------------------------------
 # Position jets and first fundamental form
 
@@ -149,13 +200,34 @@ def position_jets(spec: SurfaceSpec, u: float, v: float) -> PointJets:
                       mj.g.d2, _rotation(spec, v))
 
 
+def positions_grid(spec: SurfaceSpec, us, vs) -> PEVector4:
+    """The immersion z over the grid us x vs, with (len(us), len(vs))
+    components equal to position_jets(...).z to the bit.
+
+    f and g are taken once per u and _rotation once per v.
+    """
+    fg = np.array([(mj.f.val, mj.g.val) for mj in map(spec.meridian.jet, us)])
+    f, g = fg.reshape(-1, 2).T[:, :, None]
+    rot = tuple(np.array([_rotation(spec, v) for v in vs]).reshape(-1, 4).T)
+    return _position_from(spec, f, g, rot)
+
+
+def _position_from(spec, f, g, rot) -> PEVector4:
+    """z from the meridian values and rotations, floats or arrays."""
+    ca, sa, cb, sb = rot
+    if spec.kind is SurfaceKind.ELLIPTIC:
+        return PEVector4(f * ca, f * sa, g * cb, g * sb)
+    return PEVector4(f * ca, g * cb, f * sa, g * sb)
+
+
 def _jets_from(spec, f, fp, fpp, g, gp, gpp, rot) -> PointJets:
     """Position jets from meridian scalars and rotations, floats or arrays."""
     a, b = spec.alpha, spec.beta
     ca, sa, cb, sb = rot
+    z = _position_from(spec, f, g, rot)
     if spec.kind is SurfaceKind.ELLIPTIC:
         return PointJets(
-            z=PEVector4(f * ca, f * sa, g * cb, g * sb),
+            z=z,
             z_u=PEVector4(fp * ca, fp * sa, gp * cb, gp * sb),
             z_v=PEVector4(-a * f * sa, a * f * ca, -b * g * sb, b * g * cb),
             z_uu=PEVector4(fpp * ca, fpp * sa, gpp * cb, gpp * sb),
@@ -163,7 +235,7 @@ def _jets_from(spec, f, fp, fpp, g, gp, gpp, rot) -> PointJets:
             z_vv=PEVector4(-a * a * f * ca, -a * a * f * sa,
                            -b * b * g * cb, -b * b * g * sb))
     return PointJets(
-        z=PEVector4(f * ca, g * cb, f * sa, g * sb),
+        z=z,
         z_u=PEVector4(fp * ca, gp * cb, fp * sa, gp * sb),
         z_v=PEVector4(a * f * sa, b * g * sb, a * f * ca, b * g * cb),
         z_uu=PEVector4(fpp * ca, gpp * cb, fpp * sa, gpp * sb),
@@ -175,11 +247,14 @@ def _jets_from(spec, f, fp, fpp, g, gp, gpp, rot) -> PointJets:
 def first_fundamental(spec: SurfaceSpec, u: float, v: float,
                       eps: float = DEFAULT_ADMISSIBILITY_EPS) -> FirstFundamental:
     """E, F, G by direct inner products, plus the admissibility flag."""
-    pj = position_jets(spec, u, v)
-    E = inner(pj.z_u, pj.z_u)
-    F = inner(pj.z_u, pj.z_v)
-    G = inner(pj.z_v, pj.z_v)
+    E, F, G = _fundamental_from(position_jets(spec, u, v))
     return FirstFundamental(E, F, G, E > eps and G < -eps)
+
+
+def _fundamental_from(pj: PointJets):
+    """(E, F, G) as inner products of z_u and z_v, floats or arrays."""
+    return (inner(pj.z_u, pj.z_u), inner(pj.z_u, pj.z_v),
+            inner(pj.z_v, pj.z_v))
 
 
 def _meridian_scalars(spec: SurfaceSpec, u: float):
@@ -204,22 +279,56 @@ def _require_admissible(spec, u, E, W, eps):
             f"E={E:.6g}, G={-W:.6g}")
 
 
+def _admissible_scalars(spec: SurfaceSpec, u: float, eps: float):
+    """_meridian_scalars at u; InadmissiblePointError unless E, W > eps."""
+    s = _meridian_scalars(spec, u)
+    _require_admissible(spec, u, s[6], s[7], eps)
+    return s
+
+
 def _frame_scalars(spec: SurfaceSpec, u: float, eps: float):
     """(f, f', f'', g, g', g'', 1/sqrt(E), 1/sqrt(W)) at an admissible u."""
-    f, fp, fpp, g, gp, gpp, E, W = _meridian_scalars(spec, u)
-    _require_admissible(spec, u, E, W, eps)
+    f, fp, fpp, g, gp, gpp, E, W = _admissible_scalars(spec, u, eps)
     return f, fp, fpp, g, gp, gpp, 1.0 / math.sqrt(E), 1.0 / math.sqrt(W)
+
+
+def _meridian_columns(spec: SurfaceSpec, us):
+    """(us as a float array, the eight _meridian_scalars as columns).
+
+    The meridian is evaluated once per u, one point at a time with math, so
+    the columns hold the very floats the per-point routes use; rows are NaN
+    where it raises.
+    """
+    us = np.fromiter(us, dtype=float)
+    rows = np.full((len(us), 8), math.nan)
+    for i, u in enumerate(us.tolist()):
+        try:
+            rows[i] = _meridian_scalars(spec, u)
+        except GrsError:
+            pass
+    return us, tuple(rows.T)
 
 
 def _grid_inputs(spec: SurfaceSpec, us, vs, eps: float):
     """_frame_scalars per u as (nu, 1) columns and _rotation per v as (nv,) rows.
 
-    Both are evaluated one point at a time with math, so the arrays hold the
-    very floats the per-point routes use; numpy only does the arithmetic.
+    us is a sequence of u or an InvariantGrid, whose meridian columns are
+    reused.  Rotations are evaluated per v with math, like the meridian, and
+    numpy only does the arithmetic (sqrt is correctly rounded in both).
+    Raises the per-point route's error at the first inadmissible u.
     """
-    cols = np.array([_frame_scalars(spec, u, eps) for u in us]).T[:, :, None]
+    if isinstance(us, InvariantGrid):
+        us, scalars = us.us, us.scalars
+    else:
+        us, scalars = _meridian_columns(spec, us)
+    f, fp, fpp, g, gp, gpp, E, W = scalars
+    bad = ~((E > eps) & (W > eps))
+    if bad.any():
+        _frame_scalars(spec, float(us[bad.argmax()]), eps)   # raises
+    cols = np.array((f, fp, fpp, g, gp, gpp, 1.0 / np.sqrt(E),
+                     1.0 / np.sqrt(W)))
     rot = tuple(np.array([_rotation(spec, v) for v in vs]).T)
-    return cols, rot
+    return cols[:, :, None], rot
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +348,8 @@ def frames(spec: SurfaceSpec, u: float, v: float,
 def frames_grid(spec: SurfaceSpec, us, vs,
                 eps: float = DEFAULT_ADMISSIBILITY_EPS) -> Frame:
     """frames over the grid us x vs: a Frame of (len(us), len(vs)) arrays,
-    equal to the per-point frames to the bit."""
+    equal to the per-point frames to the bit.  us may be an InvariantGrid,
+    whose meridian columns are then reused."""
     return _frame_from(spec, *_grid_inputs(spec, us, vs, eps))
 
 
@@ -271,11 +381,15 @@ def _frame_from(spec, scalars, rot) -> Frame:
 def geometric_functions(spec: SurfaceSpec, u: float,
                         eps: float = DEFAULT_ADMISSIBILITY_EPS) -> GeoFns:
     """nu1, nu2, mu, gamma2, beta2 at u (independent of v)."""
-    f, fp, fpp, g, gp, gpp, E, W = _meridian_scalars(spec, u)
-    _require_admissible(spec, u, E, W, eps)
+    return _geo_fns_from(spec, _admissible_scalars(spec, u, eps))
+
+
+def _geo_fns_from(spec, scalars) -> GeoFns:
+    """Geometric functions from _meridian_scalars values, floats or arrays."""
+    f, fp, fpp, g, gp, gpp, E, W = scalars
     a2, b2 = spec.alpha ** 2, spec.beta ** 2
     ab = spec.alpha * spec.beta
-    se = math.sqrt(E)
+    se = sqrt(E)
     sew = se * W
     if spec.kind is SurfaceKind.ELLIPTIC:
         return GeoFns(
@@ -290,17 +404,6 @@ def geometric_functions(spec: SurfaceSpec, u: float,
         mu=ab * (f * gp - fp * g) / sew,
         gamma2=-(a2 * f * fp + b2 * g * gp) / sew,
         beta2=-ab * (f * fp + g * gp) / sew)
-
-
-def second_fundamental(spec: SurfaceSpec, u: float, v: float = 0.0,
-                       eps: float = DEFAULT_ADMISSIBILITY_EPS) -> SecondFundamental:
-    """sigma on the frame basis as coefficient pairs along (n1, n2)."""
-    gf = geometric_functions(spec, u, eps)
-    if spec.kind is SurfaceKind.ELLIPTIC:
-        return SecondFundamental(xx=(0.0, -gf.nu1), xy=(gf.mu, 0.0),
-                                 yy=(0.0, -gf.nu2))
-    return SecondFundamental(xx=(gf.nu1, 0.0), xy=(0.0, -gf.mu),
-                             yy=(gf.nu2, 0.0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -325,10 +428,21 @@ class _Projection:
         Over a grid the matrices are stacked: shape grid + (2, 2).
         """
         sxx, sxy, syy = self.sigma
-        return tuple(np.moveaxis(np.array([[inner(sxx, n), inner(sxy, n)],
-                                           [-inner(sxy, n), -inner(syy, n)]]),
-                                 (0, 1), (-2, -1))
+        return tuple(_matrices([[inner(sxx, n), inner(sxy, n)],
+                                [-inner(sxy, n), -inner(syy, n)]])
                      for n in (self.fr.n1, self.fr.n2))
+
+
+def _matrices(entries):
+    """2x2 nested entries, floats or arrays, as one matrix or a stack of
+    shape entry-shape + (2, 2).
+
+    The stack is made C-contiguous: np.matmul then runs on it without the
+    buffered copies a strided stack needs (about 0.6 MB of peak memory in
+    a run of invariant tables), with the same result.
+    """
+    return np.ascontiguousarray(np.moveaxis(np.array(entries), (0, 1),
+                                            (-2, -1)))
 
 
 def _project(spec: SurfaceSpec, u: float, v: float,
@@ -342,8 +456,9 @@ def _project_grid(spec: SurfaceSpec, us, vs,
     """The projection route over the grid us x vs, with (len(us), len(vs))
     array components equal to the per-point route to the bit.
 
-    Meridian scalars are taken once per u and rotations once per v; raises
-    InadmissiblePointError at the first inadmissible u.
+    Meridian scalars are taken once per u, or from an InvariantGrid passed
+    as us, and rotations once per v; raises the per-point error at the
+    first inadmissible u.
     """
     return _projection(spec, *_grid_inputs(spec, us, vs, eps))
 
@@ -357,8 +472,7 @@ def _projection(spec, scalars, rot) -> _Projection:
     f, fp, fpp, g, gp, gpp, _, _ = scalars
     pj = _jets_from(spec, f, fp, fpp, g, gp, gpp, rot)
     fr = _frame_from(spec, scalars, rot)
-    E = inner(pj.z_u, pj.z_u)
-    G = inner(pj.z_v, pj.z_v)
+    E, _, G = _fundamental_from(pj)
     seg = sqrt(E) * sqrt(-G)
 
     def pair(w, denom):
@@ -399,27 +513,31 @@ def curvatures(spec: SurfaceSpec, u: float,
     h_coeff is the coefficient of H along n2 (elliptic) or n1 (hyperbolic);
     H_norm2 is reported as -h_coeff**2 (see the quasi-minimal checks).
     """
-    f, fp, fpp, g, gp, gpp, E, W = _meridian_scalars(spec, u)
-    _require_admissible(spec, u, E, W, eps)
+    return _curvatures_from(spec, _admissible_scalars(spec, u, eps))
+
+
+def _curvatures_from(spec, scalars) -> Curvatures:
+    """Curvatures from _meridian_scalars values, floats or arrays."""
+    f, fp, fpp, g, gp, gpp, E, W = scalars
     a2, b2 = spec.alpha ** 2, spec.beta ** 2
     ab = spec.alpha * spec.beta
     E2W2 = E * E * W * W
     if spec.kind is SurfaceKind.ELLIPTIC:
-        K = (a2 * b2 * E * (f * gp - fp * g) ** 2
+        K = (a2 * b2 * E * pow2(f * gp - fp * g)
              - W * (b2 * fp * g - a2 * f * gp) * (fp * gpp - fpp * gp)) / E2W2
         kappa = (-ab * (f * gp - g * fp)
                  * (W * (gp * fpp - fp * gpp) + E * (b2 * g * fp - a2 * f * gp))
                  ) / E2W2
         h = (E * (b2 * g * fp - a2 * f * gp) - W * (fpp * gp - fp * gpp)) \
-            / (2.0 * E * math.sqrt(E) * W)
+            / (2.0 * E * sqrt(E) * W)
     else:
-        K = -(a2 * b2 * (f * gp - fp * g) ** 2 * E
+        K = -(a2 * b2 * pow2(f * gp - fp * g) * E
               + (a2 * f * gp - b2 * fp * g) * (fpp * gp - fp * gpp) * W) / E2W2
         kappa = (ab * (f * gp - fp * g)
                  * (W * (fpp * gp - fp * gpp) + E * (a2 * f * gp - b2 * g * fp))
                  ) / E2W2
         h = (E * (b2 * fp * g - a2 * f * gp) + W * (fpp * gp - fp * gpp)) \
-            / (2.0 * E * math.sqrt(E) * W)
+            / (2.0 * E * sqrt(E) * W)
     return Curvatures(K=K, kappa=kappa, h_coeff=h, H_norm2=-h * h)
 
 
@@ -451,13 +569,17 @@ def shape_trace(A1, A2):
     return np.trace(A1 @ A2, axis1=-2, axis2=-1)
 
 
+def _shape_matrices(kind: SurfaceKind, gf: GeoFns):
+    """A1, A2 from the geometric functions: one pair, or stacked pairs of
+    shape (n, 2, 2) for columns of length n."""
+    zero = np.zeros(np.shape(gf.mu))
+    rot = _matrices([[zero, gf.mu], [-gf.mu, zero]])
+    diag = _matrices([[gf.nu1, zero], [zero, -gf.nu2]])
+    return (rot, diag) if kind is SurfaceKind.ELLIPTIC else (diag, rot)
+
+
 def _shape_from(kind: SurfaceKind, gf: GeoFns, h: float) -> ShapeOperators:
-    if kind is SurfaceKind.ELLIPTIC:
-        A1 = np.array([[0.0, gf.mu], [-gf.mu, 0.0]])
-        A2 = np.array([[gf.nu1, 0.0], [0.0, -gf.nu2]])
-    else:
-        A1 = np.array([[gf.nu1, 0.0], [0.0, -gf.nu2]])
-        A2 = np.array([[0.0, gf.mu], [-gf.mu, 0.0]])
+    A1, A2 = _shape_matrices(kind, gf)
     tr = float(shape_trace(A1, A2))
     return ShapeOperators(A1=A1, A2=A2, trA1A2=tr, allied_coeff=0.5 * abs(h) * tr)
 
@@ -484,22 +606,49 @@ def invariant_record(spec: SurfaceSpec, u: float,
     """Full invariant set at u, or an inadmissible marker record.
 
     First-fundamental coefficients are taken at v = 0; every field is
-    independent of v by rotational symmetry.
+    independent of v by rotational symmetry.  A point is admissible when
+    E > eps and -G > eps, the test geometric_functions and frames apply;
+    an inadmissible record keeps E, F, G where the meridian is defined.
     """
     try:
         ff = first_fundamental(spec, u, 0.0, eps)
     except GrsError:
-        return InvariantRecord(u, math.nan, math.nan, math.nan, math.nan,
-                               math.nan, math.nan, math.nan, math.nan,
-                               math.nan, math.nan, math.nan, math.nan,
-                               math.nan, False)
-    if not ff.admissible:
-        return InvariantRecord(u, ff.E, ff.F, ff.G, math.nan, math.nan,
-                               math.nan, math.nan, math.nan, math.nan,
-                               math.nan, math.nan, math.nan, math.nan, False)
-    gf = geometric_functions(spec, u, eps)
+        return InvariantRecord(u, *(math.nan,) * 13, False)
+    try:
+        gf = geometric_functions(spec, u, eps)
+    except InadmissiblePointError:
+        return InvariantRecord(u, ff.E, ff.F, ff.G, *(math.nan,) * 10, False)
     cv = curvatures(spec, u, eps)
-    so = _shape_from(spec.kind, gf, cv.h_coeff)
+    tr = float(shape_trace(*_shape_matrices(spec.kind, gf)))
     return InvariantRecord(u, ff.E, ff.F, ff.G, gf.nu1, gf.nu2, gf.mu,
                            gf.gamma2, gf.beta2, cv.K, cv.kappa, cv.h_coeff,
-                           cv.H_norm2, so.trA1A2, True)
+                           cv.H_norm2, tr, True)
+
+
+def invariant_grid(spec: SurfaceSpec, us,
+                   eps: float = DEFAULT_ADMISSIBILITY_EPS) -> InvariantGrid:
+    """invariant_record at every u of us, as columns equal to it to the bit.
+
+    The meridian is evaluated once per u, with math as in the per-point
+    route (its rows are NaN where it raises); every formula is the
+    per-point one applied to the admissible rows as arrays.
+    """
+    us, scalars = _meridian_columns(spec, us)
+    E, F, G = _fundamental_from(_jets_from(spec, *scalars[:6],
+                                           _rotation(spec, 0.0)))
+    ok = (scalars[6] > eps) & (scalars[7] > eps)
+    adm = tuple(c[ok] for c in scalars)
+    gf = _geo_fns_from(spec, adm)
+    cv = _curvatures_from(spec, adm)
+    tr = shape_trace(*_shape_matrices(spec.kind, gf))
+
+    def column(values):
+        out = np.full(len(us), math.nan)
+        out[ok] = values
+        return out
+
+    return InvariantGrid(us, ok, scalars, E, F, G,
+                         *(column(c) for c in (gf.nu1, gf.nu2, gf.mu,
+                                               gf.gamma2, gf.beta2, cv.K,
+                                               cv.kappa, cv.h_coeff,
+                                               cv.H_norm2, tr)))

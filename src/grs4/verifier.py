@@ -22,11 +22,12 @@ from .errors import (ConfigError, DomainError, GrsError,
 from .meridians import (FAMILY_CATALOG, build_family,
                         descriptor_from_catalog, classified_case_ids,
                         _SampledFamily)
-from .pe4 import inner
+from .pe4 import inner, pow2
 from .surfaces import (SurfaceKind, SurfaceSpec, curvatures,
                        frames, frames_grid, geometric_functions,
-                       mean_curvature_numerator, mean_curvature_vector,
-                       shape_trace, sigma_vectors, surface_from_family,
+                       invariant_grid, mean_curvature_numerator,
+                       mean_curvature_vector, shape_trace, sigma_vectors,
+                       surface_from_family, _fundamental_from,
                        _meridian_scalars, _project, _project_grid)
 
 DEFAULT_TOLS = {
@@ -143,6 +144,12 @@ class SuiteReport:
                 "vacuous": vacuous,
                 "pass": self.passed,
                 "runtime_s": self.runtime_s}
+
+
+def _worst(residuals) -> float:
+    """The largest residual, 0.0 for none; NaN if any is NaN, where
+    max(worst, r) would drop it."""
+    return float(np.max(residuals, initial=0.0))
 
 
 def _check(name, grid, residual, tol, notes=""):
@@ -355,27 +362,23 @@ def h_numerator_identity(spec: SurfaceSpec, u0: float, u1: float,
     no square roots, so 'vanishing mean curvature wherever defined' can be
     confirmed even where the surface is not Lorentzian.
     """
-    worst = 0.0
-    used = 0
+    residuals = []
     for u in np.linspace(u0, u1, n):
         try:
             num, scale = mean_curvature_numerator(spec, u)
         except GrsError:
             continue
-        used += 1
-        worst = max(worst, abs(num) / scale)
-    if used == 0:
+        residuals.append(abs(num) / scale)
+    if not residuals:
         return _vacuous_check("h-numerator-identity", "meridian nowhere defined")
-    return _check("h-numerator-identity", f"{used} points in [{u0:.6g}, {u1:.6g}]",
-                  worst, 1e-10, "numerator of the mean-curvature coefficient")
+    return _check("h-numerator-identity",
+                  f"{len(residuals)} points in [{u0:.6g}, {u1:.6g}]",
+                  _worst(residuals), 1e-10,
+                  "numerator of the mean-curvature coefficient")
 
 
 # ---------------------------------------------------------------------------
 # Grid checks
-
-def _scaled_abs(value, *magnitudes):
-    return abs(value) / max(1.0, *[abs(m) for m in magnitudes])
-
 
 def check_frame_orthonormality(spec, us, vs, tol) -> CheckResult:
     worst = orthonormality_residual(frames_grid(spec, us, vs))
@@ -395,9 +398,7 @@ def check_v_independence(spec, us, nv, tol, v_range=None) -> CheckResult:
     pj, fr, sf = proj.pj, proj.fr, proj.sf
     nu, nv_, n1n, n2n = (pj.z_u.euclid_norm(), pj.z_v.euclid_norm(),
                          fr.n1.euclid_norm(), fr.n2.euclid_norm())
-    E = inner(pj.z_u, pj.z_u)
-    F = inner(pj.z_u, pj.z_v)
-    G = inner(pj.z_v, pj.z_v)
+    E, F, G = _fundamental_from(pj)
     uu, uv, vv = (pj.z_uu.euclid_norm(), pj.z_uv.euclid_norm(),
                   pj.z_vv.euclid_norm())
     vals = np.array((E, F, G, sf.xx[0], sf.xx[1], sf.xy[0], sf.xy[1],
@@ -452,11 +453,11 @@ def _carrier_split(kind, proj):
     return -inner(hv, fr.n2), inner(hv, fr.n1), fr.n2, fr.n1, 1.0
 
 
-def check_projection_bundle(spec, us, v, tols):
-    """Every check of the projection route at (u, v) for u in us.
+def check_projection_bundle(spec, grid, v, tols):
+    """Every check of the projection route at (u, v) for the rows of grid.
 
-    One batched projection over us x {v} and one curvatures and
-    geometric_functions call per u give, in order:
+    One batched projection over grid x {v}, with the invariant columns of
+    the grid on the closed-form side, gives, in order:
 
     - chen-trace, chen-allied: tr(A1 A2) of the projected shape operators
       and the allied coefficient vanish;
@@ -469,15 +470,10 @@ def check_projection_bundle(spec, us, v, tols):
       cross_check.
     """
     tol = tols["algebraic"]
-    proj = _project_grid(spec, us, [v])
-    cvs = [curvatures(spec, u) for u in us]
-    gfs = [geometric_functions(spec, u) for u in us]
-
-    def column(values):
-        return np.array(values)[:, None]
-
-    h = column([cv.h_coeff for cv in cvs])
-    h2 = column([cv.h_coeff ** 2 for cv in cvs])
+    proj = _project_grid(spec, grid, [v])
+    h = grid.h_coeff[:, None]
+    hh = pow2(grid.h_coeff)
+    h2 = hh[:, None]
     tr_res, allied_res = _chen_residuals(proj, h)
 
     hv = proj.H
@@ -485,28 +481,27 @@ def check_projection_bundle(spec, us, v, tols):
     hn = hv.euclid_norm()
     off_res = abs(off) / np.maximum(1.0, hn * n_off.euclid_norm())
     car_res = abs(carrier - h) / np.maximum(1.0, hn * n_car.euclid_norm())
-    def_res = np.array([abs(cv.H_norm2 + cv.h_coeff ** 2) for cv in cvs])
+    def_res = abs(grid.H_norm2 + hh)
     inner_res = (abs(inner(hv, hv) - sig * h2)
                  / np.maximum(np.maximum(1.0, abs(h2)), abs(hv.euclid_norm2())))
 
-    k_res = _gauss_route_residual(column([cv.K for cv in cvs]), proj.sigma)
-    kp_res = np.array([_kappa_route_residual(spec.kind, cv.kappa, gf)
-                       for cv, gf in zip(cvs, gfs)])
+    k_res = _gauss_route_residual(grid.K[:, None], proj.sigma)
+    kp_res = _kappa_route_residual(spec.kind, grid.kappa, grid)
 
-    chen_grid = f"{len(us)} u-points, v={v:.6g}, projected shape operators"
-    grid = f"{len(us)} u-points, v={v:.6g}"
-    route_grid = f"{len(us)} u-points"
+    chen_grid = f"{len(grid)} u-points, v={v:.6g}, projected shape operators"
+    where = f"{len(grid)} u-points, v={v:.6g}"
+    route_grid = f"{len(grid)} u-points"
     return (
         _check("chen-trace", chen_grid, tr_res.max(), tol),
         _check("chen-allied", chen_grid, allied_res.max(), tol),
-        _check("quasi-minimal-off-component", grid, off_res.max(), tol,
+        _check("quasi-minimal-off-component", where, off_res.max(), tol,
                "off-carrier normal component of H"),
-        _check("h-carrier-coefficient", grid, car_res.max(), 10 * tol,
+        _check("h-carrier-coefficient", where, car_res.max(), 10 * tol,
                "projected H coefficient vs closed form"),
-        _check("h-norm2-definition", grid, def_res.max(), tol,
+        _check("h-norm2-definition", where, def_res.max(), tol,
                "reported H_norm2 equals -h_coeff^2"),
-        _check("h-inner-product-signature", grid, inner_res.max(),
-               DEFAULT_TOLS["cross"],
+        _check("h-inner-product-signature", where, inner_res.max(),
+               tols["cross"],
                "ambient <H,H> = (carrier signature) * h_coeff^2; the carrier "
                "normal is timelike for the elliptic kind and spacelike for "
                "the hyperbolic kind"),
@@ -516,51 +511,42 @@ def check_projection_bundle(spec, us, v, tols):
     )
 
 
-def check_minimal(spec, us, tol) -> CheckResult:
-    worst = max(abs(curvatures(spec, u).h_coeff) for u in us)
-    return _check("minimal-h-coeff", f"{len(us)} u-points", worst, tol)
+# The property checks reduce columns of an InvariantGrid with .max(), so a
+# NaN residual fails them.
+
+def check_minimal(grid, tol) -> CheckResult:
+    return _check("minimal-h-coeff", f"{len(grid)} u-points",
+                  np.abs(grid.h_coeff).max(), tol)
 
 
-def check_flat(spec, us, tol):
-    worst_K = 0.0
-    worst_id = 0.0
-    for u in us:
-        worst_K = max(worst_K, abs(curvatures(spec, u).K))
-        gf = geometric_functions(spec, u)
-        worst_id = max(worst_id, abs(gf.mu ** 2 + gf.nu1 * gf.nu2))
-    grid = f"{len(us)} u-points"
-    return (_check("flat-gauss-curvature", grid, worst_K, tol),
-            _check("flat-mu2-plus-nu1nu2", grid, worst_id, tol))
+def check_flat(grid, tol):
+    where = f"{len(grid)} u-points"
+    identity = np.abs(pow2(grid.mu) + grid.nu1 * grid.nu2)
+    return (_check("flat-gauss-curvature", where, np.abs(grid.K).max(), tol),
+            _check("flat-mu2-plus-nu1nu2", where, identity.max(), tol))
 
 
-def check_fnc(spec, us, tol) -> CheckResult:
-    worst = max(abs(curvatures(spec, u).kappa) for u in us)
-    return _check("fnc-normal-curvature", f"{len(us)} u-points", worst, tol)
+def check_fnc(grid, tol) -> CheckResult:
+    return _check("fnc-normal-curvature", f"{len(grid)} u-points",
+                  np.abs(grid.kappa).max(), tol)
 
 
-def check_pnmcv(spec, us, C, sign, tol_alg, tol_h):
-    elliptic = spec.kind is SurfaceKind.ELLIPTIC
-    hs, b2s, n2s = [], [], []
-    for u in us:
-        gf = geometric_functions(spec, u)
-        cv = curvatures(spec, u)
-        hs.append(cv.h_coeff)
-        b2s.append(abs(gf.beta2))
-        n2s.append(abs(cv.H_norm2 + 1.0 / (C * C)))
-    hs = np.array(hs)
-    grid = f"{len(us)} u-points"
-    if elliptic:
-        h_res = float(np.max(np.abs(hs - sign / C)))
+def check_pnmcv(spec, grid, C, sign, tol_alg, tol_h):
+    hs = grid.h_coeff
+    where = f"{len(grid)} u-points"
+    if spec.kind is SurfaceKind.ELLIPTIC:
+        h_res = np.abs(hs - sign / C).max()
         h_note = "h_coeff equals sign/C"
     else:
-        h_res = float(np.max(np.abs(np.abs(hs) - 1.0 / abs(C))))
+        h_res = np.abs(np.abs(hs) - 1.0 / abs(C)).max()
         h_note = "|h_coeff| equals 1/|C|"
     return (
-        _check("pnmcv-beta2", grid, max(b2s), tol_alg),
-        _check("pnmcv-h-norm2", grid, max(n2s), tol_h,
+        _check("pnmcv-beta2", where, np.abs(grid.beta2).max(), tol_alg),
+        _check("pnmcv-h-norm2", where,
+               np.abs(grid.H_norm2 + 1.0 / (C * C)).max(), tol_h,
                "H_norm2 equals -1/C^2"),
-        _check("pnmcv-h-value", grid, h_res, tol_h, h_note),
-        _check("pnmcv-h-constancy", grid, float(hs.max() - hs.min()), tol_h),
+        _check("pnmcv-h-value", where, h_res, tol_h, h_note),
+        _check("pnmcv-h-constancy", where, hs.max() - hs.min(), tol_h),
     )
 
 
@@ -570,7 +556,7 @@ def check_parallel_H_fd(spec, us, v, h=1e-5, tol=1e-6) -> CheckResult:
     Subsumes beta2 = 0 plus h constancy for the pnmcv families; off by
     default in the standard bundles.
     """
-    worst = 0.0
+    residuals = []
     for u in us:
         _, _, _, _, _, _, E, W = _meridian_scalars(spec, u)
         hp = mean_curvature_vector(spec, u + h, v)
@@ -583,9 +569,10 @@ def check_parallel_H_fd(spec, us, v, h=1e-5, tol=1e-6) -> CheckResult:
         for dvec in (du, dv):
             c1 = inner(dvec, fr.n1)
             c2 = -inner(dvec, fr.n2)
-            worst = max(worst, math.hypot(c1, c2))
+            residuals.append(math.hypot(c1, c2))
     return _check("parallel-H-fd", f"{len(us)} u-points, v={v:.6g}",
-                  worst, tol, "normal-bundle derivative of H by central FD")
+                  _worst(residuals), tol,
+                  "normal-bundle derivative of H by central FD")
 
 
 def check_fd_connection(spec, points, h, tol, shrink_h=None):
@@ -597,11 +584,11 @@ def check_fd_connection(spec, points, h, tol, shrink_h=None):
     """
     if shrink_h is None:
         shrink_h = h
-    worst = 0.0
+    residuals = []
     ratios = []
     for (u, v) in points:
         rows_h = fd_connection_check(spec, u, v, h)
-        worst = max(worst, max(r for _, r in rows_h))
+        residuals.extend(r for _, r in rows_h)
         rows_s = fd_connection_check(spec, u, v, shrink_h) \
             if shrink_h != h else rows_h
         rows_s2 = fd_connection_check(spec, u, v, 0.5 * shrink_h)
@@ -609,7 +596,7 @@ def check_fd_connection(spec, points, h, tol, shrink_h=None):
             if r1 > 5e-9 and r2 > 0.0:
                 ratios.append(r1 / r2)
     grid = f"{len(points)} points, h={h:g}"
-    res = _check("fd-connection", grid, worst, tol,
+    res = _check("fd-connection", grid, _worst(residuals), tol,
                  "eight frame derivative formulas vs central differences")
     if ratios:
         # median across rows and points: single rows can sit at the
@@ -635,57 +622,54 @@ def check_sampled_residuals(fam, tol):
         _check("unit-speed", grid, float(sm.speed_residuals.max()), tol),
     ]
     roots = sm.knot_roots
-    worst = 0.0
-    counted = False
+    gaps = []
     for i in range(1, len(roots)):
         u = float(sm.traj.ts[i])
         f, g = float(sm.traj.ys[i][0]), float(sm.traj.ys[i][1])
         cands = sm.rule.candidates(u, f, g)
         if len(cands) < 2:
             continue
-        counted = True
         d_chosen = abs(roots[i] - roots[i - 1])
         d_other = max(abs(c[0] - roots[i - 1]) for c in cands)
-        worst = max(worst, d_chosen - d_other)
-    if counted:
-        out.append(_check("branch-continuity", grid, max(worst, 0.0), 0.0,
+        gaps.append(d_chosen - d_other)
+    if gaps:
+        out.append(_check("branch-continuity", grid, _worst(gaps), 0.0,
                           "chosen root stays nearest to the previous root"))
     return out
 
 
-def check_min_ell_ii_identity(spec, us) -> CheckResult:
+def check_min_ell_ii_identity(spec, grid) -> CheckResult:
     """Exact identity of the angle parametrization: beta^2 E = -G.
 
     Equivalent to (A - alpha^2 f^2) - (A - beta^2 g^2) = beta^2 g^2 -
     alpha^2 f^2 rescaled to this parametrization; the unit-speed gauge of
     the classification is not used by the evaluator.
     """
-    b2 = spec.beta ** 2
-    worst = 0.0
-    for u in us:
-        _, fp, _, _, gp, _, E, W = _meridian_scalars(spec, u)
-        worst = max(worst, _scaled_abs(b2 * E - W, b2 * E, W))
-    return _check("parametrization-identity", f"{len(us)} u-points", worst,
-                  DEFAULT_TOLS["algebraic"], "beta^2 (f'^2 - g'^2) = -G")
+    *_, E, W = grid.scalars
+    bE = spec.beta ** 2 * E
+    residuals = abs(bE - W) / np.maximum(np.maximum(1.0, abs(bE)), abs(W))
+    return _check("parametrization-identity", f"{len(grid)} u-points",
+                  residuals.max(), DEFAULT_TOLS["algebraic"],
+                  "beta^2 (f'^2 - g'^2) = -G")
 
 
 # ---------------------------------------------------------------------------
 # Family verification
 
-def _property_checks(case, spec, us, tier_tol, tols, C=None, sign=1,
+def _property_checks(case, spec, grid, tier_tol, tols, C=None, sign=1,
                      extra=None):
     out = []
     wanted = set(extra or [])
     prefix = case.split("-")[0]
     if prefix == "min" or "minimal" in wanted:
-        out.append(check_minimal(spec, us, tier_tol))
+        out.append(check_minimal(grid, tier_tol))
     if prefix == "pnmcv" or "pnmcv" in wanted:
-        out.extend(check_pnmcv(spec, us, C, sign, tols["algebraic"],
+        out.extend(check_pnmcv(spec, grid, C, sign, tols["algebraic"],
                                tols["pnmcv_h"]))
     if prefix == "flat" or "flat" in wanted:
-        out.extend(check_flat(spec, us, tier_tol))
+        out.extend(check_flat(grid, tier_tol))
     if prefix == "fnc" or "fnc" in wanted:
-        out.append(check_fnc(spec, us, tier_tol))
+        out.append(check_fnc(grid, tier_tol))
     return out
 
 
@@ -766,20 +750,25 @@ def verify_family(case: str, params: dict | None = None, *,
         results.extend(check_sampled_residuals(fam, desc.tol))
 
     us = _grid_in_intervals(intervals, nu)
+    # the meridian is evaluated once per grid u: every grid check below
+    # reads these columns (frames_grid raises on an inadmissible u)
+    grid = invariant_grid(spec, us)
     vs = _v_grid(spec.kind, nv, v_range)
     v_mid = 0.7 if spec.kind is SurfaceKind.ELLIPTIC else 0.4
 
     tier_tol = tols["closed"] if entry.realization == "closed" else tols["ode"]
     C = desc.params.get("C")
-    results.extend(_property_checks(case, spec, us, tier_tol, tols,
+    results.extend(_property_checks(case, spec, grid, tier_tol, tols,
                                     C=C, sign=desc.sign, extra=checks))
     if case == "min-ell-ii":
-        results.append(check_min_ell_ii_identity(spec, us))
+        results.append(check_min_ell_ii_identity(spec, grid))
 
-    results.append(check_frame_orthonormality(spec, us, vs, tols["algebraic"]))
-    results.append(check_v_independence(spec, us[:: max(1, len(us) // 3)][:3],
-                                        32, tols["vindep"], v_range))
-    results.extend(check_projection_bundle(spec, us, v_mid, tols))
+    results.append(check_frame_orthonormality(spec, grid, vs,
+                                              tols["algebraic"]))
+    results.append(check_v_independence(
+        spec, grid[:: max(1, len(grid) // 3)][:3], 32, tols["vindep"],
+        v_range))
+    results.extend(check_projection_bundle(spec, grid, v_mid, tols))
 
     # three interior FD points inside the widest interval, clear of edges
     a, b = max(intervals, key=lambda iv: iv[1] - iv[0])
@@ -821,7 +810,7 @@ def random_point_sweep(n: int, seed: int, tol: float) -> list:
         if intervals:
             pool.append((case, spec, intervals))
 
-    worst_tr = worst_allied = worst_off = worst_def = 0.0
+    tr_res, allied_res, off_res, def_res = [], [], [], []
     for i in range(n):
         case, spec, intervals = pool[i % len(pool)]
         a, b = intervals[rng.randrange(len(intervals))]
@@ -831,21 +820,21 @@ def random_point_sweep(n: int, seed: int, tol: float) -> list:
         v = rng.uniform(*vr)
         proj = _project(spec, u, v)
         cv = curvatures(spec, u)
-        tr_res, allied_res = _chen_residuals(proj, cv.h_coeff)
+        tr, allied = _chen_residuals(proj, cv.h_coeff)
         off, _, n_off, _, _ = _carrier_split(spec.kind, proj)
         # H is a difference of sigma vectors, so its projection carries
         # rounding of order eps * ||sigma|| * ||n_off|| even where H ~ 0
         hscale = max(1.0, _sigma_magnitude(proj) * n_off.euclid_norm())
-        worst_tr = max(worst_tr, tr_res)
-        worst_allied = max(worst_allied, allied_res)
-        worst_off = max(worst_off, abs(off) / hscale)
-        worst_def = max(worst_def, abs(cv.H_norm2 + cv.h_coeff ** 2))
+        tr_res.append(tr)
+        allied_res.append(allied)
+        off_res.append(abs(off) / hscale)
+        def_res.append(abs(cv.H_norm2 + cv.h_coeff ** 2))
     grid = f"{n} random admissible points over {len(pool)} families, seed={seed}"
     return [
-        _check("chen-trace-sweep", grid, worst_tr, tol),
-        _check("chen-allied-sweep", grid, worst_allied, tol),
-        _check("quasi-minimal-sweep", grid, worst_off, tol),
-        _check("h-norm2-sweep", grid, worst_def, tol),
+        _check("chen-trace-sweep", grid, _worst(tr_res), tol),
+        _check("chen-allied-sweep", grid, _worst(allied_res), tol),
+        _check("quasi-minimal-sweep", grid, _worst(off_res), tol),
+        _check("h-norm2-sweep", grid, _worst(def_res), tol),
     ]
 
 

@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from grs4.cli import cmd_dispatch
-from grs4.meridians import build_family, descriptor_from_catalog
+from grs4.meridians import (build_family, classified_case_ids,
+                            descriptor_from_catalog)
 from grs4.reporting import (INVARIANT_CSV_HEADER, export_invariants_csv,
                             fmt_float, parse_projection)
 from grs4.errors import ProjectionError
@@ -288,3 +290,66 @@ def test_outputs_byte_identical(tmp_path):
     assert run(*vargs, "--report", str(ra)) == 0
     assert run(*vargs, "--report", str(rb)) == 0
     assert ra.read_bytes() == rb.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Writer bytes, pinned
+#
+# Recorded on Linux x86-64 with glibc's libm and OpenBLAS 0.3.31 (Haswell
+# kernel), like the suite digest in test_acceptance.py: last-bit differences
+# in math.sinh and friends, in C pow, or in the BLAS 2x2 products of the
+# trace column change these bytes.  On another libm or BLAS a mismatch calls
+# for a re-pin after comparing the values, not necessarily for a fix.
+
+INVARIANT_CSV_SHA256 = {
+    "min-ell-i": "80694c5d5231f4bd3945f4cc342816134389389a565070ac4298aefc32713985",
+    "min-ell-ii": "df9cd9351935046a478f6d69f918f3eaeba256ea1fe6a51d9cb79633b4646d44",
+    "min-ell-iii": "c6495951777f5ca9b02a8bd5df35cf21e20108d705811e71b46a53b1b2819dff",
+    "min-hyp-i": "d7b0f5c5d48a76f6bd19d5412e37621b4db9e168b6c38235624e37b48b1af47c",
+    "min-hyp-ii": "4eb8a214c5788da150f42822dd1a7be74920858d083444b2bad2f0896ee06f4b",
+    "min-hyp-iii": "b89866f453023669beb693f1ea7e977b5af4b48859f60b00cd9f0223b8b1431e",
+    "pnmcv-ell": "75d69000e971bf7f678ae22f9b818690b7a260be0103e99d8750fc5bdf87b4e0",
+    "pnmcv-hyp": "8106a3de1ae9fadd643b46f54c919491b8b543005ffc86193e85d4f800d7497c",
+    "flat-ell-i": "d2c6ce6e988c870761fb5fa7693ba6372757d75a8f9c8c49292235c9b8c93f50",
+    "flat-ell-ii": "8f462451a0bcae1d980917e2325c7eefb6996561fa6341304a91e586e48db316",
+    "flat-hyp-i": "193208150222b72902b943cf0cd0560fa994e0295b4505ad0bec5c0a8ec8b154",
+    "flat-hyp-ii": "3947a6b7d4ce2d7746fdf220f91f5d0fb88c183ee2d0c8d1c18ec0a6095ee639",
+    "fnc-ell-i": "123352b76f3dfe7470d8853e9ae7e7e0492237d94abfaef5f64e52f9c08e6cdd",
+    "fnc-ell-ii": "5f8aed44133c805946092b1a723dfefab9792f0585fbeef34307c976aeff7a9d",
+    "fnc-hyp-i": "1fa7c05394b8f4e759fbd1d4cbf68e4bcead368133dae6ab4abbb3853974b0c2",
+    "fnc-hyp-ii": "1867925c5ffeb6bb9e8c759284d79b91d7b331e298ffb69973febbafda77b86a",
+}
+MESH_SHA256 = {
+    ("pnmcv-ell", "csv4"): "027772b60f51263fa57c543004d238812b512a5c31ff853bbf187a84bc79754b",
+    ("pnmcv-ell", "obj3"): "9249315caa34ea492eba0503474124bb0a62ce626f35ec1ebfefc34b2d0bda56",
+    ("min-hyp-i", "csv4"): "f9a45e34970506918490c0394df22976ecd69a35fee8218f0ec272209e2627a2",
+    ("min-hyp-i", "obj3"): "b60cf6dfe5c2f39531b361d8fbc2ec30580a13eae96f0c00029eedece38d40ea",
+}
+MESH_V_RANGE = {"pnmcv-ell": ("0", "6.25"), "min-hyp-i": ("-3", "3")}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_pins_cover_every_classified_family():
+    assert sorted(INVARIANT_CSV_SHA256) == sorted(classified_case_ids())
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANT_CSV_SHA256))
+def test_invariants_csv_bytes_pinned(tmp_path, case):
+    """grs4 invariants --nu 50 over the catalog interval."""
+    out = tmp_path / "t.csv"
+    assert run("invariants", "--family", case, "--nu", "50",
+               "--out", str(out)) == 0
+    assert _sha256(out) == INVARIANT_CSV_SHA256[case]
+
+
+@pytest.mark.parametrize("case,fmt", sorted(MESH_SHA256))
+def test_mesh_bytes_pinned(tmp_path, case, fmt):
+    """grs4 mesh on a 50 x 9 grid, one family of each kind."""
+    v0, v1 = MESH_V_RANGE[case]
+    out = tmp_path / "m"
+    assert run("mesh", "--family", case, "--v0", v0, "--v1", v1, "--nv", "9",
+               "--format", fmt, "--out", str(out)) == 0
+    assert _sha256(out) == MESH_SHA256[(case, fmt)]

@@ -6,7 +6,7 @@ import pytest
 from grs4 import meridians
 from grs4.errors import (DomainError, NoRealRootError, ParamError)
 from grs4.meridians import (FAMILY_CATALOG, FamilyDescriptor, build_family,
-                            descriptor_from_catalog, meridian_jet,
+                            descriptor_from_catalog,
                             classified_case_ids, _FlatEllRule,
                             integrate_constrained)
 from grs4.odeint import rk4_integrate
@@ -79,14 +79,14 @@ def test_missing_parameter_message():
 
 def test_fnc_ell_i_linear_jets():
     family = fam("fnc-ell-i", {"c": 1.2}, alpha=1.0, beta=2.0)
-    mj = meridian_jet(family, 1.0)
+    mj = family.jet(1.0)
     assert (mj.f.val, mj.f.d1, mj.f.d2) == (1.2, 1.2, 0.0)
     assert (mj.g.val, mj.g.d1, mj.g.d2) == (1.0, 1.0, 0.0)
 
 
 def test_pnmcv_ell_jets_at_three():
     family = fam("pnmcv-ell", {"C": 2.0})
-    mj = meridian_jet(family, 3.0)
+    mj = family.jet(3.0)
     assert mj.f.val == pytest.approx(2.2360680, abs=1e-6)
     assert mj.f.d1 == pytest.approx(1.3416408, abs=1e-6)
     assert mj.f.d2 == pytest.approx(-0.3577709, abs=1e-6)
@@ -100,7 +100,7 @@ def test_pnmcv_ell_jets_at_three():
 
 def test_min_hyp_i_power_law_jets():
     family = fam("min-hyp-i", {"c": 1.0}, alpha=2.0, beta=1.0, sign=1)
-    mj = meridian_jet(family, 1.0)
+    mj = family.jet(1.0)
     assert mj.f.val == pytest.approx(1.0, abs=1e-14)
     assert mj.f.d1 == pytest.approx(-2.0, abs=1e-13)
     assert mj.f.d2 == pytest.approx(6.0, abs=1e-13)

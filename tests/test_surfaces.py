@@ -1,19 +1,22 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
-from grs4.errors import InadmissiblePointError
+from grs4.errors import GrsError, InadmissiblePointError
 from grs4.meridians import build_family, descriptor_from_catalog, classified_case_ids
 from grs4.pe4 import inner
 from grs4.reporting import export_invariants_csv, export_mesh
-from grs4.surfaces import (SurfaceKind, curvatures, first_fundamental, frames,
-                           geometric_functions, invariant_record,
-                           mean_curvature_numerator, mean_curvature_vector,
-                           frames_grid, position_jets, second_fundamental,
-                           second_fundamental_projected, shape_operators,
-                           shape_operators_projected, shape_trace,
+from grs4.surfaces import (INVARIANT_COLUMNS, SecondFundamental, SurfaceKind,
+                           curvatures, first_fundamental, frames,
+                           geometric_functions, invariant_grid,
+                           invariant_record, mean_curvature_numerator,
+                           mean_curvature_vector, frames_grid, position_jets,
+                           positions_grid, second_fundamental_projected,
+                           shape_operators, shape_operators_projected,
+                           shape_trace,
                            surface_from_family, _meridian_scalars, _project,
                            _project_grid)
 from grs4.verifier import (admissible_domain, orthonormality_residual,
@@ -146,6 +149,17 @@ def test_frame_signature_conventions():
 
 # ---------------------------------------------------------------------------
 # Second fundamental form and geometric functions
+
+def second_fundamental(spec, u):
+    """sigma on the frame basis as coefficient pairs along (n1, n2), from
+    the geometric functions."""
+    gf = geometric_functions(spec, u)
+    if spec.kind is SurfaceKind.ELLIPTIC:
+        return SecondFundamental(xx=(0.0, -gf.nu1), xy=(gf.mu, 0.0),
+                                 yy=(0.0, -gf.nu2))
+    return SecondFundamental(xx=(gf.nu1, 0.0), xy=(0.0, -gf.mu),
+                             yy=(gf.nu2, 0.0))
+
 
 def test_sigma_fnc_ell_i():
     sf = second_fundamental(FNC_ELL_I, 1.0)
@@ -418,12 +432,14 @@ def test_grid_route_matches_point_route_bitwise(spec):
         assert (vs.min(), vs.max()) == (-3.0, 3.0)
     fg = frames_grid(spec, us, vs)
     pg = _project_grid(spec, us, vs)
+    zg = positions_grid(spec, us, vs)
     trg = shape_trace(*pg.shape_matrices())
     assert trg.shape == (len(us), len(vs))
     for i, u in enumerate(us):
         for j, v in enumerate(vs):
             fr = frames(spec, u, v)
             proj = _project(spec, u, v)
+            assert _grid_hex(zg, i, j) == _hex(position_jets(spec, u, v).z)
             for name in ("x", "y", "n1", "n2"):
                 want = _hex(getattr(fr, name))
                 assert _grid_hex(getattr(fg, name), i, j) == want, (u, v, name)
@@ -436,3 +452,68 @@ def test_grid_route_matches_point_route_bitwise(spec):
             assert _grid_hex(pg.H, i, j) == _hex(proj.H), (u, v)
             A1, A2 = proj.shape_matrices()
             assert float(trg[i, j]).hex() == float(np.trace(A1 @ A2)).hex(), (u, v)
+
+
+@pytest.mark.parametrize("case", classified_case_ids())
+def test_invariant_grid_matches_invariant_record_bitwise(case):
+    """Every column of invariant_grid equals invariant_record to the bit, on
+    400 u-points over the catalog interval and one u past its end, where
+    the meridian raises.  float.hex tells -0.0 from 0.0, so the zero F of
+    v = 0 must keep its sign.  The square in K must round as Python's **
+    does: numpy's x * x differs at a few of these points."""
+    desc = descriptor_from_catalog(case)
+    spec = surface_from_family(build_family(desc))
+    lo, hi = desc.interval
+    us = list(np.linspace(lo, hi, 400)) + [hi + 1.0]
+    grid = invariant_grid(spec, us)
+    assert len(grid) == len(us)
+    for i, u in enumerate(us):
+        rec = invariant_record(spec, float(u))
+        assert grid.us[i] == rec.u
+        assert bool(grid.admissible[i]) is rec.admissible, u
+        for name in INVARIANT_COLUMNS:
+            got = float(getattr(grid, name)[i]).hex()
+            assert got == float(getattr(rec, name)).hex(), (u, name)
+    assert math.isnan(grid.E[-1]) and not grid.admissible[-1]
+    if case == "min-ell-i":
+        assert not grid.admissible.any()
+    else:
+        assert np.all(grid.F[:-1] == 0.0) and grid.admissible.any()
+
+
+@pytest.mark.parametrize("spec", [PNMCV_ELL, MIN_HYP_I],
+                         ids=["elliptic", "hyperbolic"])
+def test_grid_routes_reuse_invariant_grid_columns(monkeypatch, spec):
+    """frames_grid and _project_grid on an InvariantGrid, or on rows of one,
+    give the bits they give on its u values, without a meridian call; an
+    inadmissible row raises the per-point error."""
+    lo, hi = spec.meridian.interval
+    us = _grid_in_intervals(admissible_domain(spec, lo, hi, 200), 9)
+    vs = _v_grid(spec.kind, 5)
+    grid = invariant_grid(spec, us)
+    want_fr = frames_grid(spec, us[1::3], vs)
+    want_pr = _project_grid(spec, us[1::3], vs)
+    calls = []
+    monkeypatch.setattr(spec.meridian, "_evaluate",
+                        lambda u: calls.append(u))
+    rows = grid[1::3]
+    assert len(rows) == 3 and list(rows.us) == list(us[1::3])
+    got_fr = frames_grid(spec, rows, vs)
+    got_pr = _project_grid(spec, rows, vs)
+    assert calls == []
+    for i in range(3):
+        for j in range(len(vs)):
+            for name in ("x", "y", "n1", "n2"):
+                assert (_grid_hex(getattr(got_fr, name), i, j)
+                        == _grid_hex(getattr(want_fr, name), i, j))
+            for k in range(3):
+                assert (_grid_hex(got_pr.sigma[k], i, j)
+                        == _grid_hex(want_pr.sigma[k], i, j))
+    monkeypatch.undo()
+    bad = invariant_grid(spec, [us[0], lo - 1.0, us[1]])
+    assert list(bad.admissible) == [True, False, True]
+    with pytest.raises(GrsError) as per_point:
+        frames(spec, lo - 1.0, 0.0)
+    with pytest.raises(type(per_point.value),
+                       match=re.escape(str(per_point.value))):
+        frames_grid(spec, bad, vs)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -9,9 +10,10 @@ from grs4.meridians import build_family, descriptor_from_catalog
 from grs4.reporting import report_json_bytes
 from grs4.pe4 import PEVector4
 from grs4.surfaces import SurfaceKind, surface_from_family
-from grs4 import surfaces, verifier
-from grs4.verifier import (admissible_domain, check_frame_orthonormality,
-                           check_projection_bundle, cross_check,
+from grs4 import meridians, surfaces, verifier
+from grs4.verifier import (admissible_domain, check_fd_connection, check_flat,
+                           check_fnc, check_frame_orthonormality,
+                           check_pnmcv, check_projection_bundle, cross_check,
                            default_suite_config, fd_connection_check,
                            h_numerator_identity, random_point_sweep,
                            run_suite, verify_family)
@@ -324,9 +326,9 @@ def test_nan_frame_fails_frame_orthonormality(monkeypatch):
 
 def test_nan_projection_fails_v_mid_checks(monkeypatch):
     spec = spec_for("min-hyp-i", {"c": 1.0}, alpha=2.0, beta=1.0)
-    us = [0.8, 1.0, 1.2]
+    grid = surfaces.invariant_grid(spec, [0.8, 1.0, 1.2])
     tols = verifier.DEFAULT_TOLS
-    assert all(c.passed for c in check_projection_bundle(spec, us, 0.4, tols))
+    assert all(c.passed for c in check_projection_bundle(spec, grid, 0.4, tols))
     project = verifier._project_grid
 
     def poisoned(*args):
@@ -335,7 +337,7 @@ def test_nan_projection_fails_v_mid_checks(monkeypatch):
         return dataclasses.replace(proj, sigma=(_with_nan(sxx, 2, 0), sxy, syy))
 
     monkeypatch.setattr(verifier, "_project_grid", poisoned)
-    res = {c.name: c for c in check_projection_bundle(spec, us, 0.4, tols)}
+    res = {c.name: c for c in check_projection_bundle(spec, grid, 0.4, tols)}
     for name in ("chen-trace", "quasi-minimal-off-component",
                  "gauss-equation-route"):
         assert math.isnan(res[name].max_residual), name
@@ -403,3 +405,118 @@ def test_verify_family_batches_its_grid_checks(monkeypatch):
     assert calls["frames_outside_fd"] == 0
     assert calls["position_jets"] == 0 and calls["_project"] == 0
     assert calls["frames_grid"] == 1 and calls["_project_grid"] == 2
+
+
+
+# ---------------------------------------------------------------------------
+# Property checks on invariant columns
+
+def _poisoned(grid, **at):
+    """grid with NaN in the named columns at the given rows."""
+    cols = {}
+    for name, row in at.items():
+        col = getattr(grid, name).copy()
+        col[row] = math.nan
+        cols[name] = col
+    return dataclasses.replace(grid, **cols)
+
+
+def test_nan_invariants_fail_flat_and_fnc():
+    """A NaN K or kappa at the second of 3 u-points fails the check instead
+    of being dropped by a max(worst, r) reduction."""
+    spec = spec_for("fnc-ell-i")
+    grid = surfaces.invariant_grid(spec, [1.0, 1.5, 2.0])
+    assert all(c.passed for c in check_flat(grid, 1e-9))
+    assert check_fnc(grid, 1e-9).passed
+    flat = {c.name: c for c in check_flat(_poisoned(grid, K=1), 1e-9)}
+    fnc = check_fnc(_poisoned(grid, kappa=1), 1e-9)
+    for res in (flat["flat-gauss-curvature"], fnc):
+        assert math.isnan(res.max_residual) and not res.passed
+    assert flat["flat-mu2-plus-nu1nu2"].passed
+
+
+def test_nan_invariants_fail_pnmcv():
+    spec = spec_for("pnmcv-ell", {"C": 2.0}, alpha=1.0, beta=3.0)
+    grid = surfaces.invariant_grid(spec, [2.5, 3.0, 4.0])
+    assert all(c.passed for c in check_pnmcv(spec, grid, 2.0, 1, 1e-12, 1e-10))
+    res = {c.name: c for c in check_pnmcv(spec, _poisoned(grid, beta2=1,
+                                                          H_norm2=1),
+                                          2.0, 1, 1e-12, 1e-10)}
+    for name in ("pnmcv-beta2", "pnmcv-h-norm2"):
+        assert math.isnan(res[name].max_residual) and not res[name].passed
+
+
+def test_nan_fd_row_fails_fd_connection(monkeypatch):
+    spec = spec_for("pnmcv-ell", {"C": 2.0}, alpha=1.0, beta=3.0)
+    points = [(2.8, 0.7), (3.2, 0.7), (3.6, 0.7)]
+    assert check_fd_connection(spec, points, 1e-4, 1e-6)[0].passed
+    rows = verifier.fd_connection_check
+
+    def poisoned(spec_, u, v, h):
+        out = rows(spec_, u, v, h)
+        return out[:2] + [(out[2][0], math.nan)] + out[3:] if u == 3.2 else out
+
+    monkeypatch.setattr(verifier, "fd_connection_check", poisoned)
+    res = check_fd_connection(spec, points, 1e-4, 1e-6)[0]
+    assert math.isnan(res.max_residual) and not res.passed
+
+
+def test_nan_knot_root_fails_branch_continuity(monkeypatch):
+    fam = build_family(descriptor_from_catalog("flat-ell-i"))
+    assert verifier.check_sampled_residuals(fam, 1e-10)[-1].passed
+    roots = np.array(fam.ensure_realized().knot_roots, dtype=float)
+    roots[5] = math.nan
+    monkeypatch.setattr(meridians.SampledMeridian, "knot_roots",
+                        property(lambda self: roots))
+    res = verifier.check_sampled_residuals(fam, 1e-10)[-1]
+    assert res.name == "branch-continuity"
+    assert math.isnan(res.max_residual) and not res.passed
+
+
+def test_h_inner_product_signature_takes_cross_tolerance():
+    checks = {c.name: c for c in
+              verify_family("pnmcv-ell", tols={"cross": 1e-30}).checks}
+    for name in ("h-inner-product-signature", "gauss-equation-route"):
+        assert checks[name].tolerance == 1e-30, name
+    assert not checks["h-inner-product-signature"].passed
+
+
+@pytest.mark.parametrize("case", ["pnmcv-ell", "min-hyp-i", "flat-ell-i"])
+def test_verify_family_evaluates_each_grid_u_once(monkeypatch, case):
+    """Outside the admissibility scan and the FD stencils, one job evaluates
+    the meridian exactly once at each grid u, and at no other u."""
+    seen = collections.Counter()
+    grids = []
+    outside = []
+
+    def counting(evaluate):
+        def wrapper(self, u):
+            if not outside:
+                seen[float(u)] += 1
+            return evaluate(self, u)
+        return wrapper
+
+    def excluded(fn):
+        def wrapper(*args, **kwargs):
+            outside.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                outside.pop()
+        return wrapper
+
+    for cls in (meridians._ClosedFormFamily, meridians._SampledFamily):
+        monkeypatch.setattr(cls, "_evaluate", counting(cls._evaluate))
+    for name in ("admissible_domain", "fd_connection_check"):
+        monkeypatch.setattr(verifier, name, excluded(getattr(verifier, name)))
+    grid_in_intervals = verifier._grid_in_intervals
+
+    def recording(*args, **kwargs):
+        grids.append(grid_in_intervals(*args, **kwargs))
+        return grids[-1]
+
+    monkeypatch.setattr(verifier, "_grid_in_intervals", recording)
+    assert verify_family(case).passed
+    [us] = grids
+    assert len(us) == 50
+    assert seen == collections.Counter(float(u) for u in us)
