@@ -369,6 +369,16 @@ class _MinHyp3Rule(_QuadRule):
         return abs(fp * fp + gp * gp - 1.0)
 
 
+def _nearest_root(cands, ref: float):
+    """Candidate whose f' is nearest to ref; a tie keeps the first, as min()."""
+    pick, best = cands[0], abs(cands[0][0] - ref)
+    for c in cands[1:]:
+        d = abs(c[0] - ref)
+        if d < best:
+            pick, best = c, d
+    return pick
+
+
 class _TrackingField:
     """State-derivative map that follows one root branch continuously."""
 
@@ -383,9 +393,9 @@ class _TrackingField:
             cands = sorted(cands, key=lambda c: c[0])
             pick = cands[-1] if self.initial_root == "larger" else cands[0]
         else:
-            pick = min(cands, key=lambda c: abs(c[0] - self.last))
+            pick = _nearest_root(cands, self.last)
         self.last = pick[0]
-        return np.array(pick)
+        return pick
 
 
 @dataclass
@@ -416,7 +426,7 @@ class SampledMeridian:
         i = min(max(i, 0), len(self.traj.ts) - 1)
         ref = float(self.traj.dys[i][0])
         cands = self.rule.candidates(float(u), f, g)
-        fp, gp = min(cands, key=lambda c: abs(c[0] - ref))
+        fp, gp = _nearest_root(cands, ref)
         fpp, gpp = self.rule.second(float(u), f, g, fp, gp)
         return MeridianJet(Jet2(f, fp, fpp), Jet2(g, gp, gpp))
 
@@ -472,9 +482,9 @@ def integrate_constrained(rule, u0: float, state0: tuple,
     for attempt in range(_MAX_HALVINGS + 1):
         field = _TrackingField(rule, initial_root)
         traj = rk4_integrate(field, (f0, g0), span[0], span[1], h / (2 ** attempt))
-        res = np.array([abs(rule.constraint(t, y[0], y[1]))
-                        for t, y in zip(traj.ts, traj.ys)])
-        speed = np.array([rule.speed_residual(d[0], d[1]) for d in traj.dys])
+        res = np.array([abs(rule.constraint(t, f, g))
+                        for t, (f, g) in zip(traj.ts.tolist(), traj.ys.tolist())])
+        speed = np.array([rule.speed_residual(fp, gp) for fp, gp in traj.dys.tolist()])
         last_res = float(res.max())
         if last_res <= tol:
             return SampledMeridian(traj, rule, res, speed, tol)

@@ -2,7 +2,10 @@
 
 Fixed steps keep knot grids reproducible across runs, which the regression
 baselines rely on; accuracy is tuned by halving the step globally rather
-than by adaptive control.
+than by adaptive control.  The integrator runs on Python floats, one state
+component at a time: for the small states here, that is cheaper than numpy
+arithmetic on short arrays and gives the same bits.  Only the finished
+trajectory is stored as arrays.
 """
 
 from __future__ import annotations
@@ -33,52 +36,59 @@ class Trajectory:
         return float(self.ts[-1])
 
 
-def _rk4_step(field, t, y, h):
-    k1 = field(t, y)
-    k2 = field(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = field(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = field(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1
-
-
 def rk4_integrate(field, y0, t0: float, t1: float, h: float) -> Trajectory:
     """Integrate y' = field(t, y) from t0 to t1 with fixed step ~h.
 
-    The step is adjusted so the span divides evenly; the field is called
-    4n + 1 times for n steps.  Exceptions raised by the field propagate.
+    The state y0 is a flat sequence of floats.  The field takes t and the
+    state as a list of floats and returns any sequence of floats (a tuple,
+    a list or a 1-d ndarray) of the same length.  The state advances per
+    component in float arithmetic, in the order of the classical vector
+    form y + (h/6)(k1 + 2 k2 + 2 k3 + k4).  The step is adjusted so the
+    span divides evenly; the field is called 4n + 1 times for n steps.
+    Exceptions raised by the field propagate.
     """
+    t0, t1, h = float(t0), float(t1), float(h)
+    if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(h)):
+        raise ValueError(f"t0, t1 and h must be finite (got {t0}, {t1}, {h})")
     if h <= 0.0:
         raise ValueError("step size must be positive")
     if t1 <= t0:
         raise ValueError("integration span must be forward (t1 > t0)")
-    y = np.asarray(y0, dtype=float)
+    y = [float(v) for v in y0]
     n = max(1, int(math.ceil((t1 - t0) / h - 1e-12)))
     hs = (t1 - t0) / n
+    half, sixth = 0.5 * hs, hs / 6.0
 
-    ts = np.empty(n + 1)
-    ys = np.empty((n + 1,) + y.shape)
-    dys = np.empty_like(ys)
-
-    ts[0] = t0
-    ys[0] = y
+    ts = [t0]
+    ys = [y]
+    dys = []
     for i in range(n):
         t = t0 + i * hs
-        ys[i + 1], dys[i] = _rk4_step(field, t, ys[i], hs)
-        ts[i + 1] = t0 + (i + 1) * hs
-    dys[n] = field(ts[n], ys[n])
+        k1 = field(t, y)
+        k2 = field(t + half, [a + half * b for a, b in zip(y, k1)])
+        k3 = field(t + half, [a + half * b for a, b in zip(y, k2)])
+        k4 = field(t + hs, [a + hs * b for a, b in zip(y, k3)])
+        # strict: a field value of the wrong length raises here
+        y = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4, strict=True)]
+        ys.append(y)
+        dys.append(k1)
+        ts.append(t0 + (i + 1) * hs)
+    dys.append(field(ts[n], y))
 
-    return Trajectory(ts=ts, ys=ys, dys=dys, h=hs)
+    return Trajectory(ts=np.array(ts), ys=np.array(ys, dtype=float),
+                      dys=np.array(dys, dtype=float), h=hs)
 
 
 def hermite_eval(traj: Trajectory, t: float) -> np.ndarray:
     """Cubic Hermite dense output; exact at knots.
 
-    Raises RangeError outside [t0, t1] (a relative slack of ~1e-12 of the
-    span is tolerated and clamped).
+    Raises RangeError outside [t0, t1] and for a NaN t (a relative slack
+    of ~1e-12 of the span is tolerated and clamped).
     """
     t0, t1 = traj.t0, traj.t1
     slack = 1e-12 * max(1.0, abs(t1 - t0))
-    if t < t0 - slack or t > t1 + slack:
+    if not (t0 - slack <= t <= t1 + slack):
         raise RangeError(f"query t={t} outside integrated span [{t0}, {t1}]")
     t = min(max(t, t0), t1)
 

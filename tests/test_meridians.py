@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ from grs4 import meridians
 from grs4.errors import (DomainError, NoRealRootError, ParamError)
 from grs4.meridians import (FAMILY_CATALOG, FamilyDescriptor, build_family,
                             descriptor_from_catalog,
-                            classified_case_ids, _FlatEllRule,
-                            integrate_constrained)
+                            classified_case_ids, _FlatEllRule, _QuadRule,
+                            _TrackingField, integrate_constrained)
 from grs4.odeint import rk4_integrate
 
 
@@ -311,6 +312,50 @@ def test_default_realization_accepts_first_attempt(monkeypatch, case):
     sm = fam(case).ensure_realized()
     assert len(calls) == 1
     assert len(sm.traj.ts) == meridians._INITIAL_STEPS + 1
+
+
+# sha256 of every catalog realization (knots, states, field values, residuals
+# and step), taken before the integrator moved from numpy vectors to floats
+REALIZATIONS_SHA256 = "e8ba4168f1cb22e86d5cf880e3bd807f8769eb903d803431bdb8569dbb75aa42"
+
+
+def test_realizations_bitwise_pinned():
+    digest = hashlib.sha256()
+    for case in INTEGRATED:
+        sm = fam(case).ensure_realized()
+        for a in (sm.traj.ts, sm.traj.ys, sm.traj.dys, sm.residuals,
+                  sm.speed_residuals):
+            a = np.ascontiguousarray(a)
+            digest.update(a.tobytes())
+            digest.update(str(a.shape).encode())
+            digest.update(str(a.dtype).encode())
+        digest.update(repr(sm.traj.h).encode())
+    assert digest.hexdigest() == REALIZATIONS_SHA256
+
+
+class _FixedRoots(_QuadRule):
+    def __init__(self, roots):
+        self.roots = roots
+
+    def candidates(self, u, f, g):
+        return [(fp, 0.0) for fp in self.roots]
+
+
+@pytest.mark.parametrize("roots,last,expect", [
+    ([1.0, 3.0], 2.0, 1.0),          # tie: the first candidate, as min() keeps
+    ([3.0, 1.0], 2.0, 3.0),
+    ([1.0, 3.0], 2.9, 3.0),
+    ([4.0, -1.0, 0.5], 0.0, 0.5),
+    ([math.nan, 1.0], 0.0, math.nan),   # NaN distance is never smaller
+])
+def test_tracking_field_picks_nearest_root(roots, last, expect):
+    field = _TrackingField(_FixedRoots(roots), "larger")
+    field.last = last
+    ref = min(roots, key=lambda r: abs(r - last))
+    pick = field(0.0, [1.0, 1.0])
+    assert isinstance(pick, tuple)
+    assert repr(pick[0]) == repr(expect) == repr(ref)
+    assert field.last is pick[0]
 
 
 def test_sampled_family_out_of_span():

@@ -88,6 +88,8 @@ def test_range_error_outside_span():
         hermite_eval(traj, -0.5)
     with pytest.raises(RangeError):
         hermite_eval(traj, 1.5)
+    with pytest.raises(RangeError):
+        hermite_eval(traj, math.nan)
 
 
 def test_invalid_step_rejected():
@@ -95,6 +97,81 @@ def test_invalid_step_rejected():
         rk4_integrate(exp_field, [1.0], 0.0, 1.0, -0.1)
     with pytest.raises(ValueError):
         rk4_integrate(exp_field, [1.0], 1.0, 0.0, 0.1)
+
+
+def _vector_rk4(field, y0, t0, t1, h):
+    """Reference: the same scheme on numpy vectors, one array op per term."""
+    n = max(1, int(math.ceil((t1 - t0) / h - 1e-12)))
+    hs = (t1 - t0) / n
+    ts = np.empty(n + 1)
+    ys = np.empty((n + 1, len(y0)))
+    dys = np.empty_like(ys)
+    ts[0], ys[0] = t0, y0
+    for i in range(n):
+        t, y = t0 + i * hs, ys[i]
+        k1 = np.asarray(field(t, y), dtype=float)
+        k2 = np.asarray(field(t + 0.5 * hs, y + 0.5 * hs * k1), dtype=float)
+        k3 = np.asarray(field(t + 0.5 * hs, y + 0.5 * hs * k2), dtype=float)
+        k4 = np.asarray(field(t + hs, y + hs * k3), dtype=float)
+        ys[i + 1] = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        dys[i] = k1
+        ts[i + 1] = t0 + (i + 1) * hs
+    dys[n] = field(ts[n], ys[n])
+    return ts, ys, dys, hs
+
+
+def _rhs_1(t, y):
+    return [math.sin(t) * y[0] - 0.3 * y[0] ** 3]
+
+
+def _rhs_2(t, y):
+    return [y[1], -math.sin(y[0]) + 0.1 * math.cos(t)]
+
+
+def _rhs_3(t, y):     # Lorenz: chaotic, so any reordering shows up in the bits
+    return [10.0 * (y[1] - y[0]), y[0] * (28.0 - y[2]) - y[1],
+            y[0] * y[1] - (8.0 / 3.0) * y[2]]
+
+
+@pytest.mark.parametrize("rhs,y0", [(_rhs_1, [0.7]), (_rhs_2, [1.0, 0.25]),
+                                    (_rhs_3, [1.0, 1.0, 20.0])])
+@pytest.mark.parametrize("wrap", [list, tuple, np.array])
+def test_field_return_types_give_vector_form_bits(rhs, y0, wrap):
+    traj = rk4_integrate(lambda t, y: wrap(rhs(t, y)), y0, 0.0, 3.0, 0.01)
+    ts, ys, dys, hs = _vector_rk4(rhs, np.array(y0), 0.0, 3.0, 0.01)
+    assert traj.ys.shape == (301, len(y0)) and traj.dys.shape == traj.ys.shape
+    for got, want in ((traj.ts, ts), (traj.ys, ys), (traj.dys, dys)):
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+    assert repr(traj.h) == repr(hs)
+
+
+def test_field_gets_list_of_floats():
+    seen = []
+
+    def field(t, y):
+        seen.append((type(t), type(y), {type(v) for v in y}))
+        return (y[1], -y[0])
+
+    rk4_integrate(field, np.array([1.0, 0.0]), 0.0, 1.0, 0.25)
+    assert len(seen) == 4 * 4 + 1
+    assert all(tt is float and ty is list and tv == {float} for tt, ty, tv in seen)
+
+
+def test_field_value_of_wrong_length_rejected():
+    with pytest.raises(ValueError):
+        rk4_integrate(lambda t, y: [1.0, 2.0, 3.0], [0.0, 0.0], 0.0, 1.0, 0.5)
+    with pytest.raises(ValueError):
+        rk4_integrate(lambda t, y: [1.0], [0.0, 0.0], 0.0, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("t0,t1,h", [
+    (math.nan, 1.0, 0.1), (0.0, math.nan, 0.1), (0.0, 1.0, math.nan),
+    (-math.inf, 1.0, 0.1), (0.0, math.inf, 0.1), (0.0, 1.0, math.inf),
+])
+def test_non_finite_span_or_step_rejected(t0, t1, h):
+    with pytest.raises(ValueError, match="must be finite"):
+        rk4_integrate(exp_field, [1.0], t0, t1, h)
 
 
 def test_field_errors_propagate():

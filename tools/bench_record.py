@@ -1,0 +1,99 @@
+"""Record one checkout's benchmark numbers in a BENCH_<label>.json file.
+
+Usage, from the root of this repository:
+
+    python3 tools/bench_record.py --label NAME [--checkout DIR]
+
+For each workload in the checkout's BENCHMARK.json it runs
+``perfbench/run.py --trace 0`` of that checkout (end-to-end metrics, tracing
+off, seed 31, perfbench's default of run_seconds per workload), then times
+the checkout's tier-1 tests once.  The JSON, written at the root of this
+repository, holds the machine facts that perfbench prints (nproc, CPU,
+Python, numpy), each workload's setup_s, wall_s, items_per_s, peak_rss_mb
+and ok_ratio, and the tier-1 wall time with its pytest summary line.
+Nothing under perfbench/ is changed; the workloads run one after another,
+each in its own process.
+
+To compare two commits, record both on one machine in one sitting, for
+example a ``git archive`` of the parent in a scratch directory as
+``--checkout`` and this tree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+METRICS = ("setup_s", "wall_s", "items_per_s", "peak_rss_mb", "ok_ratio")
+SEED = 31
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider"]
+
+
+def run_workload(checkout: str, workload: str):
+    """(machine facts, metrics) of one perfbench run."""
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(SEED), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    lines = out.stdout.splitlines()
+    facts = next(json.loads(line.split(" ", 2)[2]) for line in lines
+                 if line.startswith("# machine "))
+    result = json.loads(lines[-1])
+    metrics = {m: result["metrics"][m]["value"] for m in METRICS}
+    metrics["attempted"] = result["attempted"]
+    metrics["failed"] = result["failed"]
+    return facts, metrics
+
+
+def run_tier1(checkout: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(checkout, "src"), env.get("PYTHONPATH")) if p)
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable] + TIER1, cwd=checkout, env=env,
+                         capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    summary = out.stdout.strip().splitlines()[-1] if out.stdout.strip() else ""
+    return {"wall_s": wall, "exit_code": out.returncode, "summary": summary}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--label", required=True, help="file name: BENCH_<label>.json")
+    ap.add_argument("--checkout", default=ROOT,
+                    help="root of the checkout to measure (default: this one)")
+    args = ap.parse_args(argv)
+
+    checkout = os.path.abspath(args.checkout)
+    with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    facts, workloads = None, {}
+    for w in bench["workloads"]:
+        print(f"bench_record: {w['name']} ...", file=sys.stderr, flush=True)
+        facts, workloads[w["name"]] = run_workload(checkout, w["name"])
+    print("bench_record: tier-1 ...", file=sys.stderr, flush=True)
+    record = {
+        "label": args.label,
+        "recorded_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "machine": {k: facts[k] for k in ("nproc", "cpu", "python", "numpy")},
+        "seed": SEED,
+        "seconds": bench["run_seconds"],
+        "workloads": workloads,
+        "tier1": run_tier1(checkout),
+    }
+    path = os.path.join(ROOT, f"BENCH_{args.label}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
