@@ -21,9 +21,9 @@ from .meridians import (FAMILY_CATALOG, FamilyDescriptor, MeridianFamily,
 from .pe4 import CausalCharacter, PEVector4, causal_character, inner
 from .surfaces import (Curvatures, Frame, GeoFns, InvariantGrid,
                        InvariantRecord, PointJets, SurfaceKind, SurfaceSpec,
-                       curvatures, first_fundamental, frames,
-                       geometric_functions, invariant_grid, invariant_record,
-                       position_jets, shape_operators, surface_from_family)
+                       curvatures, frames, geometric_functions,
+                       invariant_grid, invariant_record, position_jets,
+                       shape_operators, surface_from_family)
 from .verifier import (CheckResult, FamilyReport, SuiteReport,
                        admissible_domain, cross_check, default_suite_config,
                        fd_connection_check, run_suite, verify_family)

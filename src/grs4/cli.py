@@ -17,7 +17,7 @@ from .meridians import FAMILY_CATALOG, build_family, descriptor_from_catalog
 from .reporting import (dump_report_json, export_invariants_csv, export_mesh,
                         linspace_grid)
 from .surfaces import surface_from_family
-from .verifier import default_suite_config, run_suite, verify_family
+from .verifier import default_suite_config, run_suite, _run_job
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -43,8 +43,8 @@ def _parse_params(values) -> dict:
     return out
 
 
-def _add_family_args(p, need_grid=True):
-    p.add_argument("--family", required=True,
+def _add_family_args(p, required=True):
+    p.add_argument("--family", required=required,
                    help="case id (see 'grs4 family list')")
     p.add_argument("--params", action="append", default=[],
                    help="comma-separated key=value pairs (repeatable)")
@@ -58,10 +58,9 @@ def _add_family_args(p, need_grid=True):
                    help="initial f for integrated families")
     p.add_argument("--g0", type=float, default=None,
                    help="initial g (derived from the constraint if omitted)")
-    if need_grid:
-        p.add_argument("--u0", type=float, default=None)
-        p.add_argument("--u1", type=float, default=None)
-        p.add_argument("--nu", type=int, default=50)
+    p.add_argument("--u0", type=float, default=None)
+    p.add_argument("--u1", type=float, default=None)
+    p.add_argument("--nu", type=int, default=50)
 
 
 def _family_kwargs(args):
@@ -88,12 +87,10 @@ def _build_spec(args):
     if entry is None:
         raise ParamError(f"unknown family {args.family!r}")
     u_range = _resolve_range(args, entry)
-    kw = _family_kwargs(args)
     desc = descriptor_from_catalog(args.family, _parse_params(args.params),
                                    sign=args.sign, root=args.root,
                                    interval=tuple(u_range),
-                                   **{k: v for k, v in kw.items()
-                                      if k in ("alpha", "beta", "state0")})
+                                   **_family_kwargs(args))
     fam = build_family(desc)
     return surface_from_family(fam), u_range
 
@@ -142,6 +139,23 @@ def _load_config_file(path: str) -> dict:
     return cfg
 
 
+def _family_job(args) -> dict:
+    """The suite job of 'verify --family': the --config file's keys, then
+    each flag given on the command line, params merged key by key."""
+    job = _load_config_file(args.config) if args.config is not None else {}
+    job["family"] = args.family
+    flags = {"alpha": args.alpha, "beta": args.beta, "sign": args.sign,
+             "root": args.root, "u0": args.u0, "u1": args.u1, "nu": args.nu,
+             "nv": args.nv, "f0": args.f0, "g0": args.g0,
+             "checks": args.checks.split(",") if args.checks else None}
+    job.update((key, val) for key, val in flags.items() if val is not None)
+    base = job.get("params") or {}
+    if not isinstance(base, dict):
+        raise ConfigError("config 'params' must be an object")
+    job["params"] = {**base, **_parse_params(args.params)}
+    return job
+
+
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     if args.suite is not None:
@@ -165,32 +179,7 @@ def cmd_verify(args) -> int:
         for c in payload["sweeps"]:
             print(f"  {c['name']:32s} {'pass' if c['pass'] else 'FAIL'}")
     elif args.family is not None:
-        cfg = {}
-        if args.config is not None:
-            cfg = _load_config_file(args.config)
-        kw = dict(
-            params={**cfg.get("params", {}), **_parse_params(args.params)},
-            sign=args.sign, root=args.root,
-            nu=args.nu, nv=args.nv,
-        )
-        for key, val in (("alpha", args.alpha), ("beta", args.beta)):
-            if val is not None:
-                kw[key] = val
-            elif key in cfg:
-                kw[key] = float(cfg[key])
-        u0 = args.u0 if args.u0 is not None else cfg.get("u0")
-        u1 = args.u1 if args.u1 is not None else cfg.get("u1")
-        if u0 is not None and u1 is not None:
-            kw["u_range"] = (float(u0), float(u1))
-        if args.f0 is not None:
-            kw["state0"] = (args.f0, args.g0)
-        elif "f0" in cfg:
-            kw["state0"] = (float(cfg["f0"]), cfg.get("g0"))
-        if args.checks:
-            kw["checks"] = args.checks.split(",")
-        elif "checks" in cfg:
-            kw["checks"] = list(cfg["checks"])
-        report = verify_family(args.family, **kw)
+        _, _, report = _run_job(_family_job(args))
         payload = report.to_json()
         ok = report.passed
         for c in report.checks:
@@ -228,23 +217,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.set_defaults(fn=cmd_invariants)
 
     p_ver = sub.add_parser("verify", help="run verification checks")
-    p_ver.add_argument("--family", default=None)
-    p_ver.add_argument("--params", action="append", default=[])
-    p_ver.add_argument("--alpha", type=float, default=None)
-    p_ver.add_argument("--beta", type=float, default=None)
-    p_ver.add_argument("--sign", type=int, default=1, choices=(1, -1))
-    p_ver.add_argument("--root", default="larger",
-                       choices=("larger", "smaller"))
-    p_ver.add_argument("--u0", type=float, default=None)
-    p_ver.add_argument("--u1", type=float, default=None)
-    p_ver.add_argument("--nu", type=int, default=50)
-    p_ver.add_argument("--nv", type=int, default=8)
-    p_ver.add_argument("--f0", type=float, default=None)
-    p_ver.add_argument("--g0", type=float, default=None)
+    _add_family_args(p_ver, required=False)
+    p_ver.add_argument("--nv", type=int, default=None)
+    # a flag left out leaves the config file's value or verify_family's default
+    p_ver.set_defaults(sign=None, root=None, nu=None)
     p_ver.add_argument("--checks", default=None,
                        help="extra property checks, comma-separated")
     p_ver.add_argument("--config", default=None,
-                       help="JSON file mirroring the flags; flags override")
+                       help="JSON file mirroring the flags (the keys of a "
+                            "suite job); flags override")
     p_ver.add_argument("--suite", default=None,
                        help="'default' or a suite config JSON path")
     p_ver.add_argument("--seed", type=int, default=20240)

@@ -173,17 +173,20 @@ class _QuadRule:
         raise NotImplementedError
 
 
-def _quad_roots(A, B, C, where):
-    """Real roots of A x^2 + B x + C = 0, robust to tiny A and roundoff."""
+def _quad_roots(A, B, C, name, u):
+    """Real roots of A x^2 + B x + C = 0, robust to tiny A and roundoff.
+
+    name and u only word the NoRealRootError.
+    """
     scale = max(abs(A), abs(B), abs(C), 1e-30)
     if abs(A) <= 1e-14 * scale:
         if abs(B) <= 1e-14 * scale:
-            raise NoRealRootError(f"degenerate root system at {where}")
+            raise NoRealRootError(f"degenerate root system at {name} u={u}")
         return [-C / B]
     disc = B * B - 4.0 * A * C
     if disc < 0.0:
         if disc < -1e-12 * scale * scale:
-            raise NoRealRootError(f"negative discriminant at {where}")
+            raise NoRealRootError(f"negative discriminant at {name} u={u}")
         disc = 0.0
     sq = math.sqrt(disc)
     qq = -0.5 * (B + math.copysign(sq, B)) if B != 0.0 else -0.5 * sq
@@ -192,159 +195,101 @@ def _quad_roots(A, B, C, where):
     return [qq / A, C / qq]
 
 
-class _FlatEllRule(_QuadRule):
-    """beta^2 g^2 - alpha^2 f^2 = a^2 (u+c)^2 with f'^2 - g'^2 = 1."""
+# The flat and fnc rules serve both kinds through the signature sign eps
+# (+1 elliptic, -1 hyperbolic), which stands where the elliptic rule has a
+# minus sign: on both operands of a difference or on a whole term, never on
+# one operand of a negated difference (-(x - y) and y - x differ in the
+# sign of a zero), so each kind keeps the trajectories of its own rule.
 
-    name = "flat-ell-i"
+class _FlatRule(_QuadRule):
+    """beta^2 g^2 - eps alpha^2 f^2 = a^2 (u+c)^2 with f'^2 - eps g'^2 = 1."""
 
-    def __init__(self, a, c, alpha, beta):
+    def __init__(self, name, eps, a, c, alpha, beta):
+        self.name = name
+        self.eps = eps
         self.a2 = a * a
         self.c = c
         self.al2 = alpha * alpha
         self.be2 = beta * beta
 
     def candidates(self, u, f, g):
+        # q g' - eps p f' = r, the derivative of the constraint
+        e = self.eps
         p, q, r = self.al2 * f, self.be2 * g, self.a2 * (u + self.c)
         if abs(q) < 1e-14:
             raise NoRealRootError(f"{self.name}: g ~ 0 at u={u}")
-        roots = _quad_roots(q * q - p * p, -2.0 * p * r, -(r * r + q * q),
-                            f"{self.name} u={u}")
-        return [(fp, (r + p * fp) / q) for fp in roots]
+        roots = _quad_roots(q * q - e * p * p, -2.0 * p * r,
+                            -e * r * r - q * q, self.name, u)
+        return [(fp, (r + e * p * fp) / q) for fp in roots]
 
     def second(self, u, f, g, fp, gp):
-        rhs = self.a2 - self.be2 * gp * gp + self.al2 * fp * fp
-        det = self.be2 * g * fp - self.al2 * f * gp
+        e = self.eps
+        gg, ff = self.be2 * gp * gp, e * self.al2 * fp * fp
+        # the beta^2 g'^2 term goes first (elliptic) or last (hyperbolic):
+        # each kind's pinned trajectories round the sum so
+        rhs = (self.a2 - gg) + ff if e > 0.0 else (self.a2 + ff) - gg
+        det = e * self.be2 * g * fp - e * self.al2 * f * gp
         if abs(det) < 1e-14:
             raise NoRealRootError(f"{self.name}: singular jet recovery at u={u}")
-        return rhs * gp / det, rhs * fp / det
+        return rhs * gp / det, e * rhs * fp / det
 
     def constraint(self, u, f, g):
         w = u + self.c
-        return self.be2 * g * g - self.al2 * f * f - self.a2 * w * w
+        return self.be2 * g * g - self.eps * self.al2 * f * f - self.a2 * w * w
 
     def speed_residual(self, fp, gp):
-        return abs(fp * fp - gp * gp - 1.0)
+        return abs(fp * fp - self.eps * gp * gp - 1.0)
 
     def derive_g0(self, u0, f0):
         w = u0 + self.c
-        val = (self.a2 * w * w + self.al2 * f0 * f0) / self.be2
-        return math.sqrt(val)
-
-
-class _FlatHypRule(_QuadRule):
-    """alpha^2 f^2 + beta^2 g^2 = a^2 (u+c)^2 with f'^2 + g'^2 = 1."""
-
-    name = "flat-hyp-i"
-
-    def __init__(self, a, c, alpha, beta):
-        self.a2 = a * a
-        self.c = c
-        self.al2 = alpha * alpha
-        self.be2 = beta * beta
-
-    def candidates(self, u, f, g):
-        p, q, r = self.al2 * f, self.be2 * g, self.a2 * (u + self.c)
-        if abs(q) < 1e-14:
-            raise NoRealRootError(f"{self.name}: g ~ 0 at u={u}")
-        roots = _quad_roots(q * q + p * p, -2.0 * p * r, r * r - q * q,
-                            f"{self.name} u={u}")
-        return [(fp, (r - p * fp) / q) for fp in roots]
-
-    def second(self, u, f, g, fp, gp):
-        rhs = self.a2 - self.al2 * fp * fp - self.be2 * gp * gp
-        det = self.al2 * f * gp - self.be2 * g * fp
-        if abs(det) < 1e-14:
-            raise NoRealRootError(f"{self.name}: singular jet recovery at u={u}")
-        return rhs * gp / det, -rhs * fp / det
-
-    def constraint(self, u, f, g):
-        w = u + self.c
-        return self.al2 * f * f + self.be2 * g * g - self.a2 * w * w
-
-    def speed_residual(self, fp, gp):
-        return abs(fp * fp + gp * gp - 1.0)
-
-    def derive_g0(self, u0, f0):
-        w = u0 + self.c
-        val = (self.a2 * w * w - self.al2 * f0 * f0) / self.be2
+        val = (self.a2 * w * w + self.eps * self.al2 * f0 * f0) / self.be2
         if val <= 0.0:
             raise ParamError(
                 f"{self.name}: no real g0 for f0={f0} at u0={u0}")
         return math.sqrt(val)
 
 
-class _FncEllRule(_QuadRule):
-    """f f' - g g' = C sqrt(beta^2 g^2 - alpha^2 f^2), unit speed f'^2 - g'^2 = 1."""
+class _FncRule(_QuadRule):
+    """f f' - eps g g' = C sqrt(beta^2 g^2 - eps alpha^2 f^2), unit speed
+    f'^2 - eps g'^2 = 1."""
 
-    name = "fnc-ell-ii"
-
-    def __init__(self, C, alpha, beta):
+    def __init__(self, name, eps, C, alpha, beta):
+        self.name = name
+        self.eps = eps
         self.C = C
         self.al2 = alpha * alpha
         self.be2 = beta * beta
 
     def _w(self, f, g):
-        w = self.be2 * g * g - self.al2 * f * f
+        w = self.be2 * g * g - self.eps * self.al2 * f * f
         if w <= 0.0:
-            raise NoRealRootError(f"{self.name}: beta^2 g^2 - alpha^2 f^2 <= 0")
+            sign = "-" if self.eps > 0.0 else "+"
+            raise NoRealRootError(
+                f"{self.name}: beta^2 g^2 {sign} alpha^2 f^2 <= 0")
         return w
 
     def candidates(self, u, f, g):
+        e = self.eps
         r = self.C * math.sqrt(self._w(f, g))
         p, q = f, g
         if abs(q) < 1e-14:
             raise NoRealRootError(f"{self.name}: g ~ 0 at u={u}")
-        roots = _quad_roots(q * q - p * p, 2.0 * p * r, -(r * r + q * q),
-                            f"{self.name} u={u}")
-        return [(fp, (p * fp - r) / q) for fp in roots]
+        roots = _quad_roots(q * q - e * p * p, 2.0 * e * p * r,
+                            -e * r * r - q * q, self.name, u)
+        return [(fp, (e * p * fp - e * r) / q) for fp in roots]
 
     def second(self, u, f, g, fp, gp):
+        e = self.eps
         w = self._w(f, g)
-        rhs = self.C * (self.be2 * g * gp - self.al2 * f * fp) / math.sqrt(w) - 1.0
-        det = g * fp - f * gp
+        rhs = (self.C * (self.be2 * g * gp - e * self.al2 * f * fp)
+               / math.sqrt(w) - 1.0)
+        det = e * g * fp - e * f * gp
         if abs(det) < 1e-14:
             raise NoRealRootError(f"{self.name}: singular jet recovery at u={u}")
-        return -rhs * gp / det, -rhs * fp / det
+        return -e * rhs * gp / det, -rhs * fp / det
 
     def speed_residual(self, fp, gp):
-        return abs(fp * fp - gp * gp - 1.0)
-
-
-class _FncHypRule(_QuadRule):
-    """f f' + g g' = C sqrt(alpha^2 f^2 + beta^2 g^2), unit speed f'^2 + g'^2 = 1."""
-
-    name = "fnc-hyp-ii"
-
-    def __init__(self, C, alpha, beta):
-        self.C = C
-        self.al2 = alpha * alpha
-        self.be2 = beta * beta
-
-    def _v(self, f, g):
-        v = self.al2 * f * f + self.be2 * g * g
-        if v <= 0.0:
-            raise NoRealRootError(f"{self.name}: alpha^2 f^2 + beta^2 g^2 <= 0")
-        return v
-
-    def candidates(self, u, f, g):
-        r = self.C * math.sqrt(self._v(f, g))
-        p, q = f, g
-        if abs(q) < 1e-14:
-            raise NoRealRootError(f"{self.name}: g ~ 0 at u={u}")
-        roots = _quad_roots(q * q + p * p, -2.0 * p * r, r * r - q * q,
-                            f"{self.name} u={u}")
-        return [(fp, (r - p * fp) / q) for fp in roots]
-
-    def second(self, u, f, g, fp, gp):
-        v = self._v(f, g)
-        rhs = self.C * (self.al2 * f * fp + self.be2 * g * gp) / math.sqrt(v) - 1.0
-        det = f * gp - g * fp
-        if abs(det) < 1e-14:
-            raise NoRealRootError(f"{self.name}: singular jet recovery at u={u}")
-        return rhs * gp / det, -rhs * fp / det
-
-    def speed_residual(self, fp, gp):
-        return abs(fp * fp + gp * gp - 1.0)
+        return abs(fp * fp - self.eps * gp * gp - 1.0)
 
 
 class _MinHyp3Rule(_QuadRule):
@@ -432,23 +377,25 @@ class SampledMeridian:
 
 
 def _rule_for(desc: FamilyDescriptor) -> _QuadRule:
-    if desc.case == "flat-ell-i":
-        return _FlatEllRule(_get(desc.params, "a", desc.case),
-                            _get(desc.params, "c", desc.case),
-                            desc.alpha, desc.beta)
-    if desc.case == "flat-hyp-i":
-        return _FlatHypRule(_get(desc.params, "a", desc.case),
-                            _get(desc.params, "c", desc.case),
-                            desc.alpha, desc.beta)
-    if desc.case == "fnc-ell-ii":
-        return _FncEllRule(_get(desc.params, "C", desc.case),
-                           desc.alpha, desc.beta)
-    if desc.case == "fnc-hyp-ii":
-        return _FncHypRule(_get(desc.params, "C", desc.case),
-                           desc.alpha, desc.beta)
-    if desc.case == "min-hyp-iii":
-        return _MinHyp3Rule(_get(desc.params, "c", desc.case))
-    raise ParamError(f"{desc.case} is not an integrated family")
+    """The derivative rule of an integrated case, its parameters checked."""
+    case = desc.case
+    if case in ("flat-ell-i", "flat-hyp-i"):
+        a = _get(desc.params, "a", case)
+        c = _get(desc.params, "c", case)
+        _require(a != 0.0, f"{case}: a must be nonzero")
+        return _FlatRule(case, _eps(case), a, c, desc.alpha, desc.beta)
+    if case in ("fnc-ell-ii", "fnc-hyp-ii"):
+        C = _get(desc.params, "C", case)
+        _require(C != 0.0, f"{case}: C must be nonzero")
+        return _FncRule(case, _eps(case), C, desc.alpha, desc.beta)
+    if case == "min-hyp-iii":
+        return _MinHyp3Rule(_get(desc.params, "c", case))
+    raise ParamError(f"{case} is not an integrated family")
+
+
+def _eps(case: str) -> float:
+    """The signature sign of a catalog case: +1 elliptic, -1 hyperbolic."""
+    return 1.0 if FAMILY_CATALOG[case].kind == "elliptic" else -1.0
 
 
 def integrate_constrained(rule, u0: float, state0: tuple,
@@ -727,41 +674,14 @@ def _build_custom(desc):
     return _ClosedFormFamily(desc, kind, jet_fn)
 
 
-def _build_flat_ell_i(desc):
-    a = _get(desc.params, "a", desc.case)
-    c = _get(desc.params, "c", desc.case)
-    _require(a != 0.0, "flat-ell-i: a must be nonzero")
-    rule = _FlatEllRule(a, c, desc.alpha, desc.beta)
-    return _SampledFamily(desc, "elliptic", rule)
-
-
-def _build_flat_hyp_i(desc):
-    a = _get(desc.params, "a", desc.case)
-    c = _get(desc.params, "c", desc.case)
-    _require(a != 0.0, "flat-hyp-i: a must be nonzero")
-    rule = _FlatHypRule(a, c, desc.alpha, desc.beta)
-    return _SampledFamily(desc, "hyperbolic", rule)
-
-
-def _build_fnc_ell_ii(desc):
-    C = _get(desc.params, "C", desc.case)
-    _require(C != 0.0, "fnc-ell-ii: C must be nonzero")
-    rule = _FncEllRule(C, desc.alpha, desc.beta)
-    return _SampledFamily(desc, "elliptic", rule)
-
-
-def _build_fnc_hyp_ii(desc):
-    C = _get(desc.params, "C", desc.case)
-    _require(C != 0.0, "fnc-hyp-ii: C must be nonzero")
-    rule = _FncHypRule(C, desc.alpha, desc.beta)
-    return _SampledFamily(desc, "hyperbolic", rule)
+def _build_integrated(desc):
+    return _SampledFamily(desc, FAMILY_CATALOG[desc.case].kind,
+                          _rule_for(desc))
 
 
 def _build_min_hyp_iii(desc):
-    c = _get(desc.params, "c", desc.case)
     _require(desc.alpha == desc.beta, "min-hyp-iii: requires alpha == beta")
-    rule = _MinHyp3Rule(c)
-    return _SampledFamily(desc, "hyperbolic", rule)
+    return _build_integrated(desc)
 
 
 _BUILDERS = {
@@ -773,14 +693,14 @@ _BUILDERS = {
     "min-hyp-iii": _build_min_hyp_iii,
     "pnmcv-ell": _build_pnmcv_ell,
     "pnmcv-hyp": _build_pnmcv_hyp,
-    "flat-ell-i": _build_flat_ell_i,
+    "flat-ell-i": _build_integrated,
     "flat-ell-ii": _build_flat_ell_ii,
-    "flat-hyp-i": _build_flat_hyp_i,
+    "flat-hyp-i": _build_integrated,
     "flat-hyp-ii": _build_flat_hyp_ii,
     "fnc-ell-i": _build_fnc_ell_i,
-    "fnc-ell-ii": _build_fnc_ell_ii,
+    "fnc-ell-ii": _build_integrated,
     "fnc-hyp-i": _build_fnc_hyp_i,
-    "fnc-hyp-ii": _build_fnc_hyp_ii,
+    "fnc-hyp-ii": _build_integrated,
     "custom": _build_custom,
 }
 

@@ -1,20 +1,29 @@
 """Rotational-surface geometry: frames, fundamental forms, invariants.
 
-Two surface kinds are supported.  The elliptic kind rotates the profile
+Two surface kinds are supported, written as one family through the
+signature sign eps.  The elliptic kind (eps = +1) rotates the profile
 curve (f(u), g(u)) circularly in the x1x2- and x3x4-planes with speeds
-alpha, beta; the hyperbolic kind applies hyperbolic rotations in the
-x1x3- and x2x4-planes.  At admissible points (E > 0, G < 0) the induced
-metric is Lorentzian, the tangent frame {x, y} and normal frame {n1, n2}
-are pseudo-orthonormal, and all invariants are rational expressions in
-(f, f', f'', g, g', g'') evaluated from meridian jets, so no numerical
-differentiation enters here.
+alpha, beta; the hyperbolic kind (eps = -1) applies hyperbolic rotations
+in the x1x3- and x2x4-planes, that is, the elliptic formulas with cosh,
+sinh in place of cos, sin and with x2 and x3 exchanged.  Then
+
+    E = f'^2 - eps g'^2,    -G = W = beta^2 g^2 - eps alpha^2 f^2,
+
+and the mean curvature vector lies along n2 (elliptic) or n1 (hyperbolic).
+At admissible points (E > 0, G < 0) the induced metric is Lorentzian, the
+tangent frame {x, y} and normal frame {n1, n2} are pseudo-orthonormal, and
+all invariants are rational expressions in (f, f', f'', g, g', g'')
+evaluated from meridian jets, so no numerical differentiation enters here.
 
 Each formula is written once and takes floats or numpy arrays: the
 per-point functions (geometric_functions, curvatures, frames, ...) and the
 grid routes (invariant_grid over a u-grid, frames_grid, positions_grid and
 _project_grid over a u x v grid) evaluate the same expressions in the same
 order, with squares through pe4.pow2 and traces through shape_trace, so
-both give the same bits.
+both give the same bits.  eps enters each formula where a minus sign of
+the elliptic formula stands, so both kinds keep the bits of their own
+formulas; a few triple products keep a per-kind association
+(SurfaceKind.prod3).
 """
 
 from __future__ import annotations
@@ -29,12 +38,44 @@ from .errors import GrsError, InadmissiblePointError, ParamError
 from .meridians import MeridianFamily
 from .pe4 import PEVector4, inner, pow2, sqrt
 
-DEFAULT_ADMISSIBILITY_EPS = 1e-10
+ADMISSIBILITY_EPS = 1e-10
 
 
 class SurfaceKind(Enum):
-    ELLIPTIC = "elliptic"
-    HYPERBOLIC = "hyperbolic"
+    """The rotation type, carried as the signature sign eps.
+
+    ELLIPTIC has eps = +1 and rotates with cos, sin; HYPERBOLIC has
+    eps = -1, rotates with cosh, sinh and exchanges x2 and x3.  The value
+    is the kind's name in the meridian catalog.
+    """
+
+    ELLIPTIC = ("elliptic", 1.0, math.cos, math.sin)
+    HYPERBOLIC = ("hyperbolic", -1.0, math.cosh, math.sinh)
+
+    def __new__(cls, name, eps, cos, sin):
+        kind = object.__new__(cls)
+        kind._value_ = name
+        kind.eps, kind.cos, kind.sin = eps, cos, sin
+        return kind
+
+    def vec(self, x1, x2, x3, x4) -> PEVector4:
+        """The vector with these components in the elliptic coordinate
+        order: the hyperbolic kind exchanges x2 and x3."""
+        if self.eps > 0.0:
+            return PEVector4(x1, x2, x3, x4)
+        return PEVector4(x1, x3, x2, x4)
+
+    def normals(self, off, carrier):
+        """(n1, n2) from the normal off the mean curvature vector and the
+        one carrying it (n2 elliptic, n1 hyperbolic).  The map is its own
+        inverse: normals(n1, n2) is (off, carrier)."""
+        return (off, carrier) if self.eps > 0.0 else (carrier, off)
+
+    def prod3(self, x, y, z):
+        """x * y * z as (x y) z for the elliptic kind and x (y z) for the
+        hyperbolic kind: the invariant bytes each kind has always had
+        round these triple products so."""
+        return x * y * z if self.eps > 0.0 else x * (y * z)
 
 
 @dataclass(frozen=True)
@@ -53,8 +94,7 @@ class SurfaceSpec:
 
 def surface_from_family(fam: MeridianFamily) -> SurfaceSpec:
     """SurfaceSpec matching the family's own kind and rotation speeds."""
-    kind = SurfaceKind.ELLIPTIC if fam.kind == "elliptic" else SurfaceKind.HYPERBOLIC
-    return SurfaceSpec(kind, fam.alpha, fam.beta, fam)
+    return SurfaceSpec(SurfaceKind(fam.kind), fam.alpha, fam.beta, fam)
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,14 +105,6 @@ class PointJets:
     z_uu: PEVector4
     z_uv: PEVector4
     z_vv: PEVector4
-
-
-@dataclass(frozen=True, slots=True)
-class FirstFundamental:
-    E: float
-    F: float
-    G: float
-    admissible: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,7 +176,8 @@ INVARIANT_COLUMNS = ("E", "F", "G", "nu1", "nu2", "mu", "gamma2", "beta2",
 
 @dataclass(frozen=True)
 class InvariantGrid:
-    """invariant_record over a u-grid: one ndarray per field, row i at us[i].
+    """The InvariantRecord fields over a u-grid: one ndarray per field, row
+    i at us[i].
 
     scalars holds the meridian columns (f, f', f'', g, g', g'', E, W) that
     the frame and projection routes reuse; they are NaN where the meridian
@@ -187,10 +220,9 @@ class InvariantGrid:
 
 def _rotation(spec: SurfaceSpec, v: float):
     """(cos, sin) of alpha*v and beta*v; cosh and sinh for the hyperbolic kind."""
+    cos, sin = spec.kind.cos, spec.kind.sin
     a, b = spec.alpha, spec.beta
-    if spec.kind is SurfaceKind.ELLIPTIC:
-        return math.cos(a * v), math.sin(a * v), math.cos(b * v), math.sin(b * v)
-    return math.cosh(a * v), math.sinh(a * v), math.cosh(b * v), math.sinh(b * v)
+    return cos(a * v), sin(a * v), cos(b * v), sin(b * v)
 
 
 def position_jets(spec: SurfaceSpec, u: float, v: float) -> PointJets:
@@ -215,40 +247,26 @@ def positions_grid(spec: SurfaceSpec, us, vs) -> PEVector4:
 def _position_from(spec, f, g, rot) -> PEVector4:
     """z from the meridian values and rotations, floats or arrays."""
     ca, sa, cb, sb = rot
-    if spec.kind is SurfaceKind.ELLIPTIC:
-        return PEVector4(f * ca, f * sa, g * cb, g * sb)
-    return PEVector4(f * ca, g * cb, f * sa, g * sb)
+    return spec.kind.vec(f * ca, f * sa, g * cb, g * sb)
 
 
 def _jets_from(spec, f, fp, fpp, g, gp, gpp, rot) -> PointJets:
-    """Position jets from meridian scalars and rotations, floats or arrays."""
-    a, b = spec.alpha, spec.beta
+    """Position jets from meridian scalars and rotations, floats or arrays.
+
+    d/dv cos(a v) = -a sin(a v) and d/dv cosh(a v) = a sinh(a v): the
+    factor -eps a.
+    """
+    a, b, e = spec.alpha, spec.beta, spec.kind.eps
+    vec = spec.kind.vec
     ca, sa, cb, sb = rot
-    z = _position_from(spec, f, g, rot)
-    if spec.kind is SurfaceKind.ELLIPTIC:
-        return PointJets(
-            z=z,
-            z_u=PEVector4(fp * ca, fp * sa, gp * cb, gp * sb),
-            z_v=PEVector4(-a * f * sa, a * f * ca, -b * g * sb, b * g * cb),
-            z_uu=PEVector4(fpp * ca, fpp * sa, gpp * cb, gpp * sb),
-            z_uv=PEVector4(-a * fp * sa, a * fp * ca, -b * gp * sb, b * gp * cb),
-            z_vv=PEVector4(-a * a * f * ca, -a * a * f * sa,
-                           -b * b * g * cb, -b * b * g * sb))
     return PointJets(
-        z=z,
-        z_u=PEVector4(fp * ca, gp * cb, fp * sa, gp * sb),
-        z_v=PEVector4(a * f * sa, b * g * sb, a * f * ca, b * g * cb),
-        z_uu=PEVector4(fpp * ca, gpp * cb, fpp * sa, gpp * sb),
-        z_uv=PEVector4(a * fp * sa, b * gp * sb, a * fp * ca, b * gp * cb),
-        z_vv=PEVector4(a * a * f * ca, b * b * g * cb, a * a * f * sa,
-                       b * b * g * sb))
-
-
-def first_fundamental(spec: SurfaceSpec, u: float, v: float,
-                      eps: float = DEFAULT_ADMISSIBILITY_EPS) -> FirstFundamental:
-    """E, F, G by direct inner products, plus the admissibility flag."""
-    E, F, G = _fundamental_from(position_jets(spec, u, v))
-    return FirstFundamental(E, F, G, E > eps and G < -eps)
+        z=_position_from(spec, f, g, rot),
+        z_u=vec(fp * ca, fp * sa, gp * cb, gp * sb),
+        z_v=vec(-e * a * f * sa, a * f * ca, -e * b * g * sb, b * g * cb),
+        z_uu=vec(fpp * ca, fpp * sa, gpp * cb, gpp * sb),
+        z_uv=vec(-e * a * fp * sa, a * fp * ca, -e * b * gp * sb, b * gp * cb),
+        z_vv=vec(-e * a * a * f * ca, -e * a * a * f * sa,
+                 -e * b * b * g * cb, -e * b * b * g * sb))
 
 
 def _fundamental_from(pj: PointJets):
@@ -262,33 +280,27 @@ def _meridian_scalars(spec: SurfaceSpec, u: float):
     mj = spec.meridian.jet(u)
     f, fp, fpp = mj.f.val, mj.f.d1, mj.f.d2
     g, gp, gpp = mj.g.val, mj.g.d1, mj.g.d2
-    a2, b2 = spec.alpha ** 2, spec.beta ** 2
-    if spec.kind is SurfaceKind.ELLIPTIC:
-        E = fp * fp - gp * gp
-        W = b2 * g * g - a2 * f * f
-    else:
-        E = fp * fp + gp * gp
-        W = a2 * f * f + b2 * g * g
+    a2, b2, e = spec.alpha ** 2, spec.beta ** 2, spec.kind.eps
+    E = fp * fp - e * gp * gp
+    W = b2 * g * g - e * a2 * f * f
     return f, fp, fpp, g, gp, gpp, E, W
 
 
-def _require_admissible(spec, u, E, W, eps):
-    if not (E > eps and W > eps):
+def _admissible_scalars(spec: SurfaceSpec, u: float):
+    """_meridian_scalars at u; InadmissiblePointError unless E and W exceed
+    ADMISSIBILITY_EPS."""
+    s = _meridian_scalars(spec, u)
+    E, W = s[6], s[7]
+    if not (E > ADMISSIBILITY_EPS and W > ADMISSIBILITY_EPS):
         raise InadmissiblePointError(
             f"{spec.kind.value} surface inadmissible at u={u}: "
             f"E={E:.6g}, G={-W:.6g}")
-
-
-def _admissible_scalars(spec: SurfaceSpec, u: float, eps: float):
-    """_meridian_scalars at u; InadmissiblePointError unless E, W > eps."""
-    s = _meridian_scalars(spec, u)
-    _require_admissible(spec, u, s[6], s[7], eps)
     return s
 
 
-def _frame_scalars(spec: SurfaceSpec, u: float, eps: float):
+def _frame_scalars(spec: SurfaceSpec, u: float):
     """(f, f', f'', g, g', g'', 1/sqrt(E), 1/sqrt(W)) at an admissible u."""
-    f, fp, fpp, g, gp, gpp, E, W = _admissible_scalars(spec, u, eps)
+    f, fp, fpp, g, gp, gpp, E, W = _admissible_scalars(spec, u)
     return f, fp, fpp, g, gp, gpp, 1.0 / math.sqrt(E), 1.0 / math.sqrt(W)
 
 
@@ -309,7 +321,7 @@ def _meridian_columns(spec: SurfaceSpec, us):
     return us, tuple(rows.T)
 
 
-def _grid_inputs(spec: SurfaceSpec, us, vs, eps: float):
+def _grid_inputs(spec: SurfaceSpec, us, vs):
     """_frame_scalars per u as (nu, 1) columns and _rotation per v as (nv,) rows.
 
     us is a sequence of u or an InvariantGrid, whose meridian columns are
@@ -322,9 +334,9 @@ def _grid_inputs(spec: SurfaceSpec, us, vs, eps: float):
     else:
         us, scalars = _meridian_columns(spec, us)
     f, fp, fpp, g, gp, gpp, E, W = scalars
-    bad = ~((E > eps) & (W > eps))
+    bad = ~((E > ADMISSIBILITY_EPS) & (W > ADMISSIBILITY_EPS))
     if bad.any():
-        _frame_scalars(spec, float(us[bad.argmax()]), eps)   # raises
+        _frame_scalars(spec, float(us[bad.argmax()]))   # raises
     cols = np.array((f, fp, fpp, g, gp, gpp, 1.0 / np.sqrt(E),
                      1.0 / np.sqrt(W)))
     rot = tuple(np.array([_rotation(spec, v) for v in vs]).T)
@@ -334,76 +346,71 @@ def _grid_inputs(spec: SurfaceSpec, us, vs, eps: float):
 # ---------------------------------------------------------------------------
 # Frames
 
-def frames(spec: SurfaceSpec, u: float, v: float,
-           eps: float = DEFAULT_ADMISSIBILITY_EPS) -> Frame:
+def frames(spec: SurfaceSpec, u: float, v: float) -> Frame:
     """Pseudo-orthonormal tangent and normal frames at an admissible point.
 
     <x,x> = <n1,n1> = 1 and <y,y> = <n2,n2> = -1 for both kinds; positive
     square roots are taken throughout, so the orientation follows the signs
     of f, g, f', g'.
     """
-    return _frame_from(spec, _frame_scalars(spec, u, eps), _rotation(spec, v))
+    return _frame_from(spec, _frame_scalars(spec, u), _rotation(spec, v))
 
 
-def frames_grid(spec: SurfaceSpec, us, vs,
-                eps: float = DEFAULT_ADMISSIBILITY_EPS) -> Frame:
+def frames_grid(spec: SurfaceSpec, us, vs) -> Frame:
     """frames over the grid us x vs: a Frame of (len(us), len(vs)) arrays,
     equal to the per-point frames to the bit.  us may be an InvariantGrid,
     whose meridian columns are then reused."""
-    return _frame_from(spec, *_grid_inputs(spec, us, vs, eps))
+    return _frame_from(spec, *_grid_inputs(spec, us, vs))
 
 
 def _frame_from(spec, scalars, rot) -> Frame:
-    """Frame from _frame_scalars and _rotation values, floats or arrays."""
+    """Frame from _frame_scalars and _rotation values, floats or arrays.
+
+    x = z_u / sqrt(E) and y = z_v / sqrt(W), with z_u, z_v as in _jets_from.
+    Of the normals, the one built from (f', g') carries H and the one built
+    from the rotation speeds is off it.
+    """
     f, fp, _, g, gp, _, ie, iw = scalars
-    a, b = spec.alpha, spec.beta
+    a, b, e = spec.alpha, spec.beta, spec.kind.eps
+    vec = spec.kind.vec
     ca, sa, cb, sb = rot
-    # x = z_u / sqrt(E) and y = z_v / sqrt(W), with z_u, z_v as in position_jets
-    if spec.kind is SurfaceKind.ELLIPTIC:
-        return Frame(
-            x=PEVector4(fp * ca * ie, fp * sa * ie, gp * cb * ie, gp * sb * ie),
-            y=PEVector4(-a * f * sa * iw, a * f * ca * iw,
-                        -b * g * sb * iw, b * g * cb * iw),
-            n1=PEVector4(b * g * sa * iw, -b * g * ca * iw,
-                         a * f * sb * iw, -a * f * cb * iw),
-            n2=PEVector4(gp * ca * ie, gp * sa * ie, fp * cb * ie, fp * sb * ie))
+    off = vec(b * g * sa * iw, -e * b * g * ca * iw,
+              e * a * f * sb * iw, -a * f * cb * iw)
+    carrier = vec(gp * ca * ie, gp * sa * ie, e * fp * cb * ie, e * fp * sb * ie)
+    n1, n2 = spec.kind.normals(off, carrier)
     return Frame(
-        x=PEVector4(fp * ca * ie, gp * cb * ie, fp * sa * ie, gp * sb * ie),
-        y=PEVector4(a * f * sa * iw, b * g * sb * iw, a * f * ca * iw, b * g * cb * iw),
-        n1=PEVector4(gp * ca * ie, -fp * cb * ie, gp * sa * ie, -fp * sb * ie),
-        n2=PEVector4(b * g * sa * iw, -a * f * sb * iw,
-                     b * g * ca * iw, -a * f * cb * iw))
+        x=vec(fp * ca * ie, fp * sa * ie, gp * cb * ie, gp * sb * ie),
+        y=vec(-e * a * f * sa * iw, a * f * ca * iw,
+              -e * b * g * sb * iw, b * g * cb * iw),
+        n1=n1, n2=n2)
 
 
 # ---------------------------------------------------------------------------
 # Geometric functions and second fundamental form
 
-def geometric_functions(spec: SurfaceSpec, u: float,
-                        eps: float = DEFAULT_ADMISSIBILITY_EPS) -> GeoFns:
+def geometric_functions(spec: SurfaceSpec, u: float) -> GeoFns:
     """nu1, nu2, mu, gamma2, beta2 at u (independent of v)."""
-    return _geo_fns_from(spec, _admissible_scalars(spec, u, eps))
+    return _geo_fns_from(spec, _admissible_scalars(spec, u))
 
 
 def _geo_fns_from(spec, scalars) -> GeoFns:
-    """Geometric functions from _meridian_scalars values, floats or arrays."""
+    """Geometric functions from _meridian_scalars values, floats or arrays.
+
+    eps multiplies both operands of a difference, or a whole term, never
+    one operand of a negated difference: -(x - y) and y - x differ in the
+    sign of a zero.
+    """
     f, fp, fpp, g, gp, gpp, E, W = scalars
-    a2, b2 = spec.alpha ** 2, spec.beta ** 2
+    a2, b2, e = spec.alpha ** 2, spec.beta ** 2, spec.kind.eps
     ab = spec.alpha * spec.beta
     se = sqrt(E)
     sew = se * W
-    if spec.kind is SurfaceKind.ELLIPTIC:
-        return GeoFns(
-            nu1=(gp * fpp - fp * gpp) / (E * se),
-            nu2=(b2 * g * fp - a2 * f * gp) / sew,
-            mu=ab * (f * gp - g * fp) / sew,
-            gamma2=(a2 * f * fp - b2 * g * gp) / sew,
-            beta2=ab * (f * fp - g * gp) / sew)
     return GeoFns(
-        nu1=(fpp * gp - fp * gpp) / (E * se),
-        nu2=(a2 * f * gp - b2 * g * fp) / sew,
-        mu=ab * (f * gp - fp * g) / sew,
-        gamma2=-(a2 * f * fp + b2 * g * gp) / sew,
-        beta2=-ab * (f * fp + g * gp) / sew)
+        nu1=(gp * fpp - fp * gpp) / (E * se),
+        nu2=(e * b2 * g * fp - e * a2 * f * gp) / sew,
+        mu=ab * (f * gp - g * fp) / sew,
+        gamma2=e * (a2 * f * fp - e * b2 * g * gp) / sew,
+        beta2=e * ab * (f * fp - e * g * gp) / sew)
 
 
 @dataclass(frozen=True, slots=True)
@@ -445,14 +452,13 @@ def _matrices(entries):
                                             (-2, -1)))
 
 
-def _project(spec: SurfaceSpec, u: float, v: float,
-             eps: float = DEFAULT_ADMISSIBILITY_EPS) -> _Projection:
-    """Position jets and frame once at (u, v), and sigma from <z_ab, n_i>."""
-    return _projection(spec, _frame_scalars(spec, u, eps), _rotation(spec, v))
+def _project(spec: SurfaceSpec, u: float, v: float) -> _Projection:
+    """Independent route at (u, v): position jets and frame once, sigma
+    from <z_ab, n_i>, and H and the shape operators assembled from it."""
+    return _projection(spec, _frame_scalars(spec, u), _rotation(spec, v))
 
 
-def _project_grid(spec: SurfaceSpec, us, vs,
-                  eps: float = DEFAULT_ADMISSIBILITY_EPS) -> _Projection:
+def _project_grid(spec: SurfaceSpec, us, vs) -> _Projection:
     """The projection route over the grid us x vs, with (len(us), len(vs))
     array components equal to the per-point route to the bit.
 
@@ -460,7 +466,7 @@ def _project_grid(spec: SurfaceSpec, us, vs,
     as us, and rotations once per v; raises the per-point error at the
     first inadmissible u.
     """
-    return _projection(spec, *_grid_inputs(spec, us, vs, eps))
+    return _projection(spec, *_grid_inputs(spec, us, vs))
 
 
 def _projection(spec, scalars, rot) -> _Projection:
@@ -484,60 +490,45 @@ def _projection(spec, scalars, rot) -> _Projection:
     return _Projection(pj, fr, sf, sigma)
 
 
-def second_fundamental_projected(spec: SurfaceSpec, u: float, v: float,
-                                 eps: float = DEFAULT_ADMISSIBILITY_EPS
-                                 ) -> SecondFundamental:
-    """Independent route: sigma coefficients from <z_ab, n_i> projections."""
-    return _project(spec, u, v, eps).sf
-
-
-def sigma_vectors(spec: SurfaceSpec, u: float, v: float,
-                  eps: float = DEFAULT_ADMISSIBILITY_EPS):
-    """sigma(x,x), sigma(x,y), sigma(y,y) as ambient vectors (projection route)."""
-    return _project(spec, u, v, eps).sigma
-
-
-def mean_curvature_vector(spec: SurfaceSpec, u: float, v: float,
-                          eps: float = DEFAULT_ADMISSIBILITY_EPS) -> PEVector4:
-    """H = (sigma(x,x) - sigma(y,y)) / 2, assembled from projections."""
-    return _project(spec, u, v, eps).H
-
-
 # ---------------------------------------------------------------------------
 # Curvature invariants
 
-def curvatures(spec: SurfaceSpec, u: float,
-               eps: float = DEFAULT_ADMISSIBILITY_EPS) -> Curvatures:
+def curvatures(spec: SurfaceSpec, u: float) -> Curvatures:
     """Gauss curvature, normal-connection curvature, mean-curvature data.
 
-    h_coeff is the coefficient of H along n2 (elliptic) or n1 (hyperbolic);
-    H_norm2 is reported as -h_coeff**2 (see the quasi-minimal checks).
+    h_coeff is the coefficient of H along its carrier normal, n2
+    (elliptic) or n1 (hyperbolic); H_norm2 is reported as -h_coeff**2 (see
+    the quasi-minimal checks).
     """
-    return _curvatures_from(spec, _admissible_scalars(spec, u, eps))
+    return _curvatures_from(spec, _admissible_scalars(spec, u))
+
+
+def _h_terms(spec, f, fp, fpp, g, gp, gpp, E, W):
+    """(t1, t2) with h_coeff = (t1 + t2) / (2 E^(3/2) W), floats or arrays."""
+    a2, b2, e = spec.alpha ** 2, spec.beta ** 2, spec.kind.eps
+    # b2 g f': associated per kind for the pinned bytes
+    t1 = E * (spec.kind.prod3(g, b2, fp) - a2 * f * gp)
+    t2 = -e * W * (fpp * gp - fp * gpp)
+    return t1, t2
 
 
 def _curvatures_from(spec, scalars) -> Curvatures:
     """Curvatures from _meridian_scalars values, floats or arrays."""
     f, fp, fpp, g, gp, gpp, E, W = scalars
-    a2, b2 = spec.alpha ** 2, spec.beta ** 2
+    a2, b2, e = spec.alpha ** 2, spec.beta ** 2, spec.kind.eps
     ab = spec.alpha * spec.beta
+    prod3 = spec.kind.prod3
     E2W2 = E * E * W * W
-    if spec.kind is SurfaceKind.ELLIPTIC:
-        K = (a2 * b2 * E * pow2(f * gp - fp * g)
-             - W * (b2 * fp * g - a2 * f * gp) * (fp * gpp - fpp * gp)) / E2W2
-        kappa = (-ab * (f * gp - g * fp)
-                 * (W * (gp * fpp - fp * gpp) + E * (b2 * g * fp - a2 * f * gp))
-                 ) / E2W2
-        h = (E * (b2 * g * fp - a2 * f * gp) - W * (fpp * gp - fp * gpp)) \
-            / (2.0 * E * sqrt(E) * W)
-    else:
-        K = -(a2 * b2 * pow2(f * gp - fp * g) * E
-              + (a2 * f * gp - b2 * fp * g) * (fpp * gp - fp * gpp) * W) / E2W2
-        kappa = (ab * (f * gp - fp * g)
-                 * (W * (fpp * gp - fp * gpp) + E * (a2 * f * gp - b2 * g * fp))
-                 ) / E2W2
-        h = (E * (b2 * fp * g - a2 * f * gp) + W * (fpp * gp - fp * gpp)) \
-            / (2.0 * E * sqrt(E) * W)
+    X = e * b2 * fp * g - e * a2 * f * gp
+    Y = e * fp * gpp - e * fpp * gp
+    # both triple products associated per kind for the pinned bytes
+    K = e * (prod3(E, a2 * b2, pow2(f * gp - fp * g))
+             - e * prod3(W, X, Y)) / E2W2
+    kappa = (-e * ab * (f * gp - g * fp)
+             * (W * (gp * fpp - fp * gpp)
+                + E * (e * b2 * g * fp - e * a2 * f * gp))) / E2W2
+    t1, t2 = _h_terms(spec, *scalars)
+    h = (t1 + t2) / (2.0 * E * sqrt(E) * W)
     return Curvatures(K=K, kappa=kappa, h_coeff=h, H_norm2=-h * h)
 
 
@@ -548,14 +539,7 @@ def mean_curvature_numerator(spec: SurfaceSpec, u: float) -> tuple[float, float]
     so identities like 'this family has vanishing mean curvature wherever
     it is defined' can be checked on families with empty admissible domain.
     """
-    f, fp, fpp, g, gp, gpp, E, W = _meridian_scalars(spec, u)
-    a2, b2 = spec.alpha ** 2, spec.beta ** 2
-    if spec.kind is SurfaceKind.ELLIPTIC:
-        t1 = E * (b2 * g * fp - a2 * f * gp)
-        t2 = -W * (fpp * gp - fp * gpp)
-    else:
-        t1 = E * (b2 * fp * g - a2 * f * gp)
-        t2 = W * (fpp * gp - fp * gpp)
+    t1, t2 = _h_terms(spec, *_meridian_scalars(spec, u))
     return t1 + t2, abs(t1) + abs(t2) + 1.0
 
 
@@ -571,72 +555,45 @@ def shape_trace(A1, A2):
 
 def _shape_matrices(kind: SurfaceKind, gf: GeoFns):
     """A1, A2 from the geometric functions: one pair, or stacked pairs of
-    shape (n, 2, 2) for columns of length n."""
+    shape (n, 2, 2) for columns of length n.  The carrier normal of H has
+    the diagonal operator, the other one the rotation."""
     zero = np.zeros(np.shape(gf.mu))
     rot = _matrices([[zero, gf.mu], [-gf.mu, zero]])
     diag = _matrices([[gf.nu1, zero], [zero, -gf.nu2]])
-    return (rot, diag) if kind is SurfaceKind.ELLIPTIC else (diag, rot)
+    return kind.normals(rot, diag)
 
 
-def _shape_from(kind: SurfaceKind, gf: GeoFns, h: float) -> ShapeOperators:
-    A1, A2 = _shape_matrices(kind, gf)
+def shape_operators(spec: SurfaceSpec, u: float) -> ShapeOperators:
+    """Shape operators of n1, n2 on the (x, y) basis, with <A_xi X, Y> = <sigma(X,Y), xi>."""
+    A1, A2 = _shape_matrices(spec.kind, geometric_functions(spec, u))
     tr = float(shape_trace(A1, A2))
+    h = curvatures(spec, u).h_coeff
     return ShapeOperators(A1=A1, A2=A2, trA1A2=tr, allied_coeff=0.5 * abs(h) * tr)
 
 
-def shape_operators(spec: SurfaceSpec, u: float,
-                    eps: float = DEFAULT_ADMISSIBILITY_EPS) -> ShapeOperators:
-    """Shape operators of n1, n2 on the (x, y) basis, with <A_xi X, Y> = <sigma(X,Y), xi>."""
-    gf = geometric_functions(spec, u, eps)
-    return _shape_from(spec.kind, gf, curvatures(spec, u, eps).h_coeff)
+def invariant_record(spec: SurfaceSpec, u: float) -> InvariantRecord:
+    """Full invariant set at u: row 0 of invariant_grid(spec, [u])."""
+    grid = invariant_grid(spec, [u])
+    return InvariantRecord(u, *(float(c[0]) for c in grid.columns()),
+                           bool(grid.admissible[0]))
 
 
-def shape_operators_projected(spec: SurfaceSpec, u: float, v: float,
-                              eps: float = DEFAULT_ADMISSIBILITY_EPS):
-    """Oracle route: assemble A1, A2 from projected sigma vectors.
-
-    Entry (k, j) of A_xi is eps_k * <sigma(e_j, e_k), xi> with eps = (1, -1)
-    on the (x, y) basis.
-    """
-    return _project(spec, u, v, eps).shape_matrices()
-
-
-def invariant_record(spec: SurfaceSpec, u: float,
-                     eps: float = DEFAULT_ADMISSIBILITY_EPS) -> InvariantRecord:
-    """Full invariant set at u, or an inadmissible marker record.
-
-    First-fundamental coefficients are taken at v = 0; every field is
-    independent of v by rotational symmetry.  A point is admissible when
-    E > eps and -G > eps, the test geometric_functions and frames apply;
-    an inadmissible record keeps E, F, G where the meridian is defined.
-    """
-    try:
-        ff = first_fundamental(spec, u, 0.0, eps)
-    except GrsError:
-        return InvariantRecord(u, *(math.nan,) * 13, False)
-    try:
-        gf = geometric_functions(spec, u, eps)
-    except InadmissiblePointError:
-        return InvariantRecord(u, ff.E, ff.F, ff.G, *(math.nan,) * 10, False)
-    cv = curvatures(spec, u, eps)
-    tr = float(shape_trace(*_shape_matrices(spec.kind, gf)))
-    return InvariantRecord(u, ff.E, ff.F, ff.G, gf.nu1, gf.nu2, gf.mu,
-                           gf.gamma2, gf.beta2, cv.K, cv.kappa, cv.h_coeff,
-                           cv.H_norm2, tr, True)
-
-
-def invariant_grid(spec: SurfaceSpec, us,
-                   eps: float = DEFAULT_ADMISSIBILITY_EPS) -> InvariantGrid:
-    """invariant_record at every u of us, as columns equal to it to the bit.
+def invariant_grid(spec: SurfaceSpec, us) -> InvariantGrid:
+    """The full invariant set at every u of us, as columns.
 
     The meridian is evaluated once per u, with math as in the per-point
-    route (its rows are NaN where it raises); every formula is the
-    per-point one applied to the admissible rows as arrays.
+    routes (its rows are NaN where it raises); every formula is the
+    per-point one applied to the admissible rows as arrays, so each column
+    equals geometric_functions, curvatures and shape_operators at its u to
+    the bit.  E, F, G are taken at v = 0; every field is independent of v
+    by rotational symmetry.  A row is admissible when E and -G exceed
+    ADMISSIBILITY_EPS, the test of geometric_functions and frames; an
+    inadmissible row keeps E, F, G where the meridian is defined.
     """
     us, scalars = _meridian_columns(spec, us)
     E, F, G = _fundamental_from(_jets_from(spec, *scalars[:6],
                                            _rotation(spec, 0.0)))
-    ok = (scalars[6] > eps) & (scalars[7] > eps)
+    ok = (scalars[6] > ADMISSIBILITY_EPS) & (scalars[7] > ADMISSIBILITY_EPS)
     adm = tuple(c[ok] for c in scalars)
     gf = _geo_fns_from(spec, adm)
     cv = _curvatures_from(spec, adm)

@@ -23,10 +23,9 @@ from .meridians import (FAMILY_CATALOG, build_family,
                         descriptor_from_catalog, classified_case_ids,
                         _SampledFamily)
 from .pe4 import inner, pow2
-from .surfaces import (SurfaceKind, SurfaceSpec, curvatures,
-                       frames, frames_grid, geometric_functions,
-                       invariant_grid, mean_curvature_numerator,
-                       mean_curvature_vector, shape_trace, sigma_vectors,
+from .surfaces import (ADMISSIBILITY_EPS, SurfaceKind, SurfaceSpec,
+                       curvatures, frames, frames_grid, geometric_functions,
+                       invariant_grid, mean_curvature_numerator, shape_trace,
                        surface_from_family, _fundamental_from,
                        _meridian_scalars, _project, _project_grid)
 
@@ -42,6 +41,11 @@ DEFAULT_TOLS = {
 FD_H = 1e-4
 ELLIPTIC_V_RANGE = (0.0, 2.0 * math.pi)
 HYPERBOLIC_V_RANGE = (-3.0, 3.0)
+# per kind: the default v-range, whether its end point is sampled (one full
+# turn of the elliptic rotation repeats v = 0), and the v of the checks
+# taken at a single v
+_V_SAMPLING = {SurfaceKind.ELLIPTIC: (ELLIPTIC_V_RANGE, False, 0.7),
+               SurfaceKind.HYPERBOLIC: (HYPERBOLIC_V_RANGE, True, 0.4)}
 
 
 # ---------------------------------------------------------------------------
@@ -164,26 +168,26 @@ def _vacuous_check(name, note):
 # ---------------------------------------------------------------------------
 # Admissible-domain scanning
 
-def _indicator(spec: SurfaceSpec, u: float, eps: float) -> float:
-    """min(E - eps, -G - eps); -inf where the meridian is undefined."""
+def _indicator(spec: SurfaceSpec, u: float) -> float:
+    """min(E, -G) - ADMISSIBILITY_EPS; -inf where the meridian is undefined."""
     try:
         _, _, _, _, _, _, E, W = _meridian_scalars(spec, u)
     except GrsError:
         return -math.inf
-    return min(E - eps, W - eps)
+    return min(E - ADMISSIBILITY_EPS, W - ADMISSIBILITY_EPS)
 
 
-def admissible_domain(spec: SurfaceSpec, u0: float, u1: float, n: int,
-                      eps: float = 1e-10) -> list:
+def admissible_domain(spec: SurfaceSpec, u0: float, u1: float, n: int) -> list:
     """Maximal admissible subintervals of [u0, u1].
 
     Scans n sample points and refines every sign change of the indicator
-    min(E, -G) - eps by bisection to an absolute width of 1e-12.
+    min(E, -G) - ADMISSIBILITY_EPS by bisection to an absolute width of
+    1e-12.
     """
     if n < 2:
         raise ValueError("scan needs at least 2 sample points")
     us = np.linspace(u0, u1, n)
-    vals = [_indicator(spec, u, eps) for u in us]
+    vals = [_indicator(spec, u) for u in us]
 
     def refine(a, b, va, vb):
         # bisect the boundary between an admissible and inadmissible point
@@ -191,7 +195,7 @@ def admissible_domain(spec: SurfaceSpec, u0: float, u1: float, n: int,
             if b - a <= 1e-12:
                 break
             m = 0.5 * (a + b)
-            vm = _indicator(spec, m, eps)
+            vm = _indicator(spec, m)
             if (vm > 0.0) == (va > 0.0):
                 a, va = m, vm
             else:
@@ -232,12 +236,11 @@ def _grid_in_intervals(intervals, n, margin_frac=5e-3):
 
 
 def _v_grid(kind: SurfaceKind, nv: int, v_range=None):
+    default, endpoint, _ = _V_SAMPLING[kind]
     if v_range is None:
-        v_range = ELLIPTIC_V_RANGE if kind is SurfaceKind.ELLIPTIC else HYPERBOLIC_V_RANGE
-    if kind is SurfaceKind.ELLIPTIC and v_range == ELLIPTIC_V_RANGE:
-        # half-open [0, 2*pi)
-        return np.linspace(v_range[0], v_range[1], nv, endpoint=False)
-    return np.linspace(v_range[0], v_range[1], nv)
+        v_range = default
+    return np.linspace(v_range[0], v_range[1], nv,
+                       endpoint=endpoint or v_range != default)
 
 
 # ---------------------------------------------------------------------------
@@ -275,21 +278,21 @@ def _gauss_route_residual(K, sigma):
 
 
 def _kappa_route_residual(kind, kappa, gf):
-    """kappa against -mu(nu1+nu2) (elliptic) or +mu(nu1+nu2) (hyperbolic)."""
-    sgn = -1.0 if kind is SurfaceKind.ELLIPTIC else 1.0
-    return _relative_gap(kappa, sgn * gf.mu * (gf.nu1 + gf.nu2))
+    """kappa against -eps mu (nu1 + nu2)."""
+    return _relative_gap(kappa, -kind.eps * gf.mu * (gf.nu1 + gf.nu2))
 
 
 def cross_check(spec: SurfaceSpec, u: float, v: float = 0.0):
     """Dual-route residuals for K and kappa at one u.
 
     K: explicit formula vs the Gauss-equation route through projected
-    sigma vectors.  kappa: explicit formula vs -mu(nu1+nu2) (elliptic)
-    or +mu(nu1+nu2) (hyperbolic).  Residuals are relative with floor 1.
+    sigma vectors.  kappa: explicit formula vs -eps mu (nu1 + nu2), that
+    is -mu(nu1+nu2) (elliptic) or +mu(nu1+nu2) (hyperbolic).  Residuals
+    are relative with floor 1.
     """
     cv = curvatures(spec, u)
     gf = geometric_functions(spec, u)
-    k_res = _gauss_route_residual(cv.K, sigma_vectors(spec, u, v))
+    k_res = _gauss_route_residual(cv.K, _project(spec, u, v).sigma)
     kp_res = _kappa_route_residual(spec.kind, cv.kappa, gf)
     where = f"u={u:.6g}"
     return (_check("gauss-equation-route", where, k_res, DEFAULT_TOLS["cross"]),
@@ -327,30 +330,21 @@ def fd_connection_check(spec: SurfaceSpec, u: float, v: float,
     def dy(name):
         return (getattr(fv_p, name) - getattr(fv_m, name)) * (1.0 / (2.0 * h * sw))
 
-    x, y, n1, n2 = fr.x, fr.y, fr.n1, fr.n2
+    # H lies along the carrier normal, n2 (elliptic) or n1 (hyperbolic)
+    e = spec.kind.eps
+    n_off, n_car = spec.kind.normals("n1", "n2")
+    x, y, off, car = fr.x, fr.y, getattr(fr, n_off), getattr(fr, n_car)
     nu1, nu2, mu, g2, b2 = gf.nu1, gf.nu2, gf.mu, gf.gamma2, gf.beta2
-    if spec.kind is SurfaceKind.ELLIPTIC:
-        rows = [
-            ("nabla_x x", dx("x"), n2 * -nu1),
-            ("nabla_x y", dx("y"), n1 * mu),
-            ("nabla_y x", dy("x"), y * -g2 + n1 * mu),
-            ("nabla_y y", dy("y"), x * -g2 + n2 * -nu2),
-            ("nabla_x n1", dx("n1"), y * mu),
-            ("nabla_y n1", dy("n1"), x * -mu + n2 * b2),
-            ("nabla_x n2", dx("n2"), x * -nu1),
-            ("nabla_y n2", dy("n2"), y * nu2 + n1 * b2),
-        ]
-    else:
-        rows = [
-            ("nabla_x x", dx("x"), n1 * nu1),
-            ("nabla_x y", dx("y"), n2 * -mu),
-            ("nabla_y x", dy("x"), y * -g2 + n2 * -mu),
-            ("nabla_y y", dy("y"), x * -g2 + n1 * nu2),
-            ("nabla_x n1", dx("n1"), x * -nu1),
-            ("nabla_y n1", dy("n1"), y * nu2 + n2 * -b2),
-            ("nabla_x n2", dx("n2"), y * mu),
-            ("nabla_y n2", dy("n2"), x * -mu + n1 * -b2),
-        ]
+    rows = [
+        ("nabla_x x", dx("x"), car * (-e * nu1)),
+        ("nabla_x y", dx("y"), off * (e * mu)),
+        ("nabla_y x", dy("x"), y * -g2 + off * (e * mu)),
+        ("nabla_y y", dy("y"), x * -g2 + car * (-e * nu2)),
+        (f"nabla_x {n_off}", dx(n_off), y * mu),
+        (f"nabla_y {n_off}", dy(n_off), x * -mu + car * (e * b2)),
+        (f"nabla_x {n_car}", dx(n_car), x * -nu1),
+        (f"nabla_y {n_car}", dy(n_car), y * nu2 + off * (e * b2)),
+    ]
     return [(name, (fd - rhs).euclid_norm()) for name, fd, rhs in rows]
 
 
@@ -445,12 +439,12 @@ def _chen_residuals(proj, h):
 def _carrier_split(kind, proj):
     """(off, carrier, n_off, n_car, carrier signature) of H.
 
-    H lies on n2 for the elliptic kind and on n1 for the hyperbolic kind.
+    H lies on n2 for the elliptic kind and on n1 for the hyperbolic kind: a
+    normal w is <w,n1> n1 - <w,n2> n2, and the carrier's signature is -eps.
     """
-    hv, fr = proj.H, proj.fr
-    if kind is SurfaceKind.ELLIPTIC:
-        return inner(hv, fr.n1), -inner(hv, fr.n2), fr.n1, fr.n2, -1.0
-    return -inner(hv, fr.n2), inner(hv, fr.n1), fr.n2, fr.n1, 1.0
+    hv, e = proj.H, kind.eps
+    n_off, n_car = kind.normals(proj.fr.n1, proj.fr.n2)
+    return e * inner(hv, n_off), -e * inner(hv, n_car), n_off, n_car, -e
 
 
 def check_projection_bundle(spec, grid, v, tols):
@@ -534,6 +528,7 @@ def check_fnc(grid, tol) -> CheckResult:
 def check_pnmcv(spec, grid, C, sign, tol_alg, tol_h):
     hs = grid.h_coeff
     where = f"{len(grid)} u-points"
+    # the elliptic branches fix the sign of h, the hyperbolic ones only |h|
     if spec.kind is SurfaceKind.ELLIPTIC:
         h_res = np.abs(hs - sign / C).max()
         h_note = "h_coeff equals sign/C"
@@ -551,19 +546,19 @@ def check_pnmcv(spec, grid, C, sign, tol_alg, tol_h):
 
 
 def check_parallel_H_fd(spec, us, v, h=1e-5, tol=1e-6) -> CheckResult:
-    """Optional direct FD check that D H = 0 in the normal bundle.
+    """Direct FD check that D H = 0 in the normal bundle.
 
-    Subsumes beta2 = 0 plus h constancy for the pnmcv families; off by
-    default in the standard bundles.
+    Subsumes beta2 = 0 plus h constancy for the pnmcv families; not part
+    of the verify_family bundles.
     """
     residuals = []
     for u in us:
         _, _, _, _, _, _, E, W = _meridian_scalars(spec, u)
-        hp = mean_curvature_vector(spec, u + h, v)
-        hm = mean_curvature_vector(spec, u - h, v)
+        hp = _project(spec, u + h, v).H
+        hm = _project(spec, u - h, v).H
         du = (hp - hm) * (1.0 / (2.0 * h * math.sqrt(E)))
-        hpv = mean_curvature_vector(spec, u, v + h)
-        hmv = mean_curvature_vector(spec, u, v - h)
+        hpv = _project(spec, u, v + h).H
+        hmv = _project(spec, u, v - h).H
         dv = (hpv - hmv) * (1.0 / (2.0 * h * math.sqrt(W)))
         fr = frames(spec, u, v)
         for dvec in (du, dv):
@@ -686,7 +681,6 @@ def verify_family(case: str, params: dict | None = None, *,
                   u_range: tuple | None = None, nu: int = 50, nv: int = 8,
                   v_range: tuple | None = None, state0: tuple | None = None,
                   checks: list | None = None, tols: dict | None = None,
-                  fd_h: float = FD_H, include_parallel_H_fd: bool = False,
                   record_runtime: bool = False) -> FamilyReport:
     """Run the property bundle keyed to a family case.
 
@@ -754,7 +748,7 @@ def verify_family(case: str, params: dict | None = None, *,
     # reads these columns (frames_grid raises on an inadmissible u)
     grid = invariant_grid(spec, us)
     vs = _v_grid(spec.kind, nv, v_range)
-    v_mid = 0.7 if spec.kind is SurfaceKind.ELLIPTIC else 0.4
+    v_mid = _V_SAMPLING[spec.kind][2]
 
     tier_tol = tols["closed"] if entry.realization == "closed" else tols["ode"]
     C = desc.params.get("C")
@@ -772,16 +766,12 @@ def verify_family(case: str, params: dict | None = None, *,
 
     # three interior FD points inside the widest interval, clear of edges
     a, b = max(intervals, key=lambda iv: iv[1] - iv[0])
-    shrink_h = fd_h if entry.realization == "closed" else 10.0 * fd_h
-    pad = max(0.02 * (b - a), 8.0 * max(fd_h, shrink_h))
+    shrink_h = FD_H if entry.realization == "closed" else 10.0 * FD_H
+    pad = max(0.02 * (b - a), 8.0 * shrink_h)
     fd_points = [(a + frac * (b - a - 2 * pad) + pad, v_mid)
                  for frac in (0.25, 0.5, 0.75)]
-    results.extend(check_fd_connection(spec, fd_points, fd_h, tols["fd"],
+    results.extend(check_fd_connection(spec, fd_points, FD_H, tols["fd"],
                                        shrink_h=shrink_h))
-
-    if include_parallel_H_fd:
-        results.append(check_parallel_H_fd(spec, us[:: max(1, len(us) // 5)],
-                                           v_mid))
 
     rep = FamilyReport(case, dict(desc.params), desc.alpha, desc.beta,
                        grid_desc, results)
@@ -816,8 +806,7 @@ def random_point_sweep(n: int, seed: int, tol: float) -> list:
         a, b = intervals[rng.randrange(len(intervals))]
         m = 5e-3 * (b - a)
         u = rng.uniform(a + m, b - m)
-        vr = ELLIPTIC_V_RANGE if spec.kind is SurfaceKind.ELLIPTIC else HYPERBOLIC_V_RANGE
-        v = rng.uniform(*vr)
+        v = rng.uniform(*_V_SAMPLING[spec.kind][0])
         proj = _project(spec, u, v)
         cv = curvatures(spec, u)
         tr, allied = _chen_residuals(proj, cv.h_coeff)
@@ -891,6 +880,8 @@ def _run_job(job: dict, record_runtime: bool = False) -> tuple:
     if expect not in ("pass", "fail"):
         raise ConfigError(f"expect must be pass|fail, got {expect!r}")
     label = job.get("label", case)
+    if not isinstance(job.get("params") or {}, dict):
+        raise ConfigError(f"{label}: params must be an object")
     kw = {}
     if "u0" in job or "u1" in job:
         if not ("u0" in job and "u1" in job):

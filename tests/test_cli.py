@@ -185,10 +185,58 @@ def test_verify_config_file(tmp_path):
                                "beta": 3.0, "u0": 2.1, "u1": 6.0}))
     code = run("verify", "--family", "pnmcv-ell", "--config", str(cfg))
     assert code == 0
-    # flags override the file: C=4 puts the surface on a different ladder rung
+    # flags override the file: C=1.9 puts the surface on a different ladder rung
     code = run("verify", "--family", "pnmcv-ell", "--config", str(cfg),
                "--params", "C=1.9")
     assert code == 0
+
+
+def test_verify_config_file_keys_reach_the_report(tmp_path):
+    """nu, nv and sign from the file act as the same flags do."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nu": 20, "nv": 4, "sign": -1}))
+    reports = {}
+    for name, extra in (("file", ("--config", str(cfg))),
+                        ("flags", ("--nu", "20", "--nv", "4", "--sign", "-1")),
+                        ("plus", ("--nu", "20", "--nv", "4"))):
+        rp = tmp_path / f"{name}.json"
+        assert run("verify", "--family", "min-hyp-i", *extra,
+                   "--report", str(rp)) == 0
+        reports[name] = rp.read_bytes()
+    assert reports["file"] == reports["flags"]
+    assert reports["file"] != reports["plus"]      # sign=-1 reached the job
+    grid = json.loads(reports["file"])["grid"]
+    assert (grid["nu"], grid["nv"]) == (20, 4)
+
+
+def test_verify_flags_override_config_file(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nu": 20, "nv": 4, "params": {"C": 2.0},
+                               "u0": 2.1, "u1": 6.0}))
+    rp = tmp_path / "r.json"
+    assert run("verify", "--family", "pnmcv-ell", "--config", str(cfg),
+               "--nu", "12", "--params", "C=1.9", "--u0", "2.0",
+               "--report", str(rp)) == 0
+    payload = json.loads(rp.read_text())
+    assert payload["grid"] == {"u0": 2.0, "u1": 6.0, "nu": 12, "nv": 4}
+    assert payload["params"] == {"C": 1.9}
+
+
+def test_verify_config_unknown_key_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nu": 20, "bogus": 1}))
+    assert run("verify", "--family", "pnmcv-ell", "--config", str(cfg)) == 2
+    assert "bogus" in capsys.readouterr().err
+    # params that is not an object is a config error too, in a suite job
+    # and in a --config file with or without --params
+    cfg.write_text(json.dumps({"params": "C=2"}))
+    assert run("verify", "--family", "pnmcv-ell", "--config", str(cfg)) == 2
+    assert run("verify", "--family", "pnmcv-ell", "--config", str(cfg),
+               "--params", "C=2") == 2
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"jobs": [{"family": "pnmcv-ell",
+                                           "params": "C=2"}]}))
+    assert run("verify", "--suite", str(suite)) == 2
 
 
 def test_verify_bad_config_exit_2(tmp_path):

@@ -8,7 +8,7 @@ from grs4 import meridians
 from grs4.errors import (DomainError, NoRealRootError, ParamError)
 from grs4.meridians import (FAMILY_CATALOG, FamilyDescriptor, build_family,
                             descriptor_from_catalog,
-                            classified_case_ids, _FlatEllRule, _QuadRule,
+                            classified_case_ids, _FlatRule, _QuadRule,
                             _TrackingField, integrate_constrained)
 from grs4.odeint import rk4_integrate
 
@@ -216,7 +216,7 @@ def test_min_ell_ii_parametrization_identity():
 
 def test_flat_ell_i_root_example():
     # by-hand quadratic 0.25 f'^2 - 0.5 f' - 1.3125 = 0 at the initial state
-    rule = _FlatEllRule(0.5, 0.0, 1.0, 1.0)
+    rule = _FlatRule("flat-ell-i", 1.0, 0.5, 0.0, 1.0, 1.0)
     cands = sorted(rule.candidates(1.0, 1.0, math.sqrt(1.25)),
                    key=lambda c: c[0])
     (f_lo, g_lo), (f_hi, g_hi) = cands
@@ -289,7 +289,7 @@ def test_no_real_root_error():
 
 
 def test_integrate_constrained_direct():
-    rule = _FlatEllRule(0.5, 0.0, 1.0, 1.0)
+    rule = _FlatRule("flat-ell-i", 1.0, 0.5, 0.0, 1.0, 1.0)
     sm = integrate_constrained(rule, 1.0, (1.0, math.sqrt(1.25)), (1.0, 1.5),
                                tol=1e-10, initial_root="larger")
     assert float(sm.residuals.max()) <= 1e-8
@@ -385,7 +385,7 @@ def test_quad_roots_against_numpy():
         scale = max(abs(A), abs(B), abs(C), 1e-30)
         if abs(A) <= 1e-12 * scale or disc < 1e-6 * scale * scale:
             return  # degenerate / near-tangent cases exercised elsewhere
-        roots = sorted(_quad_roots(A, B, C, "test"))
+        roots = sorted(_quad_roots(A, B, C, "test", 0.0))
         expect = sorted(np.roots([A, B, C]).real)
         for r, e in zip(roots, expect):
             assert abs(r - e) <= 1e-9 * max(1.0, abs(e))
@@ -395,13 +395,13 @@ def test_quad_roots_against_numpy():
 
 def test_quad_roots_degenerate_and_negative():
     from grs4.meridians import _quad_roots
-    assert _quad_roots(0.0, 2.0, -4.0, "lin") == [2.0]
+    assert _quad_roots(0.0, 2.0, -4.0, "lin", 0.0) == [2.0]
     with pytest.raises(NoRealRootError):
-        _quad_roots(1.0, 0.0, 1.0, "neg")
+        _quad_roots(1.0, 0.0, 1.0, "neg", 0.0)
     with pytest.raises(NoRealRootError):
-        _quad_roots(0.0, 0.0, 1.0, "degenerate")
+        _quad_roots(0.0, 0.0, 1.0, "degenerate", 0.0)
     # tiny negative discriminant from roundoff clamps to a double root
-    r = _quad_roots(1.0, 2.0, 1.0 + 1e-14, "clamp")
+    r = _quad_roots(1.0, 2.0, 1.0 + 1e-14, "clamp", 0.0)
     assert all(abs(x + 1.0) < 1e-6 for x in r)
 
 

@@ -10,14 +10,12 @@ from grs4.meridians import build_family, descriptor_from_catalog, classified_cas
 from grs4.pe4 import inner
 from grs4.reporting import export_invariants_csv, export_mesh
 from grs4.surfaces import (INVARIANT_COLUMNS, SecondFundamental, SurfaceKind,
-                           curvatures, first_fundamental, frames,
-                           geometric_functions, invariant_grid,
-                           invariant_record, mean_curvature_numerator,
-                           mean_curvature_vector, frames_grid, position_jets,
-                           positions_grid, second_fundamental_projected,
-                           shape_operators, shape_operators_projected,
-                           shape_trace,
-                           surface_from_family, _meridian_scalars, _project,
+                           curvatures, frames, geometric_functions,
+                           invariant_grid, invariant_record,
+                           mean_curvature_numerator, frames_grid,
+                           position_jets, positions_grid, shape_operators,
+                           shape_trace, surface_from_family,
+                           _fundamental_from, _meridian_scalars, _project,
                            _project_grid)
 from grs4.verifier import (admissible_domain, orthonormality_residual,
                            _grid_in_intervals, _v_grid)
@@ -80,15 +78,15 @@ def test_mixed_partials_single_vector():
 # First fundamental form
 
 def test_first_fundamental_examples():
-    ff = first_fundamental(FNC_ELL_I, 1.0, 0.3)
-    assert ff.E == pytest.approx(0.44, abs=1e-14)
-    assert ff.F == pytest.approx(0.0, abs=1e-15)
-    assert ff.G == pytest.approx(-2.56, abs=1e-14)
-    assert ff.admissible
+    E, F, G = _fundamental_from(position_jets(FNC_ELL_I, 1.0, 0.3))
+    assert E == pytest.approx(0.44, abs=1e-14)
+    assert F == pytest.approx(0.0, abs=1e-15)
+    assert G == pytest.approx(-2.56, abs=1e-14)
+    assert invariant_record(FNC_ELL_I, 1.0).admissible
 
-    ff2 = first_fundamental(PNMCV_ELL, 3.0, 0.0)
-    assert ff2.E == pytest.approx(0.8, abs=1e-12)
-    assert ff2.G == pytest.approx(-76.0, abs=1e-12)
+    E2, _, G2 = _fundamental_from(position_jets(PNMCV_ELL, 3.0, 0.0))
+    assert E2 == pytest.approx(0.8, abs=1e-12)
+    assert G2 == pytest.approx(-76.0, abs=1e-12)
 
 
 def test_F_vanishes_everywhere():
@@ -98,13 +96,13 @@ def test_F_vanishes_everywhere():
             v = rng.uniform(-2.0, 2.0)
             pj = position_jets(spec, u, v)
             scale = max(1.0, pj.z_u.euclid_norm() * pj.z_v.euclid_norm())
-            assert abs(first_fundamental(spec, u, v).F) <= 1e-12 * scale, case
+            assert abs(_fundamental_from(pj)[1]) <= 1e-12 * scale, case
 
 
 def test_inadmissible_flag_not_error():
     spec = spec_for("min-ell-i", interval=(0.1, 10.0))
-    ff = first_fundamental(spec, 1.0, 0.0)
-    assert not ff.admissible
+    rec = invariant_record(spec, 1.0)
+    assert not rec.admissible
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +178,7 @@ def test_sigma_min_hyp_i():
 def test_sigma_projected_agrees_with_closed_form():
     for case, spec, u, _ in SAMPLES:
         sf = second_fundamental(spec, u)
-        pr = second_fundamental_projected(spec, u, 0.4)
+        pr = _project(spec, u, 0.4).sf
         for a, b in zip((sf.xx + sf.xy + sf.yy), (pr.xx + pr.xy + pr.yy)):
             assert a == pytest.approx(b, abs=1e-10), case
 
@@ -191,7 +189,7 @@ def test_totally_geodesic_hyperbolic_line():
                     alpha=1.0, beta=1.0, interval=(0.5, 3.0))
     gf = geometric_functions(spec, 1.7)
     assert (gf.nu1, gf.nu2, gf.mu) == (0.0, 0.0, 0.0)
-    sf = second_fundamental_projected(spec, 1.7, 0.9)
+    sf = _project(spec, 1.7, 0.9).sf
     assert max(abs(t) for t in sf.xx + sf.xy + sf.yy) <= 1e-14
 
 
@@ -282,10 +280,10 @@ def test_flatness_criterion_equivalence():
 
 def test_mean_curvature_vector_direction():
     # elliptic H is timelike (along n2); hyperbolic H is spacelike (along n1)
-    hv = mean_curvature_vector(PNMCV_ELL, 3.0, 0.5)
+    hv = _project(PNMCV_ELL, 3.0, 0.5).H
     assert inner(hv, hv) == pytest.approx(-0.25, abs=1e-12)
     spec = spec_for("pnmcv-hyp", {"C": 2.0}, alpha=1.3, beta=0.7)
-    hv2 = mean_curvature_vector(spec, 1.0, 0.5)
+    hv2 = _project(spec, 1.0, 0.5).H
     assert inner(hv2, hv2) == pytest.approx(0.25, abs=1e-12)
 
 
@@ -329,7 +327,7 @@ def test_shape_operator_block_structure():
 def test_projected_shape_operators_agree():
     for case, spec, u, _ in SAMPLES:
         so = shape_operators(spec, u)
-        A1p, A2p = shape_operators_projected(spec, u, 0.3)
+        A1p, A2p = _project(spec, u, 0.3).shape_matrices()
         assert np.allclose(A1p, so.A1, atol=1e-10), case
         assert np.allclose(A2p, so.A2, atol=1e-10), case
         assert abs(float(np.trace(A1p @ A2p))) <= 1e-12, case
@@ -395,7 +393,7 @@ def test_exports_evaluate_meridian_once_per_u(monkeypatch, tmp_path):
 
 def test_invariant_record_computes_each_layer_once_per_row(monkeypatch):
     import grs4.surfaces as surfaces
-    calls = {"geometric_functions": 0, "curvatures": 0}
+    calls = {"_geo_fns_from": 0, "_curvatures_from": 0}
 
     def counted(name):
         fn = getattr(surfaces, name)
@@ -412,7 +410,7 @@ def test_invariant_record_computes_each_layer_once_per_row(monkeypatch):
             calls[key] = 0
         rec = invariant_record(spec, u)
         assert rec.admissible
-        assert calls == {"geometric_functions": 1, "curvatures": 1}
+        assert calls == {"_geo_fns_from": 1, "_curvatures_from": 1}
         assert rec.trA1A2 == shape_operators(spec, u).trA1A2
 
 
@@ -454,13 +452,32 @@ def test_grid_route_matches_point_route_bitwise(spec):
             assert float(trg[i, j]).hex() == float(np.trace(A1 @ A2)).hex(), (u, v)
 
 
+def _per_point_row(spec, u):
+    """(INVARIANT_COLUMNS values, admissible) at u from the per-point float
+    routes: E, F, G from position_jets at v = 0, the rest from
+    geometric_functions, curvatures and shape_operators; NaN where they
+    raise."""
+    try:
+        E, F, G = _fundamental_from(position_jets(spec, u, 0.0))
+    except GrsError:
+        return (math.nan,) * len(INVARIANT_COLUMNS), False
+    try:
+        gf = geometric_functions(spec, u)
+    except InadmissiblePointError:
+        return (E, F, G) + (math.nan,) * (len(INVARIANT_COLUMNS) - 3), False
+    cv = curvatures(spec, u)
+    return (E, F, G, gf.nu1, gf.nu2, gf.mu, gf.gamma2, gf.beta2, cv.K,
+            cv.kappa, cv.h_coeff, cv.H_norm2,
+            shape_operators(spec, u).trA1A2), True
+
+
 @pytest.mark.parametrize("case", classified_case_ids())
 def test_invariant_grid_matches_invariant_record_bitwise(case):
-    """Every column of invariant_grid equals invariant_record to the bit, on
-    400 u-points over the catalog interval and one u past its end, where
-    the meridian raises.  float.hex tells -0.0 from 0.0, so the zero F of
-    v = 0 must keep its sign.  The square in K must round as Python's **
-    does: numpy's x * x differs at a few of these points."""
+    """Every column of invariant_grid equals the per-point float routes to
+    the bit, on 400 u-points over the catalog interval and one u past its
+    end, where the meridian raises.  float.hex tells -0.0 from 0.0, so the
+    zero F of v = 0 must keep its sign.  The square in K must round as
+    Python's ** does: numpy's x * x differs at a few of these points."""
     desc = descriptor_from_catalog(case)
     spec = surface_from_family(build_family(desc))
     lo, hi = desc.interval
@@ -468,12 +485,12 @@ def test_invariant_grid_matches_invariant_record_bitwise(case):
     grid = invariant_grid(spec, us)
     assert len(grid) == len(us)
     for i, u in enumerate(us):
-        rec = invariant_record(spec, float(u))
-        assert grid.us[i] == rec.u
-        assert bool(grid.admissible[i]) is rec.admissible, u
-        for name in INVARIANT_COLUMNS:
+        want, admissible = _per_point_row(spec, float(u))
+        assert grid.us[i] == float(u)
+        assert bool(grid.admissible[i]) is admissible, u
+        for name, value in zip(INVARIANT_COLUMNS, want):
             got = float(getattr(grid, name)[i]).hex()
-            assert got == float(getattr(rec, name)).hex(), (u, name)
+            assert got == float(value).hex(), (u, name)
     assert math.isnan(grid.E[-1]) and not grid.admissible[-1]
     if case == "min-ell-i":
         assert not grid.admissible.any()

@@ -189,11 +189,15 @@ def test_verify_family_stale_state0_rejected_not_vacuous():
         verify_family("flat-ell-i", u_range=(1.2, 1.6))
 
 
-def test_verify_family_optional_parallel_H():
-    rep = verify_family("pnmcv-ell", include_parallel_H_fd=True)
-    byname = {c.name: c for c in rep.checks}
-    assert "parallel-H-fd" in byname
-    assert byname["parallel-H-fd"].passed
+def test_parallel_H_fd_on_pnmcv_ell():
+    # every tenth u of the 50-point grid verify_family takes, at its v_mid
+    desc = descriptor_from_catalog("pnmcv-ell")
+    spec = surface_from_family(build_family(desc))
+    us = verifier._grid_in_intervals(
+        admissible_domain(spec, *desc.interval, 200), 50)
+    res = verifier.check_parallel_H_fd(spec, us[::10], 0.7)
+    assert res.name == "parallel-H-fd"
+    assert res.passed
 
 
 def test_report_json_schema():
