@@ -57,7 +57,9 @@ def _add_family_args(p, required=True):
     p.add_argument("--f0", type=float, default=None,
                    help="initial f for integrated families")
     p.add_argument("--g0", type=float, default=None,
-                   help="initial g (derived from the constraint if omitted)")
+                   help="initial g; flat-ell-i and flat-hyp-i derive it from "
+                        "their constraint if omitted, the other integrated "
+                        "families need it")
     p.add_argument("--u0", type=float, default=None)
     p.add_argument("--u1", type=float, default=None)
     p.add_argument("--nu", type=int, default=50)

@@ -152,16 +152,27 @@ def _check_regular(case, u, fj, gj):
 class _QuadRule:
     """Per-step linear-quadratic system defining (f', g') for one family.
 
-    candidates() returns the real roots as (f', g') pairs; second() recovers
-    (f'', g'') by differentiating the defining equations analytically;
-    constraint() is the algebraic invariant whose drift is monitored (0 for
-    families whose relation involves derivatives only).
+    candidates() returns the real roots as (f', g') pairs and tracked() the
+    one root that integration follows; second() recovers (f'', g'') by
+    differentiating the defining equations analytically; constraint() is
+    the algebraic invariant whose drift is monitored (0 for families whose
+    relation involves derivatives only) and derive_g0() solves it for g0
+    where it involves g.
     """
 
     name = "?"
 
     def candidates(self, u, f, g):
         raise NotImplementedError
+
+    def tracked(self, u, f, g, ref, larger=True):
+        """The (f', g') root whose f' is nearest ref, by _nearest_root's rule;
+        with ref None, the root with the larger (or smaller) f'."""
+        cands = self.candidates(u, f, g)
+        if ref is None:
+            cands = sorted(cands, key=lambda c: c[0])
+            return cands[-1] if larger else cands[0]
+        return _nearest_root(cands, ref)
 
     def second(self, u, f, g, fp, gp):
         raise NotImplementedError
@@ -171,6 +182,35 @@ class _QuadRule:
 
     def speed_residual(self, fp, gp) -> float:
         raise NotImplementedError
+
+    def derive_g0(self, u0, f0) -> float:
+        raise ParamError(
+            f"{self.name}: no algebraic constraint to derive g0 from; give g0")
+
+
+class _LinearQuadRule(_QuadRule):
+    """A rule whose f' solves a quadratic and whose linear equation then
+    gives g' = (c0 + c1 f') / q; system() returns (f' roots, c0, c1, q)."""
+
+    def system(self, u, f, g):
+        raise NotImplementedError
+
+    def candidates(self, u, f, g):
+        roots, c0, c1, q = self.system(u, f, g)
+        return [(fp, (c0 + c1 * fp) / q) for fp in roots]
+
+    def tracked(self, u, f, g, ref, larger=True):
+        roots, c0, c1, q = self.system(u, f, g)
+        fp = roots[0]
+        if len(roots) == 2:
+            other = roots[1]
+            # the order of sorted() and the first-wins tie of _nearest_root
+            if ref is None:
+                if (other < fp) != larger:
+                    fp = other
+            elif abs(other - ref) < abs(fp - ref):
+                fp = other
+        return fp, (c0 + c1 * fp) / q
 
 
 def _quad_roots(A, B, C, name, u):
@@ -201,7 +241,7 @@ def _quad_roots(A, B, C, name, u):
 # one operand of a negated difference (-(x - y) and y - x differ in the
 # sign of a zero), so each kind keeps the trajectories of its own rule.
 
-class _FlatRule(_QuadRule):
+class _FlatRule(_LinearQuadRule):
     """beta^2 g^2 - eps alpha^2 f^2 = a^2 (u+c)^2 with f'^2 - eps g'^2 = 1."""
 
     def __init__(self, name, eps, a, c, alpha, beta):
@@ -212,7 +252,7 @@ class _FlatRule(_QuadRule):
         self.al2 = alpha * alpha
         self.be2 = beta * beta
 
-    def candidates(self, u, f, g):
+    def system(self, u, f, g):
         # q g' - eps p f' = r, the derivative of the constraint
         e = self.eps
         p, q, r = self.al2 * f, self.be2 * g, self.a2 * (u + self.c)
@@ -220,7 +260,7 @@ class _FlatRule(_QuadRule):
             raise NoRealRootError(f"{self.name}: g ~ 0 at u={u}")
         roots = _quad_roots(q * q - e * p * p, -2.0 * p * r,
                             -e * r * r - q * q, self.name, u)
-        return [(fp, (r + e * p * fp) / q) for fp in roots]
+        return roots, r, e * p, q
 
     def second(self, u, f, g, fp, gp):
         e = self.eps
@@ -249,7 +289,7 @@ class _FlatRule(_QuadRule):
         return math.sqrt(val)
 
 
-class _FncRule(_QuadRule):
+class _FncRule(_LinearQuadRule):
     """f f' - eps g g' = C sqrt(beta^2 g^2 - eps alpha^2 f^2), unit speed
     f'^2 - eps g'^2 = 1."""
 
@@ -268,7 +308,9 @@ class _FncRule(_QuadRule):
                 f"{self.name}: beta^2 g^2 {sign} alpha^2 f^2 <= 0")
         return w
 
-    def candidates(self, u, f, g):
+    def system(self, u, f, g):
+        # q g' = eps p f' - eps r; c0 + c1 f' with c0 = -eps r rounds
+        # exactly as that difference
         e = self.eps
         r = self.C * math.sqrt(self._w(f, g))
         p, q = f, g
@@ -276,7 +318,7 @@ class _FncRule(_QuadRule):
             raise NoRealRootError(f"{self.name}: g ~ 0 at u={u}")
         roots = _quad_roots(q * q - e * p * p, 2.0 * e * p * r,
                             -e * r * r - q * q, self.name, u)
-        return [(fp, (e * p * fp - e * r) / q) for fp in roots]
+        return roots, -e * r, e * p, q
 
     def second(self, u, f, g, fp, gp):
         e = self.eps
@@ -329,16 +371,11 @@ class _TrackingField:
 
     def __init__(self, rule: _QuadRule, initial_root: str):
         self.rule = rule
-        self.initial_root = initial_root
+        self.larger = initial_root == "larger"
         self.last: float | None = None
 
     def __call__(self, u, y):
-        cands = self.rule.candidates(float(u), float(y[0]), float(y[1]))
-        if self.last is None:
-            cands = sorted(cands, key=lambda c: c[0])
-            pick = cands[-1] if self.initial_root == "larger" else cands[0]
-        else:
-            pick = _nearest_root(cands, self.last)
+        pick = self.rule.tracked(u, y[0], y[1], self.last, self.larger)
         self.last = pick[0]
         return pick
 
@@ -370,8 +407,7 @@ class SampledMeridian:
         i = int(np.searchsorted(self.traj.ts, u, side="right")) - 1
         i = min(max(i, 0), len(self.traj.ts) - 1)
         ref = float(self.traj.dys[i][0])
-        cands = self.rule.candidates(float(u), f, g)
-        fp, gp = _nearest_root(cands, ref)
+        fp, gp = self.rule.tracked(float(u), f, g, ref)
         fpp, gpp = self.rule.second(float(u), f, g, fp, gp)
         return MeridianJet(Jet2(f, fp, fpp), Jet2(g, gp, gpp))
 

@@ -1,11 +1,12 @@
-"""Fixed-step classical RK4 with dense output.
+"""Fixed-step classical RK4 with dense output, for planar states (f, g).
 
 Fixed steps keep knot grids reproducible across runs, which the regression
 baselines rely on; accuracy is tuned by halving the step globally rather
-than by adaptive control.  The integrator runs on Python floats, one state
-component at a time: for the small states here, that is cheaper than numpy
-arithmetic on short arrays and gives the same bits.  Only the finished
-trajectory is stored as arrays.
+than by adaptive control.  Every integrated meridian advances the two
+profile coordinates (f, g), so the step is written out for exactly two
+components on Python floats: cheaper than numpy arithmetic on short arrays
+or a per-component loop, with the bits of the vector form.  Only the
+finished trajectory is stored as arrays.
 """
 
 from __future__ import annotations
@@ -37,15 +38,17 @@ class Trajectory:
 
 
 def rk4_integrate(field, y0, t0: float, t1: float, h: float) -> Trajectory:
-    """Integrate y' = field(t, y) from t0 to t1 with fixed step ~h.
+    """Integrate the planar system y' = field(t, y) from t0 to t1, step ~h.
 
-    The state y0 is a flat sequence of floats.  The field takes t and the
-    state as a list of floats and returns any sequence of floats (a tuple,
-    a list or a 1-d ndarray) of the same length.  The state advances per
-    component in float arithmetic, in the order of the classical vector
-    form y + (h/6)(k1 + 2 k2 + 2 k3 + k4).  The step is adjusted so the
-    span divides evenly; the field is called 4n + 1 times for n steps.
-    Exceptions raised by the field propagate.
+    The state y0 holds two floats (f, g); a state of any other length raises
+    ValueError.  The field takes t and the state as a list of two floats and
+    returns a pair (a tuple, a list or a 1-d ndarray); a field value of
+    another length raises ValueError.  Each component advances in float
+    arithmetic in the order of the classical vector form
+    y + (h/6)(((k1 + 2 k2) + 2 k3) + k4), the stages at y + (h/2) k and
+    y + h k.  The step is adjusted so the span divides evenly; the field is
+    called 4n + 1 times for n steps.  Exceptions raised by the field
+    propagate.
     """
     t0, t1, h = float(t0), float(t1), float(h)
     if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(h)):
@@ -55,6 +58,9 @@ def rk4_integrate(field, y0, t0: float, t1: float, h: float) -> Trajectory:
     if t1 <= t0:
         raise ValueError("integration span must be forward (t1 > t0)")
     y = [float(v) for v in y0]
+    if len(y) != 2:
+        raise ValueError(f"state must be planar (f, g), got {len(y)} components")
+    f, g = y
     n = max(1, int(math.ceil((t1 - t0) / h - 1e-12)))
     hs = (t1 - t0) / n
     half, sixth = 0.5 * hs, hs / 6.0
@@ -65,12 +71,13 @@ def rk4_integrate(field, y0, t0: float, t1: float, h: float) -> Trajectory:
     for i in range(n):
         t = t0 + i * hs
         k1 = field(t, y)
-        k2 = field(t + half, [a + half * b for a, b in zip(y, k1)])
-        k3 = field(t + half, [a + half * b for a, b in zip(y, k2)])
-        k4 = field(t + hs, [a + hs * b for a, b in zip(y, k3)])
-        # strict: a field value of the wrong length raises here
-        y = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4, strict=True)]
+        a1, b1 = k1
+        a2, b2 = field(t + half, [f + half * a1, g + half * b1])
+        a3, b3 = field(t + half, [f + half * a2, g + half * b2])
+        a4, b4 = field(t + hs, [f + hs * a3, g + hs * b3])
+        f = f + sixth * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
+        g = g + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+        y = [f, g]
         ys.append(y)
         dys.append(k1)
         ts.append(t0 + (i + 1) * hs)

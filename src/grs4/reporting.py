@@ -7,7 +7,6 @@ byte-identical outputs across runs and platforms.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 
@@ -33,25 +32,35 @@ def fmt_float(x: float) -> str:
     return s
 
 
+def _block_text(lines: list[str], *ends: str) -> str:
+    """Lines of repr-formatted floats as one text, numbers as fmt_float writes
+    them.  A float's repr ends in .0 only for an integral value, and no repr
+    ends in a field separator, so dropping ".0" before every field end in
+    ends (the separators and the newline that follow a number) is exact."""
+    text = "\n".join(lines) + "\n"
+    for end in ends:
+        text = text.replace(".0" + end, end)
+    return text
+
+
 def export_invariants_csv(spec: SurfaceSpec, us, path: str) -> None:
     """One row per grid point; inadmissible rows keep u and the 0 flag only.
 
     The invariants come from invariant_grid, over at most _CSV_BLOCK rows at
-    a time so that a long grid holds few columns of Python floats at once.
+    a time; each block is written as soon as it is formatted, so a long grid
+    holds few columns of Python floats and little text at once.
     """
     us = np.fromiter(us, dtype=float)
-    lines = [INVARIANT_CSV_HEADER]
-    for start in range(0, len(us), _CSV_BLOCK):
-        grid = invariant_grid(spec, us[start:start + _CSV_BLOCK])
-        for u, ok, *vals in zip(grid.us.tolist(), grid.admissible.tolist(),
-                                *(c.tolist() for c in grid.columns())):
-            if not ok:
-                lines.append(fmt_float(u) + "," * 13 + ",0")
-                continue
-            lines.append(fmt_float(u) + ","
-                         + ",".join(fmt_float(v) for v in vals) + ",1")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(INVARIANT_CSV_HEADER + "\n")
+        for start in range(0, len(us), _CSV_BLOCK):
+            grid = invariant_grid(spec, us[start:start + _CSV_BLOCK])
+            lines = []
+            for u, ok, *vals in zip(grid.us.tolist(), grid.admissible.tolist(),
+                                    *(c.tolist() for c in grid.columns())):
+                lines.append(",".join(map(repr, (u, *vals))) + ",1" if ok
+                             else repr(u) + "," * 13 + ",0")
+            fh.write(_block_text(lines, ","))
 
 
 def parse_projection(projection: str):
@@ -86,27 +95,25 @@ def export_mesh(spec: SurfaceSpec, us, vs, path: str, fmt: str = "csv4",
         raise ProjectionError(f"mesh format must be csv4 or obj3, got {fmt!r}")
     idx = parse_projection(projection) if fmt == "obj3" else None
     # vertices in row-major (u, v) order, each as its four coordinates
-    z = positions_grid(spec, us, vs)
-    vertices = zip(*(c.ravel().tolist() for c in z.components()))
+    xs = [c.ravel() for c in positions_grid(spec, us, vs).components()]
     if fmt == "csv4":
-        lines = ["u,v,x1,x2,x3,x4"]
-        for uv, comp in zip(itertools.product(us, vs), vertices):
-            lines.append(",".join(fmt_float(t) for t in uv + comp))
+        header, prefix, sep = "u,v,x1,x2,x3,x4", "", ","
+        cols = [np.repeat(us, len(vs)), np.tile(vs, len(us))] + xs
     else:
-        lines = ["# triangulated rotational-surface sample"]
-        for comp in vertices:
-            lines.append("v " + " ".join(fmt_float(comp[i]) for i in idx))
-        nv = len(vs)
-        for i in range(len(us) - 1):
-            for j in range(nv - 1):
-                a = i * nv + j + 1          # OBJ indices are 1-based
-                b = a + 1
-                c = a + nv
-                d = c + 1
-                lines.append(f"f {a} {b} {d}")
-                lines.append(f"f {a} {d} {c}")
+        header, prefix, sep = "# triangulated rotational-surface sample", "v ", " "
+        cols = [xs[i] for i in idx]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        for start in range(0, len(cols[0]), _CSV_BLOCK):
+            rows = zip(*(c[start:start + _CSV_BLOCK].tolist() for c in cols))
+            fh.write(_block_text([prefix + sep.join(map(repr, r)) for r in rows],
+                                 sep, "\n"))
+        if fmt == "obj3":
+            nv = len(vs)
+            for i in range(len(us) - 1):     # OBJ indices are 1-based
+                fh.write("".join(f"f {a} {a + 1} {a + nv + 1}\n"
+                                 f"f {a} {a + nv + 1} {a + nv}\n"
+                                 for a in range(i * nv + 1, (i + 1) * nv)))
 
 
 def dump_report_json(report_dict: dict, path: str) -> None:

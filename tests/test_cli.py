@@ -6,8 +6,8 @@ import pytest
 from grs4.cli import cmd_dispatch
 from grs4.meridians import (build_family, classified_case_ids,
                             descriptor_from_catalog)
-from grs4.reporting import (INVARIANT_CSV_HEADER, export_invariants_csv,
-                            fmt_float, parse_projection)
+from grs4.reporting import (INVARIANT_CSV_HEADER, _block_text,
+                            export_invariants_csv, fmt_float, parse_projection)
 from grs4.errors import ProjectionError
 from grs4.surfaces import surface_from_family
 
@@ -31,6 +31,21 @@ def test_fmt_float_round_trips():
     assert fmt_float(1.0) == "1"
     assert fmt_float(0.0) == "0"
     assert fmt_float(0.44) == "0.44"
+
+
+def test_block_text_writes_numbers_as_fmt_float():
+    from hypothesis import given, settings, strategies as st
+
+    # st.floats() draws +-0, +-inf, NaN, subnormals and |x| >= 1e16 as well
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=24),
+           st.sampled_from([",", " "]))
+    def inner_check(xs, sep):
+        rows = [xs[i:i + 6] for i in range(0, len(xs), 6)]
+        got = _block_text([sep.join(map(repr, r)) for r in rows], sep, "\n")
+        assert got == "".join(sep.join(map(fmt_float, r)) + "\n" for r in rows)
+
+    inner_check()
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +125,27 @@ def test_verify_pass_writes_report(tmp_path):
 
 def test_verify_param_error_exit_2():
     assert run("verify", "--family", "flat-ell-ii", "--params", "C=4") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "fnc-ell-ii", "--f0", "0.0"),
+    ("invariants", "--family", "fnc-hyp-ii", "--f0", "0.6", "--out", "x.csv"),
+    ("verify", "--family", "min-hyp-iii", "--f0", "0.3"),
+])
+def test_omitted_g0_without_constraint_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[2]}: ") and "give g0" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_omitted_g0_derived_for_flat_families(tmp_path):
+    for case, f0 in (("flat-ell-i", "1.0"), ("flat-hyp-i", "0.4")):
+        out = tmp_path / f"{case}.csv"
+        assert run("invariants", "--family", case, "--f0", f0,
+                   "--nu", "5", "--out", str(out)) == 0
+        assert out.read_text().startswith(INVARIANT_CSV_HEADER)
 
 
 def test_verify_failed_check_exit_1(tmp_path):

@@ -8,8 +8,10 @@ from grs4 import meridians
 from grs4.errors import (DomainError, NoRealRootError, ParamError)
 from grs4.meridians import (FAMILY_CATALOG, FamilyDescriptor, build_family,
                             descriptor_from_catalog,
-                            classified_case_ids, _FlatRule, _QuadRule,
-                            _TrackingField, integrate_constrained)
+                            classified_case_ids, _FlatRule, _FncRule,
+                            _LinearQuadRule, _MinHyp3Rule, _QuadRule,
+                            _TrackingField, _nearest_root,
+                            integrate_constrained)
 from grs4.odeint import rk4_integrate
 
 
@@ -334,6 +336,8 @@ def test_realizations_bitwise_pinned():
 
 
 class _FixedRoots(_QuadRule):
+    """Given roots through candidates(), so the default tracked() picks."""
+
     def __init__(self, roots):
         self.roots = roots
 
@@ -341,21 +345,87 @@ class _FixedRoots(_QuadRule):
         return [(fp, 0.0) for fp in self.roots]
 
 
-@pytest.mark.parametrize("roots,last,expect", [
+class _FixedSystem(_LinearQuadRule):
+    """Given roots (at most two) through a linear-quadratic rule's tracked()."""
+
+    def __init__(self, roots):
+        self.roots = roots
+
+    def system(self, u, f, g):
+        return self.roots, 0.0, 0.0, 1.0
+
+
+_NEAREST_CASES = [
     ([1.0, 3.0], 2.0, 1.0),          # tie: the first candidate, as min() keeps
     ([3.0, 1.0], 2.0, 3.0),
     ([1.0, 3.0], 2.9, 3.0),
     ([4.0, -1.0, 0.5], 0.0, 0.5),
     ([math.nan, 1.0], 0.0, math.nan),   # NaN distance is never smaller
-])
+]
+
+
+@pytest.mark.parametrize("roots,last,expect", _NEAREST_CASES)
 def test_tracking_field_picks_nearest_root(roots, last, expect):
-    field = _TrackingField(_FixedRoots(roots), "larger")
-    field.last = last
-    ref = min(roots, key=lambda r: abs(r - last))
-    pick = field(0.0, [1.0, 1.0])
-    assert isinstance(pick, tuple)
-    assert repr(pick[0]) == repr(expect) == repr(ref)
-    assert field.last is pick[0]
+    rules = [_FixedRoots(roots)] + ([_FixedSystem(roots)] if len(roots) <= 2 else [])
+    for rule in rules:
+        field = _TrackingField(rule, "larger")
+        field.last = last
+        ref = min(roots, key=lambda r: abs(r - last))
+        pick = field(0.0, [1.0, 1.0])
+        assert isinstance(pick, tuple)
+        assert repr(pick[0]) == repr(expect) == repr(ref)
+        assert field.last is pick[0]
+
+
+def _picks(rule, u, f, g, ref):
+    """tracked() and its reference, each as reprs or the error it raised."""
+    def outcome(fn):
+        try:
+            return tuple(repr(x) for x in fn())
+        except NoRealRootError as exc:
+            return ("raised", str(exc))
+
+    def ref_value(cands):
+        return 0.5 * (cands[0][0] + cands[-1][0]) if ref == "midpoint" else ref
+
+    def reference():
+        cands = rule.candidates(u, f, g)
+        if ref in ("larger", "smaller"):
+            ordered = sorted(cands, key=lambda c: c[0])
+            return ordered[-1] if ref == "larger" else ordered[0]
+        return _nearest_root(cands, ref_value(cands))
+
+    def tracked():
+        if ref in ("larger", "smaller"):
+            return rule.tracked(u, f, g, None, ref == "larger")
+        return rule.tracked(u, f, g, ref_value(rule.candidates(u, f, g)))
+
+    return outcome(tracked), outcome(reference)
+
+
+def test_tracked_root_matches_nearest_candidate():
+    from hypothesis import given, settings, strategies as st
+
+    val = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+    pos = st.floats(min_value=0.2, max_value=3.0)
+    eps = st.sampled_from([1.0, -1.0])
+    rules = st.one_of(
+        st.builds(lambda e, a, c, al, be: _FlatRule("flat", e, a, c, al, be),
+                  eps, val.filter(lambda a: a != 0.0), val, pos, pos),
+        st.builds(lambda e, C, al, be: _FncRule("fnc", e, C, al, be),
+                  eps, val.filter(lambda C: C != 0.0), pos, pos),
+        st.builds(_MinHyp3Rule, val))
+    # +-inf and NaN put every root at the same (or no) distance: ties
+    refs = st.one_of(val, st.sampled_from(
+        ["larger", "smaller", "midpoint", math.inf, -math.inf, math.nan]))
+
+    @settings(max_examples=400, deadline=None)
+    @given(rules, val, val, val, refs)
+    def inner_check(rule, u, f, g, ref):
+        got, want = _picks(rule, u, f, g, ref)
+        assert got == want
+
+    inner_check()
 
 
 def test_sampled_family_out_of_span():

@@ -6,12 +6,14 @@ Usage, from the root of this repository:
 
 For each workload in the checkout's BENCHMARK.json it runs
 ``perfbench/run.py --trace 0`` of that checkout (end-to-end metrics, tracing
-off, seed 31, perfbench's default of run_seconds per workload), then times
-the checkout's tier-1 tests once.  The JSON, written at the root of this
-repository, holds the machine facts that perfbench prints (nproc, CPU,
-Python, numpy), each workload's setup_s, wall_s, items_per_s, peak_rss_mb
-and ok_ratio, and the tier-1 wall time with its pytest summary line.
-Nothing under perfbench/ is changed; the workloads run one after another,
+off, seed 31, perfbench's default of run_seconds per workload) and then
+``--trace 1`` (the per-layer metrics), then times the checkout's tier-1
+tests once.  The JSON, written at the root of this repository, holds the
+machine facts that perfbench prints (nproc, CPU, Python, numpy), each
+workload's setup_s, wall_s, items_per_s, peak_rss_mb and ok_ratio, under
+"layers" each workload's per-layer medians (calls and self seconds per
+pass, with tracing on), and the tier-1 wall time with its pytest summary
+line.  Nothing under perfbench/ is changed; the runs go one after another,
 each in its own process.
 
 To compare two commits, record both on one machine in one sitting, for
@@ -35,20 +37,27 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
 
-def run_workload(checkout: str, workload: str):
-    """(machine facts, metrics) of one perfbench run."""
+def run_perfbench(checkout: str, workload: str, trace: int):
+    """(machine facts, result JSON) of one perfbench run."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(SEED), "--trace", "0"],
+         "--seed", str(SEED), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
     lines = out.stdout.splitlines()
     facts = next(json.loads(line.split(" ", 2)[2]) for line in lines
                  if line.startswith("# machine "))
-    result = json.loads(lines[-1])
+    return facts, json.loads(lines[-1])
+
+
+def run_workload(checkout: str, workload: str):
+    """(machine facts, end-to-end metrics, per-layer medians) of a workload."""
+    facts, result = run_perfbench(checkout, workload, 0)
     metrics = {m: result["metrics"][m]["value"] for m in METRICS}
     metrics["attempted"] = result["attempted"]
     metrics["failed"] = result["failed"]
-    return facts, metrics
+    _, traced = run_perfbench(checkout, workload, 1)
+    layers = {m: v["value"] for m, v in traced["metrics"].items()}
+    return facts, metrics, layers
 
 
 def run_tier1(checkout: str) -> dict:
@@ -73,10 +82,11 @@ def main(argv=None) -> int:
     checkout = os.path.abspath(args.checkout)
     with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    facts, workloads = None, {}
+    facts, workloads, layers = None, {}, {}
     for w in bench["workloads"]:
-        print(f"bench_record: {w['name']} ...", file=sys.stderr, flush=True)
-        facts, workloads[w["name"]] = run_workload(checkout, w["name"])
+        name = w["name"]
+        print(f"bench_record: {name} ...", file=sys.stderr, flush=True)
+        facts, workloads[name], layers[name] = run_workload(checkout, name)
     print("bench_record: tier-1 ...", file=sys.stderr, flush=True)
     record = {
         "label": args.label,
@@ -85,6 +95,7 @@ def main(argv=None) -> int:
         "seed": SEED,
         "seconds": bench["run_seconds"],
         "workloads": workloads,
+        "layers": layers,
         "tier1": run_tier1(checkout),
     }
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
