@@ -73,6 +73,8 @@ def _family_kwargs(args):
         kw["beta"] = args.beta
     if args.f0 is not None:
         kw["state0"] = (args.f0, args.g0)
+    elif args.g0 is not None:
+        raise ParamError(f"{args.family}: g0 needs f0")
     return kw
 
 

@@ -4,9 +4,10 @@ Each classified family (minimal, parallel normalized mean curvature, flat,
 flat normal connection; elliptic and hyperbolic kind) is realized as an
 evaluator producing the 2-jets of the profile functions f and g at any
 parameter value.  Families with closed forms go through jet arithmetic;
-families defined only by an implicit relation are integrated with RK4,
-solving a linear-quadratic system for (f', g') at every step, and evaluated
-through cubic Hermite dense output.
+families defined only by an implicit relation are integrated with RK4 at a
+fixed tolerance, each step solving one rule's system() for (f', g') (a single
+root for min-hyp-iii, at most two otherwise), and evaluated through cubic
+Hermite dense output.
 
 Case identifiers:
     min-ell-i    f = c * g^(s*alpha/beta), g = u           (alpha != beta)
@@ -72,7 +73,6 @@ class FamilyDescriptor:
     root: str = "larger"
     interval: tuple | None = None
     state0: tuple | None = None
-    tol: float = DEFAULT_INTEGRATION_TOL
 
 
 @dataclass(frozen=True)
@@ -152,45 +152,16 @@ def _check_regular(case, u, fj, gj):
 class _QuadRule:
     """Per-step linear-quadratic system defining (f', g') for one family.
 
-    candidates() returns the real roots as (f', g') pairs and tracked() the
-    one root that integration follows; second() recovers (f'', g'') by
-    differentiating the defining equations analytically; constraint() is
-    the algebraic invariant whose drift is monitored (0 for families whose
-    relation involves derivatives only) and derive_g0() solves it for g0
-    where it involves g.
+    system() returns (f' roots, c0, c1, q): the real roots of a quadratic
+    (min-hyp-iii: one root) and g' = (c0 + c1 f') / q.  candidates() pairs
+    them up and tracked() returns the one root that integration follows;
+    second() recovers (f'', g'') by differentiating the defining equations
+    analytically; constraint() is the algebraic invariant whose drift is
+    monitored (0 for families whose relation involves derivatives only) and
+    derive_g0() solves it for g0 where it involves g.
     """
 
     name = "?"
-
-    def candidates(self, u, f, g):
-        raise NotImplementedError
-
-    def tracked(self, u, f, g, ref, larger=True):
-        """The (f', g') root whose f' is nearest ref, by _nearest_root's rule;
-        with ref None, the root with the larger (or smaller) f'."""
-        cands = self.candidates(u, f, g)
-        if ref is None:
-            cands = sorted(cands, key=lambda c: c[0])
-            return cands[-1] if larger else cands[0]
-        return _nearest_root(cands, ref)
-
-    def second(self, u, f, g, fp, gp):
-        raise NotImplementedError
-
-    def constraint(self, u, f, g) -> float:
-        return 0.0
-
-    def speed_residual(self, fp, gp) -> float:
-        raise NotImplementedError
-
-    def derive_g0(self, u0, f0) -> float:
-        raise ParamError(
-            f"{self.name}: no algebraic constraint to derive g0 from; give g0")
-
-
-class _LinearQuadRule(_QuadRule):
-    """A rule whose f' solves a quadratic and whose linear equation then
-    gives g' = (c0 + c1 f') / q; system() returns (f' roots, c0, c1, q)."""
 
     def system(self, u, f, g):
         raise NotImplementedError
@@ -200,6 +171,8 @@ class _LinearQuadRule(_QuadRule):
         return [(fp, (c0 + c1 * fp) / q) for fp in roots]
 
     def tracked(self, u, f, g, ref, larger=True):
+        """The (f', g') root whose f' is nearest ref, by _nearest_root's rule;
+        with ref None, the root with the larger (or smaller) f'."""
         roots, c0, c1, q = self.system(u, f, g)
         fp = roots[0]
         if len(roots) == 2:
@@ -211,6 +184,19 @@ class _LinearQuadRule(_QuadRule):
             elif abs(other - ref) < abs(fp - ref):
                 fp = other
         return fp, (c0 + c1 * fp) / q
+
+    def second(self, u, f, g, fp, gp):
+        raise NotImplementedError
+
+    def constraint(self, u, f, g) -> float:
+        return 0.0
+
+    def speed_residual(self, fp, gp) -> float:
+        return abs(fp * fp - self.eps * gp * gp - 1.0)
+
+    def derive_g0(self, u0, f0) -> float:
+        raise ParamError(
+            f"{self.name}: no algebraic constraint to derive g0 from; give g0")
 
 
 def _quad_roots(A, B, C, name, u):
@@ -241,7 +227,7 @@ def _quad_roots(A, B, C, name, u):
 # one operand of a negated difference (-(x - y) and y - x differ in the
 # sign of a zero), so each kind keeps the trajectories of its own rule.
 
-class _FlatRule(_LinearQuadRule):
+class _FlatRule(_QuadRule):
     """beta^2 g^2 - eps alpha^2 f^2 = a^2 (u+c)^2 with f'^2 - eps g'^2 = 1."""
 
     def __init__(self, name, eps, a, c, alpha, beta):
@@ -277,9 +263,6 @@ class _FlatRule(_LinearQuadRule):
         w = u + self.c
         return self.be2 * g * g - self.eps * self.al2 * f * f - self.a2 * w * w
 
-    def speed_residual(self, fp, gp):
-        return abs(fp * fp - self.eps * gp * gp - 1.0)
-
     def derive_g0(self, u0, f0):
         w = u0 + self.c
         val = (self.a2 * w * w + self.eps * self.al2 * f0 * f0) / self.be2
@@ -289,7 +272,7 @@ class _FlatRule(_LinearQuadRule):
         return math.sqrt(val)
 
 
-class _FncRule(_LinearQuadRule):
+class _FncRule(_QuadRule):
     """f f' - eps g g' = C sqrt(beta^2 g^2 - eps alpha^2 f^2), unit speed
     f'^2 - eps g'^2 = 1."""
 
@@ -330,30 +313,26 @@ class _FncRule(_LinearQuadRule):
             raise NoRealRootError(f"{self.name}: singular jet recovery at u={u}")
         return -e * rhs * gp / det, -rhs * fp / det
 
-    def speed_residual(self, fp, gp):
-        return abs(fp * fp - self.eps * gp * gp - 1.0)
-
 
 class _MinHyp3Rule(_QuadRule):
     """arctan(f'/g') = c - arctan(f/g): explicit unit-speed direction field."""
 
     name = "min-hyp-iii"
+    eps = -1.0
 
     def __init__(self, c):
         self.c = c
 
-    def candidates(self, u, f, g):
+    def system(self, u, f, g):
+        # one root; cos t + 0.0 * sin t is cos t to the bit
         if f == 0.0 and g == 0.0:
             raise NoRealRootError(f"{self.name}: curve through the origin at u={u}")
         t = self.c - math.atan2(f, g)
-        return [(math.sin(t), math.cos(t))]
+        return [math.sin(t)], math.cos(t), 0.0, 1.0
 
     def second(self, u, f, g, fp, gp):
         dphi = (fp * g - f * gp) / (f * f + g * g)
         return -gp * dphi, fp * dphi
-
-    def speed_residual(self, fp, gp):
-        return abs(fp * fp + gp * gp - 1.0)
 
 
 def _nearest_root(cands, ref: float):
@@ -395,14 +374,11 @@ class SampledMeridian:
         """Chosen f' root at every knot (branch-continuity diagnostics)."""
         return self.traj.dys[:, 0]
 
-    def state(self, u: float):
+    def jet_at(self, u: float) -> MeridianJet:
         try:
-            return hermite_eval(self.traj, u)
+            y = hermite_eval(self.traj, u)
         except RangeError as exc:
             raise DomainError(str(exc)) from None
-
-    def jet_at(self, u: float) -> MeridianJet:
-        y = self.state(u)
         f, g = float(y[0]), float(y[1])
         i = int(np.searchsorted(self.traj.ts, u, side="right")) - 1
         i = min(max(i, 0), len(self.traj.ts) - 1)
@@ -424,9 +400,7 @@ def _rule_for(desc: FamilyDescriptor) -> _QuadRule:
         C = _get(desc.params, "C", case)
         _require(C != 0.0, f"{case}: C must be nonzero")
         return _FncRule(case, _eps(case), C, desc.alpha, desc.beta)
-    if case == "min-hyp-iii":
-        return _MinHyp3Rule(_get(desc.params, "c", case))
-    raise ParamError(f"{case} is not an integrated family")
+    return _MinHyp3Rule(_get(desc.params, "c", case))
 
 
 def _eps(case: str) -> float:
@@ -434,32 +408,27 @@ def _eps(case: str) -> float:
     return 1.0 if FAMILY_CATALOG[case].kind == "elliptic" else -1.0
 
 
-def integrate_constrained(rule, u0: float, state0: tuple,
-                          span: tuple, tol: float = DEFAULT_INTEGRATION_TOL,
+def integrate_constrained(rule: _QuadRule, state0: tuple, span: tuple,
                           initial_root: str = "larger") -> SampledMeridian:
-    """Advance (f, g) across span by per-step root solving inside RK4.
+    """Advance (f, g) from state0 at span[0] across span by RK4.
 
-    Accepts either a derivative rule or the FamilyDescriptor of an
-    integrated case.  state0 must satisfy the algebraic constraint at u0
-    within tol and the root system must be real there.  The step starts at
-    span/1024 and is halved until the max knot constraint residual is at
-    most tol; that residual is the only acceptance test.  It is identically
-    0 for the derivative-only rules, whose trajectory accuracy is checked
-    against an independent integrator in the tests instead.
+    state0 must satisfy the algebraic constraint within tol =
+    DEFAULT_INTEGRATION_TOL; the first field call raises NoRealRootError if
+    the root system is not real there.  The step starts at span/1024 and is
+    halved until the max knot constraint residual is at most tol; that
+    residual is the only acceptance test.  It is identically 0 for the
+    derivative-only rules, whose trajectory accuracy is checked against an
+    independent integrator in the tests instead.
     """
-    if isinstance(rule, FamilyDescriptor):
-        rule = _rule_for(rule)
+    tol = DEFAULT_INTEGRATION_TOL
     span = (float(span[0]), float(span[1]))
-    if not (span[0] == u0):
-        raise ParamError(f"{rule.name}: state0 must be given at span start")
     f0, g0 = float(state0[0]), float(state0[1])
-    c0 = rule.constraint(u0, f0, g0)
+    c0 = rule.constraint(span[0], f0, g0)
     scale = max(1.0, abs(f0), abs(g0)) ** 2
     if abs(c0) > tol * scale:
         raise ParamError(
             f"{rule.name}: initial state violates constraint "
             f"(residual {abs(c0):.3e} > tol {tol * scale:.3e})")
-    rule.candidates(u0, f0, g0)  # real-root precondition; may raise
     h = (span[1] - span[0]) / _INITIAL_STEPS
     last_res = math.inf
     for attempt in range(_MAX_HALVINGS + 1):
@@ -487,7 +456,6 @@ class _SampledFamily(MeridianFamily):
             raise ParamError(f"{desc.case}: integrated family needs state0")
         self._rule = rule
         self._root = desc.root
-        self._tol = desc.tol
         f0, g0 = desc.state0
         if g0 is None:
             g0 = rule.derive_g0(desc.interval[0], f0)
@@ -501,8 +469,7 @@ class _SampledFamily(MeridianFamily):
     def ensure_realized(self) -> SampledMeridian:
         if self._sampled is None:
             self._sampled = integrate_constrained(
-                self._rule, self.interval[0], self._state0, self.interval,
-                self._tol, self._root)
+                self._rule, self._state0, self.interval, self._root)
         return self._sampled
 
     def _evaluate(self, u: float) -> MeridianJet:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import ProjectionError
+from .errors import ParamError, ProjectionError
 from .surfaces import SurfaceSpec, invariant_grid, positions_grid
 
 INVARIANT_CSV_HEADER = ("u,E,F,G,nu1,nu2,mu,gamma2,beta2,K,kappa,"
@@ -128,5 +128,5 @@ def report_json_bytes(report_dict: dict) -> bytes:
 
 def linspace_grid(lo: float, hi: float, n: int) -> np.ndarray:
     if n < 2:
-        raise ValueError("grid needs at least 2 points")
+        raise ParamError("grid needs at least 2 points")
     return np.linspace(lo, hi, n)

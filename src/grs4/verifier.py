@@ -607,14 +607,14 @@ def check_fd_connection(spec, points, h, tol, shrink_h=None):
     return res, shr
 
 
-def check_sampled_residuals(fam, tol):
-    """Knot diagnostics for integrated families."""
+def check_sampled_residuals(fam):
+    """Knot diagnostics for integrated families, at the realization's tol."""
     sm = fam.ensure_realized()
     grid = f"{len(sm.traj.ts)} knots"
     out = [
         _check("constraint-residual", grid, float(sm.residuals.max()),
-               100.0 * tol, "algebraic invariant drift at knots"),
-        _check("unit-speed", grid, float(sm.speed_residuals.max()), tol),
+               100.0 * sm.tol, "algebraic invariant drift at knots"),
+        _check("unit-speed", grid, float(sm.speed_residuals.max()), sm.tol),
     ]
     roots = sm.knot_roots
     gaps = []
@@ -624,9 +624,10 @@ def check_sampled_residuals(fam, tol):
         cands = sm.rule.candidates(u, f, g)
         if len(cands) < 2:
             continue
-        d_chosen = abs(roots[i] - roots[i - 1])
-        d_other = max(abs(c[0] - roots[i - 1]) for c in cands)
-        gaps.append(d_chosen - d_other)
+        # the other root is the candidate farther from the chosen one
+        a, b = cands[0][0], cands[1][0]
+        other = b if abs(a - roots[i]) <= abs(b - roots[i]) else a
+        gaps.append(abs(roots[i] - roots[i - 1]) - abs(other - roots[i - 1]))
     if gaps:
         out.append(_check("branch-continuity", grid, _worst(gaps), 0.0,
                           "chosen root stays nearest to the previous root"))
@@ -741,7 +742,7 @@ def verify_family(case: str, params: dict | None = None, *,
         return rep
 
     if isinstance(fam, _SampledFamily):
-        results.extend(check_sampled_residuals(fam, desc.tol))
+        results.extend(check_sampled_residuals(fam))
 
     us = _grid_in_intervals(intervals, nu)
     # the meridian is evaluated once per grid u: every grid check below
@@ -894,6 +895,8 @@ def _run_job(job: dict, record_runtime: bool = False) -> tuple:
     if "f0" in job:
         kw["state0"] = (float(job["f0"]),
                         float(job["g0"]) if job.get("g0") is not None else None)
+    elif job.get("g0") is not None:
+        raise ConfigError(f"{case}: g0 needs f0")
     for key in ("alpha", "beta"):
         if key in job:
             kw[key] = float(job[key])

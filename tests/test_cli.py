@@ -148,6 +148,41 @@ def test_omitted_g0_derived_for_flat_families(tmp_path):
         assert out.read_text().startswith(INVARIANT_CSV_HEADER)
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "flat-ell-i", "--g0", "3"),
+    ("invariants", "--family", "flat-ell-i", "--g0", "3", "--out", "x.csv"),
+    ("mesh", "--family", "flat-ell-i", "--g0", "3", "--v0", "0", "--v1", "1",
+     "--out", "x.csv"),
+])
+def test_g0_without_f0_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == "error: flat-ell-i: g0 needs f0\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_suite_job_g0_without_f0_exit_2(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"jobs": [{"label": "lone", "family": "fnc-hyp-ii",
+                                           "g0": 0.8}]}))
+    assert run("verify", "--suite", str(suite)) == 2
+    assert capsys.readouterr().err == "error: fnc-hyp-ii: g0 needs f0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("invariants", "--family", "pnmcv-ell", "--nu", "1", "--out", "x.csv"),
+    ("mesh", "--family", "pnmcv-ell", "--v0", "0", "--v1", "1", "--nv", "1",
+     "--format", "obj3", "--out", "x.obj"),
+    ("mesh", "--family", "pnmcv-ell", "--v0", "0", "--v1", "1", "--nu", "0",
+     "--out", "x.csv"),
+])
+def test_grid_count_below_2_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == "error: grid needs at least 2 points\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_verify_failed_check_exit_1(tmp_path):
     rp = tmp_path / "neg.json"
     code = run("verify", "--family", "custom", "--params",

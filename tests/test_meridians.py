@@ -9,7 +9,7 @@ from grs4.errors import (DomainError, NoRealRootError, ParamError)
 from grs4.meridians import (FAMILY_CATALOG, FamilyDescriptor, build_family,
                             descriptor_from_catalog,
                             classified_case_ids, _FlatRule, _FncRule,
-                            _LinearQuadRule, _MinHyp3Rule, _QuadRule,
+                            _MinHyp3Rule, _QuadRule,
                             _TrackingField, _nearest_root,
                             integrate_constrained)
 from grs4.odeint import rk4_integrate
@@ -286,17 +286,32 @@ def test_unit_speed_families_hold_at_knots():
 def test_no_real_root_error():
     family = fam("fnc-ell-ii", {"C": 0.3}, alpha=1.0, beta=2.0,
                  interval=(0.0, 0.5), state0=(1.9, 1.0))
-    with pytest.raises(NoRealRootError):
+    with pytest.raises(NoRealRootError) as err:
         family.ensure_realized()
+    assert str(err.value) == "negative discriminant at fnc-ell-ii u=0.0"
+
+
+def test_min_hyp_iii_through_origin_raises_at_first_field_call(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rk4_integrate(*args)
+
+    monkeypatch.setattr(meridians, "rk4_integrate", counted)
+    family = fam("min-hyp-iii", state0=(0.0, 0.0))
+    with pytest.raises(NoRealRootError) as err:
+        family.ensure_realized()
+    assert str(err.value) == "min-hyp-iii: curve through the origin at u=0.0"
+    assert len(calls) == 1
 
 
 def test_integrate_constrained_direct():
     rule = _FlatRule("flat-ell-i", 1.0, 0.5, 0.0, 1.0, 1.0)
-    sm = integrate_constrained(rule, 1.0, (1.0, math.sqrt(1.25)), (1.0, 1.5),
-                               tol=1e-10, initial_root="larger")
+    sm = integrate_constrained(rule, (1.0, math.sqrt(1.25)), (1.0, 1.5),
+                               initial_root="larger")
     assert float(sm.residuals.max()) <= 1e-8
-    with pytest.raises(ParamError, match="span start"):
-        integrate_constrained(rule, 1.2, (1.0, math.sqrt(1.25)), (1.0, 1.5))
+    assert sm.tol == meridians.DEFAULT_INTEGRATION_TOL
 
 
 INTEGRATED = [c for c, e in FAMILY_CATALOG.items() if e.realization == "ode"]
@@ -335,18 +350,8 @@ def test_realizations_bitwise_pinned():
     assert digest.hexdigest() == REALIZATIONS_SHA256
 
 
-class _FixedRoots(_QuadRule):
-    """Given roots through candidates(), so the default tracked() picks."""
-
-    def __init__(self, roots):
-        self.roots = roots
-
-    def candidates(self, u, f, g):
-        return [(fp, 0.0) for fp in self.roots]
-
-
-class _FixedSystem(_LinearQuadRule):
-    """Given roots (at most two) through a linear-quadratic rule's tracked()."""
+class _FixedSystem(_QuadRule):
+    """Given roots (at most two) through the rules' shared tracked()."""
 
     def __init__(self, roots):
         self.roots = roots
@@ -359,22 +364,24 @@ _NEAREST_CASES = [
     ([1.0, 3.0], 2.0, 1.0),          # tie: the first candidate, as min() keeps
     ([3.0, 1.0], 2.0, 3.0),
     ([1.0, 3.0], 2.9, 3.0),
-    ([4.0, -1.0, 0.5], 0.0, 0.5),
+    ([4.0, -1.0, 0.5], 0.0, 0.5),       # _nearest_root only: a rule has <= 2
     ([math.nan, 1.0], 0.0, math.nan),   # NaN distance is never smaller
 ]
 
 
 @pytest.mark.parametrize("roots,last,expect", _NEAREST_CASES)
 def test_tracking_field_picks_nearest_root(roots, last, expect):
-    rules = [_FixedRoots(roots)] + ([_FixedSystem(roots)] if len(roots) <= 2 else [])
-    for rule in rules:
-        field = _TrackingField(rule, "larger")
-        field.last = last
-        ref = min(roots, key=lambda r: abs(r - last))
-        pick = field(0.0, [1.0, 1.0])
-        assert isinstance(pick, tuple)
-        assert repr(pick[0]) == repr(expect) == repr(ref)
-        assert field.last is pick[0]
+    ref = min(roots, key=lambda r: abs(r - last))
+    nearest = _nearest_root([(r, 0.0) for r in roots], last)
+    assert repr(nearest[0]) == repr(expect) == repr(ref)
+    if len(roots) > 2:
+        return
+    field = _TrackingField(_FixedSystem(roots), "larger")
+    field.last = last
+    pick = field(0.0, [1.0, 1.0])
+    assert isinstance(pick, tuple)
+    assert repr(pick[0]) == repr(expect)
+    assert field.last is pick[0]
 
 
 def _picks(rule, u, f, g, ref):
@@ -473,12 +480,3 @@ def test_quad_roots_degenerate_and_negative():
     # tiny negative discriminant from roundoff clamps to a double root
     r = _quad_roots(1.0, 2.0, 1.0 + 1e-14, "clamp", 0.0)
     assert all(abs(x + 1.0) < 1e-6 for x in r)
-
-
-def test_integrate_constrained_accepts_descriptor():
-    desc = descriptor_from_catalog("flat-ell-i")
-    sm = integrate_constrained(desc, 1.0, (1.0, math.sqrt(1.25)), (1.0, 1.5))
-    assert float(sm.residuals.max()) <= 1e-8
-    with pytest.raises(ParamError, match="not an integrated family"):
-        integrate_constrained(descriptor_from_catalog("pnmcv-ell"), 2.1,
-                              (0.64, 2.1), (2.1, 6.0))

@@ -467,14 +467,32 @@ def test_nan_fd_row_fails_fd_connection(monkeypatch):
 
 def test_nan_knot_root_fails_branch_continuity(monkeypatch):
     fam = build_family(descriptor_from_catalog("flat-ell-i"))
-    assert verifier.check_sampled_residuals(fam, 1e-10)[-1].passed
+    assert verifier.check_sampled_residuals(fam)[-1].passed
     roots = np.array(fam.ensure_realized().knot_roots, dtype=float)
     roots[5] = math.nan
     monkeypatch.setattr(meridians.SampledMeridian, "knot_roots",
                         property(lambda self: roots))
-    res = verifier.check_sampled_residuals(fam, 1e-10)[-1]
+    res = verifier.check_sampled_residuals(fam)[-1]
     assert res.name == "branch-continuity"
     assert math.isnan(res.max_residual) and not res.passed
+
+
+@pytest.mark.parametrize("case", ["flat-ell-i", "fnc-ell-ii"])
+def test_switched_knot_root_fails_branch_continuity(monkeypatch, case):
+    fam = build_family(descriptor_from_catalog(case))
+    sm = fam.ensure_realized()
+    res = verifier.check_sampled_residuals(fam)[-1]
+    assert res.passed and res.max_residual == 0.0
+    roots = np.array(sm.knot_roots, dtype=float)
+    u, (f, g) = float(sm.traj.ts[5]), map(float, sm.traj.ys[5])
+    others = [c[0] for c in sm.rule.candidates(u, f, g) if c[0] != roots[5]]
+    assert len(others) == 1
+    roots[5] = others[0]
+    monkeypatch.setattr(meridians.SampledMeridian, "knot_roots",
+                        property(lambda self: roots))
+    res = verifier.check_sampled_residuals(fam)[-1]
+    assert res.name == "branch-continuity"
+    assert res.max_residual > 0.0 and not res.passed
 
 
 def test_h_inner_product_signature_takes_cross_tolerance():
