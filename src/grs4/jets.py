@@ -4,6 +4,21 @@ A Jet2 carries a value together with its first and second derivatives with
 respect to one scalar parameter.  Arithmetic follows the Leibniz rule and
 compositions follow the chain rule, both to second order, so meridian
 formulas evaluated on jets yield exact f, f', f'', g, g', g''.
+
+The fields are floats, or float ndarrays that carry one parameter value per
+element (fields may mix the two), so a formula written once evaluates one
+point or a whole parameter grid.  Elementary functions and powers are taken
+per element with math and Python's ** (numpy's transcendentals differ in the
+last bit), and numpy does only the elementwise + - * /, in the float
+route's order, so each element equals the float route's value to the bit.
+Where the float route raises DomainError (sqrt, log or a real power of a
+non-positive value, division by a value below _DIV_FLOOR, a negative power
+of zero, arcsin outside (-1, 1)), the array route sets that element to NaN
+instead, and the NaN carries through every later operation.  One case
+differs: the second-derivative terms of sqrt, log and real powers divide
+by v*v or v*sqrt(v), which underflow to zero for positive v below about
+1e-162 to 1e-216; a float then raises ZeroDivisionError where an array
+element becomes an infinity.
 """
 
 from __future__ import annotations
@@ -12,9 +27,30 @@ import ast
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 _DIV_FLOOR = 1e-300
+
+
+def guard(val, bad, msg: str):
+    """val where an operation is defined: on a float, DomainError with
+    msg.format(val) if bad holds; on an array, val with NaN at the elements
+    where bad holds."""
+    if isinstance(bad, np.ndarray):
+        return np.where(bad, math.nan, val) if bad.any() else val
+    if bad:
+        raise DomainError(msg.format(val))
+    return val
+
+
+def _each(fn, x):
+    """fn(x) for a float; fn at each element, as a float array, for an array."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.ravel().tolist()), float,
+                           x.size).reshape(x.shape)
+    return fn(x)
 
 
 @dataclass(frozen=True, slots=True)
@@ -23,9 +59,13 @@ class Jet2:
     d1: float
     d2: float
 
+    __array_ufunc__ = None   # numpy operands defer to the Jet2 operators
+
     @staticmethod
-    def variable(u: float) -> "Jet2":
-        """Identity lift: the parameter itself."""
+    def variable(u) -> "Jet2":
+        """Identity lift: the parameter itself (a float or a float array)."""
+        if isinstance(u, np.ndarray):
+            return Jet2(u.astype(float), 1.0, 0.0)
         return Jet2(float(u), 1.0, 0.0)
 
     @staticmethod
@@ -76,9 +116,8 @@ class Jet2:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if abs(o.val) < _DIV_FLOOR:
-            raise DomainError("jet division by (near-)zero value")
-        inv = 1.0 / o.val
+        inv = 1.0 / guard(o.val, abs(o.val) < _DIV_FLOOR,
+                          "jet division by (near-)zero value")
         q = self.val * inv
         dq = (self.d1 - q * o.d1) * inv
         ddq = (self.d2 - 2.0 * dq * o.d1 - q * o.d2) * inv
@@ -94,16 +133,20 @@ class Jet2:
         if isinstance(k, int) or (isinstance(k, float) and float(k).is_integer()):
             k = int(k)
             if k == 0:
+                # an element the array route has set to NaN stays NaN
+                if isinstance(self.val, np.ndarray):
+                    return Jet2(np.where(np.isnan(self.val), math.nan, 1.0),
+                                0.0, 0.0)
                 return Jet2(1.0, 0.0, 0.0)
             if k == 1:
                 return self
             if k == 2:
                 return self * self
-            if self.val == 0.0 and k < 0:
-                raise DomainError("negative power of zero")
-            return _chain(self, self.val ** k,
-                          k * self.val ** (k - 1),
-                          k * (k - 1) * self.val ** (k - 2))
+            v = guard(self.val, k < 0 and self.val == 0.0,
+                      "negative power of zero")
+            return _chain(self, _each(lambda x: x ** k, v),
+                          k * _each(lambda x: x ** (k - 1), v),
+                          k * (k - 1) * _each(lambda x: x ** (k - 2), v))
         return jpow(self, float(k))
 
 
@@ -113,62 +156,66 @@ def _chain(j: Jet2, f: float, df: float, ddf: float) -> Jet2:
 
 
 def jsin(j: Jet2) -> Jet2:
-    s, c = math.sin(j.val), math.cos(j.val)
+    s, c = _each(math.sin, j.val), _each(math.cos, j.val)
     return _chain(j, s, c, -s)
 
 
 def jcos(j: Jet2) -> Jet2:
-    s, c = math.sin(j.val), math.cos(j.val)
+    s, c = _each(math.sin, j.val), _each(math.cos, j.val)
     return _chain(j, c, -s, -c)
 
 
 def jsinh(j: Jet2) -> Jet2:
-    s, c = math.sinh(j.val), math.cosh(j.val)
+    s, c = _each(math.sinh, j.val), _each(math.cosh, j.val)
     return _chain(j, s, c, s)
 
 
 def jcosh(j: Jet2) -> Jet2:
-    s, c = math.sinh(j.val), math.cosh(j.val)
+    s, c = _each(math.sinh, j.val), _each(math.cosh, j.val)
     return _chain(j, c, s, c)
 
 
 def jexp(j: Jet2) -> Jet2:
-    e = math.exp(j.val)
+    e = _each(math.exp, j.val)
     return _chain(j, e, e, e)
 
 
 def jlog(j: Jet2) -> Jet2:
-    if j.val <= 0.0:
-        raise DomainError(f"log of non-positive value {j.val}")
-    return _chain(j, math.log(j.val), 1.0 / j.val, -1.0 / (j.val * j.val))
+    v = guard(j.val, j.val <= 0.0, "log of non-positive value {}")
+    return _chain(j, _each(math.log, v), 1.0 / v, -1.0 / (v * v))
 
 
 def jsqrt(j: Jet2) -> Jet2:
-    if j.val <= 0.0:
-        raise DomainError(f"sqrt of non-positive value {j.val}")
-    r = math.sqrt(j.val)
-    return _chain(j, r, 0.5 / r, -0.25 / (j.val * r))
+    v = guard(j.val, j.val <= 0.0, "sqrt of non-positive value {}")
+    r = _each(math.sqrt, v)
+    return _chain(j, r, 0.5 / r, -0.25 / (v * r))
 
 
 def jpow(j: Jet2, k: float) -> Jet2:
     """j**k for real exponent; requires a positive base."""
-    if j.val <= 0.0:
-        raise DomainError(f"real power of non-positive base {j.val}")
-    f = j.val ** k
-    return _chain(j, f, k * f / j.val, k * (k - 1.0) * f / (j.val * j.val))
+    v = guard(j.val, j.val <= 0.0, "real power of non-positive base {}")
+    f = _each(lambda x: x ** k, v)
+    return _chain(j, f, k * f / v, k * (k - 1.0) * f / (v * v))
 
 
 def jarcsin(j: Jet2) -> Jet2:
-    if abs(j.val) >= 1.0:
-        raise DomainError(f"arcsin of value outside (-1, 1): {j.val}")
-    w = 1.0 - j.val * j.val
-    rw = math.sqrt(w)
-    return _chain(j, math.asin(j.val), 1.0 / rw, j.val / (w * rw))
+    v = guard(j.val, abs(j.val) >= 1.0, "arcsin of value outside (-1, 1): {}")
+    w = 1.0 - v * v
+    rw = _each(math.sqrt, w)
+    return _chain(j, _each(math.asin, v), 1.0 / rw, v / (w * rw))
 
 
 def jarctan(j: Jet2) -> Jet2:
     w = 1.0 + j.val * j.val
-    return _chain(j, math.atan(j.val), 1.0 / w, -2.0 * j.val / (w * w))
+    return _chain(j, _each(math.atan, j.val), 1.0 / w, -2.0 * j.val / (w * w))
+
+
+def jabs(j: Jet2) -> Jet2:
+    """|j| as j where j.val >= 0 and -j elsewhere (a NaN value negates)."""
+    if isinstance(j.val, np.ndarray):
+        neg = ~(j.val >= 0)
+        return Jet2(*(np.where(neg, -x, x) for x in (j.val, j.d1, j.d2)))
+    return j if j.val >= 0 else -j
 
 
 _ELEMENTARY = {
@@ -233,10 +280,11 @@ class JetExpr:
                 raise DomainError(f"non-numeric constant in {text!r}")
         self._code = compile(tree, "<meridian-expr>", "eval")
 
-    def __call__(self, u: float) -> Jet2:
+    def __call__(self, u) -> Jet2:
+        """The expression's jet at u, a float or a float array."""
         env = {"u": Jet2.variable(u), "pi": math.pi, "e": math.e}
         env.update(_ELEMENTARY)
-        env["abs"] = lambda j: j if j.val >= 0 else -j
+        env["abs"] = jabs
         out = eval(self._code, {"__builtins__": {}}, env)
         if isinstance(out, (int, float)):
             return Jet2.const(float(out))

@@ -7,7 +7,8 @@ parameter value.  Families with closed forms go through jet arithmetic;
 families defined only by an implicit relation are integrated with RK4 at a
 fixed tolerance, each step solving one rule's system() for (f', g') (a single
 root for min-hyp-iii, at most two otherwise), and evaluated through cubic
-Hermite dense output.
+Hermite dense output.  jet_columns evaluates a family over a whole array of
+parameter values in one pass, with the bits of the per-point jet.
 
 Case identifiers:
     min-ell-i    f = c * g^(s*alpha/beta), g = u           (alpha != beta)
@@ -36,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConstraintDriftError, DomainError, NoRealRootError,
-                     ParamError, RangeError)
-from .jets import Jet2, JetExpr, jcos, jcosh, jsin, jsinh, jsqrt
+from .errors import (ConstraintDriftError, DomainError, GrsError,
+                     NoRealRootError, ParamError, RangeError)
+from .jets import Jet2, JetExpr, guard, jcos, jcosh, jsin, jsinh, jsqrt
 from .odeint import Trajectory, hermite_eval, rk4_integrate
 
 DEFAULT_INTEGRATION_TOL = 1e-10
@@ -121,6 +122,32 @@ class MeridianFamily:
     def _evaluate(self, u: float) -> MeridianJet:
         raise NotImplementedError
 
+    def jet_columns(self, us) -> tuple:
+        """(ok, f, f', f'', g, g', g'') over the 1-d float array us, in one
+        pass over the array.
+
+        ok[i] is False where jet(us[i]) raises, and that row of the six
+        columns is NaN; every other row holds the jet's values to the bit.
+        A jet that holds a NaN without raising (only past the float range,
+        or at a NaN u with no interval) also reads as undefined.  The memo
+        of jet() is neither read nor written.
+        """
+        us = np.asarray(us, dtype=float)
+        inside = np.ones(len(us), dtype=bool)
+        if self.interval is not None:
+            lo, hi = self.interval
+            inside = (lo <= us) & (us <= hi)
+        rows = np.full((6, len(us)), math.nan)
+        self._fill_rows(rows, us, inside)
+        ok = ~(np.isnan(rows).any(axis=0) | _singular(rows[1], rows[4]))
+        rows[:, ~ok] = math.nan
+        return (ok, *rows)
+
+    def _fill_rows(self, rows, us, inside):
+        """Write the six jet columns at us[inside] into rows[:, inside],
+        leaving NaN in a row whose jet raises."""
+        raise NotImplementedError
+
     def _check_interval(self, u: float):
         if self.interval is not None:
             lo, hi = self.interval
@@ -140,9 +167,23 @@ class _ClosedFormFamily(MeridianFamily):
         _check_regular(self.case, u, fj, gj)
         return MeridianJet(fj, gj)
 
+    def _fill_rows(self, rows, us, inside):
+        # one jet_fn call over the array; its masked elements come out NaN
+        try:
+            fj, gj = self._jet_fn(us[inside])
+        except DomainError:
+            return   # raised on a value that is the same at every u
+        for row, x in zip(rows, (fj.val, fj.d1, fj.d2, gj.val, gj.d1, gj.d2)):
+            row[inside] = x
+
+
+def _singular(fp, gp):
+    """f' = g' = 0 to 1e-14, for floats or arrays."""
+    return (abs(fp) < 1e-14) & (abs(gp) < 1e-14)
+
 
 def _check_regular(case, u, fj, gj):
-    if abs(fj.d1) < 1e-14 and abs(gj.d1) < 1e-14:
+    if _singular(fj.d1, gj.d1):
         raise DomainError(f"{case}: singular point at u={u} (f' = g' = 0)")
 
 
@@ -154,7 +195,8 @@ class _QuadRule:
 
     system() returns (f' roots, c0, c1, q): the real roots of a quadratic
     (min-hyp-iii: one root) and g' = (c0 + c1 f') / q.  candidates() pairs
-    them up and tracked() returns the one root that integration follows;
+    them all up (the tests' reference); branches() returns the one root that
+    integration follows and the other f' root, and tracked() the first;
     second() recovers (f'', g'') by differentiating the defining equations
     analytically; constraint() is the algebraic invariant whose drift is
     monitored (0 for families whose relation involves derivatives only) and
@@ -170,20 +212,26 @@ class _QuadRule:
         roots, c0, c1, q = self.system(u, f, g)
         return [(fp, (c0 + c1 * fp) / q) for fp in roots]
 
-    def tracked(self, u, f, g, ref, larger=True):
-        """The (f', g') root whose f' is nearest ref, by _nearest_root's rule;
-        with ref None, the root with the larger (or smaller) f'."""
+    def branches(self, u, f, g, ref, larger=True):
+        """((f', g') of the tracked root, the other f' root or NaN).
+
+        The tracked root is the one whose f' is nearest ref, by
+        _nearest_root's rule; with ref None, the root with the larger (or
+        smaller) f'.  The other root is NaN where the system has one root.
+        """
         roots, c0, c1, q = self.system(u, f, g)
-        fp = roots[0]
+        fp, other = roots[0], math.nan
         if len(roots) == 2:
             other = roots[1]
             # the order of sorted() and the first-wins tie of _nearest_root
-            if ref is None:
-                if (other < fp) != larger:
-                    fp = other
-            elif abs(other - ref) < abs(fp - ref):
-                fp = other
-        return fp, (c0 + c1 * fp) / q
+            if ((other < fp) != larger if ref is None
+                    else abs(other - ref) < abs(fp - ref)):
+                fp, other = other, fp
+        return (fp, (c0 + c1 * fp) / q), other
+
+    def tracked(self, u, f, g, ref, larger=True):
+        """The (f', g') root that branches() tracks."""
+        return self.branches(u, f, g, ref, larger)[0]
 
     def second(self, u, f, g, fp, gp):
         raise NotImplementedError
@@ -346,16 +394,22 @@ def _nearest_root(cands, ref: float):
 
 
 class _TrackingField:
-    """State-derivative map that follows one root branch continuously."""
+    """State-derivative map that follows one root branch continuously.
+
+    others records the untracked f' root of every call, NaN where the
+    system had one root.
+    """
 
     def __init__(self, rule: _QuadRule, initial_root: str):
         self.rule = rule
         self.larger = initial_root == "larger"
         self.last: float | None = None
+        self.others: list[float] = []
 
     def __call__(self, u, y):
-        pick = self.rule.tracked(u, y[0], y[1], self.last, self.larger)
+        pick, other = self.rule.branches(u, y[0], y[1], self.last, self.larger)
         self.last = pick[0]
+        self.others.append(other)
         return pick
 
 
@@ -367,6 +421,7 @@ class SampledMeridian:
     rule: _QuadRule
     residuals: np.ndarray        # per-knot |algebraic constraint|
     speed_residuals: np.ndarray  # per-knot |f'^2 -/+ g'^2 - 1|
+    other_roots: np.ndarray      # per-knot untracked f' root, NaN if none
     tol: float
 
     @property
@@ -374,18 +429,39 @@ class SampledMeridian:
         """Chosen f' root at every knot (branch-continuity diagnostics)."""
         return self.traj.dys[:, 0]
 
+    def _states(self, us):
+        """(u, f, g, f' at the knot at or below u) as floats, for each u of
+        the array us: the Hermite state and the tracking reference."""
+        ys = hermite_eval(self.traj, us)
+        # the last knot at or below u; knot 0 for u in the slack before it
+        i = np.searchsorted(self.traj.ts[1:], us, side="right")
+        return zip(us.tolist(), ys[:, 0].tolist(), ys[:, 1].tolist(),
+                   self.traj.dys[i, 0].tolist())
+
+    def _jet(self, u, f, g, ref):
+        fp, gp = self.rule.tracked(u, f, g, ref)
+        fpp, gpp = self.rule.second(u, f, g, fp, gp)
+        return f, fp, fpp, g, gp, gpp
+
     def jet_at(self, u: float) -> MeridianJet:
         try:
-            y = hermite_eval(self.traj, u)
+            [state] = self._states(np.array([float(u)]))
         except RangeError as exc:
             raise DomainError(str(exc)) from None
-        f, g = float(y[0]), float(y[1])
-        i = int(np.searchsorted(self.traj.ts, u, side="right")) - 1
-        i = min(max(i, 0), len(self.traj.ts) - 1)
-        ref = float(self.traj.dys[i][0])
-        fp, gp = self.rule.tracked(float(u), f, g, ref)
-        fpp, gpp = self.rule.second(float(u), f, g, fp, gp)
+        f, fp, fpp, g, gp, gpp = self._jet(*state)
         return MeridianJet(Jet2(f, fp, fpp), Jet2(g, gp, gpp))
+
+    def jet_rows(self, us) -> np.ndarray:
+        """The six jet columns at each u of the array us, which lies in the
+        span, as a (6, len(us)) array: one Hermite pass, then the root
+        tracking and jet recovery per u, with a NaN column where they raise."""
+        rows = np.full((6, len(us)), math.nan)
+        for i, state in enumerate(self._states(us)):
+            try:
+                rows[:, i] = self._jet(*state)
+            except GrsError:
+                pass
+        return rows
 
 
 def _rule_for(desc: FamilyDescriptor) -> _QuadRule:
@@ -437,11 +513,13 @@ def integrate_constrained(rule: _QuadRule, state0: tuple, span: tuple,
         res = np.array([abs(rule.constraint(t, f, g))
                         for t, (f, g) in zip(traj.ts.tolist(), traj.ys.tolist())])
         speed = np.array([rule.speed_residual(fp, gp) for fp, gp in traj.dys.tolist()])
+        # field calls 0, 4, ..., 4n are the k1 calls at the knots
+        others = np.array(field.others[::4])
         last_res = float(res.max())
         if last_res <= tol:
-            return SampledMeridian(traj, rule, res, speed, tol)
+            return SampledMeridian(traj, rule, res, speed, others, tol)
     if last_res <= 10.0 * tol:
-        return SampledMeridian(traj, rule, res, speed, tol)
+        return SampledMeridian(traj, rule, res, speed, others, tol)
     raise ConstraintDriftError(
         f"{rule.name}: constraint residual {last_res:.3e} exceeds 10*tol "
         f"after {_MAX_HALVINGS} halvings")
@@ -478,6 +556,12 @@ class _SampledFamily(MeridianFamily):
         _check_regular(self.case, u, mj.f, mj.g)
         return mj
 
+    def _fill_rows(self, rows, us, inside):
+        try:
+            rows[:, inside] = self.ensure_realized().jet_rows(us[inside])
+        except GrsError:
+            pass   # the realization fails, so jet(u) raises at every u
+
 
 # ---------------------------------------------------------------------------
 # Closed-form builders
@@ -498,9 +582,8 @@ def _get(params: dict, name: str, case: str) -> float:
 
 def _power_law(case, c, expo):
     def jet_fn(u):
-        if u <= 0.0:
-            raise DomainError(f"{case}: power-law profile needs u > 0 (got {u})")
-        uj = Jet2.variable(u)
+        uj = Jet2.variable(guard(
+            u, u <= 0.0, f"{case}: power-law profile needs u > 0 (got {{}})"))
         return c * uj ** expo, uj
     return jet_fn
 
@@ -732,6 +815,9 @@ def build_family(desc: FamilyDescriptor) -> MeridianFamily:
         lo, hi = desc.interval
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ParamError(f"{desc.case}: bad interval {desc.interval}")
+    if (desc.state0 is not None
+            and FAMILY_CATALOG[desc.case].realization == "closed"):
+        raise ParamError(f"{desc.case}: closed-form family takes no f0/g0")
     return _BUILDERS[desc.case](desc)
 
 

@@ -47,8 +47,9 @@ def rk4_integrate(field, y0, t0: float, t1: float, h: float) -> Trajectory:
     arithmetic in the order of the classical vector form
     y + (h/6)(((k1 + 2 k2) + 2 k3) + k4), the stages at y + (h/2) k and
     y + h k.  The step is adjusted so the span divides evenly; the field is
-    called 4n + 1 times for n steps.  Exceptions raised by the field
-    propagate.
+    called 4n + 1 times for n steps, in the order k1, k2, k3, k4 of each
+    step and once more at the last knot, so call 4i is at knot i, at
+    (ts[i], ys[i]).  Exceptions raised by the field propagate.
     """
     t0, t1, h = float(t0), float(t1), float(h)
     if not (math.isfinite(t0) and math.isfinite(t1) and math.isfinite(h)):
@@ -87,31 +88,40 @@ def rk4_integrate(field, y0, t0: float, t1: float, h: float) -> Trajectory:
                       dys=np.array(dys, dtype=float), h=hs)
 
 
-def hermite_eval(traj: Trajectory, t: float) -> np.ndarray:
+def hermite_eval(traj: Trajectory, t) -> np.ndarray:
     """Cubic Hermite dense output; exact at knots.
 
-    Raises RangeError outside [t0, t1] and for a NaN t (a relative slack
-    of ~1e-12 of the span is tolerated and clamped).
+    t is a float, giving the state (f, g), or an array of n floats, giving
+    an (n, 2) array whose row i is the state at t[i] (a float t is the
+    1-element case).  Raises RangeError if any t lies outside [t0, t1] or is
+    NaN (a relative slack of ~1e-12 of the span is tolerated and clamped).
     """
+    scalar = not isinstance(t, np.ndarray)
+    t = np.array(t, dtype=float, ndmin=1)
     t0, t1 = traj.t0, traj.t1
     slack = 1e-12 * max(1.0, abs(t1 - t0))
-    if not (t0 - slack <= t <= t1 + slack):
-        raise RangeError(f"query t={t} outside integrated span [{t0}, {t1}]")
-    t = min(max(t, t0), t1)
+    tmin, tmax = (t.min(), t.max()) if t.size else (t0, t1)   # NaN if any is
+    if not (t0 - slack <= tmin and tmax <= t1 + slack):
+        bad = t[~((t0 - slack <= t) & (t <= t1 + slack))][0]
+        raise RangeError(f"query t={float(bad)} outside integrated span "
+                         f"[{t0}, {t1}]")
+    if tmin < t0 or tmax > t1:
+        t = np.minimum(np.maximum(t, t0), t1)
 
-    i = int(np.searchsorted(traj.ts, t, side="right")) - 1
-    i = min(max(i, 0), len(traj.ts) - 2)
+    # the step [ts[i], ts[i+1]] holding t, the last one for t = t1
+    i = np.searchsorted(traj.ts[1:-1], t, side="right")
     ta, tb = traj.ts[i], traj.ts[i + 1]
-    if t == ta:
-        return traj.ys[i].copy()
-    if t == tb:
-        return traj.ys[i + 1].copy()
+    ya, yb = traj.ys[i], traj.ys[i + 1]
     hi = tb - ta
-    s = (t - ta) / hi
+    s = ((t - ta) / hi)[:, None]
+    hi = hi[:, None]
     s2, s3 = s * s, s * s * s
     h00 = 2.0 * s3 - 3.0 * s2 + 1.0
     h10 = s3 - 2.0 * s2 + s
     h01 = -2.0 * s3 + 3.0 * s2
     h11 = s3 - s2
-    return (h00 * traj.ys[i] + h10 * hi * traj.dys[i]
-            + h01 * traj.ys[i + 1] + h11 * hi * traj.dys[i + 1])
+    y = (h00 * ya + h10 * hi * traj.dys[i]
+         + h01 * yb + h11 * hi * traj.dys[i + 1])
+    # a query at a knot returns the knot's stored state
+    y = np.where((t == ta)[:, None], ya, np.where((t == tb)[:, None], yb, y))
+    return y[0] if scalar else y

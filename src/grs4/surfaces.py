@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import GrsError, InadmissiblePointError, ParamError
+from .errors import InadmissiblePointError, ParamError
 from .meridians import MeridianFamily
 from .pe4 import PEVector4, inner, pow2, sqrt
 
@@ -236,12 +236,16 @@ def positions_grid(spec: SurfaceSpec, us, vs) -> PEVector4:
     """The immersion z over the grid us x vs, with (len(us), len(vs))
     components equal to position_jets(...).z to the bit.
 
-    f and g are taken once per u and _rotation once per v.
+    f and g come from one jet_columns pass over us and _rotation is taken
+    once per v.  Raises the per-point error at the first u where the
+    meridian is undefined.
     """
-    fg = np.array([(mj.f.val, mj.g.val) for mj in map(spec.meridian.jet, us)])
-    f, g = fg.reshape(-1, 2).T[:, :, None]
+    us = np.fromiter(us, dtype=float)
+    ok, f, _, _, g, _, _ = spec.meridian.jet_columns(us)
+    if not ok.all():
+        spec.meridian.jet(float(us[ok.argmin()]))   # raises
     rot = tuple(np.array([_rotation(spec, v) for v in vs]).reshape(-1, 4).T)
-    return _position_from(spec, f, g, rot)
+    return _position_from(spec, f[:, None], g[:, None], rot)
 
 
 def _position_from(spec, f, g, rot) -> PEVector4:
@@ -278,8 +282,12 @@ def _fundamental_from(pj: PointJets):
 def _meridian_scalars(spec: SurfaceSpec, u: float):
     """(f, f', f'', g, g', g'', E, W) with W = -G, from meridian jets."""
     mj = spec.meridian.jet(u)
-    f, fp, fpp = mj.f.val, mj.f.d1, mj.f.d2
-    g, gp, gpp = mj.g.val, mj.g.d1, mj.g.d2
+    return _scalars_from(spec, mj.f.val, mj.f.d1, mj.f.d2,
+                         mj.g.val, mj.g.d1, mj.g.d2)
+
+
+def _scalars_from(spec, f, fp, fpp, g, gp, gpp):
+    """The meridian values with E and W appended, floats or arrays."""
     a2, b2, e = spec.alpha ** 2, spec.beta ** 2, spec.kind.eps
     E = fp * fp - e * gp * gp
     W = b2 * g * g - e * a2 * f * f
@@ -307,18 +315,13 @@ def _frame_scalars(spec: SurfaceSpec, u: float):
 def _meridian_columns(spec: SurfaceSpec, us):
     """(us as a float array, the eight _meridian_scalars as columns).
 
-    The meridian is evaluated once per u, one point at a time with math, so
-    the columns hold the very floats the per-point routes use; rows are NaN
-    where it raises.
+    The meridian is evaluated in one jet_columns pass over us, so the
+    columns hold the very floats the per-point routes use; rows are NaN
+    where the meridian raises.
     """
     us = np.fromiter(us, dtype=float)
-    rows = np.full((len(us), 8), math.nan)
-    for i, u in enumerate(us.tolist()):
-        try:
-            rows[i] = _meridian_scalars(spec, u)
-        except GrsError:
-            pass
-    return us, tuple(rows.T)
+    _, *jets = spec.meridian.jet_columns(us)
+    return us, _scalars_from(spec, *jets)
 
 
 def _grid_inputs(spec: SurfaceSpec, us, vs):

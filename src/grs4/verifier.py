@@ -27,7 +27,8 @@ from .surfaces import (ADMISSIBILITY_EPS, SurfaceKind, SurfaceSpec,
                        curvatures, frames, frames_grid, geometric_functions,
                        invariant_grid, mean_curvature_numerator, shape_trace,
                        surface_from_family, _fundamental_from,
-                       _meridian_scalars, _project, _project_grid)
+                       _meridian_columns, _meridian_scalars, _project,
+                       _project_grid)
 
 DEFAULT_TOLS = {
     "closed": 1e-9,      # property residuals on closed-form families
@@ -180,14 +181,16 @@ def _indicator(spec: SurfaceSpec, u: float) -> float:
 def admissible_domain(spec: SurfaceSpec, u0: float, u1: float, n: int) -> list:
     """Maximal admissible subintervals of [u0, u1].
 
-    Scans n sample points and refines every sign change of the indicator
-    min(E, -G) - ADMISSIBILITY_EPS by bisection to an absolute width of
-    1e-12.
+    Scans n sample points in one meridian pass and refines every sign
+    change of the indicator min(E, -G) - ADMISSIBILITY_EPS by bisection,
+    one point at a time, to an absolute width of 1e-12.
     """
     if n < 2:
         raise ValueError("scan needs at least 2 sample points")
-    us = np.linspace(u0, u1, n)
-    vals = [_indicator(spec, u) for u in us]
+    us, (f, *_, E, W) = _meridian_columns(spec, np.linspace(u0, u1, n))
+    E, W = E - ADMISSIBILITY_EPS, W - ADMISSIBILITY_EPS
+    # _indicator at every u: min() keeps E unless W < E, so a NaN E stays
+    vals = np.where(np.isnan(f), -math.inf, np.where(W < E, W, E))
 
     def refine(a, b, va, vb):
         # bisect the boundary between an admissible and inadmissible point
@@ -616,20 +619,13 @@ def check_sampled_residuals(fam):
                100.0 * sm.tol, "algebraic invariant drift at knots"),
         _check("unit-speed", grid, float(sm.speed_residuals.max()), sm.tol),
     ]
-    roots = sm.knot_roots
-    gaps = []
-    for i in range(1, len(roots)):
-        u = float(sm.traj.ts[i])
-        f, g = float(sm.traj.ys[i][0]), float(sm.traj.ys[i][1])
-        cands = sm.rule.candidates(u, f, g)
-        if len(cands) < 2:
-            continue
-        # the other root is the candidate farther from the chosen one
-        a, b = cands[0][0], cands[1][0]
-        other = b if abs(a - roots[i]) <= abs(b - roots[i]) else a
-        gaps.append(abs(roots[i] - roots[i - 1]) - abs(other - roots[i - 1]))
-    if gaps:
-        out.append(_check("branch-continuity", grid, _worst(gaps), 0.0,
+    # a gap > 0 where a knot's other root lies nearer the previous knot's
+    # root than its chosen root does; knots with one root have no gap
+    roots, others = sm.knot_roots, sm.other_roots
+    gaps = abs(roots[1:] - roots[:-1]) - abs(others[1:] - roots[:-1])
+    two = ~np.isnan(others[1:])
+    if two.any():
+        out.append(_check("branch-continuity", grid, _worst(gaps[two]), 0.0,
                           "chosen root stays nearest to the previous root"))
     return out
 

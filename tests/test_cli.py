@@ -170,6 +170,40 @@ def test_suite_job_g0_without_f0_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("verify", "--family", "pnmcv-ell", "--f0", "5", "--g0", "7"),
+    ("verify", "--family", "custom", "--f0", "5"),
+    ("invariants", "--family", "min-hyp-ii", "--f0", "0.5", "--out", "x.csv"),
+    ("mesh", "--family", "fnc-ell-i", "--f0", "1", "--g0", "1", "--v0", "0",
+     "--v1", "1", "--out", "x.csv"),
+])
+def test_closed_form_family_rejects_state0_exit_2(tmp_path, monkeypatch,
+                                                  capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {argv[2]}: closed-form family takes no f0/g0\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_suite_job_closed_form_f0_exit_2(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"jobs": [{"family": "pnmcv-ell", "f0": 5.0,
+                                           "g0": 7.0}]}))
+    assert run("verify", "--suite", str(suite)) == 2
+    assert capsys.readouterr().err == (
+        "error: pnmcv-ell: closed-form family takes no f0/g0\n")
+
+
+def test_default_suite_gives_f0_only_to_integrated_families():
+    from grs4.meridians import FAMILY_CATALOG
+    from grs4.verifier import default_suite_config
+
+    for job in default_suite_config()["jobs"]:
+        if FAMILY_CATALOG[job["family"]].realization == "closed":
+            assert not {"f0", "g0"} & set(job), job
+
+
+@pytest.mark.parametrize("argv", [
     ("invariants", "--family", "pnmcv-ell", "--nu", "1", "--out", "x.csv"),
     ("mesh", "--family", "pnmcv-ell", "--v0", "0", "--v1", "1", "--nv", "1",
      "--format", "obj3", "--out", "x.obj"),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from grs4 import meridians
-from grs4.errors import (DomainError, NoRealRootError, ParamError)
+from grs4.errors import DomainError, GrsError, NoRealRootError, ParamError
 from grs4.meridians import (FAMILY_CATALOG, FamilyDescriptor, build_family,
                             descriptor_from_catalog,
                             classified_case_ids, _FlatRule, _FncRule,
@@ -258,6 +258,126 @@ def test_branch_continuity_of_roots():
         if len(cands) == 2:
             chosen = min(cands, key=lambda c: abs(c[0] - roots[i - 1]))
             assert chosen[0] == pytest.approx(roots[i], abs=1e-12)
+
+
+@pytest.mark.parametrize("case", ["flat-ell-i", "flat-hyp-i", "fnc-ell-ii",
+                                  "fnc-hyp-ii", "min-hyp-iii"])
+def test_recorded_other_roots_match_knot_resolve(case):
+    """The untracked root the field recorded at each knot is the candidate
+    a re-solve of the knot's system gives farther from the chosen root;
+    NaN where the system has one root (every knot of min-hyp-iii)."""
+    sm = fam(case).ensure_realized()
+    roots = sm.knot_roots
+    two = 0
+    for i, (u, (f, g)) in enumerate(zip(sm.traj.ts.tolist(),
+                                        sm.traj.ys.tolist())):
+        cands = sm.rule.candidates(u, f, g)
+        expect = math.nan
+        if len(cands) == 2:
+            two += 1
+            a, b = cands[0][0], cands[1][0]
+            expect = b if abs(a - roots[i]) <= abs(b - roots[i]) else a
+        assert repr(float(sm.other_roots[i])) == repr(expect), i
+    assert len(sm.other_roots) == len(roots)
+    assert two == (0 if case == "min-hyp-iii" else len(roots))
+
+
+# ---------------------------------------------------------------------------
+# jet_columns: one array pass, bitwise equal to the per-point jet
+
+_EDGE_CASES = {
+    # label: (case, interval reaching past the domain edges, edges)
+    "pnmcv-ell[wide]": ("pnmcv-ell", (-6.0, 6.0), (2.0, -2.0)),
+    "pnmcv-hyp[wide]": ("pnmcv-hyp", (-3.0, 3.0), (2.0, -2.0)),
+    "min-ell-i[wide]": ("min-ell-i", (-1.0, 10.0), (0.0,)),
+    "min-hyp-i[wide]": ("min-hyp-i", (-1.0, 3.0), (0.0,)),
+    "min-ell-iii[wide]": ("min-ell-iii", (-2.0, 2.0), (1.0, -1.0)),
+}
+_CUSTOM_EXPRS = [
+    # abs, sqrt, log, arcsin, real and integer powers, division
+    ("abs(u - 1) * sqrt(u - 0.5)", "log(abs(u - 1))"),
+    ("arcsin(u / 2)", "(u + 1) ** 1.5 - abs(u)"),
+    ("(u - 1) ** -2", "1 / (u - 0.5)"),
+    ("u ** 2", "u ** 3"),                 # singular point at u = 0
+    ("sqrt(u - 1) ** 0 + u", "log(u + 3) ** 2.5"),
+]
+_CUSTOM_EDGES = (1.0, 0.5, -1.0, 2.0, -2.0, -3.0, 0.0)
+
+
+def _column_families():
+    out = {case: (fam(case), ()) for case in classified_case_ids()}
+    for label, (case, interval, edges) in _EDGE_CASES.items():
+        out[label] = (fam(case, interval=interval), edges)
+    for i, (f, g) in enumerate(_CUSTOM_EXPRS):
+        for kind in ("elliptic", "hyperbolic"):
+            out[f"custom{i}[{kind}]"] = (
+                fam("custom", {"f": f, "g": g, "kind": kind},
+                    interval=(-3.0, 3.0)), _CUSTOM_EDGES)
+    return out
+
+
+_COLUMN_FAMILIES = _column_families()
+
+
+def _point_rows(family, us):
+    """jet(u) at each u as six hex strings, None where it raises."""
+    rows = []
+    for u in us:
+        try:
+            mj = family.jet(u)
+        except GrsError:
+            rows.append(None)
+            continue
+        rows.append(tuple(float(x).hex() for x in (
+            mj.f.val, mj.f.d1, mj.f.d2, mj.g.val, mj.g.d1, mj.g.d2)))
+    return rows
+
+
+@pytest.mark.parametrize("label", sorted(_COLUMN_FAMILIES))
+def test_jet_columns_match_jet_bitwise(label):
+    """jet_columns equals the per-point jet to the bit, and its rows are
+    NaN, with ok False, exactly where jet raises: u inside and outside the
+    interval, at and next to the domain edges, +-0.0, +-inf and NaN."""
+    from hypothesis import given, settings, strategies as st
+
+    family, edges = _COLUMN_FAMILIES[label]
+    lo, hi = family.interval
+    w = hi - lo
+    near = [float(np.nextafter(e, d)) for e in edges for d in (-np.inf, np.inf)]
+    special = (lo, hi, 0.0, -0.0, math.nan, math.inf, -math.inf) + edges
+    points = st.one_of(st.floats(lo - 0.5 * w, hi + 0.5 * w),
+                       st.sampled_from(special + tuple(near)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(points, min_size=1, max_size=8))
+    def inner_check(us):
+        try:
+            want = _point_rows(family, us)
+        except ArithmeticError as exc:   # e.g. a power past the float range
+            with pytest.raises(type(exc)):
+                family.jet_columns(np.array(us))
+            return
+        ok, *cols = family.jet_columns(np.array(us))
+        got = [tuple(float(c[i]).hex() for c in cols) if ok[i] else None
+               for i in range(len(us))]
+        assert got == want
+        assert np.isnan(np.array(cols)[:, ~ok]).all()
+
+    inner_check()
+
+
+def test_jet_columns_cover_every_masked_domain_error():
+    """Each float-route DomainError is a NaN row of the array route."""
+    family, _ = _COLUMN_FAMILIES["custom2[elliptic]"]
+    us = [1.0, 0.5, 2.0]          # negative power of zero, division floor
+    assert _point_rows(family, us) == [None, None, _point_rows(family, [2.0])[0]]
+    ok, *_ = family.jet_columns(np.array(us))
+    assert ok.tolist() == [False, False, True]
+    constant = fam("custom", {"f": "u / 0", "g": "u"})  # raises at every u
+    ok, *cols = constant.jet_columns(np.linspace(0.5, 3.0, 4))
+    assert not ok.any() and np.isnan(cols).all()
+    with pytest.raises(DomainError):
+        constant.jet(1.0)
 
 
 def test_sampled_jets_interpolate_and_recover_derivatives():

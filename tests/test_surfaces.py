@@ -373,22 +373,30 @@ def test_frames_match_position_jet_reference_bitwise():
 
 
 def test_exports_evaluate_meridian_once_per_u(monkeypatch, tmp_path):
-    spec = spec_for("pnmcv-ell", {"C": 2.0}, alpha=1.0, beta=3.0)
-    us = np.linspace(2.1, 6.0, 7)
-    calls = []
-    evaluate = spec.meridian._evaluate
+    """Each export evaluates the meridian once at each u, per point or in a
+    jet_columns pass, and at no other u (closed-form and integrated)."""
+    for spec in (spec_for("pnmcv-ell", {"C": 2.0}, alpha=1.0, beta=3.0),
+                 spec_for("fnc-hyp-ii")):
+        us = np.linspace(*spec.meridian.interval, 7)
+        calls = []
+        evaluate, columns = spec.meridian._evaluate, spec.meridian.jet_columns
 
-    def counted(u):
-        calls.append(u)
-        return evaluate(u)
+        def counted(u):
+            calls.append(float(u))
+            return evaluate(u)
 
-    monkeypatch.setattr(spec.meridian, "_evaluate", counted)
-    export_invariants_csv(spec, us, str(tmp_path / "t.csv"))
-    assert len(calls) == len(us)
-    calls.clear()
-    export_mesh(spec, us, np.linspace(0.0, 6.0, 5), str(tmp_path / "m.obj"),
-                fmt="obj3")
-    assert len(calls) == len(us)
+        def counted_columns(grid):
+            calls.extend(np.asarray(grid, dtype=float).tolist())
+            return columns(grid)
+
+        monkeypatch.setattr(spec.meridian, "_evaluate", counted)
+        monkeypatch.setattr(spec.meridian, "jet_columns", counted_columns)
+        export_invariants_csv(spec, us, str(tmp_path / "t.csv"))
+        assert calls == us.tolist()
+        calls.clear()
+        export_mesh(spec, us, np.linspace(0.0, 6.0, 5),
+                    str(tmp_path / "m.obj"), fmt="obj3")
+        assert calls == us.tolist()
 
 
 def test_invariant_record_computes_each_layer_once_per_row(monkeypatch):
@@ -450,6 +458,19 @@ def test_grid_route_matches_point_route_bitwise(spec):
             assert _grid_hex(pg.H, i, j) == _hex(proj.H), (u, v)
             A1, A2 = proj.shape_matrices()
             assert float(trg[i, j]).hex() == float(np.trace(A1 @ A2)).hex(), (u, v)
+
+
+@pytest.mark.parametrize("spec,us,bad", [
+    (spec_for("pnmcv-ell", interval=(-1.0, 6.0)), [3.0, 1.5, 1.0], 1.5),
+    (spec_for("min-hyp-i", interval=(-1.0, 6.0)), [1.0, 2.0, -0.5, 0.0], -0.5),
+    (spec_for("fnc-hyp-ii"), [0.5, 1.5, 0.7], 1.5),   # outside the span
+], ids=["sqrt-domain", "power-law-domain", "integrated-span"])
+def test_positions_grid_raises_the_point_error_at_the_first_bad_u(spec, us,
+                                                                   bad):
+    with pytest.raises(GrsError) as point:
+        position_jets(spec, bad, 0.0)
+    with pytest.raises(type(point.value), match=re.escape(str(point.value))):
+        positions_grid(spec, us, [0.0, 0.5])
 
 
 def _per_point_row(spec, u):

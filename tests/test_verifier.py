@@ -138,6 +138,95 @@ def test_boundary_located_by_bisection():
     assert ivs[0][1] == pytest.approx(cutoff, abs=1e-9)
 
 
+def _admissible_domain_per_u(spec, u0, u1, n):
+    """admissible_domain with its sample pass as the per-u _indicator loop
+    it replaced (the reference for the one-pass scan)."""
+    us = np.linspace(u0, u1, n)
+    vals = [verifier._indicator(spec, u) for u in us]
+
+    def refine(a, b, va, vb):
+        for _ in range(200):
+            if b - a <= 1e-12:
+                break
+            m = 0.5 * (a + b)
+            vm = verifier._indicator(spec, m)
+            if (vm > 0.0) == (va > 0.0):
+                a, va = m, vm
+            else:
+                b, vb = m, vm
+        return 0.5 * (a + b)
+
+    intervals = []
+    start = None
+    for i, (u, val) in enumerate(zip(us, vals)):
+        good = val > 0.0
+        if good and start is None:
+            start = u0 if i == 0 else refine(us[i - 1], u, vals[i - 1], val)
+        elif not good and start is not None:
+            end = refine(us[i - 1], u, vals[i - 1], val)
+            if end > start:
+                intervals.append((start, end))
+            start = None
+    if start is not None:
+        intervals.append((start, u1))
+    return intervals
+
+
+def _scan_cases():
+    """Every catalog family on its interval and, for the closed forms, on
+    one three times as wide, which reaches where the meridian is undefined
+    or inadmissible."""
+    for case, entry in meridians.FAMILY_CATALOG.items():
+        if case == "custom":
+            continue
+        lo, hi = entry.default_interval
+        yield case, spec_for(case), (lo, hi)
+        if entry.realization == "closed":
+            w = hi - lo
+            yield case, spec_for(case, interval=(lo - w, hi + w)), (lo - w, hi + w)
+
+
+def test_admissible_domain_matches_per_u_indicator_loop():
+    undefined = 0
+    for case, spec, (lo, hi) in _scan_cases():
+        for n in (128, 200, 257):
+            got = admissible_domain(spec, lo, hi, n)
+            assert got == _admissible_domain_per_u(spec, lo, hi, n), (case, n)
+        undefined += math.isinf(verifier._indicator(spec, lo))
+    assert undefined >= 4   # power laws, pnmcv and min-ell-iii past their edge
+
+
+def test_admissible_domain_undefined_meridian():
+    """Samples where the meridian raises read as -inf; the boundary is
+    bisected to the branch point."""
+    spec = spec_for("pnmcv-ell", interval=(0.5, 6.0))
+    got = admissible_domain(spec, 0.5, 6.0, 200)
+    assert got == _admissible_domain_per_u(spec, 0.5, 6.0, 200)
+    assert len(got) == 1 and got[0][0] == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("column", [6, 7])
+def test_admissible_domain_nan_indicator_matches_min(monkeypatch, column):
+    """A NaN E drops a sample, a NaN W keeps it when E is positive, as
+    min(E', W') does; the scan and the per-u loop agree on both."""
+    spec = spec_for("pnmcv-ell", interval=(2.1, 6.0))
+    scalars_from = surfaces._scalars_from
+
+    def poked(spec_, f, fp, fpp, g, gp, gpp):
+        out = list(scalars_from(spec_, f, fp, fpp, g, gp, gpp))
+        hit = (3.0 < g) & (g < 3.5)
+        if isinstance(hit, np.ndarray):
+            out[column] = np.where(hit, math.nan, out[column])
+        elif hit:
+            out[column] = math.nan
+        return tuple(out)
+
+    monkeypatch.setattr(surfaces, "_scalars_from", poked)
+    got = admissible_domain(spec, 2.1, 6.0, 200)
+    assert got == _admissible_domain_per_u(spec, 2.1, 6.0, 200)
+    assert len(got) == (2 if column == 6 else 1)
+
+
 def test_scan_requires_two_points():
     spec = spec_for("pnmcv-ell", {"C": 2.0})
     with pytest.raises(ValueError):
@@ -506,7 +595,8 @@ def test_h_inner_product_signature_takes_cross_tolerance():
 @pytest.mark.parametrize("case", ["pnmcv-ell", "min-hyp-i", "flat-ell-i"])
 def test_verify_family_evaluates_each_grid_u_once(monkeypatch, case):
     """Outside the admissibility scan and the FD stencils, one job evaluates
-    the meridian exactly once at each grid u, and at no other u."""
+    the meridian exactly once at each grid u, per point or in a jet_columns
+    pass, and at no other u."""
     seen = collections.Counter()
     grids = []
     outside = []
@@ -516,6 +606,13 @@ def test_verify_family_evaluates_each_grid_u_once(monkeypatch, case):
             if not outside:
                 seen[float(u)] += 1
             return evaluate(self, u)
+        return wrapper
+
+    def counting_columns(columns):
+        def wrapper(self, us):
+            if not outside:
+                seen.update(np.asarray(us, dtype=float).tolist())
+            return columns(self, us)
         return wrapper
 
     def excluded(fn):
@@ -529,6 +626,8 @@ def test_verify_family_evaluates_each_grid_u_once(monkeypatch, case):
 
     for cls in (meridians._ClosedFormFamily, meridians._SampledFamily):
         monkeypatch.setattr(cls, "_evaluate", counting(cls._evaluate))
+    monkeypatch.setattr(meridians.MeridianFamily, "jet_columns",
+                        counting_columns(meridians.MeridianFamily.jet_columns))
     for name in ("admissible_domain", "fd_connection_check"):
         monkeypatch.setattr(verifier, name, excluded(getattr(verifier, name)))
     grid_in_intervals = verifier._grid_in_intervals
