@@ -366,8 +366,10 @@ def test_jet_columns_match_jet_bitwise(label):
     inner_check()
 
 
-def test_jet_columns_cover_every_masked_domain_error():
-    """Each float-route DomainError is a NaN row of the array route."""
+def test_jet_columns_mask_pointwise_and_constant_domain_errors():
+    """A DomainError at some u masks those rows (here a negative power of
+    zero and the division floor); one raised on a u-independent value
+    masks every row."""
     family, _ = _COLUMN_FAMILIES["custom2[elliptic]"]
     us = [1.0, 0.5, 2.0]          # negative power of zero, division floor
     assert _point_rows(family, us) == [None, None, _point_rows(family, [2.0])[0]]
