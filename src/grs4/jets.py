@@ -14,17 +14,19 @@ route's order, so each element equals the float route's value to the bit.
 Where the float route raises DomainError (sqrt, log or a real power of a
 non-positive value, division by a value below _DIV_FLOOR, a negative power
 of zero, arcsin outside (-1, 1)), the array route sets that element to NaN
-instead, and the NaN carries through every later operation.  One case
-differs: the second-derivative terms of sqrt, log and real powers divide
-by v*v or v*sqrt(v), which underflow to zero for positive v below about
-1e-162 to 1e-216; a float then raises ZeroDivisionError where an array
-element becomes an infinity.
+instead and carries on; evaluate_masked reports those elements as a mask,
+which keeps them apart from a NaN the float route returns without raising.
+One case differs: the second-derivative terms of sqrt, log and real powers
+divide by v*v or v*sqrt(v), which underflow to zero for positive v below
+about 1e-162 to 1e-216; a float then raises ZeroDivisionError where an
+array element becomes an infinity.
 """
 
 from __future__ import annotations
 
 import ast
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,16 +35,40 @@ from .errors import DomainError
 
 _DIV_FLOOR = 1e-300
 
+# the masks of the guards fired inside evaluate_masked, None outside it
+_FIRED: ContextVar[list | None] = ContextVar("_FIRED", default=None)
+
 
 def guard(val, bad, msg: str):
     """val where an operation is defined: on a float, DomainError with
     msg.format(val) if bad holds; on an array, val with NaN at the elements
-    where bad holds."""
+    where bad holds, which evaluate_masked reports as raised."""
     if isinstance(bad, np.ndarray):
-        return np.where(bad, math.nan, val) if bad.any() else val
+        if not bad.any():
+            return val
+        fired = _FIRED.get()
+        if fired is not None:
+            fired.append(bad)
+        return np.where(bad, math.nan, val)
     if bad:
         raise DomainError(msg.format(val))
     return val
+
+
+def evaluate_masked(fn, u):
+    """(fn(u), raised) for a float array u: raised is True at the elements
+    where fn raises DomainError on the float u alone.  numpy's floating-point
+    warnings are off, as float arithmetic overflows without one."""
+    token = _FIRED.set([])
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(u)
+        raised = np.zeros(u.shape, dtype=bool)
+        for bad in _FIRED.get():
+            raised |= bad
+    finally:
+        _FIRED.reset(token)
+    return out, raised
 
 
 def _each(fn, x):
@@ -133,10 +159,6 @@ class Jet2:
         if isinstance(k, int) or (isinstance(k, float) and float(k).is_integer()):
             k = int(k)
             if k == 0:
-                # an element the array route has set to NaN stays NaN
-                if isinstance(self.val, np.ndarray):
-                    return Jet2(np.where(np.isnan(self.val), math.nan, 1.0),
-                                0.0, 0.0)
                 return Jet2(1.0, 0.0, 0.0)
             if k == 1:
                 return self

@@ -39,7 +39,8 @@ import numpy as np
 
 from .errors import (ConstraintDriftError, DomainError, GrsError,
                      NoRealRootError, ParamError, RangeError)
-from .jets import Jet2, JetExpr, guard, jcos, jcosh, jsin, jsinh, jsqrt
+from .jets import (Jet2, JetExpr, evaluate_masked, guard, jcos, jcosh, jsin,
+                   jsinh, jsqrt)
 from .odeint import Trajectory, hermite_eval, rk4_integrate
 
 DEFAULT_INTEGRATION_TOL = 1e-10
@@ -127,10 +128,9 @@ class MeridianFamily:
         pass over the array.
 
         ok[i] is False where jet(us[i]) raises, and that row of the six
-        columns is NaN; every other row holds the jet's values to the bit.
-        A jet that holds a NaN without raising (only past the float range,
-        or at a NaN u with no interval) also reads as undefined.  The memo
-        of jet() is neither read nor written.
+        columns is NaN; every other row holds the jet's values to the bit,
+        a NaN the jet returns without raising included.  The memo of jet()
+        is neither read nor written.
         """
         us = np.asarray(us, dtype=float)
         inside = np.ones(len(us), dtype=bool)
@@ -138,14 +138,15 @@ class MeridianFamily:
             lo, hi = self.interval
             inside = (lo <= us) & (us <= hi)
         rows = np.full((6, len(us)), math.nan)
-        self._fill_rows(rows, us, inside)
-        ok = ~(np.isnan(rows).any(axis=0) | _singular(rows[1], rows[4]))
+        ok = inside.copy()
+        ok[inside] = self._fill_rows(rows, us, inside)
+        ok &= ~_singular(rows[1], rows[4])
         rows[:, ~ok] = math.nan
         return (ok, *rows)
 
     def _fill_rows(self, rows, us, inside):
-        """Write the six jet columns at us[inside] into rows[:, inside],
-        leaving NaN in a row whose jet raises."""
+        """Write the six jet columns at us[inside] into rows[:, inside] and
+        return where, among us[inside], the jet does not raise."""
         raise NotImplementedError
 
     def _check_interval(self, u: float):
@@ -168,13 +169,14 @@ class _ClosedFormFamily(MeridianFamily):
         return MeridianJet(fj, gj)
 
     def _fill_rows(self, rows, us, inside):
-        # one jet_fn call over the array; its masked elements come out NaN
+        # one jet_fn call over the array, its guards masking elements
         try:
-            fj, gj = self._jet_fn(us[inside])
+            (fj, gj), raised = evaluate_masked(self._jet_fn, us[inside])
         except DomainError:
-            return   # raised on a value that is the same at every u
+            return False   # raised on a value that is the same at every u
         for row, x in zip(rows, (fj.val, fj.d1, fj.d2, gj.val, gj.d1, gj.d2)):
             row[inside] = x
+        return ~raised
 
 
 def _singular(fp, gp):
@@ -451,17 +453,19 @@ class SampledMeridian:
         f, fp, fpp, g, gp, gpp = self._jet(*state)
         return MeridianJet(Jet2(f, fp, fpp), Jet2(g, gp, gpp))
 
-    def jet_rows(self, us) -> np.ndarray:
-        """The six jet columns at each u of the array us, which lies in the
-        span, as a (6, len(us)) array: one Hermite pass, then the root
-        tracking and jet recovery per u, with a NaN column where they raise."""
+    def jet_rows(self, us) -> tuple:
+        """(ok, the six jet columns as a (6, len(us)) array) at each u of the
+        array us, which lies in the span: one Hermite pass, then the root
+        tracking and jet recovery per u; ok is False, and the column NaN,
+        where they raise."""
+        ok = np.ones(len(us), dtype=bool)
         rows = np.full((6, len(us)), math.nan)
         for i, state in enumerate(self._states(us)):
             try:
                 rows[:, i] = self._jet(*state)
             except GrsError:
-                pass
-        return rows
+                ok[i] = False
+        return ok, rows
 
 
 def _rule_for(desc: FamilyDescriptor) -> _QuadRule:
@@ -558,9 +562,10 @@ class _SampledFamily(MeridianFamily):
 
     def _fill_rows(self, rows, us, inside):
         try:
-            rows[:, inside] = self.ensure_realized().jet_rows(us[inside])
+            ok, rows[:, inside] = self.ensure_realized().jet_rows(us[inside])
         except GrsError:
-            pass   # the realization fails, so jet(u) raises at every u
+            return False   # the realization fails, so jet(u) raises at every u
+        return ok
 
 
 # ---------------------------------------------------------------------------

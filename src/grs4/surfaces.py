@@ -236,14 +236,20 @@ def positions_grid(spec: SurfaceSpec, us, vs) -> PEVector4:
     """The immersion z over the grid us x vs, with (len(us), len(vs))
     components equal to position_jets(...).z to the bit.
 
-    f and g come from one jet_columns pass over us and _rotation is taken
-    once per v.  Raises the per-point error at the first u where the
-    meridian is undefined.
+    f and g come from one jet_columns pass over us (per u through jet for
+    a meridian that is not a MeridianFamily and defines only jet(u)), and
+    _rotation is taken once per v.  Raises the per-point error at the first
+    u where the meridian is undefined.
     """
-    us = np.fromiter(us, dtype=float)
-    ok, f, _, _, g, _, _ = spec.meridian.jet_columns(us)
-    if not ok.all():
-        spec.meridian.jet(float(us[ok.argmin()]))   # raises
+    meridian = spec.meridian
+    if isinstance(meridian, MeridianFamily):
+        us = np.fromiter(us, dtype=float)
+        ok, f, _, _, g, _, _ = meridian.jet_columns(us)
+        if not ok.all():
+            meridian.jet(float(us[ok.argmin()]))   # raises
+    else:
+        fg = np.array([(mj.f.val, mj.g.val) for mj in map(meridian.jet, us)])
+        f, g = fg.reshape(-1, 2).T
     rot = tuple(np.array([_rotation(spec, v) for v in vs]).reshape(-1, 4).T)
     return _position_from(spec, f[:, None], g[:, None], rot)
 

@@ -27,8 +27,8 @@ from .surfaces import (ADMISSIBILITY_EPS, SurfaceKind, SurfaceSpec,
                        curvatures, frames, frames_grid, geometric_functions,
                        invariant_grid, mean_curvature_numerator, shape_trace,
                        surface_from_family, _fundamental_from,
-                       _meridian_columns, _meridian_scalars, _project,
-                       _project_grid)
+                       _meridian_scalars, _project, _project_grid,
+                       _scalars_from)
 
 DEFAULT_TOLS = {
     "closed": 1e-9,      # property residuals on closed-form families
@@ -187,10 +187,12 @@ def admissible_domain(spec: SurfaceSpec, u0: float, u1: float, n: int) -> list:
     """
     if n < 2:
         raise ValueError("scan needs at least 2 sample points")
-    us, (f, *_, E, W) = _meridian_columns(spec, np.linspace(u0, u1, n))
+    us = np.linspace(u0, u1, n)
+    ok, *jets = spec.meridian.jet_columns(us)
+    *_, E, W = _scalars_from(spec, *jets)
     E, W = E - ADMISSIBILITY_EPS, W - ADMISSIBILITY_EPS
     # _indicator at every u: min() keeps E unless W < E, so a NaN E stays
-    vals = np.where(np.isnan(f), -math.inf, np.where(W < E, W, E))
+    vals = np.where(ok, np.where(W < E, W, E), -math.inf)
 
     def refine(a, b, va, vb):
         # bisect the boundary between an admissible and inadmissible point

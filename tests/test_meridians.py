@@ -300,6 +300,8 @@ _CUSTOM_EXPRS = [
     ("(u - 1) ** -2", "1 / (u - 0.5)"),
     ("u ** 2", "u ** 3"),                 # singular point at u = 0
     ("sqrt(u - 1) ** 0 + u", "log(u + 3) ** 2.5"),
+    # NaN derivatives without a raise: inf * 0 past the float range
+    ("1 / ((u * 1e200) * (u * 1e200)) + u", "(u * 1e200 * 1e200 * 0) ** 0 + u"),
 ]
 _CUSTOM_EDGES = (1.0, 0.5, -1.0, 2.0, -2.0, -3.0, 0.0)
 
@@ -380,6 +382,18 @@ def test_jet_columns_mask_pointwise_and_constant_domain_errors():
     assert not ok.any() and np.isnan(cols).all()
     with pytest.raises(DomainError):
         constant.jet(1.0)
+
+
+def test_jet_columns_keep_a_nan_row_that_jet_returns():
+    """A jet holding a NaN without raising (f' = inf * 0 here) keeps its
+    row and ok; only rows where jet raises are masked."""
+    family = fam("custom", {"f": "1 / ((u * 1e200) * (u * 1e200)) + u",
+                            "g": "sqrt(u)"})
+    mj = family.jet(1.0)
+    assert mj.f.val == 1.0 and math.isnan(mj.f.d1)
+    ok, f, fp, *_ = family.jet_columns(np.array([1.0, -1.0]))
+    assert ok.tolist() == [True, False]
+    assert f[0] == 1.0 and math.isnan(fp[0]) and math.isnan(f[1])
 
 
 def test_sampled_jets_interpolate_and_recover_derivatives():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -460,17 +461,56 @@ def test_grid_route_matches_point_route_bitwise(spec):
             assert float(trg[i, j]).hex() == float(np.trace(A1 @ A2)).hex(), (u, v)
 
 
-@pytest.mark.parametrize("spec,us,bad", [
+class _JetOnly:
+    """A meridian that defines only jet(u), as a caller's own may."""
+
+    def __init__(self, family):
+        self.family = family
+
+    def jet(self, u):
+        return self.family.jet(u)
+
+
+def _jet_only(spec):
+    return dataclasses.replace(spec, meridian=_JetOnly(spec.meridian))
+
+
+_BAD_U_CASES = [
     (spec_for("pnmcv-ell", interval=(-1.0, 6.0)), [3.0, 1.5, 1.0], 1.5),
     (spec_for("min-hyp-i", interval=(-1.0, 6.0)), [1.0, 2.0, -0.5, 0.0], -0.5),
     (spec_for("fnc-hyp-ii"), [0.5, 1.5, 0.7], 1.5),   # outside the span
-], ids=["sqrt-domain", "power-law-domain", "integrated-span"])
+]
+
+
+@pytest.mark.parametrize("jet_only", [False, True], ids=["family", "jet-only"])
+@pytest.mark.parametrize("spec,us,bad", _BAD_U_CASES,
+                         ids=["sqrt-domain", "power-law-domain", "integrated-span"])
 def test_positions_grid_raises_the_point_error_at_the_first_bad_u(spec, us,
-                                                                   bad):
+                                                                   bad, jet_only):
     with pytest.raises(GrsError) as point:
         position_jets(spec, bad, 0.0)
+    grid_spec = _jet_only(spec) if jet_only else spec
     with pytest.raises(type(point.value), match=re.escape(str(point.value))):
-        positions_grid(spec, us, [0.0, 0.5])
+        positions_grid(grid_spec, us, [0.0, 0.5])
+
+
+@pytest.mark.parametrize("spec", [
+    spec_for("pnmcv-hyp"), spec_for("min-ell-ii"), spec_for("flat-ell-i"),
+    # f' is NaN without a raise: the row keeps its finite f
+    spec_for("custom", {"f": "1 / ((u * 1e200) * (u * 1e200)) + u",
+                        "g": "u + 3", "kind": "hyperbolic"},
+             interval=(0.5, 2.0)),
+], ids=["pnmcv-hyp", "min-ell-ii", "flat-ell-i", "custom-nan-jet"])
+def test_positions_grid_of_a_jet_only_meridian_matches(spec):
+    """A meridian with only jet(u) is evaluated per u, to the same bits as
+    the jet_columns pass of a family."""
+    lo, hi = spec.meridian.interval
+    us, vs = np.linspace(lo, hi, 9), np.linspace(-1.0, 1.0, 4)
+    got = positions_grid(_jet_only(spec), us, vs).components()
+    want = positions_grid(spec, us, vs).components()
+    for a, b in zip(got, want):
+        assert np.isfinite(b).all()
+        assert a.tobytes() == b.tobytes()
 
 
 def _per_point_row(spec, u):

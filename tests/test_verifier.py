@@ -221,7 +221,8 @@ def test_admissible_domain_nan_indicator_matches_min(monkeypatch, column):
             out[column] = math.nan
         return tuple(out)
 
-    monkeypatch.setattr(surfaces, "_scalars_from", poked)
+    monkeypatch.setattr(surfaces, "_scalars_from", poked)   # per-u loop
+    monkeypatch.setattr(verifier, "_scalars_from", poked)   # the scan
     got = admissible_domain(spec, 2.1, 6.0, 200)
     assert got == _admissible_domain_per_u(spec, 2.1, 6.0, 200)
     assert len(got) == (2 if column == 6 else 1)
