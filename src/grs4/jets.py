@@ -16,10 +16,10 @@ non-positive value, division by a value below _DIV_FLOOR, a negative power
 of zero, arcsin outside (-1, 1)), the array route sets that element to NaN
 instead and carries on; evaluate_masked reports those elements as a mask,
 which keeps them apart from a NaN the float route returns without raising.
-One case differs: the second-derivative terms of sqrt, log and real powers
-divide by v*v or v*sqrt(v), which underflow to zero for positive v below
-about 1e-162 to 1e-216; a float then raises ZeroDivisionError where an
-array element becomes an infinity.
+The second-derivative terms of sqrt, log and real powers divide by v*v or
+v*sqrt(v), which underflow to zero for positive v below about 1e-162 to
+1e-216; their guards count such a v as outside the domain, like a
+non-positive one.
 """
 
 from __future__ import annotations
@@ -203,19 +203,22 @@ def jexp(j: Jet2) -> Jet2:
 
 
 def jlog(j: Jet2) -> Jet2:
-    v = guard(j.val, j.val <= 0.0, "log of non-positive value {}")
+    v = guard(j.val, (j.val <= 0.0) | (j.val * j.val == 0.0),
+              "log of non-positive or underflowing value {}")
     return _chain(j, _each(math.log, v), 1.0 / v, -1.0 / (v * v))
 
 
 def jsqrt(j: Jet2) -> Jet2:
-    v = guard(j.val, j.val <= 0.0, "sqrt of non-positive value {}")
-    r = _each(math.sqrt, v)
+    r = _each(math.sqrt, abs(j.val))
+    v = guard(j.val, (j.val <= 0.0) | (j.val * r == 0.0),
+              "sqrt of non-positive or underflowing value {}")
     return _chain(j, r, 0.5 / r, -0.25 / (v * r))
 
 
 def jpow(j: Jet2, k: float) -> Jet2:
     """j**k for real exponent; requires a positive base."""
-    v = guard(j.val, j.val <= 0.0, "real power of non-positive base {}")
+    v = guard(j.val, (j.val <= 0.0) | (j.val * j.val == 0.0),
+              "real power of non-positive or underflowing base {}")
     f = _each(lambda x: x ** k, v)
     return _chain(j, f, k * f / v, k * (k - 1.0) * f / (v * v))
 

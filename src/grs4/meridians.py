@@ -102,23 +102,10 @@ class MeridianFamily:
         self.kind = kind
         self.interval = desc.interval
         self.diagnostics: list[str] = []
-        self._last: tuple | None = None   # (float u, MeridianJet) of the last call
 
     def jet(self, u: float) -> MeridianJet:
-        """2-jets of (f, g) at u; DomainError at branch points / outside interval.
-
-        The last evaluated u is remembered: a repeat call with the same float,
-        signed zero included, returns the stored jet.  A call that raises
-        stores nothing.
-        """
-        key = float(u)
-        last = self._last
-        if last is not None and last[0] == key:
-            if key != 0.0 or math.copysign(1.0, key) == math.copysign(1.0, last[0]):
-                return last[1]
-        mj = self._evaluate(u)
-        self._last = (key, mj)
-        return mj
+        """2-jets of (f, g) at u; DomainError at branch points / outside interval."""
+        return self._evaluate(u)
 
     def _evaluate(self, u: float) -> MeridianJet:
         raise NotImplementedError
@@ -129,8 +116,7 @@ class MeridianFamily:
 
         ok[i] is False where jet(us[i]) raises, and that row of the six
         columns is NaN; every other row holds the jet's values to the bit,
-        a NaN the jet returns without raising included.  The memo of jet()
-        is neither read nor written.
+        a NaN the jet returns without raising included.
         """
         us = np.asarray(us, dtype=float)
         inside = np.ones(len(us), dtype=bool)
@@ -217,15 +203,16 @@ class _QuadRule:
     def branches(self, u, f, g, ref, larger=True):
         """((f', g') of the tracked root, the other f' root or NaN).
 
-        The tracked root is the one whose f' is nearest ref, by
-        _nearest_root's rule; with ref None, the root with the larger (or
-        smaller) f'.  The other root is NaN where the system has one root.
+        The tracked root is the one whose f' is nearest ref, a tie (or a NaN
+        distance) keeping the first root as min() does; with ref None, the
+        root with the larger (or smaller) f'.  The other root is NaN where
+        the system has one root.
         """
         roots, c0, c1, q = self.system(u, f, g)
         fp, other = roots[0], math.nan
         if len(roots) == 2:
             other = roots[1]
-            # the order of sorted() and the first-wins tie of _nearest_root
+            # the order of sorted() and the first-wins tie of min()
             if ((other < fp) != larger if ref is None
                     else abs(other - ref) < abs(fp - ref)):
                 fp, other = other, fp
@@ -383,16 +370,6 @@ class _MinHyp3Rule(_QuadRule):
     def second(self, u, f, g, fp, gp):
         dphi = (fp * g - f * gp) / (f * f + g * g)
         return -gp * dphi, fp * dphi
-
-
-def _nearest_root(cands, ref: float):
-    """Candidate whose f' is nearest to ref; a tie keeps the first, as min()."""
-    pick, best = cands[0], abs(cands[0][0] - ref)
-    for c in cands[1:]:
-        d = abs(c[0] - ref)
-        if d < best:
-            pick, best = c, d
-    return pick
 
 
 class _TrackingField:

@@ -15,15 +15,16 @@ tangent frame {x, y} and normal frame {n1, n2} are pseudo-orthonormal, and
 all invariants are rational expressions in (f, f', f'', g, g', g'')
 evaluated from meridian jets, so no numerical differentiation enters here.
 
-Each formula is written once and takes floats or numpy arrays: the
-per-point functions (geometric_functions, curvatures, frames, ...) and the
-grid routes (invariant_grid over a u-grid, frames_grid, positions_grid and
-_project_grid over a u x v grid) evaluate the same expressions in the same
-order, with squares through pe4.pow2 and traces through shape_trace, so
-both give the same bits.  eps enters each formula where a minus sign of
-the elliptic formula stands, so both kinds keep the bits of their own
-formulas; a few triple products keep a per-kind association
-(SurfaceKind.prod3).
+Each formula is written once and evaluated on arrays, the meridian from
+one jet_columns pass: over a u-grid (invariant_grid), a u x v grid
+(frames_grid, positions_grid, _project_grid) or a list of (u, v) points
+(_grid_inputs).  The per-point functions (position_jets, frames,
+geometric_functions, curvatures, shape_operators, invariant_record,
+mean_curvature_numerator) are 1-row views that return Python floats.
+Squares go through pe4.pow2 and traces through shape_trace, so each element
+has the bits of the float formula at its point.  eps stands where the
+elliptic formula has a minus sign, so both kinds keep the bits of their own
+formulas; a few triple products keep a per-kind association (prod3).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InadmissiblePointError, ParamError
+from .errors import GrsError, InadmissiblePointError, ParamError
 from .meridians import MeridianFamily
 from .pe4 import PEVector4, inner, pow2, sqrt
 
@@ -226,10 +227,17 @@ def _rotation(spec: SurfaceSpec, v: float):
 
 
 def position_jets(spec: SurfaceSpec, u: float, v: float) -> PointJets:
-    """All first and second partials of the immersion, analytically."""
-    mj = spec.meridian.jet(u)
-    return _jets_from(spec, mj.f.val, mj.f.d1, mj.f.d2, mj.g.val, mj.g.d1,
-                      mj.g.d2, _rotation(spec, v))
+    """All first and second partials of the immersion at (u, v),
+    analytically; the meridian's error where it is undefined at u."""
+    return _float_row(_jets_from(spec, *_meridian_row(spec, u)[:6],
+                                 _rotation(spec, v)))
+
+
+def _float_row(obj):
+    """A Frame or PointJets of one point, its components as Python floats."""
+    return type(obj)(*(PEVector4(*(float(np.ravel(c)[0])
+                                   for c in getattr(obj, name).components()))
+                       for name in obj.__slots__))
 
 
 def positions_grid(spec: SurfaceSpec, us, vs) -> PEVector4:
@@ -285,13 +293,6 @@ def _fundamental_from(pj: PointJets):
             inner(pj.z_v, pj.z_v))
 
 
-def _meridian_scalars(spec: SurfaceSpec, u: float):
-    """(f, f', f'', g, g', g'', E, W) with W = -G, from meridian jets."""
-    mj = spec.meridian.jet(u)
-    return _scalars_from(spec, mj.f.val, mj.f.d1, mj.f.d2,
-                         mj.g.val, mj.g.d1, mj.g.d2)
-
-
 def _scalars_from(spec, f, fp, fpp, g, gp, gpp):
     """The meridian values with E and W appended, floats or arrays."""
     a2, b2, e = spec.alpha ** 2, spec.beta ** 2, spec.kind.eps
@@ -300,56 +301,72 @@ def _scalars_from(spec, f, fp, fpp, g, gp, gpp):
     return f, fp, fpp, g, gp, gpp, E, W
 
 
-def _admissible_scalars(spec: SurfaceSpec, u: float):
-    """_meridian_scalars at u; InadmissiblePointError unless E and W exceed
-    ADMISSIBILITY_EPS."""
-    s = _meridian_scalars(spec, u)
-    E, W = s[6], s[7]
-    if not (E > ADMISSIBILITY_EPS and W > ADMISSIBILITY_EPS):
-        raise InadmissiblePointError(
-            f"{spec.kind.value} surface inadmissible at u={u}: "
-            f"E={E:.6g}, G={-W:.6g}")
-    return s
-
-
-def _frame_scalars(spec: SurfaceSpec, u: float):
-    """(f, f', f'', g, g', g'', 1/sqrt(E), 1/sqrt(W)) at an admissible u."""
-    f, fp, fpp, g, gp, gpp, E, W = _admissible_scalars(spec, u)
-    return f, fp, fpp, g, gp, gpp, 1.0 / math.sqrt(E), 1.0 / math.sqrt(W)
-
-
 def _meridian_columns(spec: SurfaceSpec, us):
-    """(us as a float array, the eight _meridian_scalars as columns).
+    """(us as a float array, (f, f', f'', g, g', g'', E, W) with W = -G as
+    arrays of its shape) from one jet_columns pass: the floats of jet(u),
+    NaN where it raises."""
+    us = np.asarray(us, dtype=float)
+    _, *jets = spec.meridian.jet_columns(us.ravel())
+    return us, _scalars_from(spec, *(c.reshape(us.shape) for c in jets))
 
-    The meridian is evaluated in one jet_columns pass over us, so the
-    columns hold the very floats the per-point routes use; rows are NaN
-    where the meridian raises.
-    """
-    us = np.fromiter(us, dtype=float)
-    _, *jets = spec.meridian.jet_columns(us)
-    return us, _scalars_from(spec, *jets)
+
+def _meridian_row(spec: SurfaceSpec, u: float):
+    """The _meridian_columns at u alone; jet(u)'s error where it raises."""
+    ok, *jets = spec.meridian.jet_columns(np.array([float(u)]))
+    if not ok[0]:
+        spec.meridian.jet(u)   # raises
+    return _scalars_from(spec, *jets)
+
+
+def _inadmissible(spec: SurfaceSpec, us, scalars):
+    """(flat index, error) at the first u of us, in C order, whose E or W
+    (from _meridian_columns) is not above ADMISSIBILITY_EPS: jet(u)'s error
+    where it raises, else InadmissiblePointError; None if there is none."""
+    E, W = scalars[6], scalars[7]
+    bad = ~((E > ADMISSIBILITY_EPS) & (W > ADMISSIBILITY_EPS))
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    u = float(us.flat[i])
+    try:
+        spec.meridian.jet(u)
+    except GrsError as exc:
+        return i, exc
+    return i, InadmissiblePointError(
+        f"{spec.kind.value} surface inadmissible at u={u}: "
+        f"E={float(E.flat[i]):.6g}, G={-float(W.flat[i]):.6g}")
+
+
+def _outer(us):
+    """us as the (n, 1) u-column of a u x v grid (an InvariantGrid too)."""
+    return (us if isinstance(us, InvariantGrid) else np.fromiter(us, float))[:, None]
 
 
 def _grid_inputs(spec: SurfaceSpec, us, vs):
-    """_frame_scalars per u as (nu, 1) columns and _rotation per v as (nv,) rows.
+    """(f, f', f'', g, g', g'', 1/sqrt(E), 1/sqrt(W)) at us and _rotation at
+    vs, as arrays that broadcast against each other.
 
-    us is a sequence of u or an InvariantGrid, whose meridian columns are
-    reused.  Rotations are evaluated per v with math, like the meridian, and
-    numpy only does the arithmetic (sqrt is correctly rounded in both).
-    Raises the per-point route's error at the first inadmissible u.
+    A u x v grid passes us as an (n, 1) column and vs as (m,), a list of
+    points both as (n,); an InvariantGrid us lends its meridian columns.
+    Rotations are taken per v with math, like the meridian.  Raises the
+    _inadmissible error.
     """
     if isinstance(us, InvariantGrid):
         us, scalars = us.us, us.scalars
     else:
         us, scalars = _meridian_columns(spec, us)
-    f, fp, fpp, g, gp, gpp, E, W = scalars
-    bad = ~((E > ADMISSIBILITY_EPS) & (W > ADMISSIBILITY_EPS))
-    if bad.any():
-        _frame_scalars(spec, float(us[bad.argmax()]))   # raises
-    cols = np.array((f, fp, fpp, g, gp, gpp, 1.0 / np.sqrt(E),
-                     1.0 / np.sqrt(W)))
-    rot = tuple(np.array([_rotation(spec, v) for v in vs]).T)
-    return cols[:, :, None], rot
+    bad = _inadmissible(spec, us, scalars)
+    if bad:
+        raise bad[1]
+    return _frame_inputs(spec, scalars, vs)
+
+
+def _frame_inputs(spec: SurfaceSpec, scalars, vs):
+    """_grid_inputs from admissible _meridian_columns scalars."""
+    vs = np.asarray(vs, dtype=float)
+    rot = np.array([_rotation(spec, v) for v in vs.ravel().tolist()])
+    return ((*scalars[:6], 1.0 / np.sqrt(scalars[6]), 1.0 / np.sqrt(scalars[7])),
+            tuple(c.reshape(vs.shape) for c in rot.reshape(-1, 4).T))
 
 
 # ---------------------------------------------------------------------------
@@ -362,18 +379,18 @@ def frames(spec: SurfaceSpec, u: float, v: float) -> Frame:
     square roots are taken throughout, so the orientation follows the signs
     of f, g, f', g'.
     """
-    return _frame_from(spec, _frame_scalars(spec, u), _rotation(spec, v))
+    return _float_row(_frame_from(spec, *_grid_inputs(spec, [u], [v])))
 
 
 def frames_grid(spec: SurfaceSpec, us, vs) -> Frame:
     """frames over the grid us x vs: a Frame of (len(us), len(vs)) arrays,
-    equal to the per-point frames to the bit.  us may be an InvariantGrid,
+    equal to frames at each point to the bit.  us may be an InvariantGrid,
     whose meridian columns are then reused."""
-    return _frame_from(spec, *_grid_inputs(spec, us, vs))
+    return _frame_from(spec, *_grid_inputs(spec, _outer(us), vs))
 
 
 def _frame_from(spec, scalars, rot) -> Frame:
-    """Frame from _frame_scalars and _rotation values, floats or arrays.
+    """Frame from _grid_inputs values, floats or arrays.
 
     x = z_u / sqrt(E) and y = z_v / sqrt(W), with z_u, z_v as in _jets_from.
     Of the normals, the one built from (f', g') carries H and the one built
@@ -398,12 +415,13 @@ def _frame_from(spec, scalars, rot) -> Frame:
 # Geometric functions and second fundamental form
 
 def geometric_functions(spec: SurfaceSpec, u: float) -> GeoFns:
-    """nu1, nu2, mu, gamma2, beta2 at u (independent of v)."""
-    return _geo_fns_from(spec, _admissible_scalars(spec, u))
+    """nu1, nu2, mu, gamma2, beta2 at an admissible u (independent of v)."""
+    r = _admissible_record(spec, u)
+    return GeoFns(r.nu1, r.nu2, r.mu, r.gamma2, r.beta2)
 
 
 def _geo_fns_from(spec, scalars) -> GeoFns:
-    """Geometric functions from _meridian_scalars values, floats or arrays.
+    """Geometric functions from _meridian_columns values, floats or arrays.
 
     eps multiplies both operands of a difference, or a whole term, never
     one operand of a negated difference: -(x - y) and y - x differ in the
@@ -461,25 +479,21 @@ def _matrices(entries):
                                             (-2, -1)))
 
 
-def _project(spec: SurfaceSpec, u: float, v: float) -> _Projection:
-    """Independent route at (u, v): position jets and frame once, sigma
-    from <z_ab, n_i>, and H and the shape operators assembled from it."""
-    return _projection(spec, _frame_scalars(spec, u), _rotation(spec, v))
-
-
 def _project_grid(spec: SurfaceSpec, us, vs) -> _Projection:
     """The projection route over the grid us x vs, with (len(us), len(vs))
-    array components equal to the per-point route to the bit.
+    array components.
 
     Meridian scalars are taken once per u, or from an InvariantGrid passed
     as us, and rotations once per v; raises the per-point error at the
     first inadmissible u.
     """
-    return _projection(spec, *_grid_inputs(spec, us, vs))
+    return _projection(spec, *_grid_inputs(spec, _outer(us), vs))
 
 
 def _projection(spec, scalars, rot) -> _Projection:
-    """Position jets, frame and sigma from <z_ab, n_i>, floats or arrays.
+    """Independent route from _grid_inputs values, floats or arrays:
+    position jets and frame once, sigma from <z_ab, n_i>, and H and the
+    shape operators assembled from it.
 
     With the normal frame pseudo-orthonormal, a normal vector w decomposes
     as <w,n1> n1 - <w,n2> n2.
@@ -509,7 +523,8 @@ def curvatures(spec: SurfaceSpec, u: float) -> Curvatures:
     (elliptic) or n1 (hyperbolic); H_norm2 is reported as -h_coeff**2 (see
     the quasi-minimal checks).
     """
-    return _curvatures_from(spec, _admissible_scalars(spec, u))
+    r = _admissible_record(spec, u)
+    return Curvatures(r.K, r.kappa, r.h_coeff, r.H_norm2)
 
 
 def _h_terms(spec, f, fp, fpp, g, gp, gpp, E, W):
@@ -522,7 +537,7 @@ def _h_terms(spec, f, fp, fpp, g, gp, gpp, E, W):
 
 
 def _curvatures_from(spec, scalars) -> Curvatures:
-    """Curvatures from _meridian_scalars values, floats or arrays."""
+    """Curvatures from _meridian_columns values, floats or arrays."""
     f, fp, fpp, g, gp, gpp, E, W = scalars
     a2, b2, e = spec.alpha ** 2, spec.beta ** 2, spec.kind.eps
     ab = spec.alpha * spec.beta
@@ -548,8 +563,8 @@ def mean_curvature_numerator(spec: SurfaceSpec, u: float) -> tuple[float, float]
     so identities like 'this family has vanishing mean curvature wherever
     it is defined' can be checked on families with empty admissible domain.
     """
-    t1, t2 = _h_terms(spec, *_meridian_scalars(spec, u))
-    return t1 + t2, abs(t1) + abs(t2) + 1.0
+    t1, t2 = _h_terms(spec, *_meridian_row(spec, u))
+    return float(t1[0] + t2[0]), float(abs(t1[0]) + abs(t2[0]) + 1.0)
 
 
 def shape_trace(A1, A2):
@@ -562,8 +577,9 @@ def shape_trace(A1, A2):
     return np.trace(A1 @ A2, axis1=-2, axis2=-1)
 
 
-def _shape_matrices(kind: SurfaceKind, gf: GeoFns):
-    """A1, A2 from the geometric functions: one pair, or stacked pairs of
+def _shape_matrices(kind: SurfaceKind, gf):
+    """A1, A2 from the geometric functions (the nu1, nu2, mu of a GeoFns or
+    an InvariantRecord): one pair, or stacked pairs of
     shape (n, 2, 2) for columns of length n.  The carrier normal of H has
     the diagonal operator, the other one the rotation."""
     zero = np.zeros(np.shape(gf.mu))
@@ -574,10 +590,10 @@ def _shape_matrices(kind: SurfaceKind, gf: GeoFns):
 
 def shape_operators(spec: SurfaceSpec, u: float) -> ShapeOperators:
     """Shape operators of n1, n2 on the (x, y) basis, with <A_xi X, Y> = <sigma(X,Y), xi>."""
-    A1, A2 = _shape_matrices(spec.kind, geometric_functions(spec, u))
-    tr = float(shape_trace(A1, A2))
-    h = curvatures(spec, u).h_coeff
-    return ShapeOperators(A1=A1, A2=A2, trA1A2=tr, allied_coeff=0.5 * abs(h) * tr)
+    r = _admissible_record(spec, u)
+    A1, A2 = _shape_matrices(spec.kind, r)
+    return ShapeOperators(A1=A1, A2=A2, trA1A2=r.trA1A2,
+                          allied_coeff=0.5 * abs(r.h_coeff) * r.trA1A2)
 
 
 def invariant_record(spec: SurfaceSpec, u: float) -> InvariantRecord:
@@ -587,17 +603,23 @@ def invariant_record(spec: SurfaceSpec, u: float) -> InvariantRecord:
                            bool(grid.admissible[0]))
 
 
+def _admissible_record(spec: SurfaceSpec, u: float) -> InvariantRecord:
+    """invariant_record at u; the _inadmissible error where u is not admissible."""
+    grid = invariant_grid(spec, [u])
+    bad = _inadmissible(spec, grid.us, grid.scalars)
+    if bad:
+        raise bad[1]
+    return InvariantRecord(u, *(float(c[0]) for c in grid.columns()), True)
+
+
 def invariant_grid(spec: SurfaceSpec, us) -> InvariantGrid:
     """The full invariant set at every u of us, as columns.
 
-    The meridian is evaluated once per u, with math as in the per-point
-    routes (its rows are NaN where it raises); every formula is the
-    per-point one applied to the admissible rows as arrays, so each column
-    equals geometric_functions, curvatures and shape_operators at its u to
-    the bit.  E, F, G are taken at v = 0; every field is independent of v
-    by rotational symmetry.  A row is admissible when E and -G exceed
-    ADMISSIBILITY_EPS, the test of geometric_functions and frames; an
-    inadmissible row keeps E, F, G where the meridian is defined.
+    The meridian is evaluated once per u (rows NaN where it raises) and
+    every formula on the admissible rows, where E and -G exceed
+    ADMISSIBILITY_EPS; an inadmissible row keeps E, F, G where the meridian
+    is defined.  E, F, G are taken at v = 0; every field is independent of
+    v by rotational symmetry.
     """
     us, scalars = _meridian_columns(spec, us)
     E, F, G = _fundamental_from(_jets_from(spec, *scalars[:6],

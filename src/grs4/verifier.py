@@ -5,7 +5,10 @@ implementation side always comes from analytic jets and closed formulas;
 the oracle side is a genuinely different route: central finite differences
 of frame fields, inner products of projected second-fundamental vectors,
 or the defining algebraic relation of a family.  Results are reproducible
-bit-for-bit for a fixed configuration.
+bit-for-bit for a fixed configuration.  Each check evaluates all of its
+points in one array pass (FD stencils, sweep points per family, bisection
+steps of all brackets); fd_connection_check and cross_check are one-point
+cases of the same routes.
 """
 
 from __future__ import annotations
@@ -13,22 +16,22 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (ConfigError, DomainError, GrsError,
-                     InadmissiblePointError, ParamError, StepError)
+from .errors import (ConfigError, DomainError, InadmissiblePointError,
+                     ParamError, StepError)
 from .meridians import (FAMILY_CATALOG, build_family,
                         descriptor_from_catalog, classified_case_ids,
                         _SampledFamily)
-from .pe4 import inner, pow2
+from .pe4 import PEVector4, inner, pow2
 from .surfaces import (ADMISSIBILITY_EPS, SurfaceKind, SurfaceSpec,
-                       curvatures, frames, frames_grid, geometric_functions,
-                       invariant_grid, mean_curvature_numerator, shape_trace,
-                       surface_from_family, _fundamental_from,
-                       _meridian_scalars, _project, _project_grid,
-                       _scalars_from)
+                       frames_grid, invariant_grid, shape_trace,
+                       surface_from_family, _frame_from, _frame_inputs,
+                       _fundamental_from, _geo_fns_from, _grid_inputs,
+                       _h_terms, _inadmissible, _meridian_columns,
+                       _project_grid, _projection, _scalars_from)
 
 DEFAULT_TOLS = {
     "closed": 1e-9,      # property residuals on closed-form families
@@ -124,29 +127,25 @@ class SuiteReport:
     sweeps: list        # CheckResults
     runtime_s: float = 0.0
 
+    def _satisfied(self) -> list:
+        """(label, expect, report, whether the report meets expect) per job."""
+        return [(label, expect, rep, rep.passed != (expect == "fail"))
+                for label, expect, rep in self.jobs]
+
     @property
     def passed(self) -> bool:
-        ok = all(c.passed for c in self.sweeps if not c.vacuous)
-        for _, expect, rep in self.jobs:
-            satisfied = (not rep.passed) if expect == "fail" else rep.passed
-            ok = ok and satisfied
-        return ok
+        return (all(c.passed for c in self.sweeps if not c.vacuous)
+                and all(ok for *_, ok in self._satisfied()))
 
     def to_json(self) -> dict:
-        vacuous = []
-        for label, _, rep in self.jobs:
-            for c in rep.vacuous_checks:
-                vacuous.append({"family": label, "check": c.name,
-                                "notes": c.notes})
-        jobs = []
-        for label, expect, rep in self.jobs:
-            satisfied = (not rep.passed) if expect == "fail" else rep.passed
-            jobs.append({"label": label, "expect": expect,
-                         "satisfied": satisfied, "report": rep.to_json()})
         return {"seed": self.seed,
-                "jobs": jobs,
+                "jobs": [{"label": label, "expect": expect, "satisfied": ok,
+                          "report": rep.to_json()}
+                         for label, expect, rep, ok in self._satisfied()],
                 "sweeps": [c.to_json() for c in self.sweeps],
-                "vacuous": vacuous,
+                "vacuous": [{"family": label, "check": c.name, "notes": c.notes}
+                            for label, _, rep in self.jobs
+                            for c in rep.vacuous_checks],
                 "pass": self.passed,
                 "runtime_s": self.runtime_s}
 
@@ -169,57 +168,53 @@ def _vacuous_check(name, note):
 # ---------------------------------------------------------------------------
 # Admissible-domain scanning
 
-def _indicator(spec: SurfaceSpec, u: float) -> float:
-    """min(E, -G) - ADMISSIBILITY_EPS; -inf where the meridian is undefined."""
-    try:
-        _, _, _, _, _, _, E, W = _meridian_scalars(spec, u)
-    except GrsError:
-        return -math.inf
-    return min(E - ADMISSIBILITY_EPS, W - ADMISSIBILITY_EPS)
+def _admissible_at(spec: SurfaceSpec, us) -> np.ndarray:
+    """Where the indicator min(E, -G) - ADMISSIBILITY_EPS is positive, at
+    each u of the array us, in one meridian pass; the indicator is -inf
+    where the meridian is undefined, and min() keeps a NaN E."""
+    ok, *jets = spec.meridian.jet_columns(us)
+    *_, E, W = _scalars_from(spec, *jets)
+    E, W = E - ADMISSIBILITY_EPS, W - ADMISSIBILITY_EPS
+    return np.where(ok, np.where(W < E, W, E), -math.inf) > 0.0
+
+
+def _bisect(spec: SurfaceSpec, a, b, good_a) -> np.ndarray:
+    """Midpoints of the brackets [a, b] (arrays; good_a: a is admissible)
+    after at most 200 bisection steps to width 1e-12, in lockstep: one
+    meridian pass per step over the brackets still open."""
+    a, b = a.copy(), b.copy()
+    for _ in range(200):
+        open_ = np.flatnonzero(b - a > 1e-12)
+        if not open_.size:
+            break
+        m = 0.5 * (a[open_] + b[open_])
+        same = _admissible_at(spec, m) == good_a[open_]
+        a[open_[same]] = m[same]
+        b[open_[~same]] = m[~same]
+    return 0.5 * (a + b)
 
 
 def admissible_domain(spec: SurfaceSpec, u0: float, u1: float, n: int) -> list:
     """Maximal admissible subintervals of [u0, u1].
 
     Scans n sample points in one meridian pass and refines every sign
-    change of the indicator min(E, -G) - ADMISSIBILITY_EPS by bisection,
-    one point at a time, to an absolute width of 1e-12.
+    change of the indicator min(E, -G) - ADMISSIBILITY_EPS by bisection
+    to an absolute width of 1e-12, all brackets in lockstep.
     """
     if n < 2:
         raise ValueError("scan needs at least 2 sample points")
     us = np.linspace(u0, u1, n)
-    ok, *jets = spec.meridian.jet_columns(us)
-    *_, E, W = _scalars_from(spec, *jets)
-    E, W = E - ADMISSIBILITY_EPS, W - ADMISSIBILITY_EPS
-    # _indicator at every u: min() keeps E unless W < E, so a NaN E stays
-    vals = np.where(ok, np.where(W < E, W, E), -math.inf)
-
-    def refine(a, b, va, vb):
-        # bisect the boundary between an admissible and inadmissible point
-        for _ in range(200):
-            if b - a <= 1e-12:
-                break
-            m = 0.5 * (a + b)
-            vm = _indicator(spec, m)
-            if (vm > 0.0) == (va > 0.0):
-                a, va = m, vm
-            else:
-                b, vb = m, vm
-        return 0.5 * (a + b)
-
+    good = _admissible_at(spec, us)
+    flips = np.flatnonzero(good[1:] != good[:-1]) + 1
+    edges = _bisect(spec, us[flips - 1], us[flips], good[flips - 1])
     intervals = []
-    start = None
-    for i, (u, val) in enumerate(zip(us, vals)):
-        good = val > 0.0
-        if good and start is None:
-            if i == 0:
-                start = u0
-            else:
-                start = refine(us[i - 1], u, vals[i - 1], val)
-        elif not good and start is not None:
-            end = refine(us[i - 1], u, vals[i - 1], val)
-            if end > start:
-                intervals.append((start, end))
+    start = u0 if good[0] else None
+    for rising, edge in zip(good[flips].tolist(), edges):
+        if rising:
+            start = edge
+        else:
+            if edge > start:
+                intervals.append((start, edge))
             start = None
     if start is not None:
         intervals.append((start, u1))
@@ -295,62 +290,74 @@ def cross_check(spec: SurfaceSpec, u: float, v: float = 0.0):
     is -mu(nu1+nu2) (elliptic) or +mu(nu1+nu2) (hyperbolic).  Residuals
     are relative with floor 1.
     """
-    cv = curvatures(spec, u)
-    gf = geometric_functions(spec, u)
-    k_res = _gauss_route_residual(cv.K, _project(spec, u, v).sigma)
-    kp_res = _kappa_route_residual(spec.kind, cv.kappa, gf)
-    where = f"u={u:.6g}"
-    return (_check("gauss-equation-route", where, k_res, DEFAULT_TOLS["cross"]),
-            _check("normal-curvature-route", where, kp_res, DEFAULT_TOLS["cross"]))
+    bundle = check_projection_bundle(spec, invariant_grid(spec, [u]), v,
+                                     DEFAULT_TOLS)
+    return tuple(replace(c, grid=f"u={u:.6g}") for c in bundle[-2:])
+
+
+def fd_connection_rows(spec: SurfaceSpec, points, hs):
+    """(names, residuals) of the eight frame derivative formulas against
+    central FD at every (u, v) of points and step h of hs, residuals of
+    shape (8, len(points), len(hs)).
+
+    The frame fields are differentiated numerically over the parameter grid
+    and converted to derivatives along the unit directions by 1/sqrt(E) and
+    1/sqrt(-G); the residuals are Euclidean norms of (FD - closed form).
+    One stencil, the centres and (u +- h, v), (u, v +- h), takes one
+    jet_columns pass and one frame pass.  It raises the first error of a
+    point-by-point loop: the centre's own, else a StepError at u +- h.
+    """
+    u, v = np.array(points, dtype=float).reshape(-1, 2).T
+    hs = np.asarray(hs, dtype=float)
+    us, scalars = _meridian_columns(
+        spec, np.column_stack([u] + [w for h in hs for w in (u + h, u - h)]))
+    bad = _inadmissible(spec, us, scalars)
+    if bad:   # a neighbour's domain error is a StepError, the centre's its own
+        i, exc = bad
+        if i % us.shape[1] and isinstance(exc, (InadmissiblePointError, DomainError)):
+            raise StepError("FD stencil left the admissible domain at (u="
+                            f"{us.flat[i]}, v={points[i // us.shape[1]][1]}): {exc}")
+        raise exc
+    # after the centre, per step: (u + h, v), (u - h, v), (u, v +- h)
+    cols = [0] + [c for k in range(len(hs)) for c in (2 * k + 1, 2 * k + 2, 0, 0)]
+    vs = np.column_stack([v] + [w for h in hs for w in (v, v, v + h, v - h)])
+    fr = _frame_from(spec, *_frame_inputs(
+        spec, tuple(np.array(scalars)[:, :, cols]), vs))
+    centre = tuple(c[:, :1] for c in scalars)
+    gf = _geo_fns_from(spec, centre)
+    # H lies along the carrier normal, n2 (elliptic) or n1 (hyperbolic);
+    # F is indexed (vector, component, point, stencil column)
+    e = spec.kind.eps
+    n_off, n_car = spec.kind.normals("n1", "n2")
+    F = np.array([getattr(fr, name).components()
+                  for name in ("x", "y", n_off, n_car)])
+    x, y, off, car = F[..., :1]
+    dx = (F[..., 1::4] - F[..., 2::4]) * (1.0 / (2.0 * hs * np.sqrt(centre[6])))
+    dy = (F[..., 3::4] - F[..., 4::4]) * (1.0 / (2.0 * hs * np.sqrt(centre[7])))
+    nu1, nu2, mu, g2, b2 = gf.nu1, gf.nu2, gf.mu, gf.gamma2, gf.beta2
+    rows = [
+        ("nabla_x x", dx[0], car * (-e * nu1)),
+        ("nabla_x y", dx[1], off * (e * mu)),
+        ("nabla_y x", dy[0], y * -g2 + off * (e * mu)),
+        ("nabla_y y", dy[1], x * -g2 + car * (-e * nu2)),
+        (f"nabla_x {n_off}", dx[2], y * mu),
+        (f"nabla_y {n_off}", dy[2], x * -mu + car * (e * b2)),
+        (f"nabla_x {n_car}", dx[3], x * -nu1),
+        (f"nabla_y {n_car}", dy[3], y * nu2 + off * (e * b2)),
+    ]
+    # Euclidean norms of (FD - closed form), summed in PEVector4's order
+    d = np.array([fd for _, fd, _ in rows]) - np.array([rhs for *_, rhs in rows])
+    sq = d * d
+    return ([name for name, _, _ in rows],
+            np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3]))
 
 
 def fd_connection_check(spec: SurfaceSpec, u: float, v: float,
                         h: float = FD_H) -> list:
-    """Residuals of the eight frame derivative formulas against central FD.
-
-    The frame fields are differentiated numerically over the parameter grid
-    and converted to derivatives along the unit directions by 1/sqrt(E) and
-    1/sqrt(-G); the returned rows are Euclidean norms of (FD - closed form).
-    """
-    gf = geometric_functions(spec, u)
-    _, _, _, _, _, _, E, W = _meridian_scalars(spec, u)
-    se, sw = math.sqrt(E), math.sqrt(W)
-    fr = frames(spec, u, v)
-
-    def frame_at(uu, vv):
-        try:
-            return frames(spec, uu, vv)
-        except (InadmissiblePointError, DomainError) as exc:
-            raise StepError(
-                f"FD stencil left the admissible domain at (u={uu}, v={vv}): "
-                f"{exc}") from None
-
-    # the v-neighbours share u with fr, so the meridian is evaluated at u once
-    fv_p, fv_m = frame_at(u, v + h), frame_at(u, v - h)
-    fu_p, fu_m = frame_at(u + h, v), frame_at(u - h, v)
-
-    def dx(name):
-        return (getattr(fu_p, name) - getattr(fu_m, name)) * (1.0 / (2.0 * h * se))
-
-    def dy(name):
-        return (getattr(fv_p, name) - getattr(fv_m, name)) * (1.0 / (2.0 * h * sw))
-
-    # H lies along the carrier normal, n2 (elliptic) or n1 (hyperbolic)
-    e = spec.kind.eps
-    n_off, n_car = spec.kind.normals("n1", "n2")
-    x, y, off, car = fr.x, fr.y, getattr(fr, n_off), getattr(fr, n_car)
-    nu1, nu2, mu, g2, b2 = gf.nu1, gf.nu2, gf.mu, gf.gamma2, gf.beta2
-    rows = [
-        ("nabla_x x", dx("x"), car * (-e * nu1)),
-        ("nabla_x y", dx("y"), off * (e * mu)),
-        ("nabla_y x", dy("x"), y * -g2 + off * (e * mu)),
-        ("nabla_y y", dy("y"), x * -g2 + car * (-e * nu2)),
-        (f"nabla_x {n_off}", dx(n_off), y * mu),
-        (f"nabla_y {n_off}", dy(n_off), x * -mu + car * (e * b2)),
-        (f"nabla_x {n_car}", dx(n_car), x * -nu1),
-        (f"nabla_y {n_car}", dy(n_car), y * nu2 + off * (e * b2)),
-    ]
-    return [(name, (fd - rhs).euclid_norm()) for name, fd, rhs in rows]
+    """[(name, residual)] of the eight frame derivative formulas against
+    central FD at (u, v) with step h: fd_connection_rows at one point."""
+    names, residuals = fd_connection_rows(spec, [(u, v)], [h])
+    return list(zip(names, residuals[:, 0, 0].tolist()))
 
 
 def h_numerator_identity(spec: SurfaceSpec, u0: float, u1: float,
@@ -361,14 +368,10 @@ def h_numerator_identity(spec: SurfaceSpec, u0: float, u1: float,
     no square roots, so 'vanishing mean curvature wherever defined' can be
     confirmed even where the surface is not Lorentzian.
     """
-    residuals = []
-    for u in np.linspace(u0, u1, n):
-        try:
-            num, scale = mean_curvature_numerator(spec, u)
-        except GrsError:
-            continue
-        residuals.append(abs(num) / scale)
-    if not residuals:
+    ok, *jets = spec.meridian.jet_columns(np.linspace(u0, u1, n))
+    t1, t2 = _h_terms(spec, *_scalars_from(spec, *jets))
+    residuals = (abs(t1 + t2) / (abs(t1) + abs(t2) + 1.0))[ok]
+    if not residuals.size:
         return _vacuous_check("h-numerator-identity", "meridian nowhere defined")
     return _check("h-numerator-identity",
                   f"{len(residuals)} points in [{u0:.6g}, {u1:.6g}]",
@@ -556,20 +559,20 @@ def check_parallel_H_fd(spec, us, v, h=1e-5, tol=1e-6) -> CheckResult:
     Subsumes beta2 = 0 plus h constancy for the pnmcv families; not part
     of the verify_family bundles.
     """
-    residuals = []
-    for u in us:
-        _, _, _, _, _, _, E, W = _meridian_scalars(spec, u)
-        hp = _project(spec, u + h, v).H
-        hm = _project(spec, u - h, v).H
-        du = (hp - hm) * (1.0 / (2.0 * h * math.sqrt(E)))
-        hpv = _project(spec, u, v + h).H
-        hmv = _project(spec, u, v - h).H
-        dv = (hpv - hmv) * (1.0 / (2.0 * h * math.sqrt(W)))
-        fr = frames(spec, u, v)
-        for dvec in (du, dv):
-            c1 = inner(dvec, fr.n1)
-            c2 = -inner(dvec, fr.n2)
-            residuals.append(math.hypot(c1, c2))
+    # per u, in one projection pass: (u +- h, v), (u, v +- h) and (u, v)
+    us = np.asarray(us, dtype=float)
+    grid = invariant_grid(
+        spec, np.column_stack((us + h, us - h, us, us, us)).ravel())
+    proj = _projection(spec, *_grid_inputs(
+        spec, grid, np.tile([v, v, v + h, v - h, v], len(us))))
+    H = np.array(proj.H.components()).reshape(4, -1, 5)
+    n1, n2 = (PEVector4(*np.array(n.components()).reshape(4, -1, 5)[..., 4])
+              for n in (proj.fr.n1, proj.fr.n2))
+    E, W = (c.reshape(-1, 5)[:, 4] for c in grid.scalars[6:])
+    du = (H[..., 0] - H[..., 1]) * (1.0 / (2.0 * h * np.sqrt(E)))
+    dv = (H[..., 2] - H[..., 3]) * (1.0 / (2.0 * h * np.sqrt(W)))
+    residuals = [np.hypot(inner(PEVector4(*d), n1), -inner(PEVector4(*d), n2))
+                 for d in (du, dv)]
     return _check("parallel-H-fd", f"{len(us)} u-points, v={v:.6g}",
                   _worst(residuals), tol,
                   "normal-bundle derivative of H by central FD")
@@ -584,21 +587,16 @@ def check_fd_connection(spec, points, h, tol, shrink_h=None):
     """
     if shrink_h is None:
         shrink_h = h
-    residuals = []
-    ratios = []
-    for (u, v) in points:
-        rows_h = fd_connection_check(spec, u, v, h)
-        residuals.extend(r for _, r in rows_h)
-        rows_s = fd_connection_check(spec, u, v, shrink_h) \
-            if shrink_h != h else rows_h
-        rows_s2 = fd_connection_check(spec, u, v, 0.5 * shrink_h)
-        for (name, r1), (_, r2) in zip(rows_s, rows_s2):
-            if r1 > 5e-9 and r2 > 0.0:
-                ratios.append(r1 / r2)
+    hs = (h, 0.5 * shrink_h) if shrink_h == h else (h, shrink_h, 0.5 * shrink_h)
+    _, rows = fd_connection_rows(spec, points, hs)
+    # the halving ratio between the last two steps, shrink_h and shrink_h / 2
+    r1, r2 = rows[..., -2], rows[..., -1]
+    above = (r1 > 5e-9) & (r2 > 0.0)
+    ratios = r1[above] / r2[above]
     grid = f"{len(points)} points, h={h:g}"
-    res = _check("fd-connection", grid, _worst(residuals), tol,
+    res = _check("fd-connection", grid, _worst(rows[..., 0]), tol,
                  "eight frame derivative formulas vs central differences")
-    if ratios:
+    if ratios.size:
         # median across rows and points: single rows can sit at the
         # cancellation floor where the ratio carries no signal
         dev = abs(float(np.median(ratios)) - 4.0)
@@ -712,6 +710,12 @@ def verify_family(case: str, params: dict | None = None, *,
     grid_desc = {"u0": lo, "u1": hi, "nu": nu, "nv": nv}
 
     t_start = time.perf_counter()
+
+    def report():
+        runtime = time.perf_counter() - t_start if record_runtime else 0.0
+        return FamilyReport(case, dict(desc.params), desc.alpha, desc.beta,
+                            grid_desc, results, runtime)
+
     if isinstance(fam, _SampledFamily):
         # realize now so configuration problems (state off the constraint,
         # no real root, drift) propagate instead of reading as an empty domain
@@ -729,15 +733,10 @@ def verify_family(case: str, params: dict | None = None, *,
             note += " (" + "; ".join(fam.diagnostics) + ")"
         planned = _PLANNED_COMMON + (("minimal-h-coeff",)
                                      if case.startswith("min") else ())
-        for name in planned:
-            results.append(_vacuous_check(name, note))
+        results.extend(_vacuous_check(name, note) for name in planned)
         if case == "min-ell-i":
             results.append(h_numerator_identity(spec, lo, hi))
-        rep = FamilyReport(case, dict(desc.params), desc.alpha, desc.beta,
-                           grid_desc, results)
-        if record_runtime:
-            rep.runtime_s = time.perf_counter() - t_start
-        return rep
+        return report()
 
     if isinstance(fam, _SampledFamily):
         results.extend(check_sampled_residuals(fam))
@@ -771,12 +770,7 @@ def verify_family(case: str, params: dict | None = None, *,
                  for frac in (0.25, 0.5, 0.75)]
     results.extend(check_fd_connection(spec, fd_points, FD_H, tols["fd"],
                                        shrink_h=shrink_h))
-
-    rep = FamilyReport(case, dict(desc.params), desc.alpha, desc.beta,
-                       grid_desc, results)
-    if record_runtime:
-        rep.runtime_s = time.perf_counter() - t_start
-    return rep
+    return report()
 
 
 # ---------------------------------------------------------------------------
@@ -792,38 +786,41 @@ def random_point_sweep(n: int, seed: int, tol: float) -> list:
     pool = []
     for case in classified_case_ids():
         desc = descriptor_from_catalog(case)
-        fam = build_family(desc)
-        spec = surface_from_family(fam)
-        lo, hi = desc.interval
-        intervals = admissible_domain(spec, lo, hi, 256)
+        spec = surface_from_family(build_family(desc))
+        intervals = admissible_domain(spec, *desc.interval, 256)
         if intervals:
             pool.append((case, spec, intervals))
 
-    tr_res, allied_res, off_res, def_res = [], [], [], []
+    grid = f"{n} random admissible points over {len(pool)} families, seed={seed}"
+    return [_check(name, grid, _worst(r), tol) for name, r in zip(
+        ("chen-trace-sweep", "chen-allied-sweep", "quasi-minimal-sweep",
+         "h-norm2-sweep"), _sweep_residuals(pool, n, rng))]
+
+
+def _sweep_residuals(pool, n: int, rng: random.Random) -> np.ndarray:
+    """The four sweep residuals at n random points as a (4, n) array: point
+    i in pool[i % len(pool)], u in a random interval (0.5% margins), v in
+    the kind's range; drawn first, then evaluated in one pass per family."""
+    draws = []
     for i in range(n):
-        case, spec, intervals = pool[i % len(pool)]
+        _, spec, intervals = pool[i % len(pool)]
         a, b = intervals[rng.randrange(len(intervals))]
         m = 5e-3 * (b - a)
-        u = rng.uniform(a + m, b - m)
-        v = rng.uniform(*_V_SAMPLING[spec.kind][0])
-        proj = _project(spec, u, v)
-        cv = curvatures(spec, u)
-        tr, allied = _chen_residuals(proj, cv.h_coeff)
+        draws.append((rng.uniform(a + m, b - m),
+                      rng.uniform(*_V_SAMPLING[spec.kind][0])))
+    out = np.empty((4, n))
+    for k, (_, spec, _) in enumerate(pool):
+        us, vs = np.array(draws[k::len(pool)]).reshape(-1, 2).T
+        grid = invariant_grid(spec, us)
+        proj = _projection(spec, *_grid_inputs(spec, grid, vs))
+        tr, allied = _chen_residuals(proj, grid.h_coeff)
         off, _, n_off, _, _ = _carrier_split(spec.kind, proj)
         # H is a difference of sigma vectors, so its projection carries
         # rounding of order eps * ||sigma|| * ||n_off|| even where H ~ 0
-        hscale = max(1.0, _sigma_magnitude(proj) * n_off.euclid_norm())
-        tr_res.append(tr)
-        allied_res.append(allied)
-        off_res.append(abs(off) / hscale)
-        def_res.append(abs(cv.H_norm2 + cv.h_coeff ** 2))
-    grid = f"{n} random admissible points over {len(pool)} families, seed={seed}"
-    return [
-        _check("chen-trace-sweep", grid, _worst(tr_res), tol),
-        _check("chen-allied-sweep", grid, _worst(allied_res), tol),
-        _check("quasi-minimal-sweep", grid, _worst(off_res), tol),
-        _check("h-norm2-sweep", grid, _worst(def_res), tol),
-    ]
+        hscale = np.fmax(1.0, _sigma_magnitude(proj) * n_off.euclid_norm())
+        out[:, k::len(pool)] = (tr, allied, abs(off) / hscale,
+                                abs(grid.H_norm2 + pow2(grid.h_coeff)))
+    return out
 
 
 # ---------------------------------------------------------------------------

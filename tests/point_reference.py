@@ -1,0 +1,197 @@
+"""One-point float routes, the reference of the bitwise tests.
+
+These are the per-point bodies that grs4 replaced with array passes: the
+meridian comes from jet(u) as Python floats and goes through the formula
+functions of grs4.surfaces one point at a time, and the verifier's FD
+stencil, random sweep and bisection loop over their points.  The tests
+compare the array routes against them to the bit, and the errors they
+raise by type and text.
+"""
+
+import math
+
+import numpy as np
+
+from grs4 import surfaces, verifier
+from grs4.errors import (DomainError, GrsError, InadmissiblePointError,
+                         StepError)
+
+
+def meridian_scalars(spec, u):
+    """(f, f', f'', g, g', g'', E, W) at u from jet(u)."""
+    mj = spec.meridian.jet(u)
+    return surfaces._scalars_from(spec, mj.f.val, mj.f.d1, mj.f.d2,
+                                  mj.g.val, mj.g.d1, mj.g.d2)
+
+
+def admissible_scalars(spec, u):
+    s = meridian_scalars(spec, u)
+    E, W = s[6], s[7]
+    if not (E > surfaces.ADMISSIBILITY_EPS and W > surfaces.ADMISSIBILITY_EPS):
+        raise InadmissiblePointError(
+            f"{spec.kind.value} surface inadmissible at u={u}: "
+            f"E={E:.6g}, G={-W:.6g}")
+    return s
+
+
+def frame_scalars(spec, u):
+    f, fp, fpp, g, gp, gpp, E, W = admissible_scalars(spec, u)
+    return f, fp, fpp, g, gp, gpp, 1.0 / math.sqrt(E), 1.0 / math.sqrt(W)
+
+
+def position_jets(spec, u, v):
+    return surfaces._jets_from(spec, *meridian_scalars(spec, u)[:6],
+                               surfaces._rotation(spec, v))
+
+
+def frames(spec, u, v):
+    return surfaces._frame_from(spec, frame_scalars(spec, u),
+                                surfaces._rotation(spec, v))
+
+
+def project(spec, u, v):
+    return surfaces._projection(spec, frame_scalars(spec, u),
+                                surfaces._rotation(spec, v))
+
+
+def geometric_functions(spec, u):
+    return surfaces._geo_fns_from(spec, admissible_scalars(spec, u))
+
+
+def curvatures(spec, u):
+    return surfaces._curvatures_from(spec, admissible_scalars(spec, u))
+
+
+def shape_trace(spec, u):
+    A1, A2 = surfaces._shape_matrices(spec.kind, geometric_functions(spec, u))
+    return float(surfaces.shape_trace(A1, A2))
+
+
+def mean_curvature_numerator(spec, u):
+    t1, t2 = surfaces._h_terms(spec, *meridian_scalars(spec, u))
+    return t1 + t2, abs(t1) + abs(t2) + 1.0
+
+
+# ---------------------------------------------------------------------------
+# The verifier's per-point loops
+
+def indicator(spec, u):
+    """min(E, -G) - ADMISSIBILITY_EPS; -inf where the meridian is undefined."""
+    eps = surfaces.ADMISSIBILITY_EPS
+    try:
+        *_, E, W = meridian_scalars(spec, u)
+    except GrsError:
+        return -math.inf
+    return min(E - eps, W - eps)
+
+
+def refine(spec, a, b, va):
+    """Bisect one bracket, one indicator call per step."""
+    for _ in range(200):
+        if b - a <= 1e-12:
+            break
+        m = 0.5 * (a + b)
+        vm = indicator(spec, m)
+        if (vm > 0.0) == (va > 0.0):
+            a, va = m, vm
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
+def admissible_domain(spec, u0, u1, n):
+    """The admissibility scan as a per-u indicator loop with a per-bracket
+    bisection."""
+    us = np.linspace(u0, u1, n)
+    vals = [indicator(spec, u) for u in us]
+    intervals = []
+    start = None
+    for i, (u, val) in enumerate(zip(us, vals)):
+        good = val > 0.0
+        if good and start is None:
+            start = u0 if i == 0 else refine(spec, us[i - 1], u, vals[i - 1])
+        elif not good and start is not None:
+            end = refine(spec, us[i - 1], u, vals[i - 1])
+            if end > start:
+                intervals.append((start, end))
+            start = None
+    if start is not None:
+        intervals.append((start, u1))
+    return intervals
+
+
+def fd_connection_check(spec, u, v, h):
+    """[(name, residual)] of the eight frame derivative rows at one point."""
+    gf = geometric_functions(spec, u)
+    *_, E, W = meridian_scalars(spec, u)
+    se, sw = math.sqrt(E), math.sqrt(W)
+    fr = frames(spec, u, v)
+
+    def frame_at(uu, vv):
+        try:
+            return frames(spec, uu, vv)
+        except (InadmissiblePointError, DomainError) as exc:
+            raise StepError(
+                f"FD stencil left the admissible domain at (u={uu}, v={vv}): "
+                f"{exc}") from None
+
+    fv_p, fv_m = frame_at(u, v + h), frame_at(u, v - h)
+    fu_p, fu_m = frame_at(u + h, v), frame_at(u - h, v)
+
+    def dx(name):
+        return (getattr(fu_p, name) - getattr(fu_m, name)) * (1.0 / (2.0 * h * se))
+
+    def dy(name):
+        return (getattr(fv_p, name) - getattr(fv_m, name)) * (1.0 / (2.0 * h * sw))
+
+    e = spec.kind.eps
+    n_off, n_car = spec.kind.normals("n1", "n2")
+    x, y, off, car = fr.x, fr.y, getattr(fr, n_off), getattr(fr, n_car)
+    nu1, nu2, mu, g2, b2 = gf.nu1, gf.nu2, gf.mu, gf.gamma2, gf.beta2
+    rows = [
+        ("nabla_x x", dx("x"), car * (-e * nu1)),
+        ("nabla_x y", dx("y"), off * (e * mu)),
+        ("nabla_y x", dy("x"), y * -g2 + off * (e * mu)),
+        ("nabla_y y", dy("y"), x * -g2 + car * (-e * nu2)),
+        (f"nabla_x {n_off}", dx(n_off), y * mu),
+        (f"nabla_y {n_off}", dy(n_off), x * -mu + car * (e * b2)),
+        (f"nabla_x {n_car}", dx(n_car), x * -nu1),
+        (f"nabla_y {n_car}", dy(n_car), y * nu2 + off * (e * b2)),
+    ]
+    return [(name, (fd - rhs).euclid_norm()) for name, fd, rhs in rows]
+
+
+def check_fd_connection(spec, points, h, shrink_h):
+    """(residuals at h, halving ratios) of check_fd_connection's point loop."""
+    residuals, ratios = [], []
+    for (u, v) in points:
+        rows_h = fd_connection_check(spec, u, v, h)
+        residuals.extend(r for _, r in rows_h)
+        rows_s = fd_connection_check(spec, u, v, shrink_h) \
+            if shrink_h != h else rows_h
+        rows_s2 = fd_connection_check(spec, u, v, 0.5 * shrink_h)
+        for (_, r1), (_, r2) in zip(rows_s, rows_s2):
+            if r1 > 5e-9 and r2 > 0.0:
+                ratios.append(r1 / r2)
+    return residuals, ratios
+
+
+def sweep_residuals(pool, n, rng):
+    """The four residual lists of random_point_sweep, point by point."""
+    tr_res, allied_res, off_res, def_res = [], [], [], []
+    for i in range(n):
+        _, spec, intervals = pool[i % len(pool)]
+        a, b = intervals[rng.randrange(len(intervals))]
+        m = 5e-3 * (b - a)
+        u = rng.uniform(a + m, b - m)
+        v = rng.uniform(*verifier._V_SAMPLING[spec.kind][0])
+        proj = project(spec, u, v)
+        cv = curvatures(spec, u)
+        tr, allied = verifier._chen_residuals(proj, cv.h_coeff)
+        off, _, n_off, _, _ = verifier._carrier_split(spec.kind, proj)
+        hscale = max(1.0, verifier._sigma_magnitude(proj) * n_off.euclid_norm())
+        tr_res.append(tr)
+        allied_res.append(allied)
+        off_res.append(abs(off) / hscale)
+        def_res.append(abs(cv.H_norm2 + cv.h_coeff ** 2))
+    return tr_res, allied_res, off_res, def_res

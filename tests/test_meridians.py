@@ -10,8 +10,7 @@ from grs4.meridians import (FAMILY_CATALOG, FamilyDescriptor, build_family,
                             descriptor_from_catalog,
                             classified_case_ids, _FlatRule, _FncRule,
                             _MinHyp3Rule, _QuadRule,
-                            _TrackingField, _nearest_root,
-                            integrate_constrained)
+                            _TrackingField, integrate_constrained)
 from grs4.odeint import rk4_integrate
 
 
@@ -368,6 +367,24 @@ def test_jet_columns_match_jet_bitwise(label):
     inner_check()
 
 
+@pytest.mark.parametrize("f", ["sqrt(u)", "log(u) + 2 * u", "u ** 0.5"])
+def test_underflowing_second_derivative_is_a_domain_error(f):
+    """Below about 1e-162 (1e-216 for sqrt) the f'' terms of sqrt, log and
+    real powers divide by a v * v or v * sqrt(v) that underflows to 0: the
+    point route raises DomainError and the array route masks the row, next
+    to a row just above that range that both evaluate."""
+    family = fam("custom", {"f": f, "g": "u", "kind": "elliptic"},
+                 interval=(1e-250, 1e-100))
+    with pytest.raises(DomainError, match="underflowing"):
+        family.jet(1.5e-250)
+    ok, *cols = family.jet_columns(np.array([1.5e-250, 1e-120]))
+    assert ok.tolist() == [False, True]
+    assert np.isnan(np.array(cols)[:, 0]).all()
+    mj = family.jet(1e-120)
+    assert [float(c[1]).hex() for c in cols] == [
+        x.hex() for x in (mj.f.val, mj.f.d1, mj.f.d2, mj.g.val, mj.g.d1, mj.g.d2)]
+
+
 def test_jet_columns_mask_pointwise_and_constant_domain_errors():
     """A DomainError at some u masks those rows (here a negative power of
     zero and the division floor); one raised on a u-independent value
@@ -494,6 +511,16 @@ class _FixedSystem(_QuadRule):
 
     def system(self, u, f, g):
         return self.roots, 0.0, 0.0, 1.0
+
+
+def _nearest_root(cands, ref):
+    """Candidate whose f' is nearest to ref; a tie keeps the first, as min()."""
+    pick, best = cands[0], abs(cands[0][0] - ref)
+    for c in cands[1:]:
+        d = abs(c[0] - ref)
+        if d < best:
+            pick, best = c, d
+    return pick
 
 
 _NEAREST_CASES = [

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import point_reference as ref
 from grs4.errors import GrsError, InadmissiblePointError
 from grs4.meridians import build_family, descriptor_from_catalog, classified_case_ids
 from grs4.pe4 import inner
@@ -16,8 +17,7 @@ from grs4.surfaces import (INVARIANT_COLUMNS, SecondFundamental, SurfaceKind,
                            mean_curvature_numerator, frames_grid,
                            position_jets, positions_grid, shape_operators,
                            shape_trace, surface_from_family,
-                           _fundamental_from, _meridian_scalars, _project,
-                           _project_grid)
+                           _fundamental_from, _project_grid)
 from grs4.verifier import (admissible_domain, orthonormality_residual,
                            _grid_in_intervals, _v_grid)
 
@@ -179,7 +179,7 @@ def test_sigma_min_hyp_i():
 def test_sigma_projected_agrees_with_closed_form():
     for case, spec, u, _ in SAMPLES:
         sf = second_fundamental(spec, u)
-        pr = _project(spec, u, 0.4).sf
+        pr = ref.project(spec, u, 0.4).sf
         for a, b in zip((sf.xx + sf.xy + sf.yy), (pr.xx + pr.xy + pr.yy)):
             assert a == pytest.approx(b, abs=1e-10), case
 
@@ -190,7 +190,7 @@ def test_totally_geodesic_hyperbolic_line():
                     alpha=1.0, beta=1.0, interval=(0.5, 3.0))
     gf = geometric_functions(spec, 1.7)
     assert (gf.nu1, gf.nu2, gf.mu) == (0.0, 0.0, 0.0)
-    sf = _project(spec, 1.7, 0.9).sf
+    sf = ref.project(spec, 1.7, 0.9).sf
     assert max(abs(t) for t in sf.xx + sf.xy + sf.yy) <= 1e-14
 
 
@@ -281,10 +281,10 @@ def test_flatness_criterion_equivalence():
 
 def test_mean_curvature_vector_direction():
     # elliptic H is timelike (along n2); hyperbolic H is spacelike (along n1)
-    hv = _project(PNMCV_ELL, 3.0, 0.5).H
+    hv = ref.project(PNMCV_ELL, 3.0, 0.5).H
     assert inner(hv, hv) == pytest.approx(-0.25, abs=1e-12)
     spec = spec_for("pnmcv-hyp", {"C": 2.0}, alpha=1.3, beta=0.7)
-    hv2 = _project(spec, 1.0, 0.5).H
+    hv2 = ref.project(spec, 1.0, 0.5).H
     assert inner(hv2, hv2) == pytest.approx(0.25, abs=1e-12)
 
 
@@ -328,7 +328,7 @@ def test_shape_operator_block_structure():
 def test_projected_shape_operators_agree():
     for case, spec, u, _ in SAMPLES:
         so = shape_operators(spec, u)
-        A1p, A2p = _project(spec, u, 0.3).shape_matrices()
+        A1p, A2p = ref.project(spec, u, 0.3).shape_matrices()
         assert np.allclose(A1p, so.A1, atol=1e-10), case
         assert np.allclose(A2p, so.A2, atol=1e-10), case
         assert abs(float(np.trace(A1p @ A2p))) <= 1e-12, case
@@ -367,7 +367,7 @@ def test_frames_match_position_jet_reference_bitwise():
         for v in (0.0, -0.0, 0.7, -1.9, 2.6):
             fr = frames(spec, u, v)
             pj = position_jets(spec, u, v)
-            *_, E, W = _meridian_scalars(spec, u)
+            *_, E, W = ref.meridian_scalars(spec, u)
             assert _hex(fr.x) == _hex(pj.z_u * (1.0 / math.sqrt(E))), (case, v)
             assert _hex(fr.y) == _hex(pj.z_v * (1.0 / math.sqrt(W))), (case, v)
     assert kinds == {SurfaceKind.ELLIPTIC, SurfaceKind.HYPERBOLIC}
@@ -420,7 +420,7 @@ def test_invariant_record_computes_each_layer_once_per_row(monkeypatch):
         rec = invariant_record(spec, u)
         assert rec.admissible
         assert calls == {"_geo_fns_from": 1, "_curvatures_from": 1}
-        assert rec.trA1A2 == shape_operators(spec, u).trA1A2
+        assert rec.trA1A2 == shape_operators(spec, u).trA1A2 == ref.shape_trace(spec, u)
 
 
 def _grid_hex(vec, i, j):
@@ -430,7 +430,7 @@ def _grid_hex(vec, i, j):
 @pytest.mark.parametrize("spec", [PNMCV_ELL, MIN_HYP_I],
                          ids=["elliptic", "hyperbolic"])
 def test_grid_route_matches_point_route_bitwise(spec):
-    """frames_grid and _project_grid equal frames, _project and
+    """frames_grid and _project_grid equal the one-point float routes and
     np.trace(A1 @ A2) at every grid point, to the bit (hyperbolic |v| <= 3)."""
     lo, hi = spec.meridian.interval
     us = _grid_in_intervals(admissible_domain(spec, lo, hi, 200), 17)
@@ -444,9 +444,9 @@ def test_grid_route_matches_point_route_bitwise(spec):
     assert trg.shape == (len(us), len(vs))
     for i, u in enumerate(us):
         for j, v in enumerate(vs):
-            fr = frames(spec, u, v)
-            proj = _project(spec, u, v)
-            assert _grid_hex(zg, i, j) == _hex(position_jets(spec, u, v).z)
+            fr = ref.frames(spec, u, v)
+            proj = ref.project(spec, u, v)
+            assert _grid_hex(zg, i, j) == _hex(ref.position_jets(spec, u, v).z)
             for name in ("x", "y", "n1", "n2"):
                 want = _hex(getattr(fr, name))
                 assert _grid_hex(getattr(fg, name), i, j) == want, (u, v, name)
@@ -514,22 +514,21 @@ def test_positions_grid_of_a_jet_only_meridian_matches(spec):
 
 
 def _per_point_row(spec, u):
-    """(INVARIANT_COLUMNS values, admissible) at u from the per-point float
+    """(INVARIANT_COLUMNS values, admissible) at u from the one-point float
     routes: E, F, G from position_jets at v = 0, the rest from
-    geometric_functions, curvatures and shape_operators; NaN where they
+    geometric_functions, curvatures and the shape trace; NaN where they
     raise."""
     try:
-        E, F, G = _fundamental_from(position_jets(spec, u, 0.0))
+        E, F, G = _fundamental_from(ref.position_jets(spec, u, 0.0))
     except GrsError:
         return (math.nan,) * len(INVARIANT_COLUMNS), False
     try:
-        gf = geometric_functions(spec, u)
+        gf = ref.geometric_functions(spec, u)
     except InadmissiblePointError:
         return (E, F, G) + (math.nan,) * (len(INVARIANT_COLUMNS) - 3), False
-    cv = curvatures(spec, u)
+    cv = ref.curvatures(spec, u)
     return (E, F, G, gf.nu1, gf.nu2, gf.mu, gf.gamma2, gf.beta2, cv.K,
-            cv.kappa, cv.h_coeff, cv.H_norm2,
-            shape_operators(spec, u).trA1A2), True
+            cv.kappa, cv.h_coeff, cv.H_norm2, ref.shape_trace(spec, u)), True
 
 
 @pytest.mark.parametrize("case", classified_case_ids())
@@ -591,7 +590,65 @@ def test_grid_routes_reuse_invariant_grid_columns(monkeypatch, spec):
     bad = invariant_grid(spec, [us[0], lo - 1.0, us[1]])
     assert list(bad.admissible) == [True, False, True]
     with pytest.raises(GrsError) as per_point:
-        frames(spec, lo - 1.0, 0.0)
+        ref.frames(spec, lo - 1.0, 0.0)
     with pytest.raises(type(per_point.value),
                        match=re.escape(str(per_point.value))):
         frames_grid(spec, bad, vs)
+
+
+def _floats_hex(values):
+    assert all(type(x) is float for x in values)
+    return [x.hex() for x in values]
+
+
+@pytest.mark.parametrize("case,spec,u,width", SAMPLES, ids=[s[0] for s in SAMPLES])
+def test_point_views_match_float_routes_bitwise(case, spec, u, width):
+    """The per-point functions, 1-row views of the array routes, return the
+    Python floats of the one-point float routes."""
+    for uu in (u, u + 0.3 * width):
+        for v in (0.0, -0.0, 0.7, -1.9):
+            for got, want in ((frames(spec, uu, v), ref.frames(spec, uu, v)),
+                              (position_jets(spec, uu, v),
+                               ref.position_jets(spec, uu, v))):
+                for name in got.__slots__:
+                    assert (_floats_hex(getattr(got, name).components())
+                            == _hex(getattr(want, name))), (uu, v, name)
+        for got, want in ((geometric_functions(spec, uu),
+                           ref.geometric_functions(spec, uu)),
+                          (curvatures(spec, uu), ref.curvatures(spec, uu))):
+            assert (_floats_hex(dataclasses.astuple(got))
+                    == _floats_hex(dataclasses.astuple(want))), uu
+        so = shape_operators(spec, uu)
+        A1, A2 = ref.project(spec, uu, 0.0).shape_matrices()
+        assert so.trA1A2 == ref.shape_trace(spec, uu)
+        assert so.allied_coeff == (0.5 * abs(ref.curvatures(spec, uu).h_coeff)
+                                   * ref.shape_trace(spec, uu))
+        assert np.allclose(so.A1, A1, atol=1e-10) and np.allclose(so.A2, A2, atol=1e-10)
+        assert (_floats_hex(mean_curvature_numerator(spec, uu))
+                == _floats_hex(ref.mean_curvature_numerator(spec, uu)))
+
+
+@pytest.mark.parametrize("spec,u", [
+    (spec_for("min-ell-i", interval=(0.1, 10.0)), 1.0),      # inadmissible
+    (spec_for("pnmcv-ell", interval=(-1.0, 6.0)), 1.5),      # sqrt domain
+    (spec_for("min-hyp-i", interval=(-1.0, 6.0)), -0.5),     # power law
+    (spec_for("fnc-hyp-ii"), 1.5),                           # outside the span
+], ids=["inadmissible", "sqrt-domain", "power-law-domain", "integrated-span"])
+def test_point_views_raise_the_float_route_error(spec, u):
+    """Each 1-row view raises the error of its one-point float route, type
+    and text; position_jets and the mean-curvature numerator need only the
+    meridian."""
+    routes = [(frames, ref.frames, (u, 0.3)),
+              (position_jets, ref.position_jets, (u, 0.3)),
+              (geometric_functions, ref.geometric_functions, (u,)),
+              (curvatures, ref.curvatures, (u,)),
+              (shape_operators, ref.geometric_functions, (u,)),
+              (mean_curvature_numerator, ref.mean_curvature_numerator, (u,))]
+    for view, route, args in routes:
+        try:
+            route(spec, *args)
+        except GrsError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                view(spec, *args)
+        else:
+            view(spec, *args)

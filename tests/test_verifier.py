@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from grs4.errors import ConfigError, ParamError, StepError
+import point_reference as ref
+from grs4.errors import (ConfigError, InadmissiblePointError, ParamError,
+                         StepError)
 from grs4.meridians import build_family, descriptor_from_catalog
 from grs4.reporting import report_json_bytes
 from grs4.pe4 import PEVector4
@@ -138,40 +140,6 @@ def test_boundary_located_by_bisection():
     assert ivs[0][1] == pytest.approx(cutoff, abs=1e-9)
 
 
-def _admissible_domain_per_u(spec, u0, u1, n):
-    """admissible_domain with its sample pass as the per-u _indicator loop
-    it replaced (the reference for the one-pass scan)."""
-    us = np.linspace(u0, u1, n)
-    vals = [verifier._indicator(spec, u) for u in us]
-
-    def refine(a, b, va, vb):
-        for _ in range(200):
-            if b - a <= 1e-12:
-                break
-            m = 0.5 * (a + b)
-            vm = verifier._indicator(spec, m)
-            if (vm > 0.0) == (va > 0.0):
-                a, va = m, vm
-            else:
-                b, vb = m, vm
-        return 0.5 * (a + b)
-
-    intervals = []
-    start = None
-    for i, (u, val) in enumerate(zip(us, vals)):
-        good = val > 0.0
-        if good and start is None:
-            start = u0 if i == 0 else refine(us[i - 1], u, vals[i - 1], val)
-        elif not good and start is not None:
-            end = refine(us[i - 1], u, vals[i - 1], val)
-            if end > start:
-                intervals.append((start, end))
-            start = None
-    if start is not None:
-        intervals.append((start, u1))
-    return intervals
-
-
 def _scan_cases():
     """Every catalog family on its interval and, for the closed forms, on
     one three times as wide, which reaches where the meridian is undefined
@@ -191,8 +159,8 @@ def test_admissible_domain_matches_per_u_indicator_loop():
     for case, spec, (lo, hi) in _scan_cases():
         for n in (128, 200, 257):
             got = admissible_domain(spec, lo, hi, n)
-            assert got == _admissible_domain_per_u(spec, lo, hi, n), (case, n)
-        undefined += math.isinf(verifier._indicator(spec, lo))
+            assert got == ref.admissible_domain(spec, lo, hi, n), (case, n)
+        undefined += math.isinf(ref.indicator(spec, lo))
     assert undefined >= 4   # power laws, pnmcv and min-ell-iii past their edge
 
 
@@ -201,7 +169,7 @@ def test_admissible_domain_undefined_meridian():
     bisected to the branch point."""
     spec = spec_for("pnmcv-ell", interval=(0.5, 6.0))
     got = admissible_domain(spec, 0.5, 6.0, 200)
-    assert got == _admissible_domain_per_u(spec, 0.5, 6.0, 200)
+    assert got == ref.admissible_domain(spec, 0.5, 6.0, 200)
     assert len(got) == 1 and got[0][0] == pytest.approx(2.0, abs=1e-9)
 
 
@@ -222,9 +190,9 @@ def test_admissible_domain_nan_indicator_matches_min(monkeypatch, column):
         return tuple(out)
 
     monkeypatch.setattr(surfaces, "_scalars_from", poked)   # per-u loop
-    monkeypatch.setattr(verifier, "_scalars_from", poked)   # the scan
+    monkeypatch.setattr(verifier, "_scalars_from", poked)   # the array scan
     got = admissible_domain(spec, 2.1, 6.0, 200)
-    assert got == _admissible_domain_per_u(spec, 2.1, 6.0, 200)
+    assert got == ref.admissible_domain(spec, 2.1, 6.0, 200)
     assert len(got) == (2 if column == 6 else 1)
 
 
@@ -375,18 +343,18 @@ def test_sweep_passes_where_unscaled_off_component_failed(seed):
 def test_sweep_detects_off_carrier_component(monkeypatch):
     """Negative control: sigma(x,x) shifted so that H gains an off-carrier
     component of 1e-9 of the sigma magnitude fails quasi-minimal-sweep."""
-    project = verifier._project
+    project = verifier._projection
 
-    def perturbed(spec, u, v, *args):
-        proj = project(spec, u, v, *args)
+    def perturbed(spec, *args):
+        proj = project(spec, *args)
         fr = proj.fr
         n_off = fr.n1 if spec.kind is SurfaceKind.ELLIPTIC else fr.n2
-        smax = max(w.euclid_norm() for w in proj.sigma)
+        smax = np.max([w.euclid_norm() for w in proj.sigma], axis=0)
         sxx, sxy, syy = proj.sigma
         return dataclasses.replace(
             proj, sigma=(sxx + n_off * (2e-9 * smax), sxy, syy))
 
-    monkeypatch.setattr(verifier, "_project", perturbed)
+    monkeypatch.setattr(verifier, "_projection", perturbed)
     checks = {c.name: c for c in random_point_sweep(40, 23, 1e-12)}
     assert not checks["quasi-minimal-sweep"].passed
     assert checks["quasi-minimal-sweep"].max_residual > 1e-11
@@ -462,42 +430,38 @@ def test_verify_family_detects_off_carrier_component(monkeypatch, case):
 
 
 def test_verify_family_batches_its_grid_checks(monkeypatch):
-    """On a closed-form family, per-point frames run only inside the FD
-    stencils, and neither position_jets nor the per-point projection runs:
-    frame orthonormality is one frames_grid call, v-independence and the
-    v_mid bundle one _project_grid call each."""
-    calls = {"frames": 0, "frames_outside_fd": 0, "position_jets": 0,
-             "_project": 0, "frames_grid": 0, "_project_grid": 0}
+    """On a closed-form family no per-point route runs: the FD stencil is
+    one batched fd_connection_rows call with one frame pass, frame
+    orthonormality one frames_grid call, v-independence and the v_mid
+    bundle one _project_grid call each."""
+    calls = {"frames": 0, "position_jets": 0, "geometric_functions": 0,
+             "curvatures": 0, "frames_grid": 0, "_project_grid": 0,
+             "fd_connection_rows": 0, "_frame_from": 0, "frames_in_fd": 0}
     in_fd = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            if name == "frames" and not in_fd:
-                calls["frames_outside_fd"] += 1
-            return fn(*args, **kwargs)
+            if name == "_frame_from" and in_fd:
+                calls["frames_in_fd"] += 1
+            if name == "fd_connection_rows":
+                in_fd.append(True)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                if name == "fd_connection_rows":
+                    in_fd.pop()
         return wrapper
 
-    fd_check = verifier.fd_connection_check
-
-    def fd_wrapper(*args, **kwargs):
-        in_fd.append(True)
-        try:
-            return fd_check(*args, **kwargs)
-        finally:
-            in_fd.pop()
-
     for mod in (surfaces, verifier):
-        for name in ("frames", "position_jets", "_project", "frames_grid",
-                     "_project_grid"):
+        for name in calls:
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
-    monkeypatch.setattr(verifier, "fd_connection_check", fd_wrapper)
     rep = verify_family("pnmcv-ell")
     assert rep.passed
-    assert calls["frames"] > 0
-    assert calls["frames_outside_fd"] == 0
-    assert calls["position_jets"] == 0 and calls["_project"] == 0
+    assert calls["fd_connection_rows"] == 1 and calls["frames_in_fd"] == 1
+    for name in ("frames", "position_jets", "geometric_functions", "curvatures"):
+        assert calls[name] == 0, name
     assert calls["frames_grid"] == 1 and calls["_project_grid"] == 2
 
 
@@ -544,13 +508,14 @@ def test_nan_fd_row_fails_fd_connection(monkeypatch):
     spec = spec_for("pnmcv-ell", {"C": 2.0}, alpha=1.0, beta=3.0)
     points = [(2.8, 0.7), (3.2, 0.7), (3.6, 0.7)]
     assert check_fd_connection(spec, points, 1e-4, 1e-6)[0].passed
-    rows = verifier.fd_connection_check
+    rows = verifier.fd_connection_rows
 
-    def poisoned(spec_, u, v, h):
-        out = rows(spec_, u, v, h)
-        return out[:2] + [(out[2][0], math.nan)] + out[3:] if u == 3.2 else out
+    def poisoned(spec_, points_, hs):
+        names, out = rows(spec_, points_, hs)
+        out[2, 1, 0] = math.nan   # row 2 at u = 3.2, step h
+        return names, out
 
-    monkeypatch.setattr(verifier, "fd_connection_check", poisoned)
+    monkeypatch.setattr(verifier, "fd_connection_rows", poisoned)
     res = check_fd_connection(spec, points, 1e-4, 1e-6)[0]
     assert math.isnan(res.max_residual) and not res.passed
 
@@ -629,7 +594,7 @@ def test_verify_family_evaluates_each_grid_u_once(monkeypatch, case):
         monkeypatch.setattr(cls, "_evaluate", counting(cls._evaluate))
     monkeypatch.setattr(meridians.MeridianFamily, "jet_columns",
                         counting_columns(meridians.MeridianFamily.jet_columns))
-    for name in ("admissible_domain", "fd_connection_check"):
+    for name in ("admissible_domain", "fd_connection_rows"):
         monkeypatch.setattr(verifier, name, excluded(getattr(verifier, name)))
     grid_in_intervals = verifier._grid_in_intervals
 
@@ -642,3 +607,153 @@ def test_verify_family_evaluates_each_grid_u_once(monkeypatch, case):
     [us] = grids
     assert len(us) == 50
     assert seen == collections.Counter(float(u) for u in us)
+
+
+# ---------------------------------------------------------------------------
+# Array passes against the one-point float loops
+
+def _widest(spec):
+    lo, hi = spec.meridian.interval
+    return max(admissible_domain(spec, lo, hi, 200), key=lambda iv: iv[1] - iv[0])
+
+
+_FD_SPECS = [(case, spec, _widest(spec)) for case, spec in
+             ((case, spec_for(case)) for case in
+              ("pnmcv-ell", "min-hyp-i", "flat-ell-i", "fnc-hyp-ii"))]
+
+
+def _hexes(values):
+    return [float(x).hex() for x in values]
+
+
+def test_fd_rows_match_point_loop_bitwise():
+    """fd_connection_rows, and check_fd_connection from it, give the bits
+    of the per-point loop: closed-form and integrated families of both
+    kinds, one to three points, several steps."""
+    from hypothesis import given, settings, strategies as st
+
+    steps = st.sampled_from([1e-4, 5e-5, 3e-4, 1e-3])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(_FD_SPECS),
+           st.lists(st.tuples(st.floats(0.1, 0.9), st.floats(-3.0, 3.0)),
+                    min_size=1, max_size=3),
+           steps, st.sampled_from([1.0, 10.0]))
+    def inner_check(job, fracs, h, shrink):
+        case, spec, (a, b) = job
+        points = [(a + t * (b - a), v) for t, v in fracs]
+        shrink_h = shrink * h
+        hs = (h, 0.5 * shrink_h) if shrink_h == h else (h, shrink_h, 0.5 * shrink_h)
+        names, rows = verifier.fd_connection_rows(spec, points, hs)
+        for p, (u, v) in enumerate(points):
+            for k, step in enumerate(hs):
+                want = ref.fd_connection_check(spec, u, v, step)
+                assert names == [n for n, _ in want]
+                assert _hexes(rows[:, p, k]) == _hexes(r for _, r in want), (case, u, v, step)
+        residuals, ratios = ref.check_fd_connection(spec, points, h, shrink_h)
+        res, shr = check_fd_connection(spec, points, h, 1e-6, shrink_h=shrink_h)
+        assert res.max_residual == max(residuals)
+        if ratios:
+            assert shr.max_residual == abs(float(np.median(ratios)) - 4.0)
+            assert f"over {len(ratios)} rows" in shr.notes
+        else:
+            assert shr.vacuous
+
+    inner_check()
+
+
+def _fd_error(fn):
+    try:
+        fn()
+    except Exception as exc:   # noqa: BLE001 - any error is compared
+        return type(exc), str(exc)
+    return None
+
+
+_ALPHA_GT_BETA = spec_for("pnmcv-ell", {"C": 2.0}, alpha=2.0, beta=1.0,
+                          interval=(2.05, 10.0))   # admissible below 2.3094
+
+
+@pytest.mark.parametrize("spec,points,h,shrink_h,kind", [
+    (_ALPHA_GT_BETA, [(2.2, 0.7), (3.0, 0.7)], 1e-4, 1e-4,
+     InadmissiblePointError),                               # centre
+    (spec_for("pnmcv-ell", {"C": 2.0}, alpha=1.0, beta=3.0),
+     [(2.1, 0.0)], 0.2, 0.2, StepError),                    # u - h < C
+    (_ALPHA_GT_BETA, [(2.25, 0.3), (3.0, 0.7)], 0.1, 0.1,
+     StepError),                                            # u + h
+    (_ALPHA_GT_BETA, [(2.2, 0.3)], 1e-4, 0.15, StepError),  # shrink_h only
+], ids=["centre", "u-minus-h-undefined", "u-plus-h-inadmissible",
+        "shrink-step-only"])
+def test_fd_stencil_raises_the_point_loop_first_error(spec, points, h,
+                                                       shrink_h, kind):
+    """The batched stencil raises the first error of the per-point loop,
+    type and text."""
+    want = _fd_error(lambda: ref.check_fd_connection(spec, points, h, shrink_h))
+    got = _fd_error(lambda: check_fd_connection(spec, points, h, 1e-6,
+                                                shrink_h=shrink_h))
+    assert want is not None and want[0] is kind
+    assert got == want
+    if len(points) == 1:
+        assert _fd_error(lambda: fd_connection_check(spec, *points[0], shrink_h)) \
+            == _fd_error(lambda: ref.fd_connection_check(spec, *points[0], shrink_h))
+
+
+def _sweep_pool():
+    pool = []
+    for case in meridians.classified_case_ids():
+        desc = descriptor_from_catalog(case)
+        spec = surface_from_family(build_family(desc))
+        intervals = admissible_domain(spec, *desc.interval, 256)
+        if intervals:
+            pool.append((case, spec, intervals))
+    return pool
+
+
+@pytest.mark.parametrize("seed", [20240, 31, 1566735269])
+def test_sweep_residuals_match_point_loop_bitwise(seed):
+    """The sweep's four residual lists, drawn in the same order and
+    evaluated per family, equal the per-point loop's to the bit, and the
+    sweep reports their maxima."""
+    import random
+
+    pool = _sweep_pool()
+    got = verifier._sweep_residuals(pool, 200, random.Random(seed))
+    want = ref.sweep_residuals(pool, 200, random.Random(seed))
+    for g, w in zip(got, want):
+        assert _hexes(g) == _hexes(w)
+    checks = random_point_sweep(200, seed, 1e-12)
+    assert [c.max_residual for c in checks] == [max(w) for w in want]
+
+
+_EDGE_SPECS = [
+    (spec_for("pnmcv-ell", {"C": 2.0}, alpha=1.0, beta=3.0, interval=(1.5, 6.0)),
+     2.0),                                  # the meridian ends at C
+    (_ALPHA_GT_BETA, math.sqrt(16.0 / 3.0)),  # E, W change sign
+    (spec_for("min-hyp-i", interval=(-1.0, 6.0)), 0.0),
+]
+
+
+def test_lockstep_bisection_matches_scalar_refine():
+    """All brackets bisected in lockstep end at the bits of the one-bracket
+    loop, on brackets that cross an admissibility edge; the scan built on
+    it equals the per-u loop."""
+    from hypothesis import given, settings, strategies as st
+
+    offsets = st.floats(1e-9, 1.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(_EDGE_SPECS),
+           st.lists(st.tuples(offsets, offsets), min_size=1, max_size=5),
+           st.integers(2, 300))
+    def inner_check(job, brackets, n):
+        spec, edge = job
+        lo, hi = spec.meridian.interval
+        a = np.array([max(lo, edge - x) for x, _ in brackets])
+        b = np.array([min(hi, edge + y) for _, y in brackets])
+        va = [ref.indicator(spec, u) for u in a]
+        got = verifier._bisect(spec, a, b, np.array(va) > 0.0)
+        want = [ref.refine(spec, *args) for args in zip(a, b, va)]
+        assert _hexes(got) == _hexes(want)
+        assert admissible_domain(spec, lo, hi, n) == ref.admissible_domain(spec, lo, hi, n)
+
+    inner_check()

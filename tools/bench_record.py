@@ -7,13 +7,17 @@ Usage, from the root of this repository:
 For each workload in the checkout's BENCHMARK.json it runs
 ``perfbench/run.py --trace 0`` of that checkout (end-to-end metrics, tracing
 off, seed 31, perfbench's default of run_seconds per workload) and then
-``--trace 1`` (the per-layer metrics), then times the checkout's tier-1
-tests once.  The JSON, written at the root of this repository, holds the
-machine facts that perfbench prints (nproc, CPU, Python, numpy), each
-workload's setup_s, wall_s, items_per_s, peak_rss_mb and ok_ratio, under
-"layers" each workload's per-layer medians (calls and self seconds per
-pass, with tracing on), and the tier-1 wall time with its pytest summary
-line.  Nothing under perfbench/ is changed; the runs go one after another,
+``--trace 1`` (the per-layer metrics).  Then it times the full default
+suite, ``grs4 verify --suite default`` with its random-point sweep on
+(seed 31), SUITE_RUNS times, each in a fresh process, and the checkout's
+tier-1 tests once.  The JSON, written at the root of this repository,
+holds the machine facts that perfbench prints (nproc, CPU, Python, numpy),
+each workload's setup_s, wall_s, items_per_s, peak_rss_mb and ok_ratio,
+under "layers" each workload's per-layer medians (calls and self seconds
+per pass, with tracing on), under "default_suite" the median and every
+run of the full suite's wall time (raw seconds, interpreter start
+included, not converted to a reference speed), and the tier-1 wall time
+with its pytest summary line.  Nothing under perfbench/ is changed; the runs go one after another,
 each in its own process.
 
 To compare two commits, record both on one machine in one sitting, for
@@ -26,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -33,6 +38,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRICS = ("setup_s", "wall_s", "items_per_s", "peak_rss_mb", "ok_ratio")
 SEED = 31
+SUITE_RUNS = 5
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -60,10 +66,32 @@ def run_workload(checkout: str, workload: str):
     return facts, metrics, layers
 
 
-def run_tier1(checkout: str) -> dict:
+def _src_env(checkout: str) -> dict:
+    """The environment with the checkout's src first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(checkout, "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_default_suite(checkout: str) -> dict:
+    """Median and runs of the wall time of ``grs4 verify --suite default``,
+    sweep on, one fresh process per run."""
+    runs, codes = [], set()
+    for _ in range(SUITE_RUNS):
+        t0 = time.perf_counter()
+        out = subprocess.run(
+            [sys.executable, "-m", "grs4", "verify", "--suite", "default",
+             "--seed", str(SEED)], cwd=checkout, env=_src_env(checkout),
+            capture_output=True, text=True)
+        runs.append(time.perf_counter() - t0)
+        codes.add(out.returncode)
+    return {"wall_s": statistics.median(runs), "runs_s": runs,
+            "exit_codes": sorted(codes)}
+
+
+def run_tier1(checkout: str) -> dict:
+    env = _src_env(checkout)
     t0 = time.perf_counter()
     out = subprocess.run([sys.executable] + TIER1, cwd=checkout, env=env,
                          capture_output=True, text=True)
@@ -87,6 +115,8 @@ def main(argv=None) -> int:
         name = w["name"]
         print(f"bench_record: {name} ...", file=sys.stderr, flush=True)
         facts, workloads[name], layers[name] = run_workload(checkout, name)
+    print("bench_record: default suite ...", file=sys.stderr, flush=True)
+    suite = run_default_suite(checkout)
     print("bench_record: tier-1 ...", file=sys.stderr, flush=True)
     record = {
         "label": args.label,
@@ -96,6 +126,7 @@ def main(argv=None) -> int:
         "seconds": bench["run_seconds"],
         "workloads": workloads,
         "layers": layers,
+        "default_suite": suite,
         "tier1": run_tier1(checkout),
     }
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
