@@ -17,8 +17,8 @@ of zero, arcsin outside (-1, 1)), the array route sets that element to NaN
 instead and carries on; evaluate_masked reports those elements as a mask,
 which keeps them apart from a NaN the float route returns without raising.
 The second-derivative terms of sqrt, log and real powers divide by v*v or
-v*sqrt(v), which underflow to zero for positive v below about 1e-162 to
-1e-216; their guards count such a v as outside the domain, like a
+v*sqrt(v), which underflow to zero for positive v up to _CUBE_FLOOR (sqrt)
+or _SQ_FLOOR; their guards count such a v as outside the domain, like a
 non-positive one.
 """
 
@@ -34,6 +34,8 @@ import numpy as np
 from .errors import DomainError
 
 _DIV_FLOOR = 1e-300
+# the largest x with x * x == 0.0, and with x * sqrt(x) == 0.0
+_SQ_FLOOR, _CUBE_FLOOR = 1.5717277847026285e-162, 1.827411866876897e-216
 
 # the masks of the guards fired inside evaluate_masked, None outside it
 _FIRED: ContextVar[list | None] = ContextVar("_FIRED", default=None)
@@ -203,22 +205,19 @@ def jexp(j: Jet2) -> Jet2:
 
 
 def jlog(j: Jet2) -> Jet2:
-    v = guard(j.val, (j.val <= 0.0) | (j.val * j.val == 0.0),
-              "log of non-positive or underflowing value {}")
+    v = guard(j.val, j.val <= _SQ_FLOOR, "log of non-positive or tiny value {}")
     return _chain(j, _each(math.log, v), 1.0 / v, -1.0 / (v * v))
 
 
 def jsqrt(j: Jet2) -> Jet2:
-    r = _each(math.sqrt, abs(j.val))
-    v = guard(j.val, (j.val <= 0.0) | (j.val * r == 0.0),
-              "sqrt of non-positive or underflowing value {}")
+    v = guard(j.val, j.val <= _CUBE_FLOOR, "sqrt of non-positive or tiny value {}")
+    r = _each(math.sqrt, v)
     return _chain(j, r, 0.5 / r, -0.25 / (v * r))
 
 
 def jpow(j: Jet2, k: float) -> Jet2:
     """j**k for real exponent; requires a positive base."""
-    v = guard(j.val, (j.val <= 0.0) | (j.val * j.val == 0.0),
-              "real power of non-positive or underflowing base {}")
+    v = guard(j.val, j.val <= _SQ_FLOOR, "real power of non-positive or tiny base {}")
     f = _each(lambda x: x ** k, v)
     return _chain(j, f, k * f / v, k * (k - 1.0) * f / (v * v))
 

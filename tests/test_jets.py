@@ -135,6 +135,15 @@ def test_domain_errors():
         jet_apply("nope", u)
 
 
+def test_underflow_floors_are_the_last_zero_products():
+    from grs4.jets import _CUBE_FLOOR, _SQ_FLOOR
+
+    up = math.nextafter(_SQ_FLOOR, 1.0)
+    assert _SQ_FLOOR * _SQ_FLOOR == 0.0 < up * up
+    up = math.nextafter(_CUBE_FLOOR, 1.0)
+    assert _CUBE_FLOOR * math.sqrt(_CUBE_FLOOR) == 0.0 < up * math.sqrt(up)
+
+
 def test_expression_descriptor():
     expr = JetExpr("sqrt(u*u - 4)")
     out = expr(3.0)
