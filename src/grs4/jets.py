@@ -19,7 +19,8 @@ which keeps them apart from a NaN the float route returns without raising.
 The second-derivative terms of sqrt, log and real powers divide by v*v or
 v*sqrt(v), which underflow to zero for positive v up to _CUBE_FLOOR (sqrt)
 or _SQ_FLOOR; their guards count such a v as outside the domain, like a
-non-positive one.
+non-positive one.  So do exp, sinh, cosh and powers whose result is past
+the float range (where Python raises OverflowError).
 """
 
 from __future__ import annotations
@@ -74,11 +75,28 @@ def evaluate_masked(fn, u):
 
 
 def _each(fn, x):
-    """fn(x) for a float; fn at each element, as a float array, for an array."""
-    if isinstance(x, np.ndarray):
+    """fn(x) for a float; fn at each element, as a float array, for an array.
+
+    A result past the float range (OverflowError from ** or math) is outside
+    the domain: DomainError on a float, a guarded NaN element on an array.
+    """
+    try:
+        if not isinstance(x, np.ndarray):
+            return fn(x)
         return np.fromiter(map(fn, x.ravel().tolist()), float,
                            x.size).reshape(x.shape)
-    return fn(x)
+    except OverflowError:
+        if not isinstance(x, np.ndarray):
+            raise DomainError(f"result past the float range at {x}") from None
+    # only after an overflow: element by element, masking where it recurs
+    bad = np.zeros(x.shape, dtype=bool)
+    out = np.full(x.shape, math.nan)
+    for i, v in enumerate(x.ravel().tolist()):
+        try:
+            out.flat[i] = fn(v)
+        except OverflowError:
+            bad.flat[i] = True
+    return guard(out, bad, "")
 
 
 @dataclass(frozen=True, slots=True)
@@ -309,7 +327,11 @@ class JetExpr:
         env = {"u": Jet2.variable(u), "pi": math.pi, "e": math.e}
         env.update(_ELEMENTARY)
         env["abs"] = jabs
-        out = eval(self._code, {"__builtins__": {}}, env)
+        try:
+            out = eval(self._code, {"__builtins__": {}}, env)
+        except OverflowError:   # a constant such as 10.0 ** 400
+            raise DomainError(
+                f"{self.text!r}: constant past the float range") from None
         if isinstance(out, (int, float)):
             return Jet2.const(float(out))
         return out

@@ -5,10 +5,11 @@ flat normal connection; elliptic and hyperbolic kind) is realized as an
 evaluator producing the 2-jets of the profile functions f and g at any
 parameter value.  Families with closed forms go through jet arithmetic;
 families defined only by an implicit relation are integrated with RK4 at a
-fixed tolerance, each step solving one rule's system() for (f', g') (a single
-root for min-hyp-iii, at most two otherwise), and evaluated through cubic
-Hermite dense output.  jet_columns evaluates a family over a whole array of
-parameter values in one pass, with the bits of the per-point jet.
+fixed tolerance, each field call one frame of the rule's solve() for the
+tracked (f', g') (a single root for min-hyp-iii, at most two otherwise), and
+evaluated through cubic Hermite dense output.  jet_columns evaluates a family
+over a whole array of parameter values in one pass, with the bits of the
+per-point jet.
 
 Case identifiers:
     min-ell-i    f = c * g^(s*alpha/beta), g = u           (alpha != beta)
@@ -179,83 +180,27 @@ def _check_regular(case, u, fj, gj):
 # Constrained / ODE-realized families
 
 class _QuadRule:
-    """Per-step linear-quadratic system defining (f', g') for one family.
+    """Per-step system defining (f', g') for one integrated family.
 
-    system() returns (f' roots, c0, c1, q): the real roots of a quadratic
-    (min-hyp-iii: one root) and g' = (c0 + c1 f') / q.  candidates() pairs
-    them all up (the tests' reference); branches() returns the one root that
-    integration follows and the other f' root, and tracked() the first;
-    second() recovers (f'', g'') by differentiating the defining equations
-    analytically; constraint() is the algebraic invariant whose drift is
-    monitored (0 for families whose relation involves derivatives only) and
-    derive_g0() solves it for g0 where it involves g.
+    solve(u, f, g, ref, larger=True) gives, in one frame, (f', g', other f'
+    root or NaN) of the root nearest ref (a tie or NaN distance keeps the
+    quadratic's first root; with ref None, the larger or smaller f').
+    second(u, f, g, f', g') recovers (f'', g''); constraint() is the
+    algebraic invariant whose drift is monitored (0 for derivative-only
+    relations), for floats or arrays, and derive_g0() solves it for g0.
     """
 
     name = "?"
 
-    def system(self, u, f, g):
-        raise NotImplementedError
+    def constraint(self, u, f, g):
+        return np.zeros_like(u)
 
-    def candidates(self, u, f, g):
-        roots, c0, c1, q = self.system(u, f, g)
-        return [(fp, (c0 + c1 * fp) / q) for fp in roots]
-
-    def branches(self, u, f, g, ref, larger=True):
-        """((f', g') of the tracked root, the other f' root or NaN).
-
-        The tracked root is the one whose f' is nearest ref, a tie (or a NaN
-        distance) keeping the first root as min() does; with ref None, the
-        root with the larger (or smaller) f'.  The other root is NaN where
-        the system has one root.
-        """
-        roots, c0, c1, q = self.system(u, f, g)
-        fp, other = roots[0], math.nan
-        if len(roots) == 2:
-            other = roots[1]
-            # the order of sorted() and the first-wins tie of min()
-            if ((other < fp) != larger if ref is None
-                    else abs(other - ref) < abs(fp - ref)):
-                fp, other = other, fp
-        return (fp, (c0 + c1 * fp) / q), other
-
-    def tracked(self, u, f, g, ref, larger=True):
-        """The (f', g') root that branches() tracks."""
-        return self.branches(u, f, g, ref, larger)[0]
-
-    def second(self, u, f, g, fp, gp):
-        raise NotImplementedError
-
-    def constraint(self, u, f, g) -> float:
-        return 0.0
-
-    def speed_residual(self, fp, gp) -> float:
+    def speed_residual(self, fp, gp):
         return abs(fp * fp - self.eps * gp * gp - 1.0)
 
     def derive_g0(self, u0, f0) -> float:
         raise ParamError(
             f"{self.name}: no algebraic constraint to derive g0 from; give g0")
-
-
-def _quad_roots(A, B, C, name, u):
-    """Real roots of A x^2 + B x + C = 0, robust to tiny A and roundoff.
-
-    name and u only word the NoRealRootError.
-    """
-    scale = max(abs(A), abs(B), abs(C), 1e-30)
-    if abs(A) <= 1e-14 * scale:
-        if abs(B) <= 1e-14 * scale:
-            raise NoRealRootError(f"degenerate root system at {name} u={u}")
-        return [-C / B]
-    disc = B * B - 4.0 * A * C
-    if disc < 0.0:
-        if disc < -1e-12 * scale * scale:
-            raise NoRealRootError(f"negative discriminant at {name} u={u}")
-        disc = 0.0
-    sq = math.sqrt(disc)
-    qq = -0.5 * (B + math.copysign(sq, B)) if B != 0.0 else -0.5 * sq
-    if qq == 0.0:
-        return [0.0]
-    return [qq / A, C / qq]
 
 
 # The flat and fnc rules serve both kinds through the signature sign eps
@@ -264,26 +209,63 @@ def _quad_roots(A, B, C, name, u):
 # one operand of a negated difference (-(x - y) and y - x differ in the
 # sign of a zero), so each kind keeps the trajectories of its own rule.
 
-class _FlatRule(_QuadRule):
-    """beta^2 g^2 - eps alpha^2 f^2 = a^2 (u+c)^2 with f'^2 - eps g'^2 = 1."""
+class _LinQuadRule(_QuadRule):
+    """q g' - eps p f' = r with unit speed f'^2 - eps g'^2 = 1, a quadratic
+    in f': flat takes (p, q, r) = (alpha^2 f, beta^2 g, a^2 (u + c)), fnc
+    takes (f, g, -eps C sqrt(beta^2 g^2 - eps alpha^2 f^2))."""
 
-    def __init__(self, name, eps, a, c, alpha, beta):
-        self.name = name
-        self.eps = eps
-        self.a2 = a * a
-        self.c = c
-        self.al2 = alpha * alpha
-        self.be2 = beta * beta
+    fnc = False
 
-    def system(self, u, f, g):
-        # q g' - eps p f' = r, the derivative of the constraint
+    def __init__(self, name, eps, alpha, beta):
+        self.name, self.eps = name, eps
+        self.al2, self.be2 = alpha * alpha, beta * beta
+
+    def solve(self, u, f, g, ref, larger=True):
         e = self.eps
-        p, q, r = self.al2 * f, self.be2 * g, self.a2 * (u + self.c)
+        if self.fnc:
+            w = self.be2 * g * g - e * self.al2 * f * f
+            if w <= 0.0:
+                raise NoRealRootError(self.w_error)
+            p, q, r = f, g, -e * self.C * math.sqrt(w)
+        else:
+            p, q, r = self.al2 * f, self.be2 * g, self.a2 * (u + self.c)
         if abs(q) < 1e-14:
             raise NoRealRootError(f"{self.name}: g ~ 0 at u={u}")
-        roots = _quad_roots(q * q - e * p * p, -2.0 * p * r,
-                            -e * r * r - q * q, self.name, u)
-        return roots, r, e * p, q
+        # A f'^2 + B f' + C = 0, with thresholds relative to its scale
+        A, B, C = q * q - e * p * p, -2.0 * p * r, -e * r * r - q * q
+        scale = max(abs(A), abs(B), abs(C), 1e-30)
+        if abs(A) <= 1e-14 * scale:
+            if abs(B) <= 1e-14 * scale:
+                raise NoRealRootError(
+                    f"degenerate root system at {self.name} u={u}")
+            fp, other = -C / B, math.nan
+        else:
+            disc = B * B - 4.0 * A * C
+            if disc < 0.0:
+                if disc < -1e-12 * scale * scale:
+                    raise NoRealRootError(
+                        f"negative discriminant at {self.name} u={u}")
+                disc = 0.0
+            sq = math.sqrt(disc)
+            qq = -0.5 * (B + math.copysign(sq, B)) if B != 0.0 else -0.5 * sq
+            if qq == 0.0:
+                fp, other = 0.0, math.nan
+            else:
+                fp, other = qq / A, C / qq
+                # the order of sorted() and the first-wins tie of min()
+                if ((other < fp) != larger if ref is None
+                        else abs(other - ref) < abs(fp - ref)):
+                    fp, other = other, fp
+        return fp, (r + e * p * fp) / q, other
+
+
+class _FlatRule(_LinQuadRule):
+    """beta^2 g^2 - eps alpha^2 f^2 = a^2 (u+c)^2 with f'^2 - eps g'^2 = 1;
+    q g' - eps p f' = r is the derivative of the constraint."""
+
+    def __init__(self, name, eps, a, c, alpha, beta):
+        super().__init__(name, eps, alpha, beta)
+        self.a2, self.c = a * a, c
 
     def second(self, u, f, g, fp, gp):
         e = self.eps
@@ -309,40 +291,24 @@ class _FlatRule(_QuadRule):
         return math.sqrt(val)
 
 
-class _FncRule(_QuadRule):
+class _FncRule(_LinQuadRule):
     """f f' - eps g g' = C sqrt(beta^2 g^2 - eps alpha^2 f^2), unit speed
-    f'^2 - eps g'^2 = 1."""
+    f'^2 - eps g'^2 = 1; in the form q g' - eps p f' = r, r carries the
+    root's -eps C."""
+
+    fnc = True
 
     def __init__(self, name, eps, C, alpha, beta):
-        self.name = name
-        self.eps = eps
+        super().__init__(name, eps, alpha, beta)
         self.C = C
-        self.al2 = alpha * alpha
-        self.be2 = beta * beta
-
-    def _w(self, f, g):
-        w = self.be2 * g * g - self.eps * self.al2 * f * f
-        if w <= 0.0:
-            sign = "-" if self.eps > 0.0 else "+"
-            raise NoRealRootError(
-                f"{self.name}: beta^2 g^2 {sign} alpha^2 f^2 <= 0")
-        return w
-
-    def system(self, u, f, g):
-        # q g' = eps p f' - eps r; c0 + c1 f' with c0 = -eps r rounds
-        # exactly as that difference
-        e = self.eps
-        r = self.C * math.sqrt(self._w(f, g))
-        p, q = f, g
-        if abs(q) < 1e-14:
-            raise NoRealRootError(f"{self.name}: g ~ 0 at u={u}")
-        roots = _quad_roots(q * q - e * p * p, 2.0 * e * p * r,
-                            -e * r * r - q * q, self.name, u)
-        return roots, -e * r, e * p, q
+        sign = "-" if eps > 0.0 else "+"
+        self.w_error = f"{name}: beta^2 g^2 {sign} alpha^2 f^2 <= 0"
 
     def second(self, u, f, g, fp, gp):
         e = self.eps
-        w = self._w(f, g)
+        w = self.be2 * g * g - e * self.al2 * f * f
+        if w <= 0.0:
+            raise NoRealRootError(self.w_error)
         rhs = (self.C * (self.be2 * g * gp - e * self.al2 * f * fp)
                / math.sqrt(w) - 1.0)
         det = e * g * fp - e * f * gp
@@ -360,36 +326,31 @@ class _MinHyp3Rule(_QuadRule):
     def __init__(self, c):
         self.c = c
 
-    def system(self, u, f, g):
-        # one root; cos t + 0.0 * sin t is cos t to the bit
+    def solve(self, u, f, g, ref, larger=True):
         if f == 0.0 and g == 0.0:
             raise NoRealRootError(f"{self.name}: curve through the origin at u={u}")
         t = self.c - math.atan2(f, g)
-        return [math.sin(t)], math.cos(t), 0.0, 1.0
+        return math.sin(t), math.cos(t), math.nan
 
     def second(self, u, f, g, fp, gp):
         dphi = (fp * g - f * gp) / (f * f + g * g)
         return -gp * dphi, fp * dphi
 
 
-class _TrackingField:
-    """State-derivative map that follows one root branch continuously.
+def tracking_field(rule: _QuadRule, initial_root: str):
+    """(field, others): field(u, [f, g]) is the (f', g') of the root of rule
+    nearest the previous call's f' (at the first call the larger or smaller
+    f'), and others the list of every call's other f' root."""
+    solve, larger = rule.solve, initial_root == "larger"
+    last, others = None, []
 
-    others records the untracked f' root of every call, NaN where the
-    system had one root.
-    """
-
-    def __init__(self, rule: _QuadRule, initial_root: str):
-        self.rule = rule
-        self.larger = initial_root == "larger"
-        self.last: float | None = None
-        self.others: list[float] = []
-
-    def __call__(self, u, y):
-        pick, other = self.rule.branches(u, y[0], y[1], self.last, self.larger)
-        self.last = pick[0]
-        self.others.append(other)
-        return pick
+    def field(u, y):
+        nonlocal last
+        fp, gp, other = solve(u, y[0], y[1], last, larger)
+        last = fp
+        others.append(other)
+        return fp, gp
+    return field, others
 
 
 @dataclass
@@ -418,7 +379,7 @@ class SampledMeridian:
                    self.traj.dys[i, 0].tolist())
 
     def _jet(self, u, f, g, ref):
-        fp, gp = self.rule.tracked(u, f, g, ref)
+        fp, gp, _ = self.rule.solve(u, f, g, ref)
         fpp, gpp = self.rule.second(u, f, g, fp, gp)
         return f, fp, fpp, g, gp, gpp
 
@@ -489,13 +450,12 @@ def integrate_constrained(rule: _QuadRule, state0: tuple, span: tuple,
     h = (span[1] - span[0]) / _INITIAL_STEPS
     last_res = math.inf
     for attempt in range(_MAX_HALVINGS + 1):
-        field = _TrackingField(rule, initial_root)
+        field, others = tracking_field(rule, initial_root)
         traj = rk4_integrate(field, (f0, g0), span[0], span[1], h / (2 ** attempt))
-        res = np.array([abs(rule.constraint(t, f, g))
-                        for t, (f, g) in zip(traj.ts.tolist(), traj.ys.tolist())])
-        speed = np.array([rule.speed_residual(fp, gp) for fp, gp in traj.dys.tolist()])
+        res = abs(rule.constraint(traj.ts, *traj.ys.T))
+        speed = rule.speed_residual(*traj.dys.T)
         # field calls 0, 4, ..., 4n are the k1 calls at the knots
-        others = np.array(field.others[::4])
+        others = np.array(others[::4])
         last_res = float(res.max())
         if last_res <= tol:
             return SampledMeridian(traj, rule, res, speed, others, tol)

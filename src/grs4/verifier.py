@@ -678,13 +678,14 @@ def verify_family(case: str, params: dict | None = None, *,
                   u_range: tuple | None = None, nu: int = 50, nv: int = 8,
                   v_range: tuple | None = None, state0: tuple | None = None,
                   checks: list | None = None, tols: dict | None = None,
-                  record_runtime: bool = False) -> FamilyReport:
+                  record_runtime: bool = False,
+                  families: dict | None = None) -> FamilyReport:
     """Run the property bundle keyed to a family case.
 
     Returns a report whose checks all carry residual/tolerance pairs;
     empty admissible domains yield vacuous results with explicit notes.
     runtime_s stays 0.0 unless record_runtime is set, keeping report bytes
-    reproducible across runs.
+    reproducible across runs.  families shares families (see _build_shared).
     """
     entry = FAMILY_CATALOG.get(case)
     if entry is None:
@@ -704,7 +705,7 @@ def verify_family(case: str, params: dict | None = None, *,
     if state0 is not None:
         kw["state0"] = tuple(state0)
     desc = descriptor_from_catalog(case, params, sign=sign, root=root, **kw)
-    fam = build_family(desc)
+    fam = _build_shared(desc, families)
     spec = surface_from_family(fam)
     lo, hi = desc.interval
     grid_desc = {"u0": lo, "u1": hi, "nu": nu, "nv": nv}
@@ -776,7 +777,20 @@ def verify_family(case: str, params: dict | None = None, *,
 # ---------------------------------------------------------------------------
 # Random-point sweeps spanning all families
 
-def random_point_sweep(n: int, seed: int, tol: float) -> list:
+def _build_shared(desc, families):
+    """build_family(desc), shared through the dict families unless it is
+    None, so an integrated family is realized once; keyed on repr(desc),
+    which tells 0.0 from -0.0 and 1 from 1.0, unlike ==."""
+    if families is None:
+        return build_family(desc)
+    key = repr(desc)
+    if key not in families:
+        families[key] = build_family(desc)
+    return families[key]
+
+
+def random_point_sweep(n: int, seed: int, tol: float,
+                       families: dict | None = None) -> list:
     """Chen property and quasi-minimal exclusion at n random admissible points.
 
     Points rotate deterministically through every case with a nonempty
@@ -786,7 +800,7 @@ def random_point_sweep(n: int, seed: int, tol: float) -> list:
     pool = []
     for case in classified_case_ids():
         desc = descriptor_from_catalog(case)
-        spec = surface_from_family(build_family(desc))
+        spec = surface_from_family(_build_shared(desc, families))
         intervals = admissible_domain(spec, *desc.interval, 256)
         if intervals:
             pool.append((case, spec, intervals))
@@ -862,7 +876,8 @@ def default_suite_config(seed: int = 20240) -> dict:
             "jobs": jobs}
 
 
-def _run_job(job: dict, record_runtime: bool = False) -> tuple:
+def _run_job(job: dict, record_runtime: bool = False,
+             families: dict | None = None) -> tuple:
     if not isinstance(job, dict):
         raise ConfigError("each job must be an object")
     unknown = set(job) - _JOB_KEYS
@@ -905,12 +920,13 @@ def _run_job(job: dict, record_runtime: bool = False) -> tuple:
     if "tols" in job:
         kw["tols"] = dict(job["tols"])
     rep = verify_family(case, job.get("params"), record_runtime=record_runtime,
-                        **kw)
+                        families=families, **kw)
     return label, expect, rep
 
 
 def run_suite(config: dict) -> SuiteReport:
-    """Execute the configured jobs in order and aggregate deterministically."""
+    """Execute the configured jobs in order and aggregate deterministically;
+    the jobs and the sweep share their families, realized once per call."""
     if not isinstance(config, dict):
         raise ConfigError("suite config must be a JSON object")
     unknown = set(config) - {"seed", "jobs", "sweep_points", "record_runtime"}
@@ -923,11 +939,13 @@ def run_suite(config: dict) -> SuiteReport:
 
     record_runtime = bool(config.get("record_runtime", False))
     t_start = time.perf_counter()
-    jobs = [_run_job(job, record_runtime) for job in jobs_cfg]
+    families = {}
+    jobs = [_run_job(job, record_runtime, families) for job in jobs_cfg]
     sweeps = []
     n_sweep = int(config.get("sweep_points", 0))
     if n_sweep > 0:
-        sweeps = random_point_sweep(n_sweep, seed, DEFAULT_TOLS["algebraic"])
+        sweeps = random_point_sweep(n_sweep, seed, DEFAULT_TOLS["algebraic"],
+                                    families)
     report = SuiteReport(seed=seed, jobs=jobs, sweeps=sweeps)
     if record_runtime:
         report.runtime_s = time.perf_counter() - t_start

@@ -6,15 +6,20 @@ functions of grs4.surfaces one point at a time, and the verifier's FD
 stencil, random sweep and bisection loop over their points.  The tests
 compare the array routes against them to the bit, and the errors they
 raise by type and text.
+
+The root solve of the integrated rules is kept here in the layered form
+that the one-frame solve() replaced: system() gives the roots of the rule's
+quadratic and the affine map to g', quad_roots() solves the quadratic,
+pick() chooses the tracked root and TrackingField follows it.
 """
 
 import math
 
 import numpy as np
 
-from grs4 import surfaces, verifier
+from grs4 import meridians, surfaces, verifier
 from grs4.errors import (DomainError, GrsError, InadmissiblePointError,
-                         StepError)
+                         NoRealRootError, StepError)
 
 
 def meridian_scalars(spec, u):
@@ -195,3 +200,97 @@ def sweep_residuals(pool, n, rng):
         off_res.append(abs(off) / hscale)
         def_res.append(abs(cv.H_norm2 + cv.h_coeff ** 2))
     return tr_res, allied_res, off_res, def_res
+
+
+def quad_roots(A, B, C, name, u):
+    """Real roots of A x^2 + B x + C = 0, robust to tiny A and roundoff;
+    name and u only word the NoRealRootError."""
+    scale = max(abs(A), abs(B), abs(C), 1e-30)
+    if abs(A) <= 1e-14 * scale:
+        if abs(B) <= 1e-14 * scale:
+            raise NoRealRootError(f"degenerate root system at {name} u={u}")
+        return [-C / B]
+    disc = B * B - 4.0 * A * C
+    if disc < 0.0:
+        if disc < -1e-12 * scale * scale:
+            raise NoRealRootError(f"negative discriminant at {name} u={u}")
+        disc = 0.0
+    sq = math.sqrt(disc)
+    qq = -0.5 * (B + math.copysign(sq, B)) if B != 0.0 else -0.5 * sq
+    if qq == 0.0:
+        return [0.0]
+    return [qq / A, C / qq]
+
+
+def system(rule, u, f, g):
+    """(f' roots, c0, c1, q) of a rule at (u, f, g): g' = (c0 + c1 f') / q."""
+    e = rule.eps
+    if isinstance(rule, meridians._MinHyp3Rule):
+        # one root; cos t + 0.0 * sin t is cos t to the bit
+        if f == 0.0 and g == 0.0:
+            raise NoRealRootError(f"{rule.name}: curve through the origin at u={u}")
+        t = rule.c - math.atan2(f, g)
+        return [math.sin(t)], math.cos(t), 0.0, 1.0
+    if isinstance(rule, meridians._FlatRule):
+        # q g' - eps p f' = r, the derivative of the constraint
+        p, q, r = rule.al2 * f, rule.be2 * g, rule.a2 * (u + rule.c)
+        if abs(q) < 1e-14:
+            raise NoRealRootError(f"{rule.name}: g ~ 0 at u={u}")
+        roots = quad_roots(q * q - e * p * p, -2.0 * p * r,
+                           -e * r * r - q * q, rule.name, u)
+        return roots, r, e * p, q
+    # fnc: q g' = eps p f' - eps r
+    w = rule.be2 * g * g - e * rule.al2 * f * f
+    if w <= 0.0:
+        sign = "-" if e > 0.0 else "+"
+        raise NoRealRootError(f"{rule.name}: beta^2 g^2 {sign} alpha^2 f^2 <= 0")
+    r = rule.C * math.sqrt(w)
+    p, q = f, g
+    if abs(q) < 1e-14:
+        raise NoRealRootError(f"{rule.name}: g ~ 0 at u={u}")
+    roots = quad_roots(q * q - e * p * p, 2.0 * e * p * r,
+                       -e * r * r - q * q, rule.name, u)
+    return roots, -e * r, e * p, q
+
+
+def candidates(rule, u, f, g):
+    """Every (f', g') root of the rule at (u, f, g), in the quadratic's order."""
+    roots, c0, c1, q = system(rule, u, f, g)
+    return [(fp, (c0 + c1 * fp) / q) for fp in roots]
+
+
+def pick(sys_out, ref, larger=True):
+    """((f', g') of the tracked root, the other f' root or NaN) of a system()
+    value: the root nearest ref, a tie (or a NaN distance) keeping the first
+    root as min() does; with ref None, the larger (or smaller) f'."""
+    roots, c0, c1, q = sys_out
+    fp, other = roots[0], math.nan
+    if len(roots) == 2:
+        other = roots[1]
+        # the order of sorted() and the first-wins tie of min()
+        if ((other < fp) != larger if ref is None
+                else abs(other - ref) < abs(fp - ref)):
+            fp, other = other, fp
+    return (fp, (c0 + c1 * fp) / q), other
+
+
+def branches(rule, u, f, g, ref, larger=True):
+    """pick() of the rule's system at (u, f, g)."""
+    return pick(system(rule, u, f, g), ref, larger)
+
+
+class TrackingField:
+    """State-derivative map that follows one root branch continuously;
+    others records the untracked f' root of every call."""
+
+    def __init__(self, rule, initial_root):
+        self.rule = rule
+        self.larger = initial_root == "larger"
+        self.last = None
+        self.others = []
+
+    def __call__(self, u, y):
+        p, other = branches(self.rule, u, y[0], y[1], self.last, self.larger)
+        self.last = p[0]
+        self.others.append(other)
+        return p

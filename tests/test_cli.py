@@ -108,6 +108,39 @@ def test_invariants_inadmissible_rows_flagged(tmp_path):
     assert lines[2].endswith(",1")
 
 
+@pytest.mark.parametrize("params,u0,u1", [
+    ("f=u**-3,g=u", "1e-120", "1e-110"),
+    ("f=exp(u),g=u", "700", "800"),
+])
+def test_overflowing_custom_meridian_rows_flagged(tmp_path, capsys, params,
+                                                  u0, u1):
+    """A custom meridian past the float range is outside the domain: the
+    invariants CSV flags its rows inadmissible and verify finds an empty
+    admissible domain, with no OverflowError escaping."""
+    out = tmp_path / "o.csv"
+    assert run("invariants", "--family", "custom", "--params", params,
+               "--u0", u0, "--u1", u1, "--nu", "3", "--out", str(out)) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 3 and all(r.endswith(",,0") for r in rows)
+    rp = tmp_path / "r.json"
+    assert run("verify", "--family", "custom", "--params", params,
+               "--u0", u0, "--u1", u1, "--report", str(rp)) == 0
+    checks = json.loads(rp.read_text())["checks"]
+    assert checks[0]["name"] == "admissible-domain"
+    assert checks[0]["notes"].endswith("; empty")
+    assert "Error" not in capsys.readouterr().err
+
+
+def test_overflowing_custom_meridian_mesh_exit_2(tmp_path, capsys):
+    """mesh evaluates an inadmissible u point by point and reports the
+    DomainError."""
+    assert run("mesh", "--family", "custom", "--params", "f=exp(u),g=u",
+               "--u0", "700", "--u1", "800", "--v0", "0", "--v1", "1",
+               "--out", str(tmp_path / "m.csv")) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: result past the float range at ")
+
+
 # ---------------------------------------------------------------------------
 # verify
 

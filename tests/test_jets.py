@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from grs4.errors import DomainError
-from grs4.jets import (Jet2, JetExpr, jarcsin, jexp, jet_apply, jlog,
-                       jsin, jsqrt)
+from grs4.jets import (Jet2, JetExpr, evaluate_masked, jarcsin, jexp,
+                       jet_apply, jlog, jsin, jsqrt)
 
 param = st.floats(min_value=0.3, max_value=3.0, allow_nan=False)
 
@@ -133,6 +134,46 @@ def test_domain_errors():
         Jet2.variable(-2.0) ** 0.5
     with pytest.raises(DomainError):
         jet_apply("nope", u)
+
+
+@pytest.mark.parametrize("text,us", [
+    ("exp(u)", [1.0, 709.0, 710.0, 800.0]),
+    ("sinh(u) + cosh(u)", [-711.0, 3.0, 711.0]),
+    ("u ** -3", [1e-120, 1e-100, 2.0]),
+    ("u ** 2.5", [1e200, 0.5]),
+    ("(u * 1e100) ** 4", [1e5, 1e-30]),
+])
+def test_overflow_is_a_domain_error_on_floats_and_masked_on_arrays(text, us):
+    """A power or exponential past the float range raises DomainError on a
+    float; on an array it masks those elements and leaves the others with
+    the float route's bits."""
+    expr = JetExpr(text)
+    want = []
+    for u in us:
+        try:
+            j = expr(u)
+        except DomainError:
+            want.append(None)
+        else:
+            want.append([x.hex() for x in (j.val, j.d1, j.d2)])
+    assert None in want and any(w is not None for w in want)
+    out, raised = evaluate_masked(expr, np.array(us))
+    assert raised.tolist() == [w is None for w in want]
+    for i, w in enumerate(want):
+        cols = [float(np.broadcast_to(x, len(us))[i])
+                for x in (out.val, out.d1, out.d2)]
+        if w is None:
+            assert any(math.isnan(x) for x in cols)
+        else:
+            assert [x.hex() for x in cols] == w
+
+
+@pytest.mark.parametrize("text", ["u * 10.0 ** 400", "u * 2 ** 2000"])
+def test_constant_past_the_float_range_is_a_domain_error(text):
+    with pytest.raises(DomainError, match="past the float range"):
+        JetExpr(text)(1.0)
+    with pytest.raises(DomainError, match="past the float range"):
+        evaluate_masked(JetExpr(text), np.array([1.0, 2.0]))
 
 
 def test_underflow_floors_are_the_last_zero_products():

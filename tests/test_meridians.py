@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
+import point_reference
 from grs4 import meridians
 from grs4.errors import DomainError, GrsError, NoRealRootError, ParamError
 from grs4.meridians import (FAMILY_CATALOG, FamilyDescriptor, build_family,
                             descriptor_from_catalog,
                             classified_case_ids, _FlatRule, _FncRule,
-                            _MinHyp3Rule, _QuadRule,
-                            _TrackingField, integrate_constrained)
+                            _MinHyp3Rule, integrate_constrained,
+                            tracking_field)
 from grs4.odeint import rk4_integrate
 
 
@@ -218,13 +219,14 @@ def test_min_ell_ii_parametrization_identity():
 def test_flat_ell_i_root_example():
     # by-hand quadratic 0.25 f'^2 - 0.5 f' - 1.3125 = 0 at the initial state
     rule = _FlatRule("flat-ell-i", 1.0, 0.5, 0.0, 1.0, 1.0)
-    cands = sorted(rule.candidates(1.0, 1.0, math.sqrt(1.25)),
-                   key=lambda c: c[0])
-    (f_lo, g_lo), (f_hi, g_hi) = cands
+    f_hi, g_hi, other_hi = rule.solve(1.0, 1.0, math.sqrt(1.25), None, True)
+    f_lo, g_lo, other_lo = rule.solve(1.0, 1.0, math.sqrt(1.25), None, False)
+    assert (other_hi, other_lo) == (f_lo, f_hi)
     assert f_hi == pytest.approx(3.5, abs=1e-12)
     assert f_lo == pytest.approx(-1.5, abs=1e-12)
     assert g_hi == pytest.approx(3.75 / math.sqrt(1.25), abs=1e-12)
     assert f_hi ** 2 - g_hi ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert f_lo ** 2 - g_lo ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_flat_ell_i_constraint_residual():
@@ -253,7 +255,7 @@ def test_branch_continuity_of_roots():
     for i in range(1, len(roots), 37):
         u = float(sm.traj.ts[i])
         f, g = map(float, sm.traj.ys[i])
-        cands = sm.rule.candidates(u, f, g)
+        cands = point_reference.candidates(sm.rule, u, f, g)
         if len(cands) == 2:
             chosen = min(cands, key=lambda c: abs(c[0] - roots[i - 1]))
             assert chosen[0] == pytest.approx(roots[i], abs=1e-12)
@@ -270,7 +272,7 @@ def test_recorded_other_roots_match_knot_resolve(case):
     two = 0
     for i, (u, (f, g)) in enumerate(zip(sm.traj.ts.tolist(),
                                         sm.traj.ys.tolist())):
-        cands = sm.rule.candidates(u, f, g)
+        cands = point_reference.candidates(sm.rule, u, f, g)
         expect = math.nan
         if len(cands) == 2:
             two += 1
@@ -301,6 +303,8 @@ _CUSTOM_EXPRS = [
     ("sqrt(u - 1) ** 0 + u", "log(u + 3) ** 2.5"),
     # NaN derivatives without a raise: inf * 0 past the float range
     ("1 / ((u * 1e200) * (u * 1e200)) + u", "(u * 1e200 * 1e200 * 0) ** 0 + u"),
+    # exp, sinh, cosh and powers past the float range raise on floats
+    ("exp(300 * u) + sinh(400 * u)", "u ** -200 + cosh(240 * u)"),
 ]
 _CUSTOM_EDGES = (1.0, 0.5, -1.0, 2.0, -2.0, -3.0, 0.0)
 
@@ -352,12 +356,7 @@ def test_jet_columns_match_jet_bitwise(label):
     @settings(max_examples=25, deadline=None)
     @given(st.lists(points, min_size=1, max_size=8))
     def inner_check(us):
-        try:
-            want = _point_rows(family, us)
-        except ArithmeticError as exc:   # e.g. a power past the float range
-            with pytest.raises(type(exc)):
-                family.jet_columns(np.array(us))
-            return
+        want = _point_rows(family, us)
         ok, *cols = family.jet_columns(np.array(us))
         got = [tuple(float(c[i]).hex() for c in cols) if ok[i] else None
                for i in range(len(us))]
@@ -503,14 +502,20 @@ def test_realizations_bitwise_pinned():
     assert digest.hexdigest() == REALIZATIONS_SHA256
 
 
-class _FixedSystem(_QuadRule):
-    """Given roots (at most two) through the rules' shared tracked()."""
+class _FixedSystem:
+    """A rule whose solve() picks, with the reference pick, among the roots
+    of a fixed sequence of systems, one system per call; refs records the
+    reference each call was given."""
 
-    def __init__(self, roots):
-        self.roots = roots
+    def __init__(self, *roots):
+        self.systems = [(list(r), 0.0, 0.0, 1.0) for r in roots]
+        self.refs = []
 
-    def system(self, u, f, g):
-        return self.roots, 0.0, 0.0, 1.0
+    def solve(self, u, f, g, ref, larger=True):
+        self.refs.append(ref)
+        (fp, gp), other = point_reference.pick(
+            self.systems[len(self.refs) - 1], ref, larger)
+        return fp, gp, other
 
 
 def _nearest_root(cands, ref):
@@ -539,16 +544,21 @@ def test_tracking_field_picks_nearest_root(roots, last, expect):
     assert repr(nearest[0]) == repr(expect) == repr(ref)
     if len(roots) > 2:
         return
-    field = _TrackingField(_FixedSystem(roots), "larger")
-    field.last = last
+    # one root at the first call sets the reference of the second
+    rule = _FixedSystem([last], roots)
+    field, others = tracking_field(rule, "larger")
+    first = field(0.0, [1.0, 1.0])
     pick = field(0.0, [1.0, 1.0])
-    assert isinstance(pick, tuple)
+    assert isinstance(pick, tuple) and len(pick) == 2
     assert repr(pick[0]) == repr(expect)
-    assert field.last is pick[0]
+    assert rule.refs[0] is None and rule.refs[1] is first[0]
+    other = roots[1] if repr(pick[0]) == repr(roots[0]) else roots[0]
+    assert repr(others) == repr([math.nan, other])
 
 
 def _picks(rule, u, f, g, ref):
-    """tracked() and its reference, each as reprs or the error it raised."""
+    """solve()'s tracked root and its reference, each as reprs or the
+    error it raised."""
     def outcome(fn):
         try:
             return tuple(repr(x) for x in fn())
@@ -559,7 +569,7 @@ def _picks(rule, u, f, g, ref):
         return 0.5 * (cands[0][0] + cands[-1][0]) if ref == "midpoint" else ref
 
     def reference():
-        cands = rule.candidates(u, f, g)
+        cands = point_reference.candidates(rule, u, f, g)
         if ref in ("larger", "smaller"):
             ordered = sorted(cands, key=lambda c: c[0])
             return ordered[-1] if ref == "larger" else ordered[0]
@@ -567,8 +577,11 @@ def _picks(rule, u, f, g, ref):
 
     def tracked():
         if ref in ("larger", "smaller"):
-            return rule.tracked(u, f, g, None, ref == "larger")
-        return rule.tracked(u, f, g, ref_value(rule.candidates(u, f, g)))
+            return rule.solve(u, f, g, None, ref == "larger")[:2]
+        if ref == "midpoint":
+            cands = point_reference.candidates(rule, u, f, g)
+            return rule.solve(u, f, g, ref_value(cands))[:2]
+        return rule.solve(u, f, g, ref)[:2]
 
     return outcome(tracked), outcome(reference)
 
@@ -613,19 +626,27 @@ def test_smaller_root_branch():
     assert float(sm.residuals.max()) <= 1e-8
 
 
+def _unit_flat(eps):
+    """The flat rule with alpha = beta = a = 1 and c = 0, whose quadratic at
+    (u, f, g) is (g^2 - eps f^2) x^2 - 2 f u x - (eps u^2 + g^2) = 0."""
+    return _FlatRule("flat", eps, 1.0, 0.0, 1.0, 1.0)
+
+
 def test_quad_roots_against_numpy():
     from hypothesis import given, strategies as st
-    from grs4.meridians import _quad_roots
 
     coeff = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
-    @given(coeff, coeff, coeff)
-    def inner_check(A, B, C):
+    @given(st.sampled_from([1.0, -1.0]), coeff, coeff, coeff)
+    def inner_check(eps, u, f, g):
+        A, B, C = g * g - eps * f * f, -2.0 * f * u, -eps * u * u - g * g
         disc = B * B - 4.0 * A * C
         scale = max(abs(A), abs(B), abs(C), 1e-30)
-        if abs(A) <= 1e-12 * scale or disc < 1e-6 * scale * scale:
+        if (abs(g) < 1e-14 or abs(A) <= 1e-12 * scale
+                or disc < 1e-6 * scale * scale):
             return  # degenerate / near-tangent cases exercised elsewhere
-        roots = sorted(_quad_roots(A, B, C, "test", 0.0))
+        rule = _unit_flat(eps)
+        roots = sorted(rule.solve(u, f, g, None, True)[::2])
         expect = sorted(np.roots([A, B, C]).real)
         for r, e in zip(roots, expect):
             assert abs(r - e) <= 1e-9 * max(1.0, abs(e))
@@ -634,12 +655,140 @@ def test_quad_roots_against_numpy():
 
 
 def test_quad_roots_degenerate_and_negative():
-    from grs4.meridians import _quad_roots
-    assert _quad_roots(0.0, 2.0, -4.0, "lin", 0.0) == [2.0]
-    with pytest.raises(NoRealRootError):
-        _quad_roots(1.0, 0.0, 1.0, "neg", 0.0)
-    with pytest.raises(NoRealRootError):
-        _quad_roots(0.0, 0.0, 1.0, "degenerate", 0.0)
-    # tiny negative discriminant from roundoff clamps to a double root
-    r = _quad_roots(1.0, 2.0, 1.0 + 1e-14, "clamp", 0.0)
-    assert all(abs(x + 1.0) < 1e-6 for x in r)
+    ell, hyp = _unit_flat(1.0), _unit_flat(-1.0)
+    # A = 0: the one root of the linear equation -2 x - 2 = 0
+    fp, gp, other = ell.solve(1.0, 1.0, 1.0, None)
+    assert (fp, gp) == (-1.0, 0.0) and math.isnan(other)
+    # B = C = 0: the double root 0 of x^2 = 0, given once
+    fp, gp, other = hyp.solve(1.0, 0.0, 1.0, None)
+    assert (fp, gp) == (0.0, 1.0) and math.isnan(other)
+    with pytest.raises(NoRealRootError, match="negative discriminant"):
+        ell.solve(0.5, 2.0, 1.0, None)
+    with pytest.raises(NoRealRootError, match="degenerate root system"):
+        ell.solve(0.0, 1.0, 1.0, None)
+    # a discriminant of -1.8e-15 from roundoff clamps to a double root
+    A, B, C = 1.0 - 2.0 ** 0.5 * 2.0 ** 0.5, -2.0 * 2.0 ** 0.5, -2.0
+    assert -1e-12 * 8.0 < B * B - 4.0 * A * C < 0.0
+    roots = ell.solve(1.0, math.sqrt(2.0), 1.0, None)[::2]
+    assert all(abs(x + math.sqrt(2.0)) < 1e-6 for x in roots)
+
+
+# ---------------------------------------------------------------------------
+# The one-frame solve against the layered chain it replaced
+# (point_reference: system() -> quad_roots() -> pick())
+
+def _rule_strategy(st):
+    """Every integrated rule: flat and fnc of both kinds, and min-hyp-iii."""
+    val = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+    pos = st.floats(min_value=0.2, max_value=3.0)
+    return st.one_of(
+        st.builds(_FlatRule, st.just("flat-ell-i"), st.just(1.0),
+                  val.filter(bool), val, pos, pos),
+        st.builds(_FlatRule, st.just("flat-hyp-i"), st.just(-1.0),
+                  val.filter(bool), val, pos, pos),
+        st.builds(_FncRule, st.just("fnc-ell-ii"), st.just(1.0),
+                  val.filter(bool), pos, pos),
+        st.builds(_FncRule, st.just("fnc-hyp-ii"), st.just(-1.0),
+                  val.filter(bool), pos, pos),
+        st.builds(_MinHyp3Rule, val))
+
+
+def _state_strategy(st):
+    # zeros and values below the g ~ 0 threshold reach the error paths
+    return st.one_of(st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+                     st.sampled_from([0.0, -0.0, 1e-15, -1e-15, 1e-14, -1e-14,
+                                      1.0, -1.0]))
+
+
+def _solve_outcome(fn):
+    """fn()'s floats as hex strings, or the type and text of its error."""
+    try:
+        return tuple(float(x).hex() for x in fn())
+    except NoRealRootError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _reference_solve(rule, u, f, g, ref, larger):
+    (fp, gp), other = point_reference.branches(rule, u, f, g, ref, larger)
+    return fp, gp, other
+
+
+def test_one_frame_solve_matches_reference_chain():
+    """solve() returns the bits of (f', g', other f') that the layered chain
+    gives, or raises the same exception type and text, for every rule at
+    random states and references, None under both larger values."""
+    from hypothesis import given, settings, strategies as st
+
+    state = _state_strategy(st)
+    refs = st.one_of(st.none(), state,
+                     st.sampled_from([math.inf, -math.inf, math.nan]))
+
+    @settings(max_examples=600, deadline=None)
+    @given(_rule_strategy(st), state, state, state, refs, st.booleans())
+    def inner_check(rule, u, f, g, ref, larger):
+        got = _solve_outcome(lambda: rule.solve(u, f, g, ref, larger))
+        want = _solve_outcome(
+            lambda: _reference_solve(rule, u, f, g, ref, larger))
+        assert got == want
+
+    inner_check()
+
+
+_SOLVE_PATHS = [
+    # (rule, (u, f, g), error text or None): every NoRealRootError path,
+    # then the one-root, clamped-discriminant and threshold paths, whose
+    # bits (signs of zero included) must be the chain's
+    (_FlatRule("flat-ell-i", 1.0, 0.5, 0.0, 1.0, 1.0), (1.0, 1.0, 0.0),
+     "flat-ell-i: g ~ 0 at u=1.0"),
+    (_FncRule("fnc-hyp-ii", -1.0, 0.4, 1.0, 2.0), (0.25, 1.0, 1e-15),
+     "fnc-hyp-ii: g ~ 0 at u=0.25"),
+    (_unit_flat(1.0), (0.5, 2.0, 1.0), "negative discriminant at flat u=0.5"),
+    (_FncRule("fnc-ell-ii", 1.0, 0.3, 1.0, 2.0), (0.0, 1.9, 1.0),
+     "negative discriminant at fnc-ell-ii u=0.0"),
+    (_unit_flat(1.0), (0.0, 1.0, 1.0), "degenerate root system at flat u=0.0"),
+    (_FncRule("fnc-ell-ii", 1.0, 0.3, 1.0, 2.0), (0.0, 2.5, 1.0),
+     "fnc-ell-ii: beta^2 g^2 - alpha^2 f^2 <= 0"),
+    (_FncRule("fnc-hyp-ii", -1.0, 0.4, 1.0, 2.0), (0.0, 0.0, 0.0),
+     "fnc-hyp-ii: beta^2 g^2 + alpha^2 f^2 <= 0"),
+    (_MinHyp3Rule(0.7), (0.5, 0.0, 0.0),
+     "min-hyp-iii: curve through the origin at u=0.5"),
+    (_unit_flat(1.0), (1.0, 1.0, 1.0), None),       # A = 0: one root -C / B
+    (_unit_flat(-1.0), (1.0, 0.0, 1.0), None),      # B = C = 0: one root 0.0
+    (_unit_flat(-1.0), (-1.0, -0.0, 1.0), None),
+    (_unit_flat(1.0), (1.0, math.sqrt(2.0), 1.0), None),  # clamped disc
+    (_unit_flat(1.0), (0.5, 0.25, 1e-14), None),    # g at the g ~ 0 threshold
+    (_unit_flat(-1.0), (0.5, 0.25, -1e-14), None),
+]
+
+
+@pytest.mark.parametrize("rule,state,text", _SOLVE_PATHS)
+def test_one_frame_solve_paths_match_reference(rule, state, text):
+    """Each path of solve() gives the chain's outcome: the same
+    NoRealRootError text on every error path, the same bits elsewhere."""
+    for ref, larger in ((None, True), (None, False), (0.5, True)):
+        got = _solve_outcome(lambda: rule.solve(*state, ref, larger))
+        assert got == _solve_outcome(
+            lambda: _reference_solve(rule, *state, ref, larger))
+        assert (got == ("NoRealRootError", text)) == (text is not None)
+
+
+def test_tracking_field_others_match_reference():
+    """The field returns the reference field's (f', g') bits call for call,
+    raises where it raises, and records the same others list."""
+    from hypothesis import given, settings, strategies as st
+
+    state = _state_strategy(st)
+    calls = st.lists(st.tuples(state, state, state), min_size=1, max_size=6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rule_strategy(st), calls, st.sampled_from(["larger", "smaller"]))
+    def inner_check(rule, seq, initial_root):
+        field, others = tracking_field(rule, initial_root)
+        ref_field = point_reference.TrackingField(rule, initial_root)
+        for u, f, g in seq:
+            got = _solve_outcome(lambda: field(u, [f, g]))
+            assert got == _solve_outcome(lambda: ref_field(u, [f, g]))
+            assert [x.hex() for x in others] == \
+                [x.hex() for x in ref_field.others]
+
+    inner_check()

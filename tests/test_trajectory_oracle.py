@@ -14,8 +14,8 @@ import pytest
 scipy_integrate = pytest.importorskip("scipy.integrate")
 
 from grs4 import meridians  # noqa: E402
-from grs4.meridians import (FAMILY_CATALOG, _TrackingField, build_family,  # noqa: E402
-                            descriptor_from_catalog)
+from grs4.meridians import (FAMILY_CATALOG, build_family,  # noqa: E402
+                            descriptor_from_catalog, tracking_field)
 
 INTEGRATED = [c for c, e in FAMILY_CATALOG.items() if e.realization == "ode"]
 GATE = 1e-11   # max knot difference over max(1, max|y|)
@@ -26,7 +26,7 @@ def knot_deviation(case):
     desc = descriptor_from_catalog(case)
     sm = build_family(desc).ensure_realized()
     ts, ys = sm.traj.ts, sm.traj.ys
-    field = _TrackingField(sm.rule, desc.root)
+    field, _ = tracking_field(sm.rule, desc.root)
     sol = scipy_integrate.solve_ivp(field, (ts[0], ts[-1]), ys[0],
                                     method="DOP853", rtol=1e-13, atol=1e-13,
                                     t_eval=ts)

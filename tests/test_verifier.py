@@ -317,6 +317,45 @@ def test_default_suite_deterministic():
     assert b1 == b2
 
 
+def test_run_suite_realizes_each_integrated_family_once(monkeypatch):
+    """The jobs and the sweep of one run_suite call share their families:
+    each integrated family is realized once, and the report has the bytes
+    of jobs and a sweep that build their own."""
+    calls = []
+    realize = meridians.integrate_constrained
+
+    def counted(rule, *args):
+        calls.append(rule.name)
+        return realize(rule, *args)
+
+    monkeypatch.setattr(meridians, "integrate_constrained", counted)
+    cfg = dict(default_suite_config(31), sweep_points=40)
+    shared = report_json_bytes(run_suite(cfg).to_json())
+    integrated = sorted(c for c, e in meridians.FAMILY_CATALOG.items()
+                        if e.realization == "ode")
+    assert sorted(calls) == integrated
+    calls.clear()
+    unshared = verifier.SuiteReport(
+        seed=31, jobs=[verifier._run_job(job) for job in cfg["jobs"]],
+        sweeps=random_point_sweep(40, 31, verifier.DEFAULT_TOLS["algebraic"]))
+    assert sorted(calls) == sorted(2 * integrated)
+    assert report_json_bytes(unshared.to_json()) == shared
+
+
+def test_shared_families_keyed_on_the_descriptor_repr():
+    """Descriptors equal under == but not to the bit (0.0 and -0.0 in the
+    state) get families of their own."""
+    families = {}
+    a = descriptor_from_catalog("fnc-ell-ii", state0=(0.0, 1.0))
+    b = descriptor_from_catalog("fnc-ell-ii", state0=(-0.0, 1.0))
+    assert a == b
+    fam_a = verifier._build_shared(a, families)
+    assert verifier._build_shared(descriptor_from_catalog(
+        "fnc-ell-ii", state0=(0.0, 1.0)), families) is fam_a
+    assert verifier._build_shared(b, families) is not fam_a
+    assert len(families) == 2
+
+
 def test_sweep_deterministic_and_seed_sensitive():
     s1 = random_point_sweep(40, 7, 1e-12)
     s2 = random_point_sweep(40, 7, 1e-12)
@@ -540,7 +579,8 @@ def test_switched_knot_root_fails_branch_continuity(monkeypatch, case):
     assert res.passed and res.max_residual == 0.0
     roots = np.array(sm.knot_roots, dtype=float)
     u, (f, g) = float(sm.traj.ts[5]), map(float, sm.traj.ys[5])
-    others = [c[0] for c in sm.rule.candidates(u, f, g) if c[0] != roots[5]]
+    others = [c[0] for c in ref.candidates(sm.rule, u, f, g)
+              if c[0] != roots[5]]
     assert len(others) == 1
     roots[5] = others[0]
     monkeypatch.setattr(meridians.SampledMeridian, "knot_roots",
