@@ -289,7 +289,10 @@ def jet_apply(fn: str, j: Jet2) -> Jet2:
 # "u**2" or "sqrt(u*u - 4)".  The string is parsed once, validated against a
 # small whitelist, and then evaluated on jets.
 
-_ALLOWED_CALLS = set(_ELEMENTARY) | {"abs"}
+# the allowed calls, each taking a number argument (exp(2)) as a constant jet
+_CALLS = {k: lambda x, fn=fn: fn(x if isinstance(x, Jet2) else Jet2.const(x))
+          for k, fn in (*_ELEMENTARY.items(), ("abs", jabs))}
+_ALLOWED_CALLS = set(_CALLS)
 _ALLOWED_NAMES = _ALLOWED_CALLS | {"u", "pi", "e"}
 _ALLOWED_NODES = (
     ast.Expression, ast.BinOp, ast.UnaryOp, ast.Call, ast.Name, ast.Load,
@@ -324,9 +327,7 @@ class JetExpr:
 
     def __call__(self, u) -> Jet2:
         """The expression's jet at u, a float or a float array."""
-        env = {"u": Jet2.variable(u), "pi": math.pi, "e": math.e}
-        env.update(_ELEMENTARY)
-        env["abs"] = jabs
+        env = {"u": Jet2.variable(u), "pi": math.pi, "e": math.e, **_CALLS}
         try:
             out = eval(self._code, {"__builtins__": {}}, env)
         except OverflowError:   # a constant such as 10.0 ** 400

@@ -5,11 +5,11 @@ flat normal connection; elliptic and hyperbolic kind) is realized as an
 evaluator producing the 2-jets of the profile functions f and g at any
 parameter value.  Families with closed forms go through jet arithmetic;
 families defined only by an implicit relation are integrated with RK4 at a
-fixed tolerance, each field call one frame of the rule's solve() for the
-tracked (f', g') (a single root for min-hyp-iii, at most two otherwise), and
-evaluated through cubic Hermite dense output.  jet_columns evaluates a family
-over a whole array of parameter values in one pass, with the bits of the
-per-point jet.
+fixed tolerance, in one frame (_rk4_tracked) that solves the rule for the
+tracked (f', g') at every stage (a single root for min-hyp-iii, at most two
+otherwise), and evaluated through cubic Hermite dense output.  jet_columns
+evaluates a family over a whole array of parameter values in one pass, with
+the bits of the per-point jet.
 
 Case identifiers:
     min-ell-i    f = c * g^(s*alpha/beta), g = u           (alpha != beta)
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import atan2, copysign, cos, nan, sin, sqrt
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .errors import (ConstraintDriftError, DomainError, GrsError,
                      NoRealRootError, ParamError, RangeError)
 from .jets import (Jet2, JetExpr, evaluate_masked, guard, jcos, jcosh, jsin,
                    jsinh, jsqrt)
-from .odeint import Trajectory, hermite_eval, rk4_integrate
+from .odeint import Trajectory, hermite_eval
 
 DEFAULT_INTEGRATION_TOL = 1e-10
 _INITIAL_STEPS = 1024
@@ -180,17 +181,24 @@ def _check_regular(case, u, fj, gj):
 # Constrained / ODE-realized families
 
 class _QuadRule:
-    """Per-step system defining (f', g') for one integrated family.
+    """Per-step system defining (f', g') for one integrated family, by the
+    constants that _rk4_tracked solves it with; solve(u, f, g, ref, larger)
+    is the zero-step call, (f', g', other f' root or NaN).  second(u, f, g,
+    f', g') recovers (f'', g''); constraint() is the algebraic invariant
+    whose drift is monitored (0 for derivative-only relations), for floats
+    or arrays, and derive_g0() solves it for g0."""
 
-    solve(u, f, g, ref, larger=True) gives, in one frame, (f', g', other f'
-    root or NaN) of the root nearest ref (a tie or NaN distance keeps the
-    quadratic's first root; with ref None, the larger or smaller f').
-    second(u, f, g, f', g') recovers (f'', g''); constraint() is the
-    algebraic invariant whose drift is monitored (0 for derivative-only
-    relations), for floats or arrays, and derive_g0() solves it for g0.
-    """
+    explicit = fnc = False
+    al2 = be2 = a2 = c = C = 0.0
 
-    name = "?"
+    def __init__(self, name, eps, alpha, beta):
+        self.name, self.eps = name, eps
+        self.al2, self.be2 = alpha * alpha, beta * beta
+
+    def solve(self, u, f, g, ref, larger=True):
+        _, _, [fp, gp], [other], _ = _rk4_tracked(self, f, g, u, u, 0,
+                                                  ref, larger)
+        return fp, gp, other
 
     def constraint(self, u, f, g):
         return np.zeros_like(u)
@@ -203,63 +211,16 @@ class _QuadRule:
             f"{self.name}: no algebraic constraint to derive g0 from; give g0")
 
 
+# Flat and fnc take q g' - eps p f' = r with unit speed f'^2 - eps g'^2 = 1,
+# a quadratic in f': flat with (p, q, r) = (alpha^2 f, beta^2 g, a^2 (u + c)),
+# fnc with (f, g, -eps C sqrt(beta^2 g^2 - eps alpha^2 f^2)).
 # The flat and fnc rules serve both kinds through the signature sign eps
 # (+1 elliptic, -1 hyperbolic), which stands where the elliptic rule has a
 # minus sign: on both operands of a difference or on a whole term, never on
 # one operand of a negated difference (-(x - y) and y - x differ in the
 # sign of a zero), so each kind keeps the trajectories of its own rule.
 
-class _LinQuadRule(_QuadRule):
-    """q g' - eps p f' = r with unit speed f'^2 - eps g'^2 = 1, a quadratic
-    in f': flat takes (p, q, r) = (alpha^2 f, beta^2 g, a^2 (u + c)), fnc
-    takes (f, g, -eps C sqrt(beta^2 g^2 - eps alpha^2 f^2))."""
-
-    fnc = False
-
-    def __init__(self, name, eps, alpha, beta):
-        self.name, self.eps = name, eps
-        self.al2, self.be2 = alpha * alpha, beta * beta
-
-    def solve(self, u, f, g, ref, larger=True):
-        e = self.eps
-        if self.fnc:
-            w = self.be2 * g * g - e * self.al2 * f * f
-            if w <= 0.0:
-                raise NoRealRootError(self.w_error)
-            p, q, r = f, g, -e * self.C * math.sqrt(w)
-        else:
-            p, q, r = self.al2 * f, self.be2 * g, self.a2 * (u + self.c)
-        if abs(q) < 1e-14:
-            raise NoRealRootError(f"{self.name}: g ~ 0 at u={u}")
-        # A f'^2 + B f' + C = 0, with thresholds relative to its scale
-        A, B, C = q * q - e * p * p, -2.0 * p * r, -e * r * r - q * q
-        scale = max(abs(A), abs(B), abs(C), 1e-30)
-        if abs(A) <= 1e-14 * scale:
-            if abs(B) <= 1e-14 * scale:
-                raise NoRealRootError(
-                    f"degenerate root system at {self.name} u={u}")
-            fp, other = -C / B, math.nan
-        else:
-            disc = B * B - 4.0 * A * C
-            if disc < 0.0:
-                if disc < -1e-12 * scale * scale:
-                    raise NoRealRootError(
-                        f"negative discriminant at {self.name} u={u}")
-                disc = 0.0
-            sq = math.sqrt(disc)
-            qq = -0.5 * (B + math.copysign(sq, B)) if B != 0.0 else -0.5 * sq
-            if qq == 0.0:
-                fp, other = 0.0, math.nan
-            else:
-                fp, other = qq / A, C / qq
-                # the order of sorted() and the first-wins tie of min()
-                if ((other < fp) != larger if ref is None
-                        else abs(other - ref) < abs(fp - ref)):
-                    fp, other = other, fp
-        return fp, (r + e * p * fp) / q, other
-
-
-class _FlatRule(_LinQuadRule):
+class _FlatRule(_QuadRule):
     """beta^2 g^2 - eps alpha^2 f^2 = a^2 (u+c)^2 with f'^2 - eps g'^2 = 1;
     q g' - eps p f' = r is the derivative of the constraint."""
 
@@ -291,7 +252,7 @@ class _FlatRule(_LinQuadRule):
         return math.sqrt(val)
 
 
-class _FncRule(_LinQuadRule):
+class _FncRule(_QuadRule):
     """f f' - eps g g' = C sqrt(beta^2 g^2 - eps alpha^2 f^2), unit speed
     f'^2 - eps g'^2 = 1; in the form q g' - eps p f' = r, r carries the
     root's -eps C."""
@@ -320,37 +281,97 @@ class _FncRule(_LinQuadRule):
 class _MinHyp3Rule(_QuadRule):
     """arctan(f'/g') = c - arctan(f/g): explicit unit-speed direction field."""
 
-    name = "min-hyp-iii"
-    eps = -1.0
+    name, eps, explicit = "min-hyp-iii", -1.0, True
 
     def __init__(self, c):
         self.c = c
-
-    def solve(self, u, f, g, ref, larger=True):
-        if f == 0.0 and g == 0.0:
-            raise NoRealRootError(f"{self.name}: curve through the origin at u={u}")
-        t = self.c - math.atan2(f, g)
-        return math.sin(t), math.cos(t), math.nan
 
     def second(self, u, f, g, fp, gp):
         dphi = (fp * g - f * gp) / (f * f + g * g)
         return -gp * dphi, fp * dphi
 
 
-def tracking_field(rule: _QuadRule, initial_root: str):
-    """(field, others): field(u, [f, g]) is the (f', g') of the root of rule
-    nearest the previous call's f' (at the first call the larger or smaller
-    f'), and others the list of every call's other f' root."""
-    solve, larger = rule.solve, initial_root == "larger"
-    last, others = None, []
-
-    def field(u, y):
-        nonlocal last
-        fp, gp, other = solve(u, y[0], y[1], last, larger)
-        last = fp
-        others.append(other)
-        return fp, gp
-    return field, others
+def _rk4_tracked(rule: _QuadRule, f0, g0, t0, t1, n, ref, larger):
+    """(ts, ys, dys, others, calls) of n RK4 steps of (f, g)' = the tracked
+    root of rule from (f0, g0) at t0 to t1, in one frame with the solve
+    inline: the bits of rk4_integrate over a field that solves for the
+    root nearest the last f' (ref; the larger or smaller f' while ref is
+    None; a tie or NaN distance keeps the quadratic's first root).  ts and
+    others (the other f' root, NaN if none) hold the n + 1 knots, ys and dys
+    their (f, g) and (f', g') flat; calls counts the 4n + 1 solves.  n = 0
+    is one solve at (t0, f0, g0): rule.solve.  Raises NoRealRootError.
+    """
+    e, name, c, explicit, fnc = rule.eps, rule.name, rule.c, rule.explicit, rule.fnc
+    al2, be2, a2, C = rule.al2, rule.be2, rule.a2, rule.C
+    # n = 0 solves at t0 + 0 * -0.0, t0 to the bit (rk4_integrate at t0 + 0.0)
+    hs = (t1 - t0) / n if n else -0.0
+    half, sixth = 0.5 * hs, hs / 6.0
+    f, g = x, y = f0, g0
+    t = u = t0 + 0 * hs
+    ts, ys, dys, others = [t0], [f0, g0], [], []
+    for j in range(4 * n + 1):
+        if explicit:   # arctan(f'/g') = c - arctan(f/g), unit speed: one root
+            if x == 0.0 and y == 0.0:
+                raise NoRealRootError(f"{name}: curve through the origin at u={u}")
+            th = c - atan2(x, y)
+            fp, gp, other = sin(th), cos(th), nan
+        else:
+            if fnc:
+                w = be2 * y * y - e * al2 * x * x
+                if w <= 0.0:
+                    raise NoRealRootError(rule.w_error)
+                p, q, r = x, y, -e * C * sqrt(w)
+            else:
+                p, q, r = al2 * x, be2 * y, a2 * (u + c)
+            if abs(q) < 1e-14:
+                raise NoRealRootError(f"{name}: g ~ 0 at u={u}")
+            # A f'^2 + B f' + Cq = 0, with thresholds relative to its scale,
+            # max(|A|, |B|, |Cq|, 1e-30) written out: max()'s tests in order
+            A, B, Cq = q * q - e * p * p, -2.0 * p * r, -e * r * r - q * q
+            aA, aB, aC = abs(A), abs(B), abs(Cq)
+            scale = aB if aB > aA else aA
+            scale = aC if aC > scale else scale
+            scale = 1e-30 if 1e-30 > scale else scale
+            if aA <= 1e-14 * scale:
+                if aB <= 1e-14 * scale:
+                    raise NoRealRootError(f"degenerate root system at {name} u={u}")
+                fp, other = -Cq / B, nan
+            else:
+                disc = B * B - 4.0 * A * Cq
+                if disc < 0.0:
+                    if disc < -1e-12 * scale * scale:
+                        raise NoRealRootError(f"negative discriminant at {name} u={u}")
+                    disc = 0.0
+                sq = sqrt(disc)
+                qq = -0.5 * (B + copysign(sq, B)) if B != 0.0 else -0.5 * sq
+                if qq == 0.0:
+                    fp, other = 0.0, nan
+                else:
+                    fp, other = qq / A, Cq / qq
+                    # the order of sorted() and the first-wins tie of min()
+                    if ((other < fp) != larger if ref is None
+                            else abs(other - ref) < abs(fp - ref)):
+                        fp, other = other, fp
+            gp = (r + e * p * fp) / q
+        ref = fp
+        # stage k of the step from the knot (t, f, g): the next stage is at
+        # (t, f, g) + d (1, f', g'), the update (h/6)(((k1 + 2 k2) + 2 k3) + k4)
+        k = j & 3
+        if k == 0:
+            dys += fp, gp
+            others.append(other)
+            sa, sb, d = fp, gp, half
+        elif k < 3:
+            sa, sb, d = sa + 2.0 * fp, sb + 2.0 * gp, half if k == 1 else hs
+        else:
+            x = f = f + sixth * (sa + fp)
+            y = g = g + sixth * (sb + gp)
+            t = u = t0 + ((j + 1) >> 2) * hs
+            ts.append(t)
+            ys += f, g
+            continue
+        u, x, y = t + d, f + d * fp, g + d * gp
+    return ts, ys, dys, others, j + 1
 
 
 @dataclass
@@ -363,6 +384,10 @@ class SampledMeridian:
     speed_residuals: np.ndarray  # per-knot |f'^2 -/+ g'^2 - 1|
     other_roots: np.ndarray      # per-knot untracked f' root, NaN if none
     tol: float
+    # the work over all attempts: RK4 steps, root solves, step halvings
+    steps: int = 0
+    field_calls: int = 0
+    halvings: int = 0
 
     @property
     def knot_roots(self) -> np.ndarray:
@@ -418,6 +443,7 @@ def _rule_for(desc: FamilyDescriptor) -> _QuadRule:
         C = _get(desc.params, "C", case)
         _require(C != 0.0, f"{case}: C must be nonzero")
         return _FncRule(case, _eps(case), C, desc.alpha, desc.beta)
+    _require(desc.alpha == desc.beta, "min-hyp-iii: requires alpha == beta")
     return _MinHyp3Rule(_get(desc.params, "c", case))
 
 
@@ -431,36 +457,40 @@ def integrate_constrained(rule: _QuadRule, state0: tuple, span: tuple,
     """Advance (f, g) from state0 at span[0] across span by RK4.
 
     state0 must satisfy the algebraic constraint within tol =
-    DEFAULT_INTEGRATION_TOL; the first field call raises NoRealRootError if
-    the root system is not real there.  The step starts at span/1024 and is
-    halved until the max knot constraint residual is at most tol; that
-    residual is the only acceptance test.  It is identically 0 for the
-    derivative-only rules, whose trajectory accuracy is checked against an
-    independent integrator in the tests instead.
+    DEFAULT_INTEGRATION_TOL; the first solve raises NoRealRootError if the
+    root system is not real there.  The step starts at span/1024 and is
+    halved until the max knot constraint residual is at most tol, the only
+    acceptance test; it is identically 0 for the derivative-only rules,
+    whose trajectory accuracy the tests check with independent oracles.
     """
     tol = DEFAULT_INTEGRATION_TOL
-    span = (float(span[0]), float(span[1]))
+    t0, t1 = float(span[0]), float(span[1])
+    if not (math.isfinite(t1 - t0) and t0 < t1):
+        raise ValueError(f"integration span must be finite and forward: {span}")
     f0, g0 = float(state0[0]), float(state0[1])
-    c0 = rule.constraint(span[0], f0, g0)
+    c0 = rule.constraint(t0, f0, g0)
     scale = max(1.0, abs(f0), abs(g0)) ** 2
     if abs(c0) > tol * scale:
         raise ParamError(
             f"{rule.name}: initial state violates constraint "
             f"(residual {abs(c0):.3e} > tol {tol * scale:.3e})")
-    h = (span[1] - span[0]) / _INITIAL_STEPS
-    last_res = math.inf
-    for attempt in range(_MAX_HALVINGS + 1):
-        field, others = tracking_field(rule, initial_root)
-        traj = rk4_integrate(field, (f0, g0), span[0], span[1], h / (2 ** attempt))
+    steps = calls = 0
+    for halvings in range(_MAX_HALVINGS + 1):
+        # the step span / _INITIAL_STEPS halved; rk4_integrate's count for it
+        n = _INITIAL_STEPS << halvings
+        ts, ys, dys, others, k = _rk4_tracked(rule, f0, g0, t0, t1, n, None,
+                                              initial_root == "larger")
+        steps, calls = steps + n, calls + k
+        traj = Trajectory(np.array(ts), np.array(ys).reshape(-1, 2),
+                          np.array(dys).reshape(-1, 2), (t1 - t0) / n)
         res = abs(rule.constraint(traj.ts, *traj.ys.T))
-        speed = rule.speed_residual(*traj.dys.T)
-        # field calls 0, 4, ..., 4n are the k1 calls at the knots
-        others = np.array(others[::4])
         last_res = float(res.max())
-        if last_res <= tol:
-            return SampledMeridian(traj, rule, res, speed, others, tol)
-    if last_res <= 10.0 * tol:
-        return SampledMeridian(traj, rule, res, speed, others, tol)
+        if last_res <= tol or (halvings == _MAX_HALVINGS
+                               and last_res <= 10.0 * tol):
+            return SampledMeridian(traj, rule, res,
+                                   rule.speed_residual(*traj.dys.T),
+                                   np.array(others), tol, steps, calls,
+                                   halvings)
     raise ConstraintDriftError(
         f"{rule.name}: constraint residual {last_res:.3e} exceeds 10*tol "
         f"after {_MAX_HALVINGS} halvings")
@@ -530,24 +560,20 @@ def _power_law(case, c, expo):
     return jet_fn
 
 
-def _build_min_ell_i(desc):
+def _build_min_i(desc):
+    """f = c u^(s alpha/beta), g = u (min-ell-i); min-hyp-i negates s."""
     c = _get(desc.params, "c", desc.case)
-    _require(c != 0.0, "min-ell-i: c must be nonzero")
-    _require(desc.alpha != desc.beta, "min-ell-i: requires alpha != beta")
-    expo = desc.sign * desc.alpha / desc.beta
-    fam = _ClosedFormFamily(desc, "elliptic", _power_law(desc.case, c, expo))
-    fam.diagnostics.append(
-        "admissible domain is empty: f'^2 - g'^2 > 0 and "
-        "alpha^2 f^2 - beta^2 g^2 < 0 are contradictory on this family")
+    _require(c != 0.0, f"{desc.case}: c must be nonzero")
+    _require(desc.alpha != desc.beta, f"{desc.case}: requires alpha != beta")
+    e = _eps(desc.case)
+    expo = e * (desc.sign * desc.alpha / desc.beta)
+    fam = _ClosedFormFamily(desc, FAMILY_CATALOG[desc.case].kind,
+                            _power_law(desc.case, c, expo))
+    if e > 0.0:
+        fam.diagnostics.append(
+            "admissible domain is empty: f'^2 - g'^2 > 0 and "
+            "alpha^2 f^2 - beta^2 g^2 < 0 are contradictory on this family")
     return fam
-
-
-def _build_min_hyp_i(desc):
-    c = _get(desc.params, "c", desc.case)
-    _require(c != 0.0, "min-hyp-i: c must be nonzero")
-    _require(desc.alpha != desc.beta, "min-hyp-i: requires alpha != beta")
-    expo = -desc.sign * desc.alpha / desc.beta
-    return _ClosedFormFamily(desc, "hyperbolic", _power_law(desc.case, c, expo))
 
 
 def _build_min_ell_ii(desc):
@@ -599,91 +625,62 @@ def _build_min_hyp_ii(desc):
     sa = math.sqrt(abs(A))
     fa, fb = sa / desc.alpha, sa / desc.beta
 
-    if A > 0.0:
-        def jet_fn(psi):
-            pj = Jet2.variable(psi)
-            return fa * jcosh(k * pj + c), fb * jsinh(pj)
+    jf, jg = (jcosh, jsinh) if A > 0.0 else (jsinh, jcosh)
+
+    def jet_fn(psi):
+        pj = Jet2.variable(psi)
+        return fa * jf(k * pj + c), fb * jg(pj)
+
+    return _ClosedFormFamily(desc, "hyperbolic", jet_fn)
+
+
+def _build_pnmcv(desc):
+    """f = s sqrt(u^2 - C^2) (ell) or s sqrt(C^2 - u^2) (hyp), g = u."""
+    C = _get(desc.params, "C", desc.case)
+    _require(C != 0.0, f"{desc.case}: C must be nonzero")
+    C2, sgn, ell = C * C, float(desc.sign), _eps(desc.case) > 0.0
+
+    def jet_fn(u):
+        uj = Jet2.variable(u)
+        return sgn * jsqrt(uj * uj - C2 if ell else C2 - uj * uj), uj
+
+    return _ClosedFormFamily(desc, FAMILY_CATALOG[desc.case].kind, jet_fn)
+
+
+def _build_flat_ii(desc):
+    """flat-ell-ii: sqrt(-C) (sinh t/alpha, cosh t/beta); flat-hyp-ii: cos, sin."""
+    C = _get(desc.params, "C", desc.case)
+    ell = _eps(desc.case) > 0.0
+    _require(C < 0.0 if ell else C > 0.0,
+             f"{desc.case}: C must be {'negative' if ell else 'positive'}")
+    s = math.sqrt(-C if ell else C)
+    fa, fb = s / desc.alpha, s / desc.beta
+    jf, jg = (jsinh, jcosh) if ell else (jcos, jsin)
+
+    def jet_fn(t):
+        tj = Jet2.variable(t)
+        return fa * jf(tj), fb * jg(tj)
+
+    return _ClosedFormFamily(desc, FAMILY_CATALOG[desc.case].kind, jet_fn)
+
+
+def _build_fnc_i(desc):
+    """f = c g, g = u: fnc-ell-i (1 < c^2 < beta^2/alpha^2) and fnc-hyp-i."""
+    c = _get(desc.params, "c", desc.case)
+    if _eps(desc.case) > 0.0:
+        ratio2 = (desc.beta / desc.alpha) ** 2
+        _require(1.0 < c * c < ratio2,
+                 f"fnc-ell-i: needs 1 < c^2 < beta^2/alpha^2 "
+                 f"(c^2={c*c:.6g}, beta^2/alpha^2={ratio2:.6g})")
     else:
-        def jet_fn(psi):
-            pj = Jet2.variable(psi)
-            return fa * jsinh(k * pj + c), fb * jcosh(pj)
+        _require(c != 0.0, "fnc-hyp-i: c must be nonzero")
+        _require(desc.alpha != desc.beta, "fnc-hyp-i: requires alpha != beta")
 
-    return _ClosedFormFamily(desc, "hyperbolic", jet_fn)
-
-
-def _build_pnmcv_ell(desc):
-    C = _get(desc.params, "C", desc.case)
-    _require(C != 0.0, "pnmcv-ell: C must be nonzero")
-    C2 = C * C
-    sgn = float(desc.sign)
-
-    def jet_fn(u):
-        uj = Jet2.variable(u)
-        return sgn * jsqrt(uj * uj - C2), uj
-
-    return _ClosedFormFamily(desc, "elliptic", jet_fn)
-
-
-def _build_pnmcv_hyp(desc):
-    C = _get(desc.params, "C", desc.case)
-    _require(C != 0.0, "pnmcv-hyp: C must be nonzero")
-    C2 = C * C
-    sgn = float(desc.sign)
-
-    def jet_fn(u):
-        uj = Jet2.variable(u)
-        return sgn * jsqrt(C2 - uj * uj), uj
-
-    return _ClosedFormFamily(desc, "hyperbolic", jet_fn)
-
-
-def _build_flat_ell_ii(desc):
-    C = _get(desc.params, "C", desc.case)
-    _require(C < 0.0, "flat-ell-ii: C must be negative")
-    s = math.sqrt(-C)
-    fa, fb = s / desc.alpha, s / desc.beta
-
-    def jet_fn(t):
-        tj = Jet2.variable(t)
-        return fa * jsinh(tj), fb * jcosh(tj)
-
-    return _ClosedFormFamily(desc, "elliptic", jet_fn)
-
-
-def _build_flat_hyp_ii(desc):
-    C = _get(desc.params, "C", desc.case)
-    _require(C > 0.0, "flat-hyp-ii: C must be positive")
-    s = math.sqrt(C)
-    fa, fb = s / desc.alpha, s / desc.beta
-
-    def jet_fn(t):
-        tj = Jet2.variable(t)
-        return fa * jcos(tj), fb * jsin(tj)
-
-    return _ClosedFormFamily(desc, "hyperbolic", jet_fn)
-
-
-def _linear_profile(c):
     def jet_fn(u):
         uj = Jet2.variable(u)
         return c * uj, uj
-    return jet_fn
 
-
-def _build_fnc_ell_i(desc):
-    c = _get(desc.params, "c", desc.case)
-    ratio2 = (desc.beta / desc.alpha) ** 2
-    _require(1.0 < c * c < ratio2,
-             f"fnc-ell-i: needs 1 < c^2 < beta^2/alpha^2 "
-             f"(c^2={c*c:.6g}, beta^2/alpha^2={ratio2:.6g})")
-    return _ClosedFormFamily(desc, "elliptic", _linear_profile(c))
-
-
-def _build_fnc_hyp_i(desc):
-    c = _get(desc.params, "c", desc.case)
-    _require(c != 0.0, "fnc-hyp-i: c must be nonzero")
-    _require(desc.alpha != desc.beta, "fnc-hyp-i: requires alpha != beta")
-    return _ClosedFormFamily(desc, "hyperbolic", _linear_profile(c))
+    return _ClosedFormFamily(desc, FAMILY_CATALOG[desc.case].kind, jet_fn)
 
 
 def _build_custom(desc):
@@ -707,27 +704,22 @@ def _build_integrated(desc):
                           _rule_for(desc))
 
 
-def _build_min_hyp_iii(desc):
-    _require(desc.alpha == desc.beta, "min-hyp-iii: requires alpha == beta")
-    return _build_integrated(desc)
-
-
 _BUILDERS = {
-    "min-ell-i": _build_min_ell_i,
+    "min-ell-i": _build_min_i,
     "min-ell-ii": _build_min_ell_ii,
     "min-ell-iii": _build_min_ell_iii,
-    "min-hyp-i": _build_min_hyp_i,
+    "min-hyp-i": _build_min_i,
     "min-hyp-ii": _build_min_hyp_ii,
-    "min-hyp-iii": _build_min_hyp_iii,
-    "pnmcv-ell": _build_pnmcv_ell,
-    "pnmcv-hyp": _build_pnmcv_hyp,
+    "min-hyp-iii": _build_integrated,
+    "pnmcv-ell": _build_pnmcv,
+    "pnmcv-hyp": _build_pnmcv,
     "flat-ell-i": _build_integrated,
-    "flat-ell-ii": _build_flat_ell_ii,
+    "flat-ell-ii": _build_flat_ii,
     "flat-hyp-i": _build_integrated,
-    "flat-hyp-ii": _build_flat_hyp_ii,
-    "fnc-ell-i": _build_fnc_ell_i,
+    "flat-hyp-ii": _build_flat_ii,
+    "fnc-ell-i": _build_fnc_i,
     "fnc-ell-ii": _build_integrated,
-    "fnc-hyp-i": _build_fnc_hyp_i,
+    "fnc-hyp-i": _build_fnc_i,
     "fnc-hyp-ii": _build_integrated,
     "custom": _build_custom,
 }

@@ -5,8 +5,9 @@ baselines rely on; accuracy is tuned by halving the step globally rather
 than by adaptive control.  Every integrated meridian advances the two
 profile coordinates (f, g), so the step is written out for exactly two
 components on Python floats: cheaper than numpy arithmetic on short arrays
-or a per-component loop, with the bits of the vector form.  Only the
-finished trajectory is stored as arrays.
+or a per-component loop, with the bits of the vector form (which
+meridians._rk4_tracked repeats with a meridian's root solve inline); only
+the finished trajectory is stored as arrays.
 """
 
 from __future__ import annotations

@@ -240,6 +240,8 @@ def _float_row(obj):
                        for name in obj.__slots__))
 
 
+# past the float range the grids overflow silently, as floats do
+@np.errstate(all="ignore")
 def positions_grid(spec: SurfaceSpec, us, vs) -> PEVector4:
     """The immersion z over the grid us x vs, with (len(us), len(vs))
     components equal to position_jets(...).z to the bit.
@@ -612,6 +614,7 @@ def _admissible_record(spec: SurfaceSpec, u: float) -> InvariantRecord:
     return InvariantRecord(u, *(float(c[0]) for c in grid.columns()), True)
 
 
+@np.errstate(all="ignore")
 def invariant_grid(spec: SurfaceSpec, us) -> InvariantGrid:
     """The full invariant set at every u of us, as columns.
 

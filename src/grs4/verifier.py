@@ -672,6 +672,7 @@ _PLANNED_COMMON = ("frame-orthonormality", "v-independence", "chen-trace",
                    "normal-curvature-route", "fd-connection", "fd-shrinkage")
 
 
+@np.errstate(all="ignore")   # as the grid routes of grs4.surfaces
 def verify_family(case: str, params: dict | None = None, *,
                   alpha: float | None = None, beta: float | None = None,
                   sign: int = 1, root: str = "larger",
@@ -789,6 +790,7 @@ def _build_shared(desc, families):
     return families[key]
 
 
+@np.errstate(all="ignore")
 def random_point_sweep(n: int, seed: int, tol: float,
                        families: dict | None = None) -> list:
     """Chen property and quasi-minimal exclusion at n random admissible points.

@@ -10,7 +10,10 @@ raise by type and text.
 The root solve of the integrated rules is kept here in the layered form
 that the one-frame solve() replaced: system() gives the roots of the rule's
 quadratic and the affine map to g', quad_roots() solves the quadratic,
-pick() chooses the tracked root and TrackingField follows it.
+pick() chooses the tracked root and TrackingField follows it.  With
+grs4.odeint.rk4_integrate, TrackingField is the reference of the RK4 kernel
+that realizes the integrated meridians; tracking_field is the field that
+kernel replaced, over the rule's solve().
 """
 
 import math
@@ -294,3 +297,19 @@ class TrackingField:
         self.last = p[0]
         self.others.append(other)
         return p
+
+
+def tracking_field(rule, initial_root):
+    """(field, others): field(u, [f, g]) is the (f', g') of rule.solve's root
+    nearest the previous call's f' (at the first call the larger or smaller
+    f'), and others the list of every call's other f' root."""
+    solve, larger = rule.solve, initial_root == "larger"
+    last, others = None, []
+
+    def field(u, y):
+        nonlocal last
+        fp, gp, other = solve(u, y[0], y[1], last, larger)
+        last = fp
+        others.append(other)
+        return fp, gp
+    return field, others

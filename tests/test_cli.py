@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from grs4.cli import cmd_dispatch
@@ -129,6 +130,61 @@ def test_overflowing_custom_meridian_rows_flagged(tmp_path, capsys, params,
     assert checks[0]["name"] == "admissible-domain"
     assert checks[0]["notes"].endswith("; empty")
     assert "Error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params,same_as", [
+    ("f=exp(2)*u,g=u", "f=7.38905609893065*u,g=u"),
+    ("f=sqrt(4)*u,g=u", "f=2*u,g=u"),
+    ("f=exp(2)*u,g=u,kind=hyperbolic", "f=7.38905609893065*u,g=u,kind=hyperbolic"),
+    ("f=abs(-3)*u+log(1)+arctan(0),g=u,kind=hyperbolic",
+     "f=3*u,g=u,kind=hyperbolic"),
+])
+def test_elementary_function_of_a_constant(tmp_path, params, same_as):
+    """A call on a number evaluates it as a constant jet: the columns equal
+    those of the expression with the number written out."""
+    tables = []
+    for i, p in enumerate((params, same_as)):
+        out = tmp_path / f"{i}.csv"
+        assert run("invariants", "--family", "custom", "--params", p,
+                   "--nu", "3", "--out", str(out)) == 0
+        tables.append([[float(x) if x else None for x in row.split(",")]
+                       for row in out.read_text().splitlines()[1:]])
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("expr,text", [
+    ("sqrt(-4)*u", "sqrt of non-positive or tiny value -4.0"),
+    ("exp(1000)*u", "result past the float range at 1000.0"),
+    ("log(0)+u", "log of non-positive or tiny value 0.0"),
+])
+def test_domain_error_of_a_constant(expr, text):
+    """A call outside its domain on a number raises DomainError, and the
+    custom meridian is undefined at every u."""
+    from grs4.errors import DomainError
+    from grs4.jets import JetExpr
+
+    with pytest.raises(DomainError, match=text):
+        JetExpr(expr)(1.0)
+    fam = build_family(descriptor_from_catalog("custom", {"f": expr, "g": "u"}))
+    assert not fam.jet_columns(np.array([1.0, 2.0]))[0].any()
+
+
+def test_overflowing_invariants_write_nothing_to_stderr(tmp_path):
+    """Invariants past the float range overflow without a numpy warning."""
+    import os
+    import subprocess
+    import sys
+
+    import grs4
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(grs4.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "grs4", "invariants", "--family", "custom",
+         "--params", "f=1e300*u*u,g=u", "--u0", "700", "--u1", "800",
+         "--nu", "5", "--out", str(tmp_path / "o.csv")],
+        capture_output=True, text=True, env=env)
+    assert out.returncode == 0
+    assert out.stderr == ""
 
 
 def test_overflowing_custom_meridian_mesh_exit_2(tmp_path, capsys):

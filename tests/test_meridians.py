@@ -10,9 +10,9 @@ from grs4.errors import DomainError, GrsError, NoRealRootError, ParamError
 from grs4.meridians import (FAMILY_CATALOG, FamilyDescriptor, build_family,
                             descriptor_from_catalog,
                             classified_case_ids, _FlatRule, _FncRule,
-                            _MinHyp3Rule, integrate_constrained,
-                            tracking_field)
+                            _MinHyp3Rule, integrate_constrained)
 from grs4.odeint import rk4_integrate
+from point_reference import tracking_field
 
 
 def fam(case, params=None, **kw):
@@ -435,6 +435,28 @@ def test_unit_speed_families_hold_at_knots():
         assert float(sm.speed_residuals.max()) <= 1e-10, case
 
 
+def _min_hyp_iii_first_integral_drift():
+    """Max relative drift over the knots of min-hyp-iii's first integral
+    I = sin c (g^2 - f^2) - 2 cos c f g: with f = rho sin theta and
+    g = rho cos theta, arctan(f'/g') = c - theta makes rho^2 sin(c - 2 theta)
+    constant, a rectangular hyperbola."""
+    sm = fam("min-hyp-iii").ensure_realized()
+    c = sm.rule.c
+    f, g = sm.traj.ys.T
+    first = math.sin(c) * (g * g - f * f) - 2.0 * math.cos(c) * f * g
+    return float(np.max(np.abs(first - first[0]))) / abs(float(first[0]))
+
+
+def test_min_hyp_iii_conserves_first_integral():
+    assert _min_hyp_iii_first_integral_drift() <= 1e-12    # 6.9e-14
+
+
+def test_min_hyp_iii_first_integral_sees_coarse_steps(monkeypatch):
+    monkeypatch.setattr(meridians, "_INITIAL_STEPS", 32)
+    monkeypatch.setattr(meridians, "_MAX_HALVINGS", 0)
+    assert _min_hyp_iii_first_integral_drift() > 1e-12     # 1.2e-10
+
+
 def test_no_real_root_error():
     family = fam("fnc-ell-ii", {"C": 0.3}, alpha=1.0, beta=2.0,
                  interval=(0.0, 0.5), state0=(1.9, 1.0))
@@ -443,14 +465,20 @@ def test_no_real_root_error():
     assert str(err.value) == "negative discriminant at fnc-ell-ii u=0.0"
 
 
-def test_min_hyp_iii_through_origin_raises_at_first_field_call(monkeypatch):
-    calls = []
+def _count_kernel_calls(monkeypatch):
+    """The argument tuples of every meridians._rk4_tracked call from now on."""
+    calls, kernel = [], meridians._rk4_tracked
 
     def counted(*args):
         calls.append(args)
-        return rk4_integrate(*args)
+        return kernel(*args)
 
-    monkeypatch.setattr(meridians, "rk4_integrate", counted)
+    monkeypatch.setattr(meridians, "_rk4_tracked", counted)
+    return calls
+
+
+def test_min_hyp_iii_through_origin_raises_at_first_field_call(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
     family = fam("min-hyp-iii", state0=(0.0, 0.0))
     with pytest.raises(NoRealRootError) as err:
         family.ensure_realized()
@@ -466,21 +494,54 @@ def test_integrate_constrained_direct():
     assert sm.tol == meridians.DEFAULT_INTEGRATION_TOL
 
 
+@pytest.mark.parametrize("span", [(1.5, 1.0), (1.0, 1.0), (1.0, math.nan),
+                                  (1.0, math.inf)])
+def test_integrate_constrained_rejects_bad_span(span):
+    rule = _FlatRule("flat-ell-i", 1.0, 0.5, 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="finite and forward"):
+        integrate_constrained(rule, (1.0, math.sqrt(1.25)), span)
+
+
 INTEGRATED = [c for c, e in FAMILY_CATALOG.items() if e.realization == "ode"]
 
 
 @pytest.mark.parametrize("case", INTEGRATED)
 def test_default_realization_accepts_first_attempt(monkeypatch, case):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return rk4_integrate(*args)
-
-    monkeypatch.setattr(meridians, "rk4_integrate", counted)
+    calls = _count_kernel_calls(monkeypatch)
     sm = fam(case).ensure_realized()
     assert len(calls) == 1
     assert len(sm.traj.ts) == meridians._INITIAL_STEPS + 1
+
+
+@pytest.mark.parametrize("case", INTEGRATED)
+def test_realization_counts_its_work(case):
+    """The realization's counters: one attempt of len(ts) - 1 steps, and the
+    4n + 1 root solves of RK4 over n steps."""
+    sm = fam(case).ensure_realized()
+    assert sm.halvings == 0
+    assert sm.steps == len(sm.traj.ts) - 1 == meridians._INITIAL_STEPS
+    assert sm.field_calls == 4 * sm.steps + 1
+
+
+class _RejectFirstAttempt(_FlatRule):
+    """flat-ell-i's catalog rule whose knot residual reads 1.0 on the
+    first attempt's 1024-step knots, so the realization halves once."""
+
+    def constraint(self, u, f, g):
+        out = super().constraint(u, f, g)
+        if np.ndim(u) and len(u) == meridians._INITIAL_STEPS + 1:
+            return np.ones_like(out)
+        return out
+
+
+def test_forced_halving_adds_second_attempt_counts():
+    rule = _RejectFirstAttempt("flat-ell-i", 1.0, 0.5, 0.0, 1.0, 1.0)
+    sm = integrate_constrained(rule, (1.0, math.sqrt(1.25)), (1.0, 1.5))
+    n1, n2 = meridians._INITIAL_STEPS, 2 * meridians._INITIAL_STEPS
+    assert len(sm.traj.ts) == n2 + 1
+    assert sm.halvings == 1
+    assert sm.steps == n1 + n2
+    assert sm.field_calls == (4 * n1 + 1) + (4 * n2 + 1)
 
 
 # sha256 of every catalog realization (knots, states, field values, residuals
@@ -790,5 +851,62 @@ def test_tracking_field_others_match_reference():
             assert got == _solve_outcome(lambda: ref_field(u, [f, g]))
             assert [x.hex() for x in others] == \
                 [x.hex() for x in ref_field.others]
+
+    inner_check()
+
+
+# ---------------------------------------------------------------------------
+# The RK4 kernel against rk4_integrate over the reference field
+
+def _kernel_outcome(rule, f0, g0, t0, t1, n, initial_root):
+    """The kernel's knots as hex strings (others at the knots), or the type
+    and text of its error."""
+    try:
+        ts, ys, dys, others, calls = meridians._rk4_tracked(
+            rule, f0, g0, t0, t1, n, None, initial_root == "larger")
+    except NoRealRootError as exc:
+        return (type(exc).__name__, str(exc))
+    assert calls == 4 * n + 1
+    return ([x.hex() for x in ts], [x.hex() for x in ys],
+            [x.hex() for x in dys], [x.hex() for x in others])
+
+
+def _reference_outcome(rule, f0, g0, t0, t1, h, initial_root):
+    """rk4_integrate over point_reference.TrackingField, in the form of
+    _kernel_outcome: others of the field's k1 calls, 4i at knot i."""
+    field = point_reference.TrackingField(rule, initial_root)
+    try:
+        traj = rk4_integrate(field, (f0, g0), t0, t1, h)
+    except NoRealRootError as exc:
+        return (type(exc).__name__, str(exc))
+    return ([float(x).hex() for x in traj.ts],
+            [float(x).hex() for x in traj.ys.ravel()],
+            [float(x).hex() for x in traj.dys.ravel()],
+            [x.hex() for x in field.others[::4]])
+
+
+def test_rk4_kernel_matches_reference_integration():
+    """_rk4_tracked gives rk4_integrate's knots over the layered reference
+    field to the bit (the other roots at the knots included), or raises its
+    error with the same type and text: every rule, random states, spans of
+    1 to 8 steps and both initial roots."""
+    from hypothesis import given, settings, strategies as st
+
+    state = _state_strategy(st)
+    starts = st.one_of(st.floats(min_value=-3.0, max_value=3.0,
+                                 allow_nan=False),
+                       st.sampled_from([0.0, -0.0]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rule_strategy(st), state, state, starts,
+           st.floats(min_value=1e-3, max_value=2.0), st.integers(1, 8),
+           st.sampled_from(["larger", "smaller"]))
+    def inner_check(rule, f0, g0, t0, span, steps, initial_root):
+        t1 = t0 + span
+        h = (t1 - t0) / steps
+        got = _kernel_outcome(rule, f0, g0, t0, t1, steps, initial_root)
+        want = _reference_outcome(rule, f0, g0, t0, t1, h, initial_root)
+        assert got == want
+        assert isinstance(want[0], str) or len(want[0]) == steps + 1
 
     inner_check()

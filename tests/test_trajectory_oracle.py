@@ -15,7 +15,8 @@ scipy_integrate = pytest.importorskip("scipy.integrate")
 
 from grs4 import meridians  # noqa: E402
 from grs4.meridians import (FAMILY_CATALOG, build_family,  # noqa: E402
-                            descriptor_from_catalog, tracking_field)
+                            descriptor_from_catalog)
+from point_reference import tracking_field  # noqa: E402
 
 INTEGRATED = [c for c, e in FAMILY_CATALOG.items() if e.realization == "ode"]
 GATE = 1e-11   # max knot difference over max(1, max|y|)
