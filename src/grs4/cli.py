@@ -1,6 +1,10 @@
 """Command-line front end: family catalog, invariant tables, verification,
 mesh export.
 
+The family flags of invariants, mesh and 'verify --family' describe one
+suite job (_flags_job), which verifier.job_family turns into a family, as
+it does every job of 'verify --suite'.
+
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
 configuration error.
 """
@@ -17,7 +21,7 @@ from .meridians import FAMILY_CATALOG, build_family, descriptor_from_catalog
 from .reporting import (dump_report_json, export_invariants_csv, export_mesh,
                         linspace_grid)
 from .surfaces import surface_from_family
-from .verifier import default_suite_config, run_suite, _run_job
+from .verifier import default_suite_config, job_family, run_suite, _run_job
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -65,38 +69,9 @@ def _add_family_args(p, required=True):
     p.add_argument("--nu", type=int, default=50)
 
 
-def _family_kwargs(args):
-    kw = {}
-    if args.alpha is not None:
-        kw["alpha"] = args.alpha
-    if args.beta is not None:
-        kw["beta"] = args.beta
-    if args.f0 is not None:
-        kw["state0"] = (args.f0, args.g0)
-    elif args.g0 is not None:
-        raise ParamError(f"{args.family}: g0 needs f0")
-    return kw
-
-
-def _resolve_range(args, entry):
-    if args.u0 is None and args.u1 is None:
-        return entry.default_interval
-    if args.u0 is None or args.u1 is None:
-        raise ParamError("--u0 and --u1 must be given together")
-    return (args.u0, args.u1)
-
-
 def _build_spec(args):
-    entry = FAMILY_CATALOG.get(args.family)
-    if entry is None:
-        raise ParamError(f"unknown family {args.family!r}")
-    u_range = _resolve_range(args, entry)
-    desc = descriptor_from_catalog(args.family, _parse_params(args.params),
-                                   sign=args.sign, root=args.root,
-                                   interval=tuple(u_range),
-                                   **_family_kwargs(args))
-    fam = build_family(desc)
-    return surface_from_family(fam), u_range
+    desc = descriptor_from_catalog(**job_family(_flags_job(args)))
+    return surface_from_family(build_family(desc)), desc.interval
 
 
 def cmd_family(args) -> int:
@@ -143,20 +118,21 @@ def _load_config_file(path: str) -> dict:
     return cfg
 
 
-def _family_job(args) -> dict:
-    """The suite job of 'verify --family': the --config file's keys, then
-    each flag given on the command line, params merged key by key."""
-    job = _load_config_file(args.config) if args.config is not None else {}
+def _flags_job(args) -> dict:
+    """The suite job the family flags describe, as invariants, mesh and
+    'verify --family' read it: the --config file's keys (verify only),
+    then each flag given, params merged key by key."""
+    config = getattr(args, "config", None)
+    job = _load_config_file(config) if config is not None else {}
     job["family"] = args.family
-    flags = {"alpha": args.alpha, "beta": args.beta, "sign": args.sign,
-             "root": args.root, "u0": args.u0, "u1": args.u1, "nu": args.nu,
-             "nv": args.nv, "f0": args.f0, "g0": args.g0,
-             "checks": args.checks.split(",") if args.checks else None}
+    flags = {key: getattr(args, key, None) for key in (
+        "alpha", "beta", "sign", "root", "u0", "u1", "f0", "g0", "nu", "nv")}
     job.update((key, val) for key, val in flags.items() if val is not None)
-    base = job.get("params") or {}
-    if not isinstance(base, dict):
-        raise ConfigError("config 'params' must be an object")
-    job["params"] = {**base, **_parse_params(args.params)}
+    if getattr(args, "checks", None):
+        job["checks"] = args.checks.split(",")
+    base = job.get("params") or {}   # job_family rejects a non-object
+    if isinstance(base, dict):
+        job["params"] = {**base, **_parse_params(args.params)}
     return job
 
 
@@ -183,7 +159,7 @@ def cmd_verify(args) -> int:
         for c in payload["sweeps"]:
             print(f"  {c['name']:32s} {'pass' if c['pass'] else 'FAIL'}")
     elif args.family is not None:
-        _, _, report = _run_job(_family_job(args))
+        _, _, report = _run_job(_flags_job(args))
         payload = report.to_json()
         ok = report.passed
         for c in report.checks:

@@ -847,19 +847,18 @@ def classified_case_ids() -> list[str]:
     return [k for k in FAMILY_CATALOG if k != "custom"]
 
 
-def descriptor_from_catalog(case: str, overrides: dict | None = None,
+def descriptor_from_catalog(case: str, params: dict | None = None,
                             **kw) -> FamilyDescriptor:
-    """Descriptor pre-filled with the catalog defaults for a case."""
+    """Descriptor pre-filled with the catalog defaults for a case; params
+    override the catalog's key by key, kw (alpha, beta, sign, root,
+    interval, state0) field by field."""
     try:
         entry = FAMILY_CATALOG[case]
     except KeyError:
         raise ParamError(f"unknown family case {case!r}") from None
-    params = dict(entry.defaults)
-    if overrides:
-        params.update(overrides)
     return FamilyDescriptor(
         case=case,
-        params=params,
+        params={**entry.defaults, **(params or {})},
         alpha=kw.pop("alpha", entry.default_alpha),
         beta=kw.pop("beta", entry.default_beta),
         interval=kw.pop("interval", entry.default_interval),

@@ -72,11 +72,15 @@ def pow2(x):
 
     Python's float ** calls C pow, which differs from x * x (numpy's square)
     in the last bit for about 1 value in 1,300, so the array case squares
-    each element as a Python float.
+    each element as a Python float.  Where ** raises OverflowError the
+    square is x * x, inf.
     """
     if isinstance(x, np.ndarray):
-        return np.array([t ** 2 for t in x.ravel().tolist()]).reshape(x.shape)
-    return x ** 2
+        return np.array([pow2(t) for t in x.ravel().tolist()]).reshape(x.shape)
+    try:
+        return x ** 2
+    except OverflowError:
+        return x * x
 
 
 def inner(a: PEVector4, b: PEVector4) -> float:

@@ -320,12 +320,17 @@ def _meridian_row(spec: SurfaceSpec, u: float):
     return _scalars_from(spec, *jets)
 
 
+def _admissible(scalars):
+    """Where E and W = -G (_scalars_from) exceed ADMISSIBILITY_EPS; NaN fails."""
+    return (scalars[6] > ADMISSIBILITY_EPS) & (scalars[7] > ADMISSIBILITY_EPS)
+
+
 def _inadmissible(spec: SurfaceSpec, us, scalars):
-    """(flat index, error) at the first u of us, in C order, whose E or W
-    (from _meridian_columns) is not above ADMISSIBILITY_EPS: jet(u)'s error
-    where it raises, else InadmissiblePointError; None if there is none."""
+    """(flat index, error) at the first u of us, in C order, that is not
+    _admissible: jet(u)'s error where it raises, else
+    InadmissiblePointError; None if there is none."""
     E, W = scalars[6], scalars[7]
-    bad = ~((E > ADMISSIBILITY_EPS) & (W > ADMISSIBILITY_EPS))
+    bad = ~_admissible(scalars)
     if not bad.any():
         return None
     i = int(bad.argmax())
@@ -627,7 +632,7 @@ def invariant_grid(spec: SurfaceSpec, us) -> InvariantGrid:
     us, scalars = _meridian_columns(spec, us)
     E, F, G = _fundamental_from(_jets_from(spec, *scalars[:6],
                                            _rotation(spec, 0.0)))
-    ok = (scalars[6] > ADMISSIBILITY_EPS) & (scalars[7] > ADMISSIBILITY_EPS)
+    ok = _admissible(scalars)
     adm = tuple(c[ok] for c in scalars)
     gf = _geo_fns_from(spec, adm)
     cv = _curvatures_from(spec, adm)

@@ -26,9 +26,9 @@ from .meridians import (FAMILY_CATALOG, build_family,
                         descriptor_from_catalog, classified_case_ids,
                         _SampledFamily)
 from .pe4 import PEVector4, inner, pow2
-from .surfaces import (ADMISSIBILITY_EPS, SurfaceKind, SurfaceSpec,
-                       frames_grid, invariant_grid, shape_trace,
-                       surface_from_family, _frame_from, _frame_inputs,
+from .surfaces import (SurfaceKind, SurfaceSpec, frames_grid, invariant_grid,
+                       shape_trace, surface_from_family, _admissible,
+                       _frame_from, _frame_inputs,
                        _fundamental_from, _geo_fns_from, _grid_inputs,
                        _h_terms, _inadmissible, _meridian_columns,
                        _project_grid, _projection, _scalars_from)
@@ -169,13 +169,11 @@ def _vacuous_check(name, note):
 # Admissible-domain scanning
 
 def _admissible_at(spec: SurfaceSpec, us) -> np.ndarray:
-    """Where the indicator min(E, -G) - ADMISSIBILITY_EPS is positive, at
-    each u of the array us, in one meridian pass; the indicator is -inf
-    where the meridian is undefined, and min() keeps a NaN E."""
+    """Where the surface is admissible (surfaces._admissible) at each u of
+    the array us, in one meridian pass; false where the meridian is
+    undefined."""
     ok, *jets = spec.meridian.jet_columns(us)
-    *_, E, W = _scalars_from(spec, *jets)
-    E, W = E - ADMISSIBILITY_EPS, W - ADMISSIBILITY_EPS
-    return np.where(ok, np.where(W < E, W, E), -math.inf) > 0.0
+    return ok & _admissible(_scalars_from(spec, *jets))
 
 
 def _bisect(spec: SurfaceSpec, a, b, good_a) -> np.ndarray:
@@ -197,9 +195,9 @@ def _bisect(spec: SurfaceSpec, a, b, good_a) -> np.ndarray:
 def admissible_domain(spec: SurfaceSpec, u0: float, u1: float, n: int) -> list:
     """Maximal admissible subintervals of [u0, u1].
 
-    Scans n sample points in one meridian pass and refines every sign
-    change of the indicator min(E, -G) - ADMISSIBILITY_EPS by bisection
-    to an absolute width of 1e-12, all brackets in lockstep.
+    Scans n sample points in one meridian pass and refines every change
+    of admissibility (E and -G above ADMISSIBILITY_EPS, a NaN failing) by
+    bisection to an absolute width of 1e-12, all brackets in lockstep.
     """
     if n < 2:
         raise ValueError("scan needs at least 2 sample points")
@@ -673,39 +671,27 @@ _PLANNED_COMMON = ("frame-orthonormality", "v-independence", "chen-trace",
 
 
 @np.errstate(all="ignore")   # as the grid routes of grs4.surfaces
-def verify_family(case: str, params: dict | None = None, *,
-                  alpha: float | None = None, beta: float | None = None,
-                  sign: int = 1, root: str = "larger",
-                  u_range: tuple | None = None, nu: int = 50, nv: int = 8,
-                  v_range: tuple | None = None, state0: tuple | None = None,
+def verify_family(case: str, params: dict | None = None, *, nu: int = 50,
+                  nv: int = 8, v_range: tuple | None = None,
                   checks: list | None = None, tols: dict | None = None,
-                  record_runtime: bool = False,
-                  families: dict | None = None) -> FamilyReport:
+                  record_runtime: bool = False, families: dict | None = None,
+                  **family) -> FamilyReport:
     """Run the property bundle keyed to a family case.
 
-    Returns a report whose checks all carry residual/tolerance pairs;
-    empty admissible domains yield vacuous results with explicit notes.
-    runtime_s stays 0.0 unless record_runtime is set, keeping report bytes
-    reproducible across runs.  families shares families (see _build_shared).
+    case, params and the family keywords (alpha, beta, sign, root,
+    interval, state0; job_family(job) for a suite job) go to
+    descriptor_from_catalog.  Returns a report whose checks all carry
+    residual/tolerance pairs; empty admissible domains yield vacuous
+    results with explicit notes.  runtime_s stays 0.0 unless
+    record_runtime is set, keeping report bytes reproducible across runs.
+    families shares families (see _build_shared).
     """
-    entry = FAMILY_CATALOG.get(case)
-    if entry is None:
-        raise ParamError(f"unknown family case {case!r}")
+    desc = descriptor_from_catalog(case, params, **family)
     if nu < 2 or nv < 2:
         raise ParamError("grid counts must be at least 2")
     tols = {**DEFAULT_TOLS, **(tols or {})}
     if any(not (t > 0.0) for t in tols.values()):
         raise ParamError("tolerances must be positive")
-    kw = {}
-    if alpha is not None:
-        kw["alpha"] = alpha
-    if beta is not None:
-        kw["beta"] = beta
-    if u_range is not None:
-        kw["interval"] = tuple(u_range)
-    if state0 is not None:
-        kw["state0"] = tuple(state0)
-    desc = descriptor_from_catalog(case, params, sign=sign, root=root, **kw)
     fam = _build_shared(desc, families)
     spec = surface_from_family(fam)
     lo, hi = desc.interval
@@ -750,7 +736,8 @@ def verify_family(case: str, params: dict | None = None, *,
     vs = _v_grid(spec.kind, nv, v_range)
     v_mid = _V_SAMPLING[spec.kind][2]
 
-    tier_tol = tols["closed"] if entry.realization == "closed" else tols["ode"]
+    closed = FAMILY_CATALOG[case].realization == "closed"
+    tier_tol = tols["closed"] if closed else tols["ode"]
     C = desc.params.get("C")
     results.extend(_property_checks(case, spec, grid, tier_tol, tols,
                                     C=C, sign=desc.sign, extra=checks))
@@ -766,7 +753,7 @@ def verify_family(case: str, params: dict | None = None, *,
 
     # three interior FD points inside the widest interval, clear of edges
     a, b = max(intervals, key=lambda iv: iv[1] - iv[0])
-    shrink_h = FD_H if entry.realization == "closed" else 10.0 * FD_H
+    shrink_h = FD_H if closed else 10.0 * FD_H
     pad = max(0.02 * (b - a), 8.0 * shrink_h)
     fd_points = [(a + frac * (b - a - 2 * pad) + pad, v_mid)
                  for frac in (0.25, 0.5, 0.75)]
@@ -878,50 +865,57 @@ def default_suite_config(seed: int = 20240) -> dict:
             "jobs": jobs}
 
 
+def job_family(job: dict) -> dict:
+    """The descriptor_from_catalog keywords of a job's family (family as
+    case, u0/u1 as interval, f0/g0 as state0), cast and paired; a key left
+    out keeps the catalog default.  Suite jobs and the CLI's family flags
+    both come this way, so a fault reads the same at every front door."""
+    try:
+        case = job["family"]
+    except KeyError:
+        raise ConfigError("job missing 'family'") from None
+    if not isinstance(job.get("params") or {}, dict):
+        raise ConfigError(f"{case}: params must be an object")
+    kw = {"case": case, "params": job.get("params")}
+    kw.update((key, cast(job[key])) for key, cast in (
+        ("alpha", float), ("beta", float), ("sign", int), ("root", str))
+        if key in job)
+    if "u0" in job or "u1" in job:
+        if not ("u0" in job and "u1" in job):
+            raise ParamError(f"{case}: u0 and u1 must be given together")
+        kw["interval"] = (float(job["u0"]), float(job["u1"]))
+    if "f0" in job:
+        kw["state0"] = (float(job["f0"]),
+                        float(job["g0"]) if job.get("g0") is not None else None)
+    elif job.get("g0") is not None:
+        raise ParamError(f"{case}: g0 needs f0")
+    return kw
+
+
 def _run_job(job: dict, record_runtime: bool = False,
              families: dict | None = None) -> tuple:
+    """(label, expect, FamilyReport) of one suite job: its family from
+    job_family, its grid and checks as verify_family keywords."""
     if not isinstance(job, dict):
         raise ConfigError("each job must be an object")
     unknown = set(job) - _JOB_KEYS
     if unknown:
         raise ConfigError(f"unknown job keys: {sorted(unknown)}")
-    try:
-        case = job["family"]
-    except KeyError:
-        raise ConfigError("job missing 'family'") from None
+    family = job_family(job)
     expect = job.get("expect", "pass")
     if expect not in ("pass", "fail"):
         raise ConfigError(f"expect must be pass|fail, got {expect!r}")
-    label = job.get("label", case)
-    if not isinstance(job.get("params") or {}, dict):
-        raise ConfigError(f"{label}: params must be an object")
-    kw = {}
-    if "u0" in job or "u1" in job:
-        if not ("u0" in job and "u1" in job):
-            raise ConfigError(f"{label}: u0 and u1 must be given together")
-        kw["u_range"] = (float(job["u0"]), float(job["u1"]))
+    label = job.get("label", family["case"])
+    kw = {key: int(job[key]) for key in ("nu", "nv") if key in job}
     if "v0" in job or "v1" in job:
         if not ("v0" in job and "v1" in job):
             raise ConfigError(f"{label}: v0 and v1 must be given together")
         kw["v_range"] = (float(job["v0"]), float(job["v1"]))
-    if "f0" in job:
-        kw["state0"] = (float(job["f0"]),
-                        float(job["g0"]) if job.get("g0") is not None else None)
-    elif job.get("g0") is not None:
-        raise ConfigError(f"{case}: g0 needs f0")
-    for key in ("alpha", "beta"):
-        if key in job:
-            kw[key] = float(job[key])
-    for key, cast in (("nu", int), ("nv", int), ("sign", int)):
-        if key in job:
-            kw[key] = cast(job[key])
-    if "root" in job:
-        kw["root"] = job["root"]
     if "checks" in job:
         kw["checks"] = list(job["checks"])
     if "tols" in job:
         kw["tols"] = dict(job["tols"])
-    rep = verify_family(case, job.get("params"), record_runtime=record_runtime,
+    rep = verify_family(**family, record_runtime=record_runtime,
                         families=families, **kw)
     return label, expect, rep
 

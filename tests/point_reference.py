@@ -84,11 +84,14 @@ def mean_curvature_numerator(spec, u):
 # The verifier's per-point loops
 
 def indicator(spec, u):
-    """min(E, -G) - ADMISSIBILITY_EPS; -inf where the meridian is undefined."""
+    """min(E, -G) - ADMISSIBILITY_EPS; -inf where the meridian is undefined
+    or E or -G is NaN (min() would keep a NaN -G after a positive E)."""
     eps = surfaces.ADMISSIBILITY_EPS
     try:
         *_, E, W = meridian_scalars(spec, u)
     except GrsError:
+        return -math.inf
+    if math.isnan(E) or math.isnan(W):
         return -math.inf
     return min(E - eps, W - eps)
 

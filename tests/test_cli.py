@@ -197,6 +197,42 @@ def test_overflowing_custom_meridian_mesh_exit_2(tmp_path, capsys):
         "error: result past the float range at ")
 
 
+def test_invariants_past_the_float_range(tmp_path, capsys):
+    """A finite meridian whose invariants square past the float range:
+    invariants writes inf and NaN cells on rows flagged admissible, and
+    verify fails its checks with a report; neither raises."""
+    flags = ("--family", "custom", "--params",
+             "f=1e300*u*u,g=u,kind=hyperbolic", "--u0", "700", "--u1", "800")
+    out = tmp_path / "o.csv"
+    assert run("invariants", *flags, "--nu", "3", "--out", str(out)) == 0
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+    assert len(rows) == 3
+    assert all(r[1] == "inf" and "nan" in r and r[-1] == "1" for r in rows)
+    capsys.readouterr()
+    rp = tmp_path / "r.json"
+    assert run("verify", *flags, "--report", str(rp)) == 1
+    assert json.loads(rp.read_text())["pass"] is False
+    err = capsys.readouterr().err
+    assert err.startswith("overall: FAIL (") and err.count("\n") == 1
+
+
+def test_nan_minus_G_is_inadmissible(tmp_path):
+    """A NaN -G fails admissibility although E is positive, in verify's
+    scan as in the invariants table."""
+    flags = ("--family", "custom", "--params",
+             "f=2*u,g=u + 0*(1e308*1e308),kind=elliptic", "--u0", "1",
+             "--u1", "2")
+    rp = tmp_path / "r.json"
+    assert run("verify", *flags, "--report", str(rp)) == 0
+    checks = json.loads(rp.read_text())["checks"]
+    assert checks[0]["name"] == "admissible-domain"
+    assert checks[0]["notes"].endswith("; empty")
+    out = tmp_path / "o.csv"
+    assert run("invariants", *flags, "--nu", "3", "--out", str(out)) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 3 and all(r.endswith(",0") for r in rows)
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -290,6 +326,71 @@ def test_default_suite_gives_f0_only_to_integrated_families():
     for job in default_suite_config()["jobs"]:
         if FAMILY_CATALOG[job["family"]].realization == "closed":
             assert not {"f0", "g0"} & set(job), job
+
+
+# ---------------------------------------------------------------------------
+# One family translation behind every front door
+
+def _door_argv(door, job, flags, tmp_path):
+    """argv of a front door for the family of a suite job, given to the
+    CLI doors as flags."""
+    if door == "suite":
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps({"jobs": [job]}))
+        return ["verify", "--suite", str(path)]
+    return {"invariants": ["invariants", *flags, "--out", "x.csv"],
+            "mesh": ["mesh", *flags, "--v0", "0", "--v1", "1",
+                     "--out", "x.csv"],
+            "verify": ["verify", *flags]}[door]
+
+
+_DOORS = ("invariants", "mesh", "verify", "suite")
+
+
+@pytest.mark.parametrize("door", _DOORS)
+@pytest.mark.parametrize("job,line", [
+    ({"family": "pnmcv-ell", "u0": 2.5},
+     "error: pnmcv-ell: u0 and u1 must be given together\n"),
+    ({"family": "flat-ell-i", "g0": 3.0}, "error: flat-ell-i: g0 needs f0\n"),
+    ({"family": "nope"}, "error: unknown family case 'nope'\n"),
+    ({"family": "pnmcv-ell", "f0": 5.0},
+     "error: pnmcv-ell: closed-form family takes no f0/g0\n"),
+])
+def test_family_fault_reads_the_same_at_every_door(tmp_path, monkeypatch,
+                                                   capsys, door, job, line):
+    monkeypatch.chdir(tmp_path)
+    flags = [w for key, val in job.items() for w in (f"--{key}", str(val))]
+    assert run(*_door_argv(door, job, flags, tmp_path)) == 2
+    assert capsys.readouterr().err == line
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("job,flags", [
+    ({"family": "pnmcv-hyp", "params": {"C": 2.0}, "alpha": 1.3,
+      "beta": 0.7, "sign": -1, "u0": 0.2, "u1": 1.8},
+     ["--family", "pnmcv-hyp", "--params", "C=2", "--alpha", "1.3",
+      "--beta", "0.7", "--sign", "-1", "--u0", "0.2", "--u1", "1.8"]),
+    ({"family": "flat-ell-i", "f0": 1.0, "root": "smaller"},
+     ["--family", "flat-ell-i", "--f0", "1", "--root", "smaller"]),
+])
+def test_flags_and_suite_job_build_one_descriptor(tmp_path, monkeypatch,
+                                                  job, flags):
+    """Every door hands build_family a descriptor of the same repr."""
+    from grs4 import cli, verifier
+    from grs4.errors import GrsError
+
+    seen = []
+
+    def record(desc):
+        seen.append(repr(desc))
+        raise GrsError("recorded")
+
+    monkeypatch.setattr(cli, "build_family", record)
+    monkeypatch.setattr(verifier, "build_family", record)
+    monkeypatch.chdir(tmp_path)
+    for door in _DOORS:
+        assert run(*_door_argv(door, job, flags, tmp_path)) == 2
+    assert len(seen) == len(_DOORS) and len(set(seen)) == 1, seen
 
 
 @pytest.mark.parametrize("argv", [

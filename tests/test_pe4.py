@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from grs4.pe4 import (CausalCharacter, PEVector4, causal_character, inner)
+from grs4.pe4 import (CausalCharacter, PEVector4, causal_character, inner,
+                      pow2)
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
@@ -80,3 +81,16 @@ def test_vector_times_vector_rejected():
     a = vec(1, 2, 3, 4)
     with pytest.raises(TypeError):
         a * a
+
+
+def test_pow2_past_the_float_range_is_inf():
+    """Where Python's ** overflows the square is inf, on arrays and floats;
+    finite squares keep the bits of **."""
+    import numpy as np
+
+    xs = [1e200, 3.0, -1e200, 1.1e154, 0.1]
+    got = pow2(np.array(xs))
+    assert got.tolist() == [math.inf, 9.0, math.inf, 1.1e154 ** 2, 0.1 ** 2]
+    assert pow2(np.array(xs).reshape(5, 1)).shape == (5, 1)
+    assert [pow2(x) for x in xs] == got.tolist()
+    assert pow2(np.array([3.0, 0.1])).tolist() == [9.0, 0.1 ** 2]

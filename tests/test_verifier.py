@@ -175,8 +175,8 @@ def test_admissible_domain_undefined_meridian():
 
 @pytest.mark.parametrize("column", [6, 7])
 def test_admissible_domain_nan_indicator_matches_min(monkeypatch, column):
-    """A NaN E drops a sample, a NaN W keeps it when E is positive, as
-    min(E', W') does; the scan and the per-u loop agree on both."""
+    """A NaN E or a NaN W drops a sample; the scan and the per-u loop
+    agree on both."""
     spec = spec_for("pnmcv-ell", interval=(2.1, 6.0))
     scalars_from = surfaces._scalars_from
 
@@ -193,7 +193,7 @@ def test_admissible_domain_nan_indicator_matches_min(monkeypatch, column):
     monkeypatch.setattr(verifier, "_scalars_from", poked)   # the array scan
     got = admissible_domain(spec, 2.1, 6.0, 200)
     assert got == ref.admissible_domain(spec, 2.1, 6.0, 200)
-    assert len(got) == (2 if column == 6 else 1)
+    assert len(got) == 2
 
 
 def test_scan_requires_two_points():
@@ -227,7 +227,7 @@ def test_verify_family_vacuous_empty_domain():
 def test_verify_family_negative_control():
     rep = verify_family("custom",
                         {"f": "u**2", "g": "u", "kind": "elliptic"},
-                        alpha=1.0, beta=3.0, u_range=(0.6, 2.8),
+                        alpha=1.0, beta=3.0, interval=(0.6, 2.8),
                         checks=["minimal"])
     assert not rep.passed
     res = {c.name: c for c in rep.checks}
@@ -244,7 +244,7 @@ def test_verify_family_stale_state0_rejected_not_vacuous():
     # constraint at the new span start is a configuration error, not an
     # empty admissible domain
     with pytest.raises(ParamError, match="constraint"):
-        verify_family("flat-ell-i", u_range=(1.2, 1.6))
+        verify_family("flat-ell-i", interval=(1.2, 1.6))
 
 
 def test_parallel_H_fd_on_pnmcv_ell():
