@@ -93,7 +93,8 @@ class CatalogEntry:
 
 
 class MeridianFamily:
-    """Evaluator for one meridian family; construction may integrate lazily."""
+    """Evaluator for one meridian family.  Construction realizes an integrated
+    family; after it, a fault is per u, which jet raises and jet_columns masks."""
 
     def __init__(self, desc: FamilyDescriptor, kind: str):
         self.case = desc.case
@@ -158,10 +159,7 @@ class _ClosedFormFamily(MeridianFamily):
 
     def _fill_rows(self, rows, us, inside):
         # one jet_fn call over the array, its guards masking elements
-        try:
-            (fj, gj), raised = evaluate_masked(self._jet_fn, us[inside])
-        except DomainError:
-            return False   # raised on a value that is the same at every u
+        (fj, gj), raised = evaluate_masked(self._jet_fn, us[inside])
         for row, x in zip(rows, (fj.val, fj.d1, fj.d2, gj.val, gj.d1, gj.d2)):
             row[inside] = x
         return ~raised
@@ -503,35 +501,28 @@ class _SampledFamily(MeridianFamily):
             raise ParamError(f"{desc.case}: integrated family needs an interval")
         if desc.state0 is None:
             raise ParamError(f"{desc.case}: integrated family needs state0")
-        self._rule = rule
-        self._root = desc.root
         f0, g0 = desc.state0
         if g0 is None:
             g0 = rule.derive_g0(desc.interval[0], f0)
         self._state0 = (float(f0), float(g0))
-        self._sampled: SampledMeridian | None = None
+        self._sampled = integrate_constrained(rule, self._state0,
+                                              self.interval, desc.root)
 
     @property
     def state0(self):
         return self._state0
 
     def ensure_realized(self) -> SampledMeridian:
-        if self._sampled is None:
-            self._sampled = integrate_constrained(
-                self._rule, self._state0, self.interval, self._root)
         return self._sampled
 
     def _evaluate(self, u: float) -> MeridianJet:
         self._check_interval(u)
-        mj = self.ensure_realized().jet_at(float(u))
+        mj = self._sampled.jet_at(float(u))
         _check_regular(self.case, u, mj.f, mj.g)
         return mj
 
     def _fill_rows(self, rows, us, inside):
-        try:
-            ok, rows[:, inside] = self.ensure_realized().jet_rows(us[inside])
-        except GrsError:
-            return False   # the realization fails, so jet(u) raises at every u
+        ok, rows[:, inside] = self._sampled.jet_rows(us[inside])
         return ok
 
 
@@ -696,6 +687,8 @@ def _build_custom(desc):
     def jet_fn(u):
         return f_expr(u), g_expr(u)
 
+    # on no u only the u-independent terms are floats, so only they can raise
+    evaluate_masked(jet_fn, np.empty(0))
     return _ClosedFormFamily(desc, kind, jet_fn)
 
 

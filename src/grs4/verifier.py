@@ -23,8 +23,7 @@ import numpy as np
 from .errors import (ConfigError, DomainError, InadmissiblePointError,
                      ParamError, StepError)
 from .meridians import (FAMILY_CATALOG, build_family,
-                        descriptor_from_catalog, classified_case_ids,
-                        _SampledFamily)
+                        descriptor_from_catalog, classified_case_ids)
 from .pe4 import PEVector4, inner, pow2
 from .surfaces import (SurfaceKind, SurfaceSpec, frames_grid, invariant_grid,
                        shape_trace, surface_from_family, _admissible,
@@ -704,10 +703,6 @@ def verify_family(case: str, params: dict | None = None, *, nu: int = 50,
         return FamilyReport(case, dict(desc.params), desc.alpha, desc.beta,
                             grid_desc, results, runtime)
 
-    if isinstance(fam, _SampledFamily):
-        # realize now so configuration problems (state off the constraint,
-        # no real root, drift) propagate instead of reading as an empty domain
-        fam.ensure_realized()
     intervals = admissible_domain(spec, lo, hi, max(128, 4 * nu))
     results = [CheckResult(
         "admissible-domain", f"scan of [{lo:.6g}, {hi:.6g}]", 0.0, 0.0, True,
@@ -726,7 +721,8 @@ def verify_family(case: str, params: dict | None = None, *, nu: int = 50,
             results.append(h_numerator_identity(spec, lo, hi))
         return report()
 
-    if isinstance(fam, _SampledFamily):
+    closed = FAMILY_CATALOG[case].realization == "closed"
+    if not closed:
         results.extend(check_sampled_residuals(fam))
 
     us = _grid_in_intervals(intervals, nu)
@@ -736,7 +732,6 @@ def verify_family(case: str, params: dict | None = None, *, nu: int = 50,
     vs = _v_grid(spec.kind, nv, v_range)
     v_mid = _V_SAMPLING[spec.kind][2]
 
-    closed = FAMILY_CATALOG[case].realization == "closed"
     tier_tol = tols["closed"] if closed else tols["ode"]
     C = desc.params.get("C")
     results.extend(_property_checks(case, spec, grid, tier_tol, tols,
