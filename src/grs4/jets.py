@@ -323,6 +323,10 @@ class JetExpr:
                     raise DomainError(f"calls take exactly one argument in {text!r}")
             if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
                 raise DomainError(f"non-numeric constant in {text!r}")
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and any(
+                    isinstance(n, ast.Call) or getattr(n, "id", "") == "u"
+                    for n in ast.walk(node.right)):
+                raise DomainError(f"exponent of ** must be a number in {text!r}")
         self._code = compile(tree, "<meridian-expr>", "eval")
 
     def __call__(self, u) -> Jet2:
@@ -330,12 +334,13 @@ class JetExpr:
         env = {"u": Jet2.variable(u), "pi": math.pi, "e": math.e, **_CALLS}
         try:
             out = eval(self._code, {"__builtins__": {}}, env)
+            return out if isinstance(out, Jet2) else Jet2.const(out)
         except OverflowError:   # a constant such as 10.0 ** 400
-            raise DomainError(
-                f"{self.text!r}: constant past the float range") from None
-        if isinstance(out, (int, float)):
-            return Jet2.const(float(out))
-        return out
+            raise DomainError(f"{self.text!r}: constant past the float range") from None
+        except ZeroDivisionError:   # 1 / 0 or 0 ** -1: jet divisions are guarded
+            raise DomainError(f"{self.text!r}: constant divides by zero") from None
+        except TypeError:   # exponents are numbers, so a complex (-8) ** 0.5
+            raise DomainError(f"{self.text!r}: constant is complex") from None
 
     def __repr__(self):
         return f"JetExpr({self.text!r})"

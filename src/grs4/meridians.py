@@ -504,13 +504,9 @@ class _SampledFamily(MeridianFamily):
         f0, g0 = desc.state0
         if g0 is None:
             g0 = rule.derive_g0(desc.interval[0], f0)
-        self._state0 = (float(f0), float(g0))
-        self._sampled = integrate_constrained(rule, self._state0,
+        self.state0 = (float(f0), float(g0))
+        self._sampled = integrate_constrained(rule, self.state0,
                                               self.interval, desc.root)
-
-    @property
-    def state0(self):
-        return self._state0
 
     def ensure_realized(self) -> SampledMeridian:
         return self._sampled

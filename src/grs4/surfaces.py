@@ -321,8 +321,9 @@ def _meridian_row(spec: SurfaceSpec, u: float):
 
 
 def _admissible(scalars):
-    """Where E and W = -G (_scalars_from) exceed ADMISSIBILITY_EPS; NaN fails."""
-    return (scalars[6] > ADMISSIBILITY_EPS) & (scalars[7] > ADMISSIBILITY_EPS)
+    """Where E and W = -G (_scalars_from) are finite above ADMISSIBILITY_EPS."""
+    E, W, eps = scalars[6], scalars[7], ADMISSIBILITY_EPS
+    return (eps < E) & (E < math.inf) & (eps < W) & (W < math.inf)
 
 
 def _inadmissible(spec: SurfaceSpec, us, scalars):
@@ -624,7 +625,7 @@ def invariant_grid(spec: SurfaceSpec, us) -> InvariantGrid:
     """The full invariant set at every u of us, as columns.
 
     The meridian is evaluated once per u (rows NaN where it raises) and
-    every formula on the admissible rows, where E and -G exceed
+    every formula on the admissible rows, where E and -G are finite above
     ADMISSIBILITY_EPS; an inadmissible row keeps E, F, G where the meridian
     is defined.  E, F, G are taken at v = 0; every field is independent of
     v by rotational symmetry.

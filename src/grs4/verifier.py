@@ -195,7 +195,7 @@ def admissible_domain(spec: SurfaceSpec, u0: float, u1: float, n: int) -> list:
     """Maximal admissible subintervals of [u0, u1].
 
     Scans n sample points in one meridian pass and refines every change
-    of admissibility (E and -G above ADMISSIBILITY_EPS, a NaN failing) by
+    of admissibility (E and -G finite above ADMISSIBILITY_EPS) by
     bisection to an absolute width of 1e-12, all brackets in lockstep.
     """
     if n < 2:
@@ -662,6 +662,7 @@ def _property_checks(case, spec, grid, tier_tol, tols, C=None, sign=1,
     return out
 
 
+_EXTRA_CHECKS = ("minimal", "pnmcv", "flat", "fnc")
 _PLANNED_COMMON = ("frame-orthonormality", "v-independence", "chen-trace",
                    "chen-allied", "quasi-minimal-off-component",
                    "h-carrier-coefficient", "h-norm2-definition",
@@ -688,9 +689,18 @@ def verify_family(case: str, params: dict | None = None, *, nu: int = 50,
     desc = descriptor_from_catalog(case, params, **family)
     if nu < 2 or nv < 2:
         raise ParamError("grid counts must be at least 2")
-    tols = {**DEFAULT_TOLS, **(tols or {})}
+    tols = tols or {}
+    if not isinstance(tols, dict) or set(tols) - set(DEFAULT_TOLS):
+        raise ConfigError(f"tols must be an object keyed by {', '.join(DEFAULT_TOLS)}")
+    tols = {**DEFAULT_TOLS, **{k: _cast(float, t, f"tols.{k}") for k, t in tols.items()}}
     if any(not (t > 0.0) for t in tols.values()):
         raise ParamError("tolerances must be positive")
+    checks = checks or []
+    if not isinstance(checks, list) or any(c not in _EXTRA_CHECKS for c in checks):
+        raise ConfigError(f"checks must be a list drawn from {', '.join(_EXTRA_CHECKS)}")
+    C = desc.params.get("C")
+    if "pnmcv" in checks and not (isinstance(C, (int, float)) and C != 0.0):
+        raise ConfigError("the pnmcv checks need a nonzero number C in params")
     fam = _build_shared(desc, families)
     spec = surface_from_family(fam)
     lo, hi = desc.interval
@@ -733,7 +743,6 @@ def verify_family(case: str, params: dict | None = None, *, nu: int = 50,
     v_mid = _V_SAMPLING[spec.kind][2]
 
     tier_tol = tols["closed"] if closed else tols["ode"]
-    C = desc.params.get("C")
     results.extend(_property_checks(case, spec, grid, tier_tol, tols,
                                     C=C, sign=desc.sign, extra=checks))
     if case == "min-ell-ii":
@@ -860,6 +869,14 @@ def default_suite_config(seed: int = 20240) -> dict:
             "jobs": jobs}
 
 
+def _cast(kind, value, key):
+    """kind(value) for the config key; a ConfigError naming it where that fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
 def job_family(job: dict) -> dict:
     """The descriptor_from_catalog keywords of a job's family (family as
     case, u0/u1 as interval, f0/g0 as state0), cast and paired; a key left
@@ -872,16 +889,16 @@ def job_family(job: dict) -> dict:
     if not isinstance(job.get("params") or {}, dict):
         raise ConfigError(f"{case}: params must be an object")
     kw = {"case": case, "params": job.get("params")}
-    kw.update((key, cast(job[key])) for key, cast in (
+    kw.update((key, _cast(kind, job[key], key)) for key, kind in (
         ("alpha", float), ("beta", float), ("sign", int), ("root", str))
         if key in job)
     if "u0" in job or "u1" in job:
         if not ("u0" in job and "u1" in job):
             raise ParamError(f"{case}: u0 and u1 must be given together")
-        kw["interval"] = (float(job["u0"]), float(job["u1"]))
+        kw["interval"] = tuple(_cast(float, job[k], k) for k in ("u0", "u1"))
     if "f0" in job:
-        kw["state0"] = (float(job["f0"]),
-                        float(job["g0"]) if job.get("g0") is not None else None)
+        kw["state0"] = (_cast(float, job["f0"], "f0"), None if job.get("g0") is None
+                        else _cast(float, job["g0"], "g0"))
     elif job.get("g0") is not None:
         raise ParamError(f"{case}: g0 needs f0")
     return kw
@@ -901,15 +918,12 @@ def _run_job(job: dict, record_runtime: bool = False,
     if expect not in ("pass", "fail"):
         raise ConfigError(f"expect must be pass|fail, got {expect!r}")
     label = job.get("label", family["case"])
-    kw = {key: int(job[key]) for key in ("nu", "nv") if key in job}
+    kw = {key: _cast(int, job[key], key) for key in ("nu", "nv") if key in job}
+    kw.update((key, job[key]) for key in ("checks", "tols") if key in job)
     if "v0" in job or "v1" in job:
         if not ("v0" in job and "v1" in job):
             raise ConfigError(f"{label}: v0 and v1 must be given together")
-        kw["v_range"] = (float(job["v0"]), float(job["v1"]))
-    if "checks" in job:
-        kw["checks"] = list(job["checks"])
-    if "tols" in job:
-        kw["tols"] = dict(job["tols"])
+        kw["v_range"] = tuple(_cast(float, job[k], k) for k in ("v0", "v1"))
     rep = verify_family(**family, record_runtime=record_runtime,
                         families=families, **kw)
     return label, expect, rep
@@ -923,7 +937,7 @@ def run_suite(config: dict) -> SuiteReport:
     unknown = set(config) - {"seed", "jobs", "sweep_points", "record_runtime"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    seed = int(config.get("seed", 20240))
+    seed = _cast(int, config.get("seed", 20240), "seed")
     jobs_cfg = config.get("jobs", [])
     if not isinstance(jobs_cfg, list):
         raise ConfigError("'jobs' must be a list")
@@ -933,7 +947,7 @@ def run_suite(config: dict) -> SuiteReport:
     families = {}
     jobs = [_run_job(job, record_runtime, families) for job in jobs_cfg]
     sweeps = []
-    n_sweep = int(config.get("sweep_points", 0))
+    n_sweep = _cast(int, config.get("sweep_points", 0), "sweep_points")
     if n_sweep > 0:
         sweeps = random_point_sweep(n_sweep, seed, DEFAULT_TOLS["algebraic"],
                                     families)

@@ -197,22 +197,23 @@ def test_overflowing_custom_meridian_mesh_exit_2(tmp_path, capsys):
 
 
 def test_invariants_past_the_float_range(tmp_path, capsys):
-    """A finite meridian whose invariants square past the float range:
-    invariants writes inf and NaN cells on rows flagged admissible, and
-    verify fails its checks with a report; neither raises."""
+    """A finite meridian whose E and -G square past the float range is not
+    admissible: invariants flags its rows 0, and verify finds an empty
+    domain; neither raises."""
     flags = ("--family", "custom", "--params",
              "f=1e300*u*u,g=u,kind=hyperbolic", "--u0", "700", "--u1", "800")
     out = tmp_path / "o.csv"
     assert run("invariants", *flags, "--nu", "3", "--out", str(out)) == 0
     rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
-    assert len(rows) == 3
-    assert all(r[1] == "inf" and "nan" in r and r[-1] == "1" for r in rows)
+    assert [r[1:] for r in rows] == [[""] * 13 + ["0"]] * 3
     capsys.readouterr()
     rp = tmp_path / "r.json"
-    assert run("verify", *flags, "--report", str(rp)) == 1
-    assert json.loads(rp.read_text())["pass"] is False
+    assert run("verify", *flags, "--report", str(rp)) == 0
+    checks = json.loads(rp.read_text())["checks"]
+    assert checks[0]["notes"].endswith("; empty")
+    assert all(c["vacuous"] for c in checks[1:])
     err = capsys.readouterr().err
-    assert err.startswith("overall: FAIL (") and err.count("\n") == 1
+    assert err.startswith("overall: pass (") and err.count("\n") == 1
 
 
 def test_nan_minus_G_is_inadmissible(tmp_path):
@@ -354,14 +355,70 @@ _DOORS = ("invariants", "mesh", "verify", "suite")
     ({"family": "nope"}, "error: unknown family case 'nope'\n"),
     ({"family": "pnmcv-ell", "f0": 5.0},
      "error: pnmcv-ell: closed-form family takes no f0/g0\n"),
+    # the family does not exist: built, it raises; no door writes a file
+    ({"family": "flat-ell-i", "f0": 5.0, "g0": 1.0},
+     "error: flat-ell-i: initial state violates constraint "
+     "(residual 2.425e+01 > tol 2.500e-09)\n"),
+    ({"family": "fnc-ell-ii", "f0": 1.9, "g0": 1.0},
+     "error: negative discriminant at fnc-ell-ii u=0.0\n"),
+    ({"family": "min-hyp-iii", "f0": 0.0, "g0": 0.0},
+     "error: min-hyp-iii: curve through the origin at u=0.0\n"),
+    ({"family": "custom", "params": {"f": "sqrt(-4)*u"}},
+     "error: sqrt of non-positive or tiny value -4.0\n"),
+    ({"family": "custom", "params": {"f": "1/0*u"}},
+     "error: '1/0*u': constant divides by zero\n"),
+    ({"family": "custom", "params": {"f": "(-8)**0.5*u"}},
+     "error: '(-8)**0.5*u': constant is complex\n"),
+    ({"family": "custom", "params": {"f": "2**u"}},
+     "error: exponent of ** must be a number in '2**u'\n"),
 ])
 def test_family_fault_reads_the_same_at_every_door(tmp_path, monkeypatch,
                                                    capsys, door, job, line):
     monkeypatch.chdir(tmp_path)
-    flags = [w for key, val in job.items() for w in (f"--{key}", str(val))]
+    flags = [w for key, val in job.items() for w in (f"--{key}", ",".join(
+        f"{k}={v}" for k, v in val.items()) if key == "params" else str(val))]
     assert run(*_door_argv(door, job, flags, tmp_path)) == 2
     assert capsys.readouterr().err == line
     assert not (tmp_path / "x.csv").exists()
+
+
+_TOLS_LINE = ("error: tols must be an object keyed by closed, ode, algebraic, "
+              "cross, fd, pnmcv_h, vindep\n")
+_CHECKS_LINE = "error: checks must be a list drawn from minimal, pnmcv, flat, fnc\n"
+
+
+@pytest.mark.parametrize("config,line", [
+    ({"jobs": [{"family": "pnmcv-ell", "u0": None, "u1": 3}]},
+     "error: u0 must be a number, got None\n"),
+    ({"jobs": [{"family": "pnmcv-ell", "alpha": "x"}]},
+     "error: alpha must be a number, got 'x'\n"),
+    ({"jobs": [{"family": "pnmcv-ell", "nu": "many"}]},
+     "error: nu must be a number, got 'many'\n"),
+    ({"jobs": [{"family": "pnmcv-ell", "tols": "x"}]}, _TOLS_LINE),
+    ({"jobs": [{"family": "pnmcv-ell", "tols": {"fd": "a"}}]},
+     "error: tols.fd must be a number, got 'a'\n"),
+    ({"jobs": [{"family": "pnmcv-ell", "tols": {"nope": 1}}]}, _TOLS_LINE),
+    ({"jobs": [{"family": "pnmcv-ell", "checks": "minimal"}]}, _CHECKS_LINE),
+    ({"seed": "s", "jobs": []}, "error: seed must be a number, got 's'\n"),
+])
+def test_bad_suite_value_exit_2(tmp_path, capsys, config, line):
+    """A job or config value of the wrong type or name is a configuration
+    error, exit 2 with one line, not a traceback."""
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(config))
+    assert run("verify", "--suite", str(path)) == 2
+    assert capsys.readouterr().err == line
+
+
+@pytest.mark.parametrize("flags,line", [
+    (("--family", "pnmcv-ell", "--checks", "minimall"), _CHECKS_LINE),
+    (("--family", "custom", "--params", "f=u*u,g=u", "--alpha", "1",
+      "--beta", "3", "--u0", "0.6", "--u1", "2.8", "--checks", "pnmcv"),
+     "error: the pnmcv checks need a nonzero number C in params\n"),
+])
+def test_unknown_check_exit_2(capsys, flags, line):
+    assert run("verify", *flags) == 2
+    assert capsys.readouterr().err == line
 
 
 @pytest.mark.parametrize("job,flags", [

@@ -176,6 +176,31 @@ def test_constant_past_the_float_range_is_a_domain_error(text):
         evaluate_masked(JetExpr(text), np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("text,msg", [
+    ("1/0*u", "constant divides by zero"),
+    ("0**-1*u", "constant divides by zero"),
+    ("(-8)**0.5*u", "constant is complex"),
+    ("(-8)**0.5", "constant is complex"),
+    ("sqrt((-8.0)**(1/3))", "constant is complex"),
+])
+def test_constant_without_a_real_value_is_a_domain_error(text, msg):
+    with pytest.raises(DomainError, match=msg):
+        JetExpr(text)(1.0)
+    with pytest.raises(DomainError, match=msg):
+        evaluate_masked(JetExpr(text), np.array([1.0, 2.0]))
+
+
+def test_exponent_must_be_a_number():
+    for bad in ("2**u", "u**u", "u**sqrt(2)", "u**(1 + 0*u)"):
+        with pytest.raises(DomainError, match="exponent of"):
+            JetExpr(bad)
+    for text, k in (("u**2", 2), ("u**-3", -3), ("u**(1/2)", 0.5),
+                    ("u**(pi/2)", math.pi / 2)):
+        out = JetExpr(text)(2.0)
+        assert out.val == pytest.approx(2.0 ** k)
+        assert out.d1 == pytest.approx(k * 2.0 ** (k - 1))
+
+
 def test_underflow_floors_are_the_last_zero_products():
     from grs4.jets import _CUBE_FLOOR, _SQ_FLOOR
 
