@@ -683,7 +683,7 @@ def _build_custom(desc):
     def jet_fn(u):
         return f_expr(u), g_expr(u)
 
-    # on no u only the u-independent terms are floats, so only they can raise
+    # raise now what holds at every u: on no u, only u-independent terms can
     evaluate_masked(jet_fn, np.empty(0))
     return _ClosedFormFamily(desc, kind, jet_fn)
 

@@ -680,7 +680,9 @@ def verify_family(case: str, params: dict | None = None, *, nu: int = 50,
 
     case, params and the family keywords (alpha, beta, sign, root,
     interval, state0; job_family(job) for a suite job) go to
-    descriptor_from_catalog.  Returns a report whose checks all carry
+    descriptor_from_catalog.  checks lists extra bundles from _EXTRA_CHECKS
+    and tols overrides DEFAULT_TOLS key by key; anything else is a
+    ConfigError.  Returns a report whose checks all carry
     residual/tolerance pairs; empty admissible domains yield vacuous
     results with explicit notes.  runtime_s stays 0.0 unless
     record_runtime is set, keeping report bytes reproducible across runs.
@@ -897,8 +899,9 @@ def job_family(job: dict) -> dict:
             raise ParamError(f"{case}: u0 and u1 must be given together")
         kw["interval"] = tuple(_cast(float, job[k], k) for k in ("u0", "u1"))
     if "f0" in job:
-        kw["state0"] = (_cast(float, job["f0"], "f0"), None if job.get("g0") is None
-                        else _cast(float, job["g0"], "g0"))
+        g0 = job.get("g0")
+        kw["state0"] = (_cast(float, job["f0"], "f0"),
+                        None if g0 is None else _cast(float, g0, "g0"))
     elif job.get("g0") is not None:
         raise ParamError(f"{case}: g0 needs f0")
     return kw
