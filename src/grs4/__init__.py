@@ -1,7 +1,7 @@
 """Rotational surfaces in pseudo-Euclidean 4-space with neutral metric.
 
 Library layout:
-    pe4        signature-(2,2) vectors, inner product, causal character
+    pe4        signature-(2,2) vectors and their inner product
     jets       order-2 jet arithmetic and expression descriptors
     odeint     fixed-step RK4 with dense output
     meridians  the classified meridian families and their evaluators
@@ -14,18 +14,18 @@ from .errors import (ConfigError, ConstraintDriftError, DomainError,
                      FieldError, GrsError, InadmissiblePointError,
                      NoRealRootError, ParamError, ProjectionError,
                      RangeError, StepError)
-from .jets import Jet2, jet_apply
+from .jets import Jet2
 from .meridians import (FAMILY_CATALOG, FamilyDescriptor, MeridianFamily,
                         MeridianJet, build_family, descriptor_from_catalog,
                         classified_case_ids)
-from .pe4 import CausalCharacter, PEVector4, causal_character, inner
+from .pe4 import PEVector4, inner
 from .surfaces import (Curvatures, Frame, GeoFns, InvariantGrid,
                        InvariantRecord, PointJets, SurfaceKind, SurfaceSpec,
                        curvatures, frames, geometric_functions,
                        invariant_grid, invariant_record, position_jets,
-                       shape_operators, surface_from_family)
+                       surface_from_family)
 from .verifier import (CheckResult, FamilyReport, SuiteReport,
                        admissible_domain, cross_check, default_suite_config,
-                       fd_connection_check, run_suite, verify_family)
+                       run_suite, verify_family)
 
 __version__ = "0.1.0"

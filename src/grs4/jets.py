@@ -273,15 +273,6 @@ _ELEMENTARY = {
 }
 
 
-def jet_apply(fn: str, j: Jet2) -> Jet2:
-    """Apply an elementary function by tag through the chain rule."""
-    try:
-        impl = _ELEMENTARY[fn]
-    except KeyError:
-        raise DomainError(f"unknown elementary function tag {fn!r}") from None
-    return impl(j)
-
-
 # ---------------------------------------------------------------------------
 # Expression descriptors for user-supplied meridians.
 #

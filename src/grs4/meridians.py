@@ -563,21 +563,28 @@ def _build_min_i(desc):
     return fam
 
 
-def _build_min_ell_ii(desc):
+def _build_min_ii(desc):
+    """sqrt(A) (F(k t + phase)/alpha, G(t)/beta), k = s alpha/beta:
+    min-ell-ii has F = G = sin and phase C; min-hyp-ii has F, G = cosh, sinh
+    (A > 0) or sinh, cosh (A < 0) and phase c."""
+    ell = _eps(desc.case) > 0.0
     A = _get(desc.params, "A", desc.case)
-    C = _get(desc.params, "C", desc.case)
-    _require(A > 0.0, "min-ell-ii: A must be positive")
-    _require(desc.alpha != desc.beta, "min-ell-ii: requires alpha != beta")
+    phase = _get(desc.params, "C" if ell else "c", desc.case)
+    _require(A > 0.0 if ell else A != 0.0,
+             f"{desc.case}: A must be {'positive' if ell else 'nonzero'}")
+    _require(desc.alpha != desc.beta, f"{desc.case}: requires alpha != beta")
     k = desc.sign * desc.alpha / desc.beta
-    sa = math.sqrt(A)
+    sa = math.sqrt(abs(A))
     fa, fb = sa / desc.alpha, sa / desc.beta
+    jf, jg = ((jsin, jsin) if ell else
+              (jcosh, jsinh) if A > 0.0 else (jsinh, jcosh))
 
-    def jet_fn(theta):
-        tj = Jet2.variable(theta)
-        return fa * jsin(k * tj + C), fb * jsin(tj)
+    def jet_fn(t):
+        tj = Jet2.variable(t)
+        return fa * jf(k * tj + phase), fb * jg(tj)
 
-    fam = _ClosedFormFamily(desc, "elliptic", jet_fn)
-    if desc.alpha < desc.beta:
+    fam = _ClosedFormFamily(desc, FAMILY_CATALOG[desc.case].kind, jet_fn)
+    if ell and desc.alpha < desc.beta:
         fam.diagnostics.append(
             "min-ell-ii normally arises with alpha > beta (A > 0); "
             "the admissibility scan decides the actual domain")
@@ -601,24 +608,6 @@ def _build_min_ell_iii(desc):
             "admissible points require a < 0 and b > 0; "
             "the admissibility scan will likely come back empty")
     return fam
-
-
-def _build_min_hyp_ii(desc):
-    A = _get(desc.params, "A", desc.case)
-    c = _get(desc.params, "c", desc.case)
-    _require(A != 0.0, "min-hyp-ii: A must be nonzero")
-    _require(desc.alpha != desc.beta, "min-hyp-ii: requires alpha != beta")
-    k = desc.sign * desc.alpha / desc.beta
-    sa = math.sqrt(abs(A))
-    fa, fb = sa / desc.alpha, sa / desc.beta
-
-    jf, jg = (jcosh, jsinh) if A > 0.0 else (jsinh, jcosh)
-
-    def jet_fn(psi):
-        pj = Jet2.variable(psi)
-        return fa * jf(k * pj + c), fb * jg(pj)
-
-    return _ClosedFormFamily(desc, "hyperbolic", jet_fn)
 
 
 def _build_pnmcv(desc):
@@ -695,10 +684,10 @@ def _build_integrated(desc):
 
 _BUILDERS = {
     "min-ell-i": _build_min_i,
-    "min-ell-ii": _build_min_ell_ii,
+    "min-ell-ii": _build_min_ii,
     "min-ell-iii": _build_min_ell_iii,
     "min-hyp-i": _build_min_i,
-    "min-hyp-ii": _build_min_hyp_ii,
+    "min-hyp-ii": _build_min_ii,
     "min-hyp-iii": _build_integrated,
     "pnmcv-ell": _build_pnmcv,
     "pnmcv-hyp": _build_pnmcv,
@@ -717,12 +706,21 @@ _BUILDERS = {
 def build_family(desc: FamilyDescriptor) -> MeridianFamily:
     """Validate descriptor constraints and return the family evaluator.
 
-    Raises ParamError on constraint violations.  Families whose admissible
-    domain is known to be empty construct fine and carry a diagnostic note;
-    the admissibility scan is the authority on the actual domain.
+    Raises ParamError on constraint violations and on params keys outside
+    the catalog entry's defaults (for custom: f, g, kind and C, the C of
+    the pnmcv checks).  Families whose admissible domain is known to be
+    empty construct fine and carry a diagnostic note; the admissibility
+    scan is the authority on the actual domain.
     """
     if desc.case not in _BUILDERS:
         raise ParamError(f"unknown family case {desc.case!r}")
+    known = set(FAMILY_CATALOG[desc.case].defaults)
+    if desc.case == "custom":
+        known |= {"kind", "C"}
+    unknown = set(desc.params) - known
+    if unknown:
+        raise ParamError(f"{desc.case}: unknown params {sorted(unknown)}; "
+                         f"its params are {sorted(known)}")
     if not (math.isfinite(desc.alpha) and desc.alpha > 0.0):
         raise ParamError("alpha must be a positive finite number")
     if not (math.isfinite(desc.beta) and desc.beta > 0.0):
@@ -826,7 +824,7 @@ FAMILY_CATALOG: dict[str, CatalogEntry] = {
     "custom": CatalogEntry(
         "custom", "elliptic", "closed",
         "f, g: closed-form expressions in u (params f=..., g=..., "
-        "kind=elliptic|hyperbolic); interval required.",
+        "kind=elliptic|hyperbolic, C for the pnmcv checks); interval required.",
         {"f": "u", "g": "u"}, 1.0, 1.0, (0.5, 3.0)),
 }
 

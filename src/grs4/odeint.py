@@ -89,16 +89,14 @@ def rk4_integrate(field, y0, t0: float, t1: float, h: float) -> Trajectory:
                       dys=np.array(dys, dtype=float), h=hs)
 
 
-def hermite_eval(traj: Trajectory, t) -> np.ndarray:
+def hermite_eval(traj: Trajectory, t: np.ndarray) -> np.ndarray:
     """Cubic Hermite dense output; exact at knots.
 
-    t is a float, giving the state (f, g), or an array of n floats, giving
-    an (n, 2) array whose row i is the state at t[i] (a float t is the
-    1-element case).  Raises RangeError if any t lies outside [t0, t1] or is
+    t is a 1-d array of n floats; row i of the (n, 2) result is the state
+    (f, g) at t[i].  Raises RangeError if any t lies outside [t0, t1] or is
     NaN (a relative slack of ~1e-12 of the span is tolerated and clamped).
     """
-    scalar = not isinstance(t, np.ndarray)
-    t = np.array(t, dtype=float, ndmin=1)
+    t = np.asarray(t, dtype=float)
     t0, t1 = traj.t0, traj.t1
     slack = 1e-12 * max(1.0, abs(t1 - t0))
     tmin, tmax = (t.min(), t.max()) if t.size else (t0, t1)   # NaN if any is
@@ -125,4 +123,4 @@ def hermite_eval(traj: Trajectory, t) -> np.ndarray:
          + h01 * yb + h11 * hi * traj.dys[i + 1])
     # a query at a knot returns the knot's stored state
     y = np.where((t == ta)[:, None], ya, np.where((t == tb)[:, None], yb, y))
-    return y[0] if scalar else y
+    return y

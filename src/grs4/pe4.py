@@ -8,18 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
-
-DEFAULT_CAUSAL_EPS = 1e-12
-
-
-class CausalCharacter(Enum):
-    SPACELIKE = "spacelike"
-    TIMELIKE = "timelike"
-    LIGHTLIKE = "lightlike"
-    ZERO = "zero"
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,9 +48,6 @@ class PEVector4:
     def euclid_norm(self) -> float:
         return sqrt(self.euclid_norm2())
 
-    def is_zero(self) -> bool:
-        return self.x1 == 0.0 and self.x2 == 0.0 and self.x3 == 0.0 and self.x4 == 0.0
-
 
 def sqrt(x):
     """math.sqrt of a float, np.sqrt of an ndarray (both correctly rounded)."""
@@ -86,19 +73,3 @@ def pow2(x):
 def inner(a: PEVector4, b: PEVector4) -> float:
     """Indefinite inner product a1*b1 + a2*b2 - a3*b3 - a4*b4."""
     return a.x1 * b.x1 + a.x2 * b.x2 - a.x3 * b.x3 - a.x4 * b.x4
-
-
-def causal_character(v: PEVector4, eps: float = DEFAULT_CAUSAL_EPS) -> CausalCharacter:
-    """Classify v by the sign of inner(v, v).
-
-    The zero test is relative: |inner(v,v)| <= eps * max(1, Euclidean norm
-    squared), so lightlike classification is robust on computed vectors.
-    The exact zero vector classifies as ZERO, never LIGHTLIKE.
-    """
-    if v.is_zero():
-        return CausalCharacter.ZERO
-    q = inner(v, v)
-    scale = max(1.0, v.euclid_norm2())
-    if abs(q) <= eps * scale:
-        return CausalCharacter.LIGHTLIKE
-    return CausalCharacter.SPACELIKE if q > 0.0 else CausalCharacter.TIMELIKE

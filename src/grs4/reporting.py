@@ -117,9 +117,8 @@ def export_mesh(spec: SurfaceSpec, us, vs, path: str, fmt: str = "csv4",
 
 
 def dump_report_json(report_dict: dict, path: str) -> None:
-    text = json.dumps(report_dict, indent=2)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+    with open(path, "wb") as fh:
+        fh.write(report_json_bytes(report_dict))
 
 
 def report_json_bytes(report_dict: dict) -> bytes:

@@ -19,8 +19,8 @@ Each formula is written once and evaluated on arrays, the meridian from
 one jet_columns pass: over a u-grid (invariant_grid), a u x v grid
 (frames_grid, positions_grid, _project_grid) or a list of (u, v) points
 (_grid_inputs).  The per-point functions (position_jets, frames,
-geometric_functions, curvatures, shape_operators, invariant_record,
-mean_curvature_numerator) are 1-row views that return Python floats.
+geometric_functions, curvatures, invariant_record) are 1-row views that
+return Python floats.
 Squares go through pe4.pow2 and traces through shape_trace, so each element
 has the bits of the float formula at its point.  eps stands where the
 elliptic formula has a minus sign, so both kinds keep the bits of their own
@@ -142,14 +142,6 @@ class Curvatures:
     kappa: float
     h_coeff: float
     H_norm2: float
-
-
-@dataclass(frozen=True)
-class ShapeOperators:
-    A1: np.ndarray
-    A2: np.ndarray
-    trA1A2: float
-    allied_coeff: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -564,17 +556,6 @@ def _curvatures_from(spec, scalars) -> Curvatures:
     return Curvatures(K=K, kappa=kappa, h_coeff=h, H_norm2=-h * h)
 
 
-def mean_curvature_numerator(spec: SurfaceSpec, u: float) -> tuple[float, float]:
-    """Numerator of the mean-curvature coefficient and its term scale.
-
-    Defined at every meridian point, admissible or not (no square roots),
-    so identities like 'this family has vanishing mean curvature wherever
-    it is defined' can be checked on families with empty admissible domain.
-    """
-    t1, t2 = _h_terms(spec, *_meridian_row(spec, u))
-    return float(t1[0] + t2[0]), float(abs(t1[0]) + abs(t2[0]) + 1.0)
-
-
 def shape_trace(A1, A2):
     """tr(A1 A2) over the last two axes, for one pair or stacked pairs.
 
@@ -594,14 +575,6 @@ def _shape_matrices(kind: SurfaceKind, gf):
     rot = _matrices([[zero, gf.mu], [-gf.mu, zero]])
     diag = _matrices([[gf.nu1, zero], [zero, -gf.nu2]])
     return kind.normals(rot, diag)
-
-
-def shape_operators(spec: SurfaceSpec, u: float) -> ShapeOperators:
-    """Shape operators of n1, n2 on the (x, y) basis, with <A_xi X, Y> = <sigma(X,Y), xi>."""
-    r = _admissible_record(spec, u)
-    A1, A2 = _shape_matrices(spec.kind, r)
-    return ShapeOperators(A1=A1, A2=A2, trA1A2=r.trA1A2,
-                          allied_coeff=0.5 * abs(r.h_coeff) * r.trA1A2)
 
 
 def invariant_record(spec: SurfaceSpec, u: float) -> InvariantRecord:

@@ -7,8 +7,8 @@ of frame fields, inner products of projected second-fundamental vectors,
 or the defining algebraic relation of a family.  Results are reproducible
 bit-for-bit for a fixed configuration.  Each check evaluates all of its
 points in one array pass (FD stencils, sweep points per family, bisection
-steps of all brackets); fd_connection_check and cross_check are one-point
-cases of the same routes.
+steps of all brackets); cross_check is a one-point case of the projection
+route.
 """
 
 from __future__ import annotations
@@ -252,10 +252,11 @@ _ORTHO_PAIRS = (("x", "x", 1.0), ("y", "y", -1.0), ("n1", "n1", 1.0),
 def orthonormality_residual(fr) -> float:
     """Worst deviation of the ten frame inner products from their targets.
 
-    Scaled by max(1, Euclidean magnitudes), matching the causal-character
-    tolerance convention; hyperbolic frames grow like cosh(alpha*v) and an
-    absolute test would only measure that growth.  A frame over a grid
-    (array components) gives the worst over the grid; NaN propagates.
+    Each gap is divided by max(1, product of the two Euclidean norms), so
+    the tolerance is relative to the vectors' size; hyperbolic frames grow
+    like cosh(alpha*v) and an absolute test would only measure that growth.
+    A frame over a grid (array components) gives the worst over the grid;
+    NaN propagates.
     """
     vecs = {"x": fr.x, "y": fr.y, "n1": fr.n1, "n2": fr.n2}
     norms = {k: v.euclid_norm() for k, v in vecs.items()}
@@ -347,14 +348,6 @@ def fd_connection_rows(spec: SurfaceSpec, points, hs):
     sq = d * d
     return ([name for name, _, _ in rows],
             np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3]))
-
-
-def fd_connection_check(spec: SurfaceSpec, u: float, v: float,
-                        h: float = FD_H) -> list:
-    """[(name, residual)] of the eight frame derivative formulas against
-    central FD at (u, v) with step h: fd_connection_rows at one point."""
-    names, residuals = fd_connection_rows(spec, [(u, v)], [h])
-    return list(zip(names, residuals[:, 0, 0].tolist()))
 
 
 def h_numerator_identity(spec: SurfaceSpec, u0: float, u1: float,
@@ -872,7 +865,10 @@ def default_suite_config(seed: int = 20240) -> dict:
 
 
 def _cast(kind, value, key):
-    """kind(value) for the config key; a ConfigError naming it where that fails."""
+    """kind(value) for the config key; a ConfigError naming it where that
+    fails, or where int would truncate a float that is not integral."""
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):

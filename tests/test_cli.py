@@ -371,6 +371,13 @@ _DOORS = ("invariants", "mesh", "verify", "suite")
      "error: '(-8)**0.5*u': constant is complex\n"),
     ({"family": "custom", "params": {"f": "2**u"}},
      "error: exponent of ** must be a number in '2**u'\n"),
+    # a params key outside the catalog entry's, here a misspelled C
+    ({"family": "pnmcv-ell", "params": {"c": 5}},
+     "error: pnmcv-ell: unknown params ['c']; its params are ['C']\n"),
+    ({"family": "custom", "params": {"f": "u*u", "kinds": "hyperbolic",
+                                     "c": 1}},
+     "error: custom: unknown params ['c', 'kinds']; its params are "
+     "['C', 'f', 'g', 'kind']\n"),
 ])
 def test_family_fault_reads_the_same_at_every_door(tmp_path, monkeypatch,
                                                    capsys, door, job, line):
@@ -400,6 +407,12 @@ _CHECKS_LINE = "error: checks must be a list drawn from minimal, pnmcv, flat, fn
     ({"jobs": [{"family": "pnmcv-ell", "tols": {"nope": 1}}]}, _TOLS_LINE),
     ({"jobs": [{"family": "pnmcv-ell", "checks": "minimal"}]}, _CHECKS_LINE),
     ({"seed": "s", "jobs": []}, "error: seed must be a number, got 's'\n"),
+    # an integer key given a float that is not integral is not truncated
+    ({"jobs": [{"family": "pnmcv-ell", "nu": 2.9}]},
+     "error: nu must be an integer, got 2.9\n"),
+    ({"jobs": [{"family": "pnmcv-ell", "sign": 1.9}]},
+     "error: sign must be an integer, got 1.9\n"),
+    ({"seed": 1.5, "jobs": []}, "error: seed must be an integer, got 1.5\n"),
 ])
 def test_bad_suite_value_exit_2(tmp_path, capsys, config, line):
     """A job or config value of the wrong type or name is a configuration
@@ -408,6 +421,18 @@ def test_bad_suite_value_exit_2(tmp_path, capsys, config, line):
     path.write_text(json.dumps(config))
     assert run("verify", "--suite", str(path)) == 2
     assert capsys.readouterr().err == line
+
+
+@pytest.mark.parametrize("value", [5, 5.0])
+def test_integral_suite_value_accepted(tmp_path, value):
+    """An integer key takes an integral float as that integer."""
+    path, report = tmp_path / "suite.json", tmp_path / "report.json"
+    path.write_text(json.dumps({"seed": value, "jobs": [
+        {"family": "pnmcv-ell", "nu": value, "sign": value / 5}]}))
+    assert run("verify", "--suite", str(path), "--report", str(report)) == 0
+    out = json.loads(report.read_text())
+    assert out["seed"] == 5 and out["jobs"][0]["report"]["grid"]["nu"] == 5
+    assert type(out["seed"]) is int
 
 
 @pytest.mark.parametrize("flags,line", [

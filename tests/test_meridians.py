@@ -77,6 +77,25 @@ def test_missing_parameter_message():
         build_family(FamilyDescriptor("pnmcv-ell", {}, 1.0, 3.0))
 
 
+@pytest.mark.parametrize("case,params,alpha,text", [
+    ("min-ell-ii", {"A": 0.0}, 2.0, "min-ell-ii: A must be positive"),
+    ("min-hyp-ii", {"A": 0.0}, 2.0, "min-hyp-ii: A must be nonzero"),
+    ("min-ell-ii", {}, 1.0, "min-ell-ii: requires alpha != beta"),
+    ("min-hyp-ii", {}, 1.0, "min-hyp-ii: requires alpha != beta"),
+])
+def test_min_ii_error_texts(case, params, alpha, text):
+    with pytest.raises(ParamError) as err:
+        fam(case, params, alpha=alpha, beta=1.0)
+    assert str(err.value) == text
+
+
+def test_min_ii_alpha_below_beta_diagnostic_is_elliptic_only():
+    assert fam("min-ell-ii", alpha=1.0, beta=2.0).diagnostics == [
+        "min-ell-ii normally arises with alpha > beta (A > 0); "
+        "the admissibility scan decides the actual domain"]
+    assert fam("min-hyp-ii", alpha=1.0, beta=2.0).diagnostics == []
+
+
 # ---------------------------------------------------------------------------
 # Closed-form jets
 

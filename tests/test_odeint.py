@@ -61,7 +61,7 @@ def test_field_called_four_times_per_step_plus_one():
 def test_hermite_exact_at_knots():
     traj = rk4_integrate(exp_field, [1.0, 1.0], 0.0, 1.0, 0.1)
     for t, y in zip(traj.ts, traj.ys):
-        assert hermite_eval(traj, float(t))[0] == y[0]
+        assert hermite_eval(traj, np.array([t]))[0][0] == y[0]
 
 
 def test_hermite_midstep_within_interpolation_bound():
@@ -73,7 +73,7 @@ def test_hermite_midstep_within_interpolation_bound():
     knot_err = np.abs(traj.ys[:, 0] - np.exp(traj.ts))
     for i in range(len(traj.ts) - 1):
         t = 0.5 * (traj.ts[i] + traj.ts[i + 1])
-        err = abs(hermite_eval(traj, float(t))[0] - math.exp(t))
+        err = abs(hermite_eval(traj, np.array([t]))[0][0] - math.exp(t))
         interp = h ** 4 / 384.0 * math.exp(traj.ts[i + 1])
         data = (1.0 + h / 4.0) * max(knot_err[i], knot_err[i + 1])
         assert err <= interp + data
@@ -84,17 +84,17 @@ def test_hermite_exact_on_linear_fields():
                          0.0, 4.0, 0.5)
     for t in np.linspace(0.0, 4.0, 37):
         expect = 1.0 + 2.0 * t
-        assert abs(hermite_eval(traj, float(t))[0] - expect) <= 1e-13
+        assert abs(hermite_eval(traj, np.array([t]))[0][0] - expect) <= 1e-13
 
 
 def test_range_error_outside_span():
     traj = rk4_integrate(exp_field, [1.0, 1.0], 0.0, 1.0, 0.1)
     with pytest.raises(RangeError):
-        hermite_eval(traj, -0.5)
+        hermite_eval(traj, np.array([-0.5]))
     with pytest.raises(RangeError):
-        hermite_eval(traj, 1.5)
+        hermite_eval(traj, np.array([1.5]))
     with pytest.raises(RangeError):
-        hermite_eval(traj, math.nan)
+        hermite_eval(traj, np.array([math.nan]))
 
 
 def test_invalid_step_rejected():

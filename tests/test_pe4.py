@@ -3,8 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from grs4.pe4 import (CausalCharacter, PEVector4, causal_character, inner,
-                      pow2)
+from grs4.pe4 import PEVector4, inner, pow2
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
@@ -42,28 +41,6 @@ def test_inner_bilinear(s, a1, a2, a3, a4, b1, b2, b3, b4, c1, c2, c3, c4):
     rhs = s * inner(a, c) + inner(b, c)
     scale = (abs(s) * a.euclid_norm() + b.euclid_norm()) * c.euclid_norm() + 1.0
     assert abs(lhs - rhs) <= 1e-12 * scale
-
-
-def test_causal_characters():
-    assert causal_character(vec(0, 2, 0, 0)) is CausalCharacter.SPACELIKE
-    assert causal_character(vec(0, 0, 0, 3)) is CausalCharacter.TIMELIKE
-    assert causal_character(vec(1, 0, 1, 0)) is CausalCharacter.LIGHTLIKE
-    assert causal_character(vec(0, 0, 0, 0)) is CausalCharacter.ZERO
-
-
-def test_causal_tolerance_is_relative():
-    # inner = 1 - (1 + 1e-14)^2 ~ -2e-14, within 1e-12 * ||v||^2
-    v = vec(1.0, 0.0, 1.0 + 1e-14, 0.0)
-    assert causal_character(v) is CausalCharacter.LIGHTLIKE
-    # with a much tighter epsilon the same vector classifies timelike
-    assert causal_character(v, eps=1e-16) is CausalCharacter.TIMELIKE
-
-
-def test_causal_scales_with_magnitude():
-    big = vec(1e8, 0.0, 1e8, 1.0)  # inner = -1, tiny next to ||v||^2 = 2e16
-    assert causal_character(big) is CausalCharacter.LIGHTLIKE
-    assert causal_character(vec(1.0, 0.0, 0.0, 1.0 + 1e-6)) \
-        is CausalCharacter.TIMELIKE
 
 
 def test_vector_arithmetic():

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,10 +15,9 @@ from grs4.reporting import export_invariants_csv, export_mesh
 from grs4.surfaces import (INVARIANT_COLUMNS, SecondFundamental, SurfaceKind,
                            curvatures, frames, geometric_functions,
                            invariant_grid, invariant_record,
-                           mean_curvature_numerator, frames_grid,
-                           position_jets, positions_grid, shape_operators,
+                           frames_grid, position_jets, positions_grid,
                            shape_trace, surface_from_family,
-                           _fundamental_from, _project_grid)
+                           _fundamental_from, _project_grid, _shape_matrices)
 from grs4.verifier import (admissible_domain, orthonormality_residual,
                            _grid_in_intervals, _v_grid)
 
@@ -298,15 +298,25 @@ def test_pnmcv_hyp_sign_branches():
 def test_h_numerator_vanishes_on_min_ell_i():
     spec = spec_for("min-ell-i", interval=(0.1, 10.0))
     for u in np.linspace(0.1, 10.0, 41):
-        num, scale = mean_curvature_numerator(spec, u)
+        num, scale = ref.mean_curvature_numerator(spec, u)
         assert abs(num) / scale <= 1e-12
 
 
 # ---------------------------------------------------------------------------
 # Shape operators
 
+def shape_ops(spec, u):
+    """A1, A2 of n1, n2 on the (x, y) basis at an admissible u, with
+    tr(A1 A2) and the allied coefficient 0.5 |h| tr(A1 A2) of its
+    invariant_record."""
+    A1, A2 = _shape_matrices(spec.kind, geometric_functions(spec, u))
+    rec = invariant_record(spec, u)
+    return SimpleNamespace(A1=A1, A2=A2, trA1A2=rec.trA1A2,
+                           allied_coeff=0.5 * abs(rec.h_coeff) * rec.trA1A2)
+
+
 def test_shape_operators_fnc_ell_i():
-    so = shape_operators(FNC_ELL_I, 1.0)
+    so = shape_ops(FNC_ELL_I, 1.0)
     assert np.all(so.A1 == 0.0)
     assert so.A2[0, 0] == 0.0
     assert so.A2[1, 1] == pytest.approx(-2.12000, abs=1e-5)
@@ -315,11 +325,11 @@ def test_shape_operators_fnc_ell_i():
 
 
 def test_shape_operator_block_structure():
-    so = shape_operators(PNMCV_ELL, 3.0)
+    so = shape_ops(PNMCV_ELL, 3.0)
     gf = geometric_functions(PNMCV_ELL, 3.0)
     assert so.A1[0, 1] == gf.mu and so.A1[1, 0] == -gf.mu
     assert so.A2[0, 0] == gf.nu1 and so.A2[1, 1] == -gf.nu2
-    so_h = shape_operators(MIN_HYP_I, 1.0)
+    so_h = shape_ops(MIN_HYP_I, 1.0)
     gf_h = geometric_functions(MIN_HYP_I, 1.0)
     assert so_h.A1[0, 0] == gf_h.nu1 and so_h.A1[1, 1] == -gf_h.nu2
     assert so_h.A2[0, 1] == gf_h.mu
@@ -327,7 +337,7 @@ def test_shape_operator_block_structure():
 
 def test_projected_shape_operators_agree():
     for case, spec, u, _ in SAMPLES:
-        so = shape_operators(spec, u)
+        so = shape_ops(spec, u)
         A1p, A2p = ref.project(spec, u, 0.3).shape_matrices()
         assert np.allclose(A1p, so.A1, atol=1e-10), case
         assert np.allclose(A2p, so.A2, atol=1e-10), case
@@ -420,7 +430,7 @@ def test_invariant_record_computes_each_layer_once_per_row(monkeypatch):
         rec = invariant_record(spec, u)
         assert rec.admissible
         assert calls == {"_geo_fns_from": 1, "_curvatures_from": 1}
-        assert rec.trA1A2 == shape_operators(spec, u).trA1A2 == ref.shape_trace(spec, u)
+        assert rec.trA1A2 == shape_ops(spec, u).trA1A2 == ref.shape_trace(spec, u)
 
 
 def _grid_hex(vec, i, j):
@@ -618,14 +628,6 @@ def test_point_views_match_float_routes_bitwise(case, spec, u, width):
                           (curvatures(spec, uu), ref.curvatures(spec, uu))):
             assert (_floats_hex(dataclasses.astuple(got))
                     == _floats_hex(dataclasses.astuple(want))), uu
-        so = shape_operators(spec, uu)
-        A1, A2 = ref.project(spec, uu, 0.0).shape_matrices()
-        assert so.trA1A2 == ref.shape_trace(spec, uu)
-        assert so.allied_coeff == (0.5 * abs(ref.curvatures(spec, uu).h_coeff)
-                                   * ref.shape_trace(spec, uu))
-        assert np.allclose(so.A1, A1, atol=1e-10) and np.allclose(so.A2, A2, atol=1e-10)
-        assert (_floats_hex(mean_curvature_numerator(spec, uu))
-                == _floats_hex(ref.mean_curvature_numerator(spec, uu)))
 
 
 @pytest.mark.parametrize("spec,u", [
@@ -636,14 +638,11 @@ def test_point_views_match_float_routes_bitwise(case, spec, u, width):
 ], ids=["inadmissible", "sqrt-domain", "power-law-domain", "integrated-span"])
 def test_point_views_raise_the_float_route_error(spec, u):
     """Each 1-row view raises the error of its one-point float route, type
-    and text; position_jets and the mean-curvature numerator need only the
-    meridian."""
+    and text; position_jets needs only the meridian."""
     routes = [(frames, ref.frames, (u, 0.3)),
               (position_jets, ref.position_jets, (u, 0.3)),
               (geometric_functions, ref.geometric_functions, (u,)),
-              (curvatures, ref.curvatures, (u,)),
-              (shape_operators, ref.geometric_functions, (u,)),
-              (mean_curvature_numerator, ref.mean_curvature_numerator, (u,))]
+              (curvatures, ref.curvatures, (u,))]
     for view, route, args in routes:
         try:
             route(spec, *args)

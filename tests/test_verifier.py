@@ -16,7 +16,7 @@ from grs4 import meridians, surfaces, verifier
 from grs4.verifier import (admissible_domain, check_fd_connection, check_flat,
                            check_fnc, check_frame_orthonormality,
                            check_pnmcv, check_projection_bundle, cross_check,
-                           default_suite_config, fd_connection_check,
+                           default_suite_config, fd_connection_rows,
                            h_numerator_identity, random_point_sweep,
                            run_suite, verify_family)
 
@@ -29,17 +29,23 @@ def spec_for(case, params=None, **kw):
 # ---------------------------------------------------------------------------
 # FD connection oracle
 
+def fd_point_rows(spec, u, v, h):
+    """[(name, residual)] of fd_connection_rows at the one point (u, v)."""
+    names, residuals = fd_connection_rows(spec, [(u, v)], [h])
+    return list(zip(names, residuals[:, 0, 0].tolist()))
+
+
 def test_fd_connection_residuals_small():
     spec = spec_for("pnmcv-ell", {"C": 2.0}, alpha=1.0, beta=3.0)
-    rows = fd_connection_check(spec, 3.0, 0.7, 1e-4)
+    rows = fd_point_rows(spec, 3.0, 0.7, 1e-4)
     assert len(rows) == 8
     assert all(r <= 1e-6 for _, r in rows)
 
 
 def test_fd_connection_second_order_shrinkage():
     spec = spec_for("pnmcv-ell", {"C": 2.0}, alpha=1.0, beta=3.0)
-    rows_h = dict(fd_connection_check(spec, 3.0, 0.7, 1e-4))
-    rows_h2 = dict(fd_connection_check(spec, 3.0, 0.7, 5e-5))
+    rows_h = dict(fd_point_rows(spec, 3.0, 0.7, 1e-4))
+    rows_h2 = dict(fd_point_rows(spec, 3.0, 0.7, 5e-5))
     checked = 0
     for name, r in rows_h.items():
         if r > 2.5e-10:
@@ -51,14 +57,14 @@ def test_fd_connection_second_order_shrinkage():
 
 def test_fd_connection_hyperbolic():
     spec = spec_for("min-hyp-i", {"c": 1.0}, alpha=2.0, beta=1.0)
-    rows = fd_connection_check(spec, 1.3, 0.4, 1e-4)
+    rows = fd_point_rows(spec, 1.3, 0.4, 1e-4)
     assert all(r <= 1e-6 for _, r in rows)
 
 
 def test_fd_connection_geodesic_rows_at_noise_level():
     spec = spec_for("custom", {"f": "0.8*u", "g": "u", "kind": "hyperbolic"},
                     alpha=1.0, beta=1.0, interval=(0.5, 3.0))
-    rows = dict(fd_connection_check(spec, 1.5, 0.4, 1e-4))
+    rows = dict(fd_point_rows(spec, 1.5, 0.4, 1e-4))
     assert rows["nabla_x x"] <= 5e-9
     assert rows["nabla_y y"] <= 5e-9
 
@@ -66,7 +72,7 @@ def test_fd_connection_geodesic_rows_at_noise_level():
 def test_fd_step_error_near_boundary():
     spec = spec_for("pnmcv-ell", {"C": 2.0}, alpha=1.0, beta=3.0)
     with pytest.raises(StepError):
-        fd_connection_check(spec, 2.1, 0.0, 0.2)  # u - h < C
+        fd_point_rows(spec, 2.1, 0.0, 0.2)  # u - h < C
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +740,7 @@ def test_fd_stencil_raises_the_point_loop_first_error(spec, points, h,
     assert want is not None and want[0] is kind
     assert got == want
     if len(points) == 1:
-        assert _fd_error(lambda: fd_connection_check(spec, *points[0], shrink_h)) \
+        assert _fd_error(lambda: fd_point_rows(spec, *points[0], shrink_h)) \
             == _fd_error(lambda: ref.fd_connection_check(spec, *points[0], shrink_h))
 
 
