@@ -81,7 +81,7 @@ def cmd_family(args) -> int:
     for case, entry in FAMILY_CATALOG.items():
         if case == "custom":
             continue
-        print(f"{case:13s} [{entry.kind}, {entry.realization}]  {entry.param_doc}")
+        print(f"{case:13s} [{entry.kind.value}, {entry.realization}]  {entry.param_doc}")
     print(f"{'custom':13s} [either, closed]  "
           + FAMILY_CATALOG["custom"].param_doc)
     return EXIT_OK

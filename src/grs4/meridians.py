@@ -34,16 +34,18 @@ Case identifiers:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import atan2, copysign, cos, nan, sin, sqrt
 
 import numpy as np
 
 from .errors import (ConstraintDriftError, DomainError, GrsError,
-                     NoRealRootError, ParamError, RangeError)
+                     NoRealRootError, ParamError)
 from .jets import (Jet2, JetExpr, evaluate_masked, guard, jcos, jcosh, jsin,
                    jsinh, jsqrt)
 from .odeint import Trajectory, hermite_eval
+from .pe4 import SurfaceKind
 
 DEFAULT_INTEGRATION_TOL = 1e-10
 _INITIAL_STEPS = 1024
@@ -81,9 +83,13 @@ class FamilyDescriptor:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    case: str
-    kind: str                      # "elliptic" | "hyperbolic"
-    realization: str               # "closed" | "ode"
+    """One case of the classification: its builder, the property bundle the
+    verifier checks on it (None for custom) and its kind, with canned,
+    admissible defaults.  An integrated case has a default_state0."""
+
+    build: Callable            # build(desc, kind) -> MeridianFamily
+    bundle: str | None         # "minimal" | "pnmcv" | "flat" | "fnc"
+    kind: SurfaceKind
     param_doc: str
     defaults: dict
     default_alpha: float
@@ -91,31 +97,43 @@ class CatalogEntry:
     default_interval: tuple
     default_state0: tuple | None = None
 
+    @property
+    def realization(self) -> str:
+        return "closed" if self.default_state0 is None else "ode"
+
 
 class MeridianFamily:
-    """Evaluator for one meridian family.  Construction realizes an integrated
-    family; after it, a fault is per u, which jet raises and jet_columns masks."""
+    """Evaluator for one meridian family over its jet function: jet_fn(u)
+    gives the (f, g) Jet2 pair at a float u, or over a float array with
+    guard masking the elements where it raises.  Construction realizes an
+    integrated family; after it, a fault is per u, which jet raises and
+    jet_columns masks."""
 
-    def __init__(self, desc: FamilyDescriptor, kind: str):
+    def __init__(self, desc: FamilyDescriptor, kind: SurfaceKind, jet_fn):
         self.case = desc.case
         self.params = dict(desc.params)
         self.alpha = desc.alpha
         self.beta = desc.beta
-        self.sign = desc.sign
         self.kind = kind
         self.interval = desc.interval
+        self.jet_fn = jet_fn
         self.diagnostics: list[str] = []
 
     def jet(self, u: float) -> MeridianJet:
         """2-jets of (f, g) at u; DomainError at branch points / outside interval."""
-        return self._evaluate(u)
-
-    def _evaluate(self, u: float) -> MeridianJet:
-        raise NotImplementedError
+        if self.interval is not None:
+            lo, hi = self.interval
+            if not (lo <= u <= hi):
+                raise DomainError(
+                    f"{self.case}: u={u} outside interval [{lo}, {hi}]")
+        fj, gj = self.jet_fn(float(u))
+        if _singular(fj.d1, gj.d1):
+            raise DomainError(f"{self.case}: singular point at u={u} (f' = g' = 0)")
+        return MeridianJet(fj, gj)
 
     def jet_columns(self, us) -> tuple:
         """(ok, f, f', f'', g, g', g'') over the 1-d float array us, in one
-        pass over the array.
+        jet_fn pass over the array.
 
         ok[i] is False where jet(us[i]) raises, and that row of the six
         columns is NaN; every other row holds the jet's values to the bit,
@@ -127,52 +145,23 @@ class MeridianFamily:
             lo, hi = self.interval
             inside = (lo <= us) & (us <= hi)
         rows = np.full((6, len(us)), math.nan)
+        (fj, gj), raised = evaluate_masked(self.jet_fn, us[inside])
+        for row, x in zip(rows, (fj.val, fj.d1, fj.d2, gj.val, gj.d1, gj.d2)):
+            row[inside] = x
         ok = inside.copy()
-        ok[inside] = self._fill_rows(rows, us, inside)
+        ok[inside] = ~raised
         ok &= ~_singular(rows[1], rows[4])
         rows[:, ~ok] = math.nan
         return (ok, *rows)
 
-    def _fill_rows(self, rows, us, inside):
-        """Write the six jet columns at us[inside] into rows[:, inside] and
-        return where, among us[inside], the jet does not raise."""
-        raise NotImplementedError
-
-    def _check_interval(self, u: float):
-        if self.interval is not None:
-            lo, hi = self.interval
-            if not (lo <= u <= hi):
-                raise DomainError(
-                    f"{self.case}: u={u} outside interval [{lo}, {hi}]")
-
 
 class _ClosedFormFamily(MeridianFamily):
-    def __init__(self, desc, kind, jet_fn):
-        super().__init__(desc, kind)
-        self._jet_fn = jet_fn
-
-    def _evaluate(self, u: float) -> MeridianJet:
-        self._check_interval(u)
-        fj, gj = self._jet_fn(float(u))
-        _check_regular(self.case, u, fj, gj)
-        return MeridianJet(fj, gj)
-
-    def _fill_rows(self, rows, us, inside):
-        # one jet_fn call over the array, its guards masking elements
-        (fj, gj), raised = evaluate_masked(self._jet_fn, us[inside])
-        for row, x in zip(rows, (fj.val, fj.d1, fj.d2, gj.val, gj.d1, gj.d2)):
-            row[inside] = x
-        return ~raised
+    """A family whose jet_fn is jet arithmetic on closed forms."""
 
 
 def _singular(fp, gp):
     """f' = g' = 0 to 1e-14, for floats or arrays."""
     return (abs(fp) < 1e-14) & (abs(gp) < 1e-14)
-
-
-def _check_regular(case, u, fj, gj):
-    if _singular(fj.d1, gj.d1):
-        raise DomainError(f"{case}: singular point at u={u} (f' = g' = 0)")
 
 
 # ---------------------------------------------------------------------------
@@ -392,62 +381,31 @@ class SampledMeridian:
         """Chosen f' root at every knot (branch-continuity diagnostics)."""
         return self.traj.dys[:, 0]
 
-    def _states(self, us):
-        """(u, f, g, f' at the knot at or below u) as floats, for each u of
-        the array us: the Hermite state and the tracking reference."""
+    def jets(self, u):
+        """(Jet2 of f, Jet2 of g) at u in the span, a float or a 1-d array:
+        one Hermite pass, then rule.solve (tracking from the f' of the knot
+        at or below u) and rule.second per u.  On a float the rule's error
+        propagates; on an array, guard masks the elements where it raises."""
+        us = np.atleast_1d(u)
         ys = hermite_eval(self.traj, us)
         # the last knot at or below u; knot 0 for u in the slack before it
-        i = np.searchsorted(self.traj.ts[1:], us, side="right")
-        return zip(us.tolist(), ys[:, 0].tolist(), ys[:, 1].tolist(),
-                   self.traj.dys[i, 0].tolist())
-
-    def _jet(self, u, f, g, ref):
-        fp, gp, _ = self.rule.solve(u, f, g, ref)
-        fpp, gpp = self.rule.second(u, f, g, fp, gp)
-        return f, fp, fpp, g, gp, gpp
-
-    def jet_at(self, u: float) -> MeridianJet:
-        try:
-            [state] = self._states(np.array([float(u)]))
-        except RangeError as exc:
-            raise DomainError(str(exc)) from None
-        f, fp, fpp, g, gp, gpp = self._jet(*state)
-        return MeridianJet(Jet2(f, fp, fpp), Jet2(g, gp, gpp))
-
-    def jet_rows(self, us) -> tuple:
-        """(ok, the six jet columns as a (6, len(us)) array) at each u of the
-        array us, which lies in the span: one Hermite pass, then the root
-        tracking and jet recovery per u; ok is False, and the column NaN,
-        where they raise."""
-        ok = np.ones(len(us), dtype=bool)
-        rows = np.full((6, len(us)), math.nan)
-        for i, state in enumerate(self._states(us)):
+        refs = self.traj.dys[np.searchsorted(self.traj.ts[1:], us, side="right"), 0]
+        rows = np.full((len(us), 6), math.nan)
+        bad = np.zeros(len(us), dtype=bool)
+        for i, (t, f, g, ref) in enumerate(zip(us.tolist(), ys[:, 0].tolist(),
+                                               ys[:, 1].tolist(), refs.tolist())):
             try:
-                rows[:, i] = self._jet(*state)
+                fp, gp, _ = self.rule.solve(t, f, g, ref)
+                fpp, gpp = self.rule.second(t, f, g, fp, gp)
             except GrsError:
-                ok[i] = False
-        return ok, rows
-
-
-def _rule_for(desc: FamilyDescriptor) -> _QuadRule:
-    """The derivative rule of an integrated case, its parameters checked."""
-    case = desc.case
-    if case in ("flat-ell-i", "flat-hyp-i"):
-        a = _get(desc.params, "a", case)
-        c = _get(desc.params, "c", case)
-        _require(a != 0.0, f"{case}: a must be nonzero")
-        return _FlatRule(case, _eps(case), a, c, desc.alpha, desc.beta)
-    if case in ("fnc-ell-ii", "fnc-hyp-ii"):
-        C = _get(desc.params, "C", case)
-        _require(C != 0.0, f"{case}: C must be nonzero")
-        return _FncRule(case, _eps(case), C, desc.alpha, desc.beta)
-    _require(desc.alpha == desc.beta, "min-hyp-iii: requires alpha == beta")
-    return _MinHyp3Rule(_get(desc.params, "c", case))
-
-
-def _eps(case: str) -> float:
-    """The signature sign of a catalog case: +1 elliptic, -1 hyperbolic."""
-    return 1.0 if FAMILY_CATALOG[case].kind == "elliptic" else -1.0
+                if not isinstance(u, np.ndarray):
+                    raise
+                bad[i] = True
+                continue
+            rows[i] = f, fp, fpp, g, gp, gpp
+        cols = (guard(rows.T, bad, "") if isinstance(u, np.ndarray)
+                else rows[0].tolist())
+        return Jet2(*cols[:3]), Jet2(*cols[3:])
 
 
 def integrate_constrained(rule: _QuadRule, state0: tuple, span: tuple,
@@ -495,8 +453,10 @@ def integrate_constrained(rule: _QuadRule, state0: tuple, span: tuple,
 
 
 class _SampledFamily(MeridianFamily):
+    """A family realized from a rule by integrate_constrained; its jet_fn
+    is the realization's jets."""
+
     def __init__(self, desc, kind, rule):
-        super().__init__(desc, kind)
         if desc.interval is None:
             raise ParamError(f"{desc.case}: integrated family needs an interval")
         if desc.state0 is None:
@@ -506,20 +466,32 @@ class _SampledFamily(MeridianFamily):
             g0 = rule.derive_g0(desc.interval[0], f0)
         self.state0 = (float(f0), float(g0))
         self._sampled = integrate_constrained(rule, self.state0,
-                                              self.interval, desc.root)
+                                              desc.interval, desc.root)
+        super().__init__(desc, kind, self._sampled.jets)
 
     def ensure_realized(self) -> SampledMeridian:
         return self._sampled
 
-    def _evaluate(self, u: float) -> MeridianJet:
-        self._check_interval(u)
-        mj = self._sampled.jet_at(float(u))
-        _check_regular(self.case, u, mj.f, mj.g)
-        return mj
 
-    def _fill_rows(self, rows, us, inside):
-        ok, rows[:, inside] = self._sampled.jet_rows(us[inside])
-        return ok
+def _build_flat_i(desc, kind):
+    a = _get(desc.params, "a", desc.case)
+    c = _get(desc.params, "c", desc.case)
+    _require(a != 0.0, f"{desc.case}: a must be nonzero")
+    return _SampledFamily(desc, kind, _FlatRule(desc.case, kind.eps, a, c,
+                                                desc.alpha, desc.beta))
+
+
+def _build_fnc_ii(desc, kind):
+    C = _get(desc.params, "C", desc.case)
+    _require(C != 0.0, f"{desc.case}: C must be nonzero")
+    return _SampledFamily(desc, kind, _FncRule(desc.case, kind.eps, C,
+                                               desc.alpha, desc.beta))
+
+
+def _build_min_hyp_iii(desc, kind):
+    _require(desc.alpha == desc.beta, "min-hyp-iii: requires alpha == beta")
+    return _SampledFamily(desc, kind,
+                          _MinHyp3Rule(_get(desc.params, "c", desc.case)))
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +504,8 @@ def _require(cond: bool, msg: str):
 
 def _get(params: dict, name: str, case: str) -> float:
     try:
+        if isinstance(params[name], bool):   # a JSON true is no number
+            raise TypeError
         return float(params[name])
     except KeyError:
         raise ParamError(f"{case}: missing parameter {name!r}") from None
@@ -547,27 +521,25 @@ def _power_law(case, c, expo):
     return jet_fn
 
 
-def _build_min_i(desc):
+def _build_min_i(desc, kind):
     """f = c u^(s alpha/beta), g = u (min-ell-i); min-hyp-i negates s."""
     c = _get(desc.params, "c", desc.case)
     _require(c != 0.0, f"{desc.case}: c must be nonzero")
     _require(desc.alpha != desc.beta, f"{desc.case}: requires alpha != beta")
-    e = _eps(desc.case)
-    expo = e * (desc.sign * desc.alpha / desc.beta)
-    fam = _ClosedFormFamily(desc, FAMILY_CATALOG[desc.case].kind,
-                            _power_law(desc.case, c, expo))
-    if e > 0.0:
+    expo = kind.eps * (desc.sign * desc.alpha / desc.beta)
+    fam = _ClosedFormFamily(desc, kind, _power_law(desc.case, c, expo))
+    if kind.eps > 0.0:
         fam.diagnostics.append(
             "admissible domain is empty: f'^2 - g'^2 > 0 and "
             "alpha^2 f^2 - beta^2 g^2 < 0 are contradictory on this family")
     return fam
 
 
-def _build_min_ii(desc):
+def _build_min_ii(desc, kind):
     """sqrt(A) (F(k t + phase)/alpha, G(t)/beta), k = s alpha/beta:
     min-ell-ii has F = G = sin and phase C; min-hyp-ii has F, G = cosh, sinh
     (A > 0) or sinh, cosh (A < 0) and phase c."""
-    ell = _eps(desc.case) > 0.0
+    ell = kind.eps > 0.0
     A = _get(desc.params, "A", desc.case)
     phase = _get(desc.params, "C" if ell else "c", desc.case)
     _require(A > 0.0 if ell else A != 0.0,
@@ -583,7 +555,7 @@ def _build_min_ii(desc):
         tj = Jet2.variable(t)
         return fa * jf(k * tj + phase), fb * jg(tj)
 
-    fam = _ClosedFormFamily(desc, FAMILY_CATALOG[desc.case].kind, jet_fn)
+    fam = _ClosedFormFamily(desc, kind, jet_fn)
     if ell and desc.alpha < desc.beta:
         fam.diagnostics.append(
             "min-ell-ii normally arises with alpha > beta (A > 0); "
@@ -591,7 +563,7 @@ def _build_min_ii(desc):
     return fam
 
 
-def _build_min_ell_iii(desc):
+def _build_min_ell_iii(desc, kind):
     a = _get(desc.params, "a", desc.case)
     b = _get(desc.params, "b", desc.case)
     _require(a != 0.0, "min-ell-iii: a must be nonzero")
@@ -602,7 +574,7 @@ def _build_min_ell_iii(desc):
         s = jsqrt(a * dj * dj + b)
         return 0.5 * (s + dj), 0.5 * (s - dj)
 
-    fam = _ClosedFormFamily(desc, "elliptic", jet_fn)
+    fam = _ClosedFormFamily(desc, kind, jet_fn)
     if not (a < 0.0 and b > 0.0):
         fam.diagnostics.append(
             "admissible points require a < 0 and b > 0; "
@@ -610,23 +582,23 @@ def _build_min_ell_iii(desc):
     return fam
 
 
-def _build_pnmcv(desc):
+def _build_pnmcv(desc, kind):
     """f = s sqrt(u^2 - C^2) (ell) or s sqrt(C^2 - u^2) (hyp), g = u."""
     C = _get(desc.params, "C", desc.case)
     _require(C != 0.0, f"{desc.case}: C must be nonzero")
-    C2, sgn, ell = C * C, float(desc.sign), _eps(desc.case) > 0.0
+    C2, sgn, ell = C * C, float(desc.sign), kind.eps > 0.0
 
     def jet_fn(u):
         uj = Jet2.variable(u)
         return sgn * jsqrt(uj * uj - C2 if ell else C2 - uj * uj), uj
 
-    return _ClosedFormFamily(desc, FAMILY_CATALOG[desc.case].kind, jet_fn)
+    return _ClosedFormFamily(desc, kind, jet_fn)
 
 
-def _build_flat_ii(desc):
+def _build_flat_ii(desc, kind):
     """flat-ell-ii: sqrt(-C) (sinh t/alpha, cosh t/beta); flat-hyp-ii: cos, sin."""
     C = _get(desc.params, "C", desc.case)
-    ell = _eps(desc.case) > 0.0
+    ell = kind.eps > 0.0
     _require(C < 0.0 if ell else C > 0.0,
              f"{desc.case}: C must be {'negative' if ell else 'positive'}")
     s = math.sqrt(-C if ell else C)
@@ -637,13 +609,13 @@ def _build_flat_ii(desc):
         tj = Jet2.variable(t)
         return fa * jf(tj), fb * jg(tj)
 
-    return _ClosedFormFamily(desc, FAMILY_CATALOG[desc.case].kind, jet_fn)
+    return _ClosedFormFamily(desc, kind, jet_fn)
 
 
-def _build_fnc_i(desc):
+def _build_fnc_i(desc, kind):
     """f = c g, g = u: fnc-ell-i (1 < c^2 < beta^2/alpha^2) and fnc-hyp-i."""
     c = _get(desc.params, "c", desc.case)
-    if _eps(desc.case) > 0.0:
+    if kind.eps > 0.0:
         ratio2 = (desc.beta / desc.alpha) ** 2
         _require(1.0 < c * c < ratio2,
                  f"fnc-ell-i: needs 1 < c^2 < beta^2/alpha^2 "
@@ -656,18 +628,20 @@ def _build_fnc_i(desc):
         uj = Jet2.variable(u)
         return c * uj, uj
 
-    return _ClosedFormFamily(desc, FAMILY_CATALOG[desc.case].kind, jet_fn)
+    return _ClosedFormFamily(desc, kind, jet_fn)
 
 
-def _build_custom(desc):
+def _build_custom(desc, kind):
     try:
         f_expr = JetExpr(str(desc.params["f"]))
         g_expr = JetExpr(str(desc.params["g"]))
     except KeyError as exc:
         raise ParamError(f"custom: missing expression for {exc.args[0]!r}") from None
-    kind = desc.params.get("kind", "elliptic")
-    if kind not in ("elliptic", "hyperbolic"):
-        raise ParamError(f"custom: kind must be elliptic|hyperbolic, got {kind!r}")
+    try:
+        kind = SurfaceKind(desc.params.get("kind", "elliptic"))
+    except ValueError:
+        raise ParamError("custom: kind must be elliptic|hyperbolic, "
+                         f"got {desc.params['kind']!r}") from None
 
     def jet_fn(u):
         return f_expr(u), g_expr(u)
@@ -675,32 +649,6 @@ def _build_custom(desc):
     # raise now what holds at every u: on no u, only u-independent terms can
     evaluate_masked(jet_fn, np.empty(0))
     return _ClosedFormFamily(desc, kind, jet_fn)
-
-
-def _build_integrated(desc):
-    return _SampledFamily(desc, FAMILY_CATALOG[desc.case].kind,
-                          _rule_for(desc))
-
-
-_BUILDERS = {
-    "min-ell-i": _build_min_i,
-    "min-ell-ii": _build_min_ii,
-    "min-ell-iii": _build_min_ell_iii,
-    "min-hyp-i": _build_min_i,
-    "min-hyp-ii": _build_min_ii,
-    "min-hyp-iii": _build_integrated,
-    "pnmcv-ell": _build_pnmcv,
-    "pnmcv-hyp": _build_pnmcv,
-    "flat-ell-i": _build_integrated,
-    "flat-ell-ii": _build_flat_ii,
-    "flat-hyp-i": _build_integrated,
-    "flat-hyp-ii": _build_flat_ii,
-    "fnc-ell-i": _build_fnc_i,
-    "fnc-ell-ii": _build_integrated,
-    "fnc-hyp-i": _build_fnc_i,
-    "fnc-hyp-ii": _build_integrated,
-    "custom": _build_custom,
-}
 
 
 def build_family(desc: FamilyDescriptor) -> MeridianFamily:
@@ -712,9 +660,10 @@ def build_family(desc: FamilyDescriptor) -> MeridianFamily:
     empty construct fine and carry a diagnostic note; the admissibility
     scan is the authority on the actual domain.
     """
-    if desc.case not in _BUILDERS:
+    entry = FAMILY_CATALOG.get(desc.case)
+    if entry is None:
         raise ParamError(f"unknown family case {desc.case!r}")
-    known = set(FAMILY_CATALOG[desc.case].defaults)
+    known = set(entry.defaults)
     if desc.case == "custom":
         known |= {"kind", "C"}
     unknown = set(desc.params) - known
@@ -736,93 +685,93 @@ def build_family(desc: FamilyDescriptor) -> MeridianFamily:
         lo, hi = desc.interval
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ParamError(f"{desc.case}: bad interval {desc.interval}")
-    if (desc.state0 is not None
-            and FAMILY_CATALOG[desc.case].realization == "closed"):
+    if desc.state0 is not None and entry.realization == "closed":
         raise ParamError(f"{desc.case}: closed-form family takes no f0/g0")
-    return _BUILDERS[desc.case](desc)
+    return entry.build(desc, entry.kind)
 
 
 # ---------------------------------------------------------------------------
 # Catalog of the classified cases with canned, admissible defaults.
 
 _SQ03 = math.sqrt(0.3)
+_ELL, _HYP = SurfaceKind.ELLIPTIC, SurfaceKind.HYPERBOLIC
 
 FAMILY_CATALOG: dict[str, CatalogEntry] = {
     "min-ell-i": CatalogEntry(
-        "min-ell-i", "elliptic", "closed",
+        _build_min_i, "minimal", _ELL,
         "c != 0; alpha != beta; sign picks exponent +/- alpha/beta. "
         "Admissible domain is empty for every parameter choice.",
         {"c": 1.0}, 2.0, 1.0, (0.1, 10.0)),
     "min-ell-ii": CatalogEntry(
-        "min-ell-ii", "elliptic", "closed",
+        _build_min_ii, "minimal", _ELL,
         "A > 0, C phase constant; alpha != beta; sign picks the +/- branch. "
         "Angle-parametrized.",
         {"A": 1.0, "C": 0.3}, 2.0, 1.0, (1.05, 1.90)),
     "min-ell-iii": CatalogEntry(
-        "min-ell-iii", "elliptic", "closed",
+        _build_min_ell_iii, "minimal", _ELL,
         "a != 0, b; alpha == beta; admissible points need a < 0, b > 0 "
         "(parameter is d = f - g, domain -sqrt(-b/a) < d < 0).",
         {"a": -1.0, "b": 1.0}, 1.0, 1.0, (-0.9, -0.1)),
     "min-hyp-i": CatalogEntry(
-        "min-hyp-i", "hyperbolic", "closed",
+        _build_min_i, "minimal", _HYP,
         "c != 0; alpha != beta; sign=+1 gives exponent -alpha/beta.",
         {"c": 1.0}, 2.0, 1.0, (0.5, 3.0)),
     "min-hyp-ii": CatalogEntry(
-        "min-hyp-ii", "hyperbolic", "closed",
+        _build_min_ii, "minimal", _HYP,
         "A != 0 (either sign), c additive constant; alpha != beta; "
         "hyperbolic-angle-parametrized.",
         {"A": 1.0, "c": 0.2}, 2.0, 1.0, (0.1, 1.5)),
     "min-hyp-iii": CatalogEntry(
-        "min-hyp-iii", "hyperbolic", "ode",
+        _build_min_hyp_iii, "minimal", _HYP,
         "c angle constant; alpha == beta; unit-speed direction-field ODE "
         "from state0 = (f0, g0).",
         {"c": 0.7}, 1.0, 1.0, (0.0, 1.2), (0.3, 1.0)),
     "pnmcv-ell": CatalogEntry(
-        "pnmcv-ell", "elliptic", "closed",
+        _build_pnmcv, "pnmcv", _ELL,
         "C != 0; f = sign*sqrt(u^2 - C^2), g = u on |u| > |C|.",
         {"C": 2.0}, 1.0, 3.0, (2.1, 6.0)),
     "pnmcv-hyp": CatalogEntry(
-        "pnmcv-hyp", "hyperbolic", "closed",
+        _build_pnmcv, "pnmcv", _HYP,
         "C != 0; f = sign*sqrt(C^2 - u^2), g = u on |u| < |C|.",
         {"C": 2.0}, 1.3, 0.7, (0.2, 1.8)),
     "flat-ell-i": CatalogEntry(
-        "flat-ell-i", "elliptic", "ode",
+        _build_flat_i, "flat", _ELL,
         "a != 0, c; implicit beta^2 g^2 - alpha^2 f^2 = a^2 (u+c)^2 with "
         "unit speed; state0 = (f0, g0) on the constraint (g0 may be omitted).",
         {"a": 0.5, "c": 0.0}, 1.0, 1.0, (1.0, 1.5), (1.0, math.sqrt(1.25))),
     "flat-ell-ii": CatalogEntry(
-        "flat-ell-ii", "elliptic", "closed",
+        _build_flat_ii, "flat", _ELL,
         "C < 0; alpha^2 f^2 - beta^2 g^2 = C, hyperbolic-angle-parametrized.",
         {"C": -4.0}, 1.0, 1.0, (-1.0, 1.0)),
     "flat-hyp-i": CatalogEntry(
-        "flat-hyp-i", "hyperbolic", "ode",
+        _build_flat_i, "flat", _HYP,
         "a != 0, c; implicit alpha^2 f^2 + beta^2 g^2 = a^2 (u+c)^2 with "
         "unit speed; state0 = (f0, g0) on the constraint (g0 may be omitted).",
         {"a": 0.8, "c": 0.0}, 1.2, 0.8, (1.0, 1.6), (_SQ03 / 1.2, None)),
     "flat-hyp-ii": CatalogEntry(
-        "flat-hyp-ii", "hyperbolic", "closed",
+        _build_flat_ii, "flat", _HYP,
         "C > 0; alpha^2 f^2 + beta^2 g^2 = C, circle-parametrized.",
         {"C": 4.0}, 1.5, 0.75, (0.1, 1.2)),
     "fnc-ell-i": CatalogEntry(
-        "fnc-ell-i", "elliptic", "closed",
+        _build_fnc_i, "fnc", _ELL,
         "1 < c^2 < beta^2/alpha^2 (forces alpha < beta); f = c*g, g = u.",
         {"c": 1.2}, 1.0, 2.0, (0.5, 3.0)),
     "fnc-ell-ii": CatalogEntry(
-        "fnc-ell-ii", "elliptic", "ode",
+        _build_fnc_ii, "fnc", _ELL,
         "C != 0; unit speed with f f' - g g' = C*sqrt(f'^2-g'^2)*"
         "sqrt(beta^2 g^2 - alpha^2 f^2); state0 = (f0, g0).",
         {"C": 0.3}, 1.0, 2.0, (0.0, 0.5), (0.0, 1.0)),
     "fnc-hyp-i": CatalogEntry(
-        "fnc-hyp-i", "hyperbolic", "closed",
+        _build_fnc_i, "fnc", _HYP,
         "c != 0; alpha != beta; f = c*g, g = u.",
         {"c": 0.8}, 2.0, 1.0, (0.5, 3.0)),
     "fnc-hyp-ii": CatalogEntry(
-        "fnc-hyp-ii", "hyperbolic", "ode",
+        _build_fnc_ii, "fnc", _HYP,
         "C != 0; unit speed with f f' + g g' = C*sqrt(f'^2+g'^2)*"
         "sqrt(alpha^2 f^2 + beta^2 g^2); state0 = (f0, g0).",
         {"C": 0.4}, 1.0, 2.0, (0.0, 1.0), (0.6, 0.8)),
     "custom": CatalogEntry(
-        "custom", "elliptic", "closed",
+        _build_custom, None, _ELL,
         "f, g: closed-form expressions in u (params f=..., g=..., "
         "kind=elliptic|hyperbolic, C for the pnmcv checks); interval required.",
         {"f": "u", "g": "u"}, 1.0, 1.0, (0.5, 3.0)),

@@ -31,52 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import GrsError, InadmissiblePointError, ParamError
 from .meridians import MeridianFamily
-from .pe4 import PEVector4, inner, pow2, sqrt
+from .pe4 import PEVector4, SurfaceKind, inner, pow2, sqrt
 
 ADMISSIBILITY_EPS = 1e-10
-
-
-class SurfaceKind(Enum):
-    """The rotation type, carried as the signature sign eps.
-
-    ELLIPTIC has eps = +1 and rotates with cos, sin; HYPERBOLIC has
-    eps = -1, rotates with cosh, sinh and exchanges x2 and x3.  The value
-    is the kind's name in the meridian catalog.
-    """
-
-    ELLIPTIC = ("elliptic", 1.0, math.cos, math.sin)
-    HYPERBOLIC = ("hyperbolic", -1.0, math.cosh, math.sinh)
-
-    def __new__(cls, name, eps, cos, sin):
-        kind = object.__new__(cls)
-        kind._value_ = name
-        kind.eps, kind.cos, kind.sin = eps, cos, sin
-        return kind
-
-    def vec(self, x1, x2, x3, x4) -> PEVector4:
-        """The vector with these components in the elliptic coordinate
-        order: the hyperbolic kind exchanges x2 and x3."""
-        if self.eps > 0.0:
-            return PEVector4(x1, x2, x3, x4)
-        return PEVector4(x1, x3, x2, x4)
-
-    def normals(self, off, carrier):
-        """(n1, n2) from the normal off the mean curvature vector and the
-        one carrying it (n2 elliptic, n1 hyperbolic).  The map is its own
-        inverse: normals(n1, n2) is (off, carrier)."""
-        return (off, carrier) if self.eps > 0.0 else (carrier, off)
-
-    def prod3(self, x, y, z):
-        """x * y * z as (x y) z for the elliptic kind and x (y z) for the
-        hyperbolic kind: the invariant bytes each kind has always had
-        round these triple products so."""
-        return x * y * z if self.eps > 0.0 else x * (y * z)
 
 
 @dataclass(frozen=True)
@@ -95,7 +57,7 @@ class SurfaceSpec:
 
 def surface_from_family(fam: MeridianFamily) -> SurfaceSpec:
     """SurfaceSpec matching the family's own kind and rotation speeds."""
-    return SurfaceSpec(SurfaceKind(fam.kind), fam.alpha, fam.beta, fam)
+    return SurfaceSpec(fam.kind, fam.alpha, fam.beta, fam)
 
 
 @dataclass(frozen=True, slots=True)

@@ -638,24 +638,28 @@ def check_min_ell_ii_identity(spec, grid) -> CheckResult:
 # ---------------------------------------------------------------------------
 # Family verification
 
-def _property_checks(case, spec, grid, tier_tol, tols, C=None, sign=1,
-                     extra=None):
+def _property_checks(bundles, spec, grid, tier_tol, tols, C, sign):
+    """The checks of each property bundle in bundles, in _BUNDLES order."""
     out = []
-    wanted = set(extra or [])
-    prefix = case.split("-")[0]
-    if prefix == "min" or "minimal" in wanted:
+    if "minimal" in bundles:
         out.append(check_minimal(grid, tier_tol))
-    if prefix == "pnmcv" or "pnmcv" in wanted:
+    if "pnmcv" in bundles:
         out.extend(check_pnmcv(spec, grid, C, sign, tols["algebraic"],
                                tols["pnmcv_h"]))
-    if prefix == "flat" or "flat" in wanted:
+    if "flat" in bundles:
         out.extend(check_flat(grid, tier_tol))
-    if prefix == "fnc" or "fnc" in wanted:
+    if "fnc" in bundles:
         out.append(check_fnc(grid, tier_tol))
     return out
 
 
-_EXTRA_CHECKS = ("minimal", "pnmcv", "flat", "fnc")
+# the property bundles (a catalog entry's bundle, the extras of checks) in
+# report order, with the names of their checks for the vacuous plan
+_BUNDLES = {"minimal": ("minimal-h-coeff",),
+            "pnmcv": ("pnmcv-beta2", "pnmcv-h-norm2", "pnmcv-h-value",
+                      "pnmcv-h-constancy"),
+            "flat": ("flat-gauss-curvature", "flat-mu2-plus-nu1nu2"),
+            "fnc": ("fnc-normal-curvature",)}
 _PLANNED_COMMON = ("frame-orthonormality", "v-independence", "chen-trace",
                    "chen-allied", "quasi-minimal-off-component",
                    "h-carrier-coefficient", "h-norm2-definition",
@@ -673,13 +677,13 @@ def verify_family(case: str, params: dict | None = None, *, nu: int = 50,
 
     case, params and the family keywords (alpha, beta, sign, root,
     interval, state0; job_family(job) for a suite job) go to
-    descriptor_from_catalog.  checks lists extra bundles from _EXTRA_CHECKS
-    and tols overrides DEFAULT_TOLS key by key; anything else is a
-    ConfigError.  Returns a report whose checks all carry
-    residual/tolerance pairs; empty admissible domains yield vacuous
-    results with explicit notes.  runtime_s stays 0.0 unless
-    record_runtime is set, keeping report bytes reproducible across runs.
-    families shares families (see _build_shared).
+    descriptor_from_catalog.  The case's catalog bundle runs, and the extra
+    bundles that checks lists (keys of _BUNDLES); tols overrides
+    DEFAULT_TOLS key by key; anything else is a ConfigError.  Returns a
+    report whose checks all carry residual/tolerance pairs; empty
+    admissible domains yield vacuous results with explicit notes.
+    runtime_s stays 0.0 unless record_runtime is set, keeping report bytes
+    reproducible across runs.  families shares families (see _build_shared).
     """
     desc = descriptor_from_catalog(case, params, **family)
     if nu < 2 or nv < 2:
@@ -691,10 +695,11 @@ def verify_family(case: str, params: dict | None = None, *, nu: int = 50,
     if any(not (t > 0.0) for t in tols.values()):
         raise ParamError("tolerances must be positive")
     checks = checks or []
-    if not isinstance(checks, list) or any(c not in _EXTRA_CHECKS for c in checks):
-        raise ConfigError(f"checks must be a list drawn from {', '.join(_EXTRA_CHECKS)}")
+    if not isinstance(checks, list) or any(c not in tuple(_BUNDLES) for c in checks):
+        raise ConfigError(f"checks must be a list drawn from {', '.join(_BUNDLES)}")
+    bundles = {FAMILY_CATALOG[case].bundle, *checks}
     C = desc.params.get("C")
-    if "pnmcv" in checks and not (isinstance(C, (int, float)) and C != 0.0):
+    if "pnmcv" in checks and not (type(C) in (int, float) and C != 0.0):
         raise ConfigError("the pnmcv checks need a nonzero number C in params")
     fam = _build_shared(desc, families)
     spec = surface_from_family(fam)
@@ -719,8 +724,9 @@ def verify_family(case: str, params: dict | None = None, *, nu: int = 50,
         note = "empty admissible domain; property checks are vacuous"
         if fam.diagnostics:
             note += " (" + "; ".join(fam.diagnostics) + ")"
-        planned = _PLANNED_COMMON + (("minimal-h-coeff",)
-                                     if case.startswith("min") else ())
+        planned = _PLANNED_COMMON + tuple(
+            name for bundle, names in _BUNDLES.items() if bundle in bundles
+            for name in names)
         results.extend(_vacuous_check(name, note) for name in planned)
         if case == "min-ell-i":
             results.append(h_numerator_identity(spec, lo, hi))
@@ -738,8 +744,8 @@ def verify_family(case: str, params: dict | None = None, *, nu: int = 50,
     v_mid = _V_SAMPLING[spec.kind][2]
 
     tier_tol = tols["closed"] if closed else tols["ode"]
-    results.extend(_property_checks(case, spec, grid, tier_tol, tols,
-                                    C=C, sign=desc.sign, extra=checks))
+    results.extend(_property_checks(bundles, spec, grid, tier_tol, tols,
+                                    C, desc.sign))
     if case == "min-ell-ii":
         results.append(check_min_ell_ii_identity(spec, grid))
 
@@ -750,10 +756,17 @@ def verify_family(case: str, params: dict | None = None, *, nu: int = 50,
         v_range))
     results.extend(check_projection_bundle(spec, grid, v_mid, tols))
 
-    # three interior FD points inside the widest interval, clear of edges
+    # three interior FD points inside the widest interval, at least pad
+    # from its edges: their stencils, out to shrink_h, stay inside it
     a, b = max(intervals, key=lambda iv: iv[1] - iv[0])
     shrink_h = FD_H if closed else 10.0 * FD_H
-    pad = max(0.02 * (b - a), 8.0 * shrink_h)
+    pad = min(max(0.02 * (b - a), 8.0 * shrink_h), 0.5 * (b - a) - shrink_h)
+    if pad <= shrink_h:
+        note = (f"admissible interval [{a:.6g}, {b:.6g}] too narrow for the "
+                f"FD stencil (step {shrink_h:g})")
+        results.extend(_vacuous_check(name, note)
+                       for name in ("fd-connection", "fd-shrinkage"))
+        return report()
     fd_points = [(a + frac * (b - a - 2 * pad) + pad, v_mid)
                  for frac in (0.25, 0.5, 0.75)]
     results.extend(check_fd_connection(spec, fd_points, FD_H, tols["fd"],
@@ -840,9 +853,8 @@ def default_suite_config(seed: int = 20240) -> dict:
     """
     jobs = []
     for case in classified_case_ids():
-        if case.startswith("pnmcv"):
-            continue
-        jobs.append({"family": case})
+        if FAMILY_CATALOG[case].bundle != "pnmcv":
+            jobs.append({"family": case})
     jobs.append({"label": "min-hyp-ii[A<0]", "family": "min-hyp-ii",
                  "params": {"A": -1.0, "c": 0.2}, "alpha": 1.0, "beta": 2.0,
                  "u0": 0.1, "u1": 1.5})
@@ -866,7 +878,10 @@ def default_suite_config(seed: int = 20240) -> dict:
 
 def _cast(kind, value, key):
     """kind(value) for the config key; a ConfigError naming it where that
-    fails, or where int would truncate a float that is not integral."""
+    fails, where a number is wanted and value is a JSON boolean, or where
+    int would truncate a float that is not integral."""
+    if kind is not str and isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     try:
@@ -941,7 +956,10 @@ def run_suite(config: dict) -> SuiteReport:
     if not isinstance(jobs_cfg, list):
         raise ConfigError("'jobs' must be a list")
 
-    record_runtime = bool(config.get("record_runtime", False))
+    record_runtime = config.get("record_runtime", False)
+    if not isinstance(record_runtime, bool):
+        raise ConfigError(
+            f"record_runtime must be true or false, got {record_runtime!r}")
     t_start = time.perf_counter()
     families = {}
     jobs = [_run_job(job, record_runtime, families) for job in jobs_cfg]

@@ -209,6 +209,7 @@ def test_criterion_11_determinism(suite, tmp_path):
 
 
 SUITE_JOBS_SHA256 = "02c9adf41113d7a46ed192e702e3d59512a9bbc9ea378c85d40cd4376861cf6d"
+SUITE_SWEEPS_SHA256 = "4a4c09e3515200465b8ad5c6a68c0aedb09756ed4a050c81296c3cd6070aa7d0"
 
 
 def test_suite_jobs_bytes_pinned(suite):
@@ -223,6 +224,14 @@ def test_suite_jobs_bytes_pinned(suite):
     """
     data = json.dumps(suite["jobs"], indent=2).encode("utf-8")
     assert hashlib.sha256(data).hexdigest() == SUITE_JOBS_SHA256
+
+
+def test_suite_sweeps_bytes_pinned(suite):
+    """The random-point sweep block of the default suite (seed 20240), as
+    the report writes it, hashes to the pinned digest; the libm and BLAS
+    note of test_suite_jobs_bytes_pinned applies."""
+    data = json.dumps(suite["sweeps"], indent=2).encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == SUITE_SWEEPS_SHA256
 
 
 def test_suite_overall_pass(suite):

@@ -413,6 +413,20 @@ _CHECKS_LINE = "error: checks must be a list drawn from minimal, pnmcv, flat, fn
     ({"jobs": [{"family": "pnmcv-ell", "sign": 1.9}]},
      "error: sign must be an integer, got 1.9\n"),
     ({"seed": 1.5, "jobs": []}, "error: seed must be an integer, got 1.5\n"),
+    # a JSON boolean is no number, and record_runtime takes only one
+    ({"jobs": [{"family": "pnmcv-ell", "sign": True}]},
+     "error: sign must be a number, got True\n"),
+    ({"jobs": [{"family": "pnmcv-ell", "alpha": True}]},
+     "error: alpha must be a number, got True\n"),
+    ({"jobs": [{"family": "pnmcv-ell", "tols": {"closed": True}}]},
+     "error: tols.closed must be a number, got True\n"),
+    ({"jobs": [{"family": "pnmcv-ell", "params": {"C": True}}]},
+     "error: pnmcv-ell: parameter 'C' must be a number\n"),
+    ({"jobs": [{"family": "custom", "params": {"C": True},
+                "checks": ["pnmcv"]}]},
+     "error: the pnmcv checks need a nonzero number C in params\n"),
+    ({"record_runtime": "no", "jobs": []},
+     "error: record_runtime must be true or false, got 'no'\n"),
 ])
 def test_bad_suite_value_exit_2(tmp_path, capsys, config, line):
     """A job or config value of the wrong type or name is a configuration

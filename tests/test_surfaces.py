@@ -390,7 +390,7 @@ def test_exports_evaluate_meridian_once_per_u(monkeypatch, tmp_path):
                  spec_for("fnc-hyp-ii")):
         us = np.linspace(*spec.meridian.interval, 7)
         calls = []
-        evaluate, columns = spec.meridian._evaluate, spec.meridian.jet_columns
+        evaluate, columns = spec.meridian.jet, spec.meridian.jet_columns
 
         def counted(u):
             calls.append(float(u))
@@ -400,7 +400,7 @@ def test_exports_evaluate_meridian_once_per_u(monkeypatch, tmp_path):
             calls.extend(np.asarray(grid, dtype=float).tolist())
             return columns(grid)
 
-        monkeypatch.setattr(spec.meridian, "_evaluate", counted)
+        monkeypatch.setattr(spec.meridian, "jet", counted)
         monkeypatch.setattr(spec.meridian, "jet_columns", counted_columns)
         export_invariants_csv(spec, us, str(tmp_path / "t.csv"))
         assert calls == us.tolist()
@@ -581,8 +581,7 @@ def test_grid_routes_reuse_invariant_grid_columns(monkeypatch, spec):
     want_fr = frames_grid(spec, us[1::3], vs)
     want_pr = _project_grid(spec, us[1::3], vs)
     calls = []
-    monkeypatch.setattr(spec.meridian, "_evaluate",
-                        lambda u: calls.append(u))
+    monkeypatch.setattr(spec.meridian, "jet", lambda u: calls.append(u))
     rows = grid[1::3]
     assert len(rows) == 3 and list(rows.us) == list(us[1::3])
     got_fr = frames_grid(spec, rows, vs)

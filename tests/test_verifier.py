@@ -8,7 +8,8 @@ import pytest
 import point_reference as ref
 from grs4.errors import (ConfigError, InadmissiblePointError, ParamError,
                          StepError)
-from grs4.meridians import build_family, descriptor_from_catalog
+from grs4.meridians import (FAMILY_CATALOG, build_family,
+                            classified_case_ids, descriptor_from_catalog)
 from grs4.reporting import report_json_bytes
 from grs4.pe4 import PEVector4
 from grs4.surfaces import SurfaceKind, surface_from_family
@@ -228,6 +229,68 @@ def test_verify_family_vacuous_empty_domain():
     assert any("empty admissible domain" in c.notes for c in rep.vacuous_checks)
     hid = [c for c in rep.checks if c.name == "h-numerator-identity"]
     assert len(hid) == 1 and hid[0].passed and not hid[0].vacuous
+
+
+# checks a report makes only on a nonempty domain (the knot checks of an
+# integrated family, the two single-case identities) or on an empty one
+_UNPLANNED = {"admissible-domain", "constraint-residual", "unit-speed",
+              "branch-continuity", "parametrization-identity",
+              "h-numerator-identity"}
+
+
+@pytest.mark.parametrize("case,checks", [
+    *((case, None) for case in classified_case_ids()),
+    ("fnc-ell-i", ["flat", "minimal"])])
+def test_vacuous_plan_names_the_checks_of_a_report(monkeypatch, case, checks):
+    """On an empty domain a job reports as vacuous each check that it runs
+    on its catalog domain: the common checks, its catalog bundle's and
+    those of its checks extras."""
+    def names(rep):
+        return sorted(c.name for c in rep.checks if c.name not in _UNPLANNED)
+
+    families = {}
+    ran = verify_family(case, checks=checks, families=families)
+    monkeypatch.setattr(verifier, "admissible_domain", lambda *args: [])
+    empty = verify_family(case, checks=checks, families=families)
+    assert names(empty) == names(ran)
+    assert all(c.vacuous for c in empty.checks if c.name not in _UNPLANNED)
+
+
+@pytest.mark.parametrize("case", list(FAMILY_CATALOG))
+def test_catalog_row_matches_the_family_built(case):
+    entry = FAMILY_CATALOG[case]
+    fam = build_family(descriptor_from_catalog(case))
+    assert isinstance(fam, meridians._SampledFamily) == (
+        entry.realization == "ode")
+    assert fam.kind is entry.kind
+
+
+def test_narrow_domain_fd_points_keep_their_stencils_inside(monkeypatch):
+    """The admissible domain (2, 2.0005) is narrower than twice the usual
+    FD pad: the pad shrinks so that every stencil, out to the step 1e-4,
+    stays inside it."""
+    points = []
+    check = verifier.check_fd_connection
+
+    def recording(spec, pts, *args, **kwargs):
+        points.extend(u for u, _ in pts)
+        return check(spec, pts, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "check_fd_connection", recording)
+    rep = verify_family("pnmcv-ell", interval=(1.9, 2.0005))
+    assert len(points) == 3
+    assert all(2.0 + 1e-4 < u < 2.0005 - 1e-4 for u in points)
+    fd = [c for c in rep.checks if c.name.startswith("fd-")]
+    assert [c.vacuous for c in fd] == [False, False]
+
+
+def test_too_narrow_domain_fd_checks_vacuous():
+    rep = verify_family("pnmcv-ell", interval=(1.9, 2.00025))
+    fd = [c for c in rep.checks if c.name.startswith("fd-")]
+    assert [c.name for c in fd] == ["fd-connection", "fd-shrinkage"]
+    assert all(c.vacuous and "too narrow for the FD stencil" in c.notes
+               for c in fd)
+    assert rep.passed
 
 
 def test_verify_family_negative_control():
@@ -636,8 +699,10 @@ def test_verify_family_evaluates_each_grid_u_once(monkeypatch, case):
                 outside.pop()
         return wrapper
 
+    # on each subclass: the benchmark's tracer, once uninstalled, leaves
+    # each of them its own jet, which a patch on MeridianFamily would miss
     for cls in (meridians._ClosedFormFamily, meridians._SampledFamily):
-        monkeypatch.setattr(cls, "_evaluate", counting(cls._evaluate))
+        monkeypatch.setattr(cls, "jet", counting(cls.jet))
     monkeypatch.setattr(meridians.MeridianFamily, "jet_columns",
                         counting_columns(meridians.MeridianFamily.jet_columns))
     for name in ("admissible_domain", "fd_connection_rows"):

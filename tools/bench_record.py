@@ -17,8 +17,12 @@ under "layers" each workload's per-layer medians (calls and self seconds
 per pass, with tracing on), under "default_suite" the median and every
 run of the full suite's wall time (raw seconds, interpreter start
 included, not converted to a reference speed), and the tier-1 wall time
-with its pytest summary line.  Nothing under perfbench/ is changed; the runs go one after another,
-each in its own process.
+with its pytest summary line.  Under "source" it records two facts of the
+checkout's source: the line count of src/grs4/*.py (as wc -l counts) and
+the sha256 of the full report of ``grs4 verify --suite default --seed 31
+--report``, so a change that claims to keep the report bytes shows it.
+Nothing under perfbench/ is changed; the runs go one after another, each
+in its own process.
 
 To compare two commits, record both on one machine in one sitting, for
 example a ``git archive`` of the parent in a scratch directory as
@@ -28,11 +32,14 @@ example a ``git archive`` of the parent in a scratch directory as
 from __future__ import annotations
 
 import argparse
+import glob
+import hashlib
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -90,6 +97,24 @@ def run_default_suite(checkout: str) -> dict:
             "exit_codes": sorted(codes)}
 
 
+def source_facts(checkout: str) -> dict:
+    """Line count of src/grs4/*.py and sha256 of the seed-31 default-suite
+    report, both of the checkout."""
+    lines = 0
+    for path in glob.glob(os.path.join(checkout, "src", "grs4", "*.py")):
+        with open(path, "rb") as fh:
+            lines += fh.read().count(b"\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "report.json")
+        subprocess.run(
+            [sys.executable, "-m", "grs4", "verify", "--suite", "default",
+             "--seed", str(SEED), "--report", report], cwd=checkout,
+            env=_src_env(checkout), capture_output=True, text=True)
+        with open(report, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+    return {"src_grs4_lines": lines, "default_suite_report_sha256": digest}
+
+
 def run_tier1(checkout: str) -> dict:
     env = _src_env(checkout)
     t0 = time.perf_counter()
@@ -127,6 +152,7 @@ def main(argv=None) -> int:
         "workloads": workloads,
         "layers": layers,
         "default_suite": suite,
+        "source": source_facts(checkout),
         "tier1": run_tier1(checkout),
     }
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
