@@ -40,10 +40,10 @@ from math import atan2, copysign, cos, nan, sin, sqrt
 
 import numpy as np
 
-from .errors import (ConstraintDriftError, DomainError, GrsError,
-                     NoRealRootError, ParamError)
-from .jets import (Jet2, JetExpr, evaluate_masked, guard, jcos, jcosh, jsin,
-                   jsinh, jsqrt)
+from .errors import (ConstraintDriftError, DomainError, NoRealRootError,
+                     ParamError)
+from .jets import (Jet2, JetExpr, _each, evaluate_masked, guard, jcos, jcosh,
+                   jsin, jsinh, jsqrt)
 from .odeint import Trajectory, hermite_eval
 from .pe4 import SurfaceKind
 
@@ -164,6 +164,13 @@ def _singular(fp, gp):
     return (abs(fp) < 1e-14) & (abs(gp) < 1e-14)
 
 
+def _no_root(val, bad, u, msg):
+    """guard for a rule: on a float, NoRealRootError(msg.format(u)) if bad."""
+    if not isinstance(bad, np.ndarray) and bad:
+        raise NoRealRootError(msg.format(u))
+    return guard(val, bad, "")
+
+
 # ---------------------------------------------------------------------------
 # Constrained / ODE-realized families
 
@@ -171,9 +178,9 @@ class _QuadRule:
     """Per-step system defining (f', g') for one integrated family, by the
     constants that _rk4_tracked solves it with; solve(u, f, g, ref, larger)
     is the zero-step call, (f', g', other f' root or NaN).  second(u, f, g,
-    f', g') recovers (f'', g''); constraint() is the algebraic invariant
-    whose drift is monitored (0 for derivative-only relations), for floats
-    or arrays, and derive_g0() solves it for g0."""
+    f', g') recovers (f'', g''), and constraint() is the algebraic invariant
+    whose drift is monitored (0 for derivative-only relations), both for
+    floats or arrays; derive_g0() solves the constraint for g0."""
 
     explicit = fnc = False
     al2 = be2 = a2 = c = C = 0.0
@@ -222,8 +229,8 @@ class _FlatRule(_QuadRule):
         # each kind's pinned trajectories round the sum so
         rhs = (self.a2 - gg) + ff if e > 0.0 else (self.a2 + ff) - gg
         det = e * self.be2 * g * fp - e * self.al2 * f * gp
-        if abs(det) < 1e-14:
-            raise NoRealRootError(f"{self.name}: singular jet recovery at u={u}")
+        det = _no_root(det, abs(det) < 1e-14, u,
+                       self.name + ": singular jet recovery at u={}")
         return rhs * gp / det, e * rhs * fp / det
 
     def constraint(self, u, f, g):
@@ -255,13 +262,13 @@ class _FncRule(_QuadRule):
     def second(self, u, f, g, fp, gp):
         e = self.eps
         w = self.be2 * g * g - e * self.al2 * f * f
-        if w <= 0.0:
-            raise NoRealRootError(self.w_error)
+        w = _no_root(w, w <= 0.0, u, self.w_error)
+        root = math.sqrt(w) if isinstance(w, float) else np.sqrt(w)
         rhs = (self.C * (self.be2 * g * gp - e * self.al2 * f * fp)
-               / math.sqrt(w) - 1.0)
+               / root - 1.0)
         det = e * g * fp - e * f * gp
-        if abs(det) < 1e-14:
-            raise NoRealRootError(f"{self.name}: singular jet recovery at u={u}")
+        det = _no_root(det, abs(det) < 1e-14, u,
+                       self.name + ": singular jet recovery at u={}")
         return -e * rhs * gp / det, -rhs * fp / det
 
 
@@ -274,7 +281,10 @@ class _MinHyp3Rule(_QuadRule):
         self.c = c
 
     def second(self, u, f, g, fp, gp):
-        dphi = (fp * g - f * gp) / (f * f + g * g)
+        r2 = f * f + g * g
+        r2 = _no_root(r2, r2 == 0.0, u,
+                      "min-hyp-iii: curve through the origin at u={}")
+        dphi = (fp * g - f * gp) / r2
         return -gp * dphi, fp * dphi
 
 
@@ -361,6 +371,36 @@ def _rk4_tracked(rule: _QuadRule, f0, g0, t0, t1, n, ref, larger):
     return ts, ys, dys, others, j + 1
 
 
+def _solve_columns(rule: _QuadRule, u, x, y, ref):
+    """(f', g', bad) of rule.solve(u, x, y, ref) over 1-d arrays, bad where
+    it raises: _rk4_tracked's quadratic with each test a mask, min-hyp-iii's
+    angle per element through math (numpy's atan2 differs in the last bit)."""
+    e, c, n = rule.eps, rule.c, len(u)
+    if rule.explicit:
+        th = c - np.fromiter(map(atan2, x.tolist(), y.tolist()), float, n)
+        return _each(sin, th), _each(cos, th), (x == 0.0) & (y == 0.0)
+    if rule.fnc:
+        w = rule.be2 * y * y - e * rule.al2 * x * x
+        p, q, r, bad = x, y, -e * rule.C * np.sqrt(w), w <= 0.0
+    else:
+        p, q, r, bad = rule.al2 * x, rule.be2 * y, rule.a2 * (u + c), False
+    A, B, Cq = q * q - e * p * p, -2.0 * p * r, -e * r * r - q * q
+    aA, aB, aC = abs(A), abs(B), abs(Cq)
+    scale = np.where(aB > aA, aB, aA)
+    scale = np.where(aC > scale, aC, scale)
+    scale = np.where(1e-30 > scale, 1e-30, scale)
+    lin = aA <= 1e-14 * scale
+    disc = B * B - 4.0 * A * Cq
+    bad = bad | (abs(q) < 1e-14) | np.where(lin, aB <= 1e-14 * scale,
+                                            disc < -1e-12 * scale * scale)
+    sq = np.sqrt(np.where(disc < 0.0, 0.0, disc))
+    qq = np.where(B != 0.0, -0.5 * (B + np.copysign(sq, B)), -0.5 * sq)
+    fp, other = qq / A, Cq / qq
+    fp = np.where(abs(other - ref) < abs(fp - ref), other, fp)
+    fp = np.where(lin, -Cq / B, np.where(qq == 0.0, 0.0, fp))
+    return fp, (r + e * p * fp) / q, bad
+
+
 @dataclass
 class SampledMeridian:
     """Dense-output carrier for an implicitly defined meridian."""
@@ -375,6 +415,7 @@ class SampledMeridian:
     steps: int = 0
     field_calls: int = 0
     halvings: int = 0
+    recovered: int = 0           # u-values whose jets were recovered
 
     @property
     def knot_roots(self) -> np.ndarray:
@@ -383,29 +424,24 @@ class SampledMeridian:
 
     def jets(self, u):
         """(Jet2 of f, Jet2 of g) at u in the span, a float or a 1-d array:
-        one Hermite pass, then rule.solve (tracking from the f' of the knot
-        at or below u) and rule.second per u.  On a float the rule's error
-        propagates; on an array, guard masks the elements where it raises."""
+        one Hermite pass, then the f' root nearest the f' of the knot at or
+        below u (rule.solve; _solve_columns on an array) and rule.second.  On
+        a float the rule's error propagates; on an array, in evaluate_masked,
+        guard masks the elements where it raises."""
         us = np.atleast_1d(u)
         ys = hermite_eval(self.traj, us)
         # the last knot at or below u; knot 0 for u in the slack before it
         refs = self.traj.dys[np.searchsorted(self.traj.ts[1:], us, side="right"), 0]
-        rows = np.full((len(us), 6), math.nan)
-        bad = np.zeros(len(us), dtype=bool)
-        for i, (t, f, g, ref) in enumerate(zip(us.tolist(), ys[:, 0].tolist(),
-                                               ys[:, 1].tolist(), refs.tolist())):
-            try:
-                fp, gp, _ = self.rule.solve(t, f, g, ref)
-                fpp, gpp = self.rule.second(t, f, g, fp, gp)
-            except GrsError:
-                if not isinstance(u, np.ndarray):
-                    raise
-                bad[i] = True
-                continue
-            rows[i] = f, fp, fpp, g, gp, gpp
-        cols = (guard(rows.T, bad, "") if isinstance(u, np.ndarray)
-                else rows[0].tolist())
-        return Jet2(*cols[:3]), Jet2(*cols[3:])
+        self.recovered += len(us)
+        if isinstance(u, np.ndarray):
+            f, g = ys.T
+            fp, gp, bad = _solve_columns(self.rule, us, f, g, refs)
+            f, fp, g, gp = guard(np.array((f, fp, g, gp)), bad, "")
+        else:
+            (u,), (f, g), (ref,) = us.tolist(), ys[0].tolist(), refs.tolist()
+            fp, gp, _ = self.rule.solve(u, f, g, ref)
+        fpp, gpp = self.rule.second(u, f, g, fp, gp)
+        return Jet2(f, fp, fpp), Jet2(g, gp, gpp)
 
 
 def integrate_constrained(rule: _QuadRule, state0: tuple, span: tuple,
@@ -424,6 +460,9 @@ def integrate_constrained(rule: _QuadRule, state0: tuple, span: tuple,
     if not (math.isfinite(t1 - t0) and t0 < t1):
         raise ValueError(f"integration span must be finite and forward: {span}")
     f0, g0 = float(state0[0]), float(state0[1])
+    if not (math.isfinite(f0 * f0) and math.isfinite(g0 * g0)):
+        raise ParamError(f"{rule.name}: initial state ({f0}, {g0}) is not "
+                         "finite or too large to square")
     c0 = rule.constraint(t0, f0, g0)
     scale = max(1.0, abs(f0), abs(g0)) ** 2
     if abs(c0) > tol * scale:
@@ -439,7 +478,8 @@ def integrate_constrained(rule: _QuadRule, state0: tuple, span: tuple,
         steps, calls = steps + n, calls + k
         traj = Trajectory(np.array(ts), np.array(ys).reshape(-1, 2),
                           np.array(dys).reshape(-1, 2), (t1 - t0) / n)
-        res = abs(rule.constraint(traj.ts, *traj.ys.T))
+        with np.errstate(all="ignore"):
+            res = abs(rule.constraint(traj.ts, *traj.ys.T))
         last_res = float(res.max())
         if last_res <= tol or (halvings == _MAX_HALVINGS
                                and last_res <= 10.0 * tol):

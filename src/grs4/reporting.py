@@ -7,8 +7,8 @@ byte-identical outputs across runs and platforms.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -122,7 +122,33 @@ def dump_report_json(report_dict: dict, path: str) -> None:
 
 
 def report_json_bytes(report_dict: dict) -> bytes:
-    return (json.dumps(report_dict, indent=2) + "\n").encode("utf-8")
+    """The bytes of json.dumps(report_dict, indent=2) + "\\n" for a tree
+    whose dict keys are str, written directly: json serves indent only with
+    its pure-Python encoder.  A value json rejects, or a key that is not a
+    str, raises TypeError."""
+    return (_json_text(report_dict, "\n") + "\n").encode("utf-8")
+
+
+def _json_text(x, nl: str) -> str:
+    """json.dumps(x, indent=2) for a value at the indentation nl."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if isinstance(x, float):
+        return (float.__repr__(x) if math.isfinite(x) else "NaN" if x != x
+                else "Infinity" if x > 0.0 else "-Infinity")
+    inner = nl + "  "
+    if isinstance(x, dict):
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                 for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if x else "{}"
+    if isinstance(x, (list, tuple)):
+        items = [_json_text(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + nl + "]" if x else "[]"
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def linspace_grid(lo: float, hi: float, n: int) -> np.ndarray:

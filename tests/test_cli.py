@@ -1,13 +1,16 @@
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
 from grs4.cli import cmd_dispatch
 from grs4.meridians import (build_family, classified_case_ids,
                             descriptor_from_catalog)
 from grs4.reporting import (INVARIANT_CSV_HEADER, _block_text,
-                            export_invariants_csv, fmt_float, parse_projection)
+                            export_invariants_csv, fmt_float, parse_projection,
+                            report_json_bytes)
 from grs4.errors import ProjectionError
 from grs4.surfaces import surface_from_family
 
@@ -46,6 +49,52 @@ def test_block_text_writes_numbers_as_fmt_float():
         assert got == "".join(sep.join(map(fmt_float, r)) + "\n" for r in rows)
 
     inner_check()
+
+
+def _json_trees(st):
+    """JSON trees with str keys: strings with non-ASCII, quote, backslash
+    and control characters; NaN, +-inf, -0.0, big ints, bools and None;
+    empty, nested and tuple containers."""
+    scalars = st.one_of(
+        st.none(), st.booleans(), st.integers(),
+        st.integers(min_value=-10 ** 40, max_value=10 ** 40), st.floats(),
+        st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 10 ** 400]),
+        st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é€😀", ""]))
+    keys = st.one_of(st.text(), st.sampled_from(['"k"', "a\\b", "\n", "ü"]))
+    return st.recursive(
+        scalars,
+        lambda kids: st.one_of(st.lists(kids, max_size=4),
+                               st.lists(kids, max_size=4).map(tuple),
+                               st.dictionaries(keys, kids, max_size=4)),
+        max_leaves=30)
+
+
+def test_report_json_bytes_match_json_dumps():
+    """The direct writer gives the bytes of json.dumps(x, indent=2) + "\\n"."""
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=300, deadline=None)
+    @given(_json_trees(st))
+    def inner_check(x):
+        assert report_json_bytes(x) == (json.dumps(x, indent=2) + "\n").encode()
+
+    inner_check()
+
+
+@pytest.mark.parametrize("x", [np.bool_(True), {1, 2}, object(),
+                               [np.int64(1)], {"a": {"b": {1, 2}}}])
+def test_report_json_bytes_reject_what_json_rejects(x):
+    with pytest.raises(TypeError):
+        json.dumps(x, indent=2)
+    with pytest.raises(TypeError):
+        report_json_bytes(x)
+
+
+@pytest.mark.parametrize("key", [1, 1.5, None, True, (1, 2)])
+def test_report_json_bytes_take_str_keys_only(key):
+    """A report's dict keys are str; any other key is a TypeError."""
+    with pytest.raises(TypeError):
+        report_json_bytes({key: 0})
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +233,48 @@ def test_overflowing_invariants_write_nothing_to_stderr(tmp_path):
         capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert out.stderr == ""
+
+
+@pytest.mark.parametrize("command", ["invariants", "mesh", "verify"])
+def test_too_large_initial_state_prints_one_line(tmp_path, command):
+    """An initial state too large to square exits 2 with one error line on
+    stderr, with no numpy warning before it (the doors' lines are
+    test_family_fault_reads_the_same_at_every_door's)."""
+    import os
+    import subprocess
+    import sys
+
+    import grs4
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(grs4.__file__)))
+    argv = [sys.executable, "-m", "grs4", command, "--family", "flat-ell-i",
+            "--f0", "1e200"]
+    if command != "verify":
+        argv += ["--out", str(tmp_path / "o.csv")]
+    if command == "mesh":
+        argv += ["--v0", "0", "--v1", "1"]
+    out = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert out.returncode == 2
+    assert out.stderr == ("error: flat-ell-i: initial state (1e+200, inf) is "
+                          "not finite or too large to square\n")
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_min_hyp_iii_next_to_the_origin(tmp_path, capsys):
+    """A min-hyp-iii curve starting where f^2 + g^2 underflows to 0 has
+    its first row flagged 0 by invariants, and verify runs to its end."""
+    out = tmp_path / "o.csv"
+    assert run("invariants", "--family", "min-hyp-iii", "--f0", "1e-170",
+               "--g0", "1e-170", "--nu", "3", "--out", str(out)) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert rows[0] == "0" + "," * 14 + "0"
+    assert [r.endswith(",1") for r in rows[1:]] == [True, True]
+    rp = tmp_path / "r.json"
+    assert run("verify", "--family", "min-hyp-iii", "--f0", "1e-300",
+               "--g0", "1e-300", "--report", str(rp)) == 0
+    assert json.loads(rp.read_text())["checks"][0]["name"] == \
+        "admissible-domain"
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_overflowing_custom_meridian_mesh_exit_2(tmp_path, capsys):
@@ -363,6 +454,16 @@ _DOORS = ("invariants", "mesh", "verify", "suite")
      "error: negative discriminant at fnc-ell-ii u=0.0\n"),
     ({"family": "min-hyp-iii", "f0": 0.0, "g0": 0.0},
      "error: min-hyp-iii: curve through the origin at u=0.0\n"),
+    # an initial state too large to square
+    ({"family": "fnc-hyp-ii", "f0": 1e200, "g0": 1.0},
+     "error: fnc-hyp-ii: initial state (1e+200, 1.0) is not finite or too "
+     "large to square\n"),
+    ({"family": "min-hyp-iii", "f0": 1e200, "g0": 1.0},
+     "error: min-hyp-iii: initial state (1e+200, 1.0) is not finite or too "
+     "large to square\n"),
+    ({"family": "flat-ell-i", "f0": 1e200},
+     "error: flat-ell-i: initial state (1e+200, inf) is not finite or too "
+     "large to square\n"),
     ({"family": "custom", "params": {"f": "sqrt(-4)*u"}},
      "error: sqrt of non-positive or tiny value -4.0\n"),
     ({"family": "custom", "params": {"f": "1/0*u"}},

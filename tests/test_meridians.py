@@ -7,11 +7,12 @@ import pytest
 import point_reference
 from grs4 import meridians
 from grs4.errors import DomainError, GrsError, NoRealRootError, ParamError
+from grs4.jets import evaluate_masked
 from grs4.meridians import (FAMILY_CATALOG, FamilyDescriptor, build_family,
                             descriptor_from_catalog,
                             classified_case_ids, _FlatRule, _FncRule,
                             _MinHyp3Rule, integrate_constrained)
-from grs4.odeint import rk4_integrate
+from grs4.odeint import Trajectory, rk4_integrate
 from point_reference import tracking_field
 
 
@@ -924,3 +925,133 @@ def test_rk4_kernel_matches_reference_integration():
         assert isinstance(want[0], str) or len(want[0]) == steps + 1
 
     inner_check()
+
+
+# ---------------------------------------------------------------------------
+# The array jet recovery (_solve_columns, then second) against the float
+# route (rule.solve, then second) that jet takes
+
+def _float_solve(rule, u, f, g, ref):
+    """rule.solve's (f', g') as hex strings, None where it raises."""
+    try:
+        fp, gp, _ = rule.solve(u, f, g, ref)
+    except NoRealRootError:
+        return None
+    return float(fp).hex(), float(gp).hex()
+
+
+def _knot_meridian(rule, rows):
+    """A SampledMeridian of rule with one knot per row (u, f, g, f'), u
+    distinct: its jets at a knot u recover from (f, g) tracking that f'."""
+    us, fs, gs, refs = (np.array(c) for c in zip(*sorted(rows)))
+    traj = Trajectory(us, np.column_stack([fs, gs]),
+                      np.column_stack([refs, np.zeros(len(us))]), 1.0)
+    none = np.empty(0)
+    return meridians.SampledMeridian(traj, rule, none, none, none, 0.0), us
+
+
+def _jet_hex(fj, gj, i=None):
+    return tuple(float(x if i is None else x[i]).hex()
+                 for x in (fj.val, fj.d1, fj.d2, gj.val, gj.d1, gj.d2))
+
+
+def _float_jets(sm, us):
+    """jets at each float u as hex strings, None where it raises."""
+    out = []
+    for u in us.tolist():
+        try:
+            out.append(_jet_hex(*sm.jets(u)))
+        except NoRealRootError:
+            out.append(None)
+    return out
+
+
+def _array_jets(sm, us):
+    """jets over the array us, in the form of _float_jets; the second
+    derivatives of a masked element must be NaN."""
+    (fj, gj), raised = evaluate_masked(sm.jets, us)
+    assert np.isnan(np.array([fj.d2, gj.d2])[:, raised]).all()
+    return [None if raised[i] else _jet_hex(fj, gj, i) for i in range(len(us))]
+
+
+def test_array_recovery_matches_float_route():
+    """_solve_columns masks exactly the states where rule.solve raises and
+    gives its bits elsewhere (the quadratic of _rk4_tracked, written twice);
+    the array jets mask where rule.solve or rule.second raises and give the
+    float jets' bits elsewhere, signs of zero included: every rule, random
+    states and references, +-inf and NaN among them."""
+    from hypothesis import given, settings, strategies as st
+
+    state = _state_strategy(st)
+    refs = st.one_of(state, st.sampled_from([math.inf, -math.inf, math.nan]))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_rule_strategy(st),
+           st.lists(st.tuples(state, state, state, refs), min_size=2,
+                    max_size=8, unique_by=lambda row: row[0]))
+    def inner_check(rule, rows):
+        us, fs, gs, rs = (np.array(c) for c in zip(*rows))
+        with np.errstate(all="ignore"):
+            fp, gp, bad = meridians._solve_columns(rule, us, fs, gs, rs)
+            sm, knots = _knot_meridian(rule, rows)
+            want = _float_jets(sm, knots)
+        assert [None if b else (x.hex(), y.hex()) for x, y, b in zip(
+            fp.tolist(), gp.tolist(), bad.tolist())] == \
+            [_float_solve(rule, *row) for row in rows]
+        assert _array_jets(sm, knots) == want
+
+    inner_check()
+
+
+def test_min_hyp_iii_recovery_next_to_the_origin():
+    """f^2 + g^2 underflowing to 0 is the origin to second: NoRealRootError
+    on a float, a masked element on an array, next to one it recovers."""
+    rule = _MinHyp3Rule(0.7)
+    fp, gp, _ = rule.solve(0.5, 1e-170, 1e-170, None)
+    with pytest.raises(NoRealRootError,
+                       match=r"^min-hyp-iii: curve through the origin at u=0\.5$"):
+        rule.second(0.5, 1e-170, 1e-170, fp, gp)
+    sm, us = _knot_meridian(rule, [(0.5, 1e-170, 1e-170, fp),
+                                   (0.6, 0.3, 1.0, fp)])
+    got = _array_jets(sm, us)
+    assert got == _float_jets(sm, us)
+    assert got[0] is None and got[1] is not None
+
+
+@pytest.mark.parametrize("case", INTEGRATED)
+def test_jet_columns_at_the_knots_give_the_realization(case):
+    """At its knots a realization's jets hold its states and field values
+    to the bit."""
+    family = fam(case)
+    sm = family.ensure_realized()
+    ok, f, fp, _, g, gp, _ = family.jet_columns(sm.traj.ts)
+    assert ok.all()
+    assert np.stack([f, g], 1).tobytes() == sm.traj.ys.tobytes()
+    assert np.stack([fp, gp], 1).tobytes() == sm.traj.dys.tobytes()
+
+
+@pytest.mark.parametrize("case", INTEGRATED)
+def test_jet_columns_match_the_float_route_at_random_u(case):
+    """jet_columns at 5,000 random u, some outside the span, equals jet
+    row by row, and ok is False exactly where jet raises."""
+    family = fam(case)
+    lo, hi = family.interval
+    us = np.random.default_rng(5000).uniform(lo - 0.1 * (hi - lo),
+                                            hi + 0.1 * (hi - lo), 5000)
+    ok, *cols = family.jet_columns(us)
+    assert ok.any() and not ok.all()
+    assert [tuple(float(c[i]).hex() for c in cols) if ok[i] else None
+            for i in range(len(us))] == _point_rows(family, us.tolist())
+
+
+@pytest.mark.parametrize("case", INTEGRATED)
+def test_recovery_counts_its_u_values(case):
+    """recovered counts the u-values whose jets a realization recovers; u
+    outside the interval never reaches the recovery."""
+    family = fam(case)
+    sm = family.ensure_realized()
+    assert sm.recovered == 0
+    lo, hi = family.interval
+    family.jet_columns(np.concatenate([np.linspace(lo, hi, 50),
+                                       [lo - 1.0, hi + 1.0, math.nan]]))
+    assert sm.recovered == 50
