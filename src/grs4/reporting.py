@@ -20,6 +20,8 @@ INVARIANT_CSV_HEADER = ("u,E,F,G,nu1,nu2,mu,gamma2,beta2,K,kappa,"
 
 _AXES = ("x1", "x2", "x3", "x4")
 _CSV_BLOCK = 4096
+_CSV_ROW = "%r," * INVARIANT_CSV_HEADER.count(",") + "1\n"
+_CSV_ROW_OUT = "%r" + "," * INVARIANT_CSV_HEADER.count(",") + "0\n"
 
 
 def fmt_float(x: float) -> str:
@@ -32,12 +34,14 @@ def fmt_float(x: float) -> str:
     return s
 
 
-def _block_text(lines: list[str], *ends: str) -> str:
-    """Lines of repr-formatted floats as one text, numbers as fmt_float writes
-    them.  A float's repr ends in .0 only for an integral value, and no repr
-    ends in a field separator, so dropping ".0" before every field end in
-    ends (the separators and the newline that follow a number) is exact."""
-    text = "\n".join(lines) + "\n"
+def _fill(template: str, values: np.ndarray, ends: str = "") -> str:
+    """template % values, each %r float written as fmt_float writes it.
+
+    The values reach % through .tolist(), as Python floats and ints (the %r
+    of an np.float64 is np.float64(...)).  A float's repr ends in .0 only for
+    an integral value, and no repr ends in one of ends (the characters that
+    follow a %r in template), so dropping ".0" before each of them is exact."""
+    text = template % tuple(values.ravel().tolist())
     for end in ends:
         text = text.replace(".0" + end, end)
     return text
@@ -55,12 +59,12 @@ def export_invariants_csv(spec: SurfaceSpec, us, path: str) -> None:
         fh.write(INVARIANT_CSV_HEADER + "\n")
         for start in range(0, len(us), _CSV_BLOCK):
             grid = invariant_grid(spec, us[start:start + _CSV_BLOCK])
-            lines = []
-            for u, ok, *vals in zip(grid.us.tolist(), grid.admissible.tolist(),
-                                    *(c.tolist() for c in grid.columns())):
-                lines.append(",".join(map(repr, (u, *vals))) + ",1" if ok
-                             else repr(u) + "," * 13 + ",0")
-            fh.write(_block_text(lines, ","))
+            table = np.column_stack((grid.us,) + grid.columns())
+            keep = np.ones(table.shape, dtype=bool)
+            keep[~grid.admissible, 1:] = False  # an inadmissible row keeps u only
+            rows = [_CSV_ROW if ok else _CSV_ROW_OUT
+                    for ok in grid.admissible.tolist()]
+            fh.write(_fill("".join(rows), table[keep], ","))
 
 
 def parse_projection(projection: str):
@@ -68,12 +72,12 @@ def parse_projection(projection: str):
     if projection == "drop-x4":
         return (0, 1, 2)
     if projection.startswith("ortho:"):
-        names = projection[len("ortho:"):].split(",")
+        names = [n.strip() for n in projection[len("ortho:"):].split(",")]
         if len(names) != 3 or len(set(names)) != 3:
             raise ProjectionError(
                 f"projection plane needs three distinct axes, got {projection!r}")
         try:
-            return tuple(_AXES.index(n.strip()) for n in names)
+            return tuple(_AXES.index(n) for n in names)
         except ValueError:
             raise ProjectionError(
                 f"unknown axis in {projection!r}; use x1..x4") from None
@@ -85,35 +89,41 @@ def export_mesh(spec: SurfaceSpec, us, vs, path: str, fmt: str = "csv4",
                 projection: str = "drop-x4") -> None:
     """Sample the immersion on the grid and write csv4 or obj3 output.
 
-    csv4 keeps all four coordinates; obj3 projects to 3-space (drop-x4 or an
-    orthographic coordinate 3-plane) and triangulates the quad grid
-    row-major, two triangles per cell.
+    csv4 keeps all four coordinates, so it takes no projection but drop-x4;
+    obj3 projects to 3-space (drop-x4 or an orthographic coordinate 3-plane)
+    and triangulates the quad grid row-major, two triangles per cell.  Each
+    block of _CSV_BLOCK vertices or quads is one % of a repeated row
+    template, so the text held at once is bounded by the block.
     """
     us = [float(u) for u in us]
     vs = [float(v) for v in vs]
     if fmt not in ("csv4", "obj3"):
         raise ProjectionError(f"mesh format must be csv4 or obj3, got {fmt!r}")
-    idx = parse_projection(projection) if fmt == "obj3" else None
+    idx = parse_projection(projection)
+    if fmt == "csv4" and projection != "drop-x4":
+        raise ProjectionError(f"csv4 keeps all four coordinates; projection "
+                              f"{projection!r} needs format obj3")
     # vertices in row-major (u, v) order, each as its four coordinates
     xs = [c.ravel() for c in positions_grid(spec, us, vs).components()]
     if fmt == "csv4":
-        header, prefix, sep = "u,v,x1,x2,x3,x4", "", ","
+        header, row, ends = "u,v,x1,x2,x3,x4", "%r,%r,%r,%r,%r,%r\n", ",\n"
         cols = [np.repeat(us, len(vs)), np.tile(vs, len(us))] + xs
     else:
-        header, prefix, sep = "# triangulated rotational-surface sample", "v ", " "
+        header, row, ends = ("# triangulated rotational-surface sample",
+                             "v %r %r %r\n", " \n")
         cols = [xs[i] for i in idx]
+    nv = len(vs)
+    nq = (len(us) - 1) * (nv - 1) if fmt == "obj3" else 0   # quads to write
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for start in range(0, len(cols[0]), _CSV_BLOCK):
-            rows = zip(*(c[start:start + _CSV_BLOCK].tolist() for c in cols))
-            fh.write(_block_text([prefix + sep.join(map(repr, r)) for r in rows],
-                                 sep, "\n"))
-        if fmt == "obj3":
-            nv = len(vs)
-            for i in range(len(us) - 1):     # OBJ indices are 1-based
-                fh.write("".join(f"f {a} {a + 1} {a + nv + 1}\n"
-                                 f"f {a} {a + nv + 1} {a + nv}\n"
-                                 for a in range(i * nv + 1, (i + 1) * nv)))
+            block = np.column_stack([c[start:start + _CSV_BLOCK] for c in cols])
+            fh.write(_fill(row * len(block), block, ends))
+        for start in range(0, nq, _CSV_BLOCK):
+            q = np.arange(start, min(start + _CSV_BLOCK, nq))
+            a = q // (nv - 1) * nv + q % (nv - 1) + 1   # OBJ indices are 1-based
+            fh.write(_fill("f %d %d %d\nf %d %d %d\n" * len(q), np.column_stack(
+                (a, a + 1, a + nv + 1, a, a + nv + 1, a + nv))))
 
 
 def dump_report_json(report_dict: dict, path: str) -> None:

@@ -8,9 +8,10 @@ import pytest
 from grs4.cli import cmd_dispatch
 from grs4.meridians import (build_family, classified_case_ids,
                             descriptor_from_catalog)
-from grs4.reporting import (INVARIANT_CSV_HEADER, _block_text,
+from grs4.reporting import (INVARIANT_CSV_HEADER, _fill,
                             export_invariants_csv, fmt_float, parse_projection,
                             report_json_bytes)
+from grs4 import reporting
 from grs4.errors import ProjectionError
 from grs4.surfaces import surface_from_family
 
@@ -36,17 +37,28 @@ def test_fmt_float_round_trips():
     assert fmt_float(0.44) == "0.44"
 
 
-def test_block_text_writes_numbers_as_fmt_float():
+def test_fill_writes_numbers_as_fmt_float():
     from hypothesis import given, settings, strategies as st
+
+    def check(table, sep):
+        row = sep.join(["%r"] * table.shape[1]) + "\n"
+        got = _fill(row * len(table), table, sep + "\n")
+        assert got == "".join(sep.join(map(fmt_float, r)) + "\n"
+                              for r in table.tolist())
+
+    special = np.array([[0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324],
+                        [-2.2e-308, 1e16, -1e16, 1.5e300, 123.0, 0.1]])
+    for sep in (",", " "):
+        check(special, sep)
 
     # st.floats() draws +-0, +-inf, NaN, subnormals and |x| >= 1e16 as well
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.floats(), min_size=1, max_size=24),
+    @given(st.integers(1, 6), st.integers(1, 4), st.data(),
            st.sampled_from([",", " "]))
-    def inner_check(xs, sep):
-        rows = [xs[i:i + 6] for i in range(0, len(xs), 6)]
-        got = _block_text([sep.join(map(repr, r)) for r in rows], sep, "\n")
-        assert got == "".join(sep.join(map(fmt_float, r)) + "\n" for r in rows)
+    def inner_check(width, nrows, data, sep):
+        xs = data.draw(st.lists(st.floats(), min_size=width * nrows,
+                                max_size=width * nrows))
+        check(np.array(xs, dtype=float).reshape(nrows, width), sep)
 
     inner_check()
 
@@ -769,19 +781,25 @@ def test_mesh_obj3_counts(tmp_path):
 def test_mesh_projection_choices(tmp_path):
     assert parse_projection("drop-x4") == (0, 1, 2)
     assert parse_projection("ortho:x1,x2,x4") == (0, 1, 3)
-    for bad in ("ortho:x1,x2", "ortho:x1,x1,x2", "ortho:x1,x2,x9", "sideways"):
+    assert parse_projection("ortho: x4 ,x1,x2") == (3, 0, 1)
+    for bad in ("ortho:x1,x2", "ortho:x1,x1,x2", "ortho:x1,x1 ,x2",
+                "ortho:x1,x2,x9", "sideways"):
         with pytest.raises(ProjectionError):
             parse_projection(bad)
     out = tmp_path / "m.obj"
-    code = run("mesh", "--family", "fnc-ell-i", "--u0", "1", "--u1", "2",
-               "--nu", "3", "--v0", "0", "--v1", "1", "--nv", "3",
-               "--format", "obj3", "--projection", "ortho:x1,x2,x4",
-               "--out", str(out))
-    assert code == 0
-    code = run("mesh", "--family", "fnc-ell-i", "--u0", "1", "--u1", "2",
-               "--nu", "3", "--v0", "0", "--v1", "1", "--nv", "3",
-               "--format", "obj3", "--projection", "bogus", "--out", str(out))
-    assert code == 2
+
+    def mesh(fmt, projection):
+        return run("mesh", "--family", "fnc-ell-i", "--u0", "1", "--u1", "2",
+                   "--nu", "3", "--v0", "0", "--v1", "1", "--nv", "3",
+                   "--format", fmt, "--projection", projection,
+                   "--out", str(out))
+
+    assert mesh("obj3", "ortho:x1,x2,x4") == 0
+    assert mesh("csv4", "drop-x4") == 0
+    for fmt, bad in (("obj3", "bogus"), ("obj3", "ortho:x1,x1 ,x2"),
+                     ("csv4", "bogus"), ("csv4", "ortho:x1,x2,x4"),
+                     ("csv4", "ortho:x1,x2,x3")):
+        assert mesh(fmt, bad) == 2, (fmt, bad)
 
 
 def test_invariants_csv_values_round_trip(tmp_path):
@@ -892,3 +910,40 @@ def test_mesh_bytes_pinned(tmp_path, case, fmt):
     assert run("mesh", "--family", case, "--v0", v0, "--v1", v1, "--nv", "9",
                "--format", fmt, "--out", str(out)) == 0
     assert _sha256(out) == MESH_SHA256[(case, fmt)]
+
+
+# Writer paths the 50-row pins above do not reach: output longer than one
+# reporting._CSV_BLOCK (4096 rows; 4,491 quads), an ortho projection, and an
+# invariant CSV whose rows below u = C = 2 are inadmissible (flagged 0).
+WRITER_SHA256 = {
+    ("invariants", "--family", "pnmcv-ell", "--nu", "5000"):
+        "ed3343eb9a1b396e342f32bc752e17ef3c938eb3f36e89d9b7dacba4f33a03df",
+    ("invariants", "--family", "pnmcv-ell", "--u0", "1.5", "--u1", "3",
+     "--nu", "7"):
+        "03bc63d7c2cd7654c77bf7ccce97a964b3e27baa72ed174fa509f97b30a07441",
+    ("mesh", "--family", "pnmcv-ell", "--v0", "0", "--v1", "6.25",
+     "--nu", "500", "--nv", "10", "--format", "obj3"):
+        "66be3fa35d3df065bd646066c8fc186a8c77fcf60c65e8bcdca8b6c69f19d473",
+    ("mesh", "--family", "pnmcv-ell", "--v0", "0", "--v1", "6.25",
+     "--nu", "500", "--nv", "10", "--format", "csv4"):
+        "1fda3982a308880bcefe444983a8bd0fd60fdfcf0d3e740cb342edc98d49966f",
+    ("mesh", "--family", "min-hyp-i", "--v0", "-3", "--v1", "3", "--nv", "9",
+     "--format", "obj3", "--projection", "ortho:x1,x2,x4"):
+        "03031ee819718d6be5b7affc9e8c01d2bcf0c794bae00535e0a1a021c1b0266d",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(WRITER_SHA256))
+def test_writer_bytes_pinned(tmp_path, argv):
+    out = tmp_path / "w"
+    assert run(*argv, "--out", str(out)) == 0
+    assert _sha256(out) == WRITER_SHA256[argv]
+
+
+def test_writer_bytes_do_not_depend_on_block_size(tmp_path, monkeypatch):
+    """Blocks of 7 split the rows of 10 vertices and of 9 quads of a mesh."""
+    monkeypatch.setattr(reporting, "_CSV_BLOCK", 7)
+    out = tmp_path / "w"
+    for argv, digest in WRITER_SHA256.items():
+        assert run(*argv, "--out", str(out)) == 0
+        assert _sha256(out) == digest, argv

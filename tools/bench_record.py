@@ -17,10 +17,12 @@ under "layers" each workload's per-layer medians (calls and self seconds
 per pass, with tracing on), under "default_suite" the median and every
 run of the full suite's wall time (raw seconds, interpreter start
 included, not converted to a reference speed), and the tier-1 wall time
-with its pytest summary line.  Under "source" it records two facts of the
-checkout's source: the line count of src/grs4/*.py (as wc -l counts) and
-the sha256 of the full report of ``grs4 verify --suite default --seed 31
---report``, so a change that claims to keep the report bytes shows it.
+with its pytest summary line.  Under "source" it records facts of the
+checkout's source: the line count of src/grs4/*.py (as wc -l counts), the
+sha256 of the full report of ``grs4 verify --suite default --seed 31
+--report``, and the sha256 of the writer outputs in WRITER_OUTPUTS (an
+invariant CSV and obj3 and csv4 meshes, each longer than one writer block),
+so a change that claims to keep the report or writer bytes shows it.
 Nothing under perfbench/ is changed; the runs go one after another, each
 in its own process.
 
@@ -48,6 +50,15 @@ SEED = 31
 SUITE_RUNS = 5
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
+# grs4 commands whose --out bytes are recorded (pinned in tests/test_cli.py)
+_MESH = ["mesh", "--family", "pnmcv-ell", "--v0", "0", "--v1", "6.25",
+         "--nu", "500", "--nv", "10", "--format"]
+WRITER_OUTPUTS = {
+    "invariants_csv_sha256": ["invariants", "--family", "pnmcv-ell",
+                              "--nu", "5000"],
+    "mesh_obj3_sha256": _MESH + ["obj3"],
+    "mesh_csv4_sha256": _MESH + ["csv4"],
+}
 
 
 def run_perfbench(checkout: str, workload: str, trace: int):
@@ -97,22 +108,30 @@ def run_default_suite(checkout: str) -> dict:
             "exit_codes": sorted(codes)}
 
 
+def _output_sha256(checkout: str, argv: list, flag: str = "--out") -> str:
+    """sha256 of the file that ``grs4 <argv> <flag> FILE`` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out")
+        subprocess.run([sys.executable, "-m", "grs4", *argv, flag, path],
+                       cwd=checkout, env=_src_env(checkout),
+                       capture_output=True, text=True)
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+
 def source_facts(checkout: str) -> dict:
-    """Line count of src/grs4/*.py and sha256 of the seed-31 default-suite
-    report, both of the checkout."""
+    """Line count of src/grs4/*.py, sha256 of the seed-31 default-suite
+    report and of each WRITER_OUTPUTS file, all of the checkout."""
     lines = 0
     for path in glob.glob(os.path.join(checkout, "src", "grs4", "*.py")):
         with open(path, "rb") as fh:
             lines += fh.read().count(b"\n")
-    with tempfile.TemporaryDirectory() as tmp:
-        report = os.path.join(tmp, "report.json")
-        subprocess.run(
-            [sys.executable, "-m", "grs4", "verify", "--suite", "default",
-             "--seed", str(SEED), "--report", report], cwd=checkout,
-            env=_src_env(checkout), capture_output=True, text=True)
-        with open(report, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-    return {"src_grs4_lines": lines, "default_suite_report_sha256": digest}
+    suite = ["verify", "--suite", "default", "--seed", str(SEED)]
+    return {"src_grs4_lines": lines,
+            "default_suite_report_sha256": _output_sha256(checkout, suite,
+                                                          "--report"),
+            **{name: _output_sha256(checkout, argv)
+               for name, argv in WRITER_OUTPUTS.items()}}
 
 
 def run_tier1(checkout: str) -> dict:
