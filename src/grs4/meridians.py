@@ -133,24 +133,24 @@ class MeridianFamily:
 
     def jet_columns(self, us) -> tuple:
         """(ok, f, f', f'', g, g', g'') over the 1-d float array us, in one
-        jet_fn pass over the array.
+        jet_fn pass over the array; a u outside the interval is evaluated at
+        the interval's start, so no row is gathered, and blanked after.
 
         ok[i] is False where jet(us[i]) raises, and that row of the six
         columns is NaN; every other row holds the jet's values to the bit,
         a NaN the jet returns without raising included.
         """
         us = np.asarray(us, dtype=float)
-        inside = np.ones(len(us), dtype=bool)
+        ok = np.ones(len(us), dtype=bool)
         if self.interval is not None:
             lo, hi = self.interval
-            inside = (lo <= us) & (us <= hi)
-        rows = np.full((6, len(us)), math.nan)
-        (fj, gj), raised = evaluate_masked(self.jet_fn, us[inside])
+            ok = (lo <= us) & (us <= hi)
+            us = np.where(ok, us, lo)
+        (fj, gj), raised = evaluate_masked(self.jet_fn, us)
+        rows = np.empty((6, len(us)))
         for row, x in zip(rows, (fj.val, fj.d1, fj.d2, gj.val, gj.d1, gj.d2)):
-            row[inside] = x
-        ok = inside.copy()
-        ok[inside] = ~raised
-        ok &= ~_singular(rows[1], rows[4])
+            row[:] = x
+        ok &= ~raised & ~_singular(rows[1], rows[4])
         rows[:, ~ok] = math.nan
         return (ok, *rows)
 

@@ -99,10 +99,16 @@ def pow2(x):
     Python's float ** calls C pow, which differs from x * x (numpy's square)
     in the last bit for about 1 value in 1,300, so the array case squares
     each element as a Python float.  Where ** raises OverflowError the
-    square is x * x, inf.
+    square is x * x, inf; an array takes that element by element only after
+    an overflow.
     """
     if isinstance(x, np.ndarray):
-        return np.array([pow2(t) for t in x.ravel().tolist()]).reshape(x.shape)
+        values = x.ravel().tolist()
+        try:
+            squares = [t ** 2 for t in values]
+        except OverflowError:
+            squares = [pow2(t) for t in values]
+        return np.array(squares).reshape(x.shape)
     try:
         return x ** 2
     except OverflowError:

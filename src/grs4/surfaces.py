@@ -16,11 +16,11 @@ all invariants are rational expressions in (f, f', f'', g, g', g'')
 evaluated from meridian jets, so no numerical differentiation enters here.
 
 Each formula is written once and evaluated on arrays, the meridian from
-one jet_columns pass: over a u-grid (invariant_grid), a u x v grid
-(frames_grid, positions_grid, _project_grid) or a list of (u, v) points
-(_grid_inputs).  The per-point functions (position_jets, frames,
-geometric_functions, curvatures, invariant_record) are 1-row views that
-return Python floats.
+one jet_columns pass: over a u-grid (invariant_grid, which computes every
+row and then blanks the inadmissible ones), a u x v grid (frames_grid,
+positions_grid, _project_grid) or a list of (u, v) points (_grid_inputs).
+The per-point functions (position_jets, frames, geometric_functions,
+curvatures, invariant_record) are 1-row views that return Python floats.
 Squares go through pe4.pow2 and traces through shape_trace, so each element
 has the bits of the float formula at its point.  eps stands where the
 elliptic formula has a minus sign, so both kinds keep the bits of their own
@@ -224,8 +224,8 @@ def _position_from(spec, f, g, rot) -> PEVector4:
     return spec.kind.vec(f * ca, f * sa, g * cb, g * sb)
 
 
-def _jets_from(spec, f, fp, fpp, g, gp, gpp, rot) -> PointJets:
-    """Position jets from meridian scalars and rotations, floats or arrays.
+def _tangents_from(spec, f, fp, g, gp, rot):
+    """(z_u, z_v) from meridian values and rotations, floats or arrays.
 
     d/dv cos(a v) = -a sin(a v) and d/dv cosh(a v) = a sinh(a v): the
     factor -eps a.
@@ -233,20 +233,28 @@ def _jets_from(spec, f, fp, fpp, g, gp, gpp, rot) -> PointJets:
     a, b, e = spec.alpha, spec.beta, spec.kind.eps
     vec = spec.kind.vec
     ca, sa, cb, sb = rot
+    return (vec(fp * ca, fp * sa, gp * cb, gp * sb),
+            vec(-e * a * f * sa, a * f * ca, -e * b * g * sb, b * g * cb))
+
+
+def _jets_from(spec, f, fp, fpp, g, gp, gpp, rot) -> PointJets:
+    """Position jets from meridian scalars and rotations, floats or arrays;
+    the v-derivatives as in _tangents_from."""
+    a, b, e = spec.alpha, spec.beta, spec.kind.eps
+    vec = spec.kind.vec
+    ca, sa, cb, sb = rot
     return PointJets(
-        z=_position_from(spec, f, g, rot),
-        z_u=vec(fp * ca, fp * sa, gp * cb, gp * sb),
-        z_v=vec(-e * a * f * sa, a * f * ca, -e * b * g * sb, b * g * cb),
+        _position_from(spec, f, g, rot),
+        *_tangents_from(spec, f, fp, g, gp, rot),
         z_uu=vec(fpp * ca, fpp * sa, gpp * cb, gpp * sb),
         z_uv=vec(-e * a * fp * sa, a * fp * ca, -e * b * gp * sb, b * gp * cb),
         z_vv=vec(-e * a * a * f * ca, -e * a * a * f * sa,
                  -e * b * b * g * cb, -e * b * b * g * sb))
 
 
-def _fundamental_from(pj: PointJets):
+def _fundamental_from(z_u, z_v):
     """(E, F, G) as inner products of z_u and z_v, floats or arrays."""
-    return (inner(pj.z_u, pj.z_u), inner(pj.z_u, pj.z_v),
-            inner(pj.z_v, pj.z_v))
+    return inner(z_u, z_u), inner(z_u, z_v), inner(z_v, z_v)
 
 
 def _scalars_from(spec, f, fp, fpp, g, gp, gpp):
@@ -424,21 +432,23 @@ class _Projection:
         Over a grid the matrices are stacked: shape grid + (2, 2).
         """
         sxx, sxy, syy = self.sigma
-        return tuple(_matrices([[inner(sxx, n), inner(sxy, n)],
-                                [-inner(sxy, n), -inner(syy, n)]])
+        return tuple(_matrices(inner(sxx, n), inner(sxy, n),
+                               -inner(sxy, n), -inner(syy, n))
                      for n in (self.fr.n1, self.fr.n2))
 
 
-def _matrices(entries):
-    """2x2 nested entries, floats or arrays, as one matrix or a stack of
-    shape entry-shape + (2, 2).
+def _matrices(a, b, c, d):
+    """[[a, b], [c, d]] of floats or arrays, as one matrix or a stack of
+    shape entry-shape + (2, 2), written in place into a zero-initialised
+    C-contiguous array.
 
-    The stack is made C-contiguous: np.matmul then runs on it without the
-    buffered copies a strided stack needs (about 0.6 MB of peak memory in
-    a run of invariant tables), with the same result.
+    np.matmul runs on a C-contiguous stack without the buffered copies a
+    strided stack needs (about 0.6 MB of peak memory in a run of invariant
+    tables), with the same result.
     """
-    return np.ascontiguousarray(np.moveaxis(np.array(entries), (0, 1),
-                                            (-2, -1)))
+    out = np.zeros(np.broadcast(a, b, c, d).shape + (2, 2))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
 
 
 def _project_grid(spec: SurfaceSpec, us, vs) -> _Projection:
@@ -463,7 +473,7 @@ def _projection(spec, scalars, rot) -> _Projection:
     f, fp, fpp, g, gp, gpp, _, _ = scalars
     pj = _jets_from(spec, f, fp, fpp, g, gp, gpp, rot)
     fr = _frame_from(spec, scalars, rot)
-    E, _, G = _fundamental_from(pj)
+    E, _, G = _fundamental_from(pj.z_u, pj.z_v)
     seg = sqrt(E) * sqrt(-G)
 
     def pair(w, denom):
@@ -533,9 +543,8 @@ def _shape_matrices(kind: SurfaceKind, gf):
     an InvariantRecord): one pair, or stacked pairs of
     shape (n, 2, 2) for columns of length n.  The carrier normal of H has
     the diagonal operator, the other one the rotation."""
-    zero = np.zeros(np.shape(gf.mu))
-    rot = _matrices([[zero, gf.mu], [-gf.mu, zero]])
-    diag = _matrices([[gf.nu1, zero], [zero, -gf.nu2]])
+    rot = _matrices(0.0, gf.mu, -gf.mu, 0.0)
+    diag = _matrices(gf.nu1, 0.0, 0.0, -gf.nu2)
     return kind.normals(rot, diag)
 
 
@@ -559,28 +568,23 @@ def _admissible_record(spec: SurfaceSpec, u: float) -> InvariantRecord:
 def invariant_grid(spec: SurfaceSpec, us) -> InvariantGrid:
     """The full invariant set at every u of us, as columns.
 
-    The meridian is evaluated once per u (rows NaN where it raises) and
-    every formula on the admissible rows, where E and -G are finite above
-    ADMISSIBILITY_EPS; an inadmissible row keeps E, F, G where the meridian
-    is defined.  E, F, G are taken at v = 0; every field is independent of
-    v by rotational symmetry.
+    The meridian is evaluated once per u (rows NaN where it raises), and
+    then every formula once over every row: each is elementwise, so an
+    admissible row (E and -G finite above ADMISSIBILITY_EPS) has the bits
+    of its own float route whatever the other rows hold.  The ten columns
+    after E, F, G are then blanked to NaN on the inadmissible rows; E, F, G
+    stay wherever the meridian is defined.  E, F, G are taken at v = 0 from
+    z_u and z_v; every field is independent of v by rotational symmetry.
     """
     us, scalars = _meridian_columns(spec, us)
-    E, F, G = _fundamental_from(_jets_from(spec, *scalars[:6],
-                                           _rotation(spec, 0.0)))
+    f, fp, _, g, gp, _, _, _ = scalars
+    gf = _geo_fns_from(spec, scalars)
+    cv = _curvatures_from(spec, scalars)
+    table = np.array((
+        *_fundamental_from(*_tangents_from(spec, f, fp, g, gp,
+                                           _rotation(spec, 0.0))),
+        gf.nu1, gf.nu2, gf.mu, gf.gamma2, gf.beta2, cv.K, cv.kappa,
+        cv.h_coeff, cv.H_norm2, shape_trace(*_shape_matrices(spec.kind, gf))))
     ok = _admissible(scalars)
-    adm = tuple(c[ok] for c in scalars)
-    gf = _geo_fns_from(spec, adm)
-    cv = _curvatures_from(spec, adm)
-    tr = shape_trace(*_shape_matrices(spec.kind, gf))
-
-    def column(values):
-        out = np.full(len(us), math.nan)
-        out[ok] = values
-        return out
-
-    return InvariantGrid(us, ok, scalars, E, F, G,
-                         *(column(c) for c in (gf.nu1, gf.nu2, gf.mu,
-                                               gf.gamma2, gf.beta2, cv.K,
-                                               cv.kappa, cv.h_coeff,
-                                               cv.H_norm2, tr)))
+    table[3:, ~ok] = math.nan
+    return InvariantGrid(us, ok, scalars, *table)

@@ -24,7 +24,7 @@ from .errors import (ConfigError, DomainError, InadmissiblePointError,
                      ParamError, StepError)
 from .meridians import (FAMILY_CATALOG, build_family,
                         descriptor_from_catalog, classified_case_ids)
-from .pe4 import PEVector4, inner, pow2
+from .pe4 import inner, pow2
 from .surfaces import (SurfaceKind, SurfaceSpec, frames_grid, invariant_grid,
                        shape_trace, surface_from_family, _admissible,
                        _frame_from, _frame_inputs,
@@ -390,7 +390,7 @@ def check_v_independence(spec, us, nv, tol, v_range=None) -> CheckResult:
     pj, fr, sf = proj.pj, proj.fr, proj.sf
     nu, nv_, n1n, n2n = (pj.z_u.euclid_norm(), pj.z_v.euclid_norm(),
                          fr.n1.euclid_norm(), fr.n2.euclid_norm())
-    E, F, G = _fundamental_from(pj)
+    E, F, G = _fundamental_from(pj.z_u, pj.z_v)
     uu, uv, vv = (pj.z_uu.euclid_norm(), pj.z_uv.euclid_norm(),
                   pj.z_vv.euclid_norm())
     vals = np.array((E, F, G, sf.xx[0], sf.xx[1], sf.xy[0], sf.xy[1],
@@ -541,31 +541,6 @@ def check_pnmcv(spec, grid, C, sign, tol_alg, tol_h):
         _check("pnmcv-h-value", where, h_res, tol_h, h_note),
         _check("pnmcv-h-constancy", where, hs.max() - hs.min(), tol_h),
     )
-
-
-def check_parallel_H_fd(spec, us, v, h=1e-5, tol=1e-6) -> CheckResult:
-    """Direct FD check that D H = 0 in the normal bundle.
-
-    Subsumes beta2 = 0 plus h constancy for the pnmcv families; not part
-    of the verify_family bundles.
-    """
-    # per u, in one projection pass: (u +- h, v), (u, v +- h) and (u, v)
-    us = np.asarray(us, dtype=float)
-    grid = invariant_grid(
-        spec, np.column_stack((us + h, us - h, us, us, us)).ravel())
-    proj = _projection(spec, *_grid_inputs(
-        spec, grid, np.tile([v, v, v + h, v - h, v], len(us))))
-    H = np.array(proj.H.components()).reshape(4, -1, 5)
-    n1, n2 = (PEVector4(*np.array(n.components()).reshape(4, -1, 5)[..., 4])
-              for n in (proj.fr.n1, proj.fr.n2))
-    E, W = (c.reshape(-1, 5)[:, 4] for c in grid.scalars[6:])
-    du = (H[..., 0] - H[..., 1]) * (1.0 / (2.0 * h * np.sqrt(E)))
-    dv = (H[..., 2] - H[..., 3]) * (1.0 / (2.0 * h * np.sqrt(W)))
-    residuals = [np.hypot(inner(PEVector4(*d), n1), -inner(PEVector4(*d), n2))
-                 for d in (du, dv)]
-    return _check("parallel-H-fd", f"{len(us)} u-points, v={v:.6g}",
-                  _worst(residuals), tol,
-                  "normal-bundle derivative of H by central FD")
 
 
 def check_fd_connection(spec, points, h, tol, shrink_h=None):

@@ -5,7 +5,9 @@ meridian comes from jet(u) as Python floats and goes through the formula
 functions of grs4.surfaces one point at a time, and the verifier's FD
 stencil, random sweep and bisection loop over their points.  The tests
 compare the array routes against them to the bit, and the errors they
-raise by type and text.
+raise by type and text.  jet_columns and invariant_grid are the array
+routes as they were before each became one pass over every row: a gather
+of the rows that qualify and a scatter of the results.
 
 The root solve of the integrated rules is kept here in the layered form
 that the one-frame solve() replaced: system() gives the roots of the rule's
@@ -23,6 +25,8 @@ import numpy as np
 from grs4 import meridians, surfaces, verifier
 from grs4.errors import (DomainError, GrsError, InadmissiblePointError,
                          NoRealRootError, StepError)
+from grs4.jets import evaluate_masked
+from grs4.pe4 import inner
 
 
 def meridian_scalars(spec, u):
@@ -78,6 +82,61 @@ def shape_trace(spec, u):
 def mean_curvature_numerator(spec, u):
     t1, t2 = surfaces._h_terms(spec, *meridian_scalars(spec, u))
     return t1 + t2, abs(t1) + abs(t2) + 1.0
+
+
+# ---------------------------------------------------------------------------
+# The gather/scatter array routes
+
+def jet_columns(family, us):
+    """MeridianFamily.jet_columns as a gather and scatter: jet_fn over the
+    u inside the interval only, each of the six columns written back into
+    a NaN column by mask."""
+    us = np.asarray(us, dtype=float)
+    inside = np.ones(len(us), dtype=bool)
+    if family.interval is not None:
+        lo, hi = family.interval
+        inside = (lo <= us) & (us <= hi)
+    rows = np.full((6, len(us)), math.nan)
+    (fj, gj), raised = evaluate_masked(family.jet_fn, us[inside])
+    for row, x in zip(rows, (fj.val, fj.d1, fj.d2, gj.val, gj.d1, gj.d2)):
+        row[inside] = x
+    ok = inside.copy()
+    ok[inside] = ~raised
+    ok &= ~meridians._singular(rows[1], rows[4])
+    rows[:, ~ok] = math.nan
+    return (ok, *rows)
+
+
+def invariant_grid(spec, us):
+    """(admissible, INVARIANT_COLUMNS arrays) of surfaces.invariant_grid by
+    gathers: the meridian from jet_columns above, E, F, G from the full
+    position jets at v = 0, the other formulas on the gathered admissible
+    rows only, scattered back into NaN columns, and the shape matrices
+    stacked with np.moveaxis."""
+    with np.errstate(all="ignore"):
+        _, *jets = jet_columns(spec.meridian, np.asarray(us, dtype=float))
+        scalars = surfaces._scalars_from(spec, *jets)
+        pj = surfaces._jets_from(spec, *scalars[:6],
+                                 surfaces._rotation(spec, 0.0))
+        E, F, G = (inner(pj.z_u, pj.z_u), inner(pj.z_u, pj.z_v),
+                   inner(pj.z_v, pj.z_v))
+        ok = surfaces._admissible(scalars)
+        adm = tuple(c[ok] for c in scalars)
+        gf = surfaces._geo_fns_from(spec, adm)
+        cv = surfaces._curvatures_from(spec, adm)
+        zero = np.zeros(np.shape(gf.mu))
+        rot, diag = (np.ascontiguousarray(np.moveaxis(np.array(m), (0, 1),
+                                                      (-2, -1)))
+                     for m in ([[zero, gf.mu], [-gf.mu, zero]],
+                               [[gf.nu1, zero], [zero, -gf.nu2]]))
+        tr = surfaces.shape_trace(*spec.kind.normals(rot, diag))
+    columns = []
+    for values in (gf.nu1, gf.nu2, gf.mu, gf.gamma2, gf.beta2, cv.K,
+                   cv.kappa, cv.h_coeff, cv.H_norm2, tr):
+        column = np.full(len(ok), math.nan)
+        column[ok] = values
+        columns.append(column)
+    return ok, (E, F, G, *columns)
 
 
 # ---------------------------------------------------------------------------

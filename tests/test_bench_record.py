@@ -1,0 +1,50 @@
+"""tools/bench_record.py on a canned perfbench standard output."""
+
+import os
+import sys
+
+import pytest
+
+TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "tools")
+if TOOLS not in sys.path:
+    sys.path.insert(0, TOOLS)
+
+import bench_record  # noqa: E402
+
+# a --trace 1 run as perfbench/run.py prints it, cut to three layers
+TRACED = """\
+# perfbench workload=ode seed=31 seconds=0.3 trace=1
+# machine {"nproc": 2, "cpu": "Xeon", "python": "3.11.7", "numpy": "2.4.6"}
+# output sha256 eeae428dcb7d8cd64ef2ca2becf0ccc4686fc3eb1539d88a8b58ddb129f1588a (seed 31)
+# passes 5, 5 items each; at the reference speed: wall_s median 0.0197 s, \
+no percentile has ten passes beyond it
+# measured: wall median 0.0474 s; host speed median 0.421, min 0.414, max 0.439
+# pass_s measured 0.0431 0.0477 0.0476 0.0440 0.0505
+# host speed per pass 0.439 0.418 0.414 0.424 0.421
+meridians.realize.calls 5 count/pass
+meridians.realize.self_s 0.04 s/pass
+reporting.bytes_written 58991 bytes/pass
+{"correct": true, "attempted": 25, "failed": 0, "metrics": \
+{"meridians.realize.calls": {"value": 5, "unit": "count/pass"}, \
+"meridians.realize.self_s": {"value": 0.04, "unit": "s/pass"}, \
+"reporting.bytes_written": {"value": 58991, "unit": "bytes/pass"}}}
+"""
+
+
+def test_parse_perfbench_reads_digest_speed_and_result():
+    run = bench_record.parse_perfbench(TRACED)
+    assert run["machine"]["nproc"] == 2
+    assert run["output_sha256"] == (
+        "eeae428dcb7d8cd64ef2ca2becf0ccc4686fc3eb1539d88a8b58ddb129f1588a")
+    assert run["host_speed"] == 0.421      # the median of the five passes
+    assert run["result"]["attempted"] == 25
+
+
+def test_reference_layers_scale_self_times_only():
+    """Self seconds are measured seconds times the host speed, as perfbench
+    converts wall_s; counts are left as they are."""
+    layers = bench_record.reference_layers(bench_record.parse_perfbench(TRACED))
+    assert layers == {"meridians.realize.calls": 5,
+                      "meridians.realize.self_s": pytest.approx(0.04 * 0.421),
+                      "reporting.bytes_written": 58991}

@@ -913,14 +913,19 @@ def test_mesh_bytes_pinned(tmp_path, case, fmt):
 
 
 # Writer paths the 50-row pins above do not reach: output longer than one
-# reporting._CSV_BLOCK (4096 rows; 4,491 quads), an ortho projection, and an
-# invariant CSV whose rows below u = C = 2 are inadmissible (flagged 0).
+# reporting._CSV_BLOCK (4096 rows; 4,491 quads), an ortho projection, an
+# invariant CSV whose rows below u = C = 2 are inadmissible (flagged 0), and
+# invariant CSVs of negative f (--sign -1), where some fields are -0.
 WRITER_SHA256 = {
     ("invariants", "--family", "pnmcv-ell", "--nu", "5000"):
         "ed3343eb9a1b396e342f32bc752e17ef3c938eb3f36e89d9b7dacba4f33a03df",
     ("invariants", "--family", "pnmcv-ell", "--u0", "1.5", "--u1", "3",
      "--nu", "7"):
         "03bc63d7c2cd7654c77bf7ccce97a964b3e27baa72ed174fa509f97b30a07441",
+    ("invariants", "--family", "pnmcv-ell", "--sign", "-1", "--nu", "20"):
+        "e0d80b522eb74951d5723b659ef096dc88a8343cd69c7a03e2edef178ab21809",
+    ("invariants", "--family", "pnmcv-hyp", "--sign", "-1", "--nu", "20"):
+        "1d37182da9535a9b9918bef122dad0e0f2402b424119297e3b59b1a4e5617e58",
     ("mesh", "--family", "pnmcv-ell", "--v0", "0", "--v1", "6.25",
      "--nu", "500", "--nv", "10", "--format", "obj3"):
         "66be3fa35d3df065bd646066c8fc186a8c77fcf60c65e8bcdca8b6c69f19d473",

@@ -1044,14 +1044,33 @@ def test_jet_columns_match_the_float_route_at_random_u(case):
             for i in range(len(us))] == _point_rows(family, us.tolist())
 
 
+@pytest.mark.parametrize("case", ["pnmcv-ell", "flat-ell-i"])
+def test_jet_columns_match_the_gather_route_outside_the_interval(case):
+    """jet_columns, one jet_fn pass over every u with the rows outside the
+    interval blanked after, equals the route that evaluates only the u
+    inside and scatters them back, to the bit (closed-form and integrated)."""
+    family = fam(case)
+    lo, hi = family.interval
+    us = np.concatenate([np.linspace(lo - 0.5, hi + 0.5, 41),
+                         [math.nan, -math.inf, math.inf]])
+    got = family.jet_columns(us)
+    want = point_reference.jet_columns(family, us)
+    assert got[0].tolist() == want[0].tolist()
+    assert got[0].any() and not got[0].all()
+    for a, b in zip(got[1:], want[1:]):
+        assert [x.hex() for x in a.tolist()] == [x.hex() for x in b.tolist()]
+
+
 @pytest.mark.parametrize("case", INTEGRATED)
 def test_recovery_counts_its_u_values(case):
-    """recovered counts the u-values whose jets a realization recovers; u
-    outside the interval never reaches the recovery."""
+    """recovered counts the u-values whose jets a realization recovers; a u
+    outside the interval is recovered at the interval's start, in the same
+    pass, and its row blanked."""
     family = fam(case)
     sm = family.ensure_realized()
     assert sm.recovered == 0
     lo, hi = family.interval
-    family.jet_columns(np.concatenate([np.linspace(lo, hi, 50),
-                                       [lo - 1.0, hi + 1.0, math.nan]]))
-    assert sm.recovered == 50
+    ok, *_ = family.jet_columns(np.concatenate(
+        [np.linspace(lo, hi, 50), [lo - 1.0, hi + 1.0, math.nan]]))
+    assert sm.recovered == 53
+    assert ok.tolist() == [True] * 50 + [False] * 3

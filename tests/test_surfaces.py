@@ -9,7 +9,8 @@ import pytest
 
 import point_reference as ref
 from grs4.errors import GrsError, InadmissiblePointError
-from grs4.meridians import build_family, descriptor_from_catalog, classified_case_ids
+from grs4.meridians import (FAMILY_CATALOG, build_family, classified_case_ids,
+                            descriptor_from_catalog)
 from grs4.pe4 import inner
 from grs4.reporting import export_invariants_csv, export_mesh
 from grs4.surfaces import (INVARIANT_COLUMNS, SecondFundamental, SurfaceKind,
@@ -79,13 +80,15 @@ def test_mixed_partials_single_vector():
 # First fundamental form
 
 def test_first_fundamental_examples():
-    E, F, G = _fundamental_from(position_jets(FNC_ELL_I, 1.0, 0.3))
+    pj = position_jets(FNC_ELL_I, 1.0, 0.3)
+    E, F, G = _fundamental_from(pj.z_u, pj.z_v)
     assert E == pytest.approx(0.44, abs=1e-14)
     assert F == pytest.approx(0.0, abs=1e-15)
     assert G == pytest.approx(-2.56, abs=1e-14)
     assert invariant_record(FNC_ELL_I, 1.0).admissible
 
-    E2, _, G2 = _fundamental_from(position_jets(PNMCV_ELL, 3.0, 0.0))
+    pj = position_jets(PNMCV_ELL, 3.0, 0.0)
+    E2, _, G2 = _fundamental_from(pj.z_u, pj.z_v)
     assert E2 == pytest.approx(0.8, abs=1e-12)
     assert G2 == pytest.approx(-76.0, abs=1e-12)
 
@@ -97,7 +100,8 @@ def test_F_vanishes_everywhere():
             v = rng.uniform(-2.0, 2.0)
             pj = position_jets(spec, u, v)
             scale = max(1.0, pj.z_u.euclid_norm() * pj.z_v.euclid_norm())
-            assert abs(_fundamental_from(pj)[1]) <= 1e-12 * scale, case
+            F = _fundamental_from(pj.z_u, pj.z_v)[1]
+            assert abs(F) <= 1e-12 * scale, case
 
 
 def test_inadmissible_flag_not_error():
@@ -529,7 +533,8 @@ def _per_point_row(spec, u):
     geometric_functions, curvatures and the shape trace; NaN where they
     raise."""
     try:
-        E, F, G = _fundamental_from(ref.position_jets(spec, u, 0.0))
+        pj = ref.position_jets(spec, u, 0.0)
+        E, F, G = _fundamental_from(pj.z_u, pj.z_v)
     except GrsError:
         return (math.nan,) * len(INVARIANT_COLUMNS), False
     try:
@@ -566,6 +571,44 @@ def test_invariant_grid_matches_invariant_record_bitwise(case):
         assert not grid.admissible.any()
     else:
         assert np.all(grid.F[:-1] == 0.0) and grid.admissible.any()
+
+
+def _past_the_interval(spec, n=61):
+    lo, hi = spec.meridian.interval
+    return np.linspace(lo - 0.25 * (hi - lo), hi + 0.25 * (hi - lo), n)
+
+
+# every closed-form case past both ends of its interval (min-ell-i has no
+# admissible row), and admissibility boundaries inside an interval
+CROSSING = [(case, spec, _past_the_interval(spec))
+            for case, spec in ((c, spec_for(c)) for c in classified_case_ids())
+            if FAMILY_CATALOG[case].realization != "ode"] + [
+    ("pnmcv-ell-below-C", spec_for("pnmcv-ell", interval=(1.5, 3.0)),
+     np.linspace(1.5, 3.0, 41)),
+    ("pnmcv-hyp-past-C", spec_for("pnmcv-hyp", interval=(0.2, 2.5)),
+     np.linspace(0.2, 2.5, 41)),
+    ("custom-E-reaches-0", spec_for("custom", {"f": "0.5*u", "g": "2 + u*u/2"},
+                                    interval=(0.0, 1.0)),
+     np.linspace(0.0, 1.0, 41)),
+]
+
+
+@pytest.mark.parametrize("case,spec,us", CROSSING,
+                         ids=[c[0] for c in CROSSING])
+def test_invariant_grid_matches_the_gather_route_bitwise(case, spec, us):
+    """invariant_grid, one pass over every row with the inadmissible rows
+    blanked after, equals the route that computes only the gathered
+    admissible rows and scatters them back, in every column to the bit."""
+    admissible, want = ref.invariant_grid(spec, us)
+    grid = invariant_grid(spec, us)
+    assert grid.admissible.tolist() == admissible.tolist()
+    assert not admissible.all()
+    assert bool(admissible.any()) is (case != "min-ell-i")
+    for name, column in zip(INVARIANT_COLUMNS, want):
+        assert ([x.hex() for x in getattr(grid, name).tolist()]
+                == [x.hex() for x in column.tolist()]), name
+    if case == "custom-E-reaches-0":
+        assert grid.E[20] == 0.0 and grid.admissible[19]
 
 
 @pytest.mark.parametrize("spec", [PNMCV_ELL, MIN_HYP_I],

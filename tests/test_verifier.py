@@ -316,17 +316,6 @@ def test_verify_family_stale_state0_rejected_not_vacuous():
         verify_family("flat-ell-i", interval=(1.2, 1.6))
 
 
-def test_parallel_H_fd_on_pnmcv_ell():
-    # every tenth u of the 50-point grid verify_family takes, at its v_mid
-    desc = descriptor_from_catalog("pnmcv-ell")
-    spec = surface_from_family(build_family(desc))
-    us = verifier._grid_in_intervals(
-        admissible_domain(spec, *desc.interval, 200), 50)
-    res = verifier.check_parallel_H_fd(spec, us[::10], 0.7)
-    assert res.name == "parallel-H-fd"
-    assert res.passed
-
-
 def test_report_json_schema():
     rep = verify_family("fnc-ell-i")
     payload = rep.to_json()

@@ -14,17 +14,20 @@ tier-1 tests once.  The JSON, written at the root of this repository,
 holds the machine facts that perfbench prints (nproc, CPU, Python, numpy),
 each workload's setup_s, wall_s, items_per_s, peak_rss_mb and ok_ratio,
 under "layers" each workload's per-layer medians (calls and self seconds
-per pass, with tracing on), under "default_suite" the median and every
+per pass, with tracing on; the self seconds at the reference speed, that
+is, multiplied by the traced run's median host speed, which
+"layers_host_speed" records), under "default_suite" the median and every
 run of the full suite's wall time (raw seconds, interpreter start
 included, not converted to a reference speed), and the tier-1 wall time
 with its pytest summary line.  Under "source" it records facts of the
 checkout's source: the line count of src/grs4/*.py (as wc -l counts), the
 sha256 of the full report of ``grs4 verify --suite default --seed 31
---report``, and the sha256 of the writer outputs in WRITER_OUTPUTS (an
-invariant CSV and obj3 and csv4 meshes, each longer than one writer block),
-so a change that claims to keep the report or writer bytes shows it.
-Nothing under perfbench/ is changed; the runs go one after another, each
-in its own process.
+--report``, the sha256 of the writer outputs in WRITER_OUTPUTS (an
+invariant CSV and obj3 and csv4 meshes, each longer than one writer block)
+and, under "perfbench_output_sha256", the digest of each workload's first
+pass that perfbench prints, so a change that claims to keep the report,
+writer or workload bytes shows it.  Nothing under perfbench/ is changed;
+the runs go one after another, each in its own process.
 
 To compare two commits, record both on one machine in one sitting, for
 example a ``git archive`` of the parent in a scratch directory as
@@ -61,27 +64,48 @@ WRITER_OUTPUTS = {
 }
 
 
-def run_perfbench(checkout: str, workload: str, trace: int):
-    """(machine facts, result JSON) of one perfbench run."""
+def parse_perfbench(stdout: str) -> dict:
+    """The facts one perfbench run prints: its machine facts, the sha256 of
+    its first pass's output, the median of its host speed per pass and the
+    result JSON of its last line."""
+    lines = stdout.splitlines()
+
+    def after(prefix):
+        return next(line[len(prefix):] for line in lines
+                    if line.startswith(prefix))
+
+    speeds = [float(v) for v in after("# host speed per pass ").split()]
+    return {"machine": json.loads(after("# machine ")),
+            "output_sha256": after("# output sha256 ").split()[0],
+            "host_speed": statistics.median(speeds),
+            "result": json.loads(lines[-1])}
+
+
+def reference_layers(run: dict) -> dict:
+    """The per-layer medians of a traced run, each *.self_s multiplied by
+    the run's median host speed: seconds at the reference speed, as
+    perfbench gives wall_s, so that layers of runs in different phases of
+    a shared host compare."""
+    return {name: m["value"] * run["host_speed"] if name.endswith(".self_s")
+            else m["value"] for name, m in run["result"]["metrics"].items()}
+
+
+def run_perfbench(checkout: str, workload: str, trace: int) -> dict:
+    """parse_perfbench of one perfbench run."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(SEED), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
-    lines = out.stdout.splitlines()
-    facts = next(json.loads(line.split(" ", 2)[2]) for line in lines
-                 if line.startswith("# machine "))
-    return facts, json.loads(lines[-1])
+    return parse_perfbench(out.stdout)
 
 
 def run_workload(checkout: str, workload: str):
-    """(machine facts, end-to-end metrics, per-layer medians) of a workload."""
-    facts, result = run_perfbench(checkout, workload, 0)
-    metrics = {m: result["metrics"][m]["value"] for m in METRICS}
-    metrics["attempted"] = result["attempted"]
-    metrics["failed"] = result["failed"]
-    _, traced = run_perfbench(checkout, workload, 1)
-    layers = {m: v["value"] for m, v in traced["metrics"].items()}
-    return facts, metrics, layers
+    """(untraced run, end-to-end metrics, traced run) of a workload."""
+    run = run_perfbench(checkout, workload, 0)
+    metrics = {m: run["result"]["metrics"][m]["value"] for m in METRICS}
+    metrics["attempted"] = run["result"]["attempted"]
+    metrics["failed"] = run["result"]["failed"]
+    return run, metrics, run_perfbench(checkout, workload, 1)
 
 
 def _src_env(checkout: str) -> dict:
@@ -154,11 +178,14 @@ def main(argv=None) -> int:
     checkout = os.path.abspath(args.checkout)
     with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    facts, workloads, layers = None, {}, {}
+    facts, workloads, layers, speeds, digests = None, {}, {}, {}, {}
     for w in bench["workloads"]:
         name = w["name"]
         print(f"bench_record: {name} ...", file=sys.stderr, flush=True)
-        facts, workloads[name], layers[name] = run_workload(checkout, name)
+        run, workloads[name], traced = run_workload(checkout, name)
+        facts, digests[name] = run["machine"], run["output_sha256"]
+        layers[name] = reference_layers(traced)
+        speeds[name] = traced["host_speed"]
     print("bench_record: default suite ...", file=sys.stderr, flush=True)
     suite = run_default_suite(checkout)
     print("bench_record: tier-1 ...", file=sys.stderr, flush=True)
@@ -170,8 +197,10 @@ def main(argv=None) -> int:
         "seconds": bench["run_seconds"],
         "workloads": workloads,
         "layers": layers,
+        "layers_host_speed": speeds,
         "default_suite": suite,
-        "source": source_facts(checkout),
+        "source": {**source_facts(checkout),
+                   "perfbench_output_sha256": digests},
         "tier1": run_tier1(checkout),
     }
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
