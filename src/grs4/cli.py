@@ -21,7 +21,7 @@ from .meridians import FAMILY_CATALOG, build_family, descriptor_from_catalog
 from .reporting import (dump_report_json, export_invariants_csv, export_mesh,
                         linspace_grid)
 from .surfaces import surface_from_family
-from .verifier import default_suite_config, job_family, run_suite, _run_job
+from .verifier import default_suite_config, job_family, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -159,7 +159,7 @@ def cmd_verify(args) -> int:
         for c in payload["sweeps"]:
             print(f"  {c['name']:32s} {'pass' if c['pass'] else 'FAIL'}")
     elif args.family is not None:
-        _, _, report = _run_job(_flags_job(args))
+        [(_, _, report)] = run_suite({"jobs": [_flags_job(args)]}).jobs
         payload = report.to_json()
         ok = report.passed
         for c in report.checks:

@@ -17,9 +17,10 @@ evaluated from meridian jets, so no numerical differentiation enters here.
 
 Each formula is written once and evaluated on arrays, the meridian from
 one jet_columns pass: over a u-grid (invariant_grid, which computes every
-row and then blanks the inadmissible ones), a u x v grid (frames_grid,
-positions_grid, _project_grid) or a list of (u, v) points (_grid_inputs).
-The per-point functions (position_jets, frames, geometric_functions,
+row and then blanks the inadmissible ones), a u x v grid (positions_grid),
+a list of (u, v) points (_grid_inputs) or rows stacked from several
+surfaces of one kind, alpha and beta then columns (SpecRows).  The
+per-point functions (position_jets, frames, geometric_functions,
 curvatures, invariant_record) are 1-row views that return Python floats.
 Squares go through pe4.pow2 and traces through shape_trace, so each element
 has the bits of the float formula at its point.  eps stands where the
@@ -30,6 +31,7 @@ formulas; a few triple products keep a per-kind association (prod3).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +55,28 @@ class SurfaceSpec:
             raise ParamError("alpha must be positive and finite")
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
             raise ParamError("beta must be positive and finite")
+
+    @property
+    def squares(self):
+        """(alpha^2, beta^2), rounded as Python's ** rounds them."""
+        return self.alpha ** 2, self.beta ** 2
+
+
+# The kind and rotation speeds of rows stacked from surfaces of one kind:
+# alpha, beta and squares as columns where a SurfaceSpec holds floats.  The
+# formula functions take either, so each row keeps its surface's bits.
+SpecRows = namedtuple("SpecRows", "kind alpha beta squares")
+
+
+def spec_rows(specs, counts, ndim: int = 1) -> SpecRows:
+    """SpecRows of specs (all of one kind), specs[i] over counts[i]
+    consecutive rows, its columns of ndim axes (the rows on the first)."""
+    def column(values):
+        return np.repeat(values, counts).reshape((-1,) + (1,) * (ndim - 1))
+    a2, b2 = zip(*(spec.squares for spec in specs))
+    return SpecRows(specs[0].kind, column([spec.alpha for spec in specs]),
+                    column([spec.beta for spec in specs]),
+                    (column(a2), column(b2)))
 
 
 def surface_from_family(fam: MeridianFamily) -> SurfaceSpec:
@@ -259,7 +283,7 @@ def _fundamental_from(z_u, z_v):
 
 def _scalars_from(spec, f, fp, fpp, g, gp, gpp):
     """The meridian values with E and W appended, floats or arrays."""
-    a2, b2, e = spec.alpha ** 2, spec.beta ** 2, spec.kind.eps
+    (a2, b2), e = spec.squares, spec.kind.eps
     E = fp * fp - e * gp * gp
     W = b2 * g * g - e * a2 * f * f
     return f, fp, fpp, g, gp, gpp, E, W
@@ -307,11 +331,6 @@ def _inadmissible(spec: SurfaceSpec, us, scalars):
         f"E={float(E.flat[i]):.6g}, G={-float(W.flat[i]):.6g}")
 
 
-def _outer(us):
-    """us as the (n, 1) u-column of a u x v grid (an InvariantGrid too)."""
-    return (us if isinstance(us, InvariantGrid) else np.fromiter(us, float))[:, None]
-
-
 def _grid_inputs(spec: SurfaceSpec, us, vs):
     """(f, f', f'', g, g', g'', 1/sqrt(E), 1/sqrt(W)) at us and _rotation at
     vs, as arrays that broadcast against each other.
@@ -328,15 +347,15 @@ def _grid_inputs(spec: SurfaceSpec, us, vs):
     bad = _inadmissible(spec, us, scalars)
     if bad:
         raise bad[1]
-    return _frame_inputs(spec, scalars, vs)
+    return ((*scalars[:6], 1.0 / np.sqrt(scalars[6]), 1.0 / np.sqrt(scalars[7])),
+            _rotations(spec, vs))
 
 
-def _frame_inputs(spec: SurfaceSpec, scalars, vs):
-    """_grid_inputs from admissible _meridian_columns scalars."""
+def _rotations(spec: SurfaceSpec, vs):
+    """_rotation at each v of vs, as four arrays of its shape."""
     vs = np.asarray(vs, dtype=float)
     rot = np.array([_rotation(spec, v) for v in vs.ravel().tolist()])
-    return ((*scalars[:6], 1.0 / np.sqrt(scalars[6]), 1.0 / np.sqrt(scalars[7])),
-            tuple(c.reshape(vs.shape) for c in rot.reshape(-1, 4).T))
+    return tuple(c.reshape(vs.shape) for c in rot.reshape(-1, 4).T)
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +369,6 @@ def frames(spec: SurfaceSpec, u: float, v: float) -> Frame:
     of f, g, f', g'.
     """
     return _float_row(_frame_from(spec, *_grid_inputs(spec, [u], [v])))
-
-
-def frames_grid(spec: SurfaceSpec, us, vs) -> Frame:
-    """frames over the grid us x vs: a Frame of (len(us), len(vs)) arrays,
-    equal to frames at each point to the bit.  us may be an InvariantGrid,
-    whose meridian columns are then reused."""
-    return _frame_from(spec, *_grid_inputs(spec, _outer(us), vs))
 
 
 def _frame_from(spec, scalars, rot) -> Frame:
@@ -398,7 +410,7 @@ def _geo_fns_from(spec, scalars) -> GeoFns:
     sign of a zero.
     """
     f, fp, fpp, g, gp, gpp, E, W = scalars
-    a2, b2, e = spec.alpha ** 2, spec.beta ** 2, spec.kind.eps
+    (a2, b2), e = spec.squares, spec.kind.eps
     ab = spec.alpha * spec.beta
     se = sqrt(E)
     sew = se * W
@@ -451,17 +463,6 @@ def _matrices(a, b, c, d):
     return out
 
 
-def _project_grid(spec: SurfaceSpec, us, vs) -> _Projection:
-    """The projection route over the grid us x vs, with (len(us), len(vs))
-    array components.
-
-    Meridian scalars are taken once per u, or from an InvariantGrid passed
-    as us, and rotations once per v; raises the per-point error at the
-    first inadmissible u.
-    """
-    return _projection(spec, *_grid_inputs(spec, _outer(us), vs))
-
-
 def _projection(spec, scalars, rot) -> _Projection:
     """Independent route from _grid_inputs values, floats or arrays:
     position jets and frame once, sigma from <z_ab, n_i>, and H and the
@@ -501,7 +502,7 @@ def curvatures(spec: SurfaceSpec, u: float) -> Curvatures:
 
 def _h_terms(spec, f, fp, fpp, g, gp, gpp, E, W):
     """(t1, t2) with h_coeff = (t1 + t2) / (2 E^(3/2) W), floats or arrays."""
-    a2, b2, e = spec.alpha ** 2, spec.beta ** 2, spec.kind.eps
+    (a2, b2), e = spec.squares, spec.kind.eps
     # b2 g f': associated per kind for the pinned bytes
     t1 = E * (spec.kind.prod3(g, b2, fp) - a2 * f * gp)
     t2 = -e * W * (fpp * gp - fp * gpp)
@@ -511,7 +512,7 @@ def _h_terms(spec, f, fp, fpp, g, gp, gpp, E, W):
 def _curvatures_from(spec, scalars) -> Curvatures:
     """Curvatures from _meridian_columns values, floats or arrays."""
     f, fp, fpp, g, gp, gpp, E, W = scalars
-    a2, b2, e = spec.alpha ** 2, spec.beta ** 2, spec.kind.eps
+    (a2, b2), e = spec.squares, spec.kind.eps
     ab = spec.alpha * spec.beta
     prod3 = spec.kind.prod3
     E2W2 = E * E * W * W
@@ -576,13 +577,20 @@ def invariant_grid(spec: SurfaceSpec, us) -> InvariantGrid:
     stay wherever the meridian is defined.  E, F, G are taken at v = 0 from
     z_u and z_v; every field is independent of v by rotational symmetry.
     """
-    us, scalars = _meridian_columns(spec, us)
+    return _invariant_rows(spec, *_meridian_columns(spec, us))
+
+
+# _rotation at v = 0, whatever alpha and beta > 0
+_ROTATION_AT_0 = (1.0, 0.0, 1.0, 0.0)
+
+
+def _invariant_rows(spec, us, scalars) -> InvariantGrid:
+    """invariant_grid from _meridian_columns values; spec may be SpecRows."""
     f, fp, _, g, gp, _, _, _ = scalars
     gf = _geo_fns_from(spec, scalars)
     cv = _curvatures_from(spec, scalars)
     table = np.array((
-        *_fundamental_from(*_tangents_from(spec, f, fp, g, gp,
-                                           _rotation(spec, 0.0))),
+        *_fundamental_from(*_tangents_from(spec, f, fp, g, gp, _ROTATION_AT_0)),
         gf.nu1, gf.nu2, gf.mu, gf.gamma2, gf.beta2, cv.K, cv.kappa,
         cv.h_coeff, cv.H_norm2, shape_trace(*_shape_matrices(spec.kind, gf))))
     ok = _admissible(scalars)

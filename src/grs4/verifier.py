@@ -5,10 +5,16 @@ implementation side always comes from analytic jets and closed formulas;
 the oracle side is a genuinely different route: central finite differences
 of frame fields, inner products of projected second-fundamental vectors,
 or the defining algebraic relation of a family.  Results are reproducible
-bit-for-bit for a fixed configuration.  Each check evaluates all of its
-points in one array pass (FD stencils, sweep points per family, bisection
-steps of all brackets); cross_check is a one-point case of the projection
-route.
+bit-for-bit for a fixed configuration.
+
+A suite runs each job's stage 1 in order (family, domain scan, grids and
+one meridian pass over its grid and FD stencil u's); then each grid check
+(invariant columns, frame orthonormality, v-independence, the projection
+bundle, the FD stencil) runs once per surface kind over the stacked rows
+of all that kind's jobs (up to _STACK_ROWS grid rows a call), and each
+job's residuals are reduced over its own rows.  verify_family is the batch of one.  The sweep evaluates its points
+in one pass per family, and the scan bisects all brackets in lockstep;
+cross_check is a one-row case of the projection bundle.
 """
 
 from __future__ import annotations
@@ -25,12 +31,12 @@ from .errors import (ConfigError, DomainError, InadmissiblePointError,
 from .meridians import (FAMILY_CATALOG, build_family,
                         descriptor_from_catalog, classified_case_ids)
 from .pe4 import inner, pow2
-from .surfaces import (SurfaceKind, SurfaceSpec, frames_grid, invariant_grid,
-                       shape_trace, surface_from_family, _admissible,
-                       _frame_from, _frame_inputs,
-                       _fundamental_from, _geo_fns_from, _grid_inputs,
-                       _h_terms, _inadmissible, _meridian_columns,
-                       _project_grid, _projection, _scalars_from)
+from .surfaces import (InvariantGrid, SurfaceKind, SurfaceSpec, invariant_grid,
+                       shape_trace, spec_rows, surface_from_family,
+                       _admissible, _frame_from, _fundamental_from,
+                       _geo_fns_from, _grid_inputs, _h_terms, _inadmissible,
+                       _invariant_rows, _meridian_columns, _projection,
+                       _rotations, _scalars_from)
 
 DEFAULT_TOLS = {
     "closed": 1e-9,      # property residuals on closed-form families
@@ -249,20 +255,22 @@ _ORTHO_PAIRS = (("x", "x", 1.0), ("y", "y", -1.0), ("n1", "n1", 1.0),
                 ("n1", "n2", 0.0))
 
 
-def orthonormality_residual(fr) -> float:
+def orthonormality_residual(fr):
     """Worst deviation of the ten frame inner products from their targets.
 
     Each gap is divided by max(1, product of the two Euclidean norms), so
     the tolerance is relative to the vectors' size; hyperbolic frames grow
     like cosh(alpha*v) and an absolute test would only measure that growth.
-    A frame over a grid (array components) gives the worst over the grid;
-    NaN propagates.
+    A frame over points (array components) gives the worst at each point,
+    as a running max; NaN propagates.
     """
     vecs = {"x": fr.x, "y": fr.y, "n1": fr.n1, "n2": fr.n2}
     norms = {k: v.euclid_norm() for k, v in vecs.items()}
-    return float(np.max([abs(inner(vecs[a], vecs[b]) - want)
-                         / np.maximum(1.0, norms[a] * norms[b])
-                         for a, b, want in _ORTHO_PAIRS]))
+    worst = 0.0
+    for a, b, want in _ORTHO_PAIRS:
+        worst = np.maximum(worst, abs(inner(vecs[a], vecs[b]) - want)
+                           / np.maximum(1.0, norms[a] * norms[b]))
+    return worst
 
 
 def _relative_gap(a, b):
@@ -288,39 +296,57 @@ def cross_check(spec: SurfaceSpec, u: float, v: float = 0.0):
     is -mu(nu1+nu2) (elliptic) or +mu(nu1+nu2) (hyperbolic).  Residuals
     are relative with floor 1.
     """
-    bundle = check_projection_bundle(spec, invariant_grid(spec, [u]), v,
-                                     DEFAULT_TOLS)
+    grid = invariant_grid(spec, [u])
+    bad = _inadmissible(spec, grid.us, grid.scalars)
+    if bad:
+        raise bad[1]
+    [bundle] = check_projection_bundle([(spec, grid, v, DEFAULT_TOLS)])
     return tuple(replace(c, grid=f"u={u:.6g}") for c in bundle[-2:])
 
 
-def fd_connection_rows(spec: SurfaceSpec, points, hs):
-    """(names, residuals) of the eight frame derivative formulas against
-    central FD at every (u, v) of points and step h of hs, residuals of
-    shape (8, len(points), len(hs)).
+def _stencil_us(u, steps):
+    """The u of each FD stencil column of the points at u (an array): the
+    centre, then u + h and u - h for each distinct step h of steps."""
+    return np.column_stack([u] + [w for h in dict.fromkeys(steps)
+                                  for w in (u + h, u - h)])
 
-    The frame fields are differentiated numerically over the parameter grid
-    and converted to derivatives along the unit directions by 1/sqrt(E) and
-    1/sqrt(-G); the residuals are Euclidean norms of (FD - closed form).
-    One stencil, the centres and (u +- h, v), (u, v +- h), takes one
-    jet_columns pass and one frame pass.  It raises the first error of a
+
+def _fd_job(spec: SurfaceSpec, u, v, steps, scalars, tol):
+    """The check_fd_connection job of the FD points (u, v) (arrays) with
+    steps, from scalars, the _meridian_columns at _stencil_us(u, steps).
+
+    Its frame columns are the centre, then (u + h, v), (u - h, v),
+    (u, v + h), (u, v - h) per step.  Raises the first error of a
     point-by-point loop: the centre's own, else a StepError at u +- h.
     """
-    u, v = np.array(points, dtype=float).reshape(-1, 2).T
-    hs = np.asarray(hs, dtype=float)
-    us, scalars = _meridian_columns(
-        spec, np.column_stack([u] + [w for h in hs for w in (u + h, u - h)]))
+    us = _stencil_us(u, steps)
     bad = _inadmissible(spec, us, scalars)
     if bad:   # a neighbour's domain error is a StepError, the centre's its own
         i, exc = bad
         if i % us.shape[1] and isinstance(exc, (InadmissiblePointError, DomainError)):
             raise StepError("FD stencil left the admissible domain at (u="
-                            f"{us.flat[i]}, v={points[i // us.shape[1]][1]}): {exc}")
+                            f"{us.flat[i]}, v={v[i // us.shape[1]]}): {exc}")
         raise exc
-    # after the centre, per step: (u + h, v), (u - h, v), (u, v +- h)
-    cols = [0] + [c for k in range(len(hs)) for c in (2 * k + 1, 2 * k + 2, 0, 0)]
-    vs = np.column_stack([v] + [w for h in hs for w in (v, v, v + h, v - h)])
-    fr = _frame_from(spec, *_frame_inputs(
-        spec, tuple(np.array(scalars)[:, :, cols]), vs))
+    distinct = list(dict.fromkeys(steps))
+    cols = [0] + [c for h in steps for k in [distinct.index(h)]
+                  for c in (2 * k + 1, 2 * k + 2, 0, 0)]
+    vs = np.column_stack([v] + [w for h in steps for w in (v, v, v + h, v - h)])
+    return (spec, u, steps, tuple(c[:, cols] for c in scalars),
+            _rotations(spec, vs), tol)
+
+
+def fd_connection_rows(spec, scalars, rot, hs):
+    """(names, residuals) of the eight frame derivative formulas against
+    central FD, residuals of shape (8, points, steps), in one frame pass.
+
+    scalars and rot are the meridian columns and rotations at each point's
+    frame columns (_fd_job), hs its steps; spec may be SpecRows of (points,
+    1) columns.  The frame fields are differentiated numerically and
+    converted to derivatives along the unit directions by 1/sqrt(E) and
+    1/sqrt(-G); the residuals are Euclidean norms of (FD - closed form).
+    """
+    fr = _frame_from(spec, (*scalars[:6], 1.0 / np.sqrt(scalars[6]),
+                            1.0 / np.sqrt(scalars[7])), rot)
     centre = tuple(c[:, :1] for c in scalars)
     gf = _geo_fns_from(spec, centre)
     # H lies along the carrier normal, n2 (elliptic) or n1 (hyperbolic);
@@ -370,23 +396,73 @@ def h_numerator_identity(spec: SurfaceSpec, u0: float, u1: float,
 
 
 # ---------------------------------------------------------------------------
-# Grid checks
+# Stacked grid checks
+#
+# Each takes the jobs of one surface kind, a list of per-job tuples whose
+# first item is the job's SurfaceSpec, evaluates the rows of all of them in
+# one array pass with alpha and beta as columns (SpecRows), and reduces
+# each job's residuals over its own rows; it returns one result per job.
 
-def check_frame_orthonormality(spec, us, vs, tol) -> CheckResult:
-    worst = orthonormality_residual(frames_grid(spec, us, vs))
-    return _check("frame-orthonormality",
-                  f"{len(us)}x{len(vs)} (u,v) points", worst, tol,
-                  "ten inner-product conditions, Euclidean-scaled")
+def _job_max(values, counts):
+    """The max over each job's counts[j] consecutive entries of values
+    (along the last axis), NaN kept."""
+    return np.maximum.reduceat(values, np.cumsum([0, *counts[:-1]]), axis=-1)
 
 
-def check_v_independence(spec, us, nv, tol, v_range=None) -> CheckResult:
-    """Spread across v of every v-dependent computation at fixed u.
+def _joined(parts):
+    """Tuples of arrays, one tuple per job, joined item by item."""
+    return tuple(np.concatenate(c) for c in zip(*parts))
+
+
+def _invariant_grids(jobs) -> list:
+    """The InvariantGrid of each (spec, us, scalars), scalars the
+    _meridian_columns at us: one invariant pass over all rows."""
+    counts = [len(us) for _, us, _ in jobs]
+    grid = _invariant_rows(spec_rows([spec for spec, *_ in jobs], counts),
+                           np.concatenate([us for _, us, _ in jobs]),
+                           _joined(sc for *_, sc in jobs))
+    ends = np.cumsum(counts)
+    return [grid[end - n:end] for n, end in zip(counts, ends)]
+
+
+def _point_rows(jobs):
+    """(SpecRows, _frame_from inputs, rotations, InvariantGrid) of the grid
+    rows of jobs (spec, grid, vs, ...), each at the v's of its job: a row
+    per grid row and a column per v.  A job with fewer v's than another
+    repeats its last v, which leaves every max and min over v unchanged."""
+    cols = _joined((g.us, g.admissible, *g.scalars, *g.columns())
+                   for _, g, *_ in jobs)
+    grid = InvariantGrid(cols[0], cols[1], cols[2:10], *cols[10:])
+    counts = [len(g) for _, g, *_ in jobs]
+    m = max(len(vs) for _, _, vs, *_ in jobs)
+    rot = np.repeat(np.array([_rotations(spec, np.pad(vs, (0, m - len(vs)), "edge"))
+                              for spec, _, vs, *_ in jobs]).transpose(1, 0, 2),
+                    counts, axis=1)
+    f, fp, fpp, g, gp, gpp, E, W = (c[:, None] for c in grid.scalars)
+    return (spec_rows([spec for spec, *_ in jobs], counts, ndim=2),
+            (f, fp, fpp, g, gp, gpp, 1.0 / np.sqrt(E), 1.0 / np.sqrt(W)),
+            tuple(rot), grid)
+
+
+def check_frame_orthonormality(jobs) -> list:
+    """frame-orthonormality of each (spec, grid, vs, tol): one frame pass
+    over every grid row at every v of vs, all jobs together."""
+    worst = orthonormality_residual(_frame_from(*_point_rows(jobs)[:3]))
+    return [_check("frame-orthonormality", f"{len(grid)}x{len(vs)} (u,v) points",
+                   w, tol, "ten inner-product conditions, Euclidean-scaled")
+            for (_, grid, vs, tol), w in zip(jobs, _job_max(
+                worst.max(axis=1), [len(grid) for _, grid, _, _ in jobs]))]
+
+
+def check_v_independence(jobs) -> list:
+    """v-independence of each (spec, grid, vs, tol): the spread across vs of
+    every v-dependent computation at each grid row, one projection pass.
 
     Each quantity is scaled by the Euclidean magnitude of the vectors that
     enter it (hyperbolic frames grow like cosh(alpha v), and the exact
     cancellations leave roundoff proportional to that growth).
     """
-    proj = _project_grid(spec, us, _v_grid(spec.kind, nv, v_range))
+    proj = _projection(*_point_rows(jobs)[:3])
     pj, fr, sf = proj.pj, proj.fr, proj.sf
     nu, nv_, n1n, n2n = (pj.z_u.euclid_norm(), pj.z_v.euclid_norm(),
                          fr.n1.euclid_norm(), fr.n2.euclid_norm())
@@ -403,10 +479,11 @@ def check_v_independence(spec, us, nv, tol, v_range=None) -> CheckResult:
     # axis 2 runs over v: one spread and one scale per quantity and u
     spread = vals.max(axis=2) - vals.min(axis=2)
     scale = np.maximum(1.0, np.abs(scales).max(axis=2))
-    return _check("v-independence",
-                  f"{len(us)} u-points x {nv} v-points",
-                  float((spread / scale).max()), tol,
-                  "relative spread of E, F, G and projected sigma coefficients")
+    return [_check("v-independence",
+                   f"{len(grid)} u-points x {len(vs)} v-points", w, tol,
+                   "relative spread of E, F, G and projected sigma coefficients")
+            for (_, grid, vs, tol), w in zip(jobs, _job_max(
+                (spread / scale).max(axis=0), [len(g) for _, g, _, _ in jobs]))]
 
 
 def _sigma_magnitude(proj):
@@ -445,11 +522,12 @@ def _carrier_split(kind, proj):
     return e * inner(hv, n_off), -e * inner(hv, n_car), n_off, n_car, -e
 
 
-def check_projection_bundle(spec, grid, v, tols):
-    """Every check of the projection route at (u, v) for the rows of grid.
+def check_projection_bundle(jobs) -> list:
+    """Every check of the projection route at (u, v) for the rows of grid,
+    for each (spec, grid, v, tols).
 
-    One batched projection over grid x {v}, with the invariant columns of
-    the grid on the closed-form side, gives, in order:
+    One projection pass over every grid row at its job's v, with the
+    invariant columns of the grid on the closed-form side, gives, in order:
 
     - chen-trace, chen-allied: tr(A1 A2) of the projected shape operators
       and the allied coefficient vanish;
@@ -461,46 +539,106 @@ def check_projection_bundle(spec, grid, v, tols):
     - gauss-equation-route, normal-curvature-route: the dual routes of
       cross_check.
     """
-    tol = tols["algebraic"]
-    proj = _project_grid(spec, grid, [v])
+    kind = jobs[0][0].kind
+    rows, inputs, rot, grid = _point_rows(
+        [(spec, g, [v]) for spec, g, v, _ in jobs])
+    proj = _projection(rows, inputs, rot)
     h = grid.h_coeff[:, None]
     hh = pow2(grid.h_coeff)
     h2 = hh[:, None]
     tr_res, allied_res = _chen_residuals(proj, h)
 
     hv = proj.H
-    off, carrier, n_off, n_car, sig = _carrier_split(spec.kind, proj)
+    off, carrier, n_off, n_car, sig = _carrier_split(kind, proj)
     hn = hv.euclid_norm()
     off_res = abs(off) / np.maximum(1.0, hn * n_off.euclid_norm())
     car_res = abs(carrier - h) / np.maximum(1.0, hn * n_car.euclid_norm())
     def_res = abs(grid.H_norm2 + hh)
     inner_res = (abs(inner(hv, hv) - sig * h2)
                  / np.maximum(np.maximum(1.0, abs(h2)), abs(hv.euclid_norm2())))
-
     k_res = _gauss_route_residual(grid.K[:, None], proj.sigma)
-    kp_res = _kappa_route_residual(spec.kind, grid.kappa, grid)
+    kp_res = _kappa_route_residual(kind, grid.kappa, grid)
+    worst = _job_max(np.array([np.ravel(r) for r in (
+        tr_res, allied_res, off_res, car_res, def_res, inner_res, k_res,
+        kp_res)]), [len(g) for _, g, _, _ in jobs])
 
-    chen_grid = f"{len(grid)} u-points, v={v:.6g}, projected shape operators"
-    where = f"{len(grid)} u-points, v={v:.6g}"
-    route_grid = f"{len(grid)} u-points"
-    return (
-        _check("chen-trace", chen_grid, tr_res.max(), tol),
-        _check("chen-allied", chen_grid, allied_res.max(), tol),
-        _check("quasi-minimal-off-component", where, off_res.max(), tol,
-               "off-carrier normal component of H"),
-        _check("h-carrier-coefficient", where, car_res.max(), 10 * tol,
-               "projected H coefficient vs closed form"),
-        _check("h-norm2-definition", where, def_res.max(), tol,
-               "reported H_norm2 equals -h_coeff^2"),
-        _check("h-inner-product-signature", where, inner_res.max(),
-               tols["cross"],
-               "ambient <H,H> = (carrier signature) * h_coeff^2; the carrier "
-               "normal is timelike for the elliptic kind and spacelike for "
-               "the hyperbolic kind"),
-        _check("gauss-equation-route", route_grid, k_res.max(), tols["cross"]),
-        _check("normal-curvature-route", route_grid, kp_res.max(),
-               tols["cross"]),
-    )
+    out = []
+    for (_, g, v, tols), w in zip(jobs, worst.T):
+        tol = tols["algebraic"]
+        chen_grid = f"{len(g)} u-points, v={v:.6g}, projected shape operators"
+        where = f"{len(g)} u-points, v={v:.6g}"
+        route_grid = f"{len(g)} u-points"
+        out.append((
+            _check("chen-trace", chen_grid, w[0], tol),
+            _check("chen-allied", chen_grid, w[1], tol),
+            _check("quasi-minimal-off-component", where, w[2], tol,
+                   "off-carrier normal component of H"),
+            _check("h-carrier-coefficient", where, w[3], 10 * tol,
+                   "projected H coefficient vs closed form"),
+            _check("h-norm2-definition", where, w[4], tol,
+                   "reported H_norm2 equals -h_coeff^2"),
+            _check("h-inner-product-signature", where, w[5], tols["cross"],
+                   "ambient <H,H> = (carrier signature) * h_coeff^2; the "
+                   "carrier normal is timelike for the elliptic kind and "
+                   "spacelike for the hyperbolic kind"),
+            _check("gauss-equation-route", route_grid, w[6], tols["cross"]),
+            _check("normal-curvature-route", route_grid, w[7], tols["cross"]),
+        ))
+    return out
+
+
+def check_fd_connection(jobs) -> list:
+    """(fd-connection, fd-shrinkage) of each _fd_job with steps (h,
+    shrink_h, shrink_h / 2), from one fd_connection_rows pass: the worst
+    residual at h and the median halving ratio from shrink_h, which for
+    dense-output families sits well above the interpolation noise floor."""
+    counts = [len(u) for _, u, *_ in jobs]
+    _, res = fd_connection_rows(
+        spec_rows([spec for spec, *_ in jobs], counts, ndim=2),
+        *map(_joined, zip(*((sc, rot) for *_, sc, rot, _ in jobs))),
+        np.repeat([steps for _, _, steps, *_ in jobs], counts, axis=0))
+    out = []
+    for (_, u, (h, shrink_h, _), *_, tol), end, n in zip(
+            jobs, np.cumsum(counts), counts):
+        rows = res[:, end - n:end]
+        r1, r2 = rows[..., -2], rows[..., -1]
+        above = (r1 > 5e-9) & (r2 > 0.0)
+        ratios = r1[above] / r2[above]
+        fd = _check("fd-connection", f"{n} points, h={h:g}",
+                    _worst(rows[..., 0]), tol,
+                    "eight frame derivative formulas vs central differences")
+        if ratios.size:
+            # median across rows and points: single rows can sit at the
+            # cancellation floor where the ratio carries no signal
+            shr = _check("fd-shrinkage", f"{n} points, h={shrink_h:g}",
+                         abs(float(np.median(ratios)) - 4.0), 0.5,
+                         f"median halving ratio over {len(ratios)} rows "
+                         "above the noise floor")
+        else:
+            shr = _vacuous_check("fd-shrinkage",
+                                 "all rows at noise floor; no ratio to observe")
+        out.append((fd, shr))
+    return out
+
+
+def check_sampled_residuals(fam):
+    """Knot diagnostics for integrated families, at the realization's tol."""
+    sm = fam.ensure_realized()
+    grid = f"{len(sm.traj.ts)} knots"
+    out = [
+        _check("constraint-residual", grid, float(sm.residuals.max()),
+               100.0 * sm.tol, "algebraic invariant drift at knots"),
+        _check("unit-speed", grid, float(sm.speed_residuals.max()), sm.tol),
+    ]
+    # a gap > 0 where a knot's other root lies nearer the previous knot's
+    # root than its chosen root does; knots with one root have no gap
+    roots, others = sm.knot_roots, sm.other_roots
+    gaps = abs(roots[1:] - roots[:-1]) - abs(others[1:] - roots[:-1])
+    two = ~np.isnan(others[1:])
+    if two.any():
+        out.append(_check("branch-continuity", grid, _worst(gaps[two]), 0.0,
+                          "chosen root stays nearest to the previous root"))
+    return out
 
 
 # The property checks reduce columns of an InvariantGrid with .max(), so a
@@ -541,58 +679,6 @@ def check_pnmcv(spec, grid, C, sign, tol_alg, tol_h):
         _check("pnmcv-h-value", where, h_res, tol_h, h_note),
         _check("pnmcv-h-constancy", where, hs.max() - hs.min(), tol_h),
     )
-
-
-def check_fd_connection(spec, points, h, tol, shrink_h=None):
-    """FD residual check at interior points plus shrinkage under halving.
-
-    shrink_h is the step used for the halving-ratio observation; for
-    dense-output families it should sit well above the interpolation noise
-    floor (the residual check itself stays at h).
-    """
-    if shrink_h is None:
-        shrink_h = h
-    hs = (h, 0.5 * shrink_h) if shrink_h == h else (h, shrink_h, 0.5 * shrink_h)
-    _, rows = fd_connection_rows(spec, points, hs)
-    # the halving ratio between the last two steps, shrink_h and shrink_h / 2
-    r1, r2 = rows[..., -2], rows[..., -1]
-    above = (r1 > 5e-9) & (r2 > 0.0)
-    ratios = r1[above] / r2[above]
-    grid = f"{len(points)} points, h={h:g}"
-    res = _check("fd-connection", grid, _worst(rows[..., 0]), tol,
-                 "eight frame derivative formulas vs central differences")
-    if ratios.size:
-        # median across rows and points: single rows can sit at the
-        # cancellation floor where the ratio carries no signal
-        dev = abs(float(np.median(ratios)) - 4.0)
-        shr = _check("fd-shrinkage", f"{len(points)} points, h={shrink_h:g}",
-                     dev, 0.5,
-                     f"median halving ratio over {len(ratios)} rows above "
-                     "the noise floor")
-    else:
-        shr = _vacuous_check("fd-shrinkage",
-                             "all rows at noise floor; no ratio to observe")
-    return res, shr
-
-
-def check_sampled_residuals(fam):
-    """Knot diagnostics for integrated families, at the realization's tol."""
-    sm = fam.ensure_realized()
-    grid = f"{len(sm.traj.ts)} knots"
-    out = [
-        _check("constraint-residual", grid, float(sm.residuals.max()),
-               100.0 * sm.tol, "algebraic invariant drift at knots"),
-        _check("unit-speed", grid, float(sm.speed_residuals.max()), sm.tol),
-    ]
-    # a gap > 0 where a knot's other root lies nearer the previous knot's
-    # root than its chosen root does; knots with one root have no gap
-    roots, others = sm.knot_roots, sm.other_roots
-    gaps = abs(roots[1:] - roots[:-1]) - abs(others[1:] - roots[:-1])
-    two = ~np.isnan(others[1:])
-    if two.any():
-        out.append(_check("branch-continuity", grid, _worst(gaps[two]), 0.0,
-                          "chosen root stays nearest to the previous root"))
-    return out
 
 
 def check_min_ell_ii_identity(spec, grid) -> CheckResult:
@@ -642,24 +728,35 @@ _PLANNED_COMMON = ("frame-orthonormality", "v-independence", "chen-trace",
                    "normal-curvature-route", "fd-connection", "fd-shrinkage")
 
 
-@np.errstate(all="ignore")   # as the grid routes of grs4.surfaces
-def verify_family(case: str, params: dict | None = None, *, nu: int = 50,
-                  nv: int = 8, v_range: tuple | None = None,
-                  checks: list | None = None, tols: dict | None = None,
-                  record_runtime: bool = False, families: dict | None = None,
-                  **family) -> FamilyReport:
-    """Run the property bundle keyed to a family case.
+def verify_family(case: str, params: dict | None = None, **kw) -> FamilyReport:
+    """Run the property bundle keyed to a family case: the batch of one of
+    run_suite's stacked checks.
 
     case, params and the family keywords (alpha, beta, sign, root,
     interval, state0; job_family(job) for a suite job) go to
-    descriptor_from_catalog.  The case's catalog bundle runs, and the extra
-    bundles that checks lists (keys of _BUNDLES); tols overrides
-    DEFAULT_TOLS key by key; anything else is a ConfigError.  Returns a
-    report whose checks all carry residual/tolerance pairs; empty
-    admissible domains yield vacuous results with explicit notes.
+    descriptor_from_catalog.  The other keywords are nu, nv, v_range,
+    checks, tols, record_runtime and families.  The case's catalog bundle
+    runs, and the extra bundles that checks lists (keys of _BUNDLES); tols
+    overrides DEFAULT_TOLS key by key; anything else is a ConfigError.
+    Returns a report whose checks all carry residual/tolerance pairs;
+    empty admissible domains yield vacuous results with explicit notes.
     runtime_s stays 0.0 unless record_runtime is set, keeping report bytes
-    reproducible across runs.  families shares families (see _build_shared).
+    reproducible across runs; it then runs from the job's start to the end
+    of the last stacked check it joined.  families shares families (see
+    _build_shared).
     """
+    [report] = _run_stacked([_family_checks(case, params, **kw)])
+    return report
+
+
+def _family_checks(case: str, params: dict | None = None, *, nu: int = 50,
+                   nv: int = 8, v_range: tuple | None = None,
+                   checks: list | None = None, tols: dict | None = None,
+                   record_runtime: bool = False, families: dict | None = None,
+                   **family):
+    """verify_family's job as a generator for _run_stacked: stage 1 up to
+    its first yield, then each yield hands a stacked check the job's tuple
+    and receives the job's result.  Returns the report."""
     desc = descriptor_from_catalog(case, params, **family)
     if nu < 2 or nv < 2:
         raise ParamError("grid counts must be at least 2")
@@ -712,11 +809,26 @@ def verify_family(case: str, params: dict | None = None, *, nu: int = 50,
         results.extend(check_sampled_residuals(fam))
 
     us = _grid_in_intervals(intervals, nu)
-    # the meridian is evaluated once per grid u: every grid check below
-    # reads these columns (frames_grid raises on an inadmissible u)
-    grid = invariant_grid(spec, us)
     vs = _v_grid(spec.kind, nv, v_range)
     v_mid = _V_SAMPLING[spec.kind][2]
+
+    # three interior FD points inside the widest interval, at least pad
+    # from its edges: their stencils, out to shrink_h, stay inside it
+    a, b = max(intervals, key=lambda iv: iv[1] - iv[0])
+    shrink_h = FD_H if closed else 10.0 * FD_H
+    pad = min(max(0.02 * (b - a), 8.0 * shrink_h), 0.5 * (b - a) - shrink_h)
+    fd_u = np.array([a + frac * (b - a - 2 * pad) + pad
+                     for frac in (0.25, 0.5, 0.75)] if pad > shrink_h else [])
+    if fd_u.size:
+        # an edge can be a branch point where the meridian's derivatives
+        # blow up, so the step stays well inside the nearest edge
+        h = min(FD_H, float(np.minimum(fd_u - a, b - fd_u).min()) / 512.0)
+        steps = (h, h, 0.5 * h) if closed else (h, shrink_h, 0.5 * shrink_h)
+    stencil = _stencil_us(fd_u, steps) if fd_u.size else fd_u
+    # the meridian is evaluated once per grid u and FD stencil u: every
+    # check below reads these columns
+    _, scalars = _meridian_columns(spec, np.concatenate([us, stencil.ravel()]))
+    grid = yield _invariant_grids, (spec, us, tuple(c[:len(us)] for c in scalars))
 
     tier_tol = tols["closed"] if closed else tols["ode"]
     results.extend(_property_checks(bundles, spec, grid, tier_tol, tols,
@@ -724,29 +836,78 @@ def verify_family(case: str, params: dict | None = None, *, nu: int = 50,
     if case == "min-ell-ii":
         results.append(check_min_ell_ii_identity(spec, grid))
 
-    results.append(check_frame_orthonormality(spec, grid, vs,
-                                              tols["algebraic"]))
-    results.append(check_v_independence(
-        spec, grid[:: max(1, len(grid) // 3)][:3], 32, tols["vindep"],
-        v_range))
-    results.extend(check_projection_bundle(spec, grid, v_mid, tols))
+    bad = _inadmissible(spec, grid.us, grid.scalars)   # the frames need all rows
+    if bad:
+        raise bad[1]
+    results.append((yield check_frame_orthonormality,
+                    (spec, grid, vs, tols["algebraic"])))
+    results.append((yield check_v_independence, (
+        spec, grid[:: max(1, len(grid) // 3)][:3],
+        _v_grid(spec.kind, 32, v_range), tols["vindep"])))
+    results.extend((yield check_projection_bundle, (spec, grid, v_mid, tols)))
 
-    # three interior FD points inside the widest interval, at least pad
-    # from its edges: their stencils, out to shrink_h, stay inside it
-    a, b = max(intervals, key=lambda iv: iv[1] - iv[0])
-    shrink_h = FD_H if closed else 10.0 * FD_H
-    pad = min(max(0.02 * (b - a), 8.0 * shrink_h), 0.5 * (b - a) - shrink_h)
-    if pad <= shrink_h:
+    if not fd_u.size:
         note = (f"admissible interval [{a:.6g}, {b:.6g}] too narrow for the "
                 f"FD stencil (step {shrink_h:g})")
         results.extend(_vacuous_check(name, note)
                        for name in ("fd-connection", "fd-shrinkage"))
         return report()
-    fd_points = [(a + frac * (b - a - 2 * pad) + pad, v_mid)
-                 for frac in (0.25, 0.5, 0.75)]
-    results.extend(check_fd_connection(spec, fd_points, FD_H, tols["fd"],
-                                       shrink_h=shrink_h))
+    results.extend((yield check_fd_connection, _fd_job(
+        spec, fd_u, np.full(fd_u.shape, v_mid), steps,
+        tuple(c[len(us):].reshape(stencil.shape) for c in scalars), tols["fd"])))
     return report()
+
+
+# The most grid rows of one stacked call: a default suite's jobs of one kind
+# fit in one call, and a suite of large grids peaks near the memory of a few
+# jobs, not of all of them.  A job larger than this runs alone.
+_STACK_ROWS = 1024
+
+
+def _stacks(waiting) -> list:
+    """The waiting (i, job, (check, args)) as runs of (i, job, check, args),
+    one check and kind a run, of consecutive jobs of at most _STACK_ROWS
+    grid rows (len(args[1])) or one larger job."""
+    stacks = {}
+    for i, job, (check, args) in waiting:
+        runs = stacks.setdefault((check, args[0].kind), [[]])
+        if sum(len(a[1]) for *_, a in runs[-1]) + len(args[1]) > _STACK_ROWS:
+            runs.append([])
+        runs[-1].append((i, job, check, args))
+    return [run for runs in stacks.values() for run in runs if run]
+
+
+@np.errstate(all="ignore")   # as the grid routes of grs4.surfaces
+def _run_stacked(jobs) -> list:
+    """The return values of the job generators (see _family_checks), run in
+    lockstep: each stacked check runs once per surface kind over the jobs
+    waiting for it (once per _STACK_ROWS rows).  Stage 1 runs job by job;
+    an error there starts no later job.  Then the earliest job's error is
+    raised, as running the jobs one after another would raise it."""
+    done, errors, waiting = {}, {}, []
+
+    def advance(i, job, result):
+        try:
+            waiting.append((i, job, job.send(result)))
+        except StopIteration as stop:
+            done[i] = stop.value
+        except Exception as exc:   # noqa: BLE001 - raised below, in job order
+            errors[i] = exc
+
+    for i, job in enumerate(jobs):
+        if errors:
+            break
+        advance(i, job, None)
+    while waiting:
+        stacks = _stacks(waiting)
+        waiting.clear()
+        for stack in stacks:
+            check = stack[0][2]
+            for (i, job, *_), result in zip(stack, check([a for *_, a in stack])):
+                advance(i, job, result)
+    if errors:
+        raise errors[min(errors)]
+    return [done[i] for i in sorted(done)]
 
 
 # ---------------------------------------------------------------------------
@@ -893,10 +1054,10 @@ def job_family(job: dict) -> dict:
     return kw
 
 
-def _run_job(job: dict, record_runtime: bool = False,
-             families: dict | None = None) -> tuple:
-    """(label, expect, FamilyReport) of one suite job: its family from
-    job_family, its grid and checks as verify_family keywords."""
+def _suite_job(job: dict, record_runtime: bool, families: dict):
+    """(label, expect, FamilyReport) of one suite job, its family from
+    job_family and its grid and checks as verify_family keywords, as a
+    generator for _run_stacked (see _family_checks)."""
     if not isinstance(job, dict):
         raise ConfigError("each job must be an object")
     unknown = set(job) - _JOB_KEYS
@@ -913,14 +1074,16 @@ def _run_job(job: dict, record_runtime: bool = False,
         if not ("v0" in job and "v1" in job):
             raise ConfigError(f"{label}: v0 and v1 must be given together")
         kw["v_range"] = tuple(_cast(float, job[k], k) for k in ("v0", "v1"))
-    rep = verify_family(**family, record_runtime=record_runtime,
-                        families=families, **kw)
+    rep = yield from _family_checks(**family, record_runtime=record_runtime,
+                                    families=families, **kw)
     return label, expect, rep
 
 
 def run_suite(config: dict) -> SuiteReport:
-    """Execute the configured jobs in order and aggregate deterministically;
-    the jobs and the sweep share their families, realized once per call."""
+    """Execute the configured jobs and aggregate deterministically: each
+    job's stage 1 in order, then each stacked check once per surface kind
+    over the jobs of that kind (_run_stacked); the jobs and the sweep share
+    their families, realized once per call."""
     if not isinstance(config, dict):
         raise ConfigError("suite config must be a JSON object")
     unknown = set(config) - {"seed", "jobs", "sweep_points", "record_runtime"}
@@ -937,7 +1100,8 @@ def run_suite(config: dict) -> SuiteReport:
             f"record_runtime must be true or false, got {record_runtime!r}")
     t_start = time.perf_counter()
     families = {}
-    jobs = [_run_job(job, record_runtime, families) for job in jobs_cfg]
+    jobs = _run_stacked([_suite_job(job, record_runtime, families)
+                         for job in jobs_cfg])
     sweeps = []
     n_sweep = _cast(int, config.get("sweep_points", 0), "sweep_points")
     if n_sweep > 0:

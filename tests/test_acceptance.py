@@ -14,8 +14,8 @@ from grs4.cli import cmd_dispatch
 from grs4.meridians import build_family, descriptor_from_catalog
 from grs4.reporting import report_json_bytes
 from grs4.surfaces import geometric_functions, surface_from_family
-from grs4.verifier import (admissible_domain, default_suite_config,
-                           fd_connection_rows, run_suite)
+from grs4.verifier import admissible_domain, default_suite_config, run_suite
+from fd_jobs import fd_rows
 
 MINIMAL_LABELS = ("min-ell-ii", "min-ell-iii", "min-hyp-i", "min-hyp-ii",
                   "min-hyp-ii[A<0]", "min-hyp-iii")
@@ -156,7 +156,7 @@ def test_criterion_08_consistency_oracles(suite):
         assert c["vacuous"] or c["pass"], label
     spec = surface_from_family(build_family(
         descriptor_from_catalog("pnmcv-ell", {"C": 2.0}, alpha=1.0, beta=3.0)))
-    names, rows = fd_connection_rows(spec, [(3.0, 0.7)], [1e-4, 5e-5])
+    names, rows = fd_rows(spec, [(3.0, 0.7)], [1e-4, 5e-5])
     rows_h = dict(zip(names, rows[:, 0, 0].tolist()))
     rows_h2 = dict(zip(names, rows[:, 0, 1].tolist()))
     observed = [rows_h[n] / rows_h2[n] for n in rows_h if rows_h[n] > 2.5e-10]

@@ -48,3 +48,17 @@ def test_reference_layers_scale_self_times_only():
     assert layers == {"meridians.realize.calls": 5,
                       "meridians.realize.self_s": pytest.approx(0.04 * 0.421),
                       "reporting.bytes_written": 58991}
+
+
+def test_call_counts_sum_grs4_functions_of_each_name():
+    """Calls are summed per PROFILED name over grs4 modules only; a name
+    that no row has reads 0."""
+    rows = [["/x/src/grs4/surfaces.py", "_frame_from", 4],
+            ["/x/src/grs4/verifier.py", "_frame_from", 2],
+            ["/x/src/grs4/meridians.py", "jet_columns", 45],
+            ["/x/tests/test_surfaces.py", "_projection", 9],
+            ["/x/src/grs4/surfaces.py", "_projection", 4],
+            ["/x/src/grs4/surfaces.py", "positions_grid", 3]]
+    assert bench_record.call_counts(rows) == {
+        "jet_columns": 45, "invariant_grid": 0, "_invariant_rows": 0,
+        "_frame_from": 6, "_projection": 4, "fd_connection_rows": 0}

@@ -16,9 +16,10 @@ from grs4.reporting import export_invariants_csv, export_mesh
 from grs4.surfaces import (INVARIANT_COLUMNS, SecondFundamental, SurfaceKind,
                            curvatures, frames, geometric_functions,
                            invariant_grid, invariant_record,
-                           frames_grid, position_jets, positions_grid,
-                           shape_trace, surface_from_family,
-                           _fundamental_from, _project_grid, _shape_matrices)
+                           position_jets, positions_grid,
+                           shape_trace, surface_from_family, _frame_from,
+                           _fundamental_from, _grid_inputs, _projection,
+                           _shape_matrices)
 from grs4.verifier import (admissible_domain, orthonormality_residual,
                            _grid_in_intervals, _v_grid)
 
@@ -444,15 +445,16 @@ def _grid_hex(vec, i, j):
 @pytest.mark.parametrize("spec", [PNMCV_ELL, MIN_HYP_I],
                          ids=["elliptic", "hyperbolic"])
 def test_grid_route_matches_point_route_bitwise(spec):
-    """frames_grid and _project_grid equal the one-point float routes and
-    np.trace(A1 @ A2) at every grid point, to the bit (hyperbolic |v| <= 3)."""
+    """The frame and projection routes over a u x v grid (_grid_inputs of a
+    u-column) equal the one-point float routes and np.trace(A1 @ A2) at
+    every grid point, to the bit (hyperbolic |v| <= 3)."""
     lo, hi = spec.meridian.interval
     us = _grid_in_intervals(admissible_domain(spec, lo, hi, 200), 17)
     vs = _v_grid(spec.kind, 13)
     if spec.kind is SurfaceKind.HYPERBOLIC:
         assert (vs.min(), vs.max()) == (-3.0, 3.0)
-    fg = frames_grid(spec, us, vs)
-    pg = _project_grid(spec, us, vs)
+    inputs = _grid_inputs(spec, us[:, None], vs)
+    fg, pg = _frame_from(spec, *inputs), _projection(spec, *inputs)
     zg = positions_grid(spec, us, vs)
     trg = shape_trace(*pg.shape_matrices())
     assert trg.shape == (len(us), len(vs))
@@ -614,21 +616,22 @@ def test_invariant_grid_matches_the_gather_route_bitwise(case, spec, us):
 @pytest.mark.parametrize("spec", [PNMCV_ELL, MIN_HYP_I],
                          ids=["elliptic", "hyperbolic"])
 def test_grid_routes_reuse_invariant_grid_columns(monkeypatch, spec):
-    """frames_grid and _project_grid on an InvariantGrid, or on rows of one,
-    give the bits they give on its u values, without a meridian call; an
-    inadmissible row raises the per-point error."""
+    """The frame and projection routes on the grid inputs of an
+    InvariantGrid's rows (as the sweep takes them) give the bits they give
+    on its u values, without a meridian call; an inadmissible row raises
+    the per-point error."""
     lo, hi = spec.meridian.interval
     us = _grid_in_intervals(admissible_domain(spec, lo, hi, 200), 9)
     vs = _v_grid(spec.kind, 5)
     grid = invariant_grid(spec, us)
-    want_fr = frames_grid(spec, us[1::3], vs)
-    want_pr = _project_grid(spec, us[1::3], vs)
+    want = _grid_inputs(spec, us[1::3, None], vs)
+    want_fr, want_pr = _frame_from(spec, *want), _projection(spec, *want)
     calls = []
     monkeypatch.setattr(spec.meridian, "jet", lambda u: calls.append(u))
     rows = grid[1::3]
     assert len(rows) == 3 and list(rows.us) == list(us[1::3])
-    got_fr = frames_grid(spec, rows, vs)
-    got_pr = _project_grid(spec, rows, vs)
+    got = _grid_inputs(spec, rows[:, None], vs)
+    got_fr, got_pr = _frame_from(spec, *got), _projection(spec, *got)
     assert calls == []
     for i in range(3):
         for j in range(len(vs)):
@@ -645,7 +648,7 @@ def test_grid_routes_reuse_invariant_grid_columns(monkeypatch, spec):
         ref.frames(spec, lo - 1.0, 0.0)
     with pytest.raises(type(per_point.value),
                        match=re.escape(str(per_point.value))):
-        frames_grid(spec, bad, vs)
+        _grid_inputs(spec, bad[:, None], vs)
 
 
 def _floats_hex(values):

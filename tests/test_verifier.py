@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import point_reference as ref
+from fd_jobs import fd_check, fd_rows
 from grs4.errors import (ConfigError, InadmissiblePointError, ParamError,
                          StepError)
 from grs4.meridians import (FAMILY_CATALOG, build_family,
@@ -14,12 +15,11 @@ from grs4.reporting import report_json_bytes
 from grs4.pe4 import PEVector4
 from grs4.surfaces import SurfaceKind, surface_from_family
 from grs4 import meridians, surfaces, verifier
-from grs4.verifier import (admissible_domain, check_fd_connection, check_flat,
-                           check_fnc, check_frame_orthonormality,
-                           check_pnmcv, check_projection_bundle, cross_check,
-                           default_suite_config, fd_connection_rows,
-                           h_numerator_identity, random_point_sweep,
-                           run_suite, verify_family)
+from grs4.verifier import (admissible_domain, check_flat, check_fnc,
+                           check_frame_orthonormality, check_pnmcv,
+                           check_projection_bundle, cross_check,
+                           default_suite_config, h_numerator_identity,
+                           random_point_sweep, run_suite, verify_family)
 
 
 def spec_for(case, params=None, **kw):
@@ -32,7 +32,7 @@ def spec_for(case, params=None, **kw):
 
 def fd_point_rows(spec, u, v, h):
     """[(name, residual)] of fd_connection_rows at the one point (u, v)."""
-    names, residuals = fd_connection_rows(spec, [(u, v)], [h])
+    names, residuals = fd_rows(spec, [(u, v)], [h])
     return list(zip(names, residuals[:, 0, 0].tolist()))
 
 
@@ -272,9 +272,9 @@ def test_narrow_domain_fd_points_keep_their_stencils_inside(monkeypatch):
     points = []
     check = verifier.check_fd_connection
 
-    def recording(spec, pts, *args, **kwargs):
-        points.extend(u for u, _ in pts)
-        return check(spec, pts, *args, **kwargs)
+    def recording(jobs):
+        points.extend(u for _, us, *_ in jobs for u in us)
+        return check(jobs)
 
     monkeypatch.setattr(verifier, "check_fd_connection", recording)
     rep = verify_family("pnmcv-ell", interval=(1.9, 2.0005))
@@ -282,6 +282,28 @@ def test_narrow_domain_fd_points_keep_their_stencils_inside(monkeypatch):
     assert all(2.0 + 1e-4 < u < 2.0005 - 1e-4 for u in points)
     fd = [c for c in rep.checks if c.name.startswith("fd-")]
     assert [c.vacuous for c in fd] == [False, False]
+
+
+def test_fd_step_shrinks_next_to_a_branch_point():
+    """At u = C = 2 the pnmcv-ell meridian has a branch point, where its
+    derivatives blow up: on (1.9, 2.0005) an absolute step of 1e-4 fails
+    fd-connection at 1.8e-2.  The step is min(FD_H, d / 512), d the least
+    distance from an FD point to the interval's edges, and the closed
+    family's halving ratio follows it; every default-suite job keeps FD_H."""
+    rep = verify_family("pnmcv-ell", interval=(1.9, 2.0005))
+    assert rep.passed
+    (a, b), = verifier.admissible_domain(spec_for("pnmcv-ell", interval=(
+        1.9, 2.0005)), 1.9, 2.0005, 200)
+    pad = 0.5 * (b - a) - verifier.FD_H      # the nearest FD point's distance
+    h = min(verifier.FD_H, (pad + 0.25 * (b - a - 2 * pad)) / 512.0)
+    assert h < verifier.FD_H / 100
+    fd, shr = (c for c in rep.checks if c.name.startswith("fd-"))
+    assert fd.grid == shr.grid == f"3 points, h={h:g}"
+    assert fd.max_residual < 1e-6 and not shr.vacuous
+    suite = run_suite(dict(default_suite_config(31), sweep_points=0))
+    for label, _, job in suite.jobs:
+        fd, shr = (c for c in job.checks if c.name.startswith("fd-"))
+        assert fd.vacuous or fd.grid == "3 points, h=0.0001", label
 
 
 def test_too_narrow_domain_fd_checks_vacuous():
@@ -375,6 +397,83 @@ def test_default_suite_deterministic():
     assert b1 == b2
 
 
+_MIXED_JOBS = [
+    {"family": "pnmcv-ell"},
+    {"family": "min-ell-i"},                                # empty domain
+    {"family": "min-hyp-i", "nu": 17, "nv": 3, "v0": -1.0, "v1": 2.5},
+    {"label": "narrow", "family": "pnmcv-ell",
+     "u0": 1.9, "u1": 2.00025},                             # vacuous FD
+    {"family": "pnmcv-ell", "u0": 1.9, "u1": 2.0005},       # FD step < FD_H
+    {"family": "flat-hyp-i", "tols": {"fd": 1e-5, "vindep": 1e-9}},
+    {"family": "custom", "params": {"f": "u**2", "g": "u",
+                                    "kind": "elliptic"},
+     "alpha": 1.0, "beta": 3.0, "u0": 0.6, "u1": 2.8,
+     "checks": ["minimal"], "expect": "fail"},
+    {"family": "fnc-ell-ii", "nu": 9, "nv": 12, "v0": 0.5, "v1": 3.0,
+     "checks": ["flat"]},
+    {"family": "pnmcv-hyp", "params": {"C": 2.0}, "alpha": 1.3, "beta": 0.7,
+     "u0": 0.2, "u1": 1.8, "nu": 31, "tols": {"algebraic": 1e-11}},
+    {"family": "custom", "params": {"f": "0.8*u", "g": "u",
+                                    "kind": "hyperbolic"},
+     "u0": 0.5, "u1": 3.0, "nv": 2},
+]
+
+
+def _verify_alone(job):
+    """verify_family on one suite job, its keys as verify_family keywords."""
+    kw = {key: job[key] for key in ("nu", "nv", "checks", "tols") if key in job}
+    if "v0" in job:
+        kw["v_range"] = (job["v0"], job["v1"])
+    return verify_family(**verifier.job_family(job), **kw)
+
+
+@pytest.mark.parametrize("stack_rows", [verifier._STACK_ROWS, 40])
+def test_stacked_suite_equals_each_job_alone(monkeypatch, stack_rows):
+    """run_suite stacks the rows of each kind's jobs; every job's report has
+    the bytes of verify_family run on that job alone: both kinds, an empty
+    domain, a vacuous FD stencil, a step below FD_H, custom families, an
+    expected fail and per-job grids, v-ranges, tolerances and checks; also
+    when the stacks are cut into runs of at most 40 rows."""
+    monkeypatch.setattr(verifier, "_STACK_ROWS", stack_rows)
+    suite = run_suite({"jobs": _MIXED_JOBS}).to_json()
+    monkeypatch.undo()
+    assert len(suite["jobs"]) == len(_MIXED_JOBS)
+    for job, got in zip(_MIXED_JOBS, suite["jobs"]):
+        assert report_json_bytes(got["report"]) == report_json_bytes(
+            _verify_alone(job).to_json()), job["family"]
+    kinds = {verifier.FAMILY_CATALOG[job["family"]].kind for job in _MIXED_JOBS
+             if job["family"] != "custom"}
+    assert len(kinds) == 2
+
+
+@pytest.mark.parametrize("where", ["grid", "stencil"])
+def test_run_suite_raises_the_first_error_in_job_order(monkeypatch, where):
+    """An error of a stacked check in job k (an inadmissible grid row before
+    the frame pass, or a StepError of its FD stencil) is raised by run_suite
+    even though job k + 1 fails in its stage 1 (a ConfigError) before any
+    stacked check runs: the error of running the jobs one after another."""
+    marked = 1.2345    # the alpha of job k
+    inadmissible = verifier._inadmissible
+
+    def injected(spec, us, scalars):
+        if spec.alpha == marked and us.ndim == (1 if where == "grid" else 2):
+            return 1, InadmissiblePointError("injected")
+        return inadmissible(spec, us, scalars)
+
+    monkeypatch.setattr(verifier, "_inadmissible", injected)
+    job_k = {"family": "min-hyp-i", "alpha": marked}
+    jobs = [{"family": "pnmcv-ell"}, {"family": "min-hyp-ii"}, job_k,
+            {"family": "pnmcv-ell", "oops": 1}, {"family": "fnc-hyp-i"}]
+    want = StepError if where == "stencil" else InadmissiblePointError
+    with pytest.raises(want) as alone:
+        _verify_alone(job_k)
+    with pytest.raises(ConfigError):
+        run_suite({"jobs": jobs[3:]})
+    with pytest.raises(want) as stacked:
+        run_suite({"jobs": jobs})
+    assert str(stacked.value) == str(alone.value)
+
+
 def test_run_suite_realizes_each_integrated_family_once(monkeypatch):
     """The jobs and the sweep of one run_suite call share their families:
     each integrated family is realized once, and the report has the bytes
@@ -394,7 +493,7 @@ def test_run_suite_realizes_each_integrated_family_once(monkeypatch):
     assert sorted(calls) == integrated
     calls.clear()
     unshared = verifier.SuiteReport(
-        seed=31, jobs=[verifier._run_job(job) for job in cfg["jobs"]],
+        seed=31, jobs=[run_suite({"jobs": [job]}).jobs[0] for job in cfg["jobs"]],
         sweeps=random_point_sweep(40, 31, verifier.DEFAULT_TOLS["algebraic"]))
     assert sorted(calls) == sorted(2 * integrated)
     assert report_json_bytes(unshared.to_json()) == shared
@@ -460,43 +559,45 @@ def test_sweep_detects_off_carrier_component(monkeypatch):
 # ---------------------------------------------------------------------------
 # Batched grid checks
 
-def _with_nan(vec, i, j):
+def _with_nan(vec, i):
+    """vec with NaN in its first component at flat point i."""
     x1 = vec.x1.copy()
-    x1[i, j] = math.nan
+    x1[i] = math.nan
     return PEVector4(x1, vec.x2, vec.x3, vec.x4)
 
 
 def test_nan_frame_fails_frame_orthonormality(monkeypatch):
-    """A NaN at one of 3x2 grid points reaches the check instead of being
-    dropped by a max(0.0, nan) reduction."""
+    """A NaN at one of 3x2 grid points (u-major) reaches the check instead
+    of being dropped by a max(0.0, nan) reduction."""
     spec = spec_for("pnmcv-ell", {"C": 2.0}, alpha=1.0, beta=3.0)
-    us, vs = [2.5, 3.0, 4.0], [0.3, 1.1]
-    assert check_frame_orthonormality(spec, us, vs, 1e-12).passed
-    grid = verifier.frames_grid
+    job = (spec, surfaces.invariant_grid(spec, [2.5, 3.0, 4.0]), [0.3, 1.1],
+           1e-12)
+    assert check_frame_orthonormality([job])[0].passed
+    frame = verifier._frame_from
 
     def poisoned(*args):
-        fr = grid(*args)
-        return dataclasses.replace(fr, x=_with_nan(fr.x, 1, 0))
+        fr = frame(*args)
+        return dataclasses.replace(fr, x=_with_nan(fr.x, 2))   # u=3, v=0.3
 
-    monkeypatch.setattr(verifier, "frames_grid", poisoned)
-    res = check_frame_orthonormality(spec, us, vs, 1e-12)
+    monkeypatch.setattr(verifier, "_frame_from", poisoned)
+    [res] = check_frame_orthonormality([job])
     assert math.isnan(res.max_residual) and not res.passed
 
 
 def test_nan_projection_fails_v_mid_checks(monkeypatch):
     spec = spec_for("min-hyp-i", {"c": 1.0}, alpha=2.0, beta=1.0)
     grid = surfaces.invariant_grid(spec, [0.8, 1.0, 1.2])
-    tols = verifier.DEFAULT_TOLS
-    assert all(c.passed for c in check_projection_bundle(spec, grid, 0.4, tols))
-    project = verifier._project_grid
+    job = (spec, grid, 0.4, verifier.DEFAULT_TOLS)
+    assert all(c.passed for c in check_projection_bundle([job])[0])
+    project = verifier._projection
 
     def poisoned(*args):
         proj = project(*args)
         sxx, sxy, syy = proj.sigma
-        return dataclasses.replace(proj, sigma=(_with_nan(sxx, 2, 0), sxy, syy))
+        return dataclasses.replace(proj, sigma=(_with_nan(sxx, 2), sxy, syy))
 
-    monkeypatch.setattr(verifier, "_project_grid", poisoned)
-    res = {c.name: c for c in check_projection_bundle(spec, grid, 0.4, tols)}
+    monkeypatch.setattr(verifier, "_projection", poisoned)
+    res = {c.name: c for c in check_projection_bundle([job])[0]}
     for name in ("chen-trace", "quasi-minimal-off-component",
                  "gauss-equation-route"):
         assert math.isnan(res[name].max_residual), name
@@ -508,7 +609,7 @@ def test_verify_family_detects_off_carrier_component(monkeypatch, case):
     """Negative control: sigma(x,x) shifted inside the batched route so that
     H gains an off-carrier component of 1e-9 of the sigma magnitude fails
     quasi-minimal-off-component."""
-    project = verifier._project_grid
+    project = verifier._projection
 
     def perturbed(spec, *args):
         proj = project(spec, *args)
@@ -520,20 +621,23 @@ def test_verify_family_detects_off_carrier_component(monkeypatch, case):
             proj, sigma=(sxx + n_off * (2e-9 * smax), sxy, syy))
 
     assert verify_family(case).passed
-    monkeypatch.setattr(verifier, "_project_grid", perturbed)
+    monkeypatch.setattr(verifier, "_projection", perturbed)
     checks = {c.name: c for c in verify_family(case).checks}
     assert not checks["quasi-minimal-off-component"].passed
     assert checks["quasi-minimal-off-component"].max_residual > 1e-11
 
 
 def test_verify_family_batches_its_grid_checks(monkeypatch):
-    """On a closed-form family no per-point route runs: the FD stencil is
-    one batched fd_connection_rows call with one frame pass, frame
-    orthonormality one frames_grid call, v-independence and the v_mid
-    bundle one _project_grid call each."""
-    calls = {"frames": 0, "position_jets": 0, "geometric_functions": 0,
-             "curvatures": 0, "frames_grid": 0, "_project_grid": 0,
-             "fd_connection_rows": 0, "_frame_from": 0, "frames_in_fd": 0}
+    """No per-point route runs, and each stacked check is one call per
+    surface kind.  verify_family on one family makes one invariant pass,
+    two projections (v-independence, the v_mid bundle) and four frame
+    passes: those two, frame orthonormality and the FD stencil, the last
+    inside the one fd_connection_rows call.  A default-suite pass, whose
+    22 jobs have both kinds, makes each of these calls twice."""
+    names = ("frames", "position_jets", "geometric_functions", "curvatures",
+             "_invariant_rows", "_projection", "fd_connection_rows",
+             "_frame_from")
+    calls = collections.Counter()
     in_fd = []
 
     def counted(name, fn):
@@ -551,16 +655,16 @@ def test_verify_family_batches_its_grid_checks(monkeypatch):
         return wrapper
 
     for mod in (surfaces, verifier):
-        for name in calls:
+        for name in names:
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
-    rep = verify_family("pnmcv-ell")
-    assert rep.passed
-    assert calls["fd_connection_rows"] == 1 and calls["frames_in_fd"] == 1
-    for name in ("frames", "position_jets", "geometric_functions", "curvatures"):
-        assert calls[name] == 0, name
-    assert calls["frames_grid"] == 1 and calls["_project_grid"] == 2
-
+    one_kind = {"_invariant_rows": 1, "_projection": 2, "_frame_from": 4,
+                "fd_connection_rows": 1, "frames_in_fd": 1}
+    assert verify_family("pnmcv-ell").passed
+    assert calls == one_kind
+    calls.clear()
+    assert run_suite(dict(default_suite_config(31), sweep_points=0)).passed
+    assert calls == {name: 2 * n for name, n in one_kind.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -604,16 +708,16 @@ def test_nan_invariants_fail_pnmcv():
 def test_nan_fd_row_fails_fd_connection(monkeypatch):
     spec = spec_for("pnmcv-ell", {"C": 2.0}, alpha=1.0, beta=3.0)
     points = [(2.8, 0.7), (3.2, 0.7), (3.6, 0.7)]
-    assert check_fd_connection(spec, points, 1e-4, 1e-6)[0].passed
+    assert fd_check(spec, points, 1e-4, 1e-6)[0].passed
     rows = verifier.fd_connection_rows
 
-    def poisoned(spec_, points_, hs):
-        names, out = rows(spec_, points_, hs)
+    def poisoned(*args):
+        names, out = rows(*args)
         out[2, 1, 0] = math.nan   # row 2 at u = 3.2, step h
         return names, out
 
     monkeypatch.setattr(verifier, "fd_connection_rows", poisoned)
-    res = check_fd_connection(spec, points, 1e-4, 1e-6)[0]
+    res = fd_check(spec, points, 1e-4, 1e-6)[0]
     assert math.isnan(res.max_residual) and not res.passed
 
 
@@ -658,11 +762,14 @@ def test_h_inner_product_signature_takes_cross_tolerance():
 
 @pytest.mark.parametrize("case", ["pnmcv-ell", "min-hyp-i", "flat-ell-i"])
 def test_verify_family_evaluates_each_grid_u_once(monkeypatch, case):
-    """Outside the admissibility scan and the FD stencils, one job evaluates
-    the meridian exactly once at each grid u, per point or in a jet_columns
-    pass, and at no other u."""
+    """Outside the admissibility scan, one job evaluates the meridian in one
+    jet_columns pass, exactly once at each grid u and at each u of the FD
+    stencil (the centres, then u +- h per distinct step), and at no other
+    u, per point or in another pass."""
     seen = collections.Counter()
+    passes = []
     grids = []
+    stencils = []
     outside = []
 
     def counting(evaluate):
@@ -675,6 +782,7 @@ def test_verify_family_evaluates_each_grid_u_once(monkeypatch, case):
     def counting_columns(columns):
         def wrapper(self, us):
             if not outside:
+                passes.append(len(us))
                 seen.update(np.asarray(us, dtype=float).tolist())
             return columns(self, us)
         return wrapper
@@ -688,25 +796,28 @@ def test_verify_family_evaluates_each_grid_u_once(monkeypatch, case):
                 outside.pop()
         return wrapper
 
+    def recording(fn, into):
+        def wrapper(*args, **kwargs):
+            into.append(fn(*args, **kwargs))
+            return into[-1]
+        return wrapper
+
     # on each subclass: the benchmark's tracer, once uninstalled, leaves
     # each of them its own jet, which a patch on MeridianFamily would miss
     for cls in (meridians._ClosedFormFamily, meridians._SampledFamily):
         monkeypatch.setattr(cls, "jet", counting(cls.jet))
     monkeypatch.setattr(meridians.MeridianFamily, "jet_columns",
                         counting_columns(meridians.MeridianFamily.jet_columns))
-    for name in ("admissible_domain", "fd_connection_rows"):
-        monkeypatch.setattr(verifier, name, excluded(getattr(verifier, name)))
-    grid_in_intervals = verifier._grid_in_intervals
-
-    def recording(*args, **kwargs):
-        grids.append(grid_in_intervals(*args, **kwargs))
-        return grids[-1]
-
-    monkeypatch.setattr(verifier, "_grid_in_intervals", recording)
+    monkeypatch.setattr(verifier, "admissible_domain",
+                        excluded(verifier.admissible_domain))
+    for name, into in (("_grid_in_intervals", grids), ("_stencil_us", stencils)):
+        monkeypatch.setattr(verifier, name, recording(getattr(verifier, name), into))
     assert verify_family(case).passed
     [us] = grids
-    assert len(us) == 50
-    assert seen == collections.Counter(float(u) for u in us)
+    assert len(us) == 50 and stencils[0].shape in ((3, 5), (3, 7))
+    assert passes == [len(us) + stencils[0].size]
+    assert seen == (collections.Counter(us.tolist())
+                    + collections.Counter(stencils[0].ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -744,14 +855,14 @@ def test_fd_rows_match_point_loop_bitwise():
         points = [(a + t * (b - a), v) for t, v in fracs]
         shrink_h = shrink * h
         hs = (h, 0.5 * shrink_h) if shrink_h == h else (h, shrink_h, 0.5 * shrink_h)
-        names, rows = verifier.fd_connection_rows(spec, points, hs)
+        names, rows = fd_rows(spec, points, hs)
         for p, (u, v) in enumerate(points):
             for k, step in enumerate(hs):
                 want = ref.fd_connection_check(spec, u, v, step)
                 assert names == [n for n, _ in want]
                 assert _hexes(rows[:, p, k]) == _hexes(r for _, r in want), (case, u, v, step)
         residuals, ratios = ref.check_fd_connection(spec, points, h, shrink_h)
-        res, shr = check_fd_connection(spec, points, h, 1e-6, shrink_h=shrink_h)
+        res, shr = fd_check(spec, points, h, 1e-6, shrink_h=shrink_h)
         assert res.max_residual == max(residuals)
         if ratios:
             assert shr.max_residual == abs(float(np.median(ratios)) - 4.0)
@@ -789,8 +900,7 @@ def test_fd_stencil_raises_the_point_loop_first_error(spec, points, h,
     """The batched stencil raises the first error of the per-point loop,
     type and text."""
     want = _fd_error(lambda: ref.check_fd_connection(spec, points, h, shrink_h))
-    got = _fd_error(lambda: check_fd_connection(spec, points, h, 1e-6,
-                                                shrink_h=shrink_h))
+    got = _fd_error(lambda: fd_check(spec, points, h, 1e-6, shrink_h=shrink_h))
     assert want is not None and want[0] is kind
     assert got == want
     if len(points) == 1:

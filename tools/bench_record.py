@@ -18,8 +18,10 @@ per pass, with tracing on; the self seconds at the reference speed, that
 is, multiplied by the traced run's median host speed, which
 "layers_host_speed" records), under "default_suite" the median and every
 run of the full suite's wall time (raw seconds, interpreter start
-included, not converted to a reference speed), and the tier-1 wall time
-with its pytest summary line.  Under "source" it records facts of the
+included, not converted to a reference speed), under "suite_calls" the
+calls per pass of the grid routes in PROFILED, counted by cProfile over one
+default-suite pass with the sweep off (a layer that perfbench's tracer does
+not wrap), and the tier-1 wall time with its pytest summary line.  Under "source" it records facts of the
 checkout's source: the line count of src/grs4/*.py (as wc -l counts), the
 sha256 of the full report of ``grs4 verify --suite default --seed 31
 --report``, the sha256 of the writer outputs in WRITER_OUTPUTS (an
@@ -106,6 +108,37 @@ def run_workload(checkout: str, workload: str):
     metrics["attempted"] = run["result"]["attempted"]
     metrics["failed"] = run["result"]["failed"]
     return run, metrics, run_perfbench(checkout, workload, 1)
+
+
+# the grid routes whose calls per default-suite pass are recorded
+PROFILED = ("jet_columns", "invariant_grid", "_invariant_rows", "_frame_from",
+            "_projection", "fd_connection_rows")
+_PROFILE = """
+import cProfile, json, pstats, sys
+from grs4.verifier import default_suite_config, run_suite
+prof = cProfile.Profile()
+prof.runcall(run_suite, dict(default_suite_config(int(sys.argv[1])), sweep_points=0))
+print(json.dumps([[path, name, stat[1]]
+                  for (path, _, name), stat in pstats.Stats(prof).stats.items()]))
+"""
+
+
+def call_counts(rows) -> dict:
+    """Calls of each PROFILED name from a profile's (path, function,
+    calls) rows, summed over the functions of that name in grs4 modules."""
+    counts = dict.fromkeys(PROFILED, 0)
+    for path, name, calls in rows:
+        if name in counts and os.path.basename(os.path.dirname(path)) == "grs4":
+            counts[name] += calls
+    return counts
+
+
+def run_profile(checkout: str) -> dict:
+    """call_counts of one sweep-off default-suite pass of the checkout."""
+    out = subprocess.run([sys.executable, "-c", _PROFILE, str(SEED)],
+                         cwd=checkout, env=_src_env(checkout),
+                         capture_output=True, text=True, check=True)
+    return call_counts(json.loads(out.stdout))
 
 
 def _src_env(checkout: str) -> dict:
@@ -199,6 +232,7 @@ def main(argv=None) -> int:
         "layers": layers,
         "layers_host_speed": speeds,
         "default_suite": suite,
+        "suite_calls": run_profile(checkout),
         "source": {**source_facts(checkout),
                    "perfbench_output_sha256": digests},
         "tier1": run_tier1(checkout),
