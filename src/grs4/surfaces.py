@@ -197,18 +197,30 @@ class InvariantGrid:
 # ---------------------------------------------------------------------------
 # Position jets and first fundamental form
 
-def _rotation(spec: SurfaceSpec, v: float):
-    """(cos, sin) of alpha*v and beta*v; cosh and sinh for the hyperbolic kind."""
-    cos, sin = spec.kind.cos, spec.kind.sin
-    a, b = spec.alpha, spec.beta
-    return cos(a * v), sin(a * v), cos(b * v), sin(b * v)
+def _rotations(spec: SurfaceSpec, vs):
+    """(cos, sin) of alpha*v and beta*v at each v of vs, cosh and sinh for
+    the hyperbolic kind, as four float arrays of its shape: math at each
+    element, so each has the bits of the float formula.  A rotation past
+    the float range is a ParamError naming the largest |v|, which has one.
+    """
+    vs = np.asarray(vs, dtype=float)
+    flat = vs.ravel().tolist()
+    try:
+        return tuple(np.fromiter(map(fn, map(float(s).__mul__, flat)), float,
+                                 len(flat)).reshape(vs.shape)
+                     for s in (spec.alpha, spec.beta)
+                     for fn in (spec.kind.cos, spec.kind.sin))
+    except (OverflowError, ValueError):
+        v = float(vs.flat[np.nanargmax(abs(vs))])
+        raise ParamError(f"{spec.kind.value} rotation past the float range "
+                         f"at v={v}") from None
 
 
 def position_jets(spec: SurfaceSpec, u: float, v: float) -> PointJets:
     """All first and second partials of the immersion at (u, v),
     analytically; the meridian's error where it is undefined at u."""
     return _float_row(_jets_from(spec, *_meridian_row(spec, u)[:6],
-                                 _rotation(spec, v)))
+                                 _rotations(spec, v)))
 
 
 def _float_row(obj):
@@ -226,8 +238,8 @@ def positions_grid(spec: SurfaceSpec, us, vs) -> PEVector4:
 
     f and g come from one jet_columns pass over us (per u through jet for
     a meridian that is not a MeridianFamily and defines only jet(u)), and
-    _rotation is taken once per v.  Raises the per-point error at the first
-    u where the meridian is undefined.
+    the rotations from _rotations over vs.  Raises the per-point error at
+    the first u where the meridian is undefined.
     """
     meridian = spec.meridian
     if isinstance(meridian, MeridianFamily):
@@ -238,8 +250,7 @@ def positions_grid(spec: SurfaceSpec, us, vs) -> PEVector4:
     else:
         fg = np.array([(mj.f.val, mj.g.val) for mj in map(meridian.jet, us)])
         f, g = fg.reshape(-1, 2).T
-    rot = tuple(np.array([_rotation(spec, v) for v in vs]).reshape(-1, 4).T)
-    return _position_from(spec, f[:, None], g[:, None], rot)
+    return _position_from(spec, f[:, None], g[:, None], _rotations(spec, vs))
 
 
 def _position_from(spec, f, g, rot) -> PEVector4:
@@ -332,13 +343,12 @@ def _inadmissible(spec: SurfaceSpec, us, scalars):
 
 
 def _grid_inputs(spec: SurfaceSpec, us, vs):
-    """(f, f', f'', g, g', g'', 1/sqrt(E), 1/sqrt(W)) at us and _rotation at
-    vs, as arrays that broadcast against each other.
+    """(f, f', f'', g, g', g'', 1/sqrt(E), 1/sqrt(W)) at us and _rotations
+    at vs, as arrays that broadcast against each other.
 
     A u x v grid passes us as an (n, 1) column and vs as (m,), a list of
     points both as (n,); an InvariantGrid us lends its meridian columns.
-    Rotations are taken per v with math, like the meridian.  Raises the
-    _inadmissible error.
+    Raises the _inadmissible error.
     """
     if isinstance(us, InvariantGrid):
         us, scalars = us.us, us.scalars
@@ -347,15 +357,12 @@ def _grid_inputs(spec: SurfaceSpec, us, vs):
     bad = _inadmissible(spec, us, scalars)
     if bad:
         raise bad[1]
-    return ((*scalars[:6], 1.0 / np.sqrt(scalars[6]), 1.0 / np.sqrt(scalars[7])),
-            _rotations(spec, vs))
+    return _frame_inputs(scalars), _rotations(spec, vs)
 
 
-def _rotations(spec: SurfaceSpec, vs):
-    """_rotation at each v of vs, as four arrays of its shape."""
-    vs = np.asarray(vs, dtype=float)
-    rot = np.array([_rotation(spec, v) for v in vs.ravel().tolist()])
-    return tuple(c.reshape(vs.shape) for c in rot.reshape(-1, 4).T)
+def _frame_inputs(scalars):
+    """(f, f', f'', g, g', g'', 1/sqrt(E), 1/sqrt(W)) for _frame_from."""
+    return (*scalars[:6], 1.0 / np.sqrt(scalars[6]), 1.0 / np.sqrt(scalars[7]))
 
 
 # ---------------------------------------------------------------------------
@@ -580,17 +587,14 @@ def invariant_grid(spec: SurfaceSpec, us) -> InvariantGrid:
     return _invariant_rows(spec, *_meridian_columns(spec, us))
 
 
-# _rotation at v = 0, whatever alpha and beta > 0
-_ROTATION_AT_0 = (1.0, 0.0, 1.0, 0.0)
-
-
 def _invariant_rows(spec, us, scalars) -> InvariantGrid:
     """invariant_grid from _meridian_columns values; spec may be SpecRows."""
     f, fp, _, g, gp, _, _, _ = scalars
     gf = _geo_fns_from(spec, scalars)
     cv = _curvatures_from(spec, scalars)
     table = np.array((
-        *_fundamental_from(*_tangents_from(spec, f, fp, g, gp, _ROTATION_AT_0)),
+        # the rotations at v = 0, whatever alpha and beta > 0
+        *_fundamental_from(*_tangents_from(spec, f, fp, g, gp, (1.0, 0.0, 1.0, 0.0))),
         gf.nu1, gf.nu2, gf.mu, gf.gamma2, gf.beta2, cv.K, cv.kappa,
         cv.h_coeff, cv.H_norm2, shape_trace(*_shape_matrices(spec.kind, gf))))
     ok = _admissible(scalars)

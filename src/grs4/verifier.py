@@ -8,13 +8,12 @@ or the defining algebraic relation of a family.  Results are reproducible
 bit-for-bit for a fixed configuration.
 
 A suite runs each job's stage 1 in order (family, domain scan, grids and
-one meridian pass over its grid and FD stencil u's); then each grid check
-(invariant columns, frame orthonormality, v-independence, the projection
-bundle, the FD stencil) runs once per surface kind over the stacked rows
-of all that kind's jobs (up to _STACK_ROWS grid rows a call), and each
-job's residuals are reduced over its own rows.  verify_family is the batch of one.  The sweep evaluates its points
-in one pass per family, and the scan bisects all brackets in lockstep;
-cross_check is a one-row case of the projection bundle.
+one meridian pass over its grid and FD stencil u's); then two stacked
+stages run once per surface kind over all its jobs (_STACK_ROWS grid rows
+at most): the invariant columns, and the point checks from one projection
+pass and one frame pass.  verify_family is the batch of one.  The sweep
+evaluates its points in one pass per family, and the scan bisects all
+brackets in lockstep; cross_check is the bundle's dual routes at a point.
 """
 
 from __future__ import annotations
@@ -31,12 +30,13 @@ from .errors import (ConfigError, DomainError, InadmissiblePointError,
 from .meridians import (FAMILY_CATALOG, build_family,
                         descriptor_from_catalog, classified_case_ids)
 from .pe4 import inner, pow2
-from .surfaces import (InvariantGrid, SurfaceKind, SurfaceSpec, invariant_grid,
+from .surfaces import (SpecRows, SurfaceKind, SurfaceSpec, invariant_grid,
                        shape_trace, spec_rows, surface_from_family,
-                       _admissible, _frame_from, _fundamental_from,
-                       _geo_fns_from, _grid_inputs, _h_terms, _inadmissible,
-                       _invariant_rows, _meridian_columns, _projection,
-                       _rotations, _scalars_from)
+                       _admissible, _frame_from, _frame_inputs,
+                       _fundamental_from, _geo_fns_from, _grid_inputs,
+                       _h_terms, _inadmissible, _invariant_rows,
+                       _meridian_columns, _projection, _rotations,
+                       _scalars_from)
 
 DEFAULT_TOLS = {
     "closed": 1e-9,      # property residuals on closed-form families
@@ -277,31 +277,17 @@ def _relative_gap(a, b):
     return abs(a - b) / np.maximum(np.maximum(1.0, abs(a)), abs(b))
 
 
-def _gauss_route_residual(K, sigma):
-    """K against the Gauss equation through projected sigma vectors."""
-    sxx, sxy, syy = sigma
-    return _relative_gap(K, (inner(sxx, syy) - inner(sxy, sxy)) / -1.0)
-
-
-def _kappa_route_residual(kind, kappa, gf):
-    """kappa against -eps mu (nu1 + nu2)."""
-    return _relative_gap(kappa, -kind.eps * gf.mu * (gf.nu1 + gf.nu2))
-
-
 def cross_check(spec: SurfaceSpec, u: float, v: float = 0.0):
-    """Dual-route residuals for K and kappa at one u.
-
-    K: explicit formula vs the Gauss-equation route through projected
-    sigma vectors.  kappa: explicit formula vs -eps mu (nu1 + nu2), that
-    is -mu(nu1+nu2) (elliptic) or +mu(nu1+nu2) (hyperbolic).  Residuals
-    are relative with floor 1.
-    """
+    """Dual-route residuals for K and kappa at (u, v), relative with floor
+    1: K's explicit formula against the Gauss-equation route through
+    projected sigma vectors, kappa's against -eps mu (nu1 + nu2), that is
+    -mu(nu1+nu2) (elliptic) or +mu(nu1+nu2) (hyperbolic)."""
     grid = invariant_grid(spec, [u])
-    bad = _inadmissible(spec, grid.us, grid.scalars)
-    if bad:
-        raise bad[1]
-    [bundle] = check_projection_bundle([(spec, grid, v, DEFAULT_TOLS)])
-    return tuple(replace(c, grid=f"u={u:.6g}") for c in bundle[-2:])
+    rows = _bundle_rows(spec.kind, _projection(spec, *_grid_inputs(spec, grid, [v])),
+                        *(getattr(grid, name) for name in _BUNDLE_COLUMNS))
+    return tuple(_check(name, f"u={u:.6g}", r[0], DEFAULT_TOLS["cross"])
+                 for name, r in zip(("gauss-equation-route",
+                                     "normal-curvature-route"), rows[-2:]))
 
 
 def _stencil_us(u, steps):
@@ -311,15 +297,11 @@ def _stencil_us(u, steps):
                                   for w in (u + h, u - h)])
 
 
-def _fd_job(spec: SurfaceSpec, u, v, steps, scalars, tol):
-    """The check_fd_connection job of the FD points (u, v) (arrays) with
-    steps, from scalars, the _meridian_columns at _stencil_us(u, steps).
-
-    Its frame columns are the centre, then (u + h, v), (u - h, v),
-    (u, v + h), (u, v - h) per step.  Raises the first error of a
-    point-by-point loop: the centre's own, else a StepError at u +- h.
-    """
-    us = _stencil_us(u, steps)
+def _fd_columns(spec: SurfaceSpec, us, v, steps, scalars):
+    """(index into scalars, v) of the frame columns of the FD points (us[:,
+    0], v), a row per point: the centre, then (u +- h, v), (u, v +- h) per
+    step; us is their _stencil_us, scalars its _meridian_columns.  Raises
+    the point loop's first error: the centre's own, else a StepError."""
     bad = _inadmissible(spec, us, scalars)
     if bad:   # a neighbour's domain error is a StepError, the centre's its own
         i, exc = bad
@@ -330,31 +312,28 @@ def _fd_job(spec: SurfaceSpec, u, v, steps, scalars, tol):
     distinct = list(dict.fromkeys(steps))
     cols = [0] + [c for h in steps for k in [distinct.index(h)]
                   for c in (2 * k + 1, 2 * k + 2, 0, 0)]
-    vs = np.column_stack([v] + [w for h in steps for w in (v, v, v + h, v - h)])
-    return (spec, u, steps, tuple(c[:, cols] for c in scalars),
-            _rotations(spec, vs), tol)
+    vs = np.array([v] + [w for h in steps for w in (v, v, v + h, v - h)]).T
+    return np.arange(0, us.size, us.shape[1])[:, None] + cols, vs
 
 
-def fd_connection_rows(spec, scalars, rot, hs):
+def fd_connection_rows(spec, scalars, fr, hs):
     """(names, residuals) of the eight frame derivative formulas against
-    central FD, residuals of shape (8, points, steps), in one frame pass.
+    central FD, residuals of shape (8, points, steps).
 
-    scalars and rot are the meridian columns and rotations at each point's
-    frame columns (_fd_job), hs its steps; spec may be SpecRows of (points,
-    1) columns.  The frame fields are differentiated numerically and
-    converted to derivatives along the unit directions by 1/sqrt(E) and
-    1/sqrt(-G); the residuals are Euclidean norms of (FD - closed form).
-    """
-    fr = _frame_from(spec, (*scalars[:6], 1.0 / np.sqrt(scalars[6]),
-                            1.0 / np.sqrt(scalars[7])), rot)
-    centre = tuple(c[:, :1] for c in scalars)
+    scalars and fr, at each point's frame columns (_fd_columns), are
+    (points, columns) or flat; hs is (points, steps) or (steps,); spec may
+    be SpecRows of (points, 1) columns.  The frame fields are differentiated
+    numerically and converted to derivatives along the unit directions by
+    1/sqrt(E) and 1/sqrt(-G); residuals are norms of (FD - closed form)."""
+    shape = (-1, 1 + 4 * np.shape(hs)[-1])
+    centre = tuple(c.reshape(shape)[:, :1] for c in scalars)
     gf = _geo_fns_from(spec, centre)
     # H lies along the carrier normal, n2 (elliptic) or n1 (hyperbolic);
-    # F is indexed (vector, component, point, stencil column)
+    # F is indexed (vector, component, point, frame column)
     e = spec.kind.eps
     n_off, n_car = spec.kind.normals("n1", "n2")
     F = np.array([getattr(fr, name).components()
-                  for name in ("x", "y", n_off, n_car)])
+                  for name in ("x", "y", n_off, n_car)]).reshape(4, 4, *shape)
     x, y, off, car = F[..., :1]
     dx = (F[..., 1::4] - F[..., 2::4]) * (1.0 / (2.0 * hs * np.sqrt(centre[6])))
     dy = (F[..., 3::4] - F[..., 4::4]) * (1.0 / (2.0 * hs * np.sqrt(centre[7])))
@@ -396,12 +375,9 @@ def h_numerator_identity(spec: SurfaceSpec, u0: float, u1: float,
 
 
 # ---------------------------------------------------------------------------
-# Stacked grid checks
-#
-# Each takes the jobs of one surface kind, a list of per-job tuples whose
-# first item is the job's SurfaceSpec, evaluates the rows of all of them in
-# one array pass with alpha and beta as columns (SpecRows), and reduces
-# each job's residuals over its own rows; it returns one result per job.
+# Stacked stages: each takes per-job tuples (spec, grid, ...) of one
+# surface kind, evaluates the points of all jobs in one array pass with alpha
+# and beta as columns (SpecRows) and returns one result per job.
 
 def _job_max(values, counts):
     """The max over each job's counts[j] consecutive entries of values
@@ -416,74 +392,71 @@ def _joined(parts):
 
 def _invariant_grids(jobs) -> list:
     """The InvariantGrid of each (spec, us, scalars), scalars the
-    _meridian_columns at us: one invariant pass over all rows."""
+    _meridian_columns at us (which it keeps, not a joined copy): one
+    invariant pass over all rows."""
     counts = [len(us) for _, us, _ in jobs]
     grid = _invariant_rows(spec_rows([spec for spec, *_ in jobs], counts),
                            np.concatenate([us for _, us, _ in jobs]),
                            _joined(sc for *_, sc in jobs))
-    ends = np.cumsum(counts)
-    return [grid[end - n:end] for n, end in zip(counts, ends)]
+    return [replace(grid[end - n:end], scalars=sc)
+            for (*_, sc), n, end in zip(jobs, counts, np.cumsum(counts))]
 
 
-def _point_rows(jobs):
-    """(SpecRows, _frame_from inputs, rotations, InvariantGrid) of the grid
-    rows of jobs (spec, grid, vs, ...), each at the v's of its job: a row
-    per grid row and a column per v.  A job with fewer v's than another
-    repeats its last v, which leaves every max and min over v unchanged."""
-    cols = _joined((g.us, g.admissible, *g.scalars, *g.columns())
-                   for _, g, *_ in jobs)
-    grid = InvariantGrid(cols[0], cols[1], cols[2:10], *cols[10:])
-    counts = [len(g) for _, g, *_ in jobs]
-    m = max(len(vs) for _, _, vs, *_ in jobs)
-    rot = np.repeat(np.array([_rotations(spec, np.pad(vs, (0, m - len(vs)), "edge"))
-                              for spec, _, vs, *_ in jobs]).transpose(1, 0, 2),
-                    counts, axis=1)
-    f, fp, fpp, g, gp, gpp, E, W = (c[:, None] for c in grid.scalars)
-    return (spec_rows([spec for spec, *_ in jobs], counts, ndim=2),
-            (f, fp, fpp, g, gp, gpp, 1.0 / np.sqrt(E), 1.0 / np.sqrt(W)),
-            tuple(rot), grid)
+_VINDEP_NV = 32                         # v's per v-independence row
+_BUNDLE_COLUMNS = ("h_coeff", "K", "kappa", "H_norm2", "mu", "nu1", "nu2")
 
 
-def check_frame_orthonormality(jobs) -> list:
-    """frame-orthonormality of each (spec, grid, vs, tol): one frame pass
-    over every grid row at every v of vs, all jobs together."""
-    worst = orthonormality_residual(_frame_from(*_point_rows(jobs)[:3]))
-    return [_check("frame-orthonormality", f"{len(grid)}x{len(vs)} (u,v) points",
-                   w, tol, "ten inner-product conditions, Euclidean-scaled")
-            for (_, grid, vs, tol), w in zip(jobs, _job_max(
-                worst.max(axis=1), [len(grid) for _, grid, _, _ in jobs]))]
+def _point_job(spec, grid, scalars, vs, v_range, tols, fd=None):
+    """The check_points job of an admissible grid at the v's vs, scalars the
+    _meridian_columns at its rows and then at the FD stencil us of fd = (us,
+    steps), with rotations over the union of its v's (v_mid, the
+    v-independence grid over v_range, vs, the FD v's).  Raises the
+    _fd_columns error, then the ParamError of _rotations."""
+    v_mid = _V_SAMPLING[spec.kind][2]
+    index, fd_vs = (np.zeros((0, 0), int), ()) if fd is None else _fd_columns(
+        spec, fd[0], np.full(len(fd[0]), v_mid), fd[1],
+        tuple(c[len(grid):].reshape(fd[0].shape) for c in scalars))
+    rot = _rotations(spec, np.concatenate(
+        [[v_mid], _v_grid(spec.kind, _VINDEP_NV, v_range), vs, np.ravel(fd_vs)]))
+    return (spec, grid, scalars, rot, len(vs), index,
+            fd and (spec, fd[0][:, 0], fd[1], tols["fd"]), tols)
 
 
-def check_v_independence(jobs) -> list:
-    """v-independence of each (spec, grid, vs, tol): the spread across vs of
-    every v-dependent computation at each grid row, one projection pass.
+def _block_points(sizes):
+    """(job, place in its job's block) of every point of blocks of sizes[j]."""
+    job = np.repeat(np.arange(len(sizes)), sizes)
+    return job, np.arange(sizes.sum()) - (np.cumsum(sizes) - sizes)[job]
 
-    Each quantity is scaled by the Euclidean magnitude of the vectors that
-    enter it (hyperbolic frames grow like cosh(alpha v), and the exact
-    cancellations leave roundoff proportional to that growth).
-    """
-    proj = _projection(*_point_rows(jobs)[:3])
+
+def _part(obj, index):
+    """obj, an array or a tuple or slotted dataclass of them (a Frame, a
+    _Projection), at index along the points."""
+    if isinstance(obj, np.ndarray):
+        return obj[index]
+    if isinstance(obj, tuple):
+        return tuple(_part(o, index) for o in obj)
+    return type(obj)(*(_part(getattr(obj, name), index) for name in obj.__slots__))
+
+
+def _v_spread(proj):
+    """v-independence at each row of a projection over _VINDEP_NV v's a row:
+    the spread across v of each v-dependent value, scaled by the Euclidean
+    size of the vectors in it (hyperbolic frames grow like cosh(alpha v),
+    and exact cancellations leave roundoff that grows with them)."""
     pj, fr, sf = proj.pj, proj.fr, proj.sf
-    nu, nv_, n1n, n2n = (pj.z_u.euclid_norm(), pj.z_v.euclid_norm(),
-                         fr.n1.euclid_norm(), fr.n2.euclid_norm())
+    nu, nv_, n1n, n2n, uu, uv, vv = (w.euclid_norm() for w in (
+        pj.z_u, pj.z_v, fr.n1, fr.n2, pj.z_uu, pj.z_uv, pj.z_vv))
     E, F, G = _fundamental_from(pj.z_u, pj.z_v)
-    uu, uv, vv = (pj.z_uu.euclid_norm(), pj.z_uv.euclid_norm(),
-                  pj.z_vv.euclid_norm())
-    vals = np.array((E, F, G, sf.xx[0], sf.xx[1], sf.xy[0], sf.xy[1],
-                     sf.yy[0], sf.yy[1]))
+    vals = np.array((E, F, G, *sf.xx, *sf.xy, *sf.yy)).reshape(9, -1, _VINDEP_NV)
     seg = np.sqrt(E) * np.sqrt(-G)
     scales = np.array((nu * nu, nu * nv_, nv_ * nv_,
                        uu * n1n / E, uu * n2n / E,
                        uv * n1n / seg, uv * n2n / seg,
-                       vv * n1n / -G, vv * n2n / -G))
-    # axis 2 runs over v: one spread and one scale per quantity and u
+                       vv * n1n / -G, vv * n2n / -G)).reshape(9, -1, _VINDEP_NV)
+    # axis 2 runs over v: one spread and one scale per quantity and row
     spread = vals.max(axis=2) - vals.min(axis=2)
     scale = np.maximum(1.0, np.abs(scales).max(axis=2))
-    return [_check("v-independence",
-                   f"{len(grid)} u-points x {len(vs)} v-points", w, tol,
-                   "relative spread of E, F, G and projected sigma coefficients")
-            for (_, grid, vs, tol), w in zip(jobs, _job_max(
-                (spread / scale).max(axis=0), [len(g) for _, g, _, _ in jobs]))]
+    return (spread / scale).max(axis=0)
 
 
 def _sigma_magnitude(proj):
@@ -522,96 +495,134 @@ def _carrier_split(kind, proj):
     return e * inner(hv, n_off), -e * inner(hv, n_car), n_off, n_car, -e
 
 
-def check_projection_bundle(jobs) -> list:
-    """Every check of the projection route at (u, v) for the rows of grid,
-    for each (spec, grid, v, tols).
-
-    One projection pass over every grid row at its job's v, with the
-    invariant columns of the grid on the closed-form side, gives, in order:
-
-    - chen-trace, chen-allied: tr(A1 A2) of the projected shape operators
-      and the allied coefficient vanish;
-    - the no-quasi-minimal bundle: H assembled from projections stays on
-      its carrier normal (the off-carrier coefficient vanishes), the
-      carrier coefficient equals h_coeff, the reported H_norm2 is
-      -h_coeff^2, and the ambient inner product <H,H> equals (carrier
-      signature)*h^2, so H is never lightlike unless it vanishes;
-    - gauss-equation-route, normal-curvature-route: the dual routes of
-      cross_check.
-    """
-    kind = jobs[0][0].kind
-    rows, inputs, rot, grid = _point_rows(
-        [(spec, g, [v]) for spec, g, v, _ in jobs])
-    proj = _projection(rows, inputs, rot)
-    h = grid.h_coeff[:, None]
-    hh = pow2(grid.h_coeff)
-    h2 = hh[:, None]
-    tr_res, allied_res = _chen_residuals(proj, h)
-
-    hv = proj.H
+def _bundle_rows(kind, proj, h, K, kappa, H_norm2, mu, nu1, nu2):
+    """The bundle's (8, points) residuals over proj, the grid's
+    _BUNDLE_COLUMNS on the closed-form side: tr(A1 A2) of the projected
+    shape operators and the allied coefficient vanish; H from projections
+    stays on its carrier normal, with coefficient h_coeff, H_norm2 =
+    -h_coeff^2 and <H,H> = (carrier signature) h^2, so H is never lightlike
+    unless it vanishes; the dual routes of K (Gauss equation through
+    projected sigma) and kappa (-eps mu (nu1 + nu2))."""
+    hh, hv, (sxx, sxy, syy) = pow2(h), proj.H, proj.sigma
     off, carrier, n_off, n_car, sig = _carrier_split(kind, proj)
     hn = hv.euclid_norm()
-    off_res = abs(off) / np.maximum(1.0, hn * n_off.euclid_norm())
-    car_res = abs(carrier - h) / np.maximum(1.0, hn * n_car.euclid_norm())
-    def_res = abs(grid.H_norm2 + hh)
-    inner_res = (abs(inner(hv, hv) - sig * h2)
-                 / np.maximum(np.maximum(1.0, abs(h2)), abs(hv.euclid_norm2())))
-    k_res = _gauss_route_residual(grid.K[:, None], proj.sigma)
-    kp_res = _kappa_route_residual(kind, grid.kappa, grid)
-    worst = _job_max(np.array([np.ravel(r) for r in (
-        tr_res, allied_res, off_res, car_res, def_res, inner_res, k_res,
-        kp_res)]), [len(g) for _, g, _, _ in jobs])
-
-    out = []
-    for (_, g, v, tols), w in zip(jobs, worst.T):
-        tol = tols["algebraic"]
-        chen_grid = f"{len(g)} u-points, v={v:.6g}, projected shape operators"
-        where = f"{len(g)} u-points, v={v:.6g}"
-        route_grid = f"{len(g)} u-points"
-        out.append((
-            _check("chen-trace", chen_grid, w[0], tol),
-            _check("chen-allied", chen_grid, w[1], tol),
-            _check("quasi-minimal-off-component", where, w[2], tol,
-                   "off-carrier normal component of H"),
-            _check("h-carrier-coefficient", where, w[3], 10 * tol,
-                   "projected H coefficient vs closed form"),
-            _check("h-norm2-definition", where, w[4], tol,
-                   "reported H_norm2 equals -h_coeff^2"),
-            _check("h-inner-product-signature", where, w[5], tols["cross"],
-                   "ambient <H,H> = (carrier signature) * h_coeff^2; the "
-                   "carrier normal is timelike for the elliptic kind and "
-                   "spacelike for the hyperbolic kind"),
-            _check("gauss-equation-route", route_grid, w[6], tols["cross"]),
-            _check("normal-curvature-route", route_grid, w[7], tols["cross"]),
-        ))
-    return out
+    return np.array((
+        *_chen_residuals(proj, h),
+        abs(off) / np.maximum(1.0, hn * n_off.euclid_norm()),
+        abs(carrier - h) / np.maximum(1.0, hn * n_car.euclid_norm()),
+        abs(H_norm2 + hh),
+        abs(inner(hv, hv) - sig * hh)
+        / np.maximum(np.maximum(1.0, abs(hh)), abs(hv.euclid_norm2())),
+        _relative_gap(K, (inner(sxx, syy) - inner(sxy, sxy)) / -1.0),
+        _relative_gap(kappa, -kind.eps * mu * (nu1 + nu2))))
 
 
-def check_fd_connection(jobs) -> list:
-    """(fd-connection, fd-shrinkage) of each _fd_job with steps (h,
-    shrink_h, shrink_h / 2), from one fd_connection_rows pass: the worst
+# check_points in report order (then fd-connection, fd-shrinkage): name,
+# tolerance factor * tols[key], grid (of n, nv, nvr, v = v_mid) and notes
+_AT_V_MID = "{n} u-points, v={v:.6g}"
+_POINT_CHECKS = (
+    ("frame-orthonormality", "algebraic", 1, "{n}x{nv} (u,v) points",
+     "ten inner-product conditions, Euclidean-scaled"),
+    ("v-independence", "vindep", 1, f"{{nvr}} u-points x {_VINDEP_NV} v-points",
+     "relative spread of E, F, G and projected sigma coefficients"),
+    *((name, "algebraic", 1, _AT_V_MID + ", projected shape operators", "")
+      for name in ("chen-trace", "chen-allied")),
+    ("quasi-minimal-off-component", "algebraic", 1, _AT_V_MID,
+     "off-carrier normal component of H"),
+    ("h-carrier-coefficient", "algebraic", 10, _AT_V_MID,
+     "projected H coefficient vs closed form"),
+    ("h-norm2-definition", "algebraic", 1, _AT_V_MID,
+     "reported H_norm2 equals -h_coeff^2"),
+    ("h-inner-product-signature", "cross", 1, _AT_V_MID,
+     "ambient <H,H> = (carrier signature) * h_coeff^2; the carrier normal is "
+     "timelike for the elliptic kind and spacelike for the hyperbolic kind"),
+    *((name, "cross", 1, "{n} u-points", "")
+      for name in ("gauss-equation-route", "normal-curvature-route")))
+_PLANNED_COMMON = (*(c[0] for c in _POINT_CHECKS), "fd-connection", "fd-shrinkage")
+
+
+def check_points(jobs) -> list:
+    """_POINT_CHECKS and (check_fd_connection) the FD stencil of each
+    _point_job: the jobs' columns joined once, one projection pass over the
+    bundle points (each row at v_mid) and v-independence points (three rows
+    at each v of their grid), one frame pass over the frame-orthonormality
+    points (each row at each v of vs) and FD frame columns, and each check
+    reduced over each job's own points."""
+    kind, v_mid = jobs[0][0].kind, _V_SAMPLING[jobs[0][0].kind][2]
+    cols = _joined((*sc, *rot, *(getattr(grid, name) for name in _BUNDLE_COLUMNS))
+                   for _, grid, sc, rot, *_ in jobs)
+    n, nt, nr, nv, nfd = np.array([(len(grid), len(sc[0]), len(rot[0]), nv, index.size)
+                                   for _, grid, sc, rot, nv, index, *_ in jobs]).T
+    t0, r0 = np.cumsum(nt) - nt, np.cumsum(nr) - nr   # each job's first row
+    speeds = np.array([(s.alpha, s.beta) for s, *_ in jobs]).T
+    stride, first = np.maximum(1, n // 3), 1 + _VINDEP_NV   # vs[0]'s rotation
+
+    def points(*groups, skip=()):   # inputs at (job, meridian row, rotation)
+        # points, the columns in skip not gathered; no pass reads the squares
+        job, t, r = map(np.concatenate, zip(*groups))
+        sc = [None if i in skip else c[t] for i, c in enumerate(cols[:8])]
+        return (SpecRows(kind, *speeds[:, job], None), _frame_inputs(sc),
+                tuple(c[r] for c in cols[8:12]))
+
+    j, k = _block_points(n)
+    bundle = j, t0[j] + k, r0[j]
+    vrows = np.minimum(3, -(-n // stride))
+    j, k = _block_points(vrows * _VINDEP_NV)
+    spread = (j, t0[j] + stride[j] * (k // _VINDEP_NV),
+              r0[j] + 1 + k % _VINDEP_NV)
+    proj = _projection(*points(bundle, spread))
+    m = len(bundle[0])
+    bundle = _job_max(_bundle_rows(kind, _part(proj, slice(m)), *cols[12:]), n)
+    spread = _job_max(_v_spread(_part(proj, slice(m, None))), vrows)
+
+    j, k = _block_points(nfd)
+    stencil = (j, t0[j] + n[j] + np.concatenate([i.ravel() for *_, i, _, _ in jobs]),
+               r0[j] + first + nv[j] + k)
+    j, k = _block_points(n * nv)
+    m = len(j)
+    del proj   # the frame pass below holds the most points at once
+    fr = _frame_from(*points((j, t0[j] + k // nv[j], r0[j] + first + k % nv[j]),
+                             stencil, skip=(2, 5)))   # frames read no f'', g''
+    ortho = _job_max(orthonormality_residual(_part(fr, slice(m))), n * nv)
+    fd_jobs = [fd for *_, fd, _ in jobs if fd]
+    fd = iter(check_fd_connection(fd_jobs, tuple(c[stencil[1]] for c in cols[:8]),
+                                  _part(fr, slice(m, None))) if fd_jobs else ())
+    return [[_check(name, form.format(n=len(grid), nv=nv, nvr=nvr, v=v_mid), r,
+                    factor * tols[key], notes)
+             for (name, key, factor, form, notes), r in zip(_POINT_CHECKS, (o, s, *w))]
+            + list(next(fd) if fd_job else ())
+            for (_, grid, _, _, nv, _, fd_job, tols), w, s, o, nvr in zip(
+                jobs, bundle.T, spread, ortho, vrows)]
+
+
+def check_fd_connection(jobs, scalars, fr) -> list:
+    """(fd-connection, fd-shrinkage) of each (spec, u, steps = (h, shrink_h,
+    shrink_h / 2), tol) from one fd_connection_rows pass over the meridian
+    columns and Frame at every job's frame columns in turn: the worst
     residual at h and the median halving ratio from shrink_h, which for
     dense-output families sits well above the interpolation noise floor."""
     counts = [len(u) for _, u, *_ in jobs]
     _, res = fd_connection_rows(
-        spec_rows([spec for spec, *_ in jobs], counts, ndim=2),
-        *map(_joined, zip(*((sc, rot) for *_, sc, rot, _ in jobs))),
-        np.repeat([steps for _, _, steps, *_ in jobs], counts, axis=0))
+        spec_rows([spec for spec, *_ in jobs], counts, ndim=2), scalars, fr,
+        np.repeat([steps for _, _, steps, _ in jobs], counts, axis=0))
     out = []
-    for (_, u, (h, shrink_h, _), *_, tol), end, n in zip(
+    for (_, _, (h, shrink_h, _), tol), end, n in zip(
             jobs, np.cumsum(counts), counts):
         rows = res[:, end - n:end]
-        r1, r2 = rows[..., -2], rows[..., -1]
-        above = (r1 > 5e-9) & (r2 > 0.0)
-        ratios = r1[above] / r2[above]
+        above = (rows[..., -2] > 5e-9) & (rows[..., -1] > 0.0)
+        ratios = rows[..., -2][above] / rows[..., -1][above]
         fd = _check("fd-connection", f"{n} points, h={h:g}",
                     _worst(rows[..., 0]), tol,
                     "eight frame derivative formulas vs central differences")
         if ratios.size:
-            # median across rows and points: single rows can sit at the
-            # cancellation floor where the ratio carries no signal
+            # median across rows and points (np.median's, which would import
+            # numpy.ma): single rows can sit at the cancellation floor where
+            # the ratio carries no signal
+            s, k = np.sort(ratios), len(ratios) // 2
+            median = (s[-1] if np.isnan(s[-1]) else s[k] if len(s) % 2
+                      else (s[k - 1] + s[k]) / 2)
             shr = _check("fd-shrinkage", f"{n} points, h={shrink_h:g}",
-                         abs(float(np.median(ratios)) - 4.0), 0.5,
+                         abs(float(median) - 4.0), 0.5,
                          f"median halving ratio over {len(ratios)} rows "
                          "above the noise floor")
         else:
@@ -721,11 +732,6 @@ _BUNDLES = {"minimal": ("minimal-h-coeff",),
                       "pnmcv-h-constancy"),
             "flat": ("flat-gauss-curvature", "flat-mu2-plus-nu1nu2"),
             "fnc": ("fnc-normal-curvature",)}
-_PLANNED_COMMON = ("frame-orthonormality", "v-independence", "chen-trace",
-                   "chen-allied", "quasi-minimal-off-component",
-                   "h-carrier-coefficient", "h-norm2-definition",
-                   "h-inner-product-signature", "gauss-equation-route",
-                   "normal-curvature-route", "fd-connection", "fd-shrinkage")
 
 
 def verify_family(case: str, params: dict | None = None, **kw) -> FamilyReport:
@@ -809,8 +815,6 @@ def _family_checks(case: str, params: dict | None = None, *, nu: int = 50,
         results.extend(check_sampled_residuals(fam))
 
     us = _grid_in_intervals(intervals, nu)
-    vs = _v_grid(spec.kind, nv, v_range)
-    v_mid = _V_SAMPLING[spec.kind][2]
 
     # three interior FD points inside the widest interval, at least pad
     # from its edges: their stencils, out to shrink_h, stay inside it
@@ -839,22 +843,14 @@ def _family_checks(case: str, params: dict | None = None, *, nu: int = 50,
     bad = _inadmissible(spec, grid.us, grid.scalars)   # the frames need all rows
     if bad:
         raise bad[1]
-    results.append((yield check_frame_orthonormality,
-                    (spec, grid, vs, tols["algebraic"])))
-    results.append((yield check_v_independence, (
-        spec, grid[:: max(1, len(grid) // 3)][:3],
-        _v_grid(spec.kind, 32, v_range), tols["vindep"])))
-    results.extend((yield check_projection_bundle, (spec, grid, v_mid, tols)))
-
+    results.extend((yield check_points, _point_job(
+        spec, grid, scalars, _v_grid(spec.kind, nv, v_range), v_range, tols,
+        (stencil, steps) if fd_u.size else None)))
     if not fd_u.size:
         note = (f"admissible interval [{a:.6g}, {b:.6g}] too narrow for the "
                 f"FD stencil (step {shrink_h:g})")
         results.extend(_vacuous_check(name, note)
                        for name in ("fd-connection", "fd-shrinkage"))
-        return report()
-    results.extend((yield check_fd_connection, _fd_job(
-        spec, fd_u, np.full(fd_u.shape, v_mid), steps,
-        tuple(c[len(us):].reshape(stencil.shape) for c in scalars), tols["fd"])))
     return report()
 
 

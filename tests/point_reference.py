@@ -51,19 +51,27 @@ def frame_scalars(spec, u):
     return f, fp, fpp, g, gp, gpp, 1.0 / math.sqrt(E), 1.0 / math.sqrt(W)
 
 
+def rotation(spec, v):
+    """(cos, sin) of alpha*v and beta*v with math; cosh and sinh for the
+    hyperbolic kind."""
+    cos, sin = spec.kind.cos, spec.kind.sin
+    a, b = spec.alpha, spec.beta
+    return cos(a * v), sin(a * v), cos(b * v), sin(b * v)
+
+
 def position_jets(spec, u, v):
     return surfaces._jets_from(spec, *meridian_scalars(spec, u)[:6],
-                               surfaces._rotation(spec, v))
+                               rotation(spec, v))
 
 
 def frames(spec, u, v):
     return surfaces._frame_from(spec, frame_scalars(spec, u),
-                                surfaces._rotation(spec, v))
+                                rotation(spec, v))
 
 
 def project(spec, u, v):
     return surfaces._projection(spec, frame_scalars(spec, u),
-                                surfaces._rotation(spec, v))
+                                rotation(spec, v))
 
 
 def geometric_functions(spec, u):
@@ -117,7 +125,7 @@ def invariant_grid(spec, us):
         _, *jets = jet_columns(spec.meridian, np.asarray(us, dtype=float))
         scalars = surfaces._scalars_from(spec, *jets)
         pj = surfaces._jets_from(spec, *scalars[:6],
-                                 surfaces._rotation(spec, 0.0))
+                                 rotation(spec, 0.0))
         E, F, G = (inner(pj.z_u, pj.z_u), inner(pj.z_u, pj.z_v),
                    inner(pj.z_v, pj.z_v))
         ok = surfaces._admissible(scalars)

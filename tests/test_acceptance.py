@@ -210,6 +210,9 @@ def test_criterion_11_determinism(suite, tmp_path):
 
 SUITE_JOBS_SHA256 = "02c9adf41113d7a46ed192e702e3d59512a9bbc9ea378c85d40cd4376861cf6d"
 SUITE_SWEEPS_SHA256 = "4a4c09e3515200465b8ad5c6a68c0aedb09756ed4a050c81296c3cd6070aa7d0"
+# the whole report of grs4 verify --suite default --seed 31 --report, the
+# sweep's random points drawn from a second seed
+SUITE_REPORT_SEED31_SHA256 = "7a985810900991e27c54a4b599ce28dd4034dddbef6faff5b9e6bd6311dcf6c0"
 
 
 def test_suite_jobs_bytes_pinned(suite):
@@ -232,6 +235,14 @@ def test_suite_sweeps_bytes_pinned(suite):
     note of test_suite_jobs_bytes_pinned applies."""
     data = json.dumps(suite["sweeps"], indent=2).encode("utf-8")
     assert hashlib.sha256(data).hexdigest() == SUITE_SWEEPS_SHA256
+
+
+def test_suite_report_bytes_pinned_at_a_second_seed():
+    """The full default report at seed 31, sweep included, as the report
+    writer writes it, hashes to the pinned digest; the libm and BLAS note
+    of test_suite_jobs_bytes_pinned applies."""
+    data = report_json_bytes(run_suite(default_suite_config(31)).to_json())
+    assert hashlib.sha256(data).hexdigest() == SUITE_REPORT_SEED31_SHA256
 
 
 def test_suite_overall_pass(suite):

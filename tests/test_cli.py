@@ -355,6 +355,26 @@ def test_verify_param_error_exit_2():
     assert run("verify", "--family", "flat-ell-ii", "--params", "C=4") == 2
 
 
+def test_rotation_past_the_float_range_mesh_exit_2(tmp_path, capsys):
+    """cosh(alpha v) past the float range is a ParamError naming v and the
+    kind: one error line, exit 2 and no file."""
+    out = tmp_path / "m.csv"
+    assert run("mesh", "--family", "fnc-hyp-i", "--v0", "0", "--v1", "800",
+               "--nu", "3", "--nv", "3", "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: hyperbolic rotation past the float range at v=800.0\n")
+    assert not out.exists()
+
+
+def test_suite_job_rotation_past_the_float_range_exit_2(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"jobs": [{"family": "fnc-hyp-i", "v0": 0,
+                                           "v1": 800}]}))
+    assert run("verify", "--suite", str(suite)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: hyperbolic rotation past the float range at v=800.0\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--family", "fnc-ell-ii", "--f0", "0.0"),
     ("invariants", "--family", "fnc-hyp-ii", "--f0", "0.6", "--out", "x.csv"),

@@ -2,13 +2,14 @@ import dataclasses
 import math
 import random
 import re
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import point_reference as ref
-from grs4.errors import GrsError, InadmissiblePointError
+from grs4.errors import GrsError, InadmissiblePointError, ParamError
 from grs4.meridians import (FAMILY_CATALOG, build_family, classified_case_ids,
                             descriptor_from_catalog)
 from grs4.pe4 import inner
@@ -19,7 +20,7 @@ from grs4.surfaces import (INVARIANT_COLUMNS, SecondFundamental, SurfaceKind,
                            position_jets, positions_grid,
                            shape_trace, surface_from_family, _frame_from,
                            _fundamental_from, _grid_inputs, _projection,
-                           _shape_matrices)
+                           _rotations, _shape_matrices)
 from grs4.verifier import (admissible_domain, orthonormality_residual,
                            _grid_in_intervals, _v_grid)
 
@@ -475,6 +476,52 @@ def test_grid_route_matches_point_route_bitwise(spec):
             assert _grid_hex(pg.H, i, j) == _hex(proj.H), (u, v)
             A1, A2 = proj.shape_matrices()
             assert float(trg[i, j]).hex() == float(np.trace(A1 @ A2)).hex(), (u, v)
+
+
+# cosh and sinh overflow just above |x| = acosh(DBL_MAX), about 710.4758
+_COSH_LIMIT = math.acosh(sys.float_info.max)
+
+
+@pytest.mark.parametrize("speeds", [(1.5, 0.75), (0.75, 1.5), (3, 1)])
+@pytest.mark.parametrize("kind", list(SurfaceKind))
+def test_rotations_match_math_per_v_bitwise(kind, speeds):
+    """_rotations has at each element the bits of math at that v: cos and
+    sin (cosh and sinh) of alpha*v and beta*v, at +-0.0, at negative v and
+    where |alpha v| or |beta v| lies just below the cosh limit; integer
+    speeds as Python multiplies them."""
+    spec = dataclasses.replace(PNMCV_ELL, kind=kind, alpha=speeds[0],
+                               beta=speeds[1])
+    top = _COSH_LIMIT / max(speeds)
+    vs = [0.0, -0.0, -1e-300, 0.3, -0.7, -2.5, 3.0, -41.0, 100.0]
+    vs += [np.nextafter(top, 0.0), -np.nextafter(top, 0.0),
+           np.nextafter(top, 0.0) * (1.0 - 2.0 ** -40)]
+    got = _rotations(spec, np.array(vs).reshape(3, 4))
+    assert [c.shape for c in got] == [(3, 4)] * 4
+    for i, v in enumerate(vs):
+        want = [fn(s * v) for s in speeds for fn in (kind.cos, kind.sin)]
+        assert [float(c.flat[i]).hex() for c in got] == \
+            [w.hex() for w in want], v
+    if kind is SurfaceKind.HYPERBOLIC:
+        assert max(abs(w) for w in want) > 1e307
+    assert [float(c).hex() for c in _rotations(spec, -0.0)] == \
+        [w.hex() for w in (1.0, -0.0, 1.0, -0.0)]
+
+
+def test_rotations_past_the_float_range_name_the_largest_v():
+    """A rotation past the float range is a ParamError naming the kind and
+    the largest |v|: a hyperbolic one where cosh overflows, here through
+    beta, and an elliptic one where alpha*v or beta*v does; a NaN v is
+    passed over."""
+    spec = dataclasses.replace(MIN_HYP_I, alpha=1.0, beta=2.0)
+    top = _COSH_LIMIT / 2.0
+    with pytest.raises(ParamError, match=re.escape(
+            f"hyperbolic rotation past the float range at v={-3 * top}")):
+        _rotations(spec, [0.5, math.nan, top * 1.01, -3 * top, 2 * top])
+    ell = dataclasses.replace(spec, kind=SurfaceKind.ELLIPTIC)
+    assert all(np.isfinite(c).all() for c in _rotations(ell, [3 * top, -1e300]))
+    with pytest.raises(ParamError, match=re.escape(
+            "elliptic rotation past the float range at v=1e+308")):
+        _rotations(ell, [1.0, 1e308])
 
 
 class _JetOnly:

@@ -16,8 +16,7 @@ from grs4.pe4 import PEVector4
 from grs4.surfaces import SurfaceKind, surface_from_family
 from grs4 import meridians, surfaces, verifier
 from grs4.verifier import (admissible_domain, check_flat, check_fnc,
-                           check_frame_orthonormality, check_pnmcv,
-                           check_projection_bundle, cross_check,
+                           check_pnmcv, check_points, cross_check,
                            default_suite_config, h_numerator_identity,
                            random_point_sweep, run_suite, verify_family)
 
@@ -272,9 +271,9 @@ def test_narrow_domain_fd_points_keep_their_stencils_inside(monkeypatch):
     points = []
     check = verifier.check_fd_connection
 
-    def recording(jobs):
+    def recording(jobs, *frame):
         points.extend(u for _, us, *_ in jobs for u in us)
-        return check(jobs)
+        return check(jobs, *frame)
 
     monkeypatch.setattr(verifier, "check_fd_connection", recording)
     rep = verify_family("pnmcv-ell", interval=(1.9, 2.0005))
@@ -566,13 +565,19 @@ def _with_nan(vec, i):
     return PEVector4(x1, vec.x2, vec.x3, vec.x4)
 
 
+def _point_job(spec, us, vs):
+    """The check_points job of the grid us at the v's vs, without FD."""
+    grid = surfaces.invariant_grid(spec, us)
+    return verifier._point_job(spec, grid, grid.scalars, vs, None,
+                               verifier.DEFAULT_TOLS)
+
+
 def test_nan_frame_fails_frame_orthonormality(monkeypatch):
     """A NaN at one of 3x2 grid points (u-major) reaches the check instead
     of being dropped by a max(0.0, nan) reduction."""
     spec = spec_for("pnmcv-ell", {"C": 2.0}, alpha=1.0, beta=3.0)
-    job = (spec, surfaces.invariant_grid(spec, [2.5, 3.0, 4.0]), [0.3, 1.1],
-           1e-12)
-    assert check_frame_orthonormality([job])[0].passed
+    job = _point_job(spec, [2.5, 3.0, 4.0], [0.3, 1.1])
+    assert check_points([job])[0][0].passed
     frame = verifier._frame_from
 
     def poisoned(*args):
@@ -580,15 +585,17 @@ def test_nan_frame_fails_frame_orthonormality(monkeypatch):
         return dataclasses.replace(fr, x=_with_nan(fr.x, 2))   # u=3, v=0.3
 
     monkeypatch.setattr(verifier, "_frame_from", poisoned)
-    [res] = check_frame_orthonormality([job])
+    res = check_points([job])[0][0]
+    assert res.name == "frame-orthonormality"
     assert math.isnan(res.max_residual) and not res.passed
 
 
 def test_nan_projection_fails_v_mid_checks(monkeypatch):
+    """A NaN in sigma at the third u of the v_mid bundle (v = 0.4 for the
+    hyperbolic kind) reaches its checks."""
     spec = spec_for("min-hyp-i", {"c": 1.0}, alpha=2.0, beta=1.0)
-    grid = surfaces.invariant_grid(spec, [0.8, 1.0, 1.2])
-    job = (spec, grid, 0.4, verifier.DEFAULT_TOLS)
-    assert all(c.passed for c in check_projection_bundle([job])[0])
+    job = _point_job(spec, [0.8, 1.0, 1.2], [0.4])
+    assert all(c.passed for c in check_points([job])[0][2:])
     project = verifier._projection
 
     def poisoned(*args):
@@ -597,7 +604,7 @@ def test_nan_projection_fails_v_mid_checks(monkeypatch):
         return dataclasses.replace(proj, sigma=(_with_nan(sxx, 2), sxy, syy))
 
     monkeypatch.setattr(verifier, "_projection", poisoned)
-    res = {c.name: c for c in check_projection_bundle([job])[0]}
+    res = {c.name: c for c in check_points([job])[0][2:]}
     for name in ("chen-trace", "quasi-minimal-off-component",
                  "gauss-equation-route"):
         assert math.isnan(res[name].max_residual), name
@@ -630,10 +637,11 @@ def test_verify_family_detects_off_carrier_component(monkeypatch, case):
 def test_verify_family_batches_its_grid_checks(monkeypatch):
     """No per-point route runs, and each stacked check is one call per
     surface kind.  verify_family on one family makes one invariant pass,
-    two projections (v-independence, the v_mid bundle) and four frame
-    passes: those two, frame orthonormality and the FD stencil, the last
-    inside the one fd_connection_rows call.  A default-suite pass, whose
-    22 jobs have both kinds, makes each of these calls twice."""
+    one projection (the v_mid bundle and v-independence together) and two
+    frame passes: the projection's and one over the frame-orthonormality
+    points and the FD frame columns, which fd_connection_rows reads
+    without a frame pass of its own.  A default-suite pass, whose 22 jobs
+    have both kinds, makes each of these calls twice."""
     names = ("frames", "position_jets", "geometric_functions", "curvatures",
              "_invariant_rows", "_projection", "fd_connection_rows",
              "_frame_from")
@@ -658,8 +666,8 @@ def test_verify_family_batches_its_grid_checks(monkeypatch):
         for name in names:
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
-    one_kind = {"_invariant_rows": 1, "_projection": 2, "_frame_from": 4,
-                "fd_connection_rows": 1, "frames_in_fd": 1}
+    one_kind = {"_invariant_rows": 1, "_projection": 1, "_frame_from": 2,
+                "fd_connection_rows": 1}
     assert verify_family("pnmcv-ell").passed
     assert calls == one_kind
     calls.clear()
@@ -719,6 +727,29 @@ def test_nan_fd_row_fails_fd_connection(monkeypatch):
     monkeypatch.setattr(verifier, "fd_connection_rows", poisoned)
     res = fd_check(spec, points, 1e-4, 1e-6)[0]
     assert math.isnan(res.max_residual) and not res.passed
+
+
+@pytest.mark.parametrize("ratios", [24, 23])
+def test_nan_halving_ratio_fails_fd_shrinkage(monkeypatch, ratios):
+    """A row whose residuals at shrink_h and shrink_h / 2 are both inf has a
+    NaN halving ratio: fd-shrinkage takes np.median's NaN and fails, over
+    an even and an odd count of ratios."""
+    spec = spec_for("pnmcv-ell", {"C": 2.0}, alpha=1.0, beta=3.0)
+    points = [(2.8, 0.7), (3.2, 0.7), (3.6, 0.7)]
+    fd = verifier.fd_connection_rows
+
+    def poisoned(*args):
+        names, out = fd(*args)
+        out[0, 1, 1:] = math.inf
+        if ratios == 23:
+            out[7, 0, 2] = 0.0   # below the noise floor: no ratio
+        return names, out
+
+    monkeypatch.setattr(verifier, "fd_connection_rows", poisoned)
+    with np.errstate(invalid="ignore"):
+        shr = fd_check(spec, points, 1e-4, 1e-6, shrink_h=1e-3)[1]
+    assert f"over {ratios} rows" in shr.notes
+    assert math.isnan(shr.max_residual) and not shr.passed
 
 
 def test_nan_knot_root_fails_branch_continuity(monkeypatch):

@@ -19,9 +19,10 @@ is, multiplied by the traced run's median host speed, which
 "layers_host_speed" records), under "default_suite" the median and every
 run of the full suite's wall time (raw seconds, interpreter start
 included, not converted to a reference speed), under "suite_calls" the
-calls per pass of the grid routes in PROFILED, counted by cProfile over one
-default-suite pass with the sweep off (a layer that perfbench's tracer does
-not wrap), and the tier-1 wall time with its pytest summary line.  Under "source" it records facts of the
+calls per pass of the grid routes and the point stage in PROFILED,
+counted by cProfile over one default-suite pass with the sweep off (a
+layer that perfbench's tracer does not wrap), and the tier-1 wall time
+with its pytest summary line.  Under "source" it records facts of the
 checkout's source: the line count of src/grs4/*.py (as wc -l counts), the
 sha256 of the full report of ``grs4 verify --suite default --seed 31
 --report``, the sha256 of the writer outputs in WRITER_OUTPUTS (an
@@ -110,9 +111,10 @@ def run_workload(checkout: str, workload: str):
     return run, metrics, run_perfbench(checkout, workload, 1)
 
 
-# the grid routes whose calls per default-suite pass are recorded
+# the grid routes and the point stage whose calls per default-suite pass are
+# recorded
 PROFILED = ("jet_columns", "invariant_grid", "_invariant_rows", "_frame_from",
-            "_projection", "fd_connection_rows")
+            "_projection", "fd_connection_rows", "check_points")
 _PROFILE = """
 import cProfile, json, pstats, sys
 from grs4.verifier import default_suite_config, run_suite
