@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -198,18 +199,20 @@ class InvariantGrid:
 # Position jets and first fundamental form
 
 def _rotations(spec: SurfaceSpec, vs):
-    """(cos, sin) of alpha*v and beta*v at each v of vs, cosh and sinh for
-    the hyperbolic kind, as four float arrays of its shape: math at each
-    element, so each has the bits of the float formula.  A rotation past
-    the float range is a ParamError naming the largest |v|, which has one.
+    """(cos, sin) of alpha*v and beta*v at each v of vs (SpecRows: a speed
+    per v), cosh and sinh for the hyperbolic kind, as four float arrays of
+    its shape: math at each element, so each has the bits of the float
+    formula.  A rotation past the float range is a ParamError naming the
+    largest |v|, which has one.
     """
     vs = np.asarray(vs, dtype=float)
     flat = vs.ravel().tolist()
+    speeds = [np.broadcast_to(s, vs.shape).ravel().tolist()
+              for s in (spec.alpha, spec.beta)]
     try:
-        return tuple(np.fromiter(map(fn, map(float(s).__mul__, flat)), float,
+        return tuple(np.fromiter(map(fn, map(mul, s, flat)), float,
                                  len(flat)).reshape(vs.shape)
-                     for s in (spec.alpha, spec.beta)
-                     for fn in (spec.kind.cos, spec.kind.sin))
+                     for s in speeds for fn in (spec.kind.cos, spec.kind.sin))
     except (OverflowError, ValueError):
         v = float(vs.flat[np.nanargmax(abs(vs))])
         raise ParamError(f"{spec.kind.value} rotation past the float range "

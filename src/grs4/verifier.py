@@ -7,13 +7,13 @@ of frame fields, inner products of projected second-fundamental vectors,
 or the defining algebraic relation of a family.  Results are reproducible
 bit-for-bit for a fixed configuration.
 
-A suite runs each job's stage 1 in order (family, domain scan, grids and
-one meridian pass over its grid and FD stencil u's); then two stacked
-stages run once per surface kind over all its jobs (_STACK_ROWS grid rows
-at most): the invariant columns, and the point checks from one projection
-pass and one frame pass.  verify_family is the batch of one.  The sweep
-evaluates its points in one pass per family, and the scan bisects all
-brackets in lockstep; cross_check is the bundle's dual routes at a point.
+A suite runs each job's stage 1 in order (family, one meridian pass over
+the domain scan and the grid and FD stencil of its interval); then two
+stacked stages run once per surface kind over all its jobs (_STACK_ROWS
+grid rows at most): the invariant columns, and the point checks from one
+rotation, one projection and one frame pass.  verify_family is the batch of
+one.  The sweep makes one pass per kind, the scan bisects all brackets in
+lockstep; cross_check is the bundle's dual routes at a point.
 """
 
 from __future__ import annotations
@@ -173,14 +173,6 @@ def _vacuous_check(name, note):
 # ---------------------------------------------------------------------------
 # Admissible-domain scanning
 
-def _admissible_at(spec: SurfaceSpec, us) -> np.ndarray:
-    """Where the surface is admissible (surfaces._admissible) at each u of
-    the array us, in one meridian pass; false where the meridian is
-    undefined."""
-    ok, *jets = spec.meridian.jet_columns(us)
-    return ok & _admissible(_scalars_from(spec, *jets))
-
-
 def _bisect(spec: SurfaceSpec, a, b, good_a) -> np.ndarray:
     """Midpoints of the brackets [a, b] (arrays; good_a: a is admissible)
     after at most 200 bisection steps to width 1e-12, in lockstep: one
@@ -191,24 +183,29 @@ def _bisect(spec: SurfaceSpec, a, b, good_a) -> np.ndarray:
         if not open_.size:
             break
         m = 0.5 * (a[open_] + b[open_])
-        same = _admissible_at(spec, m) == good_a[open_]
+        same = _admissible(_meridian_columns(spec, m)[1]) == good_a[open_]
         a[open_[same]] = m[same]
         b[open_[~same]] = m[~same]
     return 0.5 * (a + b)
 
 
-def admissible_domain(spec: SurfaceSpec, u0: float, u1: float, n: int) -> list:
+def admissible_domain(spec: SurfaceSpec, u0: float, u1: float, n: int,
+                      good=None) -> list:
     """Maximal admissible subintervals of [u0, u1].
 
     Scans n sample points in one meridian pass and refines every change
     of admissibility (E and -G finite above ADMISSIBILITY_EPS) by
-    bisection to an absolute width of 1e-12, all brackets in lockstep.
+    bisection to an absolute width of 1e-12, all brackets in lockstep;
+    good, if given, is the scan's _admissible, from the caller's pass.
     """
     if n < 2:
         raise ValueError("scan needs at least 2 sample points")
-    us = np.linspace(u0, u1, n)
-    good = _admissible_at(spec, us)
+    if good is None:
+        good = _admissible(_meridian_columns(spec, np.linspace(u0, u1, n))[1])
     flips = np.flatnonzero(good[1:] != good[:-1]) + 1
+    if not flips.size:   # no edge to bisect
+        return [(u0, u1)] if good[0] else []
+    us = np.linspace(u0, u1, n)
     edges = _bisect(spec, us[flips - 1], us[flips], good[flips - 1])
     intervals = []
     start = u0 if good[0] else None
@@ -232,10 +229,10 @@ def _grid_in_intervals(intervals, n, margin_frac=5e-3):
         length = b - a
         k = max(2, int(round(n * length / total))) if len(intervals) > 1 else n
         if idx == len(intervals) - 1:
-            k = max(2, n - len(pts))
+            k = max(2, n - sum(map(len, pts)))
         m = length * margin_frac
-        pts.extend(np.linspace(a + m, b - m, k))
-    return np.array(pts[:max(n, 2)])
+        pts.append(np.linspace(a + m, b - m, k))
+    return np.concatenate(pts)[:max(n, 2)]
 
 
 def _v_grid(kind: SurfaceKind, nv: int, v_range=None):
@@ -244,6 +241,26 @@ def _v_grid(kind: SurfaceKind, nv: int, v_range=None):
         v_range = default
     return np.linspace(v_range[0], v_range[1], nv,
                        endpoint=endpoint or v_range != default)
+
+
+def _grid_and_stencil(intervals, nu: int, closed: bool):
+    """(nu-point grid, FD stencil us, steps, None) over the intervals: the
+    _stencil_us of three FD points inside the widest one, at least pad from
+    its edges, so that their stencils, out to the step of fd-shrinkage, stay
+    inside it; where it is too narrow, the note of the vacuous FD checks."""
+    us = _grid_in_intervals(intervals, nu)
+    a, b = max(intervals, key=lambda iv: iv[1] - iv[0])
+    shrink_h = FD_H if closed else 10.0 * FD_H
+    pad = min(max(0.02 * (b - a), 8.0 * shrink_h), 0.5 * (b - a) - shrink_h)
+    if not pad > shrink_h:
+        return us, np.array([]), None, (f"admissible interval [{a:.6g}, {b:.6g}] too "
+                                        f"narrow for the FD stencil (step {shrink_h:g})")
+    fd_u = np.array([a + frac * (b - a - 2 * pad) + pad for frac in (0.25, 0.5, 0.75)])
+    # an edge can be a branch point where the meridian's derivatives blow
+    # up, so the step stays well inside the nearest edge
+    h = min(FD_H, float(np.minimum(fd_u - a, b - fd_u).min()) / 512.0)
+    steps = (h, h, 0.5 * h) if closed else (h, shrink_h, 0.5 * shrink_h)
+    return us, _stencil_us(fd_u, steps), steps, None
 
 
 # ---------------------------------------------------------------------------
@@ -406,22 +423,6 @@ _VINDEP_NV = 32                         # v's per v-independence row
 _BUNDLE_COLUMNS = ("h_coeff", "K", "kappa", "H_norm2", "mu", "nu1", "nu2")
 
 
-def _point_job(spec, grid, scalars, vs, v_range, tols, fd=None):
-    """The check_points job of an admissible grid at the v's vs, scalars the
-    _meridian_columns at its rows and then at the FD stencil us of fd = (us,
-    steps), with rotations over the union of its v's (v_mid, the
-    v-independence grid over v_range, vs, the FD v's).  Raises the
-    _fd_columns error, then the ParamError of _rotations."""
-    v_mid = _V_SAMPLING[spec.kind][2]
-    index, fd_vs = (np.zeros((0, 0), int), ()) if fd is None else _fd_columns(
-        spec, fd[0], np.full(len(fd[0]), v_mid), fd[1],
-        tuple(c[len(grid):].reshape(fd[0].shape) for c in scalars))
-    rot = _rotations(spec, np.concatenate(
-        [[v_mid], _v_grid(spec.kind, _VINDEP_NV, v_range), vs, np.ravel(fd_vs)]))
-    return (spec, grid, scalars, rot, len(vs), index,
-            fd and (spec, fd[0][:, 0], fd[1], tols["fd"]), tols)
-
-
 def _block_points(sizes):
     """(job, place in its job's block) of every point of blocks of sizes[j]."""
     job = np.repeat(np.arange(len(sizes)), sizes)
@@ -542,19 +543,40 @@ _PLANNED_COMMON = (*(c[0] for c in _POINT_CHECKS), "fd-connection", "fd-shrinkag
 
 
 def check_points(jobs) -> list:
-    """_POINT_CHECKS and (check_fd_connection) the FD stencil of each
-    _point_job: the jobs' columns joined once, one projection pass over the
-    bundle points (each row at v_mid) and v-independence points (three rows
-    at each v of their grid), one frame pass over the frame-orthonormality
-    points (each row at each v of vs) and FD frame columns, and each check
-    reduced over each job's own points."""
+    """_POINT_CHECKS and (check_fd_connection) the FD stencil of each job
+    (spec, grid, scalars, nv, v_range, tols, fd), scalars the
+    _meridian_columns at the grid rows, then at the FD stencil us of fd =
+    (us, steps) or None: one rotation pass over each job's v's (v_mid, the
+    v-independence grid over v_range, the nv grid, the FD v's), one
+    projection pass (each row at v_mid, three rows at each v-independence
+    v), one frame pass (each row at each v of the nv grid, the FD columns).
+    A job's error (_fd_columns', then _rotations') is its result."""
     kind, v_mid = jobs[0][0].kind, _V_SAMPLING[jobs[0][0].kind][2]
-    cols = _joined((*sc, *rot, *(getattr(grid, name) for name in _BUNDLE_COLUMNS))
-                   for _, grid, sc, rot, *_ in jobs)
-    n, nt, nr, nv, nfd = np.array([(len(grid), len(sc[0]), len(rot[0]), nv, index.size)
-                                   for _, grid, sc, rot, nv, index, *_ in jobs]).T
-    t0, r0 = np.cumsum(nt) - nt, np.cumsum(nr) - nr   # each job's first row
+    # each distinct v-grid once, keyed by repr, which tells -0.0 from 0.0
+    v_grids = {(n, repr(vr)): (n, vr) for *_, nv, vr, _, _ in jobs
+               for n in (_VINDEP_NV, nv)}
+    v_grids = {key: _v_grid(kind, *args) for key, args in v_grids.items()}
     speeds = np.array([(s.alpha, s.beta) for s, *_ in jobs]).T
+    try:
+        fd_cols = [(np.zeros((0, 0), int), ()) if fd is None else _fd_columns(
+            spec, fd[0], np.full(len(fd[0]), v_mid), fd[1],
+            tuple(c[len(grid):].reshape(fd[0].shape) for c in sc))
+            for spec, grid, sc, *_, fd in jobs]
+        vs = [np.concatenate([[v_mid], v_grids[_VINDEP_NV, repr(vr)],
+                              v_grids[nv, repr(vr)], np.ravel(fd_vs)])
+              for (*_, nv, vr, _, _), (_, fd_vs) in zip(jobs, fd_cols)]
+        nr = np.array([len(v) for v in vs])
+        rot = _rotations(SpecRows(kind, *np.repeat(speeds, nr, axis=1), None),
+                         np.concatenate(vs))
+    except Exception as exc:   # noqa: BLE001 - a job's own, found by halving
+        h = len(jobs) // 2
+        return check_points(jobs[:h]) + check_points(jobs[h:]) if h else [exc]
+    joined = _joined((*sc, *(getattr(grid, name) for name in _BUNDLE_COLUMNS))
+                     for _, grid, sc, *_ in jobs)
+    cols = (*joined[:8], *rot, *joined[8:])
+    n, nt, nv, nfd = np.array([(len(grid), len(sc[0]), nv, index.size) for (
+        _, grid, sc, nv, *_), (index, _) in zip(jobs, fd_cols)]).T
+    t0, r0 = np.cumsum(nt) - nt, np.cumsum(nr) - nr   # each job's first row
     stride, first = np.maximum(1, n // 3), 1 + _VINDEP_NV   # vs[0]'s rotation
 
     def points(*groups, skip=()):   # inputs at (job, meridian row, rotation)
@@ -576,7 +598,7 @@ def check_points(jobs) -> list:
     spread = _job_max(_v_spread(_part(proj, slice(m, None))), vrows)
 
     j, k = _block_points(nfd)
-    stencil = (j, t0[j] + n[j] + np.concatenate([i.ravel() for *_, i, _, _ in jobs]),
+    stencil = (j, t0[j] + n[j] + np.concatenate([i.ravel() for i, _ in fd_cols]),
                r0[j] + first + nv[j] + k)
     j, k = _block_points(n * nv)
     m = len(j)
@@ -584,14 +606,15 @@ def check_points(jobs) -> list:
     fr = _frame_from(*points((j, t0[j] + k // nv[j], r0[j] + first + k % nv[j]),
                              stencil, skip=(2, 5)))   # frames read no f'', g''
     ortho = _job_max(orthonormality_residual(_part(fr, slice(m))), n * nv)
-    fd_jobs = [fd for *_, fd, _ in jobs if fd]
+    fd_jobs = [(spec, fd[0][:, 0], fd[1], tols["fd"])
+               for spec, *_, tols, fd in jobs if fd]
     fd = iter(check_fd_connection(fd_jobs, tuple(c[stencil[1]] for c in cols[:8]),
                                   _part(fr, slice(m, None))) if fd_jobs else ())
     return [[_check(name, form.format(n=len(grid), nv=nv, nvr=nvr, v=v_mid), r,
                     factor * tols[key], notes)
              for (name, key, factor, form, notes), r in zip(_POINT_CHECKS, (o, s, *w))]
             + list(next(fd) if fd_job else ())
-            for (_, grid, _, _, nv, _, fd_job, tols), w, s, o, nvr in zip(
+            for (_, grid, _, nv, _, tols, fd_job), w, s, o, nvr in zip(
                 jobs, bundle.T, spread, ortho, vrows)]
 
 
@@ -791,7 +814,14 @@ def _family_checks(case: str, params: dict | None = None, *, nu: int = 50,
         return FamilyReport(case, dict(desc.params), desc.alpha, desc.beta,
                             grid_desc, results, runtime)
 
-    intervals = admissible_domain(spec, lo, hi, max(128, 4 * nu))
+    # one meridian pass over the grid and FD stencil of all of [lo, hi] and
+    # the scan; a job not admissible on all of it makes one more pass
+    closed = FAMILY_CATALOG[case].realization == "closed"
+    n_scan, whole = max(128, 4 * nu), [(lo, hi)]
+    us, stencil, steps, narrow = _grid_and_stencil(whole, nu, closed)
+    scalars = _meridian_columns(spec, np.concatenate(
+        [np.linspace(lo, hi, n_scan), us, stencil.ravel()]))[1]
+    intervals = admissible_domain(spec, lo, hi, n_scan, _admissible(scalars)[:n_scan])
     results = [CheckResult(
         "admissible-domain", f"scan of [{lo:.6g}, {hi:.6g}]", 0.0, 0.0, True,
         False,
@@ -810,28 +840,14 @@ def _family_checks(case: str, params: dict | None = None, *, nu: int = 50,
             results.append(h_numerator_identity(spec, lo, hi))
         return report()
 
-    closed = FAMILY_CATALOG[case].realization == "closed"
     if not closed:
         results.extend(check_sampled_residuals(fam))
-
-    us = _grid_in_intervals(intervals, nu)
-
-    # three interior FD points inside the widest interval, at least pad
-    # from its edges: their stencils, out to shrink_h, stay inside it
-    a, b = max(intervals, key=lambda iv: iv[1] - iv[0])
-    shrink_h = FD_H if closed else 10.0 * FD_H
-    pad = min(max(0.02 * (b - a), 8.0 * shrink_h), 0.5 * (b - a) - shrink_h)
-    fd_u = np.array([a + frac * (b - a - 2 * pad) + pad
-                     for frac in (0.25, 0.5, 0.75)] if pad > shrink_h else [])
-    if fd_u.size:
-        # an edge can be a branch point where the meridian's derivatives
-        # blow up, so the step stays well inside the nearest edge
-        h = min(FD_H, float(np.minimum(fd_u - a, b - fd_u).min()) / 512.0)
-        steps = (h, h, 0.5 * h) if closed else (h, shrink_h, 0.5 * shrink_h)
-    stencil = _stencil_us(fd_u, steps) if fd_u.size else fd_u
-    # the meridian is evaluated once per grid u and FD stencil u: every
-    # check below reads these columns
-    _, scalars = _meridian_columns(spec, np.concatenate([us, stencil.ravel()]))
+    if intervals != whole:
+        us, stencil, steps, narrow = _grid_and_stencil(intervals, nu, closed)
+        scalars = _meridian_columns(spec, np.concatenate([us, stencil.ravel()]))[1]
+    # every check below reads these rows, the meridian at each grid u and FD
+    # stencil u, copied: no scan row outlives stage 1
+    scalars = tuple(c[-(len(us) + stencil.size):].copy() for c in scalars)
     grid = yield _invariant_grids, (spec, us, tuple(c[:len(us)] for c in scalars))
 
     tier_tol = tols["closed"] if closed else tols["ode"]
@@ -843,13 +859,10 @@ def _family_checks(case: str, params: dict | None = None, *, nu: int = 50,
     bad = _inadmissible(spec, grid.us, grid.scalars)   # the frames need all rows
     if bad:
         raise bad[1]
-    results.extend((yield check_points, _point_job(
-        spec, grid, scalars, _v_grid(spec.kind, nv, v_range), v_range, tols,
-        (stencil, steps) if fd_u.size else None)))
-    if not fd_u.size:
-        note = (f"admissible interval [{a:.6g}, {b:.6g}] too narrow for the "
-                f"FD stencil (step {shrink_h:g})")
-        results.extend(_vacuous_check(name, note)
+    results.extend((yield check_points, (spec, grid, scalars, nv, v_range, tols,
+                                         steps and (stencil, steps))))
+    if narrow:
+        results.extend(_vacuous_check(name, narrow)
                        for name in ("fd-connection", "fd-shrinkage"))
     return report()
 
@@ -877,14 +890,16 @@ def _stacks(waiting) -> list:
 def _run_stacked(jobs) -> list:
     """The return values of the job generators (see _family_checks), run in
     lockstep: each stacked check runs once per surface kind over the jobs
-    waiting for it (once per _STACK_ROWS rows).  Stage 1 runs job by job;
-    an error there starts no later job.  Then the earliest job's error is
-    raised, as running the jobs one after another would raise it."""
+    waiting for it (once per _STACK_ROWS rows), and a result that is an
+    exception is raised in its job.  Stage 1 runs job by job; an error
+    there starts no later job.  Then the earliest job's error is raised, as
+    running the jobs one after another would raise it."""
     done, errors, waiting = {}, {}, []
 
     def advance(i, job, result):
         try:
-            waiting.append((i, job, job.send(result)))
+            waiting.append((i, job, job.throw(result) if isinstance(result, Exception)
+                            else job.send(result)))
         except StopIteration as stop:
             done[i] = stop.value
         except Exception as exc:   # noqa: BLE001 - raised below, in job order
@@ -897,9 +912,9 @@ def _run_stacked(jobs) -> list:
     while waiting:
         stacks = _stacks(waiting)
         waiting.clear()
-        for stack in stacks:
-            check = stack[0][2]
-            for (i, job, *_), result in zip(stack, check([a for *_, a in stack])):
+        while stacks:   # a run's arguments dropped when the next one starts
+            stack = stacks.pop(0)
+            for (i, job, *_), result in zip(stack, stack[0][2]([a for *_, a in stack])):
                 advance(i, job, result)
     if errors:
         raise errors[min(errors)]
@@ -947,7 +962,8 @@ def random_point_sweep(n: int, seed: int, tol: float,
 def _sweep_residuals(pool, n: int, rng: random.Random) -> np.ndarray:
     """The four sweep residuals at n random points as a (4, n) array: point
     i in pool[i % len(pool)], u in a random interval (0.5% margins), v in
-    the kind's range; drawn first, then evaluated in one pass per family."""
+    the kind's range; drawn first, then each family's meridian in one pass,
+    then each kind's points in one invariant and one projection pass."""
     draws = []
     for i in range(n):
         _, spec, intervals = pool[i % len(pool)]
@@ -955,18 +971,28 @@ def _sweep_residuals(pool, n: int, rng: random.Random) -> np.ndarray:
         m = 5e-3 * (b - a)
         draws.append((rng.uniform(a + m, b - m),
                       rng.uniform(*_V_SAMPLING[spec.kind][0])))
-    out = np.empty((4, n))
+    kinds = {}
     for k, (_, spec, _) in enumerate(pool):
         us, vs = np.array(draws[k::len(pool)]).reshape(-1, 2).T
-        grid = invariant_grid(spec, us)
-        proj = _projection(spec, *_grid_inputs(spec, grid, vs))
+        _, sc = _meridian_columns(spec, us)
+        bad = _inadmissible(spec, us, sc)
+        if bad:
+            raise bad[1]
+        kinds.setdefault(spec.kind, []).append(
+            (spec, np.arange(k, n, len(pool)), us, vs, sc))
+    out = np.empty((4, n))
+    for kind, fams in kinds.items():
+        spec = spec_rows([s for s, *_ in fams], [len(us) for _, _, us, *_ in fams])
+        us, vs, *sc = _joined((us, vs, *sc) for _, _, us, vs, sc in fams)
+        grid = _invariant_rows(spec, us, sc)
+        proj = _projection(spec, _frame_inputs(sc), _rotations(spec, vs))
         tr, allied = _chen_residuals(proj, grid.h_coeff)
-        off, _, n_off, _, _ = _carrier_split(spec.kind, proj)
+        off, _, n_off, _, _ = _carrier_split(kind, proj)
         # H is a difference of sigma vectors, so its projection carries
         # rounding of order eps * ||sigma|| * ||n_off|| even where H ~ 0
         hscale = np.fmax(1.0, _sigma_magnitude(proj) * n_off.euclid_norm())
-        out[:, k::len(pool)] = (tr, allied, abs(off) / hscale,
-                                abs(grid.H_norm2 + pow2(grid.h_coeff)))
+        out[:, np.concatenate([at for _, at, *_ in fams])] = (
+            tr, allied, abs(off) / hscale, abs(grid.H_norm2 + pow2(grid.h_coeff)))
     return out
 
 

@@ -60,6 +60,7 @@ def test_call_counts_sum_grs4_functions_of_each_name():
             ["/x/src/grs4/surfaces.py", "_projection", 4],
             ["/x/src/grs4/surfaces.py", "positions_grid", 3]]
     assert bench_record.call_counts(rows) == {
-        "jet_columns": 45, "invariant_grid": 0, "_invariant_rows": 0,
-        "_frame_from": 6, "_projection": 4, "fd_connection_rows": 0,
+        "jet_columns": 45, "_meridian_columns": 0, "invariant_grid": 0,
+        "_invariant_rows": 0, "_rotations": 0, "_frame_from": 6,
+        "_projection": 4, "fd_connection_rows": 0, "admissible_domain": 0,
         "check_points": 0}

@@ -473,6 +473,35 @@ def test_run_suite_raises_the_first_error_in_job_order(monkeypatch, where):
     assert str(stacked.value) == str(alone.value)
 
 
+def test_a_point_error_is_the_jobs_own(monkeypatch):
+    """check_points takes the rotations of all jobs of a kind in one pass;
+    where one job's rotations pass the float range, that job's result is
+    the ParamError it raises alone, and every other job of the kind gets
+    the checks it gets alone."""
+    calls = []
+    check = verifier.check_points
+
+    def recording(jobs):
+        calls.append((jobs, check(jobs)))   # the outermost call ends last
+        return calls[-1][1]
+
+    monkeypatch.setattr(verifier, "check_points", recording)
+    jobs = [{"family": "min-hyp-i"}, {"family": "fnc-hyp-i", "v0": 0.0, "v1": 800.0},
+            {"family": "pnmcv-hyp"}, {"family": "flat-hyp-i", "nv": 3}]
+    with pytest.raises(ParamError) as stacked:
+        run_suite({"jobs": jobs})
+    in_suite = list(calls)
+    with pytest.raises(ParamError) as alone:
+        _verify_alone(jobs[1])
+    assert str(stacked.value) == str(alone.value) == (
+        "hyperbolic rotation past the float range at v=800.0")
+    stacked_jobs, results = in_suite[-1]
+    assert len(in_suite) > 1 and len(results) == 4
+    assert results[1] is stacked.value
+    for job, got in zip(stacked_jobs[::2] + stacked_jobs[3:], results[::2] + results[3:]):
+        assert [c.to_json() for c in got] == [c.to_json() for c in check([job])[0]]
+
+
 def test_run_suite_realizes_each_integrated_family_once(monkeypatch):
     """The jobs and the sweep of one run_suite call share their families:
     each integrated family is realized once, and the report has the bytes
@@ -566,10 +595,11 @@ def _with_nan(vec, i):
 
 
 def _point_job(spec, us, vs):
-    """The check_points job of the grid us at the v's vs, without FD."""
+    """The check_points job of the grid us at the v's vs (the grid of
+    len(vs) v's over the v-range (vs[0], vs[-1])), without FD."""
     grid = surfaces.invariant_grid(spec, us)
-    return verifier._point_job(spec, grid, grid.scalars, vs, None,
-                               verifier.DEFAULT_TOLS)
+    return (spec, grid, grid.scalars, len(vs), (vs[0], vs[-1]),
+            verifier.DEFAULT_TOLS, None)
 
 
 def test_nan_frame_fails_frame_orthonormality(monkeypatch):
@@ -791,40 +821,33 @@ def test_h_inner_product_signature_takes_cross_tolerance():
     assert not checks["h-inner-product-signature"].passed
 
 
-@pytest.mark.parametrize("case", ["pnmcv-ell", "min-hyp-i", "flat-ell-i"])
-def test_verify_family_evaluates_each_grid_u_once(monkeypatch, case):
-    """Outside the admissibility scan, one job evaluates the meridian in one
-    jet_columns pass, exactly once at each grid u and at each u of the FD
-    stencil (the centres, then u +- h per distinct step), and at no other
-    u, per point or in another pass."""
-    seen = collections.Counter()
-    passes = []
-    grids = []
-    stencils = []
-    outside = []
+def _record_meridian_passes(monkeypatch):
+    """(passes, jets, grids, stencils): from here on, every jet_columns call
+    as (its meridian, its u's, whether it ran inside _bisect), every
+    per-point jet u, and the results of _grid_in_intervals and
+    _stencil_us."""
+    passes, jets, grids, stencils, bisecting = [], [], [], [], []
 
     def counting(evaluate):
         def wrapper(self, u):
-            if not outside:
-                seen[float(u)] += 1
+            jets.append(float(u))
             return evaluate(self, u)
         return wrapper
 
     def counting_columns(columns):
         def wrapper(self, us):
-            if not outside:
-                passes.append(len(us))
-                seen.update(np.asarray(us, dtype=float).tolist())
+            passes.append((self, np.asarray(us, dtype=float).tolist(),
+                           bool(bisecting)))
             return columns(self, us)
         return wrapper
 
-    def excluded(fn):
+    def marked(fn):
         def wrapper(*args, **kwargs):
-            outside.append(fn)
+            bisecting.append(fn)
             try:
                 return fn(*args, **kwargs)
             finally:
-                outside.pop()
+                bisecting.pop()
         return wrapper
 
     def recording(fn, into):
@@ -839,16 +862,64 @@ def test_verify_family_evaluates_each_grid_u_once(monkeypatch, case):
         monkeypatch.setattr(cls, "jet", counting(cls.jet))
     monkeypatch.setattr(meridians.MeridianFamily, "jet_columns",
                         counting_columns(meridians.MeridianFamily.jet_columns))
-    monkeypatch.setattr(verifier, "admissible_domain",
-                        excluded(verifier.admissible_domain))
+    monkeypatch.setattr(verifier, "_bisect", marked(verifier._bisect))
     for name, into in (("_grid_in_intervals", grids), ("_stencil_us", stencils)):
         monkeypatch.setattr(verifier, name, recording(getattr(verifier, name), into))
+    return passes, jets, grids, stencils
+
+
+def _counts(*arrays):
+    return sum((collections.Counter(np.ravel(a).tolist()) for a in arrays),
+               collections.Counter())
+
+
+@pytest.mark.parametrize("case", ["pnmcv-ell", "min-hyp-i", "flat-ell-i"])
+def test_verify_family_evaluates_each_grid_u_once(monkeypatch, case):
+    """A job admissible on its whole interval evaluates the meridian in one
+    jet_columns pass over the admissibility scan, the grid and the FD
+    stencil (the centres, then u +- h per distinct step): once at each u
+    per occurrence, at no other u, and never per point."""
+    lo, hi = descriptor_from_catalog(case).interval
+    passes, jets, grids, stencils = _record_meridian_passes(monkeypatch)
     assert verify_family(case).passed
     [us] = grids
     assert len(us) == 50 and stencils[0].shape in ((3, 5), (3, 7))
-    assert passes == [len(us) + stencils[0].size]
-    assert seen == (collections.Counter(us.tolist())
-                    + collections.Counter(stencils[0].ravel().tolist()))
+    [(_, seen, bisecting)] = passes
+    assert not bisecting and not jets
+    assert _counts(seen) == _counts(np.linspace(lo, hi, 200), us, stencils[0])
+
+
+def test_a_partly_admissible_job_makes_one_more_pass(monkeypatch):
+    """The default suite never takes the second pass: here pnmcv-ell with
+    C = 2 on [1.5, 4.0] is admissible only above its branch point u = 2.  It
+    bisects that edge and then makes exactly one more pass, over the grid
+    and FD stencil of its own domain, while min-ell-i (an empty domain)
+    makes its one scan pass and the pass of its h-numerator identity, and a
+    job admissible on its whole interval makes one pass.  Stacked, each job
+    has the bytes it has alone."""
+    jobs = [{"family": "pnmcv-ell", "params": {"C": 2.0}, "u0": 1.5, "u1": 4.0},
+            {"family": "min-ell-i"}]
+    passes, jets, grids, stencils = _record_meridian_passes(monkeypatch)
+    suite = run_suite({"jobs": jobs}).to_json()
+    recorded = list(passes)
+    monkeypatch.undo()
+    for job, got in zip(jobs, suite["jobs"]):
+        assert report_json_bytes(got["report"]) == report_json_bytes(
+            _verify_alone(job).to_json()), job["family"]
+    assert not jets
+    partial = recorded[0][0]
+    mine = [(us, bis) for fam, us, bis in recorded if fam is partial]
+    assert any(bis for _, bis in mine)
+    first, last = (us for us, bis in mine if not bis)
+    whole, own, _ = grids    # then min-ell-i's, of its whole interval
+    assert _counts(first) == _counts(np.linspace(1.5, 4.0, 200), whole, stencils[0])
+    assert own[0] > 2.0 and _counts(last) == _counts(own, stencils[1])
+    others = [us for fam, us, _ in recorded if fam is not partial]
+    assert [len(us) for us in others] == [200 + 50 + stencils[2].size, 101]
+
+    passes, *_ = _record_meridian_passes(monkeypatch)
+    verify_family("pnmcv-ell", {"C": 2.0}, interval=(2.5, 4.0))
+    assert len(passes) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -111,10 +111,11 @@ def run_workload(checkout: str, workload: str):
     return run, metrics, run_perfbench(checkout, workload, 1)
 
 
-# the grid routes and the point stage whose calls per default-suite pass are
-# recorded
-PROFILED = ("jet_columns", "invariant_grid", "_invariant_rows", "_frame_from",
-            "_projection", "fd_connection_rows", "check_points")
+# the meridian and grid routes, the rotations, the scan and the point stage
+# whose calls per default-suite pass are recorded
+PROFILED = ("jet_columns", "_meridian_columns", "invariant_grid",
+            "_invariant_rows", "_rotations", "_frame_from", "_projection",
+            "fd_connection_rows", "admissible_domain", "check_points")
 _PROFILE = """
 import cProfile, json, pstats, sys
 from grs4.verifier import default_suite_config, run_suite
