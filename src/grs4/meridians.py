@@ -299,7 +299,9 @@ def _rk4_tracked(rule: _QuadRule, f0, g0, t0, t1, n, ref, larger):
     is one solve at (t0, f0, g0): rule.solve.  Raises NoRealRootError.
     """
     e, name, c, explicit, fnc = rule.eps, rule.name, rule.c, rule.explicit, rule.fnc
-    al2, be2, a2, C = rule.al2, rule.be2, rule.a2, rule.C
+    al2, be2, a2 = rule.al2, rule.be2, rule.a2
+    # -e, -e C and e alpha^2 hoisted: each product rounds as it did inline
+    ne, neC, eal2 = -e, -e * rule.C, e * al2
     # n = 0 solves at t0 + 0 * -0.0, t0 to the bit (rk4_integrate at t0 + 0.0)
     hs = (t1 - t0) / n if n else -0.0
     half, sixth = 0.5 * hs, hs / 6.0
@@ -314,18 +316,23 @@ def _rk4_tracked(rule: _QuadRule, f0, g0, t0, t1, n, ref, larger):
             fp, gp, other = sin(th), cos(th), nan
         else:
             if fnc:
-                w = be2 * y * y - e * al2 * x * x
+                w = be2 * y * y - eal2 * x * x
                 if w <= 0.0:
                     raise NoRealRootError(rule.w_error)
-                p, q, r = x, y, -e * C * sqrt(w)
+                p, q, r = x, y, neC * sqrt(w)
             else:
                 p, q, r = al2 * x, be2 * y, a2 * (u + c)
-            if abs(q) < 1e-14:
+            if -1e-14 < q < 1e-14:
                 raise NoRealRootError(f"{name}: g ~ 0 at u={u}")
             # A f'^2 + B f' + Cq = 0, with thresholds relative to its scale,
-            # max(|A|, |B|, |Cq|, 1e-30) written out: max()'s tests in order
-            A, B, Cq = q * q - e * p * p, -2.0 * p * r, -e * r * r - q * q
-            aA, aB, aC = abs(A), abs(B), abs(Cq)
+            # max(|A|, |B|, |Cq|, 1e-30) written out: max()'s tests in order;
+            # x if x >= 0.0 else -x only feeds comparisons, where the sign of
+            # a zero or NaN cannot flip a test
+            ep = e * p
+            A, B, Cq = q * q - ep * p, -2.0 * p * r, ne * r * r - q * q
+            aA = A if A >= 0.0 else -A
+            aB = B if B >= 0.0 else -B
+            aC = Cq if Cq >= 0.0 else -Cq
             scale = aB if aB > aA else aA
             scale = aC if aC > scale else scale
             scale = 1e-30 if 1e-30 > scale else scale
@@ -349,7 +356,7 @@ def _rk4_tracked(rule: _QuadRule, f0, g0, t0, t1, n, ref, larger):
                     if ((other < fp) != larger if ref is None
                             else abs(other - ref) < abs(fp - ref)):
                         fp, other = other, fp
-            gp = (r + e * p * fp) / q
+            gp = (r + ep * fp) / q
         ref = fp
         # stage k of the step from the knot (t, f, g): the next stage is at
         # (t, f, g) + d (1, f', g'), the update (h/6)(((k1 + 2 k2) + 2 k3) + k4)
@@ -473,11 +480,12 @@ def integrate_constrained(rule: _QuadRule, state0: tuple, span: tuple,
     for halvings in range(_MAX_HALVINGS + 1):
         # the step span / _INITIAL_STEPS halved; rk4_integrate's count for it
         n = _INITIAL_STEPS << halvings
-        ts, ys, dys, others, k = _rk4_tracked(rule, f0, g0, t0, t1, n, None,
-                                              initial_root == "larger")
+        *knots, k = _rk4_tracked(rule, f0, g0, t0, t1, n, None,
+                                 initial_root == "larger")
         steps, calls = steps + n, calls + k
-        traj = Trajectory(np.array(ts), np.array(ys).reshape(-1, 2),
-                          np.array(dys).reshape(-1, 2), (t1 - t0) / n)
+        ts, ys, dys, others = (np.fromiter(a, float, len(a)) for a in knots)
+        traj = Trajectory(ts, ys.reshape(-1, 2), dys.reshape(-1, 2),
+                          (t1 - t0) / n)
         with np.errstate(all="ignore"):
             res = abs(rule.constraint(traj.ts, *traj.ys.T))
         last_res = float(res.max())
@@ -485,8 +493,7 @@ def integrate_constrained(rule: _QuadRule, state0: tuple, span: tuple,
                                and last_res <= 10.0 * tol):
             return SampledMeridian(traj, rule, res,
                                    rule.speed_residual(*traj.dys.T),
-                                   np.array(others), tol, steps, calls,
-                                   halvings)
+                                   others, tol, steps, calls, halvings)
     raise ConstraintDriftError(
         f"{rule.name}: constraint residual {last_res:.3e} exceeds 10*tol "
         f"after {_MAX_HALVINGS} halvings")

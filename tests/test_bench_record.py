@@ -1,4 +1,5 @@
-"""tools/bench_record.py on a canned perfbench standard output."""
+"""tools/bench_record.py on a canned perfbench standard output, and its
+realization timer on this checkout."""
 
 import os
 import sys
@@ -11,6 +12,7 @@ if TOOLS not in sys.path:
     sys.path.insert(0, TOOLS)
 
 import bench_record  # noqa: E402
+from grs4 import meridians  # noqa: E402
 
 # a --trace 1 run as perfbench/run.py prints it, cut to three layers
 TRACED = """\
@@ -64,3 +66,18 @@ def test_call_counts_sum_grs4_functions_of_each_name():
         "_invariant_rows": 0, "_rotations": 0, "_frame_from": 6,
         "_projection": 4, "fd_connection_rows": 0, "admissible_domain": 0,
         "check_points": 0}
+
+
+def test_realizations_time_and_count_each_integrated_case():
+    """One record per integrated catalog case, in catalog order: a positive
+    median build time and the realization's counts (one accepted attempt of
+    _INITIAL_STEPS steps and 4n + 1 root solves)."""
+    root = os.path.dirname(TOOLS)
+    got = bench_record.run_realizations(root)
+    n = meridians._INITIAL_STEPS
+    assert list(got) == [c for c, e in meridians.FAMILY_CATALOG.items()
+                         if e.realization == "ode"]
+    for record in got.values():
+        assert record["build_s"] > 0.0
+        assert {k: record[k] for k in ("steps", "field_calls", "halvings")} \
+            == {"steps": n, "field_calls": 4 * n + 1, "halvings": 0}

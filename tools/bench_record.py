@@ -21,8 +21,11 @@ run of the full suite's wall time (raw seconds, interpreter start
 included, not converted to a reference speed), under "suite_calls" the
 calls per pass of the grid routes and the point stage in PROFILED,
 counted by cProfile over one default-suite pass with the sweep off (a
-layer that perfbench's tracer does not wrap), and the tier-1 wall time
-with its pytest summary line.  Under "source" it records facts of the
+layer that perfbench's tracer does not wrap), under "realizations" each
+integrated catalog case's median ``build_family`` time over REALIZE_RUNS
+in-process runs (raw seconds; the RK4 realization is nearly all of it)
+with its steps, field_calls and halvings, and the tier-1 wall time with
+its pytest summary line.  Under "source" it records facts of the
 checkout's source: the line count of src/grs4/*.py (as wc -l counts), the
 sha256 of the full report of ``grs4 verify --suite default --seed 31
 --report``, the sha256 of the writer outputs in WRITER_OUTPUTS (an
@@ -144,6 +147,34 @@ def run_profile(checkout: str) -> dict:
     return call_counts(json.loads(out.stdout))
 
 
+REALIZE_RUNS = 9
+_REALIZE = """
+import json, statistics, sys, time
+from grs4.meridians import FAMILY_CATALOG, build_family, descriptor_from_catalog
+out = {}
+for case, entry in FAMILY_CATALOG.items():
+    if entry.realization != "ode":
+        continue
+    desc, times = descriptor_from_catalog(case), []
+    for _ in range(int(sys.argv[1])):
+        t0 = time.perf_counter()
+        sm = build_family(desc).ensure_realized()
+        times.append(time.perf_counter() - t0)
+    out[case] = {"build_s": statistics.median(times), "steps": sm.steps,
+                 "field_calls": sm.field_calls, "halvings": sm.halvings}
+print(json.dumps(out))
+"""
+
+
+def run_realizations(checkout: str) -> dict:
+    """Per integrated catalog case of the checkout: the median build_family
+    time of REALIZE_RUNS runs in one process and the realization's counts."""
+    out = subprocess.run([sys.executable, "-c", _REALIZE, str(REALIZE_RUNS)],
+                         cwd=checkout, env=_src_env(checkout),
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
 def _src_env(checkout: str) -> dict:
     """The environment with the checkout's src first on PYTHONPATH."""
     env = dict(os.environ)
@@ -236,6 +267,7 @@ def main(argv=None) -> int:
         "layers_host_speed": speeds,
         "default_suite": suite,
         "suite_calls": run_profile(checkout),
+        "realizations": run_realizations(checkout),
         "source": {**source_facts(checkout),
                    "perfbench_output_sha256": digests},
         "tier1": run_tier1(checkout),
