@@ -8,11 +8,11 @@ or the defining algebraic relation of a family.  Results are reproducible
 bit-for-bit for a fixed configuration.
 
 A suite runs each job's stage 1 in order (family, one meridian pass over
-the domain scan and the grid and FD stencil of its interval); then two
-stacked stages run once per surface kind over all its jobs (_STACK_ROWS
-grid rows at most): the invariant columns, and the point checks from one
-rotation, one projection and one frame pass.  verify_family is the batch of
-one.  The sweep makes one pass per kind, the scan bisects all brackets in
+the domain scan and the grid and FD stencil of its interval); each job then
+waits in its surface kind's run, and check_points finishes a run (at most
+_STACK_ROWS grid rows) in one invariant pass, one rotation, one projection
+and one frame pass over all its jobs.  verify_family is the run of one.
+The sweep makes one pass per kind, the scan bisects all brackets in
 lockstep; cross_check is the bundle's dual routes at a point.
 """
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -301,7 +301,7 @@ def cross_check(spec: SurfaceSpec, u: float, v: float = 0.0):
     -mu(nu1+nu2) (elliptic) or +mu(nu1+nu2) (hyperbolic)."""
     grid = invariant_grid(spec, [u])
     rows = _bundle_rows(spec.kind, _projection(spec, *_grid_inputs(spec, grid, [v])),
-                        *(getattr(grid, name) for name in _BUNDLE_COLUMNS))
+                        grid)
     return tuple(_check(name, f"u={u:.6g}", r[0], DEFAULT_TOLS["cross"])
                  for name, r in zip(("gauss-equation-route",
                                      "normal-curvature-route"), rows[-2:]))
@@ -392,9 +392,9 @@ def h_numerator_identity(spec: SurfaceSpec, u0: float, u1: float,
 
 
 # ---------------------------------------------------------------------------
-# Stacked stages: each takes per-job tuples (spec, grid, ...) of one
-# surface kind, evaluates the points of all jobs in one array pass with alpha
-# and beta as columns (SpecRows) and returns one result per job.
+# The stacked stage: check_points takes per-job tuples (spec, us, ...) of
+# one surface kind, evaluates the points of all jobs in one array pass with
+# alpha and beta as columns (SpecRows) and returns one result per job.
 
 def _job_max(values, counts):
     """The max over each job's counts[j] consecutive entries of values
@@ -407,20 +407,7 @@ def _joined(parts):
     return tuple(np.concatenate(c) for c in zip(*parts))
 
 
-def _invariant_grids(jobs) -> list:
-    """The InvariantGrid of each (spec, us, scalars), scalars the
-    _meridian_columns at us (which it keeps, not a joined copy): one
-    invariant pass over all rows."""
-    counts = [len(us) for _, us, _ in jobs]
-    grid = _invariant_rows(spec_rows([spec for spec, *_ in jobs], counts),
-                           np.concatenate([us for _, us, _ in jobs]),
-                           _joined(sc for *_, sc in jobs))
-    return [replace(grid[end - n:end], scalars=sc)
-            for (*_, sc), n, end in zip(jobs, counts, np.cumsum(counts))]
-
-
 _VINDEP_NV = 32                         # v's per v-independence row
-_BUNDLE_COLUMNS = ("h_coeff", "K", "kappa", "H_norm2", "mu", "nu1", "nu2")
 
 
 def _block_points(sizes):
@@ -496,26 +483,27 @@ def _carrier_split(kind, proj):
     return e * inner(hv, n_off), -e * inner(hv, n_car), n_off, n_car, -e
 
 
-def _bundle_rows(kind, proj, h, K, kappa, H_norm2, mu, nu1, nu2):
-    """The bundle's (8, points) residuals over proj, the grid's
-    _BUNDLE_COLUMNS on the closed-form side: tr(A1 A2) of the projected
-    shape operators and the allied coefficient vanish; H from projections
-    stays on its carrier normal, with coefficient h_coeff, H_norm2 =
-    -h_coeff^2 and <H,H> = (carrier signature) h^2, so H is never lightlike
-    unless it vanishes; the dual routes of K (Gauss equation through
-    projected sigma) and kappa (-eps mu (nu1 + nu2))."""
-    hh, hv, (sxx, sxy, syy) = pow2(h), proj.H, proj.sigma
+def _bundle_rows(kind, proj, grid):
+    """The bundle's (8, points) residuals over proj, the InvariantGrid of
+    its points on the closed-form side: tr(A1 A2) of the projected shape
+    operators and the allied coefficient vanish; H from projections stays
+    on its carrier normal, with coefficient h_coeff, H_norm2 = -h_coeff^2
+    and <H,H> = (carrier signature) h^2, so H is never lightlike unless it
+    vanishes; the dual routes of K (Gauss equation through projected
+    sigma) and kappa (-eps mu (nu1 + nu2))."""
+    h, hv, (sxx, sxy, syy) = grid.h_coeff, proj.H, proj.sigma
+    hh = pow2(h)
     off, carrier, n_off, n_car, sig = _carrier_split(kind, proj)
     hn = hv.euclid_norm()
     return np.array((
         *_chen_residuals(proj, h),
         abs(off) / np.maximum(1.0, hn * n_off.euclid_norm()),
         abs(carrier - h) / np.maximum(1.0, hn * n_car.euclid_norm()),
-        abs(H_norm2 + hh),
+        abs(grid.H_norm2 + hh),
         abs(inner(hv, hv) - sig * hh)
         / np.maximum(np.maximum(1.0, abs(hh)), abs(hv.euclid_norm2())),
-        _relative_gap(K, (inner(sxx, syy) - inner(sxy, sxy)) / -1.0),
-        _relative_gap(kappa, -kind.eps * mu * (nu1 + nu2))))
+        _relative_gap(grid.K, (inner(sxx, syy) - inner(sxy, sxy)) / -1.0),
+        _relative_gap(grid.kappa, -kind.eps * grid.mu * (grid.nu1 + grid.nu2))))
 
 
 # check_points in report order (then fd-connection, fd-shrinkage): name,
@@ -543,14 +531,15 @@ _PLANNED_COMMON = (*(c[0] for c in _POINT_CHECKS), "fd-connection", "fd-shrinkag
 
 
 def check_points(jobs) -> list:
-    """_POINT_CHECKS and (check_fd_connection) the FD stencil of each job
-    (spec, grid, scalars, nv, v_range, tols, fd), scalars the
-    _meridian_columns at the grid rows, then at the FD stencil us of fd =
-    (us, steps) or None: one rotation pass over each job's v's (v_mid, the
+    """(InvariantGrid, point checks) of each job (spec, us, scalars, nv,
+    v_range, tols, fd), scalars the _meridian_columns at the grid us, then
+    at the FD stencil us of fd = (us, steps) or None: one invariant pass over
+    all grid rows, one rotation pass over each job's v's (v_mid, the
     v-independence grid over v_range, the nv grid, the FD v's), one
     projection pass (each row at v_mid, three rows at each v-independence
     v), one frame pass (each row at each v of the nv grid, the FD columns).
-    A job's error (_fd_columns', then _rotations') is its result."""
+    A job's error (a grid row's, then _fd_columns', then _rotations') is its
+    result."""
     kind, v_mid = jobs[0][0].kind, _V_SAMPLING[jobs[0][0].kind][2]
     # each distinct v-grid once, keyed by repr, which tells -0.0 from 0.0
     v_grids = {(n, repr(vr)): (n, vr) for *_, nv, vr, _, _ in jobs
@@ -558,10 +547,14 @@ def check_points(jobs) -> list:
     v_grids = {key: _v_grid(kind, *args) for key, args in v_grids.items()}
     speeds = np.array([(s.alpha, s.beta) for s, *_ in jobs]).T
     try:
+        for spec, us, sc, *_ in jobs:
+            bad = _inadmissible(spec, us, tuple(c[:len(us)] for c in sc))
+            if bad:   # the frames need all grid rows
+                raise bad[1]
         fd_cols = [(np.zeros((0, 0), int), ()) if fd is None else _fd_columns(
             spec, fd[0], np.full(len(fd[0]), v_mid), fd[1],
-            tuple(c[len(grid):].reshape(fd[0].shape) for c in sc))
-            for spec, grid, sc, *_, fd in jobs]
+            tuple(c[len(us):].reshape(fd[0].shape) for c in sc))
+            for spec, us, sc, *_, fd in jobs]
         vs = [np.concatenate([[v_mid], v_grids[_VINDEP_NV, repr(vr)],
                               v_grids[nv, repr(vr)], np.ravel(fd_vs)])
               for (*_, nv, vr, _, _), (_, fd_vs) in zip(jobs, fd_cols)]
@@ -571,30 +564,31 @@ def check_points(jobs) -> list:
     except Exception as exc:   # noqa: BLE001 - a job's own, found by halving
         h = len(jobs) // 2
         return check_points(jobs[:h]) + check_points(jobs[h:]) if h else [exc]
-    joined = _joined((*sc, *(getattr(grid, name) for name in _BUNDLE_COLUMNS))
-                     for _, grid, sc, *_ in jobs)
-    cols = (*joined[:8], *rot, *joined[8:])
-    n, nt, nv, nfd = np.array([(len(grid), len(sc[0]), nv, index.size) for (
-        _, grid, sc, nv, *_), (index, _) in zip(jobs, fd_cols)]).T
+    cols = _joined(sc for _, _, sc, *_ in jobs)
+    n, nt, nv, nfd = np.array([(len(us), len(sc[0]), nv, index.size) for (
+        _, us, sc, nv, *_), (index, _) in zip(jobs, fd_cols)]).T
     t0, r0 = np.cumsum(nt) - nt, np.cumsum(nr) - nr   # each job's first row
     stride, first = np.maximum(1, n // 3), 1 + _VINDEP_NV   # vs[0]'s rotation
 
     def points(*groups, skip=()):   # inputs at (job, meridian row, rotation)
         # points, the columns in skip not gathered; no pass reads the squares
         job, t, r = map(np.concatenate, zip(*groups))
-        sc = [None if i in skip else c[t] for i, c in enumerate(cols[:8])]
+        sc = [None if i in skip else c[t] for i, c in enumerate(cols)]
         return (SpecRows(kind, *speeds[:, job], None), _frame_inputs(sc),
-                tuple(c[r] for c in cols[8:12]))
+                tuple(c[r] for c in rot))
 
     j, k = _block_points(n)
     bundle = j, t0[j] + k, r0[j]
+    grid = _invariant_rows(spec_rows([spec for spec, *_ in jobs], n),
+                           np.concatenate([us for _, us, *_ in jobs]),
+                           tuple(c[bundle[1]] for c in cols))
     vrows = np.minimum(3, -(-n // stride))
     j, k = _block_points(vrows * _VINDEP_NV)
     spread = (j, t0[j] + stride[j] * (k // _VINDEP_NV),
               r0[j] + 1 + k % _VINDEP_NV)
     proj = _projection(*points(bundle, spread))
     m = len(bundle[0])
-    bundle = _job_max(_bundle_rows(kind, _part(proj, slice(m)), *cols[12:]), n)
+    bundle = _job_max(_bundle_rows(kind, _part(proj, slice(m)), grid), n)
     spread = _job_max(_v_spread(_part(proj, slice(m, None))), vrows)
 
     j, k = _block_points(nfd)
@@ -608,14 +602,15 @@ def check_points(jobs) -> list:
     ortho = _job_max(orthonormality_residual(_part(fr, slice(m))), n * nv)
     fd_jobs = [(spec, fd[0][:, 0], fd[1], tols["fd"])
                for spec, *_, tols, fd in jobs if fd]
-    fd = iter(check_fd_connection(fd_jobs, tuple(c[stencil[1]] for c in cols[:8]),
+    fd = iter(check_fd_connection(fd_jobs, tuple(c[stencil[1]] for c in cols),
                                   _part(fr, slice(m, None))) if fd_jobs else ())
-    return [[_check(name, form.format(n=len(grid), nv=nv, nvr=nvr, v=v_mid), r,
-                    factor * tols[key], notes)
-             for (name, key, factor, form, notes), r in zip(_POINT_CHECKS, (o, s, *w))]
-            + list(next(fd) if fd_job else ())
-            for (_, grid, _, nv, _, tols, fd_job), w, s, o, nvr in zip(
-                jobs, bundle.T, spread, ortho, vrows)]
+    return [(grid[end - len(us):end], [
+        _check(name, form.format(n=len(us), nv=nv, nvr=nvr, v=v_mid), r,
+               factor * tols[key], notes)
+        for (name, key, factor, form, notes), r in zip(_POINT_CHECKS, (o, s, *w))]
+        + list(next(fd) if fd_job else ()))
+        for (_, us, _, nv, _, tols, fd_job), w, s, o, nvr, end in zip(
+            jobs, bundle.T, spread, ortho, vrows, np.cumsum(n))]
 
 
 def check_fd_connection(jobs, scalars, fr) -> list:
@@ -758,8 +753,8 @@ _BUNDLES = {"minimal": ("minimal-h-coeff",),
 
 
 def verify_family(case: str, params: dict | None = None, **kw) -> FamilyReport:
-    """Run the property bundle keyed to a family case: the batch of one of
-    run_suite's stacked checks.
+    """Run the property bundle keyed to a family case: a check_points run of
+    one job, as run_suite runs its jobs stacked.
 
     case, params and the family keywords (alpha, beta, sign, root,
     interval, state0; job_family(job) for a suite job) go to
@@ -771,7 +766,7 @@ def verify_family(case: str, params: dict | None = None, **kw) -> FamilyReport:
     empty admissible domains yield vacuous results with explicit notes.
     runtime_s stays 0.0 unless record_runtime is set, keeping report bytes
     reproducible across runs; it then runs from the job's start to the end
-    of the last stacked check it joined.  families shares families (see
+    of the check_points run it joined.  families shares families (see
     _build_shared).
     """
     [report] = _run_stacked([_family_checks(case, params, **kw)])
@@ -784,11 +779,15 @@ def _family_checks(case: str, params: dict | None = None, *, nu: int = 50,
                    record_runtime: bool = False, families: dict | None = None,
                    **family):
     """verify_family's job as a generator for _run_stacked: stage 1 up to
-    its first yield, then each yield hands a stacked check the job's tuple
-    and receives the job's result.  Returns the report."""
+    its one yield, which hands check_points the job's tuple and receives the
+    job's (grid, point checks).  Returns the report."""
     desc = descriptor_from_catalog(case, params, **family)
     if nu < 2 or nv < 2:
         raise ParamError("grid counts must be at least 2")
+    if v_range is not None and not (math.isfinite(v_range[0])
+                                    and math.isfinite(v_range[1])
+                                    and v_range[0] < v_range[1]):
+        raise ParamError(f"{case}: bad v-range {v_range}")
     tols = tols or {}
     if not isinstance(tols, dict) or set(tols) - set(DEFAULT_TOLS):
         raise ConfigError(f"tols must be an object keyed by {', '.join(DEFAULT_TOLS)}")
@@ -848,74 +847,60 @@ def _family_checks(case: str, params: dict | None = None, *, nu: int = 50,
     # every check below reads these rows, the meridian at each grid u and FD
     # stencil u, copied: no scan row outlives stage 1
     scalars = tuple(c[-(len(us) + stencil.size):].copy() for c in scalars)
-    grid = yield _invariant_grids, (spec, us, tuple(c[:len(us)] for c in scalars))
+    grid, points = yield (spec, us, scalars, nv, v_range, tols,
+                          steps and (stencil, steps))
 
     tier_tol = tols["closed"] if closed else tols["ode"]
     results.extend(_property_checks(bundles, spec, grid, tier_tol, tols,
                                     C, desc.sign))
     if case == "min-ell-ii":
         results.append(check_min_ell_ii_identity(spec, grid))
-
-    bad = _inadmissible(spec, grid.us, grid.scalars)   # the frames need all rows
-    if bad:
-        raise bad[1]
-    results.extend((yield check_points, (spec, grid, scalars, nv, v_range, tols,
-                                         steps and (stencil, steps))))
+    results.extend(points)
     if narrow:
         results.extend(_vacuous_check(name, narrow)
                        for name in ("fd-connection", "fd-shrinkage"))
     return report()
 
 
-# The most grid rows of one stacked call: a default suite's jobs of one kind
-# fit in one call, and a suite of large grids peaks near the memory of a few
-# jobs, not of all of them.  A job larger than this runs alone.
+# The most grid rows of one check_points run: a default suite's jobs of one
+# kind fit in one run, and a suite of large grids peaks near the memory of
+# one run, not of all jobs.  A job larger than this runs alone.
 _STACK_ROWS = 1024
-
-
-def _stacks(waiting) -> list:
-    """The waiting (i, job, (check, args)) as runs of (i, job, check, args),
-    one check and kind a run, of consecutive jobs of at most _STACK_ROWS
-    grid rows (len(args[1])) or one larger job."""
-    stacks = {}
-    for i, job, (check, args) in waiting:
-        runs = stacks.setdefault((check, args[0].kind), [[]])
-        if sum(len(a[1]) for *_, a in runs[-1]) + len(args[1]) > _STACK_ROWS:
-            runs.append([])
-        runs[-1].append((i, job, check, args))
-    return [run for runs in stacks.values() for run in runs if run]
 
 
 @np.errstate(all="ignore")   # as the grid routes of grs4.surfaces
 def _run_stacked(jobs) -> list:
-    """The return values of the job generators (see _family_checks), run in
-    lockstep: each stacked check runs once per surface kind over the jobs
-    waiting for it (once per _STACK_ROWS rows), and a result that is an
-    exception is raised in its job.  Stage 1 runs job by job; an error
-    there starts no later job.  Then the earliest job's error is raised, as
-    running the jobs one after another would raise it."""
-    done, errors, waiting = {}, {}, []
+    """The return values of the job generators (see _family_checks): stage 1
+    job by job (an error there starts no later job), each job that yields in
+    its surface kind's run, which check_points finishes when the next job of
+    that kind would take it past _STACK_ROWS grid rows, or at the end.  Then
+    the earliest job's error is raised, as running the jobs in turn would."""
+    done, errors, runs = {}, {}, {}
 
-    def advance(i, job, result):
+    def advance(i, job, result=None):   # the job's check_points args, if any
         try:
-            waiting.append((i, job, job.throw(result) if isinstance(result, Exception)
-                            else job.send(result)))
+            return (job.throw if isinstance(result, Exception) else job.send)(result)
         except StopIteration as stop:
             done[i] = stop.value
         except Exception as exc:   # noqa: BLE001 - raised below, in job order
             errors[i] = exc
 
+    def finish(run):
+        for (i, job, _), result in zip(run, check_points([a for *_, a in run])):
+            advance(i, job, result)
+        run.clear()
+
     for i, job in enumerate(jobs):
         if errors:
             break
-        advance(i, job, None)
-    while waiting:
-        stacks = _stacks(waiting)
-        waiting.clear()
-        while stacks:   # a run's arguments dropped when the next one starts
-            stack = stacks.pop(0)
-            for (i, job, *_), result in zip(stack, stack[0][2]([a for *_, a in stack])):
-                advance(i, job, result)
+        args = advance(i, job)
+        if args:
+            run = runs.setdefault(args[0].kind, [])
+            if run and sum(len(a[1]) for *_, a in run) + len(args[1]) > _STACK_ROWS:
+                finish(run)
+            run.append((i, job, args))
+    for run in runs.values():
+        finish(run)
     if errors:
         raise errors[min(errors)]
     return [done[i] for i in sorted(done)]
@@ -1057,6 +1042,8 @@ def job_family(job: dict) -> dict:
         case = job["family"]
     except KeyError:
         raise ConfigError("job missing 'family'") from None
+    if not isinstance(case, str):
+        raise ConfigError(f"family must be a string, got {case!r}")
     if not isinstance(job.get("params") or {}, dict):
         raise ConfigError(f"{case}: params must be an object")
     kw = {"case": case, "params": job.get("params")}
@@ -1090,6 +1077,8 @@ def _suite_job(job: dict, record_runtime: bool, families: dict):
     if expect not in ("pass", "fail"):
         raise ConfigError(f"expect must be pass|fail, got {expect!r}")
     label = job.get("label", family["case"])
+    if not isinstance(label, str):
+        raise ConfigError(f"label must be a string, got {label!r}")
     kw = {key: _cast(int, job[key], key) for key in ("nu", "nv") if key in job}
     kw.update((key, job[key]) for key in ("checks", "tols") if key in job)
     if "v0" in job or "v1" in job:
@@ -1103,9 +1092,9 @@ def _suite_job(job: dict, record_runtime: bool, families: dict):
 
 def run_suite(config: dict) -> SuiteReport:
     """Execute the configured jobs and aggregate deterministically: each
-    job's stage 1 in order, then each stacked check once per surface kind
-    over the jobs of that kind (_run_stacked); the jobs and the sweep share
-    their families, realized once per call."""
+    job's stage 1 in order, the jobs of each surface kind stacked in runs
+    through check_points (_run_stacked); the jobs and the sweep share their
+    families, realized once per call."""
     if not isinstance(config, dict):
         raise ConfigError("suite config must be a JSON object")
     unknown = set(config) - {"seed", "jobs", "sweep_points", "record_runtime"}

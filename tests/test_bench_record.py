@@ -1,5 +1,5 @@
 """tools/bench_record.py on a canned perfbench standard output, and its
-realization timer on this checkout."""
+realization timer and nu = 1000 suite run on this checkout."""
 
 import os
 import sys
@@ -81,3 +81,12 @@ def test_realizations_time_and_count_each_integrated_case():
         assert record["build_s"] > 0.0
         assert {k: record[k] for k in ("steps", "field_calls", "halvings")} \
             == {"steps": n, "field_calls": 4 * n + 1, "halvings": 0}
+
+
+def test_suite_nu1000_records_rss_and_wall_per_fresh_process():
+    """Under suite_nu1000: the medians and each run's max RSS and run_suite
+    wall time of the default jobs at nu = 1000, sweep off."""
+    got = bench_record.run_suite_nu1000(os.path.dirname(TOOLS), runs=1)
+    assert set(got) == {"wall_s", "max_rss_mb", "runs"} and len(got["runs"]) == 1
+    assert got["wall_s"] > 0.0 and got["max_rss_mb"] > 0.0
+    assert {k: got[k] for k in ("wall_s", "max_rss_mb")} == got["runs"][0]

@@ -560,10 +560,26 @@ _CHECKS_LINE = "error: checks must be a list drawn from minimal, pnmcv, flat, fn
      "error: the pnmcv checks need a nonzero number C in params\n"),
     ({"record_runtime": "no", "jobs": []},
      "error: record_runtime must be true or false, got 'no'\n"),
+    # a label or family that is not a string
+    ({"jobs": [{"family": "pnmcv-ell", "label": 5}]},
+     "error: label must be a string, got 5\n"),
+    ({"jobs": [{"family": "pnmcv-ell", "label": None}]},
+     "error: label must be a string, got None\n"),
+    ({"jobs": [{"family": ["x"]}]}, "error: family must be a string, got ['x']\n"),
+    ({"jobs": [{"family": {"a": 1}}]},
+     "error: family must be a string, got {'a': 1}\n"),
+    # a v-range must be finite with v0 < v1, as a u-interval: a zero-width
+    # range would pass v-independence at exactly 0
+    ({"jobs": [{"family": "pnmcv-ell", "v0": 0.5, "v1": 0.5}]},
+     "error: pnmcv-ell: bad v-range (0.5, 0.5)\n"),
+    ({"jobs": [{"family": "pnmcv-ell", "v0": 1, "v1": 0}]},
+     "error: pnmcv-ell: bad v-range (1.0, 0.0)\n"),
+    ({"jobs": [{"family": "pnmcv-ell", "v0": "nan", "v1": 1}]},
+     "error: pnmcv-ell: bad v-range (nan, 1.0)\n"),
 ])
 def test_bad_suite_value_exit_2(tmp_path, capsys, config, line):
-    """A job or config value of the wrong type or name is a configuration
-    error, exit 2 with one line, not a traceback."""
+    """A job or config value of the wrong type, name or range is a
+    configuration error, exit 2 with one line, not a traceback."""
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(config))
     assert run("verify", "--suite", str(path)) == 2

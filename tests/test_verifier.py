@@ -426,13 +426,13 @@ def _verify_alone(job):
     return verify_family(**verifier.job_family(job), **kw)
 
 
-@pytest.mark.parametrize("stack_rows", [verifier._STACK_ROWS, 40])
+@pytest.mark.parametrize("stack_rows", [verifier._STACK_ROWS, 40, 1])
 def test_stacked_suite_equals_each_job_alone(monkeypatch, stack_rows):
     """run_suite stacks the rows of each kind's jobs; every job's report has
     the bytes of verify_family run on that job alone: both kinds, an empty
     domain, a vacuous FD stencil, a step below FD_H, custom families, an
     expected fail and per-job grids, v-ranges, tolerances and checks; also
-    when the stacks are cut into runs of at most 40 rows."""
+    when the stacks are cut into runs of at most 40 rows, or of one job."""
     monkeypatch.setattr(verifier, "_STACK_ROWS", stack_rows)
     suite = run_suite({"jobs": _MIXED_JOBS}).to_json()
     monkeypatch.undo()
@@ -443,6 +443,43 @@ def test_stacked_suite_equals_each_job_alone(monkeypatch, stack_rows):
     kinds = {verifier.FAMILY_CATALOG[job["family"]].kind for job in _MIXED_JOBS
              if job["family"] != "custom"}
     assert len(kinds) == 2
+
+
+@pytest.mark.parametrize("v_range", [(0.5, 0.5), (1.0, 0.0), (math.nan, 1.0),
+                                     (0.0, math.inf)])
+def test_verify_family_rejects_a_v_range_not_finite_and_increasing(v_range):
+    with pytest.raises(ParamError, match="bad v-range"):
+        verify_family("pnmcv-ell", v_range=v_range)
+
+
+def test_a_full_run_finishes_before_the_next_stage_1(monkeypatch):
+    """With runs of at most 60 grid rows, check_points finishes a kind's run
+    as soon as the next job of that kind would take it past 60 rows, before
+    the stage 1 (build_family) of any later job; the runs left over finish
+    at the end, in the order their kinds first came."""
+    events = []
+    build, check = verifier.build_family, verifier.check_points
+
+    def building(desc):
+        events.append(("build", desc.case))
+        return build(desc)
+
+    def checking(jobs):
+        events.append(("check", [len(us) for _, us, *_ in jobs]))
+        return check(jobs)
+
+    monkeypatch.setattr(verifier, "build_family", building)
+    monkeypatch.setattr(verifier, "check_points", checking)
+    monkeypatch.setattr(verifier, "_STACK_ROWS", 60)
+    jobs = [{"family": "pnmcv-ell"}, {"family": "min-hyp-i"},
+            {"family": "pnmcv-ell", "u0": 2.5, "u1": 5.0, "nu": 5},
+            {"family": "min-ell-ii"}, {"family": "pnmcv-hyp"}]
+    assert run_suite({"jobs": jobs}).passed
+    assert events == [
+        ("build", "pnmcv-ell"), ("build", "min-hyp-i"), ("build", "pnmcv-ell"),
+        ("build", "min-ell-ii"), ("check", [50, 5]),
+        ("build", "pnmcv-hyp"), ("check", [50]),
+        ("check", [50]), ("check", [50])]
 
 
 @pytest.mark.parametrize("where", ["grid", "stencil"])
@@ -499,7 +536,7 @@ def test_a_point_error_is_the_jobs_own(monkeypatch):
     assert len(in_suite) > 1 and len(results) == 4
     assert results[1] is stacked.value
     for job, got in zip(stacked_jobs[::2] + stacked_jobs[3:], results[::2] + results[3:]):
-        assert [c.to_json() for c in got] == [c.to_json() for c in check([job])[0]]
+        assert [c.to_json() for c in got[1]] == [c.to_json() for c in check([job])[0][1]]
 
 
 def test_run_suite_realizes_each_integrated_family_once(monkeypatch):
@@ -598,7 +635,7 @@ def _point_job(spec, us, vs):
     """The check_points job of the grid us at the v's vs (the grid of
     len(vs) v's over the v-range (vs[0], vs[-1])), without FD."""
     grid = surfaces.invariant_grid(spec, us)
-    return (spec, grid, grid.scalars, len(vs), (vs[0], vs[-1]),
+    return (spec, grid.us, grid.scalars, len(vs), (vs[0], vs[-1]),
             verifier.DEFAULT_TOLS, None)
 
 
@@ -607,7 +644,7 @@ def test_nan_frame_fails_frame_orthonormality(monkeypatch):
     of being dropped by a max(0.0, nan) reduction."""
     spec = spec_for("pnmcv-ell", {"C": 2.0}, alpha=1.0, beta=3.0)
     job = _point_job(spec, [2.5, 3.0, 4.0], [0.3, 1.1])
-    assert check_points([job])[0][0].passed
+    assert check_points([job])[0][1][0].passed
     frame = verifier._frame_from
 
     def poisoned(*args):
@@ -615,7 +652,7 @@ def test_nan_frame_fails_frame_orthonormality(monkeypatch):
         return dataclasses.replace(fr, x=_with_nan(fr.x, 2))   # u=3, v=0.3
 
     monkeypatch.setattr(verifier, "_frame_from", poisoned)
-    res = check_points([job])[0][0]
+    res = check_points([job])[0][1][0]
     assert res.name == "frame-orthonormality"
     assert math.isnan(res.max_residual) and not res.passed
 
@@ -625,7 +662,7 @@ def test_nan_projection_fails_v_mid_checks(monkeypatch):
     hyperbolic kind) reaches its checks."""
     spec = spec_for("min-hyp-i", {"c": 1.0}, alpha=2.0, beta=1.0)
     job = _point_job(spec, [0.8, 1.0, 1.2], [0.4])
-    assert all(c.passed for c in check_points([job])[0][2:])
+    assert all(c.passed for c in check_points([job])[0][1][2:])
     project = verifier._projection
 
     def poisoned(*args):
@@ -634,7 +671,7 @@ def test_nan_projection_fails_v_mid_checks(monkeypatch):
         return dataclasses.replace(proj, sigma=(_with_nan(sxx, 2), sxy, syy))
 
     monkeypatch.setattr(verifier, "_projection", poisoned)
-    res = {c.name: c for c in check_points([job])[0][2:]}
+    res = {c.name: c for c in check_points([job])[0][1][2:]}
     for name in ("chen-trace", "quasi-minimal-off-component",
                  "gauss-equation-route"):
         assert math.isnan(res[name].max_residual), name

@@ -24,8 +24,11 @@ counted by cProfile over one default-suite pass with the sweep off (a
 layer that perfbench's tracer does not wrap), under "realizations" each
 integrated catalog case's median ``build_family`` time over REALIZE_RUNS
 in-process runs (raw seconds; the RK4 realization is nearly all of it)
-with its steps, field_calls and halvings, and the tier-1 wall time with
-its pytest summary line.  Under "source" it records facts of the
+with its steps, field_calls and halvings, under "suite_nu1000" the max RSS
+and wall time of ``run_suite`` on the default jobs at nu = 1000, sweep
+off, each of NU1000_RUNS runs in a fresh process (grids above
+verifier._STACK_ROWS, which no workload has), and the tier-1 wall time
+with its pytest summary line.  Under "source" it records facts of the
 checkout's source: the line count of src/grs4/*.py (as wc -l counts), the
 sha256 of the full report of ``grs4 verify --suite default --seed 31
 --report``, the sha256 of the writer outputs in WRITER_OUTPUTS (an
@@ -175,6 +178,32 @@ def run_realizations(checkout: str) -> dict:
     return json.loads(out.stdout)
 
 
+NU1000_RUNS = 3
+_SUITE_NU1000 = """
+import json, resource, sys, time
+from grs4.verifier import default_suite_config, run_suite
+cfg = dict(default_suite_config(int(sys.argv[1])), sweep_points=0)
+cfg["jobs"] = [dict(job, nu=1000) for job in cfg["jobs"]]
+t0 = time.perf_counter()
+run_suite(cfg)
+wall = time.perf_counter() - t0
+print(json.dumps({"wall_s": wall, "max_rss_mb":
+                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
+"""
+
+
+def run_suite_nu1000(checkout: str, runs: int = NU1000_RUNS) -> dict:
+    """Medians and runs of the max RSS (MB, ru_maxrss) and the run_suite
+    wall time of the sweep-off default jobs at nu = 1000, one fresh process
+    per run."""
+    out = [json.loads(subprocess.run(
+        [sys.executable, "-c", _SUITE_NU1000, str(SEED)], cwd=checkout,
+        env=_src_env(checkout), capture_output=True, text=True,
+        check=True).stdout) for _ in range(runs)]
+    return {key: statistics.median(r[key] for r in out) for key in out[0]} | {
+        "runs": out}
+
+
 def _src_env(checkout: str) -> dict:
     """The environment with the checkout's src first on PYTHONPATH."""
     env = dict(os.environ)
@@ -268,6 +297,7 @@ def main(argv=None) -> int:
         "default_suite": suite,
         "suite_calls": run_profile(checkout),
         "realizations": run_realizations(checkout),
+        "suite_nu1000": run_suite_nu1000(checkout),
         "source": {**source_facts(checkout),
                    "perfbench_output_sha256": digests},
         "tier1": run_tier1(checkout),
