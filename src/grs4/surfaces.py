@@ -17,11 +17,11 @@ evaluated from meridian jets, so no numerical differentiation enters here.
 
 Each formula is written once and evaluated on arrays, the meridian from
 one jet_columns pass: over a u-grid (invariant_grid, which computes every
-row and then blanks the inadmissible ones), a u x v grid (positions_grid),
-a list of (u, v) points (_grid_inputs) or rows stacked from several
-surfaces of one kind, alpha and beta then columns (SpecRows).  The
-per-point functions (position_jets, frames, geometric_functions,
-curvatures, invariant_record) are 1-row views that return Python floats.
+row and then blanks the inadmissible ones), a u x v grid (positions_grid)
+or rows stacked from several surfaces of one kind, alpha and beta then
+columns (SpecRows).  The per-point functions (position_jets, frames,
+geometric_functions, curvatures, invariant_record) are views of a one-row
+invariant_grid (_point_row) that return Python floats.
 Squares go through pe4.pow2 and traces through shape_trace, so each element
 has the bits of the float formula at its point.  eps stands where the
 elliptic formula has a minus sign, so both kinds keep the bits of their own
@@ -222,7 +222,7 @@ def _rotations(spec: SurfaceSpec, vs):
 def position_jets(spec: SurfaceSpec, u: float, v: float) -> PointJets:
     """All first and second partials of the immersion at (u, v),
     analytically; the meridian's error where it is undefined at u."""
-    return _float_row(_jets_from(spec, *_meridian_row(spec, u)[:6],
+    return _float_row(_jets_from(spec, *_point_row(spec, u, False).scalars[:6],
                                  _rotations(spec, v)))
 
 
@@ -312,14 +312,6 @@ def _meridian_columns(spec: SurfaceSpec, us):
     return us, _scalars_from(spec, *(c.reshape(us.shape) for c in jets))
 
 
-def _meridian_row(spec: SurfaceSpec, u: float):
-    """The _meridian_columns at u alone; jet(u)'s error where it raises."""
-    ok, *jets = spec.meridian.jet_columns(np.array([float(u)]))
-    if not ok[0]:
-        spec.meridian.jet(u)   # raises
-    return _scalars_from(spec, *jets)
-
-
 def _admissible(scalars):
     """Where E and W = -G (_scalars_from) are finite above ADMISSIBILITY_EPS."""
     E, W, eps = scalars[6], scalars[7], ADMISSIBILITY_EPS
@@ -345,24 +337,6 @@ def _inadmissible(spec: SurfaceSpec, us, scalars):
         f"E={float(E.flat[i]):.6g}, G={-float(W.flat[i]):.6g}")
 
 
-def _grid_inputs(spec: SurfaceSpec, us, vs):
-    """(f, f', f'', g, g', g'', 1/sqrt(E), 1/sqrt(W)) at us and _rotations
-    at vs, as arrays that broadcast against each other.
-
-    A u x v grid passes us as an (n, 1) column and vs as (m,), a list of
-    points both as (n,); an InvariantGrid us lends its meridian columns.
-    Raises the _inadmissible error.
-    """
-    if isinstance(us, InvariantGrid):
-        us, scalars = us.us, us.scalars
-    else:
-        us, scalars = _meridian_columns(spec, us)
-    bad = _inadmissible(spec, us, scalars)
-    if bad:
-        raise bad[1]
-    return _frame_inputs(scalars), _rotations(spec, vs)
-
-
 def _frame_inputs(scalars):
     """(f, f', f'', g, g', g'', 1/sqrt(E), 1/sqrt(W)) for _frame_from."""
     return (*scalars[:6], 1.0 / np.sqrt(scalars[6]), 1.0 / np.sqrt(scalars[7]))
@@ -378,11 +352,12 @@ def frames(spec: SurfaceSpec, u: float, v: float) -> Frame:
     square roots are taken throughout, so the orientation follows the signs
     of f, g, f', g'.
     """
-    return _float_row(_frame_from(spec, *_grid_inputs(spec, [u], [v])))
+    return _float_row(_frame_from(spec, _frame_inputs(_point_row(spec, u).scalars),
+                                  _rotations(spec, v)))
 
 
 def _frame_from(spec, scalars, rot) -> Frame:
-    """Frame from _grid_inputs values, floats or arrays.
+    """Frame from _frame_inputs and _rotations values, floats or arrays.
 
     x = z_u / sqrt(E) and y = z_v / sqrt(W), with z_u, z_v as in _jets_from.
     Of the normals, the one built from (f', g') carries H and the one built
@@ -408,8 +383,7 @@ def _frame_from(spec, scalars, rot) -> Frame:
 
 def geometric_functions(spec: SurfaceSpec, u: float) -> GeoFns:
     """nu1, nu2, mu, gamma2, beta2 at an admissible u (independent of v)."""
-    r = _admissible_record(spec, u)
-    return GeoFns(r.nu1, r.nu2, r.mu, r.gamma2, r.beta2)
+    return _row_floats(GeoFns, _point_row(spec, u))
 
 
 def _geo_fns_from(spec, scalars) -> GeoFns:
@@ -474,9 +448,9 @@ def _matrices(a, b, c, d):
 
 
 def _projection(spec, scalars, rot) -> _Projection:
-    """Independent route from _grid_inputs values, floats or arrays:
-    position jets and frame once, sigma from <z_ab, n_i>, and H and the
-    shape operators assembled from it.
+    """Independent route from _frame_inputs and _rotations values, floats
+    or arrays: position jets and frame once, sigma from <z_ab, n_i>, and H
+    and the shape operators assembled from it.
 
     With the normal frame pseudo-orthonormal, a normal vector w decomposes
     as <w,n1> n1 - <w,n2> n2.
@@ -506,8 +480,7 @@ def curvatures(spec: SurfaceSpec, u: float) -> Curvatures:
     (elliptic) or n1 (hyperbolic); H_norm2 is reported as -h_coeff**2 (see
     the quasi-minimal checks).
     """
-    r = _admissible_record(spec, u)
-    return Curvatures(r.K, r.kappa, r.h_coeff, r.H_norm2)
+    return _row_floats(Curvatures, _point_row(spec, u))
 
 
 def _h_terms(spec, f, fp, fpp, g, gp, gpp, E, W):
@@ -566,13 +539,20 @@ def invariant_record(spec: SurfaceSpec, u: float) -> InvariantRecord:
                            bool(grid.admissible[0]))
 
 
-def _admissible_record(spec: SurfaceSpec, u: float) -> InvariantRecord:
-    """invariant_record at u; the _inadmissible error where u is not admissible."""
+def _point_row(spec: SurfaceSpec, u: float, admissible: bool = True) -> InvariantGrid:
+    """invariant_grid(spec, [u]), the row of the per-point views: raises the
+    _inadmissible error at u, where u is not admissible or, with admissible
+    False, only where the meridian raises."""
     grid = invariant_grid(spec, [u])
     bad = _inadmissible(spec, grid.us, grid.scalars)
-    if bad:
+    if bad and (admissible or not isinstance(bad[1], InadmissiblePointError)):
         raise bad[1]
-    return InvariantRecord(u, *(float(c[0]) for c in grid.columns()), True)
+    return grid
+
+
+def _row_floats(view, grid):
+    """view (GeoFns, Curvatures) of the grid's row 0, as Python floats."""
+    return view(*(float(getattr(grid, name)[0]) for name in view.__slots__))
 
 
 @np.errstate(all="ignore")

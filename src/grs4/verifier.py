@@ -7,13 +7,13 @@ of frame fields, inner products of projected second-fundamental vectors,
 or the defining algebraic relation of a family.  Results are reproducible
 bit-for-bit for a fixed configuration.
 
-A suite runs each job's stage 1 in order (family, one meridian pass over
+A suite calls each job's stage 1 in order (family, one meridian pass over
 the domain scan and the grid and FD stencil of its interval); each job then
 waits in its surface kind's run, and check_points finishes a run (at most
 _STACK_ROWS grid rows) in one invariant pass, one rotation, one projection
 and one frame pass over all its jobs.  verify_family is the run of one.
 The sweep makes one pass per kind, the scan bisects all brackets in
-lockstep; cross_check is the bundle's dual routes at a point.
+lockstep; cross_check is the bundle's dual routes on a one-row grid.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -30,12 +31,11 @@ from .errors import (ConfigError, DomainError, InadmissiblePointError,
 from .meridians import (FAMILY_CATALOG, build_family,
                         descriptor_from_catalog, classified_case_ids)
 from .pe4 import inner, pow2
-from .surfaces import (SpecRows, SurfaceKind, SurfaceSpec, invariant_grid,
-                       shape_trace, spec_rows, surface_from_family,
-                       _admissible, _frame_from, _frame_inputs,
-                       _fundamental_from, _geo_fns_from, _grid_inputs,
-                       _h_terms, _inadmissible, _invariant_rows,
-                       _meridian_columns, _projection, _rotations,
+from .surfaces import (SpecRows, SurfaceKind, SurfaceSpec, shape_trace,
+                       spec_rows, surface_from_family, _admissible,
+                       _frame_from, _frame_inputs, _fundamental_from,
+                       _geo_fns_from, _h_terms, _inadmissible, _invariant_rows,
+                       _meridian_columns, _point_row, _projection, _rotations,
                        _scalars_from)
 
 DEFAULT_TOLS = {
@@ -237,10 +237,8 @@ def _grid_in_intervals(intervals, n, margin_frac=5e-3):
 
 def _v_grid(kind: SurfaceKind, nv: int, v_range=None):
     default, endpoint, _ = _V_SAMPLING[kind]
-    if v_range is None:
-        v_range = default
-    return np.linspace(v_range[0], v_range[1], nv,
-                       endpoint=endpoint or v_range != default)
+    v_range = v_range or default
+    return np.linspace(*v_range, nv, endpoint=endpoint or v_range != default)
 
 
 def _grid_and_stencil(intervals, nu: int, closed: bool):
@@ -299,9 +297,9 @@ def cross_check(spec: SurfaceSpec, u: float, v: float = 0.0):
     1: K's explicit formula against the Gauss-equation route through
     projected sigma vectors, kappa's against -eps mu (nu1 + nu2), that is
     -mu(nu1+nu2) (elliptic) or +mu(nu1+nu2) (hyperbolic)."""
-    grid = invariant_grid(spec, [u])
-    rows = _bundle_rows(spec.kind, _projection(spec, *_grid_inputs(spec, grid, [v])),
-                        grid)
+    grid = _point_row(spec, u)
+    rows = _bundle_rows(spec.kind, _projection(
+        spec, _frame_inputs(grid.scalars), _rotations(spec, [v])), grid)
     return tuple(_check(name, f"u={u:.6g}", r[0], DEFAULT_TOLS["cross"])
                  for name, r in zip(("gauss-equation-route",
                                      "normal-curvature-route"), rows[-2:]))
@@ -541,10 +539,6 @@ def check_points(jobs) -> list:
     A job's error (a grid row's, then _fd_columns', then _rotations') is its
     result."""
     kind, v_mid = jobs[0][0].kind, _V_SAMPLING[jobs[0][0].kind][2]
-    # each distinct v-grid once, keyed by repr, which tells -0.0 from 0.0
-    v_grids = {(n, repr(vr)): (n, vr) for *_, nv, vr, _, _ in jobs
-               for n in (_VINDEP_NV, nv)}
-    v_grids = {key: _v_grid(kind, *args) for key, args in v_grids.items()}
     speeds = np.array([(s.alpha, s.beta) for s, *_ in jobs]).T
     try:
         for spec, us, sc, *_ in jobs:
@@ -555,8 +549,8 @@ def check_points(jobs) -> list:
             spec, fd[0], np.full(len(fd[0]), v_mid), fd[1],
             tuple(c[len(us):].reshape(fd[0].shape) for c in sc))
             for spec, us, sc, *_, fd in jobs]
-        vs = [np.concatenate([[v_mid], v_grids[_VINDEP_NV, repr(vr)],
-                              v_grids[nv, repr(vr)], np.ravel(fd_vs)])
+        vs = [np.concatenate([[v_mid], _v_grid(kind, _VINDEP_NV, vr),
+                              _v_grid(kind, nv, vr), np.ravel(fd_vs)])
               for (*_, nv, vr, _, _), (_, fd_vs) in zip(jobs, fd_cols)]
         nr = np.array([len(v) for v in vs])
         rot = _rotations(SpecRows(kind, *np.repeat(speeds, nr, axis=1), None),
@@ -763,13 +757,13 @@ def verify_family(case: str, params: dict | None = None, **kw) -> FamilyReport:
     runs, and the extra bundles that checks lists (keys of _BUNDLES); tols
     overrides DEFAULT_TOLS key by key; anything else is a ConfigError.
     Returns a report whose checks all carry residual/tolerance pairs;
-    empty admissible domains yield vacuous results with explicit notes.
+    empty admissible domains give vacuous results with explicit notes.
     runtime_s stays 0.0 unless record_runtime is set, keeping report bytes
     reproducible across runs; it then runs from the job's start to the end
     of the check_points run it joined.  families shares families (see
     _build_shared).
     """
-    [report] = _run_stacked([_family_checks(case, params, **kw)])
+    [report] = _run_stacked([partial(_family_checks, case, params, **kw)])
     return report
 
 
@@ -778,16 +772,20 @@ def _family_checks(case: str, params: dict | None = None, *, nu: int = 50,
                    checks: list | None = None, tols: dict | None = None,
                    record_runtime: bool = False, families: dict | None = None,
                    **family):
-    """verify_family's job as a generator for _run_stacked: stage 1 up to
-    its one yield, which hands check_points the job's tuple and receives the
-    job's (grid, point checks).  Returns the report."""
+    """verify_family's job for _run_stacked, its stage 1: (check_points
+    tuple, finish), finish(grid, point checks) giving the report; (None,
+    finish) with finish() the report where no point is admissible."""
     desc = descriptor_from_catalog(case, params, **family)
     if nu < 2 or nv < 2:
         raise ParamError("grid counts must be at least 2")
-    if v_range is not None and not (math.isfinite(v_range[0])
-                                    and math.isfinite(v_range[1])
-                                    and v_range[0] < v_range[1]):
-        raise ParamError(f"{case}: bad v-range {v_range}")
+    if v_range is not None:   # settled here: two finite floats, increasing
+        try:
+            v0, v1 = v_range
+            if not (math.isfinite(v0) and math.isfinite(v1) and v0 < v1):
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
+            raise ParamError(f"{case}: bad v-range {v_range}") from None
+        v_range = (float(v0), float(v1))
     tols = tols or {}
     if not isinstance(tols, dict) or set(tols) - set(DEFAULT_TOLS):
         raise ConfigError(f"tols must be an object keyed by {', '.join(DEFAULT_TOLS)}")
@@ -837,7 +835,7 @@ def _family_checks(case: str, params: dict | None = None, *, nu: int = 50,
         results.extend(_vacuous_check(name, note) for name in planned)
         if case == "min-ell-i":
             results.append(h_numerator_identity(spec, lo, hi))
-        return report()
+        return None, report
 
     if not closed:
         results.extend(check_sampled_residuals(fam))
@@ -847,19 +845,19 @@ def _family_checks(case: str, params: dict | None = None, *, nu: int = 50,
     # every check below reads these rows, the meridian at each grid u and FD
     # stencil u, copied: no scan row outlives stage 1
     scalars = tuple(c[-(len(us) + stencil.size):].copy() for c in scalars)
-    grid, points = yield (spec, us, scalars, nv, v_range, tols,
-                          steps and (stencil, steps))
 
-    tier_tol = tols["closed"] if closed else tols["ode"]
-    results.extend(_property_checks(bundles, spec, grid, tier_tol, tols,
-                                    C, desc.sign))
-    if case == "min-ell-ii":
-        results.append(check_min_ell_ii_identity(spec, grid))
-    results.extend(points)
-    if narrow:
-        results.extend(_vacuous_check(name, narrow)
-                       for name in ("fd-connection", "fd-shrinkage"))
-    return report()
+    def finish(grid, points):
+        tier_tol = tols["closed"] if closed else tols["ode"]
+        results.extend(_property_checks(bundles, spec, grid, tier_tol, tols,
+                                        C, desc.sign))
+        if case == "min-ell-ii":
+            results.append(check_min_ell_ii_identity(spec, grid))
+        results.extend(points)
+        if narrow:
+            results.extend(_vacuous_check(name, narrow)
+                           for name in ("fd-connection", "fd-shrinkage"))
+        return report()
+    return (spec, us, scalars, nv, v_range, tols, steps and (stencil, steps)), finish
 
 
 # The most grid rows of one check_points run: a default suite's jobs of one
@@ -870,37 +868,39 @@ _STACK_ROWS = 1024
 
 @np.errstate(all="ignore")   # as the grid routes of grs4.surfaces
 def _run_stacked(jobs) -> list:
-    """The return values of the job generators (see _family_checks): stage 1
-    job by job (an error there starts no later job), each job that yields in
+    """The reports of the jobs, each a call of its stage 1 (see
+    _family_checks), job by job: a job with a check_points tuple waits in
     its surface kind's run, which check_points finishes when the next job of
-    that kind would take it past _STACK_ROWS grid rows, or at the end.  Then
-    the earliest job's error is raised, as running the jobs in turn would."""
+    that kind would take it past _STACK_ROWS grid rows, or at the end.  An
+    error of stage 1 or of a finished run starts no later job; the earliest
+    job's error is raised, as running the jobs in turn would."""
     done, errors, runs = {}, {}, {}
 
-    def advance(i, job, result=None):   # the job's check_points args, if any
-        try:
-            return (job.throw if isinstance(result, Exception) else job.send)(result)
-        except StopIteration as stop:
-            done[i] = stop.value
-        except Exception as exc:   # noqa: BLE001 - raised below, in job order
-            errors[i] = exc
-
-    def finish(run):
-        for (i, job, _), result in zip(run, check_points([a for *_, a in run])):
-            advance(i, job, result)
+    def run_out(run):   # each job's report, or its check_points error
+        for (i, finish, _), result in zip(run, check_points([a for *_, a in run])):
+            if isinstance(result, Exception):
+                errors[i] = result
+            else:
+                done[i] = finish(*result)
         run.clear()
 
     for i, job in enumerate(jobs):
         if errors:
             break
-        args = advance(i, job)
-        if args:
-            run = runs.setdefault(args[0].kind, [])
-            if run and sum(len(a[1]) for *_, a in run) + len(args[1]) > _STACK_ROWS:
-                finish(run)
-            run.append((i, job, args))
+        try:
+            args, finish = job()
+            if args is None:   # no admissible point: no run to wait for
+                done[i] = finish()
+                continue
+        except Exception as exc:   # noqa: BLE001 - raised below, in job order
+            errors[i] = exc
+            break
+        run = runs.setdefault(args[0].kind, [])
+        if run and sum(len(a[1]) for *_, a in run) + len(args[1]) > _STACK_ROWS:
+            run_out(run)
+        run.append((i, finish, args))
     for run in runs.values():
-        finish(run)
+        run_out(run)
     if errors:
         raise errors[min(errors)]
     return [done[i] for i in sorted(done)]
@@ -1064,9 +1064,9 @@ def job_family(job: dict) -> dict:
 
 
 def _suite_job(job: dict, record_runtime: bool, families: dict):
-    """(label, expect, FamilyReport) of one suite job, its family from
-    job_family and its grid and checks as verify_family keywords, as a
-    generator for _run_stacked (see _family_checks)."""
+    """The stage 1 of one suite job for _run_stacked, as _family_checks',
+    its family from job_family and its grid and checks as verify_family
+    keywords; finish then gives (label, expect, FamilyReport)."""
     if not isinstance(job, dict):
         raise ConfigError("each job must be an object")
     unknown = set(job) - _JOB_KEYS
@@ -1085,9 +1085,9 @@ def _suite_job(job: dict, record_runtime: bool, families: dict):
         if not ("v0" in job and "v1" in job):
             raise ConfigError(f"{label}: v0 and v1 must be given together")
         kw["v_range"] = tuple(_cast(float, job[k], k) for k in ("v0", "v1"))
-    rep = yield from _family_checks(**family, record_runtime=record_runtime,
-                                    families=families, **kw)
-    return label, expect, rep
+    args, finish = _family_checks(**family, record_runtime=record_runtime,
+                                  families=families, **kw)
+    return args, lambda *result: (label, expect, finish(*result))
 
 
 def run_suite(config: dict) -> SuiteReport:
@@ -1111,7 +1111,7 @@ def run_suite(config: dict) -> SuiteReport:
             f"record_runtime must be true or false, got {record_runtime!r}")
     t_start = time.perf_counter()
     families = {}
-    jobs = _run_stacked([_suite_job(job, record_runtime, families)
+    jobs = _run_stacked([partial(_suite_job, job, record_runtime, families)
                          for job in jobs_cfg])
     sweeps = []
     n_sweep = _cast(int, config.get("sweep_points", 0), "sweep_points")

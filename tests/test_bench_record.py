@@ -1,7 +1,9 @@
 """tools/bench_record.py on a canned perfbench standard output, and its
-realization timer and nu = 1000 suite run on this checkout."""
+realization timer, nu = 1000 suite run, report digests and precompiled
+fresh processes on this checkout."""
 
 import os
+import subprocess
 import sys
 
 import pytest
@@ -13,6 +15,7 @@ if TOOLS not in sys.path:
 
 import bench_record  # noqa: E402
 from grs4 import meridians  # noqa: E402
+from test_acceptance import SUITE_REPORT_SEED31_SHA256  # noqa: E402
 
 # a --trace 1 run as perfbench/run.py prints it, cut to three layers
 TRACED = """\
@@ -90,3 +93,33 @@ def test_suite_nu1000_records_rss_and_wall_per_fresh_process():
     assert set(got) == {"wall_s", "max_rss_mb", "runs"} and len(got["runs"]) == 1
     assert got["wall_s"] > 0.0 and got["max_rss_mb"] > 0.0
     assert {k: got[k] for k in ("wall_s", "max_rss_mb")} == got["runs"][0]
+
+
+# the full default-suite report at seed 20240, as SUITE_REPORT_SEED31_SHA256
+# at seed 31
+SUITE_REPORT_SEED20240_SHA256 = "996e7f01f340b87049b49abdd2ea72d07eddbdd6e5b1955e4b440f2e3b608009"
+
+
+def test_report_digests_at_both_seeds_are_the_pinned_ones():
+    """source_facts records the full default-suite report's sha256 at seeds
+    31 and 20240, and each is its pinned digest."""
+    root = os.path.dirname(TOOLS)
+    assert {seed: bench_record.suite_report_sha256(root, seed)
+            for seed in bench_record.SUITE_REPORT_SEEDS} == {
+        31: SUITE_REPORT_SEED31_SHA256, 20240: SUITE_REPORT_SEED20240_SHA256}
+
+
+def test_fresh_processes_compile_no_module_from_source():
+    """The fresh processes read bytecode from a private PYTHONPYCACHEPREFIX
+    outside the checkout: a CLI run under it compiles no module from its
+    source, whether PYTHONDONTWRITEBYTECODE is set or not."""
+    root = os.path.dirname(TOOLS)
+    env = bench_record._src_env(root)
+    prefix = env["PYTHONPYCACHEPREFIX"]
+    assert os.path.commonpath([prefix, root]) != root
+    out = subprocess.run([sys.executable, "-v", "-m", "grs4", "verify",
+                          "--family", "fnc-ell-i", "--nu", "5"], cwd=root,
+                         env=env, capture_output=True, text=True, check=True)
+    compiled = [line.split()[-1] for line in out.stderr.splitlines()
+                if line.startswith("# code object from") and line.endswith(".py")]
+    assert compiled == []

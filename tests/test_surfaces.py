@@ -19,10 +19,10 @@ from grs4.surfaces import (INVARIANT_COLUMNS, SecondFundamental, SurfaceKind,
                            invariant_grid, invariant_record,
                            position_jets, positions_grid,
                            shape_trace, surface_from_family, _frame_from,
-                           _fundamental_from, _grid_inputs, _projection,
+                           _frame_inputs, _fundamental_from, _projection,
                            _rotations, _shape_matrices)
-from grs4.verifier import (admissible_domain, orthonormality_residual,
-                           _grid_in_intervals, _v_grid)
+from grs4.verifier import (admissible_domain, cross_check,
+                           orthonormality_residual, _grid_in_intervals, _v_grid)
 
 
 def spec_for(case, params=None, **kw):
@@ -446,15 +446,17 @@ def _grid_hex(vec, i, j):
 @pytest.mark.parametrize("spec", [PNMCV_ELL, MIN_HYP_I],
                          ids=["elliptic", "hyperbolic"])
 def test_grid_route_matches_point_route_bitwise(spec):
-    """The frame and projection routes over a u x v grid (_grid_inputs of a
-    u-column) equal the one-point float routes and np.trace(A1 @ A2) at
-    every grid point, to the bit (hyperbolic |v| <= 3)."""
+    """The frame and projection routes over a u x v grid (the frame inputs
+    of invariant_grid's meridian columns as a u-column) equal the one-point
+    float routes and np.trace(A1 @ A2) at every grid point, to the bit
+    (hyperbolic |v| <= 3)."""
     lo, hi = spec.meridian.interval
     us = _grid_in_intervals(admissible_domain(spec, lo, hi, 200), 17)
     vs = _v_grid(spec.kind, 13)
     if spec.kind is SurfaceKind.HYPERBOLIC:
         assert (vs.min(), vs.max()) == (-3.0, 3.0)
-    inputs = _grid_inputs(spec, us[:, None], vs)
+    inputs = (_frame_inputs([c[:, None] for c in invariant_grid(spec, us).scalars]),
+              _rotations(spec, vs))
     fg, pg = _frame_from(spec, *inputs), _projection(spec, *inputs)
     zg = positions_grid(spec, us, vs)
     trg = shape_trace(*pg.shape_matrices())
@@ -662,40 +664,20 @@ def test_invariant_grid_matches_the_gather_route_bitwise(case, spec, us):
 
 @pytest.mark.parametrize("spec", [PNMCV_ELL, MIN_HYP_I],
                          ids=["elliptic", "hyperbolic"])
-def test_grid_routes_reuse_invariant_grid_columns(monkeypatch, spec):
-    """The frame and projection routes on the grid inputs of an
-    InvariantGrid's rows (as the sweep takes them) give the bits they give
-    on its u values, without a meridian call; an inadmissible row raises
-    the per-point error."""
+def test_point_views_of_an_inadmissible_row_raise_the_per_point_error(spec):
+    """frames and cross_check, views of a one-row invariant_grid, raise the
+    error of the one-point float route at a u whose grid row is not
+    admissible, type and text."""
     lo, hi = spec.meridian.interval
     us = _grid_in_intervals(admissible_domain(spec, lo, hi, 200), 9)
-    vs = _v_grid(spec.kind, 5)
-    grid = invariant_grid(spec, us)
-    want = _grid_inputs(spec, us[1::3, None], vs)
-    want_fr, want_pr = _frame_from(spec, *want), _projection(spec, *want)
-    calls = []
-    monkeypatch.setattr(spec.meridian, "jet", lambda u: calls.append(u))
-    rows = grid[1::3]
-    assert len(rows) == 3 and list(rows.us) == list(us[1::3])
-    got = _grid_inputs(spec, rows[:, None], vs)
-    got_fr, got_pr = _frame_from(spec, *got), _projection(spec, *got)
-    assert calls == []
-    for i in range(3):
-        for j in range(len(vs)):
-            for name in ("x", "y", "n1", "n2"):
-                assert (_grid_hex(getattr(got_fr, name), i, j)
-                        == _grid_hex(getattr(want_fr, name), i, j))
-            for k in range(3):
-                assert (_grid_hex(got_pr.sigma[k], i, j)
-                        == _grid_hex(want_pr.sigma[k], i, j))
-    monkeypatch.undo()
     bad = invariant_grid(spec, [us[0], lo - 1.0, us[1]])
     assert list(bad.admissible) == [True, False, True]
     with pytest.raises(GrsError) as per_point:
         ref.frames(spec, lo - 1.0, 0.0)
-    with pytest.raises(type(per_point.value),
-                       match=re.escape(str(per_point.value))):
-        _grid_inputs(spec, bad[:, None], vs)
+    for view in (frames, cross_check):
+        with pytest.raises(type(per_point.value),
+                           match=re.escape(str(per_point.value))):
+            view(spec, lo - 1.0, 0.0)
 
 
 def _floats_hex(values):

@@ -446,10 +446,21 @@ def test_stacked_suite_equals_each_job_alone(monkeypatch, stack_rows):
 
 
 @pytest.mark.parametrize("v_range", [(0.5, 0.5), (1.0, 0.0), (math.nan, 1.0),
-                                     (0.0, math.inf)])
+                                     (0.0, math.inf), (0.0,), (0.0, 1.0, 2.0),
+                                     ("0.0", 1.0), (0.0, None), 1.0,
+                                     (0.0, 10 ** 400)])
 def test_verify_family_rejects_a_v_range_not_finite_and_increasing(v_range):
     with pytest.raises(ParamError, match="bad v-range"):
         verify_family("pnmcv-ell", v_range=v_range)
+
+
+def test_a_list_v_range_reports_as_the_tuple():
+    """The v-range is settled as a tuple of floats once, so a list equal to
+    the kind's default samples the v-grids of the tuple: one full elliptic
+    turn without its end point."""
+    got, want = (report_json_bytes(verify_family("fnc-ell-i", v_range=vr).to_json())
+                 for vr in ([0.0, 2 * math.pi], (0.0, 2 * math.pi)))
+    assert got == want
 
 
 def test_a_full_run_finishes_before_the_next_stage_1(monkeypatch):
@@ -508,6 +519,35 @@ def test_run_suite_raises_the_first_error_in_job_order(monkeypatch, where):
     with pytest.raises(want) as stacked:
         run_suite({"jobs": jobs})
     assert str(stacked.value) == str(alone.value)
+
+
+def test_a_run_error_starts_no_later_stage_1(monkeypatch):
+    """Once a finished run holds an error, no later job's stage 1
+    (build_family) starts; the runs left over still finish, and run_suite
+    raises the first error in job order.  Counting jobs from 0, jobs 1 and
+    2 get an injected inadmissible grid row; job 2's elliptic run finishes
+    first, when job 3 would take it past 60 rows, so job 4 never builds;
+    job 1's hyperbolic run finishes at the end, and its error is raised."""
+    inadmissible, build, builds = verifier._inadmissible, verifier.build_family, []
+
+    def injected(spec, us, scalars):
+        if spec.alpha in (1.25, 1.5) and us.ndim == 1:
+            return 1, InadmissiblePointError(f"injected at alpha={spec.alpha}")
+        return inadmissible(spec, us, scalars)
+
+    def building(desc):
+        builds.append(desc.case)
+        return build(desc)
+
+    monkeypatch.setattr(verifier, "_inadmissible", injected)
+    monkeypatch.setattr(verifier, "build_family", building)
+    monkeypatch.setattr(verifier, "_STACK_ROWS", 60)
+    jobs = [{"family": "pnmcv-ell"}, {"family": "min-hyp-i", "alpha": 1.25},
+            {"family": "pnmcv-ell", "u0": 2.5, "u1": 5.0, "nu": 5, "alpha": 1.5},
+            {"family": "min-ell-ii"}, {"family": "pnmcv-hyp"}]
+    with pytest.raises(InadmissiblePointError, match="alpha=1.25"):
+        run_suite({"jobs": jobs})
+    assert builds == ["pnmcv-ell", "min-hyp-i", "pnmcv-ell", "min-ell-ii"]
 
 
 def test_a_point_error_is_the_jobs_own(monkeypatch):

@@ -30,13 +30,23 @@ off, each of NU1000_RUNS runs in a fresh process (grids above
 verifier._STACK_ROWS, which no workload has), and the tier-1 wall time
 with its pytest summary line.  Under "source" it records facts of the
 checkout's source: the line count of src/grs4/*.py (as wc -l counts), the
-sha256 of the full report of ``grs4 verify --suite default --seed 31
---report``, the sha256 of the writer outputs in WRITER_OUTPUTS (an
-invariant CSV and obj3 and csv4 meshes, each longer than one writer block)
+sha256 of the full report of ``grs4 verify --suite default --seed S
+--report`` for each S of SUITE_REPORT_SEEDS (keyed by seed; older records
+hold the seed-31 digest alone), the sha256 of the writer outputs in
+WRITER_OUTPUTS (an invariant CSV and obj3 and csv4 meshes, each longer
+than one writer block)
 and, under "perfbench_output_sha256", the digest of each workload's first
 pass that perfbench prints, so a change that claims to keep the report,
 writer or workload bytes shows it.  Nothing under perfbench/ is changed;
 the runs go one after another, each in its own process.
+
+The fresh processes of grs4 (the default suite, suite_nu1000, the
+realizations, the profile and the source facts; not perfbench, not
+tier-1) import their modules from bytecode under a private
+PYTHONPYCACHEPREFIX, written once per checkout by the _WARM processes and
+removed at exit.  Where PYTHONDONTWRITEBYTECODE is set and the checkout has
+no __pycache__, each process would otherwise compile grs4 from source,
+inside its wall time and ru_maxrss.  Nothing is written into the checkout.
 
 To compare two commits, record both on one machine in one sitting, for
 example a ``git archive`` of the parent in a scratch directory as
@@ -46,10 +56,13 @@ example a ``git archive`` of the parent in a scratch directory as
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
 import glob
 import hashlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -59,6 +72,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRICS = ("setup_s", "wall_s", "items_per_s", "peak_rss_mb", "ok_ratio")
 SEED = 31
+# the seeds at which the full default-suite report is to stay byte-identical
+SUITE_REPORT_SEEDS = (31, 20240)
 SUITE_RUNS = 5
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
@@ -204,23 +219,50 @@ def run_suite_nu1000(checkout: str, runs: int = NU1000_RUNS) -> dict:
         "runs": out}
 
 
-def _src_env(checkout: str) -> dict:
-    """The environment with the checkout's src first on PYTHONPATH."""
+def _src_env(checkout: str, precompiled: bool = True) -> dict:
+    """The environment with the checkout's src first on PYTHONPATH and, if
+    precompiled, PYTHONPYCACHEPREFIX set to _pycache_prefix(checkout)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(checkout, "src"), env.get("PYTHONPATH")) if p)
+    if precompiled:
+        env["PYTHONPYCACHEPREFIX"] = _pycache_prefix(checkout)
     return env
+
+
+# a CLI run and the imports of the -c scripts above: with bytecode writing
+# on and a fresh PYTHONPYCACHEPREFIX, they write there the bytecode of grs4
+# and of every module the fresh processes import (with a prefix set, the
+# installed __pycache__ directories are not read)
+_WARM = (["-m", "grs4", "verify", "--family", "pnmcv-ell", "--nu", "5"],
+         ["-c", "import cProfile, json, pstats, resource, statistics, time, "
+                "grs4.cli, grs4.meridians, grs4.verifier"])
+
+
+@functools.cache
+def _pycache_prefix(checkout: str) -> str:
+    """A private PYTHONPYCACHEPREFIX outside the checkout, removed at exit,
+    holding the bytecode that the _WARM processes of the checkout wrote."""
+    prefix = tempfile.mkdtemp(prefix="bench_record_pycache_")
+    atexit.register(shutil.rmtree, prefix, ignore_errors=True)
+    env = dict(_src_env(checkout, precompiled=False), PYTHONPYCACHEPREFIX=prefix)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    for argv in _WARM:
+        subprocess.run([sys.executable, *argv], cwd=checkout, env=env,
+                       capture_output=True)
+    return prefix
 
 
 def run_default_suite(checkout: str) -> dict:
     """Median and runs of the wall time of ``grs4 verify --suite default``,
     sweep on, one fresh process per run."""
     runs, codes = [], set()
+    env = _src_env(checkout)   # precompiles before the first timed run
     for _ in range(SUITE_RUNS):
         t0 = time.perf_counter()
         out = subprocess.run(
             [sys.executable, "-m", "grs4", "verify", "--suite", "default",
-             "--seed", str(SEED)], cwd=checkout, env=_src_env(checkout),
+             "--seed", str(SEED)], cwd=checkout, env=env,
             capture_output=True, text=True)
         runs.append(time.perf_counter() - t0)
         codes.add(out.returncode)
@@ -239,23 +281,30 @@ def _output_sha256(checkout: str, argv: list, flag: str = "--out") -> str:
             return hashlib.sha256(fh.read()).hexdigest()
 
 
+def suite_report_sha256(checkout: str, seed: int) -> str:
+    """sha256 of the checkout's full default-suite report at seed."""
+    return _output_sha256(checkout, ["verify", "--suite", "default", "--seed",
+                                     str(seed)], "--report")
+
+
 def source_facts(checkout: str) -> dict:
-    """Line count of src/grs4/*.py, sha256 of the seed-31 default-suite
-    report and of each WRITER_OUTPUTS file, all of the checkout."""
+    """Line count of src/grs4/*.py, sha256 of the default-suite report at
+    each of SUITE_REPORT_SEEDS and of each WRITER_OUTPUTS file, all of the
+    checkout."""
     lines = 0
     for path in glob.glob(os.path.join(checkout, "src", "grs4", "*.py")):
         with open(path, "rb") as fh:
             lines += fh.read().count(b"\n")
-    suite = ["verify", "--suite", "default", "--seed", str(SEED)]
     return {"src_grs4_lines": lines,
-            "default_suite_report_sha256": _output_sha256(checkout, suite,
-                                                          "--report"),
+            "default_suite_report_sha256": {
+                str(seed): suite_report_sha256(checkout, seed)
+                for seed in SUITE_REPORT_SEEDS},
             **{name: _output_sha256(checkout, argv)
                for name, argv in WRITER_OUTPUTS.items()}}
 
 
 def run_tier1(checkout: str) -> dict:
-    env = _src_env(checkout)
+    env = _src_env(checkout, precompiled=False)   # comparable with older records
     t0 = time.perf_counter()
     out = subprocess.run([sys.executable] + TIER1, cwd=checkout, env=env,
                          capture_output=True, text=True)
