@@ -157,7 +157,8 @@ def cmd_verify(args) -> int:
                 print(f"    tightest: {tight.name} at {tight.margin:.2e} "
                       "of its tolerance")
         for c in payload["sweeps"]:
-            print(f"  {c['name']:32s} {'pass' if c['pass'] else 'FAIL'}")
+            state = "vacuous" if c["vacuous"] else "pass" if c["pass"] else "FAIL"
+            print(f"  {c['name']:32s} {state}")
     elif args.family is not None:
         [(_, _, report)] = run_suite({"jobs": [_flags_job(args)]}).jobs
         payload = report.to_json()

@@ -12,7 +12,8 @@ the domain scan and the grid and FD stencil of its interval); each job then
 waits in its surface kind's run, and check_points finishes a run (at most
 _STACK_ROWS grid rows) in one invariant pass, one rotation, one projection
 and one frame pass over all its jobs.  verify_family is the run of one.
-The sweep makes one pass per kind, the scan bisects all brackets in
+A suite's random-point sweep is random rows of the jobs' own grids, drawn
+at stage 1 and evaluated in the same run; the scan bisects all brackets in
 lockstep; cross_check is the bundle's dual routes on a one-row grid.
 """
 
@@ -235,9 +236,8 @@ def _grid_in_intervals(intervals, n, margin_frac=5e-3):
     return np.concatenate(pts)[:max(n, 2)]
 
 
-def _v_grid(kind: SurfaceKind, nv: int, v_range=None):
+def _v_grid(kind: SurfaceKind, nv: int, v_range: tuple):
     default, endpoint, _ = _V_SAMPLING[kind]
-    v_range = v_range or default
     return np.linspace(*v_range, nv, endpoint=endpoint or v_range != default)
 
 
@@ -504,6 +504,18 @@ def _bundle_rows(kind, proj, grid):
         _relative_gap(grid.kappa, -kind.eps * grid.mu * (grid.nu1 + grid.nu2))))
 
 
+def _sweep_rows(kind, proj, grid):
+    """The sweep's (4, points) residuals over proj, grid its points' rows:
+    tr(A1 A2), the allied coefficient, H off its carrier normal and
+    H_norm2 + h_coeff^2."""
+    off, _, n_off, _, _ = _carrier_split(kind, proj)
+    # H is a difference of sigma vectors, so its projection carries
+    # rounding of order eps * ||sigma|| * ||n_off|| even where H ~ 0
+    hscale = np.fmax(1.0, _sigma_magnitude(proj) * n_off.euclid_norm())
+    return np.array((*_chen_residuals(proj, grid.h_coeff), abs(off) / hscale,
+                     abs(grid.H_norm2 + pow2(grid.h_coeff))))
+
+
 # check_points in report order (then fd-connection, fd-shrinkage): name,
 # tolerance factor * tols[key], grid (of n, nv, nvr, v = v_mid) and notes
 _AT_V_MID = "{n} u-points, v={v:.6g}"
@@ -529,15 +541,17 @@ _PLANNED_COMMON = (*(c[0] for c in _POINT_CHECKS), "fd-connection", "fd-shrinkag
 
 
 def check_points(jobs) -> list:
-    """(InvariantGrid, point checks) of each job (spec, us, scalars, nv,
-    v_range, tols, fd), scalars the _meridian_columns at the grid us, then
-    at the FD stencil us of fd = (us, steps) or None: one invariant pass over
-    all grid rows, one rotation pass over each job's v's (v_mid, the
-    v-independence grid over v_range, the nv grid, the FD v's), one
-    projection pass (each row at v_mid, three rows at each v-independence
-    v), one frame pass (each row at each v of the nv grid, the FD columns).
-    A job's error (a grid row's, then _fd_columns', then _rotations') is its
-    result."""
+    """(InvariantGrid, point checks, sweep residuals) of each job (spec, us,
+    scalars, nv, v_range, tols, fd, drawn), scalars the _meridian_columns at
+    the grid us, then at the FD stencil us of fd = (us, steps) or None, and
+    drawn the (grid row, v) pairs of the sweep's points: one invariant pass
+    over all grid rows, one rotation pass over each job's v's (v_mid, the
+    v-independence grid over v_range, the nv grid, the FD v's, the drawn
+    v's), one projection pass (each row at v_mid, three rows at each
+    v-independence v, the drawn points), one frame pass (each row at each v
+    of the nv grid, the FD columns).  The sweep residuals are _sweep_rows'
+    at the drawn points.  A job's error (a grid row's, then _fd_columns',
+    then _rotations') is its result."""
     kind, v_mid = jobs[0][0].kind, _V_SAMPLING[jobs[0][0].kind][2]
     speeds = np.array([(s.alpha, s.beta) for s, *_ in jobs]).T
     try:
@@ -548,10 +562,10 @@ def check_points(jobs) -> list:
         fd_cols = [(np.zeros((0, 0), int), ()) if fd is None else _fd_columns(
             spec, fd[0], np.full(len(fd[0]), v_mid), fd[1],
             tuple(c[len(us):].reshape(fd[0].shape) for c in sc))
-            for spec, us, sc, *_, fd in jobs]
+            for spec, us, sc, *_, fd, _ in jobs]
         vs = [np.concatenate([[v_mid], _v_grid(kind, _VINDEP_NV, vr),
-                              _v_grid(kind, nv, vr), np.ravel(fd_vs)])
-              for (*_, nv, vr, _, _), (_, fd_vs) in zip(jobs, fd_cols)]
+                              _v_grid(kind, nv, vr), np.ravel(fd_vs), drawn[:, 1]])
+              for (*_, nv, vr, _, _, drawn), (_, fd_vs) in zip(jobs, fd_cols)]
         nr = np.array([len(v) for v in vs])
         rot = _rotations(SpecRows(kind, *np.repeat(speeds, nr, axis=1), None),
                          np.concatenate(vs))
@@ -580,10 +594,17 @@ def check_points(jobs) -> list:
     j, k = _block_points(vrows * _VINDEP_NV)
     spread = (j, t0[j] + stride[j] * (k // _VINDEP_NV),
               r0[j] + 1 + k % _VINDEP_NV)
-    proj = _projection(*points(bundle, spread))
-    m = len(bundle[0])
+    nd = np.array([len(job[-1]) for job in jobs])
+    j, k = _block_points(nd)
+    at = (np.cumsum(n) - n)[j] + np.concatenate(   # the drawn grid rows
+        [job[-1][:, 0] for job in jobs]).astype(int)
+    drawn = j, bundle[1][at], (r0 + nr - nd)[j] + k
+    proj = _projection(*points(bundle, spread, drawn))
+    m, ms = len(bundle[0]), len(bundle[0]) + len(spread[0])
     bundle = _job_max(_bundle_rows(kind, _part(proj, slice(m)), grid), n)
-    spread = _job_max(_v_spread(_part(proj, slice(m, None))), vrows)
+    spread = _job_max(_v_spread(_part(proj, slice(m, ms))), vrows)
+    sweep = np.split(_sweep_rows(kind, _part(proj, slice(ms, None)), grid[at]),
+                     np.cumsum(nd)[:-1], axis=1)
 
     j, k = _block_points(nfd)
     stencil = (j, t0[j] + n[j] + np.concatenate([i.ravel() for i, _ in fd_cols]),
@@ -595,16 +616,16 @@ def check_points(jobs) -> list:
                              stencil, skip=(2, 5)))   # frames read no f'', g''
     ortho = _job_max(orthonormality_residual(_part(fr, slice(m))), n * nv)
     fd_jobs = [(spec, fd[0][:, 0], fd[1], tols["fd"])
-               for spec, *_, tols, fd in jobs if fd]
+               for spec, *_, tols, fd, _ in jobs if fd]
     fd = iter(check_fd_connection(fd_jobs, tuple(c[stencil[1]] for c in cols),
                                   _part(fr, slice(m, None))) if fd_jobs else ())
     return [(grid[end - len(us):end], [
         _check(name, form.format(n=len(us), nv=nv, nvr=nvr, v=v_mid), r,
                factor * tols[key], notes)
         for (name, key, factor, form, notes), r in zip(_POINT_CHECKS, (o, s, *w))]
-        + list(next(fd) if fd_job else ()))
-        for (_, us, _, nv, _, tols, fd_job), w, s, o, nvr, end in zip(
-            jobs, bundle.T, spread, ortho, vrows, np.cumsum(n))]
+        + list(next(fd) if fd_job else ()), sw)
+        for (_, us, _, nv, _, tols, fd_job, _), w, s, o, nvr, end, sw in zip(
+            jobs, bundle.T, spread, ortho, vrows, np.cumsum(n), sweep)]
 
 
 def check_fd_connection(jobs, scalars, fr) -> list:
@@ -753,28 +774,27 @@ def verify_family(case: str, params: dict | None = None, **kw) -> FamilyReport:
     case, params and the family keywords (alpha, beta, sign, root,
     interval, state0; job_family(job) for a suite job) go to
     descriptor_from_catalog.  The other keywords are nu, nv, v_range,
-    checks, tols, record_runtime and families.  The case's catalog bundle
+    checks, tols and record_runtime.  The case's catalog bundle
     runs, and the extra bundles that checks lists (keys of _BUNDLES); tols
     overrides DEFAULT_TOLS key by key; anything else is a ConfigError.
     Returns a report whose checks all carry residual/tolerance pairs;
     empty admissible domains give vacuous results with explicit notes.
     runtime_s stays 0.0 unless record_runtime is set, keeping report bytes
     reproducible across runs; it then runs from the job's start to the end
-    of the check_points run it joined.  families shares families (see
-    _build_shared).
+    of the check_points run it joined.
     """
-    [report] = _run_stacked([partial(_family_checks, case, params, **kw)])
+    [report], _ = _run_stacked([partial(_family_checks, case, params, **kw)])
     return report
 
 
 def _family_checks(case: str, params: dict | None = None, *, nu: int = 50,
                    nv: int = 8, v_range: tuple | None = None,
                    checks: list | None = None, tols: dict | None = None,
-                   record_runtime: bool = False, families: dict | None = None,
-                   **family):
+                   record_runtime: bool = False, **family):
     """verify_family's job for _run_stacked, its stage 1: (check_points
-    tuple, finish), finish(grid, point checks) giving the report; (None,
-    finish) with finish() the report where no point is admissible."""
+    tuple less the drawn points, finish), finish(grid, point checks) giving
+    the report; (None, finish) with finish() the report where no point is
+    admissible."""
     desc = descriptor_from_catalog(case, params, **family)
     if nu < 2 or nv < 2:
         raise ParamError("grid counts must be at least 2")
@@ -799,8 +819,9 @@ def _family_checks(case: str, params: dict | None = None, *, nu: int = 50,
     C = desc.params.get("C")
     if "pnmcv" in checks and not (type(C) in (int, float) and C != 0.0):
         raise ConfigError("the pnmcv checks need a nonzero number C in params")
-    fam = _build_shared(desc, families)
+    fam = build_family(desc)
     spec = surface_from_family(fam)
+    v_range = v_range or _V_SAMPLING[spec.kind][0]
     lo, hi = desc.interval
     grid_desc = {"u0": lo, "u1": hi, "nu": nu, "nv": nv}
 
@@ -867,26 +888,32 @@ _STACK_ROWS = 1024
 
 
 @np.errstate(all="ignore")   # as the grid routes of grs4.surfaces
-def _run_stacked(jobs) -> list:
-    """The reports of the jobs, each a call of its stage 1 (see
-    _family_checks), job by job: a job with a check_points tuple waits in
-    its surface kind's run, which check_points finishes when the next job of
-    that kind would take it past _STACK_ROWS grid rows, or at the end.  An
-    error of stage 1 or of a finished run starts no later job; the earliest
-    job's error is raised, as running the jobs in turn would."""
-    done, errors, runs = {}, {}, {}
+def _run_stacked(jobs, n_sweep=0, rng=None) -> tuple:
+    """(reports, sweep residuals) of the jobs, each a call of its stage 1
+    (see _family_checks), job by job: a job with a check_points tuple waits
+    in its surface kind's run, which check_points finishes when the next job
+    of that kind would take it past _STACK_ROWS grid rows, or at the end.
+    Job i owes the sweep n_sweep * (i + 1) // len(jobs) - n_sweep * i //
+    len(jobs) points, and what the jobs before it with no admissible row
+    owed; as its stage 1 returns, each is drawn from rng: a random row of
+    its grid, then a random v in its v-range.  An error of stage 1 or of a
+    finished run starts no later job; the earliest job's error is raised, as
+    running the jobs in turn would."""
+    done, errors, runs, swept, owed = {}, {}, {}, [], 0
 
     def run_out(run):   # each job's report, or its check_points error
         for (i, finish, _), result in zip(run, check_points([a for *_, a in run])):
             if isinstance(result, Exception):
                 errors[i] = result
             else:
-                done[i] = finish(*result)
+                done[i] = finish(*result[:2])
+                swept.append(result[2])
         run.clear()
 
     for i, job in enumerate(jobs):
         if errors:
             break
+        owed += n_sweep * (i + 1) // len(jobs) - n_sweep * i // len(jobs)
         try:
             args, finish = job()
             if args is None:   # no admissible point: no run to wait for
@@ -895,6 +922,9 @@ def _run_stacked(jobs) -> list:
         except Exception as exc:   # noqa: BLE001 - raised below, in job order
             errors[i] = exc
             break
+        drawn = [(rng.randrange(len(args[1])), rng.uniform(*args[4]))
+                 for _ in range(owed)]   # (grid row, v) pairs
+        args, owed = (*args, np.array(drawn).reshape(-1, 2)), 0
         run = runs.setdefault(args[0].kind, [])
         if run and sum(len(a[1]) for *_, a in run) + len(args[1]) > _STACK_ROWS:
             run_out(run)
@@ -903,82 +933,7 @@ def _run_stacked(jobs) -> list:
         run_out(run)
     if errors:
         raise errors[min(errors)]
-    return [done[i] for i in sorted(done)]
-
-
-# ---------------------------------------------------------------------------
-# Random-point sweeps spanning all families
-
-def _build_shared(desc, families):
-    """build_family(desc), shared through the dict families unless it is
-    None, so an integrated family is realized once; keyed on repr(desc),
-    which tells 0.0 from -0.0 and 1 from 1.0, unlike ==."""
-    if families is None:
-        return build_family(desc)
-    key = repr(desc)
-    if key not in families:
-        families[key] = build_family(desc)
-    return families[key]
-
-
-@np.errstate(all="ignore")
-def random_point_sweep(n: int, seed: int, tol: float,
-                       families: dict | None = None) -> list:
-    """Chen property and quasi-minimal exclusion at n random admissible points.
-
-    Points rotate deterministically through every case with a nonempty
-    admissible domain under the canned catalog defaults.
-    """
-    rng = random.Random(seed)
-    pool = []
-    for case in classified_case_ids():
-        desc = descriptor_from_catalog(case)
-        spec = surface_from_family(_build_shared(desc, families))
-        intervals = admissible_domain(spec, *desc.interval, 256)
-        if intervals:
-            pool.append((case, spec, intervals))
-
-    grid = f"{n} random admissible points over {len(pool)} families, seed={seed}"
-    return [_check(name, grid, _worst(r), tol) for name, r in zip(
-        ("chen-trace-sweep", "chen-allied-sweep", "quasi-minimal-sweep",
-         "h-norm2-sweep"), _sweep_residuals(pool, n, rng))]
-
-
-def _sweep_residuals(pool, n: int, rng: random.Random) -> np.ndarray:
-    """The four sweep residuals at n random points as a (4, n) array: point
-    i in pool[i % len(pool)], u in a random interval (0.5% margins), v in
-    the kind's range; drawn first, then each family's meridian in one pass,
-    then each kind's points in one invariant and one projection pass."""
-    draws = []
-    for i in range(n):
-        _, spec, intervals = pool[i % len(pool)]
-        a, b = intervals[rng.randrange(len(intervals))]
-        m = 5e-3 * (b - a)
-        draws.append((rng.uniform(a + m, b - m),
-                      rng.uniform(*_V_SAMPLING[spec.kind][0])))
-    kinds = {}
-    for k, (_, spec, _) in enumerate(pool):
-        us, vs = np.array(draws[k::len(pool)]).reshape(-1, 2).T
-        _, sc = _meridian_columns(spec, us)
-        bad = _inadmissible(spec, us, sc)
-        if bad:
-            raise bad[1]
-        kinds.setdefault(spec.kind, []).append(
-            (spec, np.arange(k, n, len(pool)), us, vs, sc))
-    out = np.empty((4, n))
-    for kind, fams in kinds.items():
-        spec = spec_rows([s for s, *_ in fams], [len(us) for _, _, us, *_ in fams])
-        us, vs, *sc = _joined((us, vs, *sc) for _, _, us, vs, sc in fams)
-        grid = _invariant_rows(spec, us, sc)
-        proj = _projection(spec, _frame_inputs(sc), _rotations(spec, vs))
-        tr, allied = _chen_residuals(proj, grid.h_coeff)
-        off, _, n_off, _, _ = _carrier_split(kind, proj)
-        # H is a difference of sigma vectors, so its projection carries
-        # rounding of order eps * ||sigma|| * ||n_off|| even where H ~ 0
-        hscale = np.fmax(1.0, _sigma_magnitude(proj) * n_off.euclid_norm())
-        out[:, np.concatenate([at for _, at, *_ in fams])] = (
-            tr, allied, abs(off) / hscale, abs(grid.H_norm2 + pow2(grid.h_coeff)))
-    return out
+    return [done[i] for i in sorted(done)], swept
 
 
 # ---------------------------------------------------------------------------
@@ -991,8 +946,9 @@ _JOB_KEYS = {"label", "family", "params", "alpha", "beta", "sign", "root",
 
 def default_suite_config(seed: int = 20240) -> dict:
     """All sixteen classified cases with canned parameters, the A < 0 branch
-    of min-hyp-ii, the pnmcv ladder C in {0.5, 2, 5} for both kinds, the
-    random-point sweep, and a non-minimal negative control expected to fail.
+    of min-hyp-ii, the pnmcv ladder C in {0.5, 2, 5} for both kinds, a
+    non-minimal negative control expected to fail, and a sweep of 200
+    random points on the jobs' grid rows.
     """
     jobs = []
     for case in classified_case_ids():
@@ -1063,7 +1019,7 @@ def job_family(job: dict) -> dict:
     return kw
 
 
-def _suite_job(job: dict, record_runtime: bool, families: dict):
+def _suite_job(job: dict, record_runtime: bool):
     """The stage 1 of one suite job for _run_stacked, as _family_checks',
     its family from job_family and its grid and checks as verify_family
     keywords; finish then gives (label, expect, FamilyReport)."""
@@ -1085,16 +1041,16 @@ def _suite_job(job: dict, record_runtime: bool, families: dict):
         if not ("v0" in job and "v1" in job):
             raise ConfigError(f"{label}: v0 and v1 must be given together")
         kw["v_range"] = tuple(_cast(float, job[k], k) for k in ("v0", "v1"))
-    args, finish = _family_checks(**family, record_runtime=record_runtime,
-                                  families=families, **kw)
+    args, finish = _family_checks(**family, record_runtime=record_runtime, **kw)
     return args, lambda *result: (label, expect, finish(*result))
 
 
 def run_suite(config: dict) -> SuiteReport:
     """Execute the configured jobs and aggregate deterministically: each
     job's stage 1 in order, the jobs of each surface kind stacked in runs
-    through check_points (_run_stacked); the jobs and the sweep share their
-    families, realized once per call."""
+    through check_points (_run_stacked), the sweep's sweep_points random
+    points drawn on the jobs' grid rows from random.Random(seed) and its
+    four checks the worst residual of each over all points."""
     if not isinstance(config, dict):
         raise ConfigError("suite config must be a JSON object")
     unknown = set(config) - {"seed", "jobs", "sweep_points", "record_runtime"}
@@ -1104,20 +1060,24 @@ def run_suite(config: dict) -> SuiteReport:
     jobs_cfg = config.get("jobs", [])
     if not isinstance(jobs_cfg, list):
         raise ConfigError("'jobs' must be a list")
-
+    n_sweep = _cast(int, config.get("sweep_points", 0), "sweep_points")
+    if n_sweep < 0:
+        raise ConfigError(f"sweep_points must be at least 0, got {n_sweep}")
     record_runtime = config.get("record_runtime", False)
     if not isinstance(record_runtime, bool):
         raise ConfigError(
             f"record_runtime must be true or false, got {record_runtime!r}")
     t_start = time.perf_counter()
-    families = {}
-    jobs = _run_stacked([partial(_suite_job, job, record_runtime, families)
-                         for job in jobs_cfg])
-    sweeps = []
-    n_sweep = _cast(int, config.get("sweep_points", 0), "sweep_points")
-    if n_sweep > 0:
-        sweeps = random_point_sweep(n_sweep, seed, DEFAULT_TOLS["algebraic"],
-                                    families)
+    jobs, swept = _run_stacked([partial(_suite_job, job, record_runtime)
+                                for job in jobs_cfg], n_sweep, random.Random(seed))
+    res = np.concatenate([np.empty((4, 0)), *swept], axis=1)
+    grid = (f"{res.shape[1]} random admissible points on the grid rows of "
+            f"{sum(r.size > 0 for r in swept)} jobs, seed={seed}")
+    sweeps = [_check(name, grid, _worst(r), DEFAULT_TOLS["algebraic"]) if res.size
+              else _vacuous_check(name, "no admissible job row to draw points on")
+              for name, r in zip(("chen-trace-sweep", "chen-allied-sweep",
+                                  "quasi-minimal-sweep", "h-norm2-sweep"), res)
+              ] if n_sweep else []
     report = SuiteReport(seed=seed, jobs=jobs, sweeps=sweeps)
     if record_runtime:
         report.runtime_s = time.perf_counter() - t_start

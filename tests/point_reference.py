@@ -254,15 +254,12 @@ def check_fd_connection(spec, points, h, shrink_h):
     return residuals, ratios
 
 
-def sweep_residuals(pool, n, rng):
-    """The four residual lists of random_point_sweep, point by point."""
+def sweep_residuals(points):
+    """The four residual lists of a suite's sweep at its drawn points, each
+    (check_points job, grid row, v), point by point."""
     tr_res, allied_res, off_res, def_res = [], [], [], []
-    for i in range(n):
-        _, spec, intervals = pool[i % len(pool)]
-        a, b = intervals[rng.randrange(len(intervals))]
-        m = 5e-3 * (b - a)
-        u = rng.uniform(a + m, b - m)
-        v = rng.uniform(*verifier._V_SAMPLING[spec.kind][0])
+    for (spec, us, *_), row, v in points:
+        u, v = float(us[row]), float(v)
         proj = project(spec, u, v)
         cv = curvatures(spec, u)
         tr, allied = verifier._chen_residuals(proj, cv.h_coeff)

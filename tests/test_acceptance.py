@@ -209,10 +209,10 @@ def test_criterion_11_determinism(suite, tmp_path):
 
 
 SUITE_JOBS_SHA256 = "02c9adf41113d7a46ed192e702e3d59512a9bbc9ea378c85d40cd4376861cf6d"
-SUITE_SWEEPS_SHA256 = "4a4c09e3515200465b8ad5c6a68c0aedb09756ed4a050c81296c3cd6070aa7d0"
+SUITE_SWEEPS_SHA256 = "d0e1f603512c4cea2164203cee63e4cac8ae491e1eb41d7c83d26bdbd972eb1a"
 # the whole report of grs4 verify --suite default --seed 31 --report, the
 # sweep's random points drawn from a second seed
-SUITE_REPORT_SEED31_SHA256 = "7a985810900991e27c54a4b599ce28dd4034dddbef6faff5b9e6bd6311dcf6c0"
+SUITE_REPORT_SEED31_SHA256 = "2dea00520198c7d51320ec61b9293a3b5c6b270fdb264bfd8bff4eb16b12067a"
 
 
 def test_suite_jobs_bytes_pinned(suite):

@@ -1,6 +1,6 @@
 """tools/bench_record.py on a canned perfbench standard output, and its
-realization timer, nu = 1000 suite run, report digests and precompiled
-fresh processes on this checkout."""
+suite profiles, realization timer, nu = 1000 suite run, report digests and
+precompiled fresh processes on this checkout."""
 
 import os
 import subprocess
@@ -71,6 +71,16 @@ def test_call_counts_sum_grs4_functions_of_each_name():
         "check_points": 0}
 
 
+def test_sweep_on_profile_makes_the_calls_of_the_sweep_off_one():
+    """suite_calls_sweep: the sweep's points ride in the jobs' own passes,
+    so a sweep-on default-suite pass calls each PROFILED name as often as a
+    sweep-off one."""
+    root = os.path.dirname(TOOLS)
+    off = bench_record.run_profile(root)
+    assert bench_record.run_profile(root, sweep=True) == off
+    assert off["check_points"] > 0
+
+
 def test_realizations_time_and_count_each_integrated_case():
     """One record per integrated catalog case, in catalog order: a positive
     median build time and the realization's counts (one accepted attempt of
@@ -97,7 +107,7 @@ def test_suite_nu1000_records_rss_and_wall_per_fresh_process():
 
 # the full default-suite report at seed 20240, as SUITE_REPORT_SEED31_SHA256
 # at seed 31
-SUITE_REPORT_SEED20240_SHA256 = "996e7f01f340b87049b49abdd2ea72d07eddbdd6e5b1955e4b440f2e3b608009"
+SUITE_REPORT_SEED20240_SHA256 = "2c8c00d537627e6f792b12e3faafe9b4b4153663013d0f0da35491132f93a5d9"
 
 
 def test_report_digests_at_both_seeds_are_the_pinned_ones():

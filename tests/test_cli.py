@@ -546,6 +546,9 @@ _CHECKS_LINE = "error: checks must be a list drawn from minimal, pnmcv, flat, fn
     ({"jobs": [{"family": "pnmcv-ell", "sign": 1.9}]},
      "error: sign must be an integer, got 1.9\n"),
     ({"seed": 1.5, "jobs": []}, "error: seed must be an integer, got 1.5\n"),
+    # a negative count does not turn the sweep off
+    ({"jobs": [], "sweep_points": -5},
+     "error: sweep_points must be at least 0, got -5\n"),
     # a JSON boolean is no number, and record_runtime takes only one
     ({"jobs": [{"family": "pnmcv-ell", "sign": True}]},
      "error: sign must be a number, got True\n"),
@@ -596,6 +599,13 @@ def test_integral_suite_value_accepted(tmp_path, value):
     out = json.loads(report.read_text())
     assert out["seed"] == 5 and out["jobs"][0]["report"]["grid"]["nu"] == 5
     assert type(out["seed"]) is int
+
+
+def test_a_sweep_with_no_row_to_draw_on_prints_vacuous(tmp_path, capsys):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"jobs": [], "sweep_points": 1}))
+    assert run("verify", "--suite", str(path)) == 0
+    assert f"  {'chen-trace-sweep':32s} vacuous\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flags,line", [

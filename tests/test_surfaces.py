@@ -22,7 +22,8 @@ from grs4.surfaces import (INVARIANT_COLUMNS, SecondFundamental, SurfaceKind,
                            _frame_inputs, _fundamental_from, _projection,
                            _rotations, _shape_matrices)
 from grs4.verifier import (admissible_domain, cross_check,
-                           orthonormality_residual, _grid_in_intervals, _v_grid)
+                           orthonormality_residual, _grid_in_intervals, _v_grid,
+                           _V_SAMPLING)
 
 
 def spec_for(case, params=None, **kw):
@@ -452,7 +453,7 @@ def test_grid_route_matches_point_route_bitwise(spec):
     (hyperbolic |v| <= 3)."""
     lo, hi = spec.meridian.interval
     us = _grid_in_intervals(admissible_domain(spec, lo, hi, 200), 17)
-    vs = _v_grid(spec.kind, 13)
+    vs = _v_grid(spec.kind, 13, _V_SAMPLING[spec.kind][0])
     if spec.kind is SurfaceKind.HYPERBOLIC:
         assert (vs.min(), vs.max()) == (-3.0, 3.0)
     inputs = (_frame_inputs([c[:, None] for c in invariant_grid(spec, us).scalars]),

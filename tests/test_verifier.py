@@ -18,7 +18,7 @@ from grs4 import meridians, surfaces, verifier
 from grs4.verifier import (admissible_domain, check_flat, check_fnc,
                            check_pnmcv, check_points, cross_check,
                            default_suite_config, h_numerator_identity,
-                           random_point_sweep, run_suite, verify_family)
+                           run_suite, verify_family)
 
 
 def spec_for(case, params=None, **kw):
@@ -247,10 +247,9 @@ def test_vacuous_plan_names_the_checks_of_a_report(monkeypatch, case, checks):
     def names(rep):
         return sorted(c.name for c in rep.checks if c.name not in _UNPLANNED)
 
-    families = {}
-    ran = verify_family(case, checks=checks, families=families)
+    ran = verify_family(case, checks=checks)
     monkeypatch.setattr(verifier, "admissible_domain", lambda *args: [])
-    empty = verify_family(case, checks=checks, families=families)
+    empty = verify_family(case, checks=checks)
     assert names(empty) == names(ran)
     assert all(c.vacuous for c in empty.checks if c.name not in _UNPLANNED)
 
@@ -580,9 +579,8 @@ def test_a_point_error_is_the_jobs_own(monkeypatch):
 
 
 def test_run_suite_realizes_each_integrated_family_once(monkeypatch):
-    """The jobs and the sweep of one run_suite call share their families:
-    each integrated family is realized once, and the report has the bytes
-    of jobs and a sweep that build their own."""
+    """With the sweep on, each integrated family of the default suite is
+    realized once per run_suite call: the sweep builds no family."""
     calls = []
     realize = meridians.integrate_constrained
 
@@ -591,74 +589,104 @@ def test_run_suite_realizes_each_integrated_family_once(monkeypatch):
         return realize(rule, *args)
 
     monkeypatch.setattr(meridians, "integrate_constrained", counted)
-    cfg = dict(default_suite_config(31), sweep_points=40)
-    shared = report_json_bytes(run_suite(cfg).to_json())
-    integrated = sorted(c for c, e in meridians.FAMILY_CATALOG.items()
-                        if e.realization == "ode")
-    assert sorted(calls) == integrated
-    calls.clear()
-    unshared = verifier.SuiteReport(
-        seed=31, jobs=[run_suite({"jobs": [job]}).jobs[0] for job in cfg["jobs"]],
-        sweeps=random_point_sweep(40, 31, verifier.DEFAULT_TOLS["algebraic"]))
-    assert sorted(calls) == sorted(2 * integrated)
-    assert report_json_bytes(unshared.to_json()) == shared
+    assert run_suite(default_suite_config(31)).passed
+    assert sorted(calls) == sorted(c for c, e in meridians.FAMILY_CATALOG.items()
+                                   if e.realization == "ode")
 
 
-def test_shared_families_keyed_on_the_descriptor_repr():
-    """Descriptors equal under == but not to the bit (0.0 and -0.0 in the
-    state) get families of their own."""
-    families = {}
-    a = descriptor_from_catalog("fnc-ell-ii", state0=(0.0, 1.0))
-    b = descriptor_from_catalog("fnc-ell-ii", state0=(-0.0, 1.0))
-    assert a == b
-    fam_a = verifier._build_shared(a, families)
-    assert verifier._build_shared(descriptor_from_catalog(
-        "fnc-ell-ii", state0=(0.0, 1.0)), families) is fam_a
-    assert verifier._build_shared(b, families) is not fam_a
-    assert len(families) == 2
+def _sweeps(seed, n=40):
+    """The sweep checks of the default suite at seed with n sweep points."""
+    return {c.name: c for c in run_suite(
+        dict(default_suite_config(seed), sweep_points=n)).sweeps}
 
 
 def test_sweep_deterministic_and_seed_sensitive():
-    s1 = random_point_sweep(40, 7, 1e-12)
-    s2 = random_point_sweep(40, 7, 1e-12)
-    s3 = random_point_sweep(40, 8, 1e-12)
-    assert [c.max_residual for c in s1] == [c.max_residual for c in s2]
-    assert [c.max_residual for c in s1] != [c.max_residual for c in s3]
-    assert all(c.passed for c in s1)
+    s1, s2, s3 = _sweeps(7), _sweeps(7), _sweeps(8)
+    assert [c.to_json() for c in s1.values()] == [c.to_json() for c in s2.values()]
+    assert [c.max_residual for c in s1.values()] != [c.max_residual for c in s3.values()]
+    assert all(c.passed and not c.vacuous for c in s1.values())
+    assert s1["chen-trace-sweep"].grid == (
+        "40 random admissible points on the grid rows of 21 jobs, seed=7")
+
+
+@pytest.mark.parametrize("config,builds", [
+    ({"jobs": [{"family": "min-ell-i"}], "sweep_points": 3}, ["min-ell-i"]),
+    ({"jobs": [], "sweep_points": 1}, [])])
+def test_sweep_with_no_admissible_row_is_vacuous(monkeypatch, config, builds):
+    """With no admissible job row to draw on, the four sweep checks are
+    vacuous with a note, and no family the suite did not ask for is built."""
+    built, build = [], verifier.build_family
+
+    def building(desc):
+        built.append(desc.case)
+        return build(desc)
+
+    monkeypatch.setattr(verifier, "build_family", building)
+    report = run_suite(config)
+    assert built == builds and report.passed
+    assert [(c.name, c.vacuous, c.notes) for c in report.sweeps] == [
+        (name, True, "no admissible job row to draw points on") for name in (
+            "chen-trace-sweep", "chen-allied-sweep", "quasi-minimal-sweep",
+            "h-norm2-sweep")]
+
+
+@pytest.mark.parametrize("seed", [10, 21, 23, 113, 1566735269])
+def test_sweep_passes_where_unscaled_off_component_failed(seed):
+    # seeds at which an off-carrier scale without sigma failed: H ~ 1e-10 on
+    # min-hyp-i near |v| = 3 carries rounding from sigma vectors of size
+    # ~1e2 projected on |n2| ~ 1e2
+    checks = run_suite(default_suite_config(seed)).sweeps
+    assert len(checks) == 4 and [c.name for c in checks if not c.passed] == []
+
+
+def _sigma_shifted(monkeypatch, which, normal, size):
+    """_projection with sigma[which] shifted by size times the sigma
+    magnitude along its off-carrier (normal 0) or carrier (1) normal."""
+    project = verifier._projection
+
+    def perturbed(spec, *args):
+        proj = project(spec, *args)
+        smax = np.max([w.euclid_norm() for w in proj.sigma], axis=0)
+        sigma = list(proj.sigma)
+        sigma[which] = sigma[which] + spec.kind.normals(
+            proj.fr.n1, proj.fr.n2)[normal] * (size * smax)
+        return dataclasses.replace(proj, sigma=tuple(sigma))
+
+    monkeypatch.setattr(verifier, "_projection", perturbed)
+
+
+def test_sweep_detects_off_carrier_component(monkeypatch):
+    """Negative control: sigma(x,x) shifted so that H gains an off-carrier
+    component of 1e-9 of the sigma magnitude fails quasi-minimal-sweep."""
+    _sigma_shifted(monkeypatch, 0, 0, 2e-9)
+    checks = _sweeps(23)
+    assert not checks["quasi-minimal-sweep"].passed
+    assert checks["quasi-minimal-sweep"].max_residual > 1e-11
+
+
+def test_sweep_detects_a_nonzero_chen_trace(monkeypatch):
+    """Negative control: sigma(x,y) shifted along the carrier normal by
+    1e-9 of the sigma magnitude leaves H alone but makes tr(A1 A2) = 2 mu
+    times the shift, which fails chen-trace-sweep only."""
+    _sigma_shifted(monkeypatch, 1, 1, 1e-9)
+    checks = _sweeps(23)
+    assert not checks["chen-trace-sweep"].passed
+    assert checks["chen-trace-sweep"].max_residual > 1e-11
+    assert checks["quasi-minimal-sweep"].passed and checks["h-norm2-sweep"].passed
+
+
+def test_sweep_bytes_do_not_depend_on_the_stack_size(monkeypatch):
+    """The points are drawn in job order at stage 1, so the report is the
+    same with every job in a run of its own."""
+    stacked = report_json_bytes(run_suite(default_suite_config(31)).to_json())
+    monkeypatch.setattr(verifier, "_STACK_ROWS", 1)
+    assert report_json_bytes(run_suite(default_suite_config(31)).to_json()) == stacked
 
 
 def test_h_numerator_identity_check():
     spec = spec_for("min-ell-i", interval=(0.1, 10.0))
     res = h_numerator_identity(spec, 0.1, 10.0)
     assert res.passed and res.max_residual <= 1e-12
-
-
-@pytest.mark.parametrize("seed", [10, 23, 1566735269])
-def test_sweep_passes_where_unscaled_off_component_failed(seed):
-    # at these seeds H ~ 1e-10 on min-hyp-i near |v| = 3 carries rounding
-    # from sigma vectors of size ~1e2 projected on |n2| ~ 1e2
-    checks = random_point_sweep(200, seed, 1e-12)
-    assert [c.name for c in checks if not c.passed] == []
-
-
-def test_sweep_detects_off_carrier_component(monkeypatch):
-    """Negative control: sigma(x,x) shifted so that H gains an off-carrier
-    component of 1e-9 of the sigma magnitude fails quasi-minimal-sweep."""
-    project = verifier._projection
-
-    def perturbed(spec, *args):
-        proj = project(spec, *args)
-        fr = proj.fr
-        n_off = fr.n1 if spec.kind is SurfaceKind.ELLIPTIC else fr.n2
-        smax = np.max([w.euclid_norm() for w in proj.sigma], axis=0)
-        sxx, sxy, syy = proj.sigma
-        return dataclasses.replace(
-            proj, sigma=(sxx + n_off * (2e-9 * smax), sxy, syy))
-
-    monkeypatch.setattr(verifier, "_projection", perturbed)
-    checks = {c.name: c for c in random_point_sweep(40, 23, 1e-12)}
-    assert not checks["quasi-minimal-sweep"].passed
-    assert checks["quasi-minimal-sweep"].max_residual > 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -673,10 +701,10 @@ def _with_nan(vec, i):
 
 def _point_job(spec, us, vs):
     """The check_points job of the grid us at the v's vs (the grid of
-    len(vs) v's over the v-range (vs[0], vs[-1])), without FD."""
+    len(vs) v's over the v-range (vs[0], vs[-1])), without FD or sweep."""
     grid = surfaces.invariant_grid(spec, us)
     return (spec, grid.us, grid.scalars, len(vs), (vs[0], vs[-1]),
-            verifier.DEFAULT_TOLS, None)
+            verifier.DEFAULT_TOLS, None, np.empty((0, 2)))
 
 
 def test_nan_frame_fails_frame_orthonormality(monkeypatch):
@@ -1087,30 +1115,28 @@ def test_fd_stencil_raises_the_point_loop_first_error(spec, points, h,
             == _fd_error(lambda: ref.fd_connection_check(spec, *points[0], shrink_h))
 
 
-def _sweep_pool():
-    pool = []
-    for case in meridians.classified_case_ids():
-        desc = descriptor_from_catalog(case)
-        spec = surface_from_family(build_family(desc))
-        intervals = admissible_domain(spec, *desc.interval, 256)
-        if intervals:
-            pool.append((case, spec, intervals))
-    return pool
-
-
 @pytest.mark.parametrize("seed", [20240, 31, 1566735269])
-def test_sweep_residuals_match_point_loop_bitwise(seed):
-    """The sweep's four residual lists, drawn in the same order and
-    evaluated per family, equal the per-point loop's to the bit, and the
-    sweep reports their maxima."""
-    import random
+def test_sweep_residuals_match_point_loop_bitwise(monkeypatch, seed):
+    """The sweep residuals of each job at its drawn (grid row, v) points
+    equal the per-point loop's to the bit, and the sweep reports their
+    maxima."""
+    calls = []
+    check = verifier.check_points
 
-    pool = _sweep_pool()
-    got = verifier._sweep_residuals(pool, 200, random.Random(seed))
-    want = ref.sweep_residuals(pool, 200, random.Random(seed))
-    for g, w in zip(got, want):
-        assert _hexes(g) == _hexes(w)
-    checks = random_point_sweep(200, seed, 1e-12)
+    def recording(jobs):
+        calls.append((jobs, check(jobs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(verifier, "check_points", recording)
+    checks = run_suite(default_suite_config(seed)).sweeps
+    want = [[] for _ in checks]
+    for jobs, results in calls:
+        for job, (*_, got) in zip(jobs, results):
+            ref_rows = ref.sweep_residuals([(job, int(row), v) for row, v in job[-1]])
+            for g, w, acc in zip(got, ref_rows, want):
+                assert _hexes(g) == _hexes(w)
+                acc.extend(w)
+    assert sum(map(len, want)) == 4 * 200
     assert [c.max_residual for c in checks] == [max(w) for w in want]
 
 

@@ -21,7 +21,8 @@ run of the full suite's wall time (raw seconds, interpreter start
 included, not converted to a reference speed), under "suite_calls" the
 calls per pass of the grid routes and the point stage in PROFILED,
 counted by cProfile over one default-suite pass with the sweep off (a
-layer that perfbench's tracer does not wrap), under "realizations" each
+layer that perfbench's tracer does not wrap), under "suite_calls_sweep"
+the same over one pass with the sweep on, under "realizations" each
 integrated catalog case's median ``build_family`` time over REALIZE_RUNS
 in-process runs (raw seconds; the RK4 realization is nearly all of it)
 with its steps, field_calls and halvings, under "suite_nu1000" the max RSS
@@ -141,7 +142,8 @@ _PROFILE = """
 import cProfile, json, pstats, sys
 from grs4.verifier import default_suite_config, run_suite
 prof = cProfile.Profile()
-prof.runcall(run_suite, dict(default_suite_config(int(sys.argv[1])), sweep_points=0))
+cfg = default_suite_config(int(sys.argv[1]))
+prof.runcall(run_suite, cfg if sys.argv[2] == "on" else dict(cfg, sweep_points=0))
 print(json.dumps([[path, name, stat[1]]
                   for (path, _, name), stat in pstats.Stats(prof).stats.items()]))
 """
@@ -157,9 +159,11 @@ def call_counts(rows) -> dict:
     return counts
 
 
-def run_profile(checkout: str) -> dict:
-    """call_counts of one sweep-off default-suite pass of the checkout."""
-    out = subprocess.run([sys.executable, "-c", _PROFILE, str(SEED)],
+def run_profile(checkout: str, sweep: bool = False) -> dict:
+    """call_counts of one default-suite pass of the checkout, its sweep on
+    where sweep is set and off otherwise."""
+    out = subprocess.run([sys.executable, "-c", _PROFILE, str(SEED),
+                          "on" if sweep else "off"],
                          cwd=checkout, env=_src_env(checkout),
                          capture_output=True, text=True, check=True)
     return call_counts(json.loads(out.stdout))
@@ -345,6 +349,7 @@ def main(argv=None) -> int:
         "layers_host_speed": speeds,
         "default_suite": suite,
         "suite_calls": run_profile(checkout),
+        "suite_calls_sweep": run_profile(checkout, sweep=True),
         "realizations": run_realizations(checkout),
         "suite_nu1000": run_suite_nu1000(checkout),
         "source": {**source_facts(checkout),
