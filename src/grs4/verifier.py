@@ -12,6 +12,8 @@ the domain scan and the grid and FD stencil of its interval); each job then
 waits in its surface kind's run, and check_points finishes a run (at most
 _STACK_ROWS grid rows) in one invariant pass, one rotation, one projection
 and one frame pass over all its jobs.  verify_family is the run of one.
+Each check is a row of a table: _POINT_CHECKS, or _PROPERTY_CHECKS for the
+four property bundles (minimal, pnmcv, flat, fnc), their names and plans.
 A suite's random-point sweep is random rows of the jobs' own grids, drawn
 at stage 1 and evaluated in the same run; the scan bisects all brackets in
 lockstep; cross_check is the bundle's dual routes on a one-row grid.
@@ -685,44 +687,38 @@ def check_sampled_residuals(fam):
     return out
 
 
-# The property checks reduce columns of an InvariantGrid with .max(), so a
-# NaN residual fails them.
-
-def check_minimal(grid, tol) -> CheckResult:
-    return _check("minimal-h-coeff", f"{len(grid)} u-points",
-                  np.abs(grid.h_coeff).max(), tol)
-
-
-def check_flat(grid, tol):
-    where = f"{len(grid)} u-points"
-    identity = np.abs(pow2(grid.mu) + grid.nu1 * grid.nu2)
-    return (_check("flat-gauss-curvature", where, np.abs(grid.K).max(), tol),
-            _check("flat-mu2-plus-nu1nu2", where, identity.max(), tol))
-
-
-def check_fnc(grid, tol) -> CheckResult:
-    return _check("fnc-normal-curvature", f"{len(grid)} u-points",
-                  np.abs(grid.kappa).max(), tol)
-
-
-def check_pnmcv(spec, grid, C, sign, tol_alg, tol_h):
-    hs = grid.h_coeff
-    where = f"{len(grid)} u-points"
+def _pnmcv_h_value(grid, kind, C, sign):
     # the elliptic branches fix the sign of h, the hyperbolic ones only |h|
-    if spec.kind is SurfaceKind.ELLIPTIC:
-        h_res = np.abs(hs - sign / C).max()
-        h_note = "h_coeff equals sign/C"
-    else:
-        h_res = np.abs(np.abs(hs) - 1.0 / abs(C)).max()
-        h_note = "|h_coeff| equals 1/|C|"
-    return (
-        _check("pnmcv-beta2", where, np.abs(grid.beta2).max(), tol_alg),
-        _check("pnmcv-h-norm2", where,
-               np.abs(grid.H_norm2 + 1.0 / (C * C)).max(), tol_h,
-               "H_norm2 equals -1/C^2"),
-        _check("pnmcv-h-value", where, h_res, tol_h, h_note),
-        _check("pnmcv-h-constancy", where, hs.max() - hs.min(), tol_h),
-    )
+    if kind is SurfaceKind.ELLIPTIC:
+        return np.abs(grid.h_coeff - sign / C).max(), "h_coeff equals sign/C"
+    return (np.abs(np.abs(grid.h_coeff) - 1.0 / abs(C)).max(),
+            "|h_coeff| equals 1/|C|")
+
+
+# The property checks in report order: name, bundle (a catalog entry's, or
+# one that checks adds), tolerance key ("tier": closed or ode, by the
+# family's realization) and residual(grid, kind, C, sign), the (max residual,
+# notes) over the job's InvariantGrid; .max() keeps a NaN, which fails.
+_PROPERTY_CHECKS = (
+    ("minimal-h-coeff", "minimal", "tier", lambda g, *_: (np.abs(g.h_coeff).max(), "")),
+    ("pnmcv-beta2", "pnmcv", "algebraic", lambda g, *_: (np.abs(g.beta2).max(), "")),
+    ("pnmcv-h-norm2", "pnmcv", "pnmcv_h", lambda g, kind, C, sign: (
+        np.abs(g.H_norm2 + 1.0 / (C * C)).max(), "H_norm2 equals -1/C^2")),
+    ("pnmcv-h-value", "pnmcv", "pnmcv_h", _pnmcv_h_value),
+    ("pnmcv-h-constancy", "pnmcv", "pnmcv_h",
+     lambda g, *_: (g.h_coeff.max() - g.h_coeff.min(), "")),
+    ("flat-gauss-curvature", "flat", "tier", lambda g, *_: (np.abs(g.K).max(), "")),
+    ("flat-mu2-plus-nu1nu2", "flat", "tier",
+     lambda g, *_: (np.abs(pow2(g.mu) + g.nu1 * g.nu2).max(), "")),
+    ("fnc-normal-curvature", "fnc", "tier", lambda g, *_: (np.abs(g.kappa).max(), "")))
+_PROPERTIES = tuple(dict.fromkeys(row[1] for row in _PROPERTY_CHECKS))
+
+
+def _property_checks(bundles, grid, tols, kind, C, sign):
+    """The _PROPERTY_CHECKS of the bundles over grid, tols with "tier"."""
+    return [_check(name, f"{len(grid)} u-points", r, tols[key], notes)
+            for name, bundle, key, residual in _PROPERTY_CHECKS if bundle in bundles
+            for r, notes in [residual(grid, kind, C, sign)]]
 
 
 def check_min_ell_ii_identity(spec, grid) -> CheckResult:
@@ -743,30 +739,6 @@ def check_min_ell_ii_identity(spec, grid) -> CheckResult:
 # ---------------------------------------------------------------------------
 # Family verification
 
-def _property_checks(bundles, spec, grid, tier_tol, tols, C, sign):
-    """The checks of each property bundle in bundles, in _BUNDLES order."""
-    out = []
-    if "minimal" in bundles:
-        out.append(check_minimal(grid, tier_tol))
-    if "pnmcv" in bundles:
-        out.extend(check_pnmcv(spec, grid, C, sign, tols["algebraic"],
-                               tols["pnmcv_h"]))
-    if "flat" in bundles:
-        out.extend(check_flat(grid, tier_tol))
-    if "fnc" in bundles:
-        out.append(check_fnc(grid, tier_tol))
-    return out
-
-
-# the property bundles (a catalog entry's bundle, the extras of checks) in
-# report order, with the names of their checks for the vacuous plan
-_BUNDLES = {"minimal": ("minimal-h-coeff",),
-            "pnmcv": ("pnmcv-beta2", "pnmcv-h-norm2", "pnmcv-h-value",
-                      "pnmcv-h-constancy"),
-            "flat": ("flat-gauss-curvature", "flat-mu2-plus-nu1nu2"),
-            "fnc": ("fnc-normal-curvature",)}
-
-
 def verify_family(case: str, params: dict | None = None, **kw) -> FamilyReport:
     """Run the property bundle keyed to a family case: a check_points run of
     one job, as run_suite runs its jobs stacked.
@@ -775,7 +747,7 @@ def verify_family(case: str, params: dict | None = None, **kw) -> FamilyReport:
     interval, state0; job_family(job) for a suite job) go to
     descriptor_from_catalog.  The other keywords are nu, nv, v_range,
     checks, tols and record_runtime.  The case's catalog bundle
-    runs, and the extra bundles that checks lists (keys of _BUNDLES); tols
+    runs, and the extra bundles that checks lists (_PROPERTIES); tols
     overrides DEFAULT_TOLS key by key; anything else is a ConfigError.
     Returns a report whose checks all carry residual/tolerance pairs;
     empty admissible domains give vacuous results with explicit notes.
@@ -813,8 +785,8 @@ def _family_checks(case: str, params: dict | None = None, *, nu: int = 50,
     if any(not (t > 0.0) for t in tols.values()):
         raise ParamError("tolerances must be positive")
     checks = checks or []
-    if not isinstance(checks, list) or any(c not in tuple(_BUNDLES) for c in checks):
-        raise ConfigError(f"checks must be a list drawn from {', '.join(_BUNDLES)}")
+    if not isinstance(checks, list) or any(c not in _PROPERTIES for c in checks):
+        raise ConfigError(f"checks must be a list drawn from {', '.join(_PROPERTIES)}")
     bundles = {FAMILY_CATALOG[case].bundle, *checks}
     C = desc.params.get("C")
     if "pnmcv" in checks and not (type(C) in (int, float) and C != 0.0):
@@ -835,6 +807,7 @@ def _family_checks(case: str, params: dict | None = None, *, nu: int = 50,
     # one meridian pass over the grid and FD stencil of all of [lo, hi] and
     # the scan; a job not admissible on all of it makes one more pass
     closed = FAMILY_CATALOG[case].realization == "closed"
+    tols["tier"] = tols["closed" if closed else "ode"]
     n_scan, whole = max(128, 4 * nu), [(lo, hi)]
     us, stencil, steps, narrow = _grid_and_stencil(whole, nu, closed)
     scalars = _meridian_columns(spec, np.concatenate(
@@ -851,8 +824,7 @@ def _family_checks(case: str, params: dict | None = None, *, nu: int = 50,
         if fam.diagnostics:
             note += " (" + "; ".join(fam.diagnostics) + ")"
         planned = _PLANNED_COMMON + tuple(
-            name for bundle, names in _BUNDLES.items() if bundle in bundles
-            for name in names)
+            name for name, bundle, *_ in _PROPERTY_CHECKS if bundle in bundles)
         results.extend(_vacuous_check(name, note) for name in planned)
         if case == "min-ell-i":
             results.append(h_numerator_identity(spec, lo, hi))
@@ -868,9 +840,8 @@ def _family_checks(case: str, params: dict | None = None, *, nu: int = 50,
     scalars = tuple(c[-(len(us) + stencil.size):].copy() for c in scalars)
 
     def finish(grid, points):
-        tier_tol = tols["closed"] if closed else tols["ode"]
-        results.extend(_property_checks(bundles, spec, grid, tier_tol, tols,
-                                        C, desc.sign))
+        results.extend(_property_checks(bundles, grid, tols, spec.kind, C,
+                                        desc.sign))
         if case == "min-ell-ii":
             results.append(check_min_ell_ii_identity(spec, grid))
         results.extend(points)
@@ -896,10 +867,16 @@ def _run_stacked(jobs, n_sweep=0, rng=None) -> tuple:
     Job i owes the sweep n_sweep * (i + 1) // len(jobs) - n_sweep * i //
     len(jobs) points, and what the jobs before it with no admissible row
     owed; as its stage 1 returns, each is drawn from rng: a random row of
-    its grid, then a random v in its v-range.  An error of stage 1 or of a
-    finished run starts no later job; the earliest job's error is raised, as
-    running the jobs in turn would."""
-    done, errors, runs, swept, owed = {}, {}, {}, [], 0
+    its grid, then a random v in its v-range.  The points owed after the
+    last job are drawn on the last job with an admissible row, whose run
+    no later job has joined.  An error of stage 1 or of a finished run
+    starts no later job; the earliest job's error is raised, as running
+    the jobs in turn would."""
+    done, errors, runs, swept, owed, last = {}, {}, {}, [], 0, None
+
+    def draw(args, k):   # k (grid row, v) pairs
+        return np.array([(rng.randrange(len(args[1])), rng.uniform(*args[4]))
+                         for _ in range(k)]).reshape(-1, 2)
 
     def run_out(run):   # each job's report, or its check_points error
         for (i, finish, _), result in zip(run, check_points([a for *_, a in run])):
@@ -922,13 +899,14 @@ def _run_stacked(jobs, n_sweep=0, rng=None) -> tuple:
         except Exception as exc:   # noqa: BLE001 - raised below, in job order
             errors[i] = exc
             break
-        drawn = [(rng.randrange(len(args[1])), rng.uniform(*args[4]))
-                 for _ in range(owed)]   # (grid row, v) pairs
-        args, owed = (*args, np.array(drawn).reshape(-1, 2)), 0
-        run = runs.setdefault(args[0].kind, [])
-        if run and sum(len(a[1]) for *_, a in run) + len(args[1]) > _STACK_ROWS:
-            run_out(run)
-        run.append((i, finish, args))
+        args, owed = (*args, draw(args, owed)), 0
+        last = runs.setdefault(args[0].kind, [])
+        if last and sum(len(a[1]) for *_, a in last) + len(args[1]) > _STACK_ROWS:
+            run_out(last)
+        last.append((i, finish, args))
+    if owed and last:   # what trailing jobs with no admissible row owed
+        *head, drawn = last[-1][2]
+        last[-1] = (*last[-1][:2], (*head, np.concatenate([drawn, draw(head, owed)])))
     for run in runs.values():
         run_out(run)
     if errors:

@@ -1,6 +1,6 @@
 """tools/bench_record.py on a canned perfbench standard output, and its
-suite profiles, realization timer, nu = 1000 suite run, report digests and
-precompiled fresh processes on this checkout."""
+suite profiles, realization timer, nu = 1000 suite run, report digests,
+per-module line counts and precompiled fresh processes on this checkout."""
 
 import os
 import subprocess
@@ -117,6 +117,19 @@ def test_report_digests_at_both_seeds_are_the_pinned_ones():
     assert {seed: bench_record.suite_report_sha256(root, seed)
             for seed in bench_record.SUITE_REPORT_SEEDS} == {
         31: SUITE_REPORT_SEED31_SHA256, 20240: SUITE_REPORT_SEED20240_SHA256}
+
+
+def test_module_lines_count_each_source_file_as_wc_does():
+    """module_lines counts the newlines of each src/grs4/*.py, as wc -l does,
+    and the modules sum to src_grs4_lines."""
+    root = os.path.dirname(TOOLS)
+    lines = bench_record.module_lines(root)
+    src = os.path.join(root, "src", "grs4")
+    assert list(lines) == sorted(n for n in os.listdir(src) if n.endswith(".py"))
+    out = subprocess.run(["wc", "-l", *sorted(lines)], cwd=src,
+                         capture_output=True, text=True, check=True).stdout
+    wc = {name: int(n) for n, name in (line.split() for line in out.splitlines())}
+    assert wc == {**lines, "total": sum(lines.values())}
 
 
 def test_fresh_processes_compile_no_module_from_source():

@@ -15,10 +15,9 @@ from grs4.reporting import report_json_bytes
 from grs4.pe4 import PEVector4
 from grs4.surfaces import SurfaceKind, surface_from_family
 from grs4 import meridians, surfaces, verifier
-from grs4.verifier import (admissible_domain, check_flat, check_fnc,
-                           check_pnmcv, check_points, cross_check,
-                           default_suite_config, h_numerator_identity,
-                           run_suite, verify_family)
+from grs4.verifier import (DEFAULT_TOLS, admissible_domain, check_points,
+                           cross_check, default_suite_config,
+                           h_numerator_identity, run_suite, verify_family)
 
 
 def spec_for(case, params=None, **kw):
@@ -252,6 +251,38 @@ def test_vacuous_plan_names_the_checks_of_a_report(monkeypatch, case, checks):
     empty = verify_family(case, checks=checks)
     assert names(empty) == names(ran)
     assert all(c.vacuous for c in empty.checks if c.name not in _UNPLANNED)
+
+
+# the property checks that fail on each classified case under checks =
+# ["minimal", "flat", "fnc"]: each case passes its own bundle and these
+# off-diagonal cells (min-ell-i's domain is empty, so all of its are vacuous)
+_MIN, _FNC = {"minimal-h-coeff"}, {"fnc-normal-curvature"}
+_FLAT = {"flat-gauss-curvature", "flat-mu2-plus-nu1nu2"}
+_CROSS_FAILS = {
+    "min-ell-i": set(), **{case: _FLAT | _FNC for case in (
+        "min-ell-ii", "min-ell-iii", "min-hyp-i", "min-hyp-ii", "min-hyp-iii")},
+    "pnmcv-ell": _MIN | _FLAT, "pnmcv-hyp": _MIN | _FLAT,
+    "flat-ell-i": _MIN, "flat-ell-ii": _MIN,
+    "flat-hyp-i": _MIN | _FNC, "flat-hyp-ii": _MIN | _FNC,
+    "fnc-ell-i": _MIN, "fnc-hyp-i": _MIN,
+    "fnc-ell-ii": _MIN | _FLAT, "fnc-hyp-ii": _MIN | _FLAT}
+
+
+@pytest.mark.parametrize("case", classified_case_ids())
+def test_cross_property_matrix(case):
+    """Run minimal, flat and fnc on each classified case: the property
+    checks that fail are the pinned ones, each misses by at least 1e3 times
+    its tolerance, no other check fails, and the property checks are
+    reported in the table's order."""
+    assert set(_CROSS_FAILS) == set(classified_case_ids())
+    rep = verify_family(case, checks=["minimal", "flat", "fnc"])
+    failed = [c for c in rep.checks if not c.passed]
+    assert {c.name for c in failed} == _CROSS_FAILS[case]
+    assert all(c.max_residual >= 1e3 * c.tolerance for c in failed)
+    table = [row[0] for row in verifier._PROPERTY_CHECKS]
+    reported = [c.name for c in rep.checks if c.name in table]
+    assert reported == [name for name in table if name in reported]
+    assert set(reported) >= _MIN | _FLAT | _FNC
 
 
 @pytest.mark.parametrize("case", list(FAMILY_CATALOG))
@@ -630,6 +661,19 @@ def test_sweep_with_no_admissible_row_is_vacuous(monkeypatch, config, builds):
             "h-norm2-sweep")]
 
 
+@pytest.mark.parametrize("cases", [("fnc-ell-i", "min-ell-i"),
+                                   ("min-ell-i", "fnc-ell-i"),
+                                   ("fnc-ell-i", "min-hyp-i", "min-ell-i")])
+def test_sweep_draws_every_point_whatever_the_job_order(cases):
+    """The points owed by trailing jobs with no admissible row are drawn on
+    the last job with one, so the sweep checks sweep_points points."""
+    report = run_suite({"jobs": [{"family": case} for case in cases],
+                        "sweep_points": 3})
+    assert report.passed
+    assert all(c.grid.startswith("3 random admissible points ")
+               for c in report.sweeps)
+
+
 @pytest.mark.parametrize("seed", [10, 21, 23, 113, 1566735269])
 def test_sweep_passes_where_unscaled_off_component_failed(seed):
     # seeds at which an off-carrier scale without sigma failed: H ~ 1e-10 on
@@ -823,15 +867,23 @@ def _poisoned(grid, **at):
     return dataclasses.replace(grid, **cols)
 
 
+def _property_checks(bundles, spec, grid, tols, C=None, sign=None):
+    """{name: CheckResult} of the _PROPERTY_CHECKS rows of the bundles."""
+    return {c.name: c for c in verifier._property_checks(
+        bundles, grid, tols, spec.kind, C, sign)}
+
+
 def test_nan_invariants_fail_flat_and_fnc():
     """A NaN K or kappa at the second of 3 u-points fails the check instead
     of being dropped by a max(worst, r) reduction."""
     spec = spec_for("fnc-ell-i")
     grid = surfaces.invariant_grid(spec, [1.0, 1.5, 2.0])
-    assert all(c.passed for c in check_flat(grid, 1e-9))
-    assert check_fnc(grid, 1e-9).passed
-    flat = {c.name: c for c in check_flat(_poisoned(grid, K=1), 1e-9)}
-    fnc = check_fnc(_poisoned(grid, kappa=1), 1e-9)
+    tols = {"tier": 1e-9}
+    assert all(c.passed for c in _property_checks({"flat"}, spec, grid, tols).values())
+    assert _property_checks({"fnc"}, spec, grid, tols)["fnc-normal-curvature"].passed
+    flat = _property_checks({"flat"}, spec, _poisoned(grid, K=1), tols)
+    fnc = _property_checks({"fnc"}, spec, _poisoned(grid, kappa=1), tols)[
+        "fnc-normal-curvature"]
     for res in (flat["flat-gauss-curvature"], fnc):
         assert math.isnan(res.max_residual) and not res.passed
     assert flat["flat-mu2-plus-nu1nu2"].passed
@@ -840,12 +892,42 @@ def test_nan_invariants_fail_flat_and_fnc():
 def test_nan_invariants_fail_pnmcv():
     spec = spec_for("pnmcv-ell", {"C": 2.0}, alpha=1.0, beta=3.0)
     grid = surfaces.invariant_grid(spec, [2.5, 3.0, 4.0])
-    assert all(c.passed for c in check_pnmcv(spec, grid, 2.0, 1, 1e-12, 1e-10))
-    res = {c.name: c for c in check_pnmcv(spec, _poisoned(grid, beta2=1,
-                                                          H_norm2=1),
-                                          2.0, 1, 1e-12, 1e-10)}
+    tols = {"algebraic": 1e-12, "pnmcv_h": 1e-10}
+    assert all(c.passed for c in _property_checks({"pnmcv"}, spec, grid, tols,
+                                                  2.0, 1).values())
+    res = _property_checks({"pnmcv"}, spec, _poisoned(grid, beta2=1, H_norm2=1),
+                           tols, 2.0, 1)
     for name in ("pnmcv-beta2", "pnmcv-h-norm2"):
         assert math.isnan(res[name].max_residual) and not res[name].passed
+
+
+# the InvariantGrid column that each property check reads, and a catalog
+# case of each bundle
+_READS = {"minimal-h-coeff": "h_coeff", "pnmcv-beta2": "beta2",
+          "pnmcv-h-norm2": "H_norm2", "pnmcv-h-value": "h_coeff",
+          "pnmcv-h-constancy": "h_coeff", "flat-gauss-curvature": "K",
+          "flat-mu2-plus-nu1nu2": "mu", "fnc-normal-curvature": "kappa"}
+_BUNDLE_CASE = {"minimal": "min-hyp-i", "pnmcv": "pnmcv-hyp",
+                "flat": "flat-ell-i", "fnc": "fnc-ell-i"}
+
+
+@pytest.mark.parametrize("row", verifier._PROPERTY_CHECKS, ids=lambda r: r[0])
+def test_every_property_check_fails_on_a_nan_in_its_column(row):
+    """Each row of the table passes on the catalog case of its bundle, at
+    three u inside its interval, and fails with a NaN residual once the
+    column it reads holds a NaN at one of them."""
+    name, bundle = row[:2]
+    assert set(_READS) == {r[0] for r in verifier._PROPERTY_CHECKS}
+    case = _BUNDLE_CASE[bundle]
+    desc = descriptor_from_catalog(case, None)
+    spec = surface_from_family(build_family(desc))
+    grid = surfaces.invariant_grid(spec, np.linspace(*desc.interval, 5)[1:-1])
+    tols = {**DEFAULT_TOLS, "tier": DEFAULT_TOLS[FAMILY_CATALOG[case].realization]}
+    args = tols, desc.params.get("C"), desc.sign
+    assert _property_checks({bundle}, spec, grid, *args)[name].passed
+    res = _property_checks({bundle}, spec, _poisoned(grid, **{_READS[name]: 1}),
+                           *args)[name]
+    assert math.isnan(res.max_residual) and not res.passed
 
 
 def test_nan_fd_row_fails_fd_connection(monkeypatch):

@@ -30,16 +30,17 @@ and wall time of ``run_suite`` on the default jobs at nu = 1000, sweep
 off, each of NU1000_RUNS runs in a fresh process (grids above
 verifier._STACK_ROWS, which no workload has), and the tier-1 wall time
 with its pytest summary line.  Under "source" it records facts of the
-checkout's source: the line count of src/grs4/*.py (as wc -l counts), the
-sha256 of the full report of ``grs4 verify --suite default --seed S
---report`` for each S of SUITE_REPORT_SEEDS (keyed by seed; older records
-hold the seed-31 digest alone), the sha256 of the writer outputs in
-WRITER_OUTPUTS (an invariant CSV and obj3 and csv4 meshes, each longer
-than one writer block)
-and, under "perfbench_output_sha256", the digest of each workload's first
-pass that perfbench prints, so a change that claims to keep the report,
-writer or workload bytes shows it.  Nothing under perfbench/ is changed;
-the runs go one after another, each in its own process.
+checkout's source: the line count of src/grs4/*.py (as wc -l counts), in
+all and by module under "src_grs4_lines_by_module", the sha256 of the
+full report of ``grs4 verify --suite default --seed S --report`` for each
+S of SUITE_REPORT_SEEDS (keyed by seed; older records hold the seed-31
+digest alone), the sha256 of the writer outputs in WRITER_OUTPUTS (an
+invariant CSV and obj3 and csv4 meshes, each longer than one writer
+block) and, under "perfbench_output_sha256", the digest of each
+workload's first pass that perfbench prints, so a change that claims to
+keep the report, writer or workload bytes shows it.  Nothing under
+perfbench/ is changed; the runs go one after another, each in its own
+process.
 
 The fresh processes of grs4 (the default suite, suite_nu1000, the
 realizations, the profile and the source facts; not perfbench, not
@@ -291,15 +292,23 @@ def suite_report_sha256(checkout: str, seed: int) -> str:
                                      str(seed)], "--report")
 
 
-def source_facts(checkout: str) -> dict:
-    """Line count of src/grs4/*.py, sha256 of the default-suite report at
-    each of SUITE_REPORT_SEEDS and of each WRITER_OUTPUTS file, all of the
-    checkout."""
-    lines = 0
-    for path in glob.glob(os.path.join(checkout, "src", "grs4", "*.py")):
+def module_lines(checkout: str) -> dict:
+    """The line count of each src/grs4/*.py of the checkout, as wc -l
+    counts, keyed by file name in sorted order."""
+    lines = {}
+    for path in sorted(glob.glob(os.path.join(checkout, "src", "grs4", "*.py"))):
         with open(path, "rb") as fh:
-            lines += fh.read().count(b"\n")
-    return {"src_grs4_lines": lines,
+            lines[os.path.basename(path)] = fh.read().count(b"\n")
+    return lines
+
+
+def source_facts(checkout: str) -> dict:
+    """Line count of src/grs4/*.py, in all and by module, sha256 of the
+    default-suite report at each of SUITE_REPORT_SEEDS and of each
+    WRITER_OUTPUTS file, all of the checkout."""
+    lines = module_lines(checkout)
+    return {"src_grs4_lines": sum(lines.values()),
+            "src_grs4_lines_by_module": lines,
             "default_suite_report_sha256": {
                 str(seed): suite_report_sha256(checkout, seed)
                 for seed in SUITE_REPORT_SEEDS},
