@@ -118,6 +118,10 @@ def _load_config_file(path: str) -> dict:
     return cfg
 
 
+# the family flags that mirror the suite job key of their name
+_JOB_KEYS = ("alpha", "beta", "sign", "root", "u0", "u1", "f0", "g0", "nu", "nv")
+
+
 def _flags_job(args) -> dict:
     """The suite job the family flags describe, as invariants, mesh and
     'verify --family' read it: the --config file's keys (verify only),
@@ -125,8 +129,7 @@ def _flags_job(args) -> dict:
     config = getattr(args, "config", None)
     job = _load_config_file(config) if config is not None else {}
     job["family"] = args.family
-    flags = {key: getattr(args, key, None) for key in (
-        "alpha", "beta", "sign", "root", "u0", "u1", "f0", "g0", "nu", "nv")}
+    flags = {key: getattr(args, key, None) for key in _JOB_KEYS}
     job.update((key, val) for key, val in flags.items() if val is not None)
     if getattr(args, "checks", None):
         job["checks"] = args.checks.split(",")
@@ -139,10 +142,14 @@ def _flags_job(args) -> dict:
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     if args.suite is not None:
-        if args.suite == "default":
-            config = default_suite_config(seed=args.seed)
-        else:
-            config = _load_config_file(args.suite)
+        given = [f"--{k}" for k in ("family", "params", *_JOB_KEYS, "config",
+                                    "checks") if getattr(args, k) not in (None, [])]
+        if given:
+            raise ConfigError(f"--suite runs its own jobs: drop {', '.join(given)}")
+        config = (default_suite_config() if args.suite == "default"
+                  else _load_config_file(args.suite))
+        if args.seed is not None:
+            config["seed"] = args.seed
         report = run_suite(config)
         payload = report.to_json()
         ok = report.passed
@@ -160,6 +167,8 @@ def cmd_verify(args) -> int:
             state = "vacuous" if c["vacuous"] else "pass" if c["pass"] else "FAIL"
             print(f"  {c['name']:32s} {state}")
     elif args.family is not None:
+        if args.seed is not None:
+            raise ConfigError("--seed seeds a suite's sweep; --family runs none")
         [(_, _, report)] = run_suite({"jobs": [_flags_job(args)]}).jobs
         payload = report.to_json()
         ok = report.passed
@@ -209,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "suite job); flags override")
     p_ver.add_argument("--suite", default=None,
                        help="'default' or a suite config JSON path")
-    p_ver.add_argument("--seed", type=int, default=20240)
+    p_ver.add_argument("--seed", type=int, default=None,
+                       help="the suite's seed, over its own (default 20240)")
     p_ver.add_argument("--report", default=None, help="write JSON report here")
     p_ver.set_defaults(fn=cmd_verify)
 

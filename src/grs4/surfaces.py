@@ -15,6 +15,11 @@ tangent frame {x, y} and normal frame {n1, n2} are pseudo-orthonormal, and
 all invariants are rational expressions in (f, f', f'', g, g', g'')
 evaluated from meridian jets, so no numerical differentiation enters here.
 
+Each vector is one of two formulas: _position_from, the profile pair
+rotated (z, z_u, z_uu, z_vv, the carrier normal), or its v-derivative
+(z_v, z_uv).  The frame is x = z_u / sqrt(E), y = z_v / sqrt(W), and
+_invariants_from takes the meridian's shared factors once for all.
+
 Each formula is written once and evaluated on arrays, the meridian from
 one jet_columns pass: over a u-grid (invariant_grid, which computes every
 row and then blanks the inadmissible ones), a u x v grid (positions_grid)
@@ -222,7 +227,7 @@ def _rotations(spec: SurfaceSpec, vs):
 def position_jets(spec: SurfaceSpec, u: float, v: float) -> PointJets:
     """All first and second partials of the immersion at (u, v),
     analytically; the meridian's error where it is undefined at u."""
-    return _float_row(_jets_from(spec, *_point_row(spec, u, False).scalars[:6],
+    return _float_row(_jets_from(spec, _point_row(spec, u, False).scalars,
                                  _rotations(spec, v)))
 
 
@@ -257,37 +262,37 @@ def positions_grid(spec: SurfaceSpec, us, vs) -> PEVector4:
 
 
 def _position_from(spec, f, g, rot) -> PEVector4:
-    """z from the meridian values and rotations, floats or arrays."""
+    """The profile pair (f, g) rotated by _rotations values, floats or
+    arrays: z from (f, g), z_u from (f', g'), z_uu from (f'', g''), z_vv
+    from (-eps alpha^2 f, -eps beta^2 g)."""
     ca, sa, cb, sb = rot
     return spec.kind.vec(f * ca, f * sa, g * cb, g * sb)
 
 
-def _tangents_from(spec, f, fp, g, gp, rot):
-    """(z_u, z_v) from meridian values and rotations, floats or arrays.
-
-    d/dv cos(a v) = -a sin(a v) and d/dv cosh(a v) = a sinh(a v): the
-    factor -eps a.
-    """
+def _position_v_from(spec, f, g, rot) -> PEVector4:
+    """d/dv of _position_from: z_v from (f, g), z_uv from (f', g').  d/dv
+    cos(a v) = -a sin(a v), d/dv cosh(a v) = a sinh(a v): the factor -eps a."""
     a, b, e = spec.alpha, spec.beta, spec.kind.eps
-    vec = spec.kind.vec
     ca, sa, cb, sb = rot
-    return (vec(fp * ca, fp * sa, gp * cb, gp * sb),
-            vec(-e * a * f * sa, a * f * ca, -e * b * g * sb, b * g * cb))
+    return spec.kind.vec(-e * a * f * sa, a * f * ca, -e * b * g * sb, b * g * cb)
 
 
-def _jets_from(spec, f, fp, fpp, g, gp, gpp, rot) -> PointJets:
-    """Position jets from meridian scalars and rotations, floats or arrays;
-    the v-derivatives as in _tangents_from."""
+def _tangents_from(spec, scalars, rot):
+    """(z_u, z_v) from meridian columns (_scalars_from or _frame_inputs
+    values) and rotations, floats or arrays."""
+    f, fp, _, g, gp = scalars[:5]
+    return _position_from(spec, fp, gp, rot), _position_v_from(spec, f, g, rot)
+
+
+def _jets_from(spec, scalars, rot) -> PointJets:
+    """Position jets from meridian columns and rotations, floats or arrays."""
+    f, fp, fpp, g, gp, gpp = scalars[:6]
     a, b, e = spec.alpha, spec.beta, spec.kind.eps
-    vec = spec.kind.vec
-    ca, sa, cb, sb = rot
     return PointJets(
-        _position_from(spec, f, g, rot),
-        *_tangents_from(spec, f, fp, g, gp, rot),
-        z_uu=vec(fpp * ca, fpp * sa, gpp * cb, gpp * sb),
-        z_uv=vec(-e * a * fp * sa, a * fp * ca, -e * b * gp * sb, b * gp * cb),
-        z_vv=vec(-e * a * a * f * ca, -e * a * a * f * sa,
-                 -e * b * b * g * cb, -e * b * b * g * sb))
+        _position_from(spec, f, g, rot), *_tangents_from(spec, scalars, rot),
+        z_uu=_position_from(spec, fpp, gpp, rot),
+        z_uv=_position_v_from(spec, fp, gp, rot),
+        z_vv=_position_from(spec, -e * a * a * f, -e * b * b * g, rot))
 
 
 def _fundamental_from(z_u, z_v):
@@ -352,30 +357,23 @@ def frames(spec: SurfaceSpec, u: float, v: float) -> Frame:
     square roots are taken throughout, so the orientation follows the signs
     of f, g, f', g'.
     """
-    return _float_row(_frame_from(spec, _frame_inputs(_point_row(spec, u).scalars),
-                                  _rotations(spec, v)))
+    scalars, rot = _frame_inputs(_point_row(spec, u).scalars), _rotations(spec, v)
+    return _float_row(_frame_from(spec, scalars, rot,
+                                  *_tangents_from(spec, scalars, rot)))
 
 
-def _frame_from(spec, scalars, rot) -> Frame:
-    """Frame from _frame_inputs and _rotations values, floats or arrays.
-
-    x = z_u / sqrt(E) and y = z_v / sqrt(W), with z_u, z_v as in _jets_from.
-    Of the normals, the one built from (f', g') carries H and the one built
-    from the rotation speeds is off it.
-    """
+def _frame_from(spec, scalars, rot, z_u, z_v) -> Frame:
+    """Frame from _frame_inputs and _rotations values and the tangents
+    there, floats or arrays: x = z_u / sqrt(E), y = z_v / sqrt(W), the
+    normal carrying H the pair (g', eps f') rotated over sqrt(E), and the
+    one off it built from the rotation speeds."""
     f, fp, _, g, gp, _, ie, iw = scalars
     a, b, e = spec.alpha, spec.beta, spec.kind.eps
-    vec = spec.kind.vec
     ca, sa, cb, sb = rot
-    off = vec(b * g * sa * iw, -e * b * g * ca * iw,
-              e * a * f * sb * iw, -a * f * cb * iw)
-    carrier = vec(gp * ca * ie, gp * sa * ie, e * fp * cb * ie, e * fp * sb * ie)
-    n1, n2 = spec.kind.normals(off, carrier)
-    return Frame(
-        x=vec(fp * ca * ie, fp * sa * ie, gp * cb * ie, gp * sb * ie),
-        y=vec(-e * a * f * sa * iw, a * f * ca * iw,
-              -e * b * g * sb * iw, b * g * cb * iw),
-        n1=n1, n2=n2)
+    off = spec.kind.vec(b * g * sa * iw, -e * b * g * ca * iw,
+                        e * a * f * sb * iw, -a * f * cb * iw)
+    n1, n2 = spec.kind.normals(off, _position_from(spec, gp, e * fp, rot) * ie)
+    return Frame(z_u * ie, z_v * iw, n1, n2)
 
 
 # ---------------------------------------------------------------------------
@@ -386,33 +384,14 @@ def geometric_functions(spec: SurfaceSpec, u: float) -> GeoFns:
     return _row_floats(GeoFns, _point_row(spec, u))
 
 
-def _geo_fns_from(spec, scalars) -> GeoFns:
-    """Geometric functions from _meridian_columns values, floats or arrays.
-
-    eps multiplies both operands of a difference, or a whole term, never
-    one operand of a negated difference: -(x - y) and y - x differ in the
-    sign of a zero.
-    """
-    f, fp, fpp, g, gp, gpp, E, W = scalars
-    (a2, b2), e = spec.squares, spec.kind.eps
-    ab = spec.alpha * spec.beta
-    se = sqrt(E)
-    sew = se * W
-    return GeoFns(
-        nu1=(gp * fpp - fp * gpp) / (E * se),
-        nu2=(e * b2 * g * fp - e * a2 * f * gp) / sew,
-        mu=ab * (f * gp - g * fp) / sew,
-        gamma2=e * (a2 * f * fp - e * b2 * g * gp) / sew,
-        beta2=e * ab * (f * fp - e * g * gp) / sew)
-
-
 @dataclass(frozen=True, slots=True)
 class _Projection:
     """Projection route at one (u, v), or over a grid with array components:
-    position jets, frame and sigma."""
+    position jets, frame, first fundamental form and sigma."""
 
     pj: PointJets
     fr: Frame
+    fundamental: tuple   # E, F, G
     sf: SecondFundamental
     sigma: tuple         # sigma(x,x), sigma(x,y), sigma(y,y) as ambient vectors
 
@@ -449,16 +428,16 @@ def _matrices(a, b, c, d):
 
 def _projection(spec, scalars, rot) -> _Projection:
     """Independent route from _frame_inputs and _rotations values, floats
-    or arrays: position jets and frame once, sigma from <z_ab, n_i>, and H
-    and the shape operators assembled from it.
+    or arrays: position jets once, the frame and E, F, G from their
+    tangents, sigma from <z_ab, n_i>, and H and the shape operators
+    assembled from it.
 
     With the normal frame pseudo-orthonormal, a normal vector w decomposes
     as <w,n1> n1 - <w,n2> n2.
     """
-    f, fp, fpp, g, gp, gpp, _, _ = scalars
-    pj = _jets_from(spec, f, fp, fpp, g, gp, gpp, rot)
-    fr = _frame_from(spec, scalars, rot)
-    E, _, G = _fundamental_from(pj.z_u, pj.z_v)
+    pj = _jets_from(spec, scalars, rot)
+    fr = _frame_from(spec, scalars, rot, pj.z_u, pj.z_v)
+    E, F, G = _fundamental_from(pj.z_u, pj.z_v)
     seg = sqrt(E) * sqrt(-G)
 
     def pair(w, denom):
@@ -467,7 +446,7 @@ def _projection(spec, scalars, rot) -> _Projection:
     sf = SecondFundamental(xx=pair(pj.z_uu, E), xy=pair(pj.z_uv, seg),
                            yy=pair(pj.z_vv, -G))
     sigma = tuple(fr.n1 * c1 + fr.n2 * c2 for c1, c2 in (sf.xx, sf.xy, sf.yy))
-    return _Projection(pj, fr, sf, sigma)
+    return _Projection(pj, fr, (E, F, G), sf, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -492,24 +471,36 @@ def _h_terms(spec, f, fp, fpp, g, gp, gpp, E, W):
     return t1, t2
 
 
-def _curvatures_from(spec, scalars) -> Curvatures:
-    """Curvatures from _meridian_columns values, floats or arrays."""
+def _invariants_from(spec, scalars):
+    """(GeoFns, Curvatures) from _meridian_columns values, floats or arrays,
+    the factors m = f g' - g f', n1 = g' f'' - f' g'', n2 = eps beta^2 g f'
+    - eps alpha^2 f g' and sqrt(E) each taken once.
+
+    eps multiplies both operands of a difference, or a whole term, never
+    one operand of a negated difference: -(x - y) and y - x differ in the
+    sign of a zero.  K's eps (eps f' g'' - eps f'' g') is -n1 up to the
+    sign of a zero term, added to E alpha^2 beta^2 m^2 >= 0 where E > 0.
+    """
     f, fp, fpp, g, gp, gpp, E, W = scalars
     (a2, b2), e = spec.squares, spec.kind.eps
     ab = spec.alpha * spec.beta
     prod3 = spec.kind.prod3
+    m = f * gp - g * fp
+    n1 = gp * fpp - fp * gpp
+    n2 = e * b2 * g * fp - e * a2 * f * gp
+    se = sqrt(E)
+    sew = se * W
     E2W2 = E * E * W * W
+    # n2 with (b2 f') g, and both triple products per kind, for the pinned bytes
     X = e * b2 * fp * g - e * a2 * f * gp
-    Y = e * fp * gpp - e * fpp * gp
-    # both triple products associated per kind for the pinned bytes
-    K = e * (prod3(E, a2 * b2, pow2(f * gp - fp * g))
-             - e * prod3(W, X, Y)) / E2W2
-    kappa = (-e * ab * (f * gp - g * fp)
-             * (W * (gp * fpp - fp * gpp)
-                + E * (e * b2 * g * fp - e * a2 * f * gp))) / E2W2
+    K = e * (prod3(E, a2 * b2, pow2(m)) + prod3(W, X, n1)) / E2W2
     t1, t2 = _h_terms(spec, *scalars)
-    h = (t1 + t2) / (2.0 * E * sqrt(E) * W)
-    return Curvatures(K=K, kappa=kappa, h_coeff=h, H_norm2=-h * h)
+    h = (t1 + t2) / (2.0 * E * se * W)
+    return (GeoFns(nu1=n1 / (E * se), nu2=n2 / sew, mu=ab * m / sew,
+                   gamma2=e * (a2 * f * fp - e * b2 * g * gp) / sew,
+                   beta2=e * ab * (f * fp - e * g * gp) / sew),
+            Curvatures(K=K, kappa=-e * ab * m * (W * n1 + E * n2) / E2W2,
+                       h_coeff=h, H_norm2=-h * h))
 
 
 def shape_trace(A1, A2):
@@ -572,12 +563,10 @@ def invariant_grid(spec: SurfaceSpec, us) -> InvariantGrid:
 
 def _invariant_rows(spec, us, scalars) -> InvariantGrid:
     """invariant_grid from _meridian_columns values; spec may be SpecRows."""
-    f, fp, _, g, gp, _, _, _ = scalars
-    gf = _geo_fns_from(spec, scalars)
-    cv = _curvatures_from(spec, scalars)
+    gf, cv = _invariants_from(spec, scalars)
     table = np.array((
         # the rotations at v = 0, whatever alpha and beta > 0
-        *_fundamental_from(*_tangents_from(spec, f, fp, g, gp, (1.0, 0.0, 1.0, 0.0))),
+        *_fundamental_from(*_tangents_from(spec, scalars, (1.0, 0.0, 1.0, 0.0))),
         gf.nu1, gf.nu2, gf.mu, gf.gamma2, gf.beta2, cv.K, cv.kappa,
         cv.h_coeff, cv.H_norm2, shape_trace(*_shape_matrices(spec.kind, gf))))
     ok = _admissible(scalars)

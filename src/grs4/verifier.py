@@ -34,12 +34,11 @@ from .errors import (ConfigError, DomainError, InadmissiblePointError,
 from .meridians import (FAMILY_CATALOG, build_family,
                         descriptor_from_catalog, classified_case_ids)
 from .pe4 import inner, pow2
-from .surfaces import (SpecRows, SurfaceKind, SurfaceSpec, shape_trace,
-                       spec_rows, surface_from_family, _admissible,
-                       _frame_from, _frame_inputs, _fundamental_from,
-                       _geo_fns_from, _h_terms, _inadmissible, _invariant_rows,
+from .surfaces import (SpecRows, SurfaceKind, SurfaceSpec, shape_trace, spec_rows,
+                       surface_from_family, _admissible, _frame_from, _frame_inputs,
+                       _h_terms, _inadmissible, _invariant_rows, _invariants_from,
                        _meridian_columns, _point_row, _projection, _rotations,
-                       _scalars_from)
+                       _scalars_from, _tangents_from)
 
 DEFAULT_TOLS = {
     "closed": 1e-9,      # property residuals on closed-form families
@@ -344,7 +343,7 @@ def fd_connection_rows(spec, scalars, fr, hs):
     1/sqrt(E) and 1/sqrt(-G); residuals are norms of (FD - closed form)."""
     shape = (-1, 1 + 4 * np.shape(hs)[-1])
     centre = tuple(c.reshape(shape)[:, :1] for c in scalars)
-    gf = _geo_fns_from(spec, centre)
+    gf, _ = _invariants_from(spec, centre)
     # H lies along the carrier normal, n2 (elliptic) or n1 (hyperbolic);
     # F is indexed (vector, component, point, frame column)
     e = spec.kind.eps
@@ -434,7 +433,7 @@ def _v_spread(proj):
     pj, fr, sf = proj.pj, proj.fr, proj.sf
     nu, nv_, n1n, n2n, uu, uv, vv = (w.euclid_norm() for w in (
         pj.z_u, pj.z_v, fr.n1, fr.n2, pj.z_uu, pj.z_uv, pj.z_vv))
-    E, F, G = _fundamental_from(pj.z_u, pj.z_v)
+    E, F, G = proj.fundamental
     vals = np.array((E, F, G, *sf.xx, *sf.xy, *sf.yy)).reshape(9, -1, _VINDEP_NV)
     seg = np.sqrt(E) * np.sqrt(-G)
     scales = np.array((nu * nu, nu * nv_, nv_ * nv_,
@@ -614,8 +613,9 @@ def check_points(jobs) -> list:
     j, k = _block_points(n * nv)
     m = len(j)
     del proj   # the frame pass below holds the most points at once
-    fr = _frame_from(*points((j, t0[j] + k // nv[j], r0[j] + first + k % nv[j]),
-                             stencil, skip=(2, 5)))   # frames read no f'', g''
+    inputs = points((j, t0[j] + k // nv[j], r0[j] + first + k % nv[j]),
+                    stencil, skip=(2, 5))   # frames read no f'', g''
+    fr = _frame_from(*inputs, *_tangents_from(*inputs))
     ortho = _job_max(orthonormality_residual(_part(fr, slice(m))), n * nv)
     fd_jobs = [(spec, fd[0][:, 0], fd[1], tols["fd"])
                for spec, *_, tols, fd, _ in jobs if fd]

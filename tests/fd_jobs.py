@@ -16,8 +16,9 @@ def fd_frame(spec, points, steps):
     _, scalars = surfaces._meridian_columns(spec, us)
     index, vs = verifier._fd_columns(spec, us, v, tuple(steps), scalars)
     scalars = tuple(c.ravel()[index.ravel()] for c in scalars)
-    return scalars, surfaces._frame_from(spec, surfaces._frame_inputs(scalars),
-                                         surfaces._rotations(spec, vs.ravel()))
+    inputs = surfaces._frame_inputs(scalars), surfaces._rotations(spec, vs.ravel())
+    return scalars, surfaces._frame_from(
+        spec, *inputs, *surfaces._tangents_from(spec, *inputs))
 
 
 def fd_rows(spec, points, hs):

@@ -60,13 +60,14 @@ def rotation(spec, v):
 
 
 def position_jets(spec, u, v):
-    return surfaces._jets_from(spec, *meridian_scalars(spec, u)[:6],
+    return surfaces._jets_from(spec, meridian_scalars(spec, u),
                                rotation(spec, v))
 
 
 def frames(spec, u, v):
-    return surfaces._frame_from(spec, frame_scalars(spec, u),
-                                rotation(spec, v))
+    scalars, rot = frame_scalars(spec, u), rotation(spec, v)
+    return surfaces._frame_from(spec, scalars, rot,
+                                *surfaces._tangents_from(spec, scalars, rot))
 
 
 def project(spec, u, v):
@@ -75,11 +76,11 @@ def project(spec, u, v):
 
 
 def geometric_functions(spec, u):
-    return surfaces._geo_fns_from(spec, admissible_scalars(spec, u))
+    return surfaces._invariants_from(spec, admissible_scalars(spec, u))[0]
 
 
 def curvatures(spec, u):
-    return surfaces._curvatures_from(spec, admissible_scalars(spec, u))
+    return surfaces._invariants_from(spec, admissible_scalars(spec, u))[1]
 
 
 def shape_trace(spec, u):
@@ -124,14 +125,12 @@ def invariant_grid(spec, us):
     with np.errstate(all="ignore"):
         _, *jets = jet_columns(spec.meridian, np.asarray(us, dtype=float))
         scalars = surfaces._scalars_from(spec, *jets)
-        pj = surfaces._jets_from(spec, *scalars[:6],
-                                 rotation(spec, 0.0))
+        pj = surfaces._jets_from(spec, scalars, rotation(spec, 0.0))
         E, F, G = (inner(pj.z_u, pj.z_u), inner(pj.z_u, pj.z_v),
                    inner(pj.z_v, pj.z_v))
         ok = surfaces._admissible(scalars)
         adm = tuple(c[ok] for c in scalars)
-        gf = surfaces._geo_fns_from(spec, adm)
-        cv = surfaces._curvatures_from(spec, adm)
+        gf, cv = surfaces._invariants_from(spec, adm)
         zero = np.zeros(np.shape(gf.mu))
         rot, diag = (np.ascontiguousarray(np.moveaxis(np.array(m), (0, 1),
                                                       (-2, -1)))

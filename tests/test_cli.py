@@ -686,10 +686,45 @@ def test_verify_suite_default(tmp_path):
     code = run("verify", "--suite", "default", "--report", str(rp))
     assert code == 0
     payload = json.loads(rp.read_text())
-    assert payload["pass"] is True
+    assert payload["pass"] is True and payload["seed"] == 20240
     labels = [j["label"] for j in payload["jobs"]]
     assert "negative-control-nonminimal" in labels
     assert any(v["family"] == "min-ell-i" for v in payload["vacuous"])
+
+
+def test_verify_seed_overrides_the_suite_seed(tmp_path):
+    """A given --seed is the seed of any suite, a file's or the default's;
+    left out, the file's seed stands."""
+    cfg, rp = tmp_path / "suite.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps({"seed": 7, "jobs": [
+        {"family": "pnmcv-ell", "nu": 5}]}))
+    for argv, seed in (((str(cfg), "--seed", "99"), 99), ((str(cfg),), 7),
+                       (("default", "--seed", "31"), 31)):
+        assert run("verify", "--suite", *argv, "--report", str(rp)) == 0
+        assert json.loads(rp.read_text())["seed"] == seed, argv
+
+
+@pytest.mark.parametrize("flags,given", [
+    (("--family", "pnmcv-ell", "--nu", "3"), "--family, --nu"),
+    (("--alpha", "2"), "--alpha"),
+    (("--params", "C=2"), "--params"),
+    (("--sign", "-1"), "--sign"),
+    (("--config", "job.json"), "--config"),
+    (("--checks", "pnmcv"), "--checks"),
+])
+def test_verify_suite_rejects_job_flags(capsys, flags, given):
+    """A suite's jobs carry their own family and settings: a job flag next
+    to --suite is a usage error, exit 2 with one line, not ignored."""
+    assert run("verify", "--suite", "default", *flags) == 2
+    assert capsys.readouterr().err == (
+        f"error: --suite runs its own jobs: drop {given}\n")
+
+
+def test_verify_family_rejects_seed(capsys):
+    """One job runs no sweep, so --seed with --family would do nothing."""
+    assert run("verify", "--family", "pnmcv-ell", "--seed", "3") == 2
+    assert capsys.readouterr().err == (
+        "error: --seed seeds a suite's sweep; --family runs none\n")
 
 
 def test_verify_prints_margins_outside_the_report(tmp_path, capsys):

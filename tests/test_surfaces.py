@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 import re
@@ -20,7 +21,7 @@ from grs4.surfaces import (INVARIANT_COLUMNS, SecondFundamental, SurfaceKind,
                            position_jets, positions_grid,
                            shape_trace, surface_from_family, _frame_from,
                            _frame_inputs, _fundamental_from, _projection,
-                           _rotations, _shape_matrices)
+                           _rotations, _shape_matrices, _tangents_from)
 from grs4.verifier import (admissible_domain, cross_check,
                            orthonormality_residual, _grid_in_intervals, _v_grid,
                            _V_SAMPLING)
@@ -419,7 +420,7 @@ def test_exports_evaluate_meridian_once_per_u(monkeypatch, tmp_path):
 
 def test_invariant_record_computes_each_layer_once_per_row(monkeypatch):
     import grs4.surfaces as surfaces
-    calls = {"_geo_fns_from": 0, "_curvatures_from": 0}
+    calls = {"_invariants_from": 0}
 
     def counted(name):
         fn = getattr(surfaces, name)
@@ -436,7 +437,7 @@ def test_invariant_record_computes_each_layer_once_per_row(monkeypatch):
             calls[key] = 0
         rec = invariant_record(spec, u)
         assert rec.admissible
-        assert calls == {"_geo_fns_from": 1, "_curvatures_from": 1}
+        assert calls == {"_invariants_from": 1}
         assert rec.trA1A2 == shape_ops(spec, u).trA1A2 == ref.shape_trace(spec, u)
 
 
@@ -458,7 +459,8 @@ def test_grid_route_matches_point_route_bitwise(spec):
         assert (vs.min(), vs.max()) == (-3.0, 3.0)
     inputs = (_frame_inputs([c[:, None] for c in invariant_grid(spec, us).scalars]),
               _rotations(spec, vs))
-    fg, pg = _frame_from(spec, *inputs), _projection(spec, *inputs)
+    fg = _frame_from(spec, *inputs, *_tangents_from(spec, *inputs))
+    pg = _projection(spec, *inputs)
     zg = positions_grid(spec, us, vs)
     trg = shape_trace(*pg.shape_matrices())
     assert trg.shape == (len(us), len(vs))
@@ -625,6 +627,50 @@ def test_invariant_grid_matches_invariant_record_bitwise(case):
         assert np.all(grid.F[:-1] == 0.0) and grid.admissible.any()
 
 
+# (kind, f, g, alpha, beta, interval) of meridians in a placeholder {u}: a
+# generic pair of each kind, and the pnmcv meridians with C = 2, whose
+# beta2 is an exact zero
+HOMOTHETY_PAIRS = [
+    ("elliptic", "{u} + 0.1*cos({u})", "2 + 0.2*sin({u})", 1.0, 1.0, (0.2, 1.5)),
+    ("hyperbolic", "{u} + 0.1*cos({u})", "2 + 0.2*sin({u})", 2.0, 1.0, (0.2, 1.5)),
+    ("elliptic", "sqrt({u}**2 - 4)", "{u}", 1.0, 3.0, (2.1, 6.0)),
+    ("hyperbolic", "sqrt(4 - {u}**2)", "{u}", 1.3, 0.7, (0.2, 1.8)),
+]
+# the power of lambda that each column scales by under (f, g) -> lambda (f,
+# g)(u / lambda): -G = W goes as lambda^2, curvatures as 1/lambda^2
+HOMOTHETY_WEIGHTS = {"E": 0, "F": 0, "G": -2, "nu1": 1, "nu2": 1, "mu": 1,
+                     "gamma2": 1, "beta2": 1, "h_coeff": 1, "K": 2,
+                     "kappa": 2, "H_norm2": 2, "trA1A2": 2}
+
+
+@pytest.mark.parametrize("kind,f,g,alpha,beta,interval", HOMOTHETY_PAIRS)
+def test_invariant_grid_scales_under_homothety(kind, f, g, alpha, beta, interval):
+    """The meridian lambda (f, g)(u / lambda) at u = lambda t has the
+    invariants of (f, g) at t times lambda^-weight, for lambda = 1e-3, 7
+    and 1e3.  Each residual is relative to the largest invariant of its
+    weight in its row, so an exact zero is not a divisor."""
+    def grid(lam):
+        def scaled(expr):
+            return f"{lam!r}*({expr.format(u=f'(u/{lam!r})')})"
+        spec = spec_for("custom", {"f": scaled(f), "g": scaled(g), "kind": kind},
+                        alpha=alpha, beta=beta,
+                        interval=(lam * interval[0], lam * interval[1]))
+        return invariant_grid(spec, lam * ts)
+
+    ts = np.linspace(*interval, 41)[1:-1]
+    base = grid(1.0)
+    assert base.admissible.all()
+    for lam in (1e-3, 7.0, 1e3):
+        got = grid(lam)
+        assert got.admissible.all()
+        for weight in set(HOMOTHETY_WEIGHTS.values()):
+            names = [n for n, w in HOMOTHETY_WEIGHTS.items() if w == weight]
+            want = np.array([getattr(base, n) for n in names])
+            back = np.array([getattr(got, n) * lam ** weight for n in names])
+            residual = abs(back - want) / abs(want).max(axis=0)
+            assert residual.max() <= 1e-13, (lam, names)
+
+
 def _past_the_interval(spec, n=61):
     lo, hi = spec.meridian.interval
     return np.linspace(lo - 0.25 * (hi - lo), hi + 0.25 * (hi - lo), n)
@@ -726,3 +772,50 @@ def test_point_views_raise_the_float_route_error(spec, u):
                 view(spec, *args)
         else:
             view(spec, *args)
+
+
+# ---------------------------------------------------------------------------
+# Geometry bytes, pinned
+#
+# The suite and writer pins see maxima and a few grids; this one sees every
+# value of the geometry layer over dense grids, so a moved bit anywhere in
+# it shows.  Recorded on Linux x86-64 with glibc's libm and OpenBLAS 0.3.31,
+# like the suite and writer digests.  NaN is hashed as one value: its
+# payload is not part of the geometry.
+
+GEOMETRY_NU = 3000
+GEOMETRY_SHA256 = "91834c6684e5f9787191d4a32889fcb7fbdd423e7498c07a8e345121fd978509"
+
+
+def _geometry_arrays(case, rng):
+    """invariant_grid over GEOMETRY_NU seeded u's of the catalog interval,
+    then the frame and the projection route at its admissible rows, each
+    at a seeded v of the kind's v-range."""
+    desc = descriptor_from_catalog(case)
+    spec = surface_from_family(build_family(desc))
+    grid = invariant_grid(spec, np.sort(rng.uniform(*desc.interval, GEOMETRY_NU)))
+    rows = grid[grid.admissible]
+    vs = rng.uniform(*_V_SAMPLING[spec.kind][0], len(rows))
+    inputs = _frame_inputs(rows.scalars), _rotations(spec, vs)
+    fr = _frame_from(spec, *inputs, *_tangents_from(spec, *inputs))
+    proj = _projection(spec, *inputs)
+    vectors = (*(getattr(fr, name) for name in fr.__slots__),
+               *(getattr(proj.pj, name) for name in proj.pj.__slots__),
+               *(getattr(proj.fr, name) for name in proj.fr.__slots__),
+               *proj.sigma)
+    return (grid.us, grid.admissible, *grid.scalars, *grid.columns(),
+            *(c for vec in vectors for c in vec.components()),
+            *proj.sf.xx, *proj.sf.xy, *proj.sf.yy,
+            shape_trace(*proj.shape_matrices()))
+
+
+def test_geometry_bytes_pinned():
+    """sha256 of the frame, projection and invariant values of all sixteen
+    catalog cases, over one seeded u-grid and seeded v's each."""
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(30)
+    for case in classified_case_ids():
+        for values in _geometry_arrays(case, rng):
+            values = np.asarray(values, dtype=float)
+            digest.update(np.where(np.isnan(values), math.nan, values).tobytes())
+    assert digest.hexdigest() == GEOMETRY_SHA256
